@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet lint lint-vet lint-json lint-fixtures govulncheck race race-full bench bench-baseline bench-smoke bench-json shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 vet lint lint-vet lint-json lint-fixtures govulncheck race race-full bench-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -61,10 +61,12 @@ race: vet
 race-full: vet
 	$(GO) test -race ./...
 
-# One iteration of Figure 2 bare and with a live metrics registry: catches
-# benchmark rot and instrumentation regressions without a full bench run.
+# The repository benchmark (BENCHMARK.json, benchmark/README.md) in quick
+# mode: every workload runs one operation on a quarter-scale world with its
+# output checks on (digests, receipts, headline medians), so CI catches a
+# broken workload without paying for a measurement run.
 bench-smoke:
-	$(GO) test -bench 'BenchmarkFigure2(Metrics)?$$' -benchtime 1x -run '^$$' .
+	$(GO) run ./benchmark -workload all -quick
 
 # Control-plane gate: the snapshotfields analyzer over the packages that
 # carry ChangeSet / snapshot state, then the end-to-end smoke test — build
@@ -79,44 +81,8 @@ ctlplane-smoke:
 # Everything CI runs (see .github/workflows/ci.yml).
 ci: tier1 vet lint race bench-smoke ctlplane-smoke
 
-# Figure-2 + convergence benchmarks with allocation stats.
-bench:
-	$(GO) test -bench 'Figure2|BGPConvergence' -benchmem -run '^$$'
-
-# Capture a before/after baseline for perf work.
-bench-baseline:
-	$(GO) test -bench 'Figure2|BGPConvergence' -benchmem -run '^$$' | tee bench-baseline.txt
-
-# Machine-readable benchmark record: re-runs the headline benchmarks
-# (Figure2, BGPConvergence, the sharded-convergence suite, the partitioner
-# suite, and the demand fold) and writes BENCH_PR9.json with ns/op,
-# allocs/op, procs, shard counts, and the headline custom metrics per
-# benchmark, plus percentage reductions against the committed baseline
-# (bench/pr9_baseline.json). CI uploads the file as an artifact so the
-# perf trajectory is tracked from PR 4 onward, and fails on >10% ns/op
-# regression of any shared benchmark or on a sub-3x sharded convergence
-# speedup (both downgrade to warnings on single-proc machines, which
-# cannot exhibit parallel speedup and whose goroutine-heavy timings are
-# scheduler-noise-bound). The partitioner's balance gate has no such
-# escape hatch: event counts are machine-deterministic, so the run fails
-# anywhere if ConvergencePartition/mode=profiled's
-# event-imbalance-max-mean exceeds 1.15 (the pre-partitioner BFS chunk
-# cut sat at ~1.41).
-# The bench output is staged in a file so the converter's compilation never
-# competes with the benchmark for CPU; the trap removes it on every exit,
-# and set -e makes a failure of either step fail the target loudly.
-bench-json:
-	@set -e; tmp=$$(mktemp bench-out.XXXXXX.tmp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -bench 'Figure2$$|BGPConvergence$$|ConvergenceSharded$$|Figure2Sharded$$|LoadAccounting$$|ConvergencePartition$$|PlanShards$$' -benchtime 3x -benchmem -run '^$$' . > "$$tmp"; \
-	$(GO) run ./cmd/benchjson -baseline bench/pr9_baseline.json -out BENCH_PR9.json \
-		-max-regression-pct 10 \
-		-min-metric 'ConvergenceSharded/shards=8:speedup-x:3' \
-		-max-metric 'ConvergencePartition/mode=profiled:event-imbalance-max-mean:1.15' < "$$tmp"
-
 # Shard-equivalence gate: the digest tests proving shards=1 and shards=N
-# produce bit-identical route and FIB state — under both partition modes
-# (static and profiled; the tests iterate them) — run under the race
-# detector (the sharded runner's worker handoffs are exactly what -race
-# scrutinizes).
+# produce bit-identical route and FIB state, run under the race detector
+# (the sharded runner's worker handoffs are exactly what -race scrutinizes).
 shard-equivalence:
 	$(GO) test -race -run 'TestSharded.*Equivalence|TestShardRunner' ./internal/experiment/ ./internal/netsim/

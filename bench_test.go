@@ -68,7 +68,7 @@ func BenchmarkFigure2(b *testing.B) {
 	sel := getSelection(b)
 	var last []experiment.CDFPair
 	for i := 0; i < b.N; i++ {
-		pairs, err := experiment.Figure2(benchConfig(1), sel, []core.Technique{
+		pairs, err := (&experiment.Runner{}).Figure2(benchConfig(1), sel, []core.Technique{
 			core.ProactiveSuperprefix{},
 			core.ReactiveAnycast{},
 			core.ProactivePrepending{Prepends: 3},
@@ -164,7 +164,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	sel := getSelection(b)
 	for i := 0; i < b.N; i++ {
-		pairs, err := experiment.Figure2(benchConfig(1), sel,
+		pairs, err := (&experiment.Runner{}).Figure2(benchConfig(1), sel,
 			[]core.Technique{core.ReactiveAnycast{}, core.Anycast{}},
 			benchSites[:1], benchFailover())
 		if err != nil {
@@ -217,7 +217,7 @@ func BenchmarkFigure5(b *testing.B) {
 	var pairs []experiment.CDFPair
 	for i := 0; i < b.N; i++ {
 		var err error
-		pairs, err = experiment.Figure5(benchConfig(1), sel, benchSites[:2], benchFailover())
+		pairs, err = (&experiment.Runner{}).Figure5(benchConfig(1), sel, benchSites[:2], benchFailover())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func BenchmarkCombined(b *testing.B) {
 	var pairs []experiment.CDFPair
 	for i := 0; i < b.N; i++ {
 		var err error
-		pairs, err = experiment.Figure2(benchConfig(1), sel,
+		pairs, err = (&experiment.Runner{}).Figure2(benchConfig(1), sel,
 			[]core.Technique{core.ReactiveAnycast{}, core.Combined{}},
 			benchSites[:2], benchFailover())
 		if err != nil {
@@ -391,7 +391,7 @@ func BenchmarkAblationDamping(b *testing.B) {
 					bcfg.Damping = bgp.DefaultDamping()
 				}
 				cfg.BGP = bcfg
-				pairs, err := experiment.Figure2(cfg, sel,
+				pairs, err := (&experiment.Runner{}).Figure2(cfg, sel,
 					[]core.Technique{core.ReactiveAnycast{}}, benchSites[:2], benchFailover())
 				if err != nil {
 					b.Fatal(err)
@@ -447,7 +447,7 @@ func BenchmarkAblationMEDvsPrepending(b *testing.B) {
 				if n > 0 {
 					share = float64(ok) / float64(n)
 				}
-				pairs, err := experiment.Figure2(sharedCfg, sel,
+				pairs, err := (&experiment.Runner{}).Figure2(sharedCfg, sel,
 					[]core.Technique{tech}, benchSites[:1], benchFailover())
 				if err != nil {
 					b.Fatal(err)
@@ -607,7 +607,7 @@ func shardedConverge(b *testing.B, topo *topology.Topology, shards int, seed int
 // BenchmarkConvergenceSharded measures single-simulation BGP convergence at
 // paper scale across shard counts. The shards=8 sub-benchmark also times one
 // untimed shards=1 reference run and reports the wall-clock ratio as
-// speedup-x — a machine-independent metric cmd/benchjson gates on (≥3x).
+// speedup-x.
 func BenchmarkConvergenceSharded(b *testing.B) {
 	topo := shardBenchTopo(b)
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -628,10 +628,9 @@ func BenchmarkConvergenceSharded(b *testing.B) {
 			if shards == 8 {
 				perOp := time.Since(t0).Seconds() / float64(b.N)
 				b.ReportMetric(single/perOp, "speedup-x")
-				// Event imbalance across the static cost-model partition:
-				// max/mean of per-shard executed events (the pre-partitioner
-				// BFS chunk cut sat at ~1.41). BenchmarkConvergencePartition
-				// reports the same metric for both partition modes and
+				// Event imbalance across the cost-model partition: max/mean
+				// of per-shard executed events (the pre-partitioner BFS chunk
+				// cut sat at ~1.41). bgp's TestStaticPartitionImbalance
 				// carries the ceiling gate.
 				counts := last.ShardEventCounts()
 				var sum, max uint64
@@ -644,120 +643,6 @@ func BenchmarkConvergenceSharded(b *testing.B) {
 				if sum > 0 {
 					mean := float64(sum) / float64(len(counts))
 					b.ReportMetric(float64(max)/mean, "event-imbalance-max-mean")
-				}
-			}
-		})
-	}
-}
-
-// shardedConvergeWeighted is shardedConverge with an explicit per-speaker
-// weight profile for the partitioner (nil means the static cost model).
-func shardedConvergeWeighted(b *testing.B, topo *topology.Topology, shards int, seed int64, weights []float64) *bgp.Network {
-	b.Helper()
-	sim := netsim.New(seed)
-	net, err := bgp.NewShardedWeighted(sim, topo, bgp.DefaultConfig(), shards, seed, weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, code := range topology.DefaultSiteCodes {
-		site := topo.NodeByName("cdn-" + code)
-		net.Originate(site.ID, core.SitePrefix(i), nil)
-	}
-	sim.Run()
-	return net
-}
-
-// benchProfileWeights measures per-speaker calendar-event counts with one
-// unsharded converge of the same deploy wave — the bgp-layer analogue of the
-// experiment layer's profiled partition mode (experiment/profile.go).
-func benchProfileWeights(b *testing.B, topo *topology.Topology, seed int64) []float64 {
-	b.Helper()
-	net := shardedConverge(b, topo, 1, seed)
-	counts := net.SpeakerEventCounts()
-	w := make([]float64, len(counts))
-	for i, c := range counts {
-		w[i] = 1 + float64(c)
-	}
-	return w
-}
-
-// BenchmarkPlanShards measures the partitioner itself — BFS order, weighted
-// span cut, and bounded refinement — at paper scale and the gate's shard
-// count. Planning is a one-time world-construction cost; this keeps it
-// visible so refinement budgets cannot silently grow into converge
-// territory.
-func BenchmarkPlanShards(b *testing.B) {
-	topo := shardBenchTopo(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bgp.PlanShards(topo, 8, int64(i))
-	}
-}
-
-// BenchmarkConvergencePartition measures the 8-shard deploy-wave converge
-// under both partition modes and reports each mode's event imbalance
-// (max/mean of per-shard executed events) — the machine-deterministic
-// balance metric behind the tentpole gate: cmd/benchjson fails
-// `make bench-json` when mode=profiled exceeds 1.15 (the pre-partitioner
-// BFS chunk cut sat at ~1.41). Profile warm-ups run off-clock and are
-// memoized per seed, so ns/op stays comparable across modes.
-func BenchmarkConvergencePartition(b *testing.B) {
-	topo := shardBenchTopo(b)
-	const shards = 8
-	for _, mode := range []string{"static", "profiled"} {
-		mode := mode
-		b.Run("mode="+mode, func(b *testing.B) {
-			profiles := map[int64][]float64{}
-			var last *bgp.Network
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				seed := int64(i)
-				var weights []float64
-				if mode == "profiled" {
-					b.StopTimer()
-					w, ok := profiles[seed]
-					if !ok {
-						w = benchProfileWeights(b, topo, seed)
-						profiles[seed] = w
-					}
-					weights = w
-					b.StartTimer()
-				}
-				last = shardedConvergeWeighted(b, topo, shards, seed, weights)
-			}
-			b.StopTimer()
-			counts := last.ShardEventCounts()
-			var sum, max uint64
-			for _, c := range counts {
-				sum += c
-				if c > max {
-					max = c
-				}
-			}
-			if sum > 0 {
-				mean := float64(sum) / float64(len(counts))
-				b.ReportMetric(float64(max)/mean, "event-imbalance-max-mean")
-			}
-		})
-	}
-}
-
-// BenchmarkFigure2Sharded runs the Figure 2 matrix on sharded worlds,
-// composing the experiment runner's worker pool with per-world shard
-// goroutines. The reduced bench topology is too small for sharding to pay
-// off; this pins the composition's overhead, while BenchmarkConvergenceSharded
-// carries the paper-scale speedup gate.
-func BenchmarkFigure2Sharded(b *testing.B) {
-	sel := getSelection(b)
-	for _, shards := range []int{2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := benchConfig(1)
-			cfg.Shards = shards
-			r := &experiment.Runner{}
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Figure2(cfg, sel, benchFig2Techs, benchSites, benchFailover()); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})
@@ -789,8 +674,7 @@ func BenchmarkScenarioRegionalOutage(b *testing.B) {
 // re-attributing every target's request rate to its live catchment on a
 // converged demand-carrying world. Accountant.Record is the per-probe hot
 // path (//cdnlint:allocfree); the fold must stay allocation-free after
-// warm-up — allocs/op is committed in bench/pr9_baseline.json and gated by
-// make bench-json.
+// warm-up.
 func BenchmarkLoadAccounting(b *testing.B) {
 	cfg := benchConfig(1)
 	experiment.WithDefaultDemand()(&cfg)

@@ -38,7 +38,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -58,9 +57,7 @@ type options struct {
 	sites      string
 	scale      string
 	scaleF     float64
-	paper      bool
 	shards     int
-	partition  string
 	tech       string
 	demand     bool
 	c1Site     string
@@ -87,8 +84,6 @@ func main() {
 	flag.StringVar(&opts.scale, "scale", "1", `topology scale factor (1 ≈ 900 ASes), "paper" (~4x topology, 50K-target selection), or "internet" (~81x topology, ≈72K ASes; budget ~4 GiB and pair with -shards)`)
 	flag.IntVar(&opts.shards, "shards", 1,
 		"BGP shard simulators per world (1 = classic single kernel; converged route/FIB state is bit-identical at any shard count, transient timings follow shard-local jitter)")
-	flag.StringVar(&opts.partition, "partition", experiment.PartitionStatic,
-		`shard partition mode: "static" (topology cost model) or "profiled" (measured per-speaker event counts from a seeded warm-up converge; best balance, one extra unsharded converge per world config). Digests are identical across modes`)
 	flag.StringVar(&opts.tech, "tech", "",
 		`comma-separated techniques for the load and fig2 commands: the paper's five, "load-shift", "load-shed", "load-shift+<base>", "combined", or "all"/"seven"; with no command, implies the load command`)
 	flag.BoolVar(&opts.demand, "demand", false,
@@ -106,34 +101,18 @@ func main() {
 	flag.BoolVar(&opts.progress, "progress", false, "print live run progress to stderr")
 	flag.Parse()
 
-	switch opts.scale {
-	case "paper":
-		// The paper-scale preset: ~4x topology and the paper's 50K-target
-		// selection cap (§5.1), unless -targets was given explicitly.
-		opts.paper = true
-		opts.scaleF = experiment.PaperScale
+	var err error
+	if opts.scaleF, err = experiment.ParseScale(opts.scale); err != nil {
+		fmt.Fprintf(os.Stderr, "cdnsim: -scale: %v\n", err)
+		os.Exit(2)
+	}
+	if opts.scale == "paper" || opts.scale == "internet" {
+		// The named presets also raise the selection cap to the paper's
+		// 50K targets per site (§5.1), unless -targets was given explicitly.
 		opts.applyPresetTargets()
-	case "internet":
-		// The internet-scale preset: ≈72K ASes, the order of today's
-		// announced AS count. Target selection keeps the paper's cap; see
-		// experiment.InternetScale for the memory budget.
-		opts.scaleF = experiment.InternetScale
-		opts.applyPresetTargets()
-	default:
-		f, err := strconv.ParseFloat(opts.scale, 64)
-		if err != nil || f <= 0 {
-			fmt.Fprintf(os.Stderr, "cdnsim: -scale must be a positive number, \"paper\", or \"internet\", got %q\n", opts.scale)
-			os.Exit(2)
-		}
-		opts.scaleF = f
 	}
 	if opts.shards < 1 {
 		fmt.Fprintf(os.Stderr, "cdnsim: -shards must be >= 1, got %d\n", opts.shards)
-		os.Exit(2)
-	}
-	if opts.partition != experiment.PartitionStatic && opts.partition != experiment.PartitionProfiled {
-		fmt.Fprintf(os.Stderr, "cdnsim: -partition must be %q or %q, got %q\n",
-			experiment.PartitionStatic, experiment.PartitionProfiled, opts.partition)
 		os.Exit(2)
 	}
 
@@ -180,7 +159,11 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cdnsim [flags] <fig2|table1|table2|fig3|fig4|fig5|c1|unicast-dns|combined|load|validate|scenario|ctl|all>")
+		names := []string{"scenario", "ctl"} // dispatched above; the rest by run
+		for _, c := range commands {
+			names = append(names, c.name)
+		}
+		fmt.Fprintf(os.Stderr, "usage: cdnsim [flags] <%s>\n", strings.Join(names, "|"))
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -211,7 +194,6 @@ func (o options) worldConfig() experiment.WorldConfig {
 		experiment.WithSeed(o.seed),
 		experiment.WithScale(o.scaleF),
 		experiment.WithShards(o.shards),
-		experiment.WithPartition(o.partition),
 		experiment.WithWorkers(o.workers),
 		experiment.WithObs(o.reg),
 	}
@@ -291,8 +273,54 @@ func (o options) siteList() []string {
 	return out
 }
 
+// command is one command word run dispatches. needSel marks the commands
+// that start from a §5.1 target selection (the others get a nil one).
+type command struct {
+	name    string
+	needSel bool
+	run     func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error
+}
+
+// commands is the dispatch table, in usage order; the usage line prints
+// its names, so a command cannot be dispatchable yet unlisted.
+var commands = []command{
+	{"fig2", true, func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
+		_, err := runFig2(cfg, sel, o, nil)
+		return err
+	}},
+	{"table1", true, func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
+		_, err := runTable1(cfg, sel, o)
+		return err
+	}},
+	{"table2", true, runTable2},
+	{"fig3", false, runFig3},
+	{"fig4", false, runFig4},
+	{"fig5", true, runFig5},
+	{"c1", true, runC1},
+	{"unicast-dns", false, runUnicastDNS},
+	{"combined", true, func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
+		_, err := runFig2(cfg, sel, o, []core.Technique{core.ReactiveAnycast{}, core.Combined{}})
+		return err
+	}},
+	{"load", false, runLoad},
+	{"fig2-sites", true, runFig2Sites},
+	{"prepend-sweep", true, runPrependSweep},
+	{"validate", true, runValidate},
+	{"all", true, runAll},
+}
+
 func run(cmd string, o options) error {
 	start := time.Now()
+	var c *command
+	for i := range commands {
+		if commands[i].name == cmd {
+			c = &commands[i]
+			break
+		}
+	}
+	if c == nil {
+		return fmt.Errorf("unknown command %q", cmd)
+	}
 	if cmd == "load" {
 		// The load command is meaningless without a demand model; force it
 		// here (not inside runLoad) so the manifest's config digest and
@@ -302,13 +330,8 @@ func run(cmd string, o options) error {
 	cfg := o.worldConfig()
 	o.report = experiment.NewReport(o.seed)
 
-	needSelection := map[string]bool{
-		"fig2": true, "table1": true, "table2": true, "fig5": true,
-		"c1": true, "combined": true, "all": true, "validate": true,
-		"fig2-sites": true, "prepend-sweep": true,
-	}
 	var sel *experiment.Selection
-	if needSelection[cmd] {
+	if c.needSel {
 		fmt.Printf("selecting targets (§5.1, seed=%d, cap=%d/site)...\n", o.seed, o.targets)
 		var err error
 		sel, err = experiment.SelectTargets(cfg, o.targets)
@@ -321,76 +344,8 @@ func run(cmd string, o options) error {
 		}
 	}
 
-	var cmdErr error
-	switch cmd {
-	case "fig2":
-		_, cmdErr = runFig2(cfg, sel, o, nil)
-	case "table1":
-		_, cmdErr = runTable1(cfg, sel, o)
-	case "table2":
-		fig2, err := runFig2(cfg, sel, o, nil)
-		if err != nil {
-			return err
-		}
-		t1, err := runTable1(cfg, sel, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("\n=== Table 2: technique tradeoffs ===")
-		fmt.Println(experiment.RenderTable2(experiment.Table2(fig2, t1)))
-	case "fig3":
-		cmdErr = runFig3(cfg, o)
-	case "fig4":
-		cmdErr = runFig4(cfg, o)
-	case "fig5":
-		cmdErr = runFig5(cfg, sel, o)
-	case "c1":
-		cmdErr = runC1(cfg, sel, o)
-	case "unicast-dns":
-		cmdErr = runUnicastDNS(cfg, o)
-	case "load":
-		cmdErr = runLoad(cfg, o)
-	case "validate":
-		cmdErr = runValidate(cfg, sel, o)
-	case "fig2-sites":
-		cmdErr = runFig2Sites(cfg, sel, o)
-	case "prepend-sweep":
-		cmdErr = runPrependSweep(cfg, sel, o)
-	case "combined":
-		_, cmdErr = runFig2(cfg, sel, o, []core.Technique{
-			core.ReactiveAnycast{}, core.Combined{},
-		})
-	case "all":
-		fig2, err := runFig2(cfg, sel, o, nil)
-		if err != nil {
-			return err
-		}
-		t1, err := runTable1(cfg, sel, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("\n=== Table 2: technique tradeoffs ===")
-		fmt.Println(experiment.RenderTable2(experiment.Table2(fig2, t1)))
-		if err := runFig3(cfg, o); err != nil {
-			return err
-		}
-		if err := runFig4(cfg, o); err != nil {
-			return err
-		}
-		if err := runFig5(cfg, sel, o); err != nil {
-			return err
-		}
-		if err := runC1(cfg, sel, o); err != nil {
-			return err
-		}
-		if err := runUnicastDNS(cfg, o); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown command %q", cmd)
-	}
-	if cmdErr != nil {
-		return cmdErr
+	if err := c.run(cfg, sel, o); err != nil {
+		return err
 	}
 	if o.jsonOut != "" {
 		if err := o.report.WriteFile(o.jsonOut); err != nil {
@@ -402,6 +357,35 @@ func run(cmd string, o options) error {
 		return err
 	}
 	fmt.Printf("\ndone in %v\n", time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// runTable2 regenerates Figure 2 and Table 1 and joins them into the
+// qualitative tradeoff matrix.
+func runTable2(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
+	fig2, err := runFig2(cfg, sel, o, nil)
+	if err != nil {
+		return err
+	}
+	t1, err := runTable1(cfg, sel, o)
+	if err != nil {
+		return err
+	}
+	fmt.Println("\n=== Table 2: technique tradeoffs ===")
+	fmt.Println(experiment.RenderTable2(experiment.Table2(fig2, t1)))
+	return nil
+}
+
+// runAll is the paper-order sweep: Figure 2, Tables 1 and 2, then the
+// appendix figures and the unicast baseline.
+func runAll(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
+	for _, step := range []func(experiment.WorldConfig, *experiment.Selection, options) error{
+		runTable2, runFig3, runFig4, runFig5, runC1, runUnicastDNS,
+	} {
+		if err := step(cfg, sel, o); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -483,7 +467,7 @@ func printPairs(pairs []experiment.CDFPair, xmax float64) {
 // demand-carrying world: the per-site offered/served/shed table, the
 // aggregate totals, and — for load shifting — whether the rebalance loop
 // reached the Sinha et al. stable fixed point.
-func runLoad(cfg experiment.WorldConfig, o options) error {
+func runLoad(cfg experiment.WorldConfig, _ *experiment.Selection, o options) error {
 	spec := o.tech
 	if spec == "" {
 		spec = "load-shift"
@@ -582,7 +566,7 @@ func runTable1(cfg experiment.WorldConfig, sel *experiment.Selection, o options)
 	return rows, nil
 }
 
-func runFig3(cfg experiment.WorldConfig, o options) error {
+func runFig3(cfg experiment.WorldConfig, _ *experiment.Selection, o options) error {
 	fmt.Println("\n=== Figure 3: unicast withdrawal convergence (Appendix A) ===")
 	res, err := experiment.Figure3(cfg, o.trials)
 	if err != nil {
@@ -602,7 +586,7 @@ func runFig3(cfg experiment.WorldConfig, o options) error {
 	return nil
 }
 
-func runFig4(cfg experiment.WorldConfig, o options) error {
+func runFig4(cfg experiment.WorldConfig, _ *experiment.Selection, o options) error {
 	fmt.Println("\n=== Figure 4: anycast announcement propagation (Appendix B) ===")
 	res, err := experiment.Figure4(cfg, 2*o.trials, o.trials)
 	if err != nil {
@@ -723,7 +707,7 @@ func runValidate(cfg experiment.WorldConfig, sel *experiment.Selection, o option
 	return nil
 }
 
-func runUnicastDNS(cfg experiment.WorldConfig, o options) error {
+func runUnicastDNS(cfg experiment.WorldConfig, _ *experiment.Selection, o options) error {
 	fmt.Println("\n=== Unicast baseline: DNS-gated failover (§2 context) ===")
 	ucfg := experiment.DefaultUnicastDNSConfig()
 	ucfg.TTL = uint32(o.ttl)

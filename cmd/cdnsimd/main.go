@@ -24,7 +24,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/ctlplane"
@@ -38,7 +37,6 @@ func main() {
 		seed          = flag.Int64("seed", 42, "simulation seed (identical seeds reproduce the world bit-for-bit)")
 		scale         = flag.String("scale", "1", `topology scale factor (1 ≈ 900 ASes), "paper", or "internet"`)
 		shards        = flag.Int("shards", 1, "BGP shard simulators for the world (converged state is shard-count independent)")
-		partition     = flag.String("partition", experiment.PartitionStatic, `shard partition mode: "static" or "profiled" (see cdnsim -partition)`)
 		demand        = flag.Bool("demand", false, "attach the default demand model so /v1/load and ChangeSet load deltas carry traffic")
 		addr          = flag.String("addr", "127.0.0.1:8316", "listen address (use port 0 for an ephemeral port)")
 		convergeBound = flag.Float64("converge-bound", ctlplane.DefaultConvergeBound, "virtual-seconds convergence deadline after each mutation batch")
@@ -50,43 +48,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cdnsimd: unexpected argument %q (the daemon takes flags only)\n", flag.Arg(0))
 		os.Exit(2)
 	}
-	if err := run(*tech, *seed, *scale, *shards, *partition, *demand, *addr, *convergeBound, *metrics, *testSabotage); err != nil {
+	if err := run(*tech, *seed, *scale, *shards, *demand, *addr, *convergeBound, *metrics, *testSabotage); err != nil {
 		fmt.Fprintf(os.Stderr, "cdnsimd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(tech string, seed int64, scale string, shards int, partition string, demand bool, addr string, convergeBound float64, metrics, testSabotage bool) error {
+func run(tech string, seed int64, scale string, shards int, demand bool, addr string, convergeBound float64, metrics, testSabotage bool) error {
 	technique, err := core.TechniqueByName(tech)
 	if err != nil {
 		return err
 	}
-	var scaleF float64
-	switch scale {
-	case "paper":
-		scaleF = experiment.PaperScale
-	case "internet":
-		scaleF = experiment.InternetScale
-	default:
-		f, err := strconv.ParseFloat(scale, 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf(`-scale must be a positive number, "paper", or "internet", got %q`, scale)
-		}
-		scaleF = f
+	scaleF, err := experiment.ParseScale(scale)
+	if err != nil {
+		return fmt.Errorf("-scale: %w", err)
 	}
 	if shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", shards)
-	}
-	if partition != experiment.PartitionStatic && partition != experiment.PartitionProfiled {
-		return fmt.Errorf("-partition must be %q or %q, got %q",
-			experiment.PartitionStatic, experiment.PartitionProfiled, partition)
 	}
 
 	wopts := []experiment.Option{
 		experiment.WithSeed(seed),
 		experiment.WithScale(scaleF),
 		experiment.WithShards(shards),
-		experiment.WithPartition(partition),
 	}
 	if demand {
 		wopts = append(wopts, experiment.WithDefaultDemand())
@@ -103,8 +87,8 @@ func run(tech string, seed int64, scale string, shards int, partition string, de
 		cfg.Sabotage = sabotageHook
 	}
 
-	fmt.Fprintf(os.Stderr, "cdnsimd: building world (tech=%s seed=%d scale=%s shards=%d partition=%s demand=%v)...\n",
-		technique.Name(), seed, scale, shards, partition, demand)
+	fmt.Fprintf(os.Stderr, "cdnsimd: building world (tech=%s seed=%d scale=%s shards=%d demand=%v)...\n",
+		technique.Name(), seed, scale, shards, demand)
 	srv, err := ctlplane.NewServer(cfg)
 	if err != nil {
 		return err

@@ -42,7 +42,7 @@ func TestPaperHeadlineClaims(t *testing.T) {
 	fc := experiment.FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 300, ConvergeTime: 3600, MaxTargets: 15}
 	sites := []string{"atl", "msn", "slc"}
 
-	pairs, err := experiment.Figure2(cfg, sel, []core.Technique{
+	pairs, err := (&experiment.Runner{}).Figure2(cfg, sel, []core.Technique{
 		core.ProactiveSuperprefix{},
 		core.ReactiveAnycast{},
 		core.ProactivePrepending{Prepends: 3},
@@ -239,7 +239,7 @@ func TestDampingWorsensReactiveTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		fc := experiment.FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 300, ConvergeTime: 3600, MaxTargets: 12}
-		pairs, err := experiment.Figure2(cfg, sel,
+		pairs, err := (&experiment.Runner{}).Figure2(cfg, sel,
 			[]core.Technique{core.ReactiveAnycast{}}, []string{"atl", "msn"}, fc)
 		if err != nil {
 			t.Fatal(err)

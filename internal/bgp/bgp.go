@@ -324,20 +324,6 @@ func (n *Network) MessageCount() uint64 {
 	return total
 }
 
-// SpeakerEventCounts returns per-speaker calendar event counts indexed by
-// node ID — deliveries addressed to the speaker plus its MRAI pacing
-// timers, the speaker's share of netsim.Sim.Steps. This is the observed
-// work profile of one run: profile-guided partitioning feeds it back into
-// PlanShardsWeighted so the next run's shards balance measured load
-// instead of the static estimate.
-func (n *Network) SpeakerEventCounts() []uint64 {
-	counts := make([]uint64, len(n.speakers))
-	for i, sp := range n.speakers {
-		counts[i] = sp.evCount
-	}
-	return counts
-}
-
 // Sim returns the simulation kernel the network runs on.
 func (n *Network) Sim() *netsim.Sim { return n.sim }
 

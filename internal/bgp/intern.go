@@ -108,7 +108,6 @@ func runDelivery(a any) {
 	sh := peer.sh
 	*d = delivery{}
 	sh.freeDeliv = append(sh.freeDeliv, d)
-	peer.evCount++
 	// A session reset or link failure while the update was in flight tears
 	// down the TCP connection it rode on; the update must never arrive.
 	if peer.sessEpoch[rev] != epoch {
@@ -132,7 +131,6 @@ func runPendingExport(a any) {
 	sh := s.sh
 	*pe = pendingExport{}
 	sh.freePend = append(sh.freePend, pe)
-	s.evCount++
 	st.pending[sess] = false
 	s.export(st.prefix, st, sess)
 }

@@ -19,10 +19,9 @@ import (
 // The partitioner here keeps the BFS layout (locality keeps cut edges few)
 // but balances WORK, not node count:
 //
-//  1. weigh each speaker with a static cost model (degree-proportional,
-//     with an origination fan-out bonus for CDN site nodes and their
-//     first-hop providers), or with measured per-speaker event counts when
-//     the caller supplies a profile (see PlanShardsWeighted);
+//  1. weigh each speaker with a static cost model (sublinear in degree,
+//     with a relay bonus for CDN site nodes' first-hop neighbors; see
+//     StaticSpeakerWeights);
 //  2. cut the BFS order into weighted-balanced spans;
 //  3. run a bounded deterministic KL/FM-style refinement: single-node
 //     moves across shard boundaries that first reduce the max shard
@@ -31,8 +30,8 @@ import (
 //     window (see lookahead), so cut costs are delay-weighted: the cheaper
 //     the edge's latency, the more expensive it is to cut.
 //
-// Every step is a pure function of (topology, n, seed, weights): iteration
-// is in node-ID/shard-index order and exact ties break on a seeded hash,
+// Every step is a pure function of (topology, n, seed): iteration is in
+// node-ID/shard-index order and exact ties break on a seeded hash,
 // so equal inputs always yield the same assignment.
 
 const (
@@ -69,8 +68,8 @@ const (
 )
 
 // StaticSpeakerWeights estimates per-speaker work from topology alone. The
-// estimate only needs to be proportionally right — PlanShardsWeighted
-// balances ratios, not absolute costs.
+// estimate only needs to be proportionally right — PlanShards balances
+// ratios, not absolute costs.
 //
 // The model is w = 1 + degreeScale·√degree, not linear in degree:
 // valley-free export policy makes per-speaker event counts strongly
@@ -104,21 +103,11 @@ func StaticSpeakerWeights(topo *topology.Topology) []float64 {
 // weighted-balanced span cut, bounded refinement (see the package comment
 // above). Equal (topo, n, seed) always yields the same assignment.
 func PlanShards(topo *topology.Topology, n int, seed int64) []int {
-	return PlanShardsWeighted(topo, n, seed, nil)
-}
-
-// PlanShardsWeighted is PlanShards with an explicit per-speaker work
-// profile, indexed by node ID — typically measured event counts from a
-// warm-up converge (profile-guided partitioning). A nil or mis-sized
-// profile falls back to the static cost model; non-finite or non-positive
-// entries clamp to 1 so a partially idle profile can never zero out a
-// span. The assignment is a pure function of (topo, n, seed, weights).
-func PlanShardsWeighted(topo *topology.Topology, n int, seed int64, weights []float64) []int {
 	assign := make([]int, topo.Len())
 	if n <= 1 || topo.Len() == 0 {
 		return assign
 	}
-	w := sanitizeWeights(topo, weights)
+	w := StaticSpeakerWeights(topo)
 	order := bfsOrder(topo, seed)
 	if len(order) <= n {
 		// Fewer nodes than shards: one node per shard, trailing shards stay
@@ -166,23 +155,6 @@ func bfsOrder(topo *topology.Topology, seed int64) []topology.NodeID {
 		}
 	}
 	return order
-}
-
-// sanitizeWeights returns a defensive per-node weight vector: the static
-// model when weights is nil or mis-sized, and every entry clamped to at
-// least 1 (a zero-weight span would let the cut collapse shards).
-func sanitizeWeights(topo *topology.Topology, weights []float64) []float64 {
-	if weights == nil || len(weights) != topo.Len() {
-		return StaticSpeakerWeights(topo)
-	}
-	w := make([]float64, len(weights))
-	for i, v := range weights {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 1 {
-			v = 1
-		}
-		w[i] = v
-	}
-	return w
 }
 
 // cutSpans cuts the BFS order into n contiguous spans of near-equal total

@@ -112,35 +112,21 @@ func TestPlanShardsSingleNodeShards(t *testing.T) {
 }
 
 func TestPlanShardsNoShardEmptied(t *testing.T) {
-	// A pathological profile — one node carries almost all weight — must
-	// not let the cut or the refinement empty any shard.
+	// A pathological weight vector — one node carries almost all weight —
+	// must not let the cut or the refinement empty any shard.
 	topo := ringTopo(t, 16, 0.01)
 	w := make([]float64, topo.Len())
 	for i := range w {
 		w[i] = 1
 	}
 	w[5] = 1e6
-	assign := PlanShardsWeighted(topo, 4, 3, w)
-	counts, populated := shardStats(assign, 4)
-	if populated != 4 {
-		t.Fatalf("pathological profile emptied a shard: %v", counts)
-	}
-}
-
-func TestPlanShardsWeightSanitizing(t *testing.T) {
-	topo := ringTopo(t, 8, 0.01)
-	bad := make([]float64, topo.Len())
-	for i := range bad {
-		bad[i] = math.NaN()
-	}
-	bad[0], bad[1] = math.Inf(1), -4
-	assign := PlanShardsWeighted(topo, 2, 1, bad)
-	if _, populated := shardStats(assign, 2); populated != 2 {
-		t.Fatal("NaN/Inf/negative profile broke the partition")
-	}
-	// Mis-sized profiles fall back to the static model.
-	if _, populated := shardStats(PlanShardsWeighted(topo, 2, 1, []float64{1}), 2); populated != 2 {
-		t.Fatal("mis-sized profile broke the partition")
+	const n, seed = 4, 3
+	assign := make([]int, topo.Len())
+	cutSpans(bfsOrder(topo, seed), w, n, assign)
+	refine(topo, w, assign, n, seed)
+	counts, populated := shardStats(assign, n)
+	if populated != n {
+		t.Fatalf("pathological weights emptied a shard: %v", counts)
 	}
 }
 

@@ -232,23 +232,15 @@ func noCutWindow(topo *topology.Topology, cfg Config) netsim.Seconds {
 // control simulator). All world-level actors — fault injection, probers,
 // monitors, collector feeds, scenario timelines — stay on sim and execute
 // at barriers with every shard parked, so control actions keep their exact
-// sequential semantics. nShards <= 1 degrades to New. Speakers are
-// partitioned by PlanShards' static cost model; NewShardedWeighted accepts
-// a measured work profile instead.
+// sequential semantics. nShards <= 1 degrades to New. Speakers are placed
+// by PlanShards' static cost model; placement steers only event timing —
+// converged route state and FIB digests are bit-identical at any shard
+// count.
 func NewSharded(sim *netsim.Sim, topo *topology.Topology, cfg Config, nShards int, seed int64) (*Network, error) {
-	return NewShardedWeighted(sim, topo, cfg, nShards, seed, nil)
-}
-
-// NewShardedWeighted is NewSharded with an explicit per-speaker work
-// profile for the partitioner (see PlanShardsWeighted); nil means the
-// static cost model. Weights steer only the placement of speakers onto
-// shards — converged route state and FIB digests are bit-identical for any
-// profile at any shard count.
-func NewShardedWeighted(sim *netsim.Sim, topo *topology.Topology, cfg Config, nShards int, seed int64, weights []float64) (*Network, error) {
 	if nShards <= 1 {
 		return New(sim, topo, cfg), nil
 	}
-	assign := PlanShardsWeighted(topo, nShards, seed, weights)
+	assign := PlanShards(topo, nShards, seed)
 	window := lookahead(topo, cfg, assign)
 	if math.IsInf(window, 1) {
 		window = noCutWindow(topo, cfg)
@@ -282,8 +274,9 @@ func (n *Network) Shards() int { return len(n.shards) }
 
 // ShardEventCounts returns the number of kernel events each shard has
 // executed so far, in shard-index order. The max/mean ratio of these is
-// the event-imbalance the seeded BFS-chunk partitioner leaves on the
-// table — the tracked baseline for a future load-aware partitioner.
+// the event imbalance PlanShards' cost model leaves: the slowest shard
+// gates every barrier round, so it bounds parallel speedup
+// (TestStaticPartitionImbalance holds it to a ceiling at paper scale).
 // Callers read it between rounds (or after the run), with shards parked.
 //
 //cdnlint:barrieronly

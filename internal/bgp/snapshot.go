@@ -38,7 +38,6 @@ type NetworkSnapshot struct {
 
 type speakerSnapshot struct {
 	msgCount        uint64
-	evCount         uint64
 	lastDeliver     []netsim.Seconds
 	lastFeedDeliver netsim.Seconds
 	downSess        []bool
@@ -76,7 +75,6 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 	for i, sp := range n.speakers {
 		ss := speakerSnapshot{
 			msgCount:        sp.msgCount,
-			evCount:         sp.evCount,
 			lastDeliver:     slices.Clone(sp.lastDeliver),
 			lastFeedDeliver: sp.lastFeedDeliver,
 			downSess:        slices.Clone(sp.downSess),
@@ -146,7 +144,6 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 	for i, ss := range snap.speakers {
 		sp := n.speakers[i]
 		sp.msgCount = ss.msgCount
-		sp.evCount = ss.evCount
 		copy(sp.lastDeliver, ss.lastDeliver)
 		sp.lastFeedDeliver = ss.lastFeedDeliver
 		copy(sp.downSess, ss.downSess)

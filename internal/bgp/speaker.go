@@ -22,13 +22,6 @@ type Speaker struct {
 	// per-speaker so shards never contend; Network.MessageCount sums.
 	msgCount uint64
 
-	// evCount tallies calendar events this speaker cost its shard:
-	// deliveries addressed to it (even ones dropped by an epoch check —
-	// the event still executed) plus its MRAI pacing timers. This is the
-	// per-speaker share of netsim.Sim.Steps, the work profile that
-	// profile-guided partitioning feeds back into PlanShardsWeighted.
-	evCount uint64
-
 	// reverse[i] is the session index by which node.Adj[i].To refers back
 	// to this speaker.
 	reverse []int

@@ -164,16 +164,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 func (s *Server) handleWorld(w http.ResponseWriter, _ *http.Request) {
 	cfg := s.world.Cfg
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	writeJSON(w, http.StatusOK, api.WorldInfo{
 		APIVersion:    api.Version,
 		Seed:          cfg.Seed,
 		ConfigDigest:  cfg.Digest(),
-		Shards:        shards,
-		Partition:     cfg.Partition,
+		Shards:        cfg.Shards,
 		DemandEnabled: cfg.Demand.Enabled,
 		State:         StateOf(s.world),
 	})
@@ -268,30 +263,6 @@ func envOf(w *experiment.World) *scenario.Env {
 	return &scenario.Env{Sim: w.Sim, Topo: w.Topo, Net: w.Net, Plane: w.Plane, CDN: w.CDN}
 }
 
-// settle converges the world after a mutation batch and runs the active
-// technique's rebalance loop to its fixed point, then re-folds load — the
-// same post-mutation trajectory on the dry-run scratch world and the live
-// one, which is what makes predictions bind.
-func (s *Server) settle(w *experiment.World) error {
-	w.Converge(s.bound)
-	if w.CDN.Demand() != nil {
-		if reb, ok := w.CDN.Technique().(core.Rebalancer); ok {
-			for i := 0; i < core.MaxRebalanceRounds; i++ {
-				changed, err := reb.Rebalance(w.CDN)
-				if err != nil {
-					return fmt.Errorf("rebalancing: %w", err)
-				}
-				if !changed {
-					break
-				}
-				w.Converge(s.bound)
-			}
-		}
-		w.CDN.RefreshLoad()
-	}
-	return nil
-}
-
 // replayDemandScales re-applies the executed demand-scale history onto a
 // freshly restored scratch world, whose demand model NewWorld rebuilt from
 // config. Same integer arithmetic, same order, same target iteration as
@@ -370,7 +341,7 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "changeset %s: live execution diverged from accepted dry-run: %v", cs.ID, err)
 		return
 	}
-	if err := s.settle(s.world); err != nil {
+	if err := s.world.Settle(s.bound); err != nil {
 		cs.Status = api.StatusRejected
 		s.record(cs)
 		writeError(w, http.StatusInternalServerError, "changeset %s: settling live world: %v", cs.ID, err)
@@ -414,7 +385,7 @@ func (s *Server) dryRun(events []scenario.Event) (api.WorldState, error) {
 	if err := scenario.ApplyEvents(envOf(scratch), events); err != nil {
 		return api.WorldState{}, err
 	}
-	if err := s.settle(scratch); err != nil {
+	if err := scratch.Settle(s.bound); err != nil {
 		return api.WorldState{}, err
 	}
 	return StateOf(scratch), nil

@@ -53,7 +53,7 @@ func TestInterningDigestEquivalence(t *testing.T) {
 	tech := core.ReactiveAnycast{}
 	const converge = 3600
 
-	fresh, err := newDeployedWorld(cfg, tech, converge)
+	fresh, err := NewConvergedWorld(cfg, tech, converge)
 	if err != nil {
 		t.Fatal(err)
 	}

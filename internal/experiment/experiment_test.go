@@ -166,7 +166,7 @@ func TestFigure2Orderings(t *testing.T) {
 	cfg := tinyConfig(5)
 	sel := mustSelect(t, cfg, 30)
 	fc := quickFailover()
-	pairs, err := Figure2(cfg, sel, []core.Technique{
+	pairs, err := (&Runner{}).Figure2(cfg, sel, []core.Technique{
 		core.ProactiveSuperprefix{},
 		core.ReactiveAnycast{},
 		core.Anycast{},
@@ -271,7 +271,7 @@ func TestFigure3WithdrawalsSlow(t *testing.T) {
 func TestFigure5PrependDepthTradeoff(t *testing.T) {
 	cfg := tinyConfig(8)
 	sel := mustSelect(t, cfg, 25)
-	pairs, err := Figure5(cfg, sel, []string{"atl", "slc"}, quickFailover())
+	pairs, err := (&Runner{}).Figure5(cfg, sel, []string{"atl", "slc"}, quickFailover())
 	if err != nil {
 		t.Fatal(err)
 	}

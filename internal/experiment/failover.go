@@ -128,23 +128,19 @@ func (r *RunResult) FailoverSamples(clamp float64) []float64 {
 // convergence, find the controllable targets for the site, fail it, probe
 // every ~1.5 s for ~600 s, and compute reconnection/failover per target.
 func RunFailover(cfg WorldConfig, sel *Selection, tech core.Technique, failCode string, fc FailoverConfig) (*RunResult, error) {
-	w, err := newDeployedWorld(cfg, tech, fc.ConvergeTime)
+	w, err := NewConvergedWorld(cfg, tech, fc.ConvergeTime)
 	if err != nil {
 		return nil, err
 	}
 	return failoverOn(w, sel, tech, failCode, fc)
 }
 
-// newDeployedWorld builds a world, deploys the technique, and waits for
-// convergence — the shared pre-failure trajectory of every failover run of
-// one technique (and what a WorldSnapshot captures). Techniques with a
-// post-convergence control loop (core.Rebalancer, i.e. the Sinha et al.
-// load shifting) then alternate rebalance steps with reconvergence until
-// the fixed point: every step only withdraws announcements, so the loop
-// terminates within core.MaxRebalanceRounds and cannot oscillate. Each
-// converge drains the event queue, so the resulting world remains
-// snapshottable.
-func newDeployedWorld(cfg WorldConfig, tech core.Technique, convergeTime float64) (*World, error) {
+// NewConvergedWorld builds a world, deploys the technique, and settles it
+// (World.Settle) — the shared pre-failure trajectory of every failover run
+// of one technique, what a WorldSnapshot captures, and the starting point
+// for callers that inspect the converged state itself (the cdnsim load
+// command, the control-plane daemon).
+func NewConvergedWorld(cfg WorldConfig, tech core.Technique, convergeTime float64) (*World, error) {
 	w, err := NewWorld(cfg)
 	if err != nil {
 		return nil, err
@@ -152,32 +148,10 @@ func newDeployedWorld(cfg WorldConfig, tech core.Technique, convergeTime float64
 	if err := w.CDN.Deploy(tech); err != nil {
 		return nil, fmt.Errorf("experiment: deploying %s: %w", tech.Name(), err)
 	}
-	w.Converge(convergeTime)
-	if w.CDN.Demand() != nil {
-		if reb, ok := tech.(core.Rebalancer); ok {
-			for i := 0; i < core.MaxRebalanceRounds; i++ {
-				changed, err := reb.Rebalance(w.CDN)
-				if err != nil {
-					return nil, fmt.Errorf("experiment: rebalancing %s: %w", tech.Name(), err)
-				}
-				if !changed {
-					break
-				}
-				w.Converge(convergeTime)
-			}
-		}
-		w.CDN.RefreshLoad()
+	if err := w.Settle(convergeTime); err != nil {
+		return nil, err
 	}
 	return w, nil
-}
-
-// NewConvergedWorld builds a world, deploys the technique, and converges it,
-// including the rebalance-to-fixed-point loop for load-shifting techniques —
-// the exported form of the shared pre-failure trajectory, for callers that
-// inspect the converged state itself (e.g. the cdnsim load command) rather
-// than running a failover on it.
-func NewConvergedWorld(cfg WorldConfig, tech core.Technique, convergeTime float64) (*World, error) {
-	return newDeployedWorld(cfg, tech, convergeTime)
 }
 
 // failoverOn runs the post-convergence part of the experiment on an already
@@ -464,22 +438,7 @@ func Figure2Single(r *RunResult, fc FailoverConfig) CDFPair {
 	return p
 }
 
-// Figure2 runs the full §5.2 matrix — every technique × every failed site —
-// and pools outcomes into per-technique reconnection and failover CDFs
-// across ⟨failed site, target⟩ pairs, reproducing Figure 2. It delegates to
-// a default Runner: runs execute across GOMAXPROCS workers with
-// converged-world reuse, with results identical to the sequential
-// implementation.
-func Figure2(cfg WorldConfig, sel *Selection, techs []core.Technique, sites []string, fc FailoverConfig) ([]CDFPair, error) {
-	return (&Runner{}).Figure2(cfg, sel, techs, sites, fc)
-}
-
 // Figure5 compares proactive-prepending at 3 and 5 prepends (Appendix C.2).
-func Figure5(cfg WorldConfig, sel *Selection, sites []string, fc FailoverConfig) ([]CDFPair, error) {
-	return (&Runner{}).Figure5(cfg, sel, sites, fc)
-}
-
-// Figure5 is the Runner-backed variant of the free Figure5 function.
 func (r *Runner) Figure5(cfg WorldConfig, sel *Selection, sites []string, fc FailoverConfig) ([]CDFPair, error) {
 	return r.Figure2(cfg, sel, []core.Technique{
 		core.ProactivePrepending{Prepends: 3},

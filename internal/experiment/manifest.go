@@ -3,7 +3,6 @@ package experiment
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"os"
 	"runtime"
 	"sort"
@@ -16,24 +15,11 @@ import (
 	"bestofboth/pkg/bestofboth/api"
 )
 
-// Digest is a stable hex fingerprint of the simulation-identity fields of
-// the configuration: two configs digest equally exactly when they build
-// bit-identical worlds. Workers and Obs take no part (they never affect
-// results), mirroring snapKey. Shards is included even though route state
-// is shard-count invariant: the manifest should say how a run was executed,
-// and world snapshots are only portable within one shard count.
+// Digest is a stable hex fingerprint of the configuration's simulation
+// identity (see identity): two configs digest equally exactly when they
+// build bit-identical worlds.
 func (c WorldConfig) Digest() string {
-	cfg := c
-	cfg.fillDefaults()
-	damp := "<nil>"
-	if cfg.BGP.Damping != nil {
-		damp = fmt.Sprintf("%+v", *cfg.BGP.Damping)
-	}
-	flat := cfg.BGP
-	flat.Damping = nil
-	canon := fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s cdn=%+v peers=%d shards=%d partition=%s demand=%+v",
-		cfg.Seed, cfg.Topology, flat, damp, cfg.CDN, cfg.CollectorPeers, maxInt(1, cfg.Shards), cfg.Partition, cfg.Demand)
-	sum := sha256.Sum256([]byte(canon))
+	sum := sha256.Sum256([]byte(c.identity()))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"fmt"
+	"strconv"
+
 	"bestofboth/internal/bgp"
 	"bestofboth/internal/obs"
 	"bestofboth/internal/topology"
@@ -94,17 +97,6 @@ func WithShards(n int) Option {
 	return func(c *WorldConfig) { c.Shards = n }
 }
 
-// WithPartition selects how speakers are placed onto shards:
-// PartitionStatic (cost-model estimate from topology shape) or
-// PartitionProfiled (measured per-speaker event counts from a seeded
-// warm-up converge — one extra unsharded converge per ⟨seed, topology,
-// BGP config⟩, memoized). Converged digests are bit-identical across
-// modes at any shard count; only event placement, and so wall-clock
-// balance, changes. No effect unless Shards > 1.
-func WithPartition(mode string) Option {
-	return func(c *WorldConfig) { c.Partition = mode }
-}
-
 // WithDemand attaches a demand model to every world built from the config:
 // each client target gets a seeded heavy-tailed request rate and each site
 // a capacity (internal/traffic). The config's zero fields fill with the
@@ -140,6 +132,23 @@ const InternetScale = 81.0
 // InternetScale for the memory budget).
 func WithInternetScale() Option {
 	return WithScale(InternetScale)
+}
+
+// ParseScale reads a -scale flag value: a positive topology multiplier
+// (1 ≈ 900 ASes) or one of the named presets "paper" (PaperScale) and
+// "internet" (InternetScale).
+func ParseScale(s string) (float64, error) {
+	switch s {
+	case "paper":
+		return PaperScale, nil
+	case "internet":
+		return InternetScale, nil
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || f <= 0 {
+		return 0, fmt.Errorf(`scale must be a positive number, "paper", or "internet", got %q`, s)
+	}
+	return f, nil
 }
 
 // PaperTargetsPerSite is the per-site target-selection cap the paper's

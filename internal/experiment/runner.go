@@ -106,23 +106,12 @@ type worldSnapEntry struct {
 	err  error
 }
 
-// snapKey canonicalizes the full converged-world identity. bgp.Config holds
-// a *DampingConfig, which %+v would render as a pointer address, so damping
-// is flattened explicitly; techniques are flat value structs, so their type
-// and formatted value identify them (including e.g. prepend depth).
+// snapKey canonicalizes the full converged-world identity: the config's
+// identity string plus technique and converge time. Techniques are flat
+// value structs, so their type and formatted value identify them (including
+// e.g. prepend depth).
 func snapKey(cfg WorldConfig, tech core.Technique, convergeTime float64) string {
-	cfg.fillDefaults()
-	damp := "<nil>"
-	if cfg.BGP.Damping != nil {
-		damp = fmt.Sprintf("%+v", *cfg.BGP.Damping)
-	}
-	flat := cfg.BGP
-	flat.Damping = nil
-	// Shards is part of the key even though results are shard-count
-	// invariant: a snapshot's kernel list is sized to the shard count, so a
-	// snapshot taken at one count cannot restore into a world at another.
-	return fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s cdn=%+v peers=%d shards=%d partition=%s demand=%+v tech=%T%+v conv=%g",
-		cfg.Seed, cfg.Topology, flat, damp, cfg.CDN, cfg.CollectorPeers, maxInt(1, cfg.Shards), cfg.Partition, cfg.Demand, tech, tech, convergeTime)
+	return fmt.Sprintf("%s tech=%T%+v conv=%g", cfg.identity(), tech, tech, convergeTime)
 }
 
 // buildSnapshot deploys and converges a template world and snapshots it.
@@ -130,7 +119,7 @@ func snapKey(cfg WorldConfig, tech core.Technique, convergeTime float64) string 
 // did not drain the event queue within its deadline — and callers must fall
 // back to fresh full runs.
 func buildSnapshot(cfg WorldConfig, tech core.Technique, convergeTime float64) (*WorldSnapshot, error) {
-	w, err := newDeployedWorld(cfg, tech, convergeTime)
+	w, err := NewConvergedWorld(cfg, tech, convergeTime)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +182,7 @@ func (r *Runner) materialize(cfg WorldConfig, tech core.Technique, convergeTime 
 		w.Instrument(cfg.Obs)
 		return w, nil
 	}
-	return newDeployedWorld(cfg, tech, convergeTime)
+	return NewConvergedWorld(cfg, tech, convergeTime)
 }
 
 // RunMatrix executes every ⟨technique, failed site⟩ failover experiment and

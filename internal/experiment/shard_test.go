@@ -13,10 +13,6 @@ import (
 // and the paper-scale CI configuration.
 var shardCounts = []int{1, 2, 8}
 
-// partitionModes is the partition matrix every shard count is crossed
-// with: both placement strategies must hit the same converged fixed point.
-var partitionModes = []string{PartitionStatic, PartitionProfiled}
-
 // TestShardedDigestEquivalence is the observable-equivalence gate for the
 // sharded convergence runner: for every technique, a world converged at
 // shards=N must produce byte-identical RouteStateDigest and FIBDigest
@@ -32,29 +28,26 @@ func TestShardedDigestEquivalence(t *testing.T) {
 			var wantRoutes, wantFIB string
 			first := true
 			for _, shards := range shardCounts {
-				for _, mode := range partitionModes {
-					cfg := tinyConfig(27)
-					cfg.Shards = shards
-					cfg.Partition = mode
-					w, err := newDeployedWorld(cfg, tech, converge)
-					if err != nil {
-						t.Fatalf("shards=%d partition=%s: %v", shards, mode, err)
-					}
-					routes := w.Net.RouteStateDigest()
-					fib := w.Plane.FIBDigest()
-					if routes == "" || fib == "" {
-						t.Fatalf("shards=%d partition=%s: empty digests", shards, mode)
-					}
-					if first {
-						wantRoutes, wantFIB, first = routes, fib, false
-						continue
-					}
-					if routes != wantRoutes {
-						t.Fatalf("shards=%d partition=%s: RouteStateDigest differs from shards=%d", shards, mode, shardCounts[0])
-					}
-					if fib != wantFIB {
-						t.Fatalf("shards=%d partition=%s: FIBDigest differs from shards=%d", shards, mode, shardCounts[0])
-					}
+				cfg := tinyConfig(27)
+				cfg.Shards = shards
+				w, err := NewConvergedWorld(cfg, tech, converge)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				routes := w.Net.RouteStateDigest()
+				fib := w.Plane.FIBDigest()
+				if routes == "" || fib == "" {
+					t.Fatalf("shards=%d: empty digests", shards)
+				}
+				if first {
+					wantRoutes, wantFIB, first = routes, fib, false
+					continue
+				}
+				if routes != wantRoutes {
+					t.Fatalf("shards=%d: RouteStateDigest differs from shards=%d", shards, shardCounts[0])
+				}
+				if fib != wantFIB {
+					t.Fatalf("shards=%d: FIBDigest differs from shards=%d", shards, shardCounts[0])
 				}
 			}
 		})
@@ -79,33 +72,30 @@ func TestShardedScenarioDigestEquivalence(t *testing.T) {
 			var wantRoutes, wantFIB string
 			first := true
 			for _, shards := range shardCounts {
-				for _, mode := range partitionModes {
-					c := ScenarioWorldConfig(cfg, sc)
-					c.Shards = shards
-					c.Partition = mode
-					w, err := newDeployedWorld(c, tech, 3600)
-					if err != nil {
-						t.Fatalf("shards=%d partition=%s: %v", shards, mode, err)
-					}
-					env := &scenario.Env{Sim: w.Sim, Topo: w.Topo, Net: w.Net, Plane: w.Plane, CDN: w.CDN}
-					if _, err := scenario.Run(env, sc, scenarioGroups(w, sel, 6), scenario.Options{}); err != nil {
-						t.Fatalf("shards=%d partition=%s: %v", shards, mode, err)
-					}
-					// Let damping reuse timers and any residual churn settle so
-					// the digest hashes the post-scenario fixed point.
-					w.Converge(7200)
-					routes := w.Net.RouteStateDigest()
-					fib := w.Plane.FIBDigest()
-					if first {
-						wantRoutes, wantFIB, first = routes, fib, false
-						continue
-					}
-					if routes != wantRoutes {
-						t.Fatalf("shards=%d partition=%s: RouteStateDigest differs from shards=%d", shards, mode, shardCounts[0])
-					}
-					if fib != wantFIB {
-						t.Fatalf("shards=%d partition=%s: FIBDigest differs from shards=%d", shards, mode, shardCounts[0])
-					}
+				c := ScenarioWorldConfig(cfg, sc)
+				c.Shards = shards
+				w, err := NewConvergedWorld(c, tech, 3600)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				env := &scenario.Env{Sim: w.Sim, Topo: w.Topo, Net: w.Net, Plane: w.Plane, CDN: w.CDN}
+				if _, err := scenario.Run(env, sc, scenarioGroups(w, sel, 6), scenario.Options{}); err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				// Let damping reuse timers and any residual churn settle so
+				// the digest hashes the post-scenario fixed point.
+				w.Converge(7200)
+				routes := w.Net.RouteStateDigest()
+				fib := w.Plane.FIBDigest()
+				if first {
+					wantRoutes, wantFIB, first = routes, fib, false
+					continue
+				}
+				if routes != wantRoutes {
+					t.Fatalf("shards=%d: RouteStateDigest differs from shards=%d", shards, shardCounts[0])
+				}
+				if fib != wantFIB {
+					t.Fatalf("shards=%d: FIBDigest differs from shards=%d", shards, shardCounts[0])
 				}
 			}
 		})
@@ -120,17 +110,13 @@ func TestInternetScaleConverge(t *testing.T) {
 	if os.Getenv("INTERNET_SCALE_TEST") == "" {
 		t.Skip("set INTERNET_SCALE_TEST=1 to run the internet-scale convergence check")
 	}
-	mode := os.Getenv("INTERNET_SCALE_PARTITION")
-	if mode == "" {
-		mode = PartitionStatic
-	}
-	cfg := DefaultWorldConfig(WithSeed(42), WithInternetScale(), WithShards(8), WithPartition(mode))
+	cfg := DefaultWorldConfig(WithSeed(42), WithInternetScale(), WithShards(8))
 	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("internet-scale world: %d ASes, shards=%d, partition=%s, window=%gs",
-		w.Topo.Len(), w.Net.Shards(), cfg.Partition, w.Net.ShardRunner().Window())
+	t.Logf("internet-scale world: %d ASes, shards=%d, window=%gs",
+		w.Topo.Len(), w.Net.Shards(), w.Net.ShardRunner().Window())
 	if err := w.CDN.Deploy(core.ReactiveAnycast{}); err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +133,8 @@ func TestInternetScaleConverge(t *testing.T) {
 		}
 	}
 	if sum > 0 {
-		t.Logf("event imbalance max/mean: %.3f (partition=%s)",
-			float64(max)*float64(len(counts))/float64(sum), cfg.Partition)
+		t.Logf("event imbalance max/mean: %.3f",
+			float64(max)*float64(len(counts))/float64(sum))
 	}
 	mem := ReadMemFootprint()
 	t.Logf("config digest: %s", cfg.Digest())

@@ -24,14 +24,9 @@ type SweepPoint struct {
 // prepend depths — the §4 tradeoff ("if the other sites prepend more
 // times, the CDN may get more traffic control... additional prepending
 // will also make the backup routes longer, delaying failover") as a full
-// curve. It delegates to a default Runner.
-func PrependSweep(cfg WorldConfig, sel *Selection, depths []int, sites []string, fc FailoverConfig) ([]SweepPoint, error) {
-	return (&Runner{}).PrependSweep(cfg, sel, depths, sites, fc)
-}
-
-// PrependSweep is the Runner-backed sweep: the failover matrix treats each
-// depth as a technique, and each depth's control measurement runs on a world
-// materialized from the same converged snapshot the failover runs reuse.
+// curve. The failover matrix treats each depth as a technique, and each
+// depth's control measurement runs on a world materialized from the same
+// converged snapshot the failover runs reuse.
 func (r *Runner) PrependSweep(cfg WorldConfig, sel *Selection, depths []int, sites []string, fc FailoverConfig) ([]SweepPoint, error) {
 	techs := make([]core.Technique, 0, len(depths))
 	for _, k := range depths {

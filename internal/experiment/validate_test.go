@@ -101,7 +101,7 @@ func TestMetricsRobustToProbeLoss(t *testing.T) {
 func TestPrependSweepTradeoff(t *testing.T) {
 	cfg := tinyConfig(44)
 	sel := mustSelect(t, cfg, 20)
-	points, err := PrependSweep(cfg, sel, []int{1, 3, 5}, []string{"atl"}, quickFailover())
+	points, err := (&Runner{}).PrependSweep(cfg, sel, []int{1, 3, 5}, []string{"atl"}, quickFailover())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPrependSweepTradeoff(t *testing.T) {
 	if points[2].MeanControl < points[0].MeanControl-0.1 {
 		t.Fatalf("control fell with depth: %v -> %v", points[0].MeanControl, points[2].MeanControl)
 	}
-	if _, err := PrependSweep(cfg, sel, []int{0}, []string{"atl"}, quickFailover()); err == nil {
+	if _, err := (&Runner{}).PrependSweep(cfg, sel, []int{0}, []string{"atl"}, quickFailover()); err == nil {
 		t.Fatal("depth 0 accepted")
 	}
 	out := RenderSweep(points)

@@ -39,20 +39,12 @@ type WorldConfig struct {
 	Workers int
 	// Shards splits the BGP speakers of each world across this many shard
 	// simulators run in deterministic phase-barrier rounds (see bgp.NewSharded).
-	// <= 1 means the classic single-kernel world. Converged digests are
-	// bit-identical at any shard count, but transient message timing follows
-	// shard-local jitter streams, so Shards is a simulation-identity field
-	// and participates in the config digest.
+	// <= 1 means the classic single-kernel world (fillDefaults normalizes
+	// it to 1). Converged digests are bit-identical at any shard count, but
+	// transient message timing follows shard-local jitter streams, so
+	// Shards is a simulation-identity field and participates in the config
+	// digest.
 	Shards int
-	// Partition selects how speakers are placed onto shards:
-	// PartitionStatic (the default; empty means static) weighs speakers
-	// with bgp.StaticSpeakerWeights' cost model, PartitionProfiled with
-	// measured event counts from a seeded warm-up converge (see
-	// profile.go). Converged digests are bit-identical across modes, but
-	// like Shards the placement steers transient event timing, so
-	// Partition is a simulation-identity field and participates in the
-	// config digest.
-	Partition string
 	// Demand, when Enabled, attaches a seeded heavy-tailed demand model and
 	// load accountant to the CDN (internal/traffic): every client target
 	// gets a request rate drawn from Seed, every site a capacity. Demand is
@@ -75,10 +67,30 @@ func (c *WorldConfig) fillDefaults() {
 	if c.Demand.Enabled {
 		c.Demand = c.Demand.Normalized()
 	}
-	if c.Partition == "" {
-		c.Partition = PartitionStatic
+	if c.Shards < 1 {
+		c.Shards = 1
 	}
 	c.Topology.Seed = c.Seed
+}
+
+// identity canonicalizes the simulation-identity fields of the config,
+// defaults filled: two configs render equally exactly when they build
+// bit-identical worlds. Workers and Obs take no part (they never affect
+// results). bgp.Config holds a *DampingConfig, which %+v would render as a
+// pointer address, so damping is flattened explicitly. Shards participates
+// even though route state is shard-count invariant: a snapshot's kernel
+// list is sized to the shard count, so a snapshot taken at one count
+// cannot restore into a world at another.
+func (c WorldConfig) identity() string {
+	c.fillDefaults()
+	damp := "<nil>"
+	if c.BGP.Damping != nil {
+		damp = fmt.Sprintf("%+v", *c.BGP.Damping)
+	}
+	flat := c.BGP
+	flat.Damping = nil
+	return fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s cdn=%+v peers=%d shards=%d demand=%+v",
+		c.Seed, c.Topology, flat, damp, c.CDN, c.CollectorPeers, c.Shards, c.Demand)
 }
 
 // World bundles one fully wired simulation: topology, BGP, data plane,
@@ -104,28 +116,11 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: generating topology: %w", err)
 	}
-	switch cfg.Partition {
-	case PartitionStatic, PartitionProfiled:
-	default:
-		return nil, fmt.Errorf("experiment: unknown partition mode %q (want %q or %q)",
-			cfg.Partition, PartitionStatic, PartitionProfiled)
-	}
 	sim := netsim.New(cfg.Seed)
-	var net *bgp.Network
-	if cfg.Shards > 1 {
-		var weights []float64
-		if cfg.Partition == PartitionProfiled {
-			weights, err = profiledWeights(cfg)
-			if err != nil {
-				return nil, err
-			}
-		}
-		net, err = bgp.NewShardedWeighted(sim, topo, cfg.BGP, cfg.Shards, cfg.Seed, weights)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: sharding BGP: %w", err)
-		}
-	} else {
-		net = bgp.New(sim, topo, cfg.BGP)
+	// One shard is the classic single-kernel network (bgp.New).
+	net, err := bgp.NewSharded(sim, topo, cfg.BGP, cfg.Shards, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: sharding BGP: %w", err)
 	}
 	plane := dataplane.New(net)
 	cdn, err := core.New(net, plane, cfg.CDN)
@@ -182,6 +177,36 @@ func (c WorldConfig) Runner() *Runner {
 // (§5.2).
 func (w *World) Converge(maxVirtual float64) {
 	w.Net.ConvergeSynchronously(maxVirtual)
+}
+
+// Settle converges the world, each converge bounded to bound virtual
+// seconds, and brings its load management to rest — the trajectory after a
+// deploy and after every control-plane mutation batch, shared so a dry run
+// on a scratch world predicts the live one. Techniques with a
+// post-convergence control loop (core.Rebalancer, i.e. the Sinha et al.
+// load shifting) alternate rebalance steps with reconvergence until the
+// fixed point: every step only withdraws announcements, so the loop
+// terminates within core.MaxRebalanceRounds and cannot oscillate. Each
+// converge drains the event queue, so a settled world stays snapshottable.
+func (w *World) Settle(bound float64) error {
+	w.Converge(bound)
+	if w.CDN.Demand() == nil {
+		return nil
+	}
+	if reb, ok := w.CDN.Technique().(core.Rebalancer); ok {
+		for i := 0; i < core.MaxRebalanceRounds; i++ {
+			changed, err := reb.Rebalance(w.CDN)
+			if err != nil {
+				return fmt.Errorf("experiment: rebalancing %s: %w", w.CDN.Technique().Name(), err)
+			}
+			if !changed {
+				break
+			}
+			w.Converge(bound)
+		}
+	}
+	w.CDN.RefreshLoad()
+	return nil
 }
 
 // Targets returns every prefix-bearing client node (eyeballs, stubs,

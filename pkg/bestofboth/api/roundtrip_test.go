@@ -60,22 +60,6 @@ func TestReportRoundTrip(t *testing.T) {
 	roundTrip(t, *r)
 }
 
-func TestBenchFileRoundTrip(t *testing.T) {
-	roundTrip(t, BenchFile{
-		APIVersion: Version,
-		GOOS:       "linux",
-		GOARCH:     "amd64",
-		CPU:        "test",
-		Baseline:   []Benchmark{{Name: "Figure2", Iterations: 3, NsPerOp: 1e9, Procs: 8}},
-		Benchmarks: []Benchmark{
-			{Name: "Figure2", Iterations: 4, NsPerOp: 8e8, BytesPerOp: 1024, AllocsPerOp: 10,
-				Metrics: map[string]float64{"p50-reactive-anycast-s": 2.5}, Procs: 8},
-			{Name: "BGPConvergence/shards=4", Iterations: 10, NsPerOp: 1e7, Procs: 8, Shards: 4},
-		},
-		ReductionsVsBaselinePct: map[string]Reduction{"Figure2": {NsPerOpPct: 20, AllocsPerOpPct: 0}},
-	})
-}
-
 func TestChangeSetRoundTrip(t *testing.T) {
 	st := WorldState{
 		VirtualTime: 1800,
@@ -125,7 +109,6 @@ func TestWorldInfoRoundTrip(t *testing.T) {
 		Seed:          42,
 		ConfigDigest:  "cafe",
 		Shards:        4,
-		Partition:     "static",
 		DemandEnabled: true,
 		State: WorldState{Technique: "anycast", Availability: Availability{ReachableShare: 1},
 			Digests: Digests{RouteStateSHA256: "aa", FIBSHA256: "bb", DNSZoneSHA256: "cc"}},

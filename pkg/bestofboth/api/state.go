@@ -12,9 +12,6 @@ type WorldInfo struct {
 	ConfigDigest string `json:"configDigest"`
 	// Shards is the BGP shard count the world runs under.
 	Shards int `json:"shards"`
-	// Partition is the shard partition mode ("static" or "profiled");
-	// empty for unsharded worlds.
-	Partition string `json:"partition,omitempty"`
 	// DemandEnabled reports whether a demand model (and so load
 	// accounting) is attached.
 	DemandEnabled bool `json:"demandEnabled"`

@@ -23,8 +23,8 @@
 //   - statistics.go: distributions and tables
 //
 // Serialized output lives in the subpackage api ([Version]ed wire types):
-// experiment manifests, -json reports, benchmark documents, and the
-// control-plane daemon's request/response schema (WorldState, ChangeSet,
-// Receipt). Programs that persist or exchange simulator state should use
-// api types, never the in-memory types this package aliases.
+// experiment manifests, -json reports, and the control-plane daemon's
+// request/response schema (WorldState, ChangeSet, Receipt). Programs that
+// persist or exchange simulator state should use api types, never the
+// in-memory types this package aliases.
 package bestofboth
