@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet lint lint-vet lint-json lint-fixtures govulncheck race race-full bench-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 vet lint lint-json lint-fixtures govulncheck race race-full bench-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -15,12 +15,6 @@ vet:
 lint:
 	$(GO) run ./cmd/cdnlint ./...
 
-# Same suite driven through go vet's -vettool protocol: exercises the
-# driver's second mode and vet's per-package caching.
-lint-vet:
-	$(GO) build -o bin/cdnlint ./cmd/cdnlint
-	$(GO) vet -vettool=bin/cdnlint ./...
-
 # Machine-readable lint run: LINT.json is a versioned api.LintReport that
 # also inventories every //lint:ignore-suppressed finding with its reason.
 # CI uploads it as an artifact (even when findings fail the step, so the
@@ -29,8 +23,8 @@ lint-json:
 	$(GO) run ./cmd/cdnlint -json ./... > LINT.json
 
 # The analyzers' own test suites: the // want fixture corpus under
-# internal/analysis/testdata plus the standalone/vet driver handshake
-# tests (exec'd as subprocesses).
+# internal/analysis/testdata plus the driver tests (cdnlint exec'd as a
+# subprocess).
 lint-fixtures:
 	$(GO) test -count=1 ./internal/analysis/ ./cmd/cdnlint/
 
@@ -76,7 +70,7 @@ bench-smoke:
 # fields).
 ctlplane-smoke:
 	$(GO) run ./cmd/cdnlint -checks snapshotfields ./internal/ctlplane/... ./pkg/bestofboth/... ./internal/experiment/...
-	$(GO) test -run 'TestCtlplaneSmoke|TestDiffStatesCoversEverySchemaField' -count=1 -v . ./internal/ctlplane/
+	$(GO) test -run 'TestCtlplaneSmoke|TestDiff' -count=1 -v . ./internal/ctlplane/
 
 # Everything CI runs (see .github/workflows/ci.yml).
 ci: tier1 vet lint race bench-smoke ctlplane-smoke

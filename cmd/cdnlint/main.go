@@ -1,28 +1,20 @@
 // Command cdnlint runs the repo's invariant analyzers (internal/analysis)
-// over Go packages. It supports two modes:
-//
-// Standalone, loading packages through `go list -export`:
+// over Go packages, loading them through `go list -export`:
 //
 //	cdnlint ./...
 //	cdnlint -checks detrand,maporder ./internal/bgp
+//	cdnlint -json ./... > LINT.json
 //
-// and as a go vet tool, speaking vet's unpublished driver protocol
-// (-flags discovery plus per-package .cfg files):
-//
-//	go vet -vettool=$(which cdnlint) ./...
-//
-// Exit status: 0 clean, 1 diagnostics reported (2 in vet mode, matching
-// unitchecker), 3 operational failure.
+// Exit status: 0 clean, 1 diagnostics reported, 3 operational failure.
 //
 // Check selection: -checks runs a named subset; subset runs disable the
 // stale-//lint:ignore report, since an ignore for a check that is not
-// running would look spuriously unused. Both modes analyze non-test Go
-// files only: test files may use wall clocks and allocate freely.
+// running would look spuriously unused. Only non-test Go files are
+// analyzed: test files may use wall clocks and allocate freely.
 package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -43,21 +35,12 @@ import (
 )
 
 func main() {
-	flagV := flag.String("V", "", "print version and exit (vet tool protocol)")
-	flagFlags := flag.Bool("flags", false, "print flag descriptions in JSON and exit (vet tool protocol)")
 	flagChecks := flag.String("checks", "", "comma-separated checks to run (default: all)")
 	flagList := flag.Bool("list", false, "list available checks and exit")
-	flagJSON := flag.Bool("json", false, "emit an api.LintReport on stdout instead of plain text (standalone mode only)")
+	flagJSON := flag.Bool("json", false, "emit an api.LintReport on stdout instead of plain text")
 	flag.Parse()
 
-	switch {
-	case *flagV != "":
-		printVersion()
-		return
-	case *flagFlags:
-		printFlagsJSON()
-		return
-	case *flagList:
+	if *flagList {
 		for _, a := range analysis.All() {
 			fmt.Printf("cdnlint/%-16s %s\n", a.Name, a.Doc)
 		}
@@ -69,50 +52,12 @@ func main() {
 		fatalf("%v", err)
 	}
 	opts := analysis.Options{StaleCheck: *flagChecks == ""}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// go vet owns the output format in vet mode; -json applies to the
-		// standalone driver only.
-		os.Exit(runVet(args[0], analyzers, opts))
-	}
-	os.Exit(runStandalone(args, analyzers, opts, *flagJSON))
+	os.Exit(runStandalone(flag.Args(), analyzers, opts, *flagJSON))
 }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "cdnlint: "+format+"\n", args...)
 	os.Exit(3)
-}
-
-// printVersion answers `cdnlint -V=full`. The build ID must change when
-// the binary does, because go vet folds it into its action cache key.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("cdnlint version devel buildID=%x\n", h.Sum(nil)[:12])
-}
-
-// printFlagsJSON answers `cdnlint -flags`: go vet queries it to learn
-// which flags it may forward to the tool.
-func printFlagsJSON() {
-	type flagDesc struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	descs := []flagDesc{
-		{Name: "checks", Bool: false, Usage: "comma-separated checks to run (default: all)"},
-	}
-	out, err := json.Marshal(descs)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("%s\n", out)
 }
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -228,7 +173,7 @@ func toFinding(d analysis.Diagnostic, suppressed bool, reason string) api.LintFi
 }
 
 // relativized rewrites the diagnostic's path relative to the working
-// directory when that is shorter, matching go vet's presentation.
+// directory when that is shorter.
 func relativized(d analysis.Diagnostic) analysis.Diagnostic {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -240,83 +185,6 @@ func relativized(d analysis.Diagnostic) analysis.Diagnostic {
 	}
 	d.Pos.Filename = rel
 	return d
-}
-
-// vetConfig mirrors the JSON config file go vet hands to -vettool
-// binaries (cmd/go/internal/work.vetConfig).
-type vetConfig struct {
-	ID          string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// runVet handles one `go vet -vettool=cdnlint` package invocation.
-func runVet(cfgPath string, analyzers []*analysis.Analyzer, opts analysis.Options) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatalf("parsing %s: %v", cfgPath, err)
-	}
-	// An empty vetx file keeps go vet's caching happy; cdnlint exports no
-	// cross-package facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// Test augmentations (ID "pkg [pkg.test]") and test files are out of
-	// scope: the invariants bind simulation code, not its tests.
-	if strings.Contains(cfg.ID, " [") {
-		return 0
-	}
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	res, err := analyze(fset, imp, cfg.ImportPath, files, analyzers, opts)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fatalf("%s: %v", cfg.ImportPath, err)
-	}
-	for _, d := range res.Diagnostics {
-		fmt.Fprintln(os.Stderr, d.String())
-	}
-	if len(res.Diagnostics) > 0 {
-		return 2 // the exit code go vet expects for findings
-	}
-	return 0
 }
 
 // exportDataImporter resolves imports against the Export files collected

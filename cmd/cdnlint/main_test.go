@@ -7,16 +7,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
 	"bestofboth/pkg/bestofboth/api"
 )
 
-// The driver tests re-exec the test binary as cdnlint itself, so the
-// handshake (-V=full, -flags), the vet.cfg protocol, and the exit codes
-// are exercised exactly as go vet sees them.
+// The driver tests re-exec the test binary as cdnlint itself, so output
+// and exit codes are exercised exactly as make lint sees them.
 func TestMain(m *testing.M) {
 	if os.Getenv("CDNLINT_BE_TOOL") == "1" {
 		main()
@@ -42,197 +40,6 @@ func runTool(t *testing.T, dir string, args ...string) (stdout, stderr string, c
 		t.Fatalf("running tool: %v", err)
 	}
 	return out.String(), errb.String(), code
-}
-
-func TestVersionHandshake(t *testing.T) {
-	out, _, code := runTool(t, "", "-V=full")
-	if code != 0 {
-		t.Fatalf("-V=full exited %d", code)
-	}
-	// go vet folds the reported build ID into its action cache key, so the
-	// line must be well-formed and stable for an unchanged binary.
-	re := regexp.MustCompile(`^cdnlint version devel buildID=[0-9a-f]{24}\n$`)
-	if !re.MatchString(out) {
-		t.Fatalf("malformed -V=full output: %q", out)
-	}
-	again, _, _ := runTool(t, "", "-V=full")
-	if again != out {
-		t.Fatalf("build ID not stable across runs of the same binary: %q vs %q", out, again)
-	}
-}
-
-func TestFlagsHandshake(t *testing.T) {
-	out, _, code := runTool(t, "", "-flags")
-	if code != 0 {
-		t.Fatalf("-flags exited %d", code)
-	}
-	var descs []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal([]byte(out), &descs); err != nil {
-		t.Fatalf("-flags output is not the JSON go vet expects: %v\n%s", err, out)
-	}
-	if len(descs) != 1 || descs[0].Name != "checks" || descs[0].Bool {
-		t.Fatalf("want exactly the forwardable string flag 'checks', got %+v", descs)
-	}
-}
-
-// sentinelSrc trips errcmp (direct == against a package-level sentinel)
-// without importing anything, so the vet.cfg needs no export data.
-const sentinelSrc = `package demo
-
-type failure struct{}
-
-func (failure) Error() string { return "failure" }
-
-var ErrStop error = failure{}
-
-func Stopped(err error) bool { return err == ErrStop }
-`
-
-const cleanSrc = `package demo
-
-func Add(a, b int) int { return a + b }
-`
-
-// writeVetConfig writes a minimal vet.cfg for a one-file dependency-free
-// package and returns the cfg path plus the VetxOutput path it names.
-func writeVetConfig(t *testing.T, dir, id string, goFiles []string, vetxOnly bool) (cfgPath, vetxPath string) {
-	t.Helper()
-	vetxPath = filepath.Join(dir, "demo.vetx")
-	cfg := vetConfig{
-		ID:          id,
-		ImportPath:  "demo",
-		GoFiles:     goFiles,
-		ImportMap:   map[string]string{},
-		PackageFile: map[string]string{},
-		VetxOnly:    vetxOnly,
-		VetxOutput:  vetxPath,
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath = filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return cfgPath, vetxPath
-}
-
-func TestVetConfigFindings(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "demo.go")
-	if err := os.WriteFile(src, []byte(sentinelSrc), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfgPath, vetxPath := writeVetConfig(t, dir, "demo", []string{src}, false)
-
-	out, errOut, code := runTool(t, "", cfgPath)
-	if code != 2 {
-		t.Fatalf("findings must exit 2 (go vet's convention), got %d\nstderr: %s", code, errOut)
-	}
-	if !strings.Contains(errOut, "[cdnlint/errcmp]") {
-		t.Fatalf("diagnostics must go to stderr, got: %q", errOut)
-	}
-	if out != "" {
-		t.Fatalf("vet mode must keep stdout clean for the driver, got: %q", out)
-	}
-	if _, err := os.Stat(vetxPath); err != nil {
-		t.Fatalf("vetx facts file not written: %v", err)
-	}
-}
-
-func TestVetConfigVetxOnly(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "demo.go")
-	if err := os.WriteFile(src, []byte(sentinelSrc), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfgPath, vetxPath := writeVetConfig(t, dir, "demo", []string{src}, true)
-
-	out, errOut, code := runTool(t, "", cfgPath)
-	if code != 0 || out != "" || errOut != "" {
-		t.Fatalf("VetxOnly runs must be silent and clean: code=%d stdout=%q stderr=%q", code, out, errOut)
-	}
-	if _, err := os.Stat(vetxPath); err != nil {
-		t.Fatalf("VetxOnly must still write the facts file: %v", err)
-	}
-}
-
-func TestVetConfigSkipsTestAugmentation(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "demo.go")
-	if err := os.WriteFile(src, []byte(sentinelSrc), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfgPath, _ := writeVetConfig(t, dir, "demo [demo.test]", []string{src}, false)
-
-	_, errOut, code := runTool(t, "", cfgPath)
-	if code != 0 || errOut != "" {
-		t.Fatalf("test-augmented package variants are out of scope: code=%d stderr=%q", code, errOut)
-	}
-}
-
-func TestVetConfigFiltersTestFiles(t *testing.T) {
-	dir := t.TempDir()
-	clean := filepath.Join(dir, "demo.go")
-	bad := filepath.Join(dir, "demo_test.go")
-	if err := os.WriteFile(clean, []byte(cleanSrc), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(bad, []byte(sentinelSrc), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfgPath, _ := writeVetConfig(t, dir, "demo", []string{clean, bad}, false)
-
-	_, errOut, code := runTool(t, "", cfgPath)
-	if code != 0 || errOut != "" {
-		t.Fatalf("_test.go files must not be analyzed: code=%d stderr=%q", code, errOut)
-	}
-}
-
-func TestVetConfigMalformed(t *testing.T) {
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, []byte("{not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	_, errOut, code := runTool(t, "", cfgPath)
-	if code != 3 {
-		t.Fatalf("operational failures must exit 3, got %d (stderr %q)", code, errOut)
-	}
-}
-
-func TestVetConfigTypecheckFailure(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "demo.go")
-	if err := os.WriteFile(src, []byte("package demo\n\nvar x undefinedType\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfgPath, _ := writeVetConfig(t, dir, "demo", []string{src}, false)
-
-	_, _, code := runTool(t, "", cfgPath)
-	if code != 3 {
-		t.Fatalf("type errors without SucceedOnTypecheckFailure must exit 3, got %d", code)
-	}
-
-	var cfg vetConfig
-	data, _ := os.ReadFile(cfgPath)
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg.SucceedOnTypecheckFailure = true
-	data, _ = json.Marshal(cfg)
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	_, errOut, code := runTool(t, "", cfgPath)
-	if code != 0 {
-		t.Fatalf("SucceedOnTypecheckFailure must swallow type errors, got %d (stderr %q)", code, errOut)
-	}
 }
 
 // writeDemoModule lays out a dependency-free module with one active
@@ -314,6 +121,11 @@ func TestStandaloneJSONReport(t *testing.T) {
 		t.Fatalf("want 1 active + 1 suppressed finding, got %d + %d:\n%s", active, suppressed, out)
 	}
 }
+
+const cleanSrc = `package demo
+
+func Add(a, b int) int { return a + b }
+`
 
 func TestStandaloneCleanExitsZero(t *testing.T) {
 	dir := t.TempDir()

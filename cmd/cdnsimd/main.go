@@ -33,28 +33,26 @@ import (
 
 func main() {
 	var (
-		tech          = flag.String("tech", "reactive-anycast", `technique to deploy ("reactive-anycast", "load-shift", "load-shift+<base>", "proactive-prepending", ...)`)
-		seed          = flag.Int64("seed", 42, "simulation seed (identical seeds reproduce the world bit-for-bit)")
-		scale         = flag.String("scale", "1", `topology scale factor (1 ≈ 900 ASes), "paper", or "internet"`)
-		shards        = flag.Int("shards", 1, "BGP shard simulators for the world (converged state is shard-count independent)")
-		demand        = flag.Bool("demand", false, "attach the default demand model so /v1/load and ChangeSet load deltas carry traffic")
-		addr          = flag.String("addr", "127.0.0.1:8316", "listen address (use port 0 for an ephemeral port)")
-		convergeBound = flag.Float64("converge-bound", ctlplane.DefaultConvergeBound, "virtual-seconds convergence deadline after each mutation batch")
-		metrics       = flag.Bool("metrics", true, "instrument the world and serve Prometheus text on /metrics")
-		testSabotage  = flag.Bool("test-sabotage", false, "enable ?sabotage=true on execution: silently fail a healthy site's forwarding after executing, so the verification receipt must fail (testing the verifier, not the network)")
+		tech         = flag.String("tech", "reactive-anycast", `technique to deploy ("reactive-anycast", "load-shift", "load-shift+<base>", "proactive-prepending", ...)`)
+		seed         = flag.Int64("seed", 42, "simulation seed (identical seeds reproduce the world bit-for-bit)")
+		scale        = flag.String("scale", "1", `topology scale factor (1 ≈ 900 ASes), "paper", or "internet"`)
+		shards       = flag.Int("shards", 1, "BGP shard simulators for the world (converged state is shard-count independent)")
+		demand       = flag.Bool("demand", false, "attach the default demand model so /v1/load and ChangeSet load deltas carry traffic")
+		addr         = flag.String("addr", "127.0.0.1:8316", "listen address (use port 0 for an ephemeral port)")
+		testSabotage = flag.Bool("test-sabotage", false, "enable ?sabotage=true on execution: silently fail a healthy site's forwarding after executing, so the verification receipt must fail (testing the verifier, not the network)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "cdnsimd: unexpected argument %q (the daemon takes flags only)\n", flag.Arg(0))
 		os.Exit(2)
 	}
-	if err := run(*tech, *seed, *scale, *shards, *demand, *addr, *convergeBound, *metrics, *testSabotage); err != nil {
+	if err := run(*tech, *seed, *scale, *shards, *demand, *addr, *testSabotage); err != nil {
 		fmt.Fprintf(os.Stderr, "cdnsimd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(tech string, seed int64, scale string, shards int, demand bool, addr string, convergeBound float64, metrics, testSabotage bool) error {
+func run(tech string, seed int64, scale string, shards int, demand bool, addr string, testSabotage bool) error {
 	technique, err := core.TechniqueByName(tech)
 	if err != nil {
 		return err
@@ -76,12 +74,9 @@ func run(tech string, seed int64, scale string, shards int, demand bool, addr st
 		wopts = append(wopts, experiment.WithDefaultDemand())
 	}
 	cfg := ctlplane.Config{
-		World:         experiment.DefaultWorldConfig(wopts...),
-		Technique:     technique,
-		ConvergeBound: convergeBound,
-	}
-	if metrics {
-		cfg.Obs = obs.NewRegistry()
+		World:     experiment.DefaultWorldConfig(wopts...),
+		Technique: technique,
+		Obs:       obs.NewRegistry(), // backs GET /metrics
 	}
 	if testSabotage {
 		cfg.Sabotage = sabotageHook

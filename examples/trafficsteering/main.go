@@ -29,7 +29,7 @@ func main() {
 	catchments := map[string]int{}
 	targets := wa.Targets()
 	for _, tgt := range targets {
-		if s := wa.CDN.CatchmentOf(tgt.ID, bestofboth.AnycastServiceAddr); s != nil {
+		if s := wa.CDN.CatchmentOf(tgt.ID, bestofboth.AnycastAddr()); s != nil {
 			catchments[s.Code]++
 		}
 	}

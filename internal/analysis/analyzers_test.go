@@ -48,10 +48,6 @@ func TestWirestableSchema(t *testing.T) {
 	runFixture(t, "wirestable/bestofboth/api", []*Analyzer{AnalyzerWirestable}, Options{StaleCheck: true})
 }
 
-func TestWirestableDifferCoverage(t *testing.T) {
-	runFixture(t, "wirestable/internal/ctlplane", []*Analyzer{AnalyzerWirestable}, Options{StaleCheck: true})
-}
-
 func TestErrcmp(t *testing.T) {
 	runFixture(t, "errcmp/cmd/collector", []*Analyzer{AnalyzerErrcmp}, Options{StaleCheck: true})
 }

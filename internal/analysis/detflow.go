@@ -78,17 +78,6 @@ func runDetflow(pass *Pass) {
 		}
 		fa.analyzeFunc(fi, true)
 	}
-	sort.Slice(fa.finds, func(i, j int) bool {
-		a, b := fa.finds[i], fa.finds[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Offset != b.Pos.Offset {
-			return a.Pos.Offset < b.Pos.Offset
-		}
-		return a.Message < b.Message
-	})
-	*pass.diags = append(*pass.diags, fa.finds...)
 }
 
 // tagSet is a set of taint tags: human-readable source descriptions, plus
@@ -139,7 +128,6 @@ type flowAnalysis struct {
 	pass      *Pass
 	cg        *callGraph
 	summaries map[*funcInfo]*flowSummary
-	finds     []Diagnostic
 	reported  map[string]bool
 }
 
@@ -465,20 +453,22 @@ func sourceCallTag(pass *Pass, fn *types.Func, call *ast.CallExpr) string {
 		return "" // methods: a seeded *rand.Rand draw is deterministic
 	}
 	path, name := fn.Pkg().Path(), fn.Name()
-	switch path {
-	case "time":
+	switch nondetSource(path, name) {
+	case nondetWallClock:
+		// Only the calls that yield a clock-derived value; Sleep and the
+		// timers return nothing a sink could receive.
 		switch name {
 		case "Now":
 			return "wall-clock time (time.Now)"
 		case "Since", "Until":
 			return "wall-clock duration (time." + name + ")"
 		}
-	case "math/rand", "math/rand/v2":
-		if !detrandAllowed[name] {
-			return "global " + path + " draw (" + name + ")"
-		}
-	case "crypto/rand":
+	case nondetGlobalRand:
+		return "global " + path + " draw (" + name + ")"
+	case nondetCryptoRand:
 		return "crypto/rand randomness"
+	}
+	switch path {
 	case "os":
 		switch name {
 		case "Getenv", "LookupEnv", "Environ", "Hostname", "Getpid", "Getppid", "Getwd", "TempDir":
@@ -752,13 +742,12 @@ func (e *flowEnv) mapRanges() []mapRange {
 // reportFlow records one deduplicated diagnostic.
 func (e *flowEnv) reportFlow(pos token.Pos, src, sink string) {
 	fa := e.fa
-	p := fa.pass.Fset.Position(pos)
 	msg := "nondeterministic " + src + " flows into " + sink +
 		"; deterministic artifacts must derive only from seeded/virtual state"
-	key := p.String() + "|" + msg
+	key := fa.pass.Fset.Position(pos).String() + "|" + msg
 	if fa.reported[key] {
 		return
 	}
 	fa.reported[key] = true
-	fa.finds = append(fa.finds, Diagnostic{Check: fa.pass.Analyzer.Name, Pos: p, Message: msg})
+	fa.pass.Reportf(pos, "%s", msg)
 }

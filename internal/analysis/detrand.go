@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/types"
-	"sort"
-)
+import "go/types"
 
 // deterministicPkgs are the simulation packages whose runs must be
 // bit-identical for a given seed. Inside them, all randomness must come
@@ -36,10 +33,21 @@ func isDeterministicPkg(path string) bool {
 	return false
 }
 
-// detrandAllowed lists the package-level functions of the random packages
+// nondetKind classifies a package-level function or variable as one of the
+// nondeterminism sources the determinism analyzers know about.
+type nondetKind int
+
+const (
+	nondetNone       nondetKind = iota
+	nondetGlobalRand            // math/rand, math/rand/v2: the process-wide generator
+	nondetCryptoRand            // crypto/rand
+	nondetWallClock             // time: reads or schedules against the wall clock
+)
+
+// randSeeded lists the package-level functions of the random packages
 // that are safe in deterministic code: constructors that produce a seeded
 // generator rather than drawing from the global one.
-var detrandAllowed = map[string]bool{
+var randSeeded = map[string]bool{
 	"New":        true,
 	"NewSource":  true,
 	"NewPCG":     true, // math/rand/v2
@@ -47,13 +55,32 @@ var detrandAllowed = map[string]bool{
 	"NewZipf":    true, // takes a *Rand; draws through it
 }
 
-// timeForbidden lists the package-level time functions that read or
-// schedule against the wall clock. Types (Duration, Time) and pure
-// conversions remain usable.
-var timeForbidden = map[string]bool{
+// wallClock lists the package-level time functions that read or schedule
+// against the wall clock. Types (Duration, Time) and pure conversions
+// remain usable.
+var wallClock = map[string]bool{
 	"Now": true, "Since": true, "Until": true,
 	"Sleep": true, "After": true, "Tick": true,
 	"NewTimer": true, "NewTicker": true, "AfterFunc": true,
+}
+
+// nondetSource is the one table of nondeterminism sources: detrand bans
+// their use in simulation packages, detflow tracks where their values go
+// everywhere else.
+func nondetSource(pkgPath, name string) nondetKind {
+	switch pkgPath {
+	case "math/rand", "math/rand/v2":
+		if !randSeeded[name] {
+			return nondetGlobalRand
+		}
+	case "crypto/rand":
+		return nondetCryptoRand
+	case "time":
+		if wallClock[name] {
+			return nondetWallClock
+		}
+	}
+	return nondetNone
 }
 
 // AnalyzerDetrand (cdnlint/detrand) forbids global randomness and wall
@@ -72,9 +99,6 @@ func runDetrand(pass *Pass) {
 	if !isDeterministicPkg(pass.Pkg.Path()) {
 		return
 	}
-	// Info.Uses iteration is unordered; sort the findings by position so
-	// the analyzer itself honors the invariant it enforces.
-	var finds []Diagnostic
 	for id, obj := range pass.Info.Uses {
 		fn, ok := obj.(*types.Func)
 		var pkgPath, name string
@@ -88,38 +112,16 @@ func runDetrand(pass *Pass) {
 		} else {
 			continue
 		}
-		var msg string
-		switch pkgPath {
-		case "math/rand", "math/rand/v2":
-			if detrandAllowed[name] {
-				continue
-			}
-			msg = "global " + pkgPath + "." + name + " draws from the process-wide generator; " +
-				"use the simulation's seeded *rand.Rand (netsim.Sim.Rand)"
-		case "crypto/rand":
-			msg = "crypto/rand." + name + " is non-deterministic; " +
-				"use the simulation's seeded *rand.Rand (netsim.Sim.Rand)"
-		case "time":
-			if !timeForbidden[name] {
-				continue
-			}
-			msg = "time." + name + " reads the wall clock; deterministic packages must use " +
-				"virtual time (netsim.Sim.Now)"
-		default:
-			continue
+		switch nondetSource(pkgPath, name) {
+		case nondetGlobalRand:
+			pass.Reportf(id.Pos(), "global %s.%s draws from the process-wide generator; "+
+				"use the simulation's seeded *rand.Rand (netsim.Sim.Rand)", pkgPath, name)
+		case nondetCryptoRand:
+			pass.Reportf(id.Pos(), "crypto/rand.%s is non-deterministic; "+
+				"use the simulation's seeded *rand.Rand (netsim.Sim.Rand)", name)
+		case nondetWallClock:
+			pass.Reportf(id.Pos(), "time.%s reads the wall clock; deterministic packages must use "+
+				"virtual time (netsim.Sim.Now)", name)
 		}
-		finds = append(finds, Diagnostic{
-			Check:   pass.Analyzer.Name,
-			Pos:     pass.Fset.Position(id.Pos()),
-			Message: msg,
-		})
 	}
-	sort.Slice(finds, func(i, j int) bool {
-		a, b := finds[i], finds[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Offset < b.Pos.Offset
-	})
-	*pass.diags = append(*pass.diags, finds...)
 }

@@ -20,27 +20,12 @@ import (
 //     map fields must use a named type with a sorted MarshalJSON wrapper;
 //   - every top-level wire type (a struct no other wire struct embeds as
 //     a field) declares an apiVersion field, so every artifact that hits
-//     disk or HTTP is versioned;
-//   - the ctlplane differ covers the schema: in a package that declares
-//     diffStates(pred, act api.WorldState), every leaf field of the
-//     WorldState tree must be selected somewhere in diffStates or its
-//     in-package callees, unless listed in the package-level diffExempt
-//     map with a reason. This is the static complement of
-//     TestDiffStatesCoversEverySchemaField: the test catches a schema
-//     field the differ forgot at test time, the analyzer at lint time.
+//     disk or HTTP is versioned.
 var AnalyzerWirestable = &Analyzer{
 	Name: "wirestable",
 	Doc: "require explicit json tags, sorted-marshal wrappers on map fields, and apiVersion on " +
-		"top-level wire types in pkg/bestofboth/api; require ctlplane's diffStates to cover every " +
-		"schema leaf not exempted in diffExempt",
+		"top-level wire types in pkg/bestofboth/api",
 	Run: runWirestable,
-}
-
-func runWirestable(pass *Pass) {
-	if pkgPathHasSuffix(pass.Pkg.Path(), "bestofboth/api") {
-		checkWireSchema(pass)
-	}
-	checkDifferCoverage(pass)
 }
 
 // wireStruct is one top-level struct type declaration of the api package.
@@ -96,7 +81,10 @@ func jsonTagName(tag *ast.BasicLit) (string, bool) {
 	return name, true
 }
 
-func checkWireSchema(pass *Pass) {
+func runWirestable(pass *Pass) {
+	if !pkgPathHasSuffix(pass.Pkg.Path(), "bestofboth/api") {
+		return
+	}
 	structs := wireStructs(pass)
 
 	// Field-level rules: explicit json tags, sorted-marshal map wrappers.
@@ -218,157 +206,4 @@ func namedStructRefsRec(t types.Type, pkg *types.Package, seen map[types.Type]bo
 		return append(namedStructRefsRec(x.Key(), pkg, seen), namedStructRefsRec(x.Elem(), pkg, seen)...)
 	}
 	return nil
-}
-
-// --- differ coverage ---
-
-// checkDifferCoverage applies the diffStates rule in any package that
-// declares one.
-func checkDifferCoverage(pass *Pass) {
-	var differ *ast.FuncDecl
-	var root *types.Named
-	for _, fd := range funcDecls(pass.Files) {
-		if fd.Name.Name != "diffStates" || fd.Recv != nil || fd.Body == nil {
-			continue
-		}
-		params := fd.Type.Params
-		if params == nil || params.NumFields() == 0 {
-			continue
-		}
-		t := typeOf(pass.Info, params.List[0].Type)
-		if t == nil {
-			continue
-		}
-		named, ok := derefNamed(t)
-		if !ok || named.Obj().Pkg() == nil || !pkgPathHasSuffix(named.Obj().Pkg().Path(), "bestofboth/api") {
-			continue
-		}
-		differ, root = fd, named
-		break
-	}
-	if differ == nil {
-		return
-	}
-	apiPkg := root.Obj().Pkg()
-
-	// Leaves of the schema tree ("Type.Field"), in declaration order.
-	var leaves []string
-	visited := map[*types.TypeName]bool{}
-	var walk func(n *types.Named)
-	walk = func(n *types.Named) {
-		if visited[n.Obj()] {
-			return
-		}
-		visited[n.Obj()] = true
-		st, ok := n.Underlying().(*types.Struct)
-		if !ok {
-			return
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			subs := namedStructRefs(f.Type(), apiPkg)
-			if len(subs) == 0 {
-				leaves = append(leaves, n.Obj().Name()+"."+f.Name())
-				continue
-			}
-			for _, sub := range subs {
-				if sn, ok := sub.Type().(*types.Named); ok {
-					walk(sn)
-				}
-			}
-		}
-	}
-	walk(root)
-
-	// Fields the differ (or an in-package function it calls, transitively)
-	// selects.
-	cg := buildCallGraph(pass)
-	start := cg.funcFor(pass.Info.Defs[differ.Name])
-	covered := map[string]bool{}
-	seen := map[*funcInfo]bool{}
-	var visit func(fi *funcInfo)
-	visit = func(fi *funcInfo) {
-		if fi == nil || seen[fi] || fi.decl.Body == nil {
-			return
-		}
-		seen[fi] = true
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			s := pass.Info.Selections[sel]
-			if s == nil || s.Kind() != types.FieldVal {
-				return true
-			}
-			if named, ok := derefNamed(s.Recv()); ok && named.Obj().Pkg() == apiPkg {
-				covered[named.Obj().Name()+"."+sel.Sel.Name] = true
-			}
-			return true
-		})
-		for _, callee := range fi.callees {
-			visit(callee)
-		}
-	}
-	visit(start)
-
-	leafSet := map[string]bool{}
-	for _, l := range leaves {
-		leafSet[l] = true
-	}
-	exempt := differExempt(pass, leafSet)
-	for _, l := range leaves {
-		if covered[l] || exempt[l] {
-			continue
-		}
-		pass.Reportf(differ.Name.Pos(), "schema leaf %s is never compared by diffStates; a ChangeSet "+
-			"receipt can't verify a field the differ skips — compare it, or add it to diffExempt with a reason",
-			l)
-	}
-}
-
-// differExempt parses the package-level `diffExempt` map literal
-// ("Type.Field" → reason) and returns the exempted paths, reporting keys
-// that name no schema leaf.
-func differExempt(pass *Pass, leaves map[string]bool) map[string]bool {
-	exempt := map[string]bool{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "diffExempt" || len(vs.Values) != 1 {
-					continue
-				}
-				lit, ok := vs.Values[0].(*ast.CompositeLit)
-				if !ok {
-					continue
-				}
-				for _, elt := range lit.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					key, ok := kv.Key.(*ast.BasicLit)
-					if !ok || key.Kind != token.STRING {
-						continue
-					}
-					path, err := strconv.Unquote(key.Value)
-					if err != nil {
-						continue
-					}
-					if !leaves[path] {
-						pass.Reportf(key.Pos(), "diffExempt names %q, which is not a leaf of the schema "+
-							"diffStates covers; fix the path or drop the stale exemption", path)
-						continue
-					}
-					exempt[path] = true
-				}
-			}
-		}
-	}
-	return exempt
 }

@@ -98,10 +98,10 @@ type CDN struct {
 	reacted   map[string]bool
 	dualStack bool
 
-	// Load state (nil unless the experiment config enables demand); both
-	// halves are derived deterministically from the world config, so
-	// restores re-derive instead of serializing them.
-	demand *traffic.Model      //cdnlint:nosnapshot rebuilt deterministically from WorldConfig by experiment.NewWorld
+	// Load state (nil unless the experiment config enables demand).
+	// experiment.NewWorld rebuilds both from the world config; snapshots
+	// carry the demand model's rates, the one part that moves afterwards.
+	demand *traffic.Model
 	load   *traffic.Accountant //cdnlint:nosnapshot measurement sink; reattached by NewWorld and refolded on demand
 
 	// DetectionDelay is the latency of the CDN's health monitoring between

@@ -37,10 +37,17 @@ type Monitor struct {
 	Detections int
 }
 
+// MonitorInterval × MonitorMisses is the health-monitor configuration the
+// experiments and scenarios run: a probe every 0.5 s and three misses to
+// declare a site down yields ~1.5-2 s detection, matching the
+// DetectionDelay the fixed-delay failover experiments assume.
+const (
+	MonitorInterval netsim.Seconds = 0.5
+	MonitorMisses                  = 3
+)
+
 // StartMonitor begins health monitoring with the given probe interval and
-// miss threshold. A typical configuration of 0.5 s × 3 misses yields
-// ~1.5-2 s detection, matching the DetectionDelay the failover experiments
-// assume.
+// miss threshold.
 func (c *CDN) StartMonitor(interval netsim.Seconds, misses int) (*Monitor, error) {
 	if c.technique == nil {
 		return nil, fmt.Errorf("core: deploy a technique before monitoring")

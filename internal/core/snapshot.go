@@ -10,10 +10,11 @@ import (
 )
 
 // Snapshot is a deep copy of the controller's mutable state: the deployed
-// technique, the live announcement ledger, failure/reaction bookkeeping, and
-// the DNS zone contents. Together with the BGP and kernel snapshots it lets
-// a converged deployment be rebuilt without re-running Deploy and the
-// convergence phase.
+// technique, the live announcement ledger, failure/reaction bookkeeping,
+// the DNS zone contents, and the demand model's current per-target rates
+// (nil without a demand model). Together with the BGP and kernel snapshots
+// it lets a converged deployment be rebuilt without re-running Deploy and
+// the convergence phase.
 //
 // Techniques are stateless value types (their configuration, e.g. prepend
 // depth, is immutable after construction), so the snapshot shares the
@@ -27,10 +28,15 @@ type Snapshot struct {
 	detectionDelay netsim.Seconds
 	dnsTTL         uint32
 	zone           dns.ZoneSnapshot
+	demandRates    []int64
 }
 
 // Snapshot deep-copies the controller state.
 func (c *CDN) Snapshot() *Snapshot {
+	var rates []int64
+	if c.demand != nil {
+		rates = c.demand.Rates()
+	}
 	return &Snapshot{
 		technique:      c.technique,
 		announced:      slices.Clone(c.announced),
@@ -40,6 +46,7 @@ func (c *CDN) Snapshot() *Snapshot {
 		detectionDelay: c.DetectionDelay,
 		dnsTTL:         c.DNSTTL,
 		zone:           c.auth.SnapshotZone(),
+		demandRates:    rates,
 	}
 }
 
@@ -53,6 +60,13 @@ func (c *CDN) Restore(snap *Snapshot) error {
 	}
 	if len(c.sites) == 0 {
 		return fmt.Errorf("core: cannot restore into a CDN with no sites")
+	}
+	// The demand model was rebuilt from config by whoever built this CDN;
+	// only its rates move afterwards, so overwrite those.
+	if c.demand != nil {
+		if err := c.demand.SetRates(snap.demandRates); err != nil {
+			return fmt.Errorf("core: restoring demand: %w", err)
+		}
 	}
 	c.technique = snap.technique
 	if c.load != nil {

@@ -3,7 +3,6 @@ package ctlplane
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"bestofboth/internal/experiment"
 	"bestofboth/internal/obs"
 	"bestofboth/internal/scenario"
-	"bestofboth/internal/topology"
 	"bestofboth/pkg/bestofboth/api"
 )
 
@@ -27,8 +25,6 @@ type Config struct {
 	World experiment.WorldConfig
 	// Technique is deployed at startup.
 	Technique core.Technique
-	// ConvergeBound overrides DefaultConvergeBound (virtual seconds).
-	ConvergeBound float64
 	// Obs, when non-nil, instruments the world and backs GET /metrics.
 	Obs *obs.Registry
 	// Now overrides the wall clock stamped into ChangeSet.CreatedAt /
@@ -52,18 +48,11 @@ type Server struct {
 	mu    sync.Mutex
 	world *experiment.World
 	cfg   Config
-	bound float64
 	now   func() time.Time
 
 	nextID int
 	sets   []*api.ChangeSet
 	byID   map[string]*api.ChangeSet
-
-	// demandScaleNums is the replay history of executed demand-scale
-	// mutations, in thousandths. RestoreWorld rebuilds the demand model
-	// from config, so every dry-run scratch world must re-apply these (in
-	// order, in the same integer arithmetic) to match the live world.
-	demandScaleNums []int64
 }
 
 // NewServer builds the world, deploys the technique, converges, and
@@ -72,13 +61,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Technique == nil {
 		return nil, fmt.Errorf("ctlplane: no technique configured")
 	}
-	bound := cfg.ConvergeBound
-	if bound <= 0 {
-		bound = DefaultConvergeBound
-	}
 	wc := cfg.World
 	wc.Obs = cfg.Obs
-	w, err := experiment.NewConvergedWorld(wc, cfg.Technique, bound)
+	w, err := experiment.NewConvergedWorld(wc, cfg.Technique, DefaultConvergeBound)
 	if err != nil {
 		return nil, fmt.Errorf("ctlplane: building world: %w", err)
 	}
@@ -89,7 +74,6 @@ func NewServer(cfg Config) (*Server, error) {
 	return &Server{
 		world: w,
 		cfg:   cfg,
-		bound: bound,
 		now:   now,
 		byID:  map[string]*api.ChangeSet{},
 	}, nil
@@ -263,23 +247,14 @@ func envOf(w *experiment.World) *scenario.Env {
 	return &scenario.Env{Sim: w.Sim, Topo: w.Topo, Net: w.Net, Plane: w.Plane, CDN: w.CDN}
 }
 
-// replayDemandScales re-applies the executed demand-scale history onto a
-// freshly restored scratch world, whose demand model NewWorld rebuilt from
-// config. Same integer arithmetic, same order, same target iteration as
-// the scenario engine — the replay is exact, not approximate.
-func (s *Server) replayDemandScales(w *experiment.World) {
-	m := w.CDN.Demand()
-	if m == nil || len(s.demandScaleNums) == 0 {
-		return
+// apply runs a mutation batch on w and settles it. The dry run calls it on
+// a scratch restore and execution on the live world, so prediction and
+// execution are the same code.
+func apply(w *experiment.World, events []scenario.Event) error {
+	if err := scenario.ApplyEvents(envOf(w), events); err != nil {
+		return err
 	}
-	var ids []topology.NodeID
-	m.Each(func(id topology.NodeID, _ int64, _ int) { ids = append(ids, id) })
-	for _, num := range s.demandScaleNums {
-		for _, id := range ids {
-			m.ScaleRate(id, num, 1000)
-		}
-	}
-	w.CDN.RefreshLoad()
+	return w.Settle(DefaultConvergeBound)
 }
 
 // handlePostChangeSet is the mutation entry point: dry-run by default,
@@ -333,24 +308,13 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 
 	// Execute: the same mutations against the live world, then verify by
 	// re-diffing the actual post-state against the prediction.
-	if err := scenario.ApplyEvents(envOf(s.world), events); err != nil {
+	if err := apply(s.world, events); err != nil {
 		// The dry run accepted this batch, so a live failure means the two
 		// worlds were not equivalent — surface loudly, keep the record.
 		cs.Status = api.StatusRejected
 		s.record(cs)
 		writeError(w, http.StatusInternalServerError, "changeset %s: live execution diverged from accepted dry-run: %v", cs.ID, err)
 		return
-	}
-	if err := s.world.Settle(s.bound); err != nil {
-		cs.Status = api.StatusRejected
-		s.record(cs)
-		writeError(w, http.StatusInternalServerError, "changeset %s: settling live world: %v", cs.ID, err)
-		return
-	}
-	for _, e := range events {
-		if e.Kind == scenario.KindDemandScale {
-			s.demandScaleNums = append(s.demandScaleNums, scaleNum(e.Fraction))
-		}
 	}
 	if sabotage {
 		s.cfg.Sabotage(s.world)
@@ -381,20 +345,10 @@ func (s *Server) dryRun(events []scenario.Event) (api.WorldState, error) {
 	if err != nil {
 		return api.WorldState{}, fmt.Errorf("restoring scratch world: %w", err)
 	}
-	s.replayDemandScales(scratch)
-	if err := scenario.ApplyEvents(envOf(scratch), events); err != nil {
-		return api.WorldState{}, err
-	}
-	if err := scratch.Settle(s.bound); err != nil {
+	if err := apply(scratch, events); err != nil {
 		return api.WorldState{}, err
 	}
 	return StateOf(scratch), nil
-}
-
-// scaleNum is the thousandths factor of a demand-scale fraction, matching
-// the scenario engine's arithmetic exactly.
-func scaleNum(fraction float64) int64 {
-	return int64(math.Round(fraction * 1000))
 }
 
 func (s *Server) record(cs *api.ChangeSet) {

@@ -20,6 +20,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"bestofboth/internal/dns"
 	"bestofboth/internal/experiment"
@@ -167,11 +169,10 @@ func catchmentsOf(w *experiment.World) api.Catchments {
 	return out
 }
 
-// diffExempt lists the api.WorldState leaves diffStates deliberately does
-// not compare, with the reason. Everything else must be diffed: a field
-// added to the schema but not to diffStates silently weakens every
-// verification receipt. TestDiffStatesCoversEverySchemaField enforces the
-// contract at test time; cdnlint/wirestable enforces it at lint time.
+// diffExempt lists the api.WorldState leaves ("Type.Field") diffStates
+// deliberately does not compare, with the reason. Every other leaf is
+// compared: diffStates walks the schema itself, so a field added to the
+// api is diffed from the moment it exists.
 var diffExempt = map[string]string{
 	"SiteState.Node":   "immutable wiring, pinned by Code",
 	"SiteState.Prefix": "immutable addressing plan, pinned by Code",
@@ -183,46 +184,59 @@ var diffExempt = map[string]string{
 // paths address the WorldState JSON schema ("sites[atl].load.shedMicroRPS").
 func diffStates(pred, act api.WorldState) []api.FieldDiff {
 	var diffs []api.FieldDiff
-	add := func(field string, p, a any) {
+	diffValue(&diffs, "", reflect.ValueOf(pred), reflect.ValueOf(act))
+	return diffs
+}
+
+// diffValue walks two values of one schema type in step, appending a diff
+// per leaf that renders differently. A struct's fields go by JSON name in
+// declaration order with its lists last (the roster follows the summary
+// blocks), skipping diffExempt. A nil pointer against a non-nil one is a
+// single diff. Lists of different length yield only "<list>.length";
+// otherwise elements pair up by position and are addressed by their first
+// field, the schema's identifying key ("sites[atl]").
+func diffValue(diffs *[]api.FieldDiff, path string, p, a reflect.Value) {
+	switch p.Kind() {
+	case reflect.Struct:
+		t := p.Type()
+		if path != "" {
+			path += "."
+		}
+		for _, lists := range []bool{false, true} {
+			for i := 0; i < t.NumField(); i++ {
+				f := t.Field(i)
+				if (f.Type.Kind() == reflect.Slice) != lists {
+					continue
+				}
+				if _, skip := diffExempt[t.Name()+"."+f.Name]; skip {
+					continue
+				}
+				name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+				diffValue(diffs, path+name, p.Field(i), a.Field(i))
+			}
+		}
+	case reflect.Pointer:
+		if p.IsNil() || a.IsNil() {
+			if p.IsNil() != a.IsNil() {
+				diffValue(diffs, path, reflect.ValueOf(!p.IsNil()), reflect.ValueOf(!a.IsNil()))
+			}
+			return
+		}
+		diffValue(diffs, path, p.Elem(), a.Elem())
+	case reflect.Slice:
+		if p.Len() != a.Len() {
+			diffValue(diffs, path+".length", reflect.ValueOf(p.Len()), reflect.ValueOf(a.Len()))
+			return
+		}
+		for i := 0; i < p.Len(); i++ {
+			diffValue(diffs, fmt.Sprintf("%s[%v]", path, p.Index(i).Field(0)), p.Index(i), a.Index(i))
+		}
+	default:
 		ps, as := fmt.Sprintf("%v", p), fmt.Sprintf("%v", a)
 		if ps != as {
-			diffs = append(diffs, api.FieldDiff{Field: field, Predicted: ps, Actual: as})
+			*diffs = append(*diffs, api.FieldDiff{Field: path, Predicted: ps, Actual: as})
 		}
 	}
-	add("virtualTime", pred.VirtualTime, act.VirtualTime)
-	add("technique", pred.Technique, act.Technique)
-	add("availability.targets", pred.Availability.Targets, act.Availability.Targets)
-	add("availability.reachable", pred.Availability.Reachable, act.Availability.Reachable)
-	add("availability.reachableShare", pred.Availability.ReachableShare, act.Availability.ReachableShare)
-	add("availability.demandTotalMicroRPS", pred.Availability.DemandTotalMicroRPS, act.Availability.DemandTotalMicroRPS)
-	add("availability.demandServedMicroRPS", pred.Availability.DemandServedMicroRPS, act.Availability.DemandServedMicroRPS)
-	add("availability.demandShedMicroRPS", pred.Availability.DemandShedMicroRPS, act.Availability.DemandShedMicroRPS)
-	add("availability.demandUnservedMicroRPS", pred.Availability.DemandUnservedMicroRPS, act.Availability.DemandUnservedMicroRPS)
-	add("digests.routeStateSHA256", pred.Digests.RouteStateSHA256, act.Digests.RouteStateSHA256)
-	add("digests.fibSHA256", pred.Digests.FIBSHA256, act.Digests.FIBSHA256)
-	add("digests.dnsZoneSHA256", pred.Digests.DNSZoneSHA256, act.Digests.DNSZoneSHA256)
-	if len(pred.Sites) != len(act.Sites) {
-		add("sites.length", len(pred.Sites), len(act.Sites))
-		return diffs
-	}
-	for i := range pred.Sites {
-		p, a := pred.Sites[i], act.Sites[i]
-		prefix := fmt.Sprintf("sites[%s].", p.Code)
-		add(prefix+"code", p.Code, a.Code)
-		add(prefix+"failed", p.Failed, a.Failed)
-		add(prefix+"announcements", p.Announcements, a.Announcements)
-		switch {
-		case p.Load == nil && a.Load == nil:
-		case p.Load == nil || a.Load == nil:
-			add(prefix+"load", p.Load != nil, a.Load != nil)
-		default:
-			add(prefix+"load.capacityMicroRPS", p.Load.CapacityMicroRPS, a.Load.CapacityMicroRPS)
-			add(prefix+"load.offeredMicroRPS", p.Load.OfferedMicroRPS, a.Load.OfferedMicroRPS)
-			add(prefix+"load.servedMicroRPS", p.Load.ServedMicroRPS, a.Load.ServedMicroRPS)
-			add(prefix+"load.shedMicroRPS", p.Load.ShedMicroRPS, a.Load.ShedMicroRPS)
-		}
-	}
-	return diffs
 }
 
 // deltaOf summarizes post − pre: the availability movement and per-site

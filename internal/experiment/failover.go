@@ -34,15 +34,6 @@ type FailoverConfig struct {
 	// detection latency is emergent (§4: "CDNs need to make new
 	// announcements quickly after the detection of an outage").
 	UseMonitor bool
-	// MonitorInterval/MonitorMisses configure the monitor when UseMonitor
-	// is set (defaults 0.5 s × 3).
-	MonitorInterval float64
-	MonitorMisses   int
-	// RetainWorld keeps the run's World on the RunResult for post-hoc
-	// inspection (collector archives, catchments). Off by default: a world
-	// pins an entire simulated Internet in memory, which matters once many
-	// runs are aggregated or in flight.
-	RetainWorld bool
 }
 
 // DefaultFailoverConfig returns the paper's schedule.
@@ -91,9 +82,6 @@ type RunResult struct {
 	// DetectedAt is the emergent detection latency when the run used the
 	// health monitor (seconds after the crash; zero otherwise).
 	DetectedAt float64
-	// World is the run's simulation instance, retained only when
-	// FailoverConfig.RetainWorld is set.
-	World *World
 }
 
 // ReconnectionSamples returns reconnection times with unreconnected
@@ -204,9 +192,6 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 		FailedSite: failCode,
 		PoolSize:   len(pool),
 	}
-	if fc.RetainWorld {
-		res.World = w
-	}
 	res.Controllable = len(controllable)
 	if m := w.CDN.Demand(); m != nil {
 		res.Weights = make([]float64, len(controllable))
@@ -247,14 +232,7 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 	t0 := w.Sim.Now()
 	var monitor *core.Monitor
 	if fc.UseMonitor {
-		interval, misses := fc.MonitorInterval, fc.MonitorMisses
-		if interval <= 0 {
-			interval = 0.5
-		}
-		if misses <= 0 {
-			misses = 3
-		}
-		m, err := w.CDN.StartMonitor(interval, misses)
+		m, err := w.CDN.StartMonitor(core.MonitorInterval, core.MonitorMisses)
 		if err != nil {
 			return nil, err
 		}

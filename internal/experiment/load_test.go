@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bestofboth/internal/core"
+	"bestofboth/internal/topology"
 )
 
 // demandConfig is tinyConfig with the default heavy-tailed demand model
@@ -272,5 +273,53 @@ func TestPaperScaleLoadShiftFixedPoint(t *testing.T) {
 	}
 	if changed {
 		t.Fatal("rebalance found a further move after the deployment loop reported convergence")
+	}
+}
+
+// TestSnapshotCarriesDemand pins snapshot completeness for the one mutable
+// part of the demand model: after every rate doubles (a flash crowd, or a
+// demand-scale ChangeSet), a world restored from a snapshot must offer the
+// doubled demand, not the as-configured rates NewWorld rebuilds.
+func TestSnapshotCarriesDemand(t *testing.T) {
+	w, err := NewConvergedWorld(demandConfig(7), core.LoadShed{}, 3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := w.CDN.Demand()
+	before := m.TotalRate()
+	m.Each(func(id topology.NodeID, _ int64, _ int) { m.ScaleRate(id, 2, 1) })
+	w.CDN.RefreshLoad()
+	if m.TotalRate() != 2*before {
+		t.Fatalf("scaled total %d, want %d", m.TotalRate(), 2*before)
+	}
+
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreWorld(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.CDN.Demand().TotalRate(); got != m.TotalRate() {
+		t.Fatalf("restored world offers %d micro-rps, live world %d", got, m.TotalRate())
+	}
+	live, restored := w.CDN.Load(), r.CDN.Load()
+	for i := 0; i < live.NumSites(); i++ {
+		if live.Offered(i) != restored.Offered(i) || live.Served(i) != restored.Served(i) || live.Shed(i) != restored.Shed(i) {
+			t.Errorf("site %s: restored offered/served/shed %d/%d/%d, live %d/%d/%d", live.SiteCode(i),
+				restored.Offered(i), restored.Served(i), restored.Shed(i),
+				live.Offered(i), live.Served(i), live.Shed(i))
+		}
+	}
+
+	// The restore is a copy: moving the restored world's demand leaves the
+	// live world and the snapshot alone.
+	r.CDN.Demand().Each(func(id topology.NodeID, _ int64, _ int) { r.CDN.Demand().SetRate(id, 0) })
+	if m.TotalRate() != 2*before {
+		t.Fatalf("mutating the restored world moved the live world's demand to %d", m.TotalRate())
+	}
+	if r2, err := RestoreWorld(snap); err != nil || r2.CDN.Demand().TotalRate() != 2*before {
+		t.Fatalf("second restore: err %v, total %d, want %d", err, r2.CDN.Demand().TotalRate(), 2*before)
 	}
 }

@@ -62,12 +62,6 @@ func WithObs(r *obs.Registry) Option {
 	return func(c *WorldConfig) { c.Obs = r }
 }
 
-// WithTopology replaces the topology generator configuration wholesale
-// (the config's Seed still wins over the one inside).
-func WithTopology(gc topology.GenConfig) Option {
-	return func(c *WorldConfig) { c.Topology = gc }
-}
-
 // WithScale scales the default topology's per-class AS counts by f
 // (1.0 ≈ 900 ASes), with floors keeping tiny scales connected. f <= 0 or
 // f == 1 leaves the generator defaults untouched.

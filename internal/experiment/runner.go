@@ -185,6 +185,68 @@ func (r *Runner) materialize(cfg WorldConfig, tech core.Technique, convergeTime 
 	return NewConvergedWorld(cfg, tech, convergeTime)
 }
 
+// matrixPool is the bounded worker pool behind RunMatrix and
+// RunScenarioMatrix: every task runs on its own goroutine but at most
+// r.workers() hold a slot at a time, the first error wins, and each
+// completed run reports progress.
+type matrixPool struct {
+	r     *Runner
+	m     runnerMetrics
+	sem   chan struct{}
+	total int
+	wg    sync.WaitGroup
+
+	mu   sync.Mutex
+	done int
+	err  error
+}
+
+func (r *Runner) newPool(total int) *matrixPool {
+	return &matrixPool{r: r, m: r.metrics(), sem: make(chan struct{}, r.workers()), total: total}
+}
+
+// spawn runs task under a worker slot. Tasks may spawn further tasks; the
+// slot is held only while task itself executes.
+func (p *matrixPool) spawn(task func() error) {
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		p.sem <- struct{}{}
+		if p.r != nil {
+			p.m.busyMax.SetMax(float64(p.r.busy.Add(1)))
+		}
+		err := task()
+		if p.r != nil {
+			p.r.busy.Add(-1)
+		}
+		<-p.sem
+		if err != nil {
+			p.mu.Lock()
+			if p.err == nil {
+				p.err = err
+			}
+			p.mu.Unlock()
+		}
+	}()
+}
+
+// completed counts one finished run of the matrix and reports progress.
+func (p *matrixPool) completed() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.done++
+	if p.r != nil && p.r.Progress != nil {
+		p.r.Progress(p.done, p.total)
+	}
+}
+
+// wait blocks until every spawned task has returned and yields the first
+// error.
+func (p *matrixPool) wait() error {
+	p.wg.Wait()
+	return p.err
+}
+
 // RunMatrix executes every ⟨technique, failed site⟩ failover experiment and
 // returns results indexed [technique][site], matching the argument order.
 // Runs execute concurrently up to the worker bound; each run is an
@@ -194,84 +256,42 @@ func (r *Runner) RunMatrix(cfg WorldConfig, sel *Selection, techs []core.Techniq
 	if r != nil && r.Obs != nil {
 		cfg.Obs = r.Obs
 	}
-	m := r.metrics()
 	results := make([][]*RunResult, len(techs))
 	for i := range results {
 		results[i] = make([]*RunResult, len(sites))
 	}
-	total := len(techs) * len(sites)
-	done := 0
-	sem := make(chan struct{}, r.workers())
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	acquire := func() {
-		sem <- struct{}{}
-		if r != nil {
-			m.busyMax.SetMax(float64(r.busy.Add(1)))
-		}
-	}
-	release := func() {
-		if r != nil {
-			r.busy.Add(-1)
-		}
-		<-sem
-	}
-	var wg sync.WaitGroup
-	for ti := range techs {
-		wg.Add(1)
-		go func(ti int, tech core.Technique) {
-			defer wg.Done()
-			// Build (or fetch) the technique's converged template under a
-			// worker slot, then fan the per-site runs out across slots.
-			acquire()
+	p := r.newPool(len(techs) * len(sites))
+	for ti, tech := range techs {
+		// Build (or fetch) the technique's converged template under a
+		// worker slot, then fan the per-site runs out across slots.
+		p.spawn(func() error {
 			snap, err := r.convergedSnapshot(cfg, tech, fc.ConvergeTime)
-			release()
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
-			var swg sync.WaitGroup
-			for si := range sites {
-				swg.Add(1)
-				go func(si int, site string) {
-					defer swg.Done()
-					acquire()
-					defer release()
+			for si, site := range sites {
+				p.spawn(func() error {
 					start := time.Now()
 					w, err := r.materialize(cfg, tech, fc.ConvergeTime, snap)
 					if err != nil {
-						fail(err)
-						return
+						return err
 					}
 					res, err := failoverOn(w, sel, tech, site, fc)
 					if err != nil {
-						fail(err)
-						return
+						return err
 					}
-					m.runs.Inc()
-					m.runSeconds.Observe(time.Since(start).Seconds())
-					mu.Lock()
+					p.m.runs.Inc()
+					p.m.runSeconds.Observe(time.Since(start).Seconds())
 					results[ti][si] = res
-					done++
-					if r != nil && r.Progress != nil {
-						r.Progress(done, total)
-					}
-					mu.Unlock()
-				}(si, sites[si])
+					p.completed()
+					return nil
+				})
 			}
-			swg.Wait()
-		}(ti, techs[ti])
+			return nil
+		})
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := p.wait(); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"sync"
-
 	"bestofboth/internal/core"
 	"bestofboth/internal/scenario"
 	"bestofboth/internal/topology"
@@ -125,44 +123,22 @@ func (r *Runner) RunScenarioMatrix(cfg WorldConfig, sel *Selection, techs []core
 	for i := range results {
 		results[i] = make([]*scenario.Result, len(scs))
 	}
-	total := len(techs) * len(scs)
-	done := 0
-	sem := make(chan struct{}, r.workers())
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	var wg sync.WaitGroup
+	p := r.newPool(len(techs) * len(scs))
 	for ti := range techs {
 		for si := range scs {
-			wg.Add(1)
-			go func(ti, si int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
+			p.spawn(func() error {
 				res, err := r.RunScenario(cfg, sel, techs[ti], scs[si], sco)
 				if err != nil {
-					fail(err)
-					return
+					return err
 				}
-				mu.Lock()
 				results[ti][si] = res
-				done++
-				if r != nil && r.Progress != nil {
-					r.Progress(done, total)
-				}
-				mu.Unlock()
-			}(ti, si)
+				p.completed()
+				return nil
+			})
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := p.wait(); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // WorldSnapshot captures a fully converged world — kernel clock and RNG
-// position, every speaker's RIBs and pacing state, the controller and DNS
-// zone, and the collector archive — so that the expensive deploy-and-converge
-// phase can be paid once per ⟨configuration, technique⟩ and reused by every
-// per-site run. A snapshot is immutable and safe to restore from any number
-// of goroutines concurrently.
+// position, every speaker's RIBs and pacing state, the controller, DNS
+// zone and demand rates, and the collector archive — so that the expensive
+// deploy-and-converge phase can be paid once per ⟨configuration, technique⟩
+// and reused by every per-site run. A snapshot is immutable and safe to
+// restore from any number of goroutines concurrently.
 type WorldSnapshot struct {
 	cfg WorldConfig
 	sim netsim.Snapshot
@@ -75,8 +75,8 @@ func RestoreWorld(snap *WorldSnapshot) (*World, error) {
 		return nil, fmt.Errorf("experiment: restoring cdn: %w", err)
 	}
 	w.Collector.RestoreArchive(snap.col)
-	// The demand model was rebuilt by NewWorld; fold the restored FIBs so
-	// the accountant matches the snapshotted world's converged load state.
+	// The accountant is not snapshotted: fold the restored FIBs over the
+	// restored demand so it matches the snapshotted world's load state.
 	w.CDN.RefreshLoad()
 	return w, nil
 }

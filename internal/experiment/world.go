@@ -132,9 +132,9 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, fmt.Errorf("experiment: attaching collector: %w", err)
 	}
 	if cfg.Demand.Enabled {
-		// The demand model is a pure function of (Demand config, Seed,
-		// topology, site roster): restored worlds rebuild it here instead of
-		// carrying it in snapshots.
+		// As built, the demand model is a pure function of (Demand config,
+		// Seed, topology, site roster): restored worlds rebuild it here and
+		// core.CDN.Restore overwrites its rates from the snapshot.
 		codes := make([]string, 0, len(cdn.Sites()))
 		for _, s := range cdn.Sites() {
 			codes = append(codes, s.Code)

@@ -50,21 +50,11 @@ type Options struct {
 	// scenario, so silent crashes (KindCrash) are detected with emergent
 	// latency instead of never.
 	UseMonitor bool
-	// MonitorInterval/MonitorMisses configure the monitor (defaults
-	// 0.5 s × 3).
-	MonitorInterval float64
-	MonitorMisses   int
 }
 
 func (o *Options) fillDefaults() {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 1.5
-	}
-	if o.MonitorInterval <= 0 {
-		o.MonitorInterval = 0.5
-	}
-	if o.MonitorMisses <= 0 {
-		o.MonitorMisses = 3
 	}
 }
 
@@ -220,7 +210,7 @@ func Run(env *Env, sc *Scenario, groups []Group, opts Options) (*Result, error) 
 
 	var mon *core.Monitor
 	if opts.UseMonitor {
-		m, err := env.CDN.StartMonitor(opts.MonitorInterval, opts.MonitorMisses)
+		m, err := env.CDN.StartMonitor(core.MonitorInterval, core.MonitorMisses)
 		if err != nil {
 			return nil, err
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"bestofboth/internal/topology"
@@ -95,10 +96,11 @@ func (c Config) Validate() error {
 
 // Model is the materialized demand model: a rate per target, a capacity
 // per site, and a stable hash of each target into an anycast load-shift
-// bucket. It is immutable except through SetRate/ScaleRate (scenario
-// events such as flash crowds), and is rebuilt deterministically from
-// (Config, seed, topology) — worlds restored from snapshots regenerate it
-// rather than serializing it.
+// bucket. Everything but the rates is a pure function of (Config, seed,
+// topology), so a world restored from a snapshot rebuilds the model and
+// then overwrites the one mutable part — the rates SetRate/ScaleRate move
+// (scenario events such as flash crowds) — from the snapshot via
+// Rates/SetRates.
 type Model struct {
 	cfg   Config
 	ids   []topology.NodeID // ascending
@@ -227,6 +229,25 @@ func (m *Model) ScaleRate(id topology.NodeID, num, den int64) bool {
 		return false
 	}
 	return m.SetRate(id, m.rates[i]/den*num+m.rates[i]%den*num/den)
+}
+
+// Rates returns a copy of every target's current rate in ascending node-ID
+// order: the model's whole mutable state, as snapshots carry it.
+func (m *Model) Rates() []int64 { return slices.Clone(m.rates) }
+
+// SetRates reinstates rates captured by Rates on a model built from the
+// same (Config, seed, topology). A length mismatch means the two models
+// cover different target sets and is an error.
+func (m *Model) SetRates(rates []int64) error {
+	if len(rates) != len(m.rates) {
+		return fmt.Errorf("traffic: restoring %d rates into a model of %d targets", len(rates), len(m.rates))
+	}
+	m.total = 0
+	for i, r := range rates {
+		m.rates[i] = r
+		m.total += r
+	}
+	return nil
 }
 
 // Bucket returns the target's anycast load-shift bucket (stable hash of

@@ -114,6 +114,22 @@ func TestModelMutation(t *testing.T) {
 	if m.SetRate(topology.NodeID(1<<30), 1) {
 		t.Fatal("SetRate accepted an unknown target")
 	}
+
+	// Rates/SetRates carry the mutated rates into a freshly built twin
+	// (what a snapshot restore does) and refuse a different target set.
+	twin, err := NewModel(Config{Enabled: true}, 1, testTargets(50), testSites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.SetRates(m.Rates()); err != nil {
+		t.Fatal(err)
+	}
+	if twin.Rate(id) != want || twin.TotalRate() != m.TotalRate() {
+		t.Fatalf("twin after SetRates: rate %d total %d, want %d / %d", twin.Rate(id), twin.TotalRate(), want, m.TotalRate())
+	}
+	if err := twin.SetRates(m.Rates()[:49]); err == nil {
+		t.Fatal("SetRates accepted 49 rates for 50 targets")
+	}
 }
 
 func TestModelSummary(t *testing.T) {

@@ -71,11 +71,6 @@ func TestFacadeCompat(t *testing.T) {
 	}
 	var _ func(*bestofboth.Plane, bestofboth.NodeID, netip.Addr) *bestofboth.Prober = bestofboth.NewProber
 
-	// The deprecated var and its replacement function agree.
-	if bestofboth.AnycastServiceAddr != bestofboth.AnycastAddr() {
-		t.Fatal("AnycastServiceAddr diverged from AnycastAddr()")
-	}
-
 	// Constructor wrappers survive.
 	if bestofboth.NewRegistry() == nil || bestofboth.NewCDF([]float64{1}) == nil {
 		t.Fatal("constructors broken")

@@ -29,13 +29,6 @@ func NewProber(plane *Plane, from NodeID, replyTo netip.Addr) *Prober {
 // AnycastAddr returns the service address inside the shared anycast prefix.
 func AnycastAddr() netip.Addr { return core.AnycastServiceAddr }
 
-// AnycastServiceAddr is the service address inside the shared anycast
-// prefix.
-//
-// Deprecated: a mutable package variable leaking the internal value; use
-// the AnycastAddr function.
-var AnycastServiceAddr = core.AnycastServiceAddr
-
 // ServiceAddr returns the conventional service address inside a prefix.
 func ServiceAddr(p netip.Prefix) netip.Addr { return core.ServiceAddr(p) }
 
