@@ -70,7 +70,7 @@ bench-smoke:
 # fields).
 ctlplane-smoke:
 	$(GO) run ./cmd/cdnlint -checks snapshotfields ./internal/ctlplane/... ./pkg/bestofboth/... ./internal/experiment/...
-	$(GO) test -run 'TestCtlplaneSmoke|TestDiff' -count=1 -v . ./internal/ctlplane/
+	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf' -count=1 -v . ./internal/ctlplane/
 
 # Everything CI runs (see .github/workflows/ci.yml).
 ci: tier1 vet lint race bench-smoke ctlplane-smoke

@@ -1,78 +1,173 @@
 package bgp
 
 import (
-	"fmt"
-	"sort"
+	"io"
+	"slices"
+	"strconv"
 	"strings"
 
 	"bestofboth/internal/topology"
 )
 
-// RouteStateDigest renders the semantic routing state of the whole network
-// as canonical text: per speaker, per prefix, the origination policy, the
-// loc-RIB best route, and the non-empty adj-RIB-in/out slots. Pacing
+// digestChunk is how much canonical text WriteRouteState buffers between
+// writes: large enough that a hasher sees few calls, small enough that the
+// encoder's whole footprint is one buffer that stays in cache.
+const digestChunk = 32 << 10
+
+// WriteRouteState streams the semantic routing state of the whole network
+// to w as canonical text: per speaker, per prefix, the origination policy,
+// the loc-RIB best route, and the non-empty adj-RIB-in/out slots. Pacing
 // deadlines, damping penalties, delivery clocks, and message counters are
-// deliberately excluded — two networks with equal digests make identical
+// deliberately excluded — two networks with equal text make identical
 // forwarding and export decisions even if they took different paced paths
-// to get there. Regression tests use it to check that fail→recover cycles
-// re-converge to exactly the never-failed state.
-func (n *Network) RouteStateDigest() string {
-	var b strings.Builder
+// to get there. The control plane hashes the stream without materialising
+// it; the text is rendered append-style into one reused chunk buffer.
+func (n *Network) WriteRouteState(w io.Writer) error {
+	buf := make([]byte, 0, digestChunk+digestChunk/4)
 	for _, sp := range n.speakers {
-		var lines []string
 		for _, p := range sp.KnownPrefixes() {
-			st := sp.prefixes[p]
-			var sb strings.Builder
-			if st.origin != nil {
-				fmt.Fprintf(&sb, "  origin %s\n", originWire(st.origin))
+			mark := len(buf)
+			buf = append(buf, sp.node.Name...)
+			buf = append(buf, ' ')
+			buf = p.AppendTo(buf)
+			buf = append(buf, '\n')
+			body := len(buf)
+			buf = appendPrefixState(buf, sp.prefixes[p])
+			if len(buf) == body {
+				buf = buf[:mark] // empty husk left by a full withdraw cycle
+				continue
 			}
-			if st.best != nil {
-				fmt.Fprintf(&sb, "  best sess=%d %s\n", st.best.learnedFrom, routeWire(st.best))
-			}
-			for sess, r := range st.in {
-				if r != nil {
-					fmt.Fprintf(&sb, "  in[%d] lp=%d %s\n", sess, r.LocalPref, routeWire(r))
+			if len(buf) >= digestChunk {
+				if _, err := w.Write(buf); err != nil {
+					return err
 				}
+				buf = buf[:0]
 			}
-			for sess, r := range st.out {
-				if r != nil {
-					fmt.Fprintf(&sb, "  out[%d] %s\n", sess, routeWire(r))
-				}
-			}
-			if sb.Len() == 0 {
-				continue // empty husk left by a full withdraw cycle
-			}
-			lines = append(lines, fmt.Sprintf("%s %s\n%s", sp.node.Name, p, sb.String()))
-		}
-		for _, l := range lines {
-			b.WriteString(l)
 		}
 	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// RouteStateDigest returns WriteRouteState's text as a string. Regression
+// tests use it to check that fail→recover cycles re-converge to exactly
+// the never-failed state.
+func (n *Network) RouteStateDigest() string {
+	var b digestText
+	n.WriteRouteState(&b) // a strings.Builder never fails a write
 	return b.String()
 }
 
-// routeWire renders the attributes a route carries on the wire. OriginNode
-// is deliberately omitted: it is simulator bookkeeping outside the decision
-// process, and under anycast wire-identical routes from different
-// originating sites leave different OriginNode breadcrumbs depending on
-// arrival order.
-func routeWire(r *Route) string {
-	return fmt.Sprintf("path=%v med=%d comm=%v", r.Path, r.MED, r.Communities)
+// digestText is the strings.Builder behind RouteStateDigest. Growing ahead
+// of each chunk makes the builder double (Grow's policy); a bare Write
+// grows by append's 1.25x and ends up allocating five times the text.
+type digestText struct{ strings.Builder }
+
+func (d *digestText) Write(p []byte) (int, error) {
+	d.Grow(len(p))
+	return d.Builder.Write(p)
 }
 
-func originWire(pol *OriginPolicy) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "prepend=%d med=%d comm=%v", pol.Prepend, pol.MED, pol.Communities)
-	if len(pol.PerNeighbor) > 0 {
-		ids := make([]topology.NodeID, 0, len(pol.PerNeighbor))
-		for id := range pol.PerNeighbor {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			np := pol.PerNeighbor[id]
-			fmt.Fprintf(&b, " nbr[%d]={export=%t prepend=%d}", id, np.Export, np.Prepend)
+// appendPrefixState renders one prefix's lines; nothing for an empty husk.
+//
+//cdnlint:allocfree runs once per (speaker, prefix) of every state digest
+func appendPrefixState(buf []byte, st *prefixState) []byte {
+	if st.origin != nil {
+		buf = append(buf, "  origin "...)
+		buf = appendOrigin(buf, st.origin)
+		buf = append(buf, '\n')
+	}
+	if st.best != nil {
+		buf = append(buf, "  best sess="...)
+		buf = strconv.AppendInt(buf, int64(st.best.learnedFrom), 10)
+		buf = append(buf, ' ')
+		buf = appendRoute(buf, st.best)
+		buf = append(buf, '\n')
+	}
+	for sess, r := range st.in {
+		if r != nil {
+			buf = append(buf, "  in["...)
+			buf = strconv.AppendInt(buf, int64(sess), 10)
+			buf = append(buf, "] lp="...)
+			buf = strconv.AppendInt(buf, int64(r.LocalPref), 10)
+			buf = append(buf, ' ')
+			buf = appendRoute(buf, r)
+			buf = append(buf, '\n')
 		}
 	}
-	return b.String()
+	for sess, r := range st.out {
+		if r != nil {
+			buf = append(buf, "  out["...)
+			buf = strconv.AppendInt(buf, int64(sess), 10)
+			buf = append(buf, "] "...)
+			buf = appendRoute(buf, r)
+			buf = append(buf, '\n')
+		}
+	}
+	return buf
+}
+
+// appendRoute renders the attributes a route carries on the wire.
+// OriginNode is deliberately omitted: it is simulator bookkeeping outside
+// the decision process, and under anycast wire-identical routes from
+// different originating sites leave different OriginNode breadcrumbs
+// depending on arrival order.
+//
+//cdnlint:allocfree runs once per RIB slot of every state digest
+func appendRoute(buf []byte, r *Route) []byte {
+	buf = append(buf, "path="...)
+	buf = appendUints(buf, r.Path)
+	buf = append(buf, " med="...)
+	buf = strconv.AppendInt(buf, int64(r.MED), 10)
+	buf = append(buf, " comm="...)
+	return appendUints(buf, r.Communities)
+}
+
+// appendOrigin renders an origination policy, per-neighbor overrides in
+// ascending neighbor id.
+//
+//cdnlint:allocfree
+func appendOrigin(buf []byte, pol *OriginPolicy) []byte {
+	buf = append(buf, "prepend="...)
+	buf = strconv.AppendInt(buf, int64(pol.Prepend), 10)
+	buf = append(buf, " med="...)
+	buf = strconv.AppendInt(buf, int64(pol.MED), 10)
+	buf = append(buf, " comm="...)
+	buf = appendUints(buf, pol.Communities)
+	if len(pol.PerNeighbor) == 0 {
+		return buf
+	}
+	// Only scoped origination policies carry PerNeighbor entries (a handful
+	// of site prefixes), so the id slice is the encoder's one rare make.
+	ids := make([]topology.NodeID, 0, len(pol.PerNeighbor))
+	for id := range pol.PerNeighbor {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		np := pol.PerNeighbor[id]
+		buf = append(buf, " nbr["...)
+		buf = strconv.AppendInt(buf, int64(id), 10)
+		buf = append(buf, "]={export="...)
+		buf = strconv.AppendBool(buf, np.Export)
+		buf = append(buf, " prepend="...)
+		buf = strconv.AppendInt(buf, int64(np.Prepend), 10)
+		buf = append(buf, '}')
+	}
+	return buf
+}
+
+// appendUints renders xs the way fmt's %v renders a slice of unsigned
+// integers: "[1 2 3]", and "[]" for nil and empty alike.
+//
+//cdnlint:allocfree
+func appendUints[T ~uint32](buf []byte, xs []T) []byte {
+	buf = append(buf, '[')
+	for i, x := range xs {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = strconv.AppendUint(buf, uint64(x), 10)
+	}
+	return append(buf, ']')
 }

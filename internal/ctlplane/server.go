@@ -2,6 +2,7 @@ package ctlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -163,7 +164,7 @@ func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleDigests(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, StateOf(s.world).Digests)
+	writeJSON(w, http.StatusOK, digestsOf(s.world))
 }
 
 func (s *Server) handleDNS(w http.ResponseWriter, _ *http.Request) {
@@ -171,11 +172,10 @@ func (s *Server) handleDNS(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request) {
-	st := StateOf(s.world)
 	rep := api.LoadReport{
 		APIVersion:   api.Version,
-		Sites:        st.Sites,
-		Availability: st.Availability,
+		Sites:        sitesOf(s.world),
+		Availability: availabilityOf(s.world),
 	}
 	if acct := s.world.CDN.Load(); acct != nil {
 		rep.Shedding = acct.Shedding()
@@ -257,14 +257,23 @@ func apply(w *experiment.World, events []scenario.Event) error {
 	return w.Settle(DefaultConvergeBound)
 }
 
+// maxChangeSetBody caps the POST /v1/changesets request body. A batch of
+// mutations is a few hundred bytes each; 1 MiB is thousands of them.
+const maxChangeSetBody = 1 << 20
+
 // handlePostChangeSet is the mutation entry point: dry-run by default,
 // execute-and-verify with ?execute=true.
 func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 	var req changeSetRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxChangeSetBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "decoding request: %v", err)
 		return
 	}
 	if len(req.Mutations) == 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -133,6 +134,9 @@ func TestQueryEndpoints(t *testing.T) {
 	}
 	if offered == 0 {
 		t.Fatal("no offered load in a demand world")
+	}
+	if !reflect.DeepEqual(load.Sites, info.State.Sites) || load.Availability != info.State.Availability {
+		t.Fatal("load endpoint disagrees with world state")
 	}
 
 	var cm api.Catchments
@@ -323,6 +327,53 @@ func TestChangeSetRejected(t *testing.T) {
 		"mutations": []api.Mutation{{Kind: "crash", Site: "atl"}},
 	}, nil); rec.Code != http.StatusForbidden {
 		t.Fatalf("sabotage without hook: %d, want 403", rec.Code)
+	}
+}
+
+// TestChangeSetBodyCap: a request body over the 1 MiB cap is refused with
+// 413 and the uniform error document before anything is recorded — no
+// ChangeSet id consumed, live world untouched — however the excess arrives.
+func TestChangeSetBodyCap(t *testing.T) {
+	s := newTestServer(t, core.Anycast{}, false)
+	pre := StateOf(s.world)
+
+	pad := strings.Repeat(" ", maxChangeSetBody)
+	mut := `{"kind":"drain","site":"atl","drainFor":30}`
+	cases := []struct {
+		name, body string
+		code       int
+	}{
+		{"oversized mutation list", `{"mutations":[` + strings.Repeat(mut+",", maxChangeSetBody/len(mut)+1) + mut + `]}`, http.StatusRequestEntityTooLarge},
+		{"valid document after oversized padding", pad + `{"mutations":[` + mut + `]}`, http.StatusRequestEntityTooLarge},
+		{"oversized garbage", strings.Repeat("x", maxChangeSetBody+1), http.StatusBadRequest}, // malformed at byte 0, never reaches the cap
+		{"malformed at exactly the cap", pad, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		req := httptest.NewRequest("POST", "/v1/changesets?execute=true", strings.NewReader(c.body))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != c.code {
+			t.Errorf("%s: code %d, want %d", c.name, rec.Code, c.code)
+		}
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.APIVersion != api.Version || e.Error == "" {
+			t.Errorf("%s: not the uniform error document: %q (%v)", c.name, rec.Body.String(), err)
+		}
+	}
+
+	var list struct {
+		ChangeSets []*api.ChangeSet `json:"changesets"`
+	}
+	do(t, s, "GET", "/v1/changesets", nil, &list)
+	if len(list.ChangeSets) != 0 {
+		t.Fatalf("%d changesets recorded by refused requests", len(list.ChangeSets))
+	}
+	if got := StateOf(s.world); !statesEqual(got, pre) {
+		t.Fatal("refused requests moved the live world")
+	}
+	cs, rec := postChangeSet(t, s, "/v1/changesets", []api.Mutation{{Kind: "drain", Site: "atl", DrainFor: 30}})
+	if rec.Code != http.StatusOK || cs.ID != "cs-000001" {
+		t.Fatalf("first accepted changeset: code %d id %q, want 200 cs-000001", rec.Code, cs.ID)
 	}
 }
 

@@ -28,22 +28,38 @@ import (
 	"bestofboth/pkg/bestofboth/api"
 )
 
-// sha256hex fingerprints a canonical-text digest for the wire.
-func sha256hex(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
-}
-
 // StateOf derives the deterministic observable state of a deployed world:
 // per-site lifecycle/announcement/load state, availability, and the
 // routing/forwarding/DNS digests. Two bit-identical worlds yield equal
 // WorldStates — the property ChangeSet verification rests on.
 func StateOf(w *experiment.World) api.WorldState {
-	cdn := w.CDN
-	st := api.WorldState{
-		VirtualTime: w.Sim.Now(),
-		Technique:   cdn.Technique().Name(),
+	return api.WorldState{
+		VirtualTime:  w.Sim.Now(),
+		Technique:    w.CDN.Technique().Name(),
+		Sites:        sitesOf(w),
+		Availability: availabilityOf(w),
+		Digests:      digestsOf(w),
 	}
+}
+
+// digestsOf fingerprints the world's routing, forwarding and DNS state.
+// The route and FIB encoders stream their canonical text straight into the
+// hasher; the text itself (megabytes at default scale) is never built.
+func digestsOf(w *experiment.World) api.Digests {
+	route, fib := sha256.New(), sha256.New()
+	// A hash.Hash never fails a write, so neither encoder can.
+	w.Net.WriteRouteState(route)
+	w.Plane.WriteFIB(fib)
+	return api.Digests{
+		RouteStateSHA256: hex.EncodeToString(route.Sum(nil)),
+		FIBSHA256:        hex.EncodeToString(fib.Sum(nil)),
+		DNSZoneSHA256:    zoneHash(w.CDN.Authoritative()),
+	}
+}
+
+// sitesOf reports every site's lifecycle, announcement and load state.
+func sitesOf(w *experiment.World) []api.SiteState {
+	cdn := w.CDN
 	acct := cdn.Load()
 	acctIndex := map[string]int{}
 	if acct != nil {
@@ -51,6 +67,7 @@ func StateOf(w *experiment.World) api.WorldState {
 			acctIndex[acct.SiteCode(i)] = i
 		}
 	}
+	var sites []api.SiteState
 	for _, s := range cdn.Sites() {
 		ss := api.SiteState{
 			Code:          s.Code,
@@ -68,15 +85,9 @@ func StateOf(w *experiment.World) api.WorldState {
 				ShedMicroRPS:     acct.Shed(i),
 			}
 		}
-		st.Sites = append(st.Sites, ss)
+		sites = append(sites, ss)
 	}
-	st.Availability = availabilityOf(w)
-	st.Digests = api.Digests{
-		RouteStateSHA256: sha256hex(w.Net.RouteStateDigest()),
-		FIBSHA256:        sha256hex(w.Plane.FIBDigest()),
-		DNSZoneSHA256:    zoneHash(w.CDN.Authoritative()),
-	}
-	return st
+	return sites
 }
 
 // availabilityOf measures reachability over the full client-target

@@ -17,8 +17,9 @@ package dataplane
 
 import (
 	"fmt"
+	"io"
 	"net/netip"
-	"sort"
+	"strconv"
 	"strings"
 
 	"bestofboth/internal/bgp"
@@ -339,41 +340,77 @@ type FIBRecord struct {
 }
 
 // DumpFIB returns node's forwarding table sorted by prefix — a stable,
-// comparable view of data-plane state.
+// comparable view of data-plane state. The order is iptrie.Walk's: IPv4
+// first, ascending (address, length).
 func (p *Plane) DumpFIB(node topology.NodeID) []FIBRecord {
 	var out []FIBRecord
 	p.fibs[node].Walk(func(pfx netip.Prefix, e fibEntry) bool {
 		out = append(out, FIBRecord{Prefix: pfx, Local: e.local, Next: e.next})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Prefix, out[j].Prefix
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c < 0
-		}
-		return a.Bits() < b.Bits()
-	})
 	return out
 }
 
-// FIBDigest renders every node's forwarding table as canonical text.
-// Equal digests mean the two planes forward every packet identically;
-// regression tests compare them across fail→recover round trips.
-func (p *Plane) FIBDigest() string {
-	var b strings.Builder
-	for id := range p.fibs {
-		recs := p.DumpFIB(topology.NodeID(id))
-		if len(recs) == 0 {
+// fibChunk is how much canonical text WriteFIB buffers between writes.
+const fibChunk = 32 << 10
+
+// WriteFIB streams every node's forwarding table to w as canonical text,
+// one "node <id>" block per non-empty FIB with its entries in DumpFIB's
+// order. Equal text means the two planes forward every packet identically.
+// The control plane hashes the stream without materialising it.
+func (p *Plane) WriteFIB(w io.Writer) error {
+	buf := make([]byte, 0, fibChunk+fibChunk/4)
+	for id, fib := range p.fibs {
+		mark := len(buf)
+		buf = append(buf, "node "...)
+		buf = strconv.AppendInt(buf, int64(id), 10)
+		buf = append(buf, '\n')
+		body := len(buf)
+		fib.Walk(func(pfx netip.Prefix, e fibEntry) bool {
+			buf = appendFIBEntry(buf, pfx, e)
+			return true
+		})
+		if len(buf) == body {
+			buf = buf[:mark] // empty FIBs leave no block
 			continue
 		}
-		fmt.Fprintf(&b, "node %d\n", id)
-		for _, r := range recs {
-			if r.Local {
-				fmt.Fprintf(&b, "  %s local\n", r.Prefix)
-			} else {
-				fmt.Fprintf(&b, "  %s via %d\n", r.Prefix, r.Next)
+		if len(buf) >= fibChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
+			buf = buf[:0]
 		}
 	}
+	_, err := w.Write(buf)
+	return err
+}
+
+//cdnlint:allocfree runs once per FIB entry of every state digest
+func appendFIBEntry(buf []byte, pfx netip.Prefix, e fibEntry) []byte {
+	buf = append(buf, "  "...)
+	buf = pfx.AppendTo(buf)
+	if e.local {
+		return append(buf, " local\n"...)
+	}
+	buf = append(buf, " via "...)
+	buf = strconv.AppendInt(buf, int64(e.next), 10)
+	return append(buf, '\n')
+}
+
+// FIBDigest returns WriteFIB's text as a string; regression tests compare
+// it across fail→recover round trips.
+func (p *Plane) FIBDigest() string {
+	var b digestText
+	p.WriteFIB(&b) // a strings.Builder never fails a write
 	return b.String()
+}
+
+// digestText is the strings.Builder behind FIBDigest. Growing ahead of
+// each chunk makes the builder double (Grow's policy); a bare Write grows
+// by append's 1.25x and ends up allocating several times the text.
+type digestText struct{ strings.Builder }
+
+func (d *digestText) Write(b []byte) (int, error) {
+	d.Grow(len(b))
+	return d.Builder.Write(b)
 }

@@ -206,37 +206,38 @@ func (t *Trie[V]) Lookup(addr netip.Addr) (netip.Prefix, V, bool) {
 // family in ascending (address, length) order. If fn returns false, the
 // walk stops.
 func (t *Trie[V]) Walk(fn func(p netip.Prefix, val V) bool) {
-	if !t.walkFamily(root4, make([]byte, 4), 0, 32, fn, makePrefix4) {
+	var bits [16]byte // the address bits of the path walked so far
+	if !t.walkFamily(root4, bits[:4], 0, fn) {
 		return
 	}
-	t.walkFamily(root6, make([]byte, 16), 0, 128, fn, makePrefix6)
+	t.walkFamily(root6, bits[:], 0, fn)
 }
 
-func makePrefix4(b []byte, depth int) netip.Prefix {
-	return netip.PrefixFrom(netip.AddrFrom4([4]byte(b)), depth)
-}
-
-func makePrefix6(b []byte, depth int) netip.Prefix {
-	return netip.PrefixFrom(netip.AddrFrom16([16]byte(b)), depth)
-}
-
-func (t *Trie[V]) walkFamily(n int32, bits []byte, depth, max int, fn func(netip.Prefix, V) bool, mk func([]byte, int) netip.Prefix) bool {
+// walkFamily visits the subtree under n in pre-order; len(bits) is the
+// family's address length and selects the prefix constructor.
+func (t *Trie[V]) walkFamily(n int32, bits []byte, depth int, fn func(netip.Prefix, V) bool) bool {
 	if t.nodes[n].set {
-		if !fn(mk(bits, depth), t.nodes[n].val) {
+		var addr netip.Addr
+		if len(bits) == 4 {
+			addr = netip.AddrFrom4([4]byte(bits))
+		} else {
+			addr = netip.AddrFrom16([16]byte(bits))
+		}
+		if !fn(netip.PrefixFrom(addr, depth), t.nodes[n].val) {
 			return false
 		}
 	}
-	if depth == max {
+	if depth == 8*len(bits) {
 		return true
 	}
 	if c := t.nodes[n].child[0]; c != 0 {
-		if !t.walkFamily(c, bits, depth+1, max, fn, mk) {
+		if !t.walkFamily(c, bits, depth+1, fn) {
 			return false
 		}
 	}
 	if c := t.nodes[n].child[1]; c != 0 {
 		bits[depth/8] |= 1 << (7 - depth%8)
-		ok := t.walkFamily(c, bits, depth+1, max, fn, mk)
+		ok := t.walkFamily(c, bits, depth+1, fn)
 		bits[depth/8] &^= 1 << (7 - depth%8)
 		if !ok {
 			return false

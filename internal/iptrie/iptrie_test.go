@@ -3,6 +3,8 @@ package iptrie
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +202,46 @@ func TestWalkAndPrefixes(t *testing.T) {
 	tr.Walk(func(p netip.Prefix, v int) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Fatalf("Walk early-stop visited %d, want 2", n)
+	}
+}
+
+// TestWalkOrderMixedFamilies pins the order Walk documents — IPv4 first,
+// then ascending (address, length) — as exactly the comparator the FIB
+// dump used to re-sort by, so dataplane.DumpFIB and the FIB digest encoder
+// can emit entries straight from Walk.
+func TestWalkOrderMixedFamilies(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	tr := New[int]()
+	var want []netip.Prefix
+	for i := 0; i < 400; i++ {
+		p := randPrefix(r)
+		if i%2 == 1 {
+			var a [16]byte
+			r.Read(a[:])
+			if i%8 == 1 {
+				a = [16]byte{} // keep nested prefixes that share an address in play
+			}
+			p = netip.PrefixFrom(netip.AddrFrom16(a), r.Intn(129)).Masked()
+		}
+		if _, dup := tr.Get(p); dup {
+			continue
+		}
+		if err := tr.Insert(p, i); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if c := a.Addr().Compare(b.Addr()); c != 0 {
+			return c < 0
+		}
+		return a.Bits() < b.Bits()
+	})
+	var got []netip.Prefix
+	tr.Walk(func(p netip.Prefix, _ int) bool { got = append(got, p); return true })
+	if !slices.Equal(got, want) {
+		t.Fatalf("Walk order differs from (family, address, length) order:\n got %v\nwant %v", got, want)
 	}
 }
 
