@@ -1,10 +1,15 @@
 GO ?= go
 
-.PHONY: tier1 vet lint lint-json lint-fixtures govulncheck race race-full bench-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet lint lint-json lint-fixtures govulncheck race race-full bench-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
 	$(GO) build ./... && $(GO) test ./...
+
+# Non-test Go line count as ROADMAP item 2 counts it: every .go file that
+# is not a _test.go and lies outside testdata/ and benchmark/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 
 vet:
 	$(GO) vet ./...

@@ -392,7 +392,7 @@ func runAll(cfg experiment.WorldConfig, sel *experiment.Selection, o options) er
 func runFig2(cfg experiment.WorldConfig, sel *experiment.Selection, o options, techs []core.Technique) ([]experiment.CDFPair, error) {
 	if techs == nil && o.tech != "" {
 		var err error
-		if techs, err = resolveTechniques(o.tech); err != nil {
+		if techs, err = core.TechniquesBySpec(o.tech); err != nil {
 			return nil, err
 		}
 	}
@@ -472,7 +472,7 @@ func runLoad(cfg experiment.WorldConfig, _ *experiment.Selection, o options) err
 	if spec == "" {
 		spec = "load-shift"
 	}
-	techs, err := resolveTechniques(spec)
+	techs, err := core.TechniquesBySpec(spec)
 	if err != nil {
 		return err
 	}

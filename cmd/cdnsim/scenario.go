@@ -52,9 +52,9 @@ func runScenarioCmd(args []string, o options) error {
 	if err != nil {
 		return err
 	}
-	techniques, err := parseTechniques(*techs)
+	techniques, err := core.TechniquesBySpec(*techs)
 	if err != nil {
-		return err
+		return fmt.Errorf("scenario: %w", err)
 	}
 
 	sopts := o
@@ -116,22 +116,6 @@ func loadScenario(file, name string) (*scenario.Scenario, error) {
 		return sc, nil
 	}
 	return nil, fmt.Errorf("scenario: need -f <file> or -name <scenario> (or -list)")
-}
-
-func parseTechniques(spec string) ([]core.Technique, error) {
-	out, err := resolveTechniques(spec)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return out, nil
-}
-
-// resolveTechniques parses a comma-separated technique spec; the name
-// vocabulary (including "all", "seven", and "load-shift+<base>") lives in
-// core.TechniquesBySpec, shared with scenario events and control-plane
-// mutations.
-func resolveTechniques(spec string) ([]core.Technique, error) {
-	return core.TechniquesBySpec(spec)
 }
 
 func printScenarioResult(res *scenario.Result, sc *scenario.Scenario) {

@@ -130,12 +130,6 @@ func (s *Speaker) Best(p netip.Prefix) *Route {
 	return nil
 }
 
-// Originates reports whether this speaker currently originates p.
-func (s *Speaker) Originates(p netip.Prefix) bool {
-	st, ok := s.prefixes[p]
-	return ok && st.origin != nil
-}
-
 // AdjIn returns the adj-RIB-in routes for p (nil slots for sessions with no
 // route). The returned slice must not be modified.
 func (s *Speaker) AdjIn(p netip.Prefix) []*Route {

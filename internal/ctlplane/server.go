@@ -221,37 +221,11 @@ type changeSetRequest struct {
 	Mutations []api.Mutation `json:"mutations"`
 }
 
-// eventsOf converts wire mutations into scenario events, the shared
-// mutation vocabulary (At is forced to zero: ChangeSets act now).
-func eventsOf(muts []api.Mutation) []scenario.Event {
-	out := make([]scenario.Event, len(muts))
-	for i, m := range muts {
-		out[i] = scenario.Event{
-			Kind:      scenario.Kind(m.Kind),
-			Site:      m.Site,
-			A:         m.A,
-			B:         m.B,
-			Fraction:  m.Fraction,
-			Radius:    m.Radius,
-			Period:    m.Period,
-			Count:     m.Count,
-			DrainFor:  m.DrainFor,
-			Technique: m.Technique,
-		}
-	}
-	return out
-}
-
-// envOf adapts a world to the scenario engine's environment.
-func envOf(w *experiment.World) *scenario.Env {
-	return &scenario.Env{Sim: w.Sim, Topo: w.Topo, Net: w.Net, Plane: w.Plane, CDN: w.CDN}
-}
-
 // apply runs a mutation batch on w and settles it. The dry run calls it on
 // a scratch restore and execution on the live world, so prediction and
 // execution are the same code.
-func apply(w *experiment.World, events []scenario.Event) error {
-	if err := scenario.ApplyEvents(envOf(w), events); err != nil {
+func apply(w *experiment.World, muts []api.Mutation) error {
+	if err := scenario.ApplyEvents(w.Env(), muts); err != nil {
 		return err
 	}
 	return w.Settle(DefaultConvergeBound)
@@ -280,6 +254,12 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "changeset has no mutations")
 		return
 	}
+	for i, m := range req.Mutations {
+		if m.At != 0 {
+			writeError(w, http.StatusBadRequest, "mutation %d: ChangeSets act now; \"at\" (%g) is for scenario timelines", i, m.At)
+			return
+		}
+	}
 	execute := r.URL.Query().Get("execute") == "true"
 	sabotage := r.URL.Query().Get("sabotage") == "true"
 	if sabotage && s.cfg.Sabotage == nil {
@@ -297,10 +277,9 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 		Mutations: req.Mutations,
 		Pre:       StateOf(s.world),
 	}
-	events := eventsOf(req.Mutations)
 
 	// Dry run: apply to a copy-on-write restore of the live world.
-	predicted, err := s.dryRun(events)
+	predicted, err := s.dryRun(req.Mutations)
 	if err != nil {
 		cs.Status = api.StatusRejected
 		s.record(cs)
@@ -317,7 +296,7 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 
 	// Execute: the same mutations against the live world, then verify by
 	// re-diffing the actual post-state against the prediction.
-	if err := apply(s.world, events); err != nil {
+	if err := apply(s.world, req.Mutations); err != nil {
 		// The dry run accepted this batch, so a live failure means the two
 		// worlds were not equivalent — surface loudly, keep the record.
 		cs.Status = api.StatusRejected
@@ -343,9 +322,9 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cs)
 }
 
-// dryRun applies events to a scratch restore of the live world and returns
+// dryRun applies muts to a scratch restore of the live world and returns
 // the predicted post-state. The live world is never touched.
-func (s *Server) dryRun(events []scenario.Event) (api.WorldState, error) {
+func (s *Server) dryRun(muts []api.Mutation) (api.WorldState, error) {
 	snap, err := s.world.Snapshot()
 	if err != nil {
 		return api.WorldState{}, fmt.Errorf("snapshotting live world: %w", err)
@@ -354,7 +333,7 @@ func (s *Server) dryRun(events []scenario.Event) (api.WorldState, error) {
 	if err != nil {
 		return api.WorldState{}, fmt.Errorf("restoring scratch world: %w", err)
 	}
-	if err := apply(scratch, events); err != nil {
+	if err := apply(scratch, muts); err != nil {
 		return api.WorldState{}, err
 	}
 	return StateOf(scratch), nil

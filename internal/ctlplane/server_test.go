@@ -333,6 +333,8 @@ func TestChangeSetRejected(t *testing.T) {
 // TestChangeSetBodyCap: a request body over the 1 MiB cap is refused with
 // 413 and the uniform error document before anything is recorded — no
 // ChangeSet id consumed, live world untouched — however the excess arrives.
+// The same holds (as a 400) for a mutation carrying the shared vocabulary
+// struct's scenario-only "at": ChangeSets act now.
 func TestChangeSetBodyCap(t *testing.T) {
 	s := newTestServer(t, core.Anycast{}, false)
 	pre := StateOf(s.world)
@@ -347,6 +349,7 @@ func TestChangeSetBodyCap(t *testing.T) {
 		{"valid document after oversized padding", pad + `{"mutations":[` + mut + `]}`, http.StatusRequestEntityTooLarge},
 		{"oversized garbage", strings.Repeat("x", maxChangeSetBody+1), http.StatusBadRequest}, // malformed at byte 0, never reaches the cap
 		{"malformed at exactly the cap", pad, http.StatusBadRequest},
+		{"mutation scheduled for later", `{"mutations":[` + mut + `,{"at":10,"kind":"recover","site":"atl"}]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest("POST", "/v1/changesets?execute=true", strings.NewReader(c.body))

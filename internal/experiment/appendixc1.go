@@ -75,15 +75,6 @@ func fracOf(n, d int) string {
 	return stats.Pct(float64(n) / float64(d))
 }
 
-// NodeClassOf is a small helper for tools printing divergence details.
-func NodeClassOf(topo *topology.Topology, id topology.NodeID) string {
-	n := topo.Node(id)
-	if n == nil {
-		return "?"
-	}
-	return n.Class.String()
-}
-
 // RenderC1Examples narrates up to n concrete divergences in the style of
 // the paper's Level3/NTT/Pacific-Northwest-Gigapop example (§C.1.3).
 func RenderC1Examples(topo *topology.Topology, r *trace.Result, n int) string {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"cmp"
 	"fmt"
-	"net/netip"
 	"slices"
 
 	"bestofboth/internal/core"
@@ -69,10 +68,8 @@ type TargetOutcome struct {
 type RunResult struct {
 	Technique  string
 	FailedSite string
-	// PoolSize is the number of candidate targets considered.
-	PoolSize int
-	// Controllable is how many of them the technique could route to the
-	// site before failure (the probed set).
+	// Controllable is how many candidate targets the technique could route
+	// to the site before failure (the probed set).
 	Controllable int
 	Outcomes     []TargetOutcome
 	// Weights holds each outcome's user demand in rps when the world
@@ -149,50 +146,27 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 	if failed == nil {
 		return nil, fmt.Errorf("experiment: %w %q", core.ErrUnknownSite, failCode)
 	}
-	st := sel.ForSite(failCode)
-	if st == nil {
+	if sel.ForSite(failCode) == nil {
 		return nil, fmt.Errorf("experiment: %w for site %q", ErrNoTargets, failCode)
 	}
 
-	// Controllable targets (§5.2): targets the technique routes to the
-	// site when DNS steers them there. For the anycast baseline the
-	// relevant set is the site's natural catchment.
-	//
-	// The address a target's traffic actually uses is technique-dependent:
-	// DNS-steered techniques use the failed site's steering address, pure
-	// anycast semantics (anycast, load-shed) use the shared /24, and the
-	// pure bucket overlay (load-shift) addresses each target at its demand
-	// bucket's /27 — so both controllability and the probe reply-to must
-	// follow the per-target address there, or the bucket withdrawals the
-	// rebalance performed would make the steer-address catchment claim the
-	// site serves nobody it is in fact serving.
-	pool := st.NotAnycast
-	steer := tech.SteerAddr(w.CDN, failed)
-	addrOf := func(topology.NodeID) netip.Addr { return steer }
-	da, isDA := tech.(core.DemandAddresser)
-	switch {
-	case isDA && w.CDN.Demand() != nil && steer == core.AnycastServiceAddr:
-		pool = st.Proximate
-		addrOf = func(id topology.NodeID) netip.Addr { return da.DemandAddr(w.CDN, id) }
-	case steer == core.AnycastServiceAddr:
-		pool = st.AnycastHere
-	}
+	// One prober per group, i.e. per distinct reply-to address: DNS-steered
+	// techniques use a single prober at the steer address; the bucket
+	// overlay gets one per live bucket /27.
+	groups := probeGroups(w, sel, failed, fc.MaxTargets)
 	var controllable []topology.NodeID
-	for _, id := range pool {
-		if got := w.CDN.CatchmentOf(id, addrOf(id)); got != nil && got.Node == failed.Node {
-			controllable = append(controllable, id)
-		}
-	}
-	if fc.MaxTargets > 0 && len(controllable) > fc.MaxTargets {
-		controllable = controllable[:fc.MaxTargets]
+	probers := make([]*dataplane.Prober, len(groups))
+	for i, g := range groups {
+		probers[i] = dataplane.NewProber(w.Plane, g.Prober, g.ReplyTo)
+		probers[i].LossRate = fc.LossRate
+		controllable = append(controllable, g.Targets...)
 	}
 
 	res := &RunResult{
-		Technique:  tech.Name(),
-		FailedSite: failCode,
-		PoolSize:   len(pool),
+		Technique:    tech.Name(),
+		FailedSite:   failCode,
+		Controllable: len(controllable),
 	}
-	res.Controllable = len(controllable)
 	if m := w.CDN.Demand(); m != nil {
 		res.Weights = make([]float64, len(controllable))
 		for i, id := range controllable {
@@ -201,32 +175,6 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 	}
 	if len(controllable) == 0 {
 		return res, nil
-	}
-
-	// Probe from a healthy site with the failed site's steering address as
-	// reply-to (§5.2 uses source 184.164.244.10 from another PEERING site).
-	var proberSite *core.Site
-	for _, s := range w.CDN.Sites() {
-		if s.Code != failCode {
-			proberSite = s
-			break
-		}
-	}
-	// One prober per distinct reply-to address (first-seen order over the
-	// controllable set): DNS-steered techniques use a single prober at the
-	// steer address; the bucket overlay gets one per live bucket /27.
-	var addrs []netip.Addr
-	proberAt := make(map[netip.Addr]*dataplane.Prober)
-	targetsAt := make(map[netip.Addr]int)
-	for _, id := range controllable {
-		a := addrOf(id)
-		if _, ok := proberAt[a]; !ok {
-			p := dataplane.NewProber(w.Plane, proberSite.Node, a)
-			p.LossRate = fc.LossRate
-			proberAt[a] = p
-			addrs = append(addrs, a)
-		}
-		targetsAt[a]++
 	}
 
 	t0 := w.Sim.Now()
@@ -254,12 +202,14 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 		if float64(pings)*fc.ProbeInterval < fc.ProbeDuration {
 			pings++
 		}
-		for a, p := range proberAt {
-			p.Reserve(pings * targetsAt[a])
+		for i, g := range groups {
+			probers[i].Reserve(pings * len(g.Targets))
 		}
 	}
-	for _, id := range controllable {
-		proberAt[addrOf(id)].PingEvery(id, fc.ProbeInterval, fc.ProbeDuration)
+	for i, g := range groups {
+		for _, id := range g.Targets {
+			probers[i].PingEvery(id, fc.ProbeInterval, fc.ProbeDuration)
+		}
 	}
 	// Let the final replies land (replies take well under 30 s).
 	w.Sim.RunUntil(t0 + fc.ProbeDuration + 30)
@@ -272,8 +222,7 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 	// sequence spaces within a target.
 	sentByTarget := make(map[topology.NodeID][]uint64, len(controllable))
 	byTarget := make(map[topology.NodeID][]dataplane.CaptureEntry, len(controllable))
-	for _, a := range addrs {
-		p := proberAt[a]
+	for _, p := range probers {
 		for _, s := range p.Sent {
 			sentByTarget[s.Target] = append(sentByTarget[s.Target], s.Seq)
 		}

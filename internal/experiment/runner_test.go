@@ -34,7 +34,7 @@ func TestRunnerDeterminismAcrossWorkers(t *testing.T) {
 		for si := range sites {
 			a, b := seqM[ti][si], parM[ti][si]
 			if a.Technique != b.Technique || a.FailedSite != b.FailedSite ||
-				a.PoolSize != b.PoolSize || a.Controllable != b.Controllable {
+				a.Controllable != b.Controllable {
 				t.Fatalf("run [%d][%d] headers differ: %+v vs %+v", ti, si, a, b)
 			}
 			if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
@@ -189,7 +189,7 @@ func TestRunFailoverMatchesRunnerReuse(t *testing.T) {
 	if !reflect.DeepEqual(fresh.Outcomes, reused.Outcomes) {
 		t.Fatal("reused-world outcomes differ from a fresh run")
 	}
-	if fresh.Controllable != reused.Controllable || fresh.PoolSize != reused.PoolSize {
+	if fresh.Controllable != reused.Controllable {
 		t.Fatal("reused-world target sets differ from a fresh run")
 	}
 }

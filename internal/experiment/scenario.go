@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"net/netip"
+	"slices"
+
 	"bestofboth/internal/core"
 	"bestofboth/internal/scenario"
 	"bestofboth/internal/topology"
@@ -46,47 +49,70 @@ func ScenarioWorldConfig(cfg WorldConfig, sc *scenario.Scenario) WorldConfig {
 	return cfg
 }
 
-// scenarioGroups builds the probed populations on a converged world: one
-// group per site with any controllable targets, probing the targets that
-// the deployed technique routes to that site, via the site's steering
-// address — the same §5.2 arrangement as failoverOn, but for every site at
-// once, since scenarios fail arbitrary subsets.
-func scenarioGroups(w *World, sel *Selection, maxPerSite int) []scenario.Group {
+// probeGroups answers the §5.2 question for one site of a converged world:
+// which targets does the deployed technique route to it (the controllable
+// set, at most limit of them, 0 = no cap, in pool order), at which reply-to
+// address, probed from where. Targets sharing a reply-to address form one
+// group, groups in first-seen order.
+//
+// The address a target's traffic actually uses is technique-dependent:
+// DNS-steered techniques use the site's steering address, pure anycast
+// semantics (anycast, load-shed) use the shared /24 and the site's natural
+// catchment, and the pure bucket overlay (load-shift) addresses each target
+// at its demand bucket's /27 — so both controllability and the probe
+// reply-to must follow the per-target address there, or the bucket
+// withdrawals the rebalance performed would make the steer-address
+// catchment claim the site serves nobody it is in fact serving.
+func probeGroups(w *World, sel *Selection, site *core.Site, limit int) []scenario.Group {
+	st := sel.ForSite(site.Code)
+	if st == nil {
+		return nil
+	}
 	tech := w.CDN.Technique()
-	_, isAnycast := tech.(core.Anycast)
+	pool := st.NotAnycast
+	steer := tech.SteerAddr(w.CDN, site)
+	addrOf := func(topology.NodeID) netip.Addr { return steer }
+	da, isDA := tech.(core.DemandAddresser)
+	switch {
+	case isDA && w.CDN.Demand() != nil && steer == core.AnycastServiceAddr:
+		pool = st.Proximate
+		addrOf = func(id topology.NodeID) netip.Addr { return da.DemandAddr(w.CDN, id) }
+	case steer == core.AnycastServiceAddr:
+		pool = st.AnycastHere
+	}
+	// Probe from another site with the studied address as reply-to (§5.2
+	// uses source 184.164.244.10 from another PEERING site).
+	sites := w.CDN.Sites()
+	prober := sites[slices.IndexFunc(sites, func(o *core.Site) bool { return o.Code != site.Code })]
+
+	var groups []scenario.Group
+	n := 0
+	for _, id := range pool {
+		if limit > 0 && n == limit {
+			break
+		}
+		addr := addrOf(id)
+		if got := w.CDN.CatchmentOf(id, addr); got == nil || got.Node != site.Node {
+			continue
+		}
+		gi := slices.IndexFunc(groups, func(g scenario.Group) bool { return g.ReplyTo == addr })
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, scenario.Group{Site: site.Code, Prober: prober.Node, ReplyTo: addr})
+		}
+		groups[gi].Targets = append(groups[gi].Targets, id)
+		n++
+	}
+	return groups
+}
+
+// scenarioGroups builds the probed populations of a scenario run: the
+// failoverOn arrangement for every site at once, since scenarios fail
+// arbitrary subsets.
+func scenarioGroups(w *World, sel *Selection, maxPerSite int) []scenario.Group {
 	var groups []scenario.Group
 	for _, s := range w.CDN.Sites() {
-		st := sel.ForSite(s.Code)
-		if st == nil {
-			continue
-		}
-		pool := st.NotAnycast
-		if isAnycast {
-			pool = st.AnycastHere
-		}
-		steer := tech.SteerAddr(w.CDN, s)
-		var targets []topology.NodeID
-		for _, id := range pool {
-			if got := w.CDN.CatchmentOf(id, steer); got != nil && got.Node == s.Node {
-				targets = append(targets, id)
-			}
-		}
-		if maxPerSite > 0 && len(targets) > maxPerSite {
-			targets = targets[:maxPerSite]
-		}
-		if len(targets) == 0 {
-			continue
-		}
-		var prober *core.Site
-		for _, o := range w.CDN.Sites() {
-			if o.Code != s.Code {
-				prober = o
-				break
-			}
-		}
-		groups = append(groups, scenario.Group{
-			Site: s.Code, Prober: prober.Node, ReplyTo: steer, Targets: targets,
-		})
+		groups = append(groups, probeGroups(w, sel, s, maxPerSite)...)
 	}
 	return groups
 }
@@ -108,8 +134,7 @@ func (r *Runner) RunScenario(cfg WorldConfig, sel *Selection, tech core.Techniqu
 	if err != nil {
 		return nil, err
 	}
-	env := &scenario.Env{Sim: w.Sim, Topo: w.Topo, Net: w.Net, Plane: w.Plane, CDN: w.CDN}
-	return scenario.Run(env, sc, scenarioGroups(w, sel, sco.MaxTargetsPerSite), sco.Options)
+	return scenario.Run(w.Env(), sc, scenarioGroups(w, sel, sco.MaxTargetsPerSite), sco.Options)
 }
 
 // RunScenarioMatrix executes every ⟨technique, scenario⟩ pair across the

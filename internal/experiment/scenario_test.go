@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/scenario"
+	"bestofboth/internal/topology"
 )
 
 // quickScenario shortens the pre-scenario convergence wait for tests.
@@ -119,5 +121,75 @@ func TestScenarioWorldConfigDamping(t *testing.T) {
 	}
 	if base.BGP.Damping != nil {
 		t.Error("ScenarioWorldConfig mutated its input")
+	}
+}
+
+// TestScenarioPopulationMatchesFailover pins the scenario engine to Figure
+// 2's probe population: under every technique (load-shift also with the
+// demand model that moves it onto per-bucket addresses) a scenario run
+// probes somebody, and per site the union of its groups' targets is exactly
+// the controllable set failoverOn probes under the same cap.
+func TestScenarioPopulationMatchesFailover(t *testing.T) {
+	base := tinyConfig(34)
+	sel := mustSelect(t, base, 20)
+	demand := base
+	WithDefaultDemand()(&demand)
+	type world struct {
+		name string
+		cfg  WorldConfig
+		tech core.Technique
+	}
+	worlds := []world{{"load-shift+demand", demand, core.LoadShift{}}}
+	for _, tech := range core.SevenTechniques() {
+		worlds = append(worlds, world{tech.Name(), base, tech})
+	}
+
+	sco := quickScenario()
+	fc := FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 3, ConvergeTime: sco.ConvergeTime, MaxTargets: sco.MaxTargetsPerSite}
+	sc := &scenario.Scenario{Name: "one-fail", Horizon: 30, Events: []scenario.Event{{At: 5, Kind: scenario.KindFail, Site: "sea1"}}}
+	r := &Runner{Workers: 1}
+	for _, tc := range worlds {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := r.RunScenario(tc.cfg, sel, tc.tech, sc, sco)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Groups == 0 || res.Targets == 0 || res.Sent == 0 {
+				t.Fatalf("scenario probed nobody: %d groups, %d targets, %d probes", res.Groups, res.Targets, res.Sent)
+			}
+
+			snap, err := r.convergedSnapshot(tc.cfg, tc.tech, sco.ConvergeTime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := r.materialize(tc.cfg, tc.tech, sco.ConvergeTime, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bySite := map[string][]topology.NodeID{}
+			for _, g := range scenarioGroups(w, sel, sco.MaxTargetsPerSite) {
+				bySite[g.Site] = append(bySite[g.Site], g.Targets...)
+			}
+			for _, s := range w.CDN.Sites() {
+				fw, err := r.materialize(tc.cfg, tc.tech, sco.ConvergeTime, snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, err := failoverOn(fw, sel, tc.tech, s.Code, fc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []topology.NodeID
+				for _, o := range run.Outcomes {
+					want = append(want, o.Target)
+				}
+				got := bySite[s.Code]
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Errorf("site %s: scenario groups probe %v, failoverOn's controllable set is %v", s.Code, got, want)
+				}
+			}
+		})
 	}
 }

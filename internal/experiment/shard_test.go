@@ -78,8 +78,7 @@ func TestShardedScenarioDigestEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				env := &scenario.Env{Sim: w.Sim, Topo: w.Topo, Net: w.Net, Plane: w.Plane, CDN: w.CDN}
-				if _, err := scenario.Run(env, sc, scenarioGroups(w, sel, 6), scenario.Options{}); err != nil {
+				if _, err := scenario.Run(w.Env(), sc, scenarioGroups(w, sel, 6), scenario.Options{}); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 				// Let damping reuse timers and any residual churn settle so

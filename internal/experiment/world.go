@@ -14,6 +14,7 @@ import (
 	"bestofboth/internal/dataplane"
 	"bestofboth/internal/netsim"
 	"bestofboth/internal/obs"
+	"bestofboth/internal/scenario"
 	"bestofboth/internal/topology"
 	"bestofboth/internal/traffic"
 )
@@ -164,6 +165,12 @@ func (w *World) Instrument(r *obs.Registry) {
 	w.Net.Instrument(r)
 	w.Plane.Instrument(r)
 	w.CDN.Instrument(r)
+}
+
+// Env adapts the world to the scenario engine's environment, the one seam
+// through which scenario runs and control-plane mutation batches act on it.
+func (w *World) Env() *scenario.Env {
+	return &scenario.Env{Sim: w.Sim, Topo: w.Topo, Net: w.Net, Plane: w.Plane, CDN: w.CDN}
 }
 
 // Runner builds a Runner honoring the config's Workers bound and sharing

@@ -77,12 +77,6 @@ type ShardRunner struct {
 	// window, reused across rounds.
 	busy []int
 
-	// rounds counts barrier rounds executed. Unlike the metrics below it is
-	// always maintained: round counts are deterministic for a fixed
-	// configuration, and partition tuning reads them to judge how coarse a
-	// lookahead window keeps the rounds.
-	rounds uint64
-
 	// Metrics (nil until Instrument). Round and event counts are
 	// deterministic for a fixed configuration; the barrier-stall histogram
 	// is wall-clock and registered volatile.
@@ -109,23 +103,6 @@ func NewShardRunner(control *Sim, shards []*Sim, window Seconds, exch Exchanger)
 
 // Window returns the lookahead window in virtual seconds.
 func (r *ShardRunner) Window() Seconds { return r.window }
-
-// Rounds returns the number of barrier rounds executed so far. Rounds are
-// deterministic for a fixed (configuration, shard count, partition):
-// fewer rounds for the same workload means a wider effective lookahead and
-// less barrier overhead.
-func (r *ShardRunner) Rounds() uint64 { return r.rounds }
-
-// ShardSteps returns the number of events each shard simulator has
-// executed so far, in shard-index order — the per-shard work profile whose
-// max/mean ratio is the event imbalance a partitioner is judged on.
-func (r *ShardRunner) ShardSteps() []uint64 {
-	steps := make([]uint64, len(r.shards))
-	for i, sh := range r.shards {
-		steps[i] = sh.Steps()
-	}
-	return steps
-}
 
 // Instrument attaches runner metrics to reg: barrier rounds executed
 // (deterministic) and the wall-clock barrier stall distribution (volatile —
@@ -270,7 +247,6 @@ func (r *ShardRunner) runRounds(limit Seconds) {
 
 		r.exch.Merge()
 		r.control.runUntilLocal(T)
-		r.rounds++
 		if r.mRounds != nil {
 			r.mRounds.Inc()
 		}

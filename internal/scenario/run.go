@@ -194,7 +194,7 @@ func Run(env *Env, sc *Scenario, groups []Group, opts Options) (*Result, error) 
 		a := &actions[i]
 		slot := &res.Events[i]
 		slot.At = a.at
-		slot.Kind = string(a.kind)
+		slot.Kind = a.kind
 		slot.Label = a.label
 		env.Sim.At(t0+a.at, func() {
 			if runErr != nil {

@@ -14,7 +14,7 @@
 // reports per-event reconnection, failover, and availability metrics.
 //
 // Scenarios are plain data: construct them in Go, or load them from YAML
-// or JSON files (see ParseScenario). A library of named scenarios used by
+// or JSON files (see Parse). A library of named scenarios used by
 // the cdnsim CLI is in library.go.
 package scenario
 
@@ -26,10 +26,11 @@ import (
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/topology"
+	"bestofboth/pkg/bestofboth/api"
 )
 
-// Kind identifies a fault type on the timeline.
-type Kind string
+// Kind identifies a fault type on the timeline (Event.Kind).
+type Kind = string
 
 // The fault vocabulary.
 const (
@@ -96,39 +97,10 @@ const (
 	KindAnnouncePolicy Kind = "announce-policy"
 )
 
-// Event is one entry on a scenario timeline. Which fields are meaningful
-// depends on Kind; Validate enforces the per-kind requirements.
-type Event struct {
-	// At is the event time in virtual seconds from scenario start.
-	At float64 `json:"at"`
-	// Kind selects the fault type.
-	Kind Kind `json:"kind"`
-	// Site names the affected CDN site (crash/fail/recover/drain/
-	// partial-*/regional-*/flap).
-	Site string `json:"site,omitempty"`
-	// A and B name the two endpoints of a link/session fault. Site codes
-	// resolve to the site's node; anything else must be a topology node
-	// name (e.g. "transit-sea-weak").
-	A string `json:"a,omitempty"`
-	B string `json:"b,omitempty"`
-	// Fraction is the share of provider links affected by partial-fail /
-	// partial-restore, in (0,1]; at least one link is always chosen.
-	Fraction float64 `json:"fraction,omitempty"`
-	// Radius is the regional-failure metro radius in one-way milliseconds
-	// on the latency plane.
-	Radius float64 `json:"radius,omitempty"`
-	// Period is the flap cycle length in seconds (fail, then recover half
-	// a period later).
-	Period float64 `json:"period,omitempty"`
-	// Count is the number of flap cycles.
-	Count int `json:"count,omitempty"`
-	// DrainFor is the grace period of a drain: seconds the site keeps
-	// forwarding after its announcements are withdrawn.
-	DrainFor float64 `json:"drainFor,omitempty"`
-	// Technique is the target technique name for switch-technique
-	// (core.TechniqueByName vocabulary).
-	Technique string `json:"technique,omitempty"`
-}
+// Event is one entry on a scenario timeline. The field list is declared
+// once, by api.Mutation, so timelines and ChangeSets cannot drift apart;
+// Validate enforces the per-kind requirements.
+type Event = api.Mutation
 
 // Scenario is a named fault-injection timeline.
 type Scenario struct {
@@ -149,20 +121,12 @@ type Scenario struct {
 	Events  []Event `json:"events"`
 }
 
-func (e *Event) needsSite() bool {
-	switch e.Kind {
+func needsSite(kind Kind) bool {
+	switch kind {
 	case KindCrash, KindFail, KindRecover, KindDrain,
 		KindPartialFail, KindPartialRestore,
 		KindRegionalFail, KindRegionalRecover, KindFlap,
 		KindFlashCrowd, KindCapacityDrain, KindAnnouncePolicy:
-		return true
-	}
-	return false
-}
-
-func (e *Event) needsLink() bool {
-	switch e.Kind {
-	case KindLinkDown, KindLinkUp, KindSessionReset:
 		return true
 	}
 	return false
@@ -234,7 +198,7 @@ func (s *Scenario) Validate() error {
 		default:
 			return fmt.Errorf("scenario %s: event %d: unknown kind %q", s.Name, i, e.Kind)
 		}
-		if e.needsSite() && e.Site == "" {
+		if needsSite(e.Kind) && e.Site == "" {
 			return fmt.Errorf("%s: needs a site", where)
 		}
 	}

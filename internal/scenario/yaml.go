@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -43,150 +46,32 @@ func LoadFile(path string) (*Scenario, error) {
 }
 
 // Parse decodes a scenario from YAML or JSON bytes (JSON when the first
-// non-space byte is '{').
+// non-space byte is '{'). Both syntaxes end in the same strict encoding/json
+// decode over the tagged structs — YAML by re-marshalling the subset
+// parser's tree — so the accepted keys are exactly the structs' JSON tags.
 func Parse(data []byte) (*Scenario, error) {
-	trimmed := strings.TrimLeft(string(data), " \t\r\n")
-	var v any
-	if strings.HasPrefix(trimmed, "{") {
-		if err := json.Unmarshal(data, &v); err != nil {
-			return nil, fmt.Errorf("parsing JSON scenario: %w", err)
-		}
-	} else {
-		parsed, err := parseYAML(string(data))
+	if !bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")) {
+		tree, err := parseYAML(string(data))
 		if err != nil {
 			return nil, err
 		}
-		v = parsed
+		if data, err = json.Marshal(tree); err != nil {
+			return nil, fmt.Errorf("scenario file: %w", err)
+		}
 	}
-	sc, err := decodeScenario(v)
-	if err != nil {
-		return nil, err
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	sc := &Scenario{}
+	if err := dec.Decode(sc); err != nil {
+		return nil, fmt.Errorf("scenario file: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("scenario file: trailing data after the scenario document")
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	return sc, nil
-}
-
-// --- decoding ---------------------------------------------------------------
-
-func decodeScenario(v any) (*Scenario, error) {
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("scenario file: top level must be a mapping, got %T", v)
-	}
-	sc := &Scenario{}
-	for k, val := range m {
-		switch k {
-		case "name":
-			sc.Name = asString(val)
-		case "description":
-			sc.Description = asString(val)
-		case "damping":
-			b, err := asBool(val)
-			if err != nil {
-				return nil, fmt.Errorf("scenario field %q: %w", k, err)
-			}
-			sc.Damping = b
-		case "demand":
-			b, err := asBool(val)
-			if err != nil {
-				return nil, fmt.Errorf("scenario field %q: %w", k, err)
-			}
-			sc.Demand = b
-		case "horizon":
-			f, err := asFloat(val)
-			if err != nil {
-				return nil, fmt.Errorf("scenario field %q: %w", k, err)
-			}
-			sc.Horizon = f
-		case "events":
-			list, ok := val.([]any)
-			if !ok {
-				return nil, fmt.Errorf("scenario field \"events\": must be a list, got %T", val)
-			}
-			for i, item := range list {
-				ev, err := decodeEvent(item)
-				if err != nil {
-					return nil, fmt.Errorf("event %d: %w", i, err)
-				}
-				sc.Events = append(sc.Events, ev)
-			}
-		default:
-			return nil, fmt.Errorf("scenario file: unknown field %q", k)
-		}
-	}
-	return sc, nil
-}
-
-func decodeEvent(v any) (Event, error) {
-	var ev Event
-	m, ok := v.(map[string]any)
-	if !ok {
-		return ev, fmt.Errorf("must be a mapping, got %T", v)
-	}
-	for k, val := range m {
-		var err error
-		switch k {
-		case "at":
-			ev.At, err = asFloat(val)
-		case "kind":
-			ev.Kind = Kind(asString(val))
-		case "site":
-			ev.Site = asString(val)
-		case "a":
-			ev.A = asString(val)
-		case "b":
-			ev.B = asString(val)
-		case "fraction":
-			ev.Fraction, err = asFloat(val)
-		case "radius":
-			ev.Radius, err = asFloat(val)
-		case "period":
-			ev.Period, err = asFloat(val)
-		case "count":
-			var f float64
-			f, err = asFloat(val)
-			ev.Count = int(f)
-		case "drainFor", "drain-for":
-			ev.DrainFor, err = asFloat(val)
-		default:
-			return ev, fmt.Errorf("unknown field %q", k)
-		}
-		if err != nil {
-			return ev, fmt.Errorf("field %q: %w", k, err)
-		}
-	}
-	return ev, nil
-}
-
-func asString(v any) string {
-	if s, ok := v.(string); ok {
-		return s
-	}
-	return fmt.Sprint(v)
-}
-
-func asFloat(v any) (float64, error) {
-	switch x := v.(type) {
-	case float64:
-		return x, nil
-	case int:
-		return float64(x), nil
-	case string:
-		return strconv.ParseFloat(x, 64)
-	}
-	return 0, fmt.Errorf("expected a number, got %T", v)
-}
-
-func asBool(v any) (bool, error) {
-	switch x := v.(type) {
-	case bool:
-		return x, nil
-	case string:
-		return strconv.ParseBool(x)
-	}
-	return false, fmt.Errorf("expected a boolean, got %T", v)
 }
 
 // --- YAML subset parser -----------------------------------------------------

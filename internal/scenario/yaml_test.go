@@ -2,8 +2,12 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"bestofboth/internal/core"
 )
 
 func TestParseYAMLScenario(t *testing.T) {
@@ -110,6 +114,11 @@ func TestParseRejectsBadInput(t *testing.T) {
 		{"invalid after parse", "name: x\nevents:\n  - at: 1\n    kind: fail\n"}, // fail needs a site
 		{"top level list", "- a\n- b\n"},
 		{"bad json", "{\"name\": }"},
+		{"fractional count", "name: x\nevents:\n  - at: 1\n    kind: flap\n    site: atl\n    period: 60\n    count: 2.7\n"},
+		{"fractional count json", `{"name": "x", "events": [{"at": 1, "kind": "flap", "site": "atl", "period": 60, "count": 2.7}]}`},
+		{"quoted boolean", "name: x\ndamping: \"true\"\nevents:\n  - at: 1\n    kind: fail\n    site: atl\n"},
+		{"unknown event field json", `{"name": "x", "events": [{"at": 1, "kind": "fail", "site": "atl", "wat": 2}]}`},
+		{"trailing json", `{"name": "x", "events": [{"at": 1, "kind": "fail", "site": "atl"}]} {}`},
 	}
 	for _, tc := range cases {
 		if _, err := Parse([]byte(tc.src)); err == nil {
@@ -131,6 +140,78 @@ func TestParseRoundTripsLibraryJSON(t *testing.T) {
 		}
 		if !reflect.DeepEqual(back, sc) {
 			t.Errorf("%s: round-trip mismatch:\n got %+v\nwant %+v", sc.Name, back, sc)
+		}
+	}
+}
+
+// TestParseEveryEventFieldBothSyntaxes walks Event's JSON tags reflectively,
+// so a field added to the vocabulary struct is covered without editing this
+// test: each tagged field gets a distinct non-zero value and must survive
+// Parse from YAML and from JSON.
+func TestParseEveryEventFieldBothSyntaxes(t *testing.T) {
+	var ev Event
+	var yaml strings.Builder
+	yaml.WriteString("name: every-field\nevents:\n")
+	rv := reflect.ValueOf(&ev).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		tag, _, _ := strings.Cut(rv.Type().Field(i).Tag.Get("json"), ",")
+		f := rv.Field(i)
+		switch {
+		case tag == "kind":
+			f.SetString(KindFlap) // valid with every other field set
+		case f.Kind() == reflect.String:
+			f.SetString(fmt.Sprintf("v%d", i))
+		case f.Kind() == reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case f.Kind() == reflect.Int:
+			f.SetInt(int64(i) + 1)
+		default:
+			t.Fatalf("Event.%s: unhandled kind %s — extend this test", rv.Type().Field(i).Name, f.Kind())
+		}
+		lead := "    "
+		if i == 0 {
+			lead = "  - "
+		}
+		fmt.Fprintf(&yaml, "%s%s: %v\n", lead, tag, f.Interface())
+	}
+	want := &Scenario{Name: "every-field", Events: []Event{ev}}
+	asJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for syntax, src := range map[string]string{"yaml": yaml.String(), "json": string(asJSON)} {
+		got, err := Parse([]byte(src))
+		if err != nil {
+			t.Errorf("%s: %v\n%s", syntax, err, src)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: parsed %+v, want %+v", syntax, got.Events, want.Events)
+		}
+	}
+}
+
+// TestParsedSwitchTechniqueRuns loads a switch-technique timeline from both
+// syntaxes and runs it: the event must reach the engine, not just the
+// decoder.
+func TestParsedSwitchTechniqueRuns(t *testing.T) {
+	srcs := map[string]string{
+		"yaml": "name: switch\nhorizon: 60\nevents:\n  - at: 10\n    kind: switch-technique\n    technique: anycast\n",
+		"json": `{"name": "switch", "horizon": 60, "events": [{"at": 10, "kind": "switch-technique", "technique": "anycast"}]}`,
+	}
+	for syntax, src := range srcs {
+		sc, err := Parse([]byte(src))
+		if err != nil {
+			t.Fatalf("%s: %v", syntax, err)
+		}
+		env := testEnv(t, 5, core.ReactiveAnycast{})
+		res, err := Run(env, sc, []Group{buildGroup(t, env, "sea1", 4)}, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", syntax, err)
+		}
+		if len(res.Events) != 1 || res.Events[0].Kind != KindSwitchTechnique || res.Sent == 0 {
+			t.Errorf("%s: result %+v", syntax, res)
+		}
+		if got := env.CDN.Technique().Name(); got != (core.Anycast{}).Name() {
+			t.Errorf("%s: deployed technique after the run is %q, want anycast", syntax, got)
 		}
 	}
 }

@@ -10,32 +10,45 @@ const (
 	StatusRejected = "rejected"
 )
 
-// Mutation is one intended change to the world. Kind names and field
-// semantics are exactly the scenario-event vocabulary (crash, fail, drain,
-// recover, link-down, link-up, switch-technique, demand-scale,
-// announce-policy, ...), so a scenario file's events and a ChangeSet's
-// mutations are the same language.
+// Mutation is one intended change to the world: an entry on a scenario
+// timeline (internal/scenario aliases it as Event) or in a ChangeSet's
+// mutation list. It is the one declaration of the vocabulary's fields, so a
+// scenario file's events and a ChangeSet's mutations are the same language.
+// Which fields are meaningful depends on Kind (crash, fail, drain, recover,
+// link-down, link-up, switch-technique, demand-scale, announce-policy, ...;
+// the scenario package documents each); scenario validation enforces the
+// per-kind requirements.
 type Mutation struct {
+	// At is the event time in virtual seconds from scenario start.
+	// ChangeSets act now: the control plane rejects a non-zero At.
+	At float64 `json:"at,omitempty"`
 	// Kind selects the mutation; required.
 	Kind string `json:"kind"`
-	// Site is the target site code for site-scoped kinds.
+	// Site names the affected CDN site for site-scoped kinds.
 	Site string `json:"site,omitempty"`
-	// A and B name the link endpoints for link-scoped kinds.
+	// A and B name the two endpoints of a link/session fault. Site codes
+	// resolve to the site's node; anything else must be a topology node
+	// name (e.g. "transit-sea-weak").
 	A string `json:"a,omitempty"`
 	B string `json:"b,omitempty"`
 	// Fraction is the kind-specific ratio: the demand multiplier for
-	// demand-scale and flash-crowd, the affected share for partial kinds.
+	// demand-scale and flash-crowd, the share of provider links (in (0,1],
+	// at least one link) for the partial kinds.
 	Fraction float64 `json:"fraction,omitempty"`
-	// Radius is the regional-failure metro radius in one-way milliseconds.
+	// Radius is the regional-failure metro radius in one-way milliseconds
+	// on the latency plane.
 	Radius float64 `json:"radius,omitempty"`
-	// Period is the flap cycle length / flash-crowd duration in seconds.
+	// Period is the flap cycle length (fail, then recover half a period
+	// later) or the flash-crowd duration, in seconds.
 	Period float64 `json:"period,omitempty"`
 	// Count is the kind-specific integer: flap cycles, or AS-path prepends
 	// for announce-policy.
 	Count int `json:"count,omitempty"`
-	// DrainFor is the drain grace period in seconds.
+	// DrainFor is the grace period of a drain: seconds the site keeps
+	// forwarding after its announcements are withdrawn.
 	DrainFor float64 `json:"drainFor,omitempty"`
-	// Technique is the target technique name for switch-technique.
+	// Technique is the target technique name for switch-technique
+	// (core.TechniqueByName vocabulary).
 	Technique string `json:"technique,omitempty"`
 }
 
