@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet lint lint-json lint-fixtures govulncheck race race-full bench-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -15,17 +15,11 @@ vet:
 	$(GO) vet ./...
 
 # Invariant lint: the cdnlint analyzer suite (internal/analysis) over the
-# whole tree. Exits non-zero on any unsuppressed diagnostic; see
+# tree `make loc` counts. Exits non-zero on any unsuppressed diagnostic; see
 # DESIGN.md "Invariants" for the checks and the suppression syntax.
+# Not ./benchmark: a benchmark-class PR removes main.go's ignore for a retired check and restores ./... here.
 lint:
-	$(GO) run ./cmd/cdnlint ./...
-
-# Machine-readable lint run: LINT.json is a versioned api.LintReport that
-# also inventories every //lint:ignore-suppressed finding with its reason.
-# CI uploads it as an artifact (even when findings fail the step, so the
-# report that explains the failure is always available).
-lint-json:
-	$(GO) run ./cmd/cdnlint -json ./... > LINT.json
+	$(GO) run ./cmd/cdnlint $$($(GO) list ./... | grep -v '/benchmark$$')
 
 # The analyzers' own test suites: the // want fixture corpus under
 # internal/analysis/testdata plus the driver tests (cdnlint exec'd as a

@@ -3,7 +3,6 @@
 //
 //	cdnlint ./...
 //	cdnlint -checks detrand,maporder ./internal/bgp
-//	cdnlint -json ./... > LINT.json
 //
 // Exit status: 0 clean, 1 diagnostics reported, 3 operational failure.
 //
@@ -31,13 +30,11 @@ import (
 	"strings"
 
 	"bestofboth/internal/analysis"
-	"bestofboth/pkg/bestofboth/api"
 )
 
 func main() {
 	flagChecks := flag.String("checks", "", "comma-separated checks to run (default: all)")
 	flagList := flag.Bool("list", false, "list available checks and exit")
-	flagJSON := flag.Bool("json", false, "emit an api.LintReport on stdout instead of plain text")
 	flag.Parse()
 
 	if *flagList {
@@ -52,7 +49,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	opts := analysis.Options{StaleCheck: *flagChecks == ""}
-	os.Exit(runStandalone(flag.Args(), analyzers, opts, *flagJSON))
+	os.Exit(runStandalone(flag.Args(), analyzers, opts))
 }
 
 func fatalf(format string, args ...any) {
@@ -73,11 +70,9 @@ type listPackage struct {
 
 // runStandalone loads the packages matching the patterns (default ./...)
 // with `go list -export -json -deps`, type-checks each target against
-// the export data of its dependencies, and reports diagnostics — as
-// plain text lines, or as one api.LintReport document when jsonOut is
-// set. Either way the exit code is 1 exactly when unsuppressed findings
-// exist.
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts analysis.Options, jsonOut bool) int {
+// the export data of its dependencies, and prints one line per diagnostic.
+// The exit code is 1 exactly when unsuppressed findings exist.
+func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts analysis.Options) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -110,12 +105,6 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts analy
 		}
 	}
 
-	var checks []string
-	for _, a := range analyzers {
-		checks = append(checks, a.Name)
-	}
-	report := api.NewLintReport(checks)
-
 	fset := token.NewFileSet()
 	imp := exportDataImporter(fset, exports)
 	exit := 0
@@ -131,45 +120,16 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts analy
 		for _, f := range p.GoFiles {
 			files = append(files, filepath.Join(p.Dir, f))
 		}
-		res, err := analyze(fset, imp, p.ImportPath, files, analyzers, opts)
+		diags, err := analyze(fset, imp, p.ImportPath, files, analyzers, opts)
 		if err != nil {
 			fatalf("%s: %v", p.ImportPath, err)
 		}
-		for _, d := range res.Diagnostics {
-			if jsonOut {
-				report.Findings = append(report.Findings, toFinding(relativized(d), false, ""))
-			} else {
-				fmt.Println(relativized(d).String())
-			}
+		for _, d := range diags {
+			fmt.Println(relativized(d).String())
 			exit = 1
 		}
-		if jsonOut {
-			for _, s := range res.Suppressed {
-				report.Findings = append(report.Findings, toFinding(relativized(s.Diagnostic), true, s.Reason))
-			}
-		}
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatalf("encoding report: %v", err)
-		}
-		fmt.Printf("%s\n", out)
 	}
 	return exit
-}
-
-// toFinding converts one diagnostic into its wire form.
-func toFinding(d analysis.Diagnostic, suppressed bool, reason string) api.LintFinding {
-	return api.LintFinding{
-		File:       d.Pos.Filename,
-		Line:       d.Pos.Line,
-		Col:        d.Pos.Column,
-		Check:      d.Check,
-		Message:    d.Message,
-		Suppressed: suppressed,
-		Reason:     reason,
-	}
 }
 
 // relativized rewrites the diagnostic's path relative to the working
@@ -203,12 +163,12 @@ func exportDataImporter(fset *token.FileSet, exports map[string]string) types.Im
 // analyze parses and type-checks one package's files and runs the
 // analyzers over it.
 func analyze(fset *token.FileSet, imp types.Importer, path string, filenames []string,
-	analyzers []*analysis.Analyzer, opts analysis.Options) (analysis.Result, error) {
+	analyzers []*analysis.Analyzer, opts analysis.Options) ([]analysis.Diagnostic, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
-			return analysis.Result{}, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
@@ -222,7 +182,7 @@ func analyze(fset *token.FileSet, imp types.Importer, path string, filenames []s
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
-		return analysis.Result{}, err
+		return nil, err
 	}
-	return analysis.RunDetailed(&analysis.Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, analyzers, opts), nil
+	return analysis.Run(&analysis.Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, analyzers, opts), nil
 }

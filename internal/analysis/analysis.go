@@ -9,8 +9,8 @@
 //
 // The analyzers are built on the stdlib go/ast + go/types only (no
 // golang.org/x/tools dependency) and run over fully type-checked
-// packages. cmd/cdnlint provides two drivers: a standalone one that loads
-// packages via `go list -export` and a `go vet -vettool=` compatible one.
+// packages. cmd/cdnlint is the driver: it loads packages via
+// `go list -export`.
 //
 // Diagnostics can be suppressed with a staticcheck-style comment on the
 // offending line or the line directly above it:
@@ -96,34 +96,10 @@ type Options struct {
 	StaleCheck bool
 }
 
-// Suppressed is a diagnostic silenced by a //lint:ignore directive,
-// retained (with the directive's reason) for machine-readable reports.
-type Suppressed struct {
-	Diagnostic
-	Reason string
-}
-
-// Result is the full outcome of a RunDetailed invocation.
-type Result struct {
-	// Diagnostics are the surviving findings (including the suppression
-	// machinery's own), sorted by position.
-	Diagnostics []Diagnostic
-	// Suppressed are the findings //lint:ignore silenced, sorted by
-	// position. They never affect exit codes; reports carry them so a
-	// reviewer can audit every active suppression in one place.
-	Suppressed []Suppressed
-}
-
 // Run executes the analyzers over pkg, applies //lint:ignore suppression,
 // and returns the surviving diagnostics (including the suppression
 // machinery's own findings) sorted by position.
 func Run(pkg *Package, analyzers []*Analyzer, opts Options) []Diagnostic {
-	return RunDetailed(pkg, analyzers, opts).Diagnostics
-}
-
-// RunDetailed is Run, but it also keeps the diagnostics that //lint:ignore
-// directives suppressed, paired with the directives' reasons.
-func RunDetailed(pkg *Package, analyzers []*Analyzer, opts Options) Result {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -138,21 +114,14 @@ func RunDetailed(pkg *Package, analyzers []*Analyzer, opts Options) Result {
 	}
 
 	igns, ignDiags := collectIgnores(pkg.Fset, pkg.Files)
-	diags, suppressed := applyIgnores(diags, igns)
+	diags = applyIgnores(diags, igns)
 	diags = append(diags, ignDiags...)
 	if opts.StaleCheck {
 		diags = append(diags, staleIgnores(igns)...)
 	}
 
-	sortDiags(diags)
-	sort.Slice(suppressed, func(i, j int) bool {
-		return diagLess(suppressed[i].Diagnostic, suppressed[j].Diagnostic)
-	})
-	return Result{Diagnostics: diags, Suppressed: suppressed}
-}
-
-func sortDiags(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool { return diagLess(diags[i], diags[j]) })
+	return diags
 }
 
 func diagLess(a, b Diagnostic) bool {

@@ -5,8 +5,7 @@ import (
 	"strings"
 )
 
-// All returns every registered analyzer, in stable order: the five
-// syntactic PR 5 checks, then the five deeper PR 10 passes.
+// All returns every registered analyzer, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerDetrand,
@@ -15,10 +14,6 @@ func All() []*Analyzer {
 		AnalyzerAllocfree,
 		AnalyzerSnapshotfields,
 		AnalyzerShardsafe,
-		AnalyzerDetflow,
-		AnalyzerWirestable,
-		AnalyzerErrcmp,
-		AnalyzerObsnames,
 	}
 }
 

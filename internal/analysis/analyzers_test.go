@@ -40,22 +40,6 @@ func TestShardsafe(t *testing.T) {
 	runFixture(t, "shardsafe/internal/bgp", []*Analyzer{AnalyzerShardsafe}, Options{StaleCheck: true})
 }
 
-func TestDetflow(t *testing.T) {
-	runFixture(t, "detflow/internal/ctlplane", []*Analyzer{AnalyzerDetflow}, Options{StaleCheck: true})
-}
-
-func TestWirestableSchema(t *testing.T) {
-	runFixture(t, "wirestable/bestofboth/api", []*Analyzer{AnalyzerWirestable}, Options{StaleCheck: true})
-}
-
-func TestErrcmp(t *testing.T) {
-	runFixture(t, "errcmp/cmd/collector", []*Analyzer{AnalyzerErrcmp}, Options{StaleCheck: true})
-}
-
-func TestObsnames(t *testing.T) {
-	runFixture(t, "obsnames/metrics", []*Analyzer{AnalyzerObsnames}, Options{StaleCheck: true})
-}
-
 // TestSuppression covers the full //lint:ignore lifecycle: own-line and
 // trailing suppression, mandatory reasons, unknown check names, stale
 // directives, other tools' directives, and multi-check directives.

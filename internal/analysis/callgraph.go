@@ -5,12 +5,12 @@ import (
 	"go/types"
 )
 
-// Package-local call graph shared by the interprocedural passes (shardsafe
-// ownership propagation, detflow taint summaries). It is deliberately
-// simple: nodes are the package's own FuncDecls, edges are direct calls
-// resolved through go/types. Calls through function values, interfaces, or
-// other packages have no edge — the passes that use the graph are written
-// to stay sound (or at worst quiet) under that approximation.
+// Package-local call graph behind shardsafe's interprocedural ownership
+// propagation. It is deliberately simple: nodes are the package's own
+// FuncDecls, edges are direct calls resolved through go/types. Calls
+// through function values, interfaces, or other packages have no edge —
+// shardsafe is written to stay sound (or at worst quiet) under that
+// approximation.
 
 // funcInfo is one package function (or method) in the call graph.
 type funcInfo struct {

@@ -33,8 +33,7 @@ func isDeterministicPkg(path string) bool {
 	return false
 }
 
-// nondetKind classifies a package-level function or variable as one of the
-// nondeterminism sources the determinism analyzers know about.
+// nondetKind names one family of nondeterminism sources.
 type nondetKind int
 
 const (
@@ -64,9 +63,8 @@ var wallClock = map[string]bool{
 	"NewTimer": true, "NewTicker": true, "AfterFunc": true,
 }
 
-// nondetSource is the one table of nondeterminism sources: detrand bans
-// their use in simulation packages, detflow tracks where their values go
-// everywhere else.
+// nondetSource classifies a package-level name as one of the
+// nondeterminism sources detrand bans in simulation packages.
 func nondetSource(pkgPath, name string) nondetKind {
 	switch pkgPath {
 	case "math/rand", "math/rand/v2":

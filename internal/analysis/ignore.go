@@ -11,8 +11,7 @@ import (
 type ignoreDirective struct {
 	pos    token.Position // position of the comment
 	checks []string       // check names without the cdnlint/ prefix
-	reason string
-	used   bool // set when the directive suppressed at least one finding
+	used   bool           // set when the directive suppressed at least one finding
 }
 
 // collectIgnores parses every //lint:ignore comment that targets cdnlint
@@ -62,8 +61,6 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) ([]*ignoreDirective,
 					})
 					// Still honor the suppression so the missing-reason
 					// finding is the only new noise on the line.
-				} else {
-					ign.reason = strings.Join(fields[1:], " ")
 				}
 				igns = append(igns, ign)
 			}
@@ -82,17 +79,15 @@ func knownCheck(short string) bool {
 	return false
 }
 
-// applyIgnores splits the diagnostics into survivors and suppressed. A
+// applyIgnores returns the diagnostics no directive suppresses. A
 // directive matches findings of its named checks located in the same file
 // on the directive's own line (trailing comment) or the line directly
-// below it (comment on its own line above the offending code); suppressed
-// findings keep the directive's reason for machine-readable reports.
-func applyIgnores(diags []Diagnostic, igns []*ignoreDirective) ([]Diagnostic, []Suppressed) {
+// below it (comment on its own line above the offending code).
+func applyIgnores(diags []Diagnostic, igns []*ignoreDirective) []Diagnostic {
 	if len(igns) == 0 {
-		return diags, nil
+		return diags
 	}
 	var out []Diagnostic
-	var silenced []Suppressed
 	for _, d := range diags {
 		suppressed := false
 		for _, ign := range igns {
@@ -106,7 +101,6 @@ func applyIgnores(diags []Diagnostic, igns []*ignoreDirective) ([]Diagnostic, []
 				if c == d.Check {
 					ign.used = true
 					suppressed = true
-					silenced = append(silenced, Suppressed{Diagnostic: d, Reason: ign.reason})
 					break
 				}
 			}
@@ -118,7 +112,7 @@ func applyIgnores(diags []Diagnostic, igns []*ignoreDirective) ([]Diagnostic, []
 			out = append(out, d)
 		}
 	}
-	return out, silenced
+	return out
 }
 
 // staleIgnores reports directives that suppressed nothing: the finding

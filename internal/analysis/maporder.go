@@ -13,7 +13,8 @@ import (
 // run, so any such flow breaks the bit-identical-runs invariant. Three
 // flows are recognized:
 //
-//   - appending to a slice declared outside the loop, with no later
+//   - appending to a slice that outlives the loop — a variable declared
+//     outside it, or a field reached from one (s.sorted) — with no later
 //     sort of that slice in the same function (collect-then-sort is the
 //     sanctioned pattern and is not flagged);
 //   - calling an order-sensitive sink: a netsim scheduling method
@@ -69,6 +70,16 @@ func (p *Pass) checkMapRange(fd *ast.FuncDecl, rs *ast.RangeStmt) {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range st.Lhs {
+				if st.Tok == token.ASSIGN && len(st.Lhs) == len(st.Rhs) && p.outerTarget(lhs, rs) {
+					if call, ok := st.Rhs[i].(*ast.CallExpr); ok && p.isAppendTo(call, lhs) {
+						if !p.sortedLater(fd, rs, lhs) {
+							p.Reportf(st.Pos(), "append to %s inside map iteration with no later sort; "+
+								"map order is randomized per run — sort the keys (or the result) first",
+								types.ExprString(lhs))
+						}
+						continue // self-append is not a loop-carried scalar
+					}
+				}
 				id, ok := lhs.(*ast.Ident)
 				if !ok {
 					continue
@@ -90,19 +101,10 @@ func (p *Pass) checkMapRange(fd *ast.FuncDecl, rs *ast.RangeStmt) {
 					}
 					continue
 				}
-				if i < len(st.Rhs) && len(st.Lhs) == len(st.Rhs) {
-					if call, ok := st.Rhs[i].(*ast.CallExpr); ok && p.isAppendTo(call, v) {
-						if !p.sortedLater(fd, rs, v) {
-							p.Reportf(st.Pos(), "append to %s inside map iteration with no later sort; "+
-								"map order is randomized per run — sort the keys (or the result) first", v.Name())
-						}
-						continue // self-append is not a loop-carried scalar
-					}
-					// x = x + y with integer x is the spelled-out compound
-					// form; reads of x inside this RHS stay commutative.
-					if commutativeAccum(v.Type()) {
-						selfOK[v] = append(selfOK[v], span{st.Rhs[i].Pos(), st.Rhs[i].End()})
-					}
+				// x = x + y with integer x is the spelled-out compound
+				// form; reads of x inside this RHS stay commutative.
+				if len(st.Lhs) == len(st.Rhs) && commutativeAccum(v.Type()) {
+					selfOK[v] = append(selfOK[v], span{st.Rhs[i].Pos(), st.Rhs[i].End()})
 				}
 				writes[v] = append(writes[v], id.Pos())
 			}
@@ -188,9 +190,38 @@ func (p *Pass) outerVar(id *ast.Ident, rs *ast.RangeStmt) *types.Var {
 	return v
 }
 
-// isAppendTo reports whether call is append(v, ...) for the given slice
-// variable.
-func (p *Pass) isAppendTo(call *ast.CallExpr, v *types.Var) bool {
+// outerTarget reports whether e is an append target that outlives the
+// loop: an identifier, or a field selection (s.sorted, w.out.rows), rooted
+// at a variable declared outside the range statement.
+func (p *Pass) outerTarget(e ast.Expr, rs *ast.RangeStmt) bool {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.Ident:
+			return p.outerVar(x, rs) != nil
+		default:
+			return false
+		}
+	}
+}
+
+// sameTarget reports whether a and b name the same variable or the same
+// field chain off the same variable.
+func (p *Pass) sameTarget(a, b ast.Expr) bool {
+	switch x := ast.Unparen(a).(type) {
+	case *ast.Ident:
+		y, ok := ast.Unparen(b).(*ast.Ident)
+		return ok && p.Info.ObjectOf(x) != nil && p.Info.ObjectOf(x) == p.Info.ObjectOf(y)
+	case *ast.SelectorExpr:
+		y, ok := ast.Unparen(b).(*ast.SelectorExpr)
+		return ok && p.Info.ObjectOf(x.Sel) == p.Info.ObjectOf(y.Sel) && p.sameTarget(x.X, y.X)
+	}
+	return false
+}
+
+// isAppendTo reports whether call is append(target, ...).
+func (p *Pass) isAppendTo(call *ast.CallExpr, target ast.Expr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "append" || len(call.Args) == 0 {
 		return false
@@ -198,14 +229,13 @@ func (p *Pass) isAppendTo(call *ast.CallExpr, v *types.Var) bool {
 	if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); !isBuiltin {
 		return false
 	}
-	arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	return ok && p.Info.Uses[arg] == v
+	return p.sameTarget(call.Args[0], target)
 }
 
 // sortedLater reports whether, after the range statement, the enclosing
-// function sorts the slice variable: a call into package sort, or a
-// slices.Sort* call, taking v as an argument.
-func (p *Pass) sortedLater(fd *ast.FuncDecl, rs *ast.RangeStmt, v *types.Var) bool {
+// function sorts the append target: a call into package sort, or a
+// slices.Sort* call, taking it as an argument.
+func (p *Pass) sortedLater(fd *ast.FuncDecl, rs *ast.RangeStmt, target ast.Expr) bool {
 	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -222,7 +252,7 @@ func (p *Pass) sortedLater(fd *ast.FuncDecl, rs *ast.RangeStmt, v *types.Var) bo
 			return true
 		}
 		for _, a := range call.Args {
-			if id, ok := ast.Unparen(a).(*ast.Ident); ok && p.Info.Uses[id] == v {
+			if p.sameTarget(a, target) {
 				found = true
 			}
 		}

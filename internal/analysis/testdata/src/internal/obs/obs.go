@@ -13,17 +13,3 @@ func (g *Gauge) Set(n int64) {}
 type Histogram struct{}
 
 func (h *Histogram) Observe(v float64) {}
-
-// Registry mirrors the real registration surface obsnames checks.
-type Registry struct{}
-
-func NewRegistry() *Registry { return &Registry{} }
-
-func (r *Registry) Counter(name string) *Counter                        { return &Counter{} }
-func (r *Registry) Gauge(name string) *Gauge                            { return &Gauge{} }
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram { return &Histogram{} }
-func (r *Registry) VolatileCounter(name string) *Counter                { return &Counter{} }
-func (r *Registry) VolatileGauge(name string) *Gauge                    { return &Gauge{} }
-func (r *Registry) VolatileHistogram(name string, bounds ...float64) *Histogram {
-	return &Histogram{}
-}

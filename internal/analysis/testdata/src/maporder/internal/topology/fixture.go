@@ -35,6 +35,29 @@ func appendThenSortFunc(m map[string]int) []string {
 	return keys
 }
 
+type prefixCache struct{ sorted []string }
+
+func fieldAppendNoSort(c *prefixCache, m map[string]int) {
+	for k := range m {
+		c.sorted = append(c.sorted, k) // want `append to c\.sorted inside map iteration with no later sort`
+	}
+}
+
+func fieldAppendThenSort(c *prefixCache, m map[string]int) {
+	c.sorted = c.sorted[:0]
+	for k := range m {
+		c.sorted = append(c.sorted, k) // the cached-keys idiom: collect into the field, then sort it
+	}
+	sort.Strings(c.sorted)
+}
+
+func fieldAppendSortsOther(c, d *prefixCache, m map[string]int) {
+	for k := range m {
+		c.sorted = append(c.sorted, k) // want `append to c\.sorted inside map iteration with no later sort`
+	}
+	sort.Strings(d.sorted) // sorting another cache's slice launders nothing
+}
+
 func loopCarried(m map[string]int) map[string]int {
 	out := map[string]int{}
 	idx := 0

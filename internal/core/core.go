@@ -190,7 +190,6 @@ func (c *CDN) Authoritative() *dns.Authoritative { return c.auth }
 func (c *CDN) Instrument(r *obs.Registry) {
 	c.m.transitions = r.Counter("cdn_site_transitions_total")
 	for k := TransitionCrash; k <= TransitionRecover; k++ {
-		//lint:ignore cdnlint/obsnames per-kind family bounded by the TransitionKind enum
 		c.m.byKind[k] = r.Counter("cdn_site_transitions_" + k.String() + "_total")
 	}
 	c.m.reactions = r.Counter("cdn_failure_reactions_total")

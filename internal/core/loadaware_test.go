@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"bestofboth/internal/dns"
@@ -128,30 +129,52 @@ func TestLoadBalancerRebalanceAfterFailure(t *testing.T) {
 	}
 }
 
+// TestLoadBalancerRebalanceEvictsOverCapacity also pins which clients are
+// evicted: two identically built worlds must shed the same clients, so the
+// eviction order cannot follow map iteration.
 func TestLoadBalancerRebalanceEvictsOverCapacity(t *testing.T) {
-	w := newWorld(t, 73)
-	w.cdn.Deploy(Unicast{})
-	w.converge()
-	lb, err := w.cdn.NewLoadBalancer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := lbClients(w, 30)
-	lb.Assign(clients)
-	// Impose a tight cap afterwards and rebalance.
-	var busiest *Site
-	for _, s := range w.cdn.Sites() {
-		if busiest == nil || lb.Load(s.Code) > lb.Load(busiest.Code) {
-			busiest = s
+	run := func() (map[topology.NodeID]string, int) {
+		w := newWorld(t, 73)
+		w.cdn.Deploy(Unicast{})
+		w.converge()
+		lb, err := w.cdn.NewLoadBalancer(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		clients := lbClients(w, 60)
+		lb.Assign(clients)
+		// Impose a one-slot cap everywhere afterwards and rebalance: every
+		// site keeps one client, the rest are evicted and shed.
+		var busiest *Site
+		lb.Capacity = map[string]int{}
+		for _, s := range w.cdn.Sites() {
+			if busiest == nil || lb.Load(s.Code) > lb.Load(busiest.Code) {
+				busiest = s
+			}
+			lb.Capacity[s.Code] = 1
+		}
+		if lb.Load(busiest.Code) < 2 {
+			t.Skip("load too flat to test eviction")
+		}
+		lb.Rebalance()
+		if lb.Load(busiest.Code) != 1 {
+			t.Fatalf("site %s load %d after cap 1", busiest.Code, lb.Load(busiest.Code))
+		}
+		kept := map[topology.NodeID]string{}
+		for _, id := range clients {
+			if s := lb.Assignment(id); s != nil {
+				kept[id] = s.Code
+			}
+		}
+		return kept, lb.Shed
 	}
-	if lb.Load(busiest.Code) < 2 {
-		t.Skip("load too flat to test eviction")
+	keptA, shedA := run()
+	keptB, shedB := run()
+	if shedA == 0 {
+		t.Fatal("one-slot caps shed nobody: the eviction order is not exercised")
 	}
-	lb.Capacity = map[string]int{busiest.Code: 1}
-	lb.Rebalance()
-	if lb.Load(busiest.Code) != 1 {
-		t.Fatalf("site %s load %d after cap 1", busiest.Code, lb.Load(busiest.Code))
+	if shedA != shedB || !reflect.DeepEqual(keptA, keptB) {
+		t.Fatalf("identical worlds rebalanced differently:\n%v shed %d\n%v shed %d", keptA, shedA, keptB, shedB)
 	}
 }
 

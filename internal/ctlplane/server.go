@@ -272,10 +272,9 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 		APIVersion: api.Version,
 		ID:         fmt.Sprintf("cs-%06d", s.nextID),
 		Status:     api.StatusDryRun,
-		//lint:ignore cdnlint/detflow CreatedAt is a documented operational timestamp, excluded from digests and diffs
-		CreatedAt: s.now().UTC().Format(time.RFC3339),
-		Mutations: req.Mutations,
-		Pre:       StateOf(s.world),
+		CreatedAt:  s.now().UTC().Format(time.RFC3339),
+		Mutations:  req.Mutations,
+		Pre:        StateOf(s.world),
 	}
 
 	// Dry run: apply to a copy-on-write restore of the live world.
@@ -309,7 +308,6 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 	}
 	actual := StateOf(s.world)
 	cs.Actual = &actual
-	//lint:ignore cdnlint/detflow ExecutedAt is a documented operational timestamp, excluded from digests and diffs
 	cs.ExecutedAt = s.now().UTC().Format(time.RFC3339)
 	diffs := diffStates(cs.Predicted, actual)
 	cs.Receipt = &api.Receipt{Pass: len(diffs) == 0, Diffs: diffs}

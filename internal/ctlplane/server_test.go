@@ -404,3 +404,50 @@ func TestDryRunDeterminism(t *testing.T) {
 		t.Fatal("response carries no apiVersion")
 	}
 }
+
+// TestCachedTopologyStaysPristine is the evidence behind sharing one
+// *Topology across every world (topology.Cached hands out the memoized
+// instance, no copy): a Figure 2 matrix and a drain/recover ChangeSet pair
+// — restores, failures, withdrawals, dry runs, live execution — leave the
+// shared graph deep-equal to a fresh Generate.
+func TestCachedTopologyStaysPristine(t *testing.T) {
+	cfg := testConfig(43, true)
+	sel, err := experiment.SelectTargets(cfg, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := experiment.FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 300, ConvergeTime: 3600, MaxTargets: 12}
+	techs := []core.Technique{core.ReactiveAnycast{}, core.ProactiveSuperprefix{}}
+	if _, err := (&experiment.Runner{Workers: 2}).Figure2(cfg, sel, techs, []string{"atl", "msn"}, fc); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewServer(Config{World: cfg, Technique: core.LoadShed{}, Now: fixedClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := StateOf(s.world).Sites[0].Code
+	for _, muts := range [][]api.Mutation{
+		{{Kind: "drain", Site: site, DrainFor: 30}},
+		{{Kind: "recover", Site: site}},
+	} {
+		if cs, rec := postChangeSet(t, s, "/v1/changesets?execute=true", muts); rec.Code != http.StatusOK || !cs.Receipt.Pass {
+			t.Fatalf("%s: %d %s", muts[0].Kind, rec.Code, rec.Body.String())
+		}
+	}
+
+	shared, err := topology.Cached(s.world.Cfg.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared != s.world.Topo {
+		t.Fatal("the live world does not hold the cached topology instance")
+	}
+	fresh, err := topology.Generate(s.world.Cfg.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shared, fresh) {
+		t.Fatal("the shared cached topology was mutated: it no longer equals a fresh Generate")
+	}
+}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"bestofboth/internal/bgp"
@@ -15,9 +16,13 @@ import (
 // into whichever registry triggers them, so comparable runs must share a
 // warm cache), the same seed must produce byte-equal deterministic metric
 // snapshots at any worker count — and instrumented results must equal bare
-// ones.
+// ones. The world carries a demand model so every layer registers,
+// including the per-site and per-transition-kind families whose names are
+// built at run time: every name in the registry must be Prometheus-valid
+// and owned by one metric kind.
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	cfg := tinyConfig(31)
+	WithDefaultDemand()(&cfg)
 	sel := mustSelect(t, cfg, 20)
 	fc := quickFailover()
 	techs := []core.Technique{core.ReactiveAnycast{}, core.Anycast{}}
@@ -28,12 +33,28 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	validName := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	run := func(workers int) ([][]*RunResult, []obs.MetricSnapshot) {
 		reg := obs.NewRegistry()
 		r := &Runner{Workers: workers, Obs: reg}
 		m, err := r.RunMatrix(cfg, sel, techs, sites, fc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		kindOf := map[string]string{}
+		for _, ms := range reg.Snapshot() {
+			if !validName.MatchString(ms.Name) {
+				t.Errorf("metric name %q is not a valid Prometheus name", ms.Name)
+			}
+			if prev, dup := kindOf[ms.Name]; dup {
+				t.Errorf("metric name %q registered as both %s and %s", ms.Name, prev, ms.Kind)
+			}
+			kindOf[ms.Name] = ms.Kind
+		}
+		for _, family := range []string{"traffic_site_utilization_max_atl", "cdn_site_transitions_crash_total"} {
+			if kindOf[family] == "" {
+				t.Errorf("run-time-named metric %q not registered: the name check does not cover its family", family)
+			}
 		}
 		return m, reg.DeterministicSnapshot()
 	}

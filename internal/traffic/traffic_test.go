@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bestofboth/internal/obs"
 	"bestofboth/internal/topology"
 )
 
@@ -209,5 +210,13 @@ func TestAccountantFold(t *testing.T) {
 	wantShed := m.TotalRate() - a.Capacity(0)
 	if served != wantServed || shed != wantShed {
 		t.Fatalf("cumulative served %d shed %d, want %d %d", served, shed, wantServed, wantShed)
+	}
+
+	// The fold is the per-probe hot path (BenchmarkLoadAccounting): Begin,
+	// Record and Finish allocate nothing, even while streaming into obs.
+	a.Instrument(obs.NewRegistry())
+	spread := func(id topology.NodeID) int { return int(id) % a.NumSites() }
+	if n := testing.AllocsPerRun(20, func() { a.Fold(m, spread) }); n != 0 {
+		t.Fatalf("one fold allocates %.0f times, want 0", n)
 	}
 }

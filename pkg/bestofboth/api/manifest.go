@@ -133,12 +133,12 @@ type Report struct {
 	// APIVersion is the wire-schema version (Version).
 	APIVersion string         `json:"apiVersion"`
 	Seed       int64          `json:"seed"`
-	Sections   SortedMap[any] `json:"sections"`
+	Sections   map[string]any `json:"sections"`
 }
 
 // NewReport creates an empty report for a seed.
 func NewReport(seed int64) *Report {
-	return &Report{APIVersion: Version, Seed: seed, Sections: SortedMap[any]{}}
+	return &Report{APIVersion: Version, Seed: seed, Sections: map[string]any{}}
 }
 
 // Add stores a section by name (e.g. "figure2", "table1").

@@ -11,9 +11,12 @@ import (
 // roundTrip marshals v, unmarshals into a fresh value of the same type, and
 // requires deep equality — the property that makes the api package a real
 // wire schema rather than a write-only export format. It also requires the
-// document to carry the apiVersion stamp.
+// document to carry the apiVersion stamp and every exported field reachable
+// from it to carry an explicit json tag, so the wire format never depends
+// on Go identifier spelling.
 func roundTrip[T any](t *testing.T, v T) {
 	t.Helper()
+	requireJSONTags(t, reflect.TypeOf(v), map[reflect.Type]bool{})
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -28,6 +31,31 @@ func roundTrip[T any](t *testing.T, v T) {
 	if !reflect.DeepEqual(v, back) {
 		b2, _ := json.MarshalIndent(back, "", "  ")
 		t.Fatalf("round trip not identity:\nin:  %s\nout: %s", b, b2)
+	}
+}
+
+// requireJSONTags walks every struct type reachable from typ through
+// pointers, slices, arrays and maps.
+func requireJSONTags(t *testing.T, typ reflect.Type, seen map[reflect.Type]bool) {
+	t.Helper()
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
+		requireJSONTags(t, typ.Elem(), seen)
+	case reflect.Struct:
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "" {
+				t.Errorf("%s.%s has no explicit json tag", typ.Name(), f.Name)
+			}
+			requireJSONTags(t, f.Type, seen)
+		}
 	}
 }
 
@@ -58,6 +86,43 @@ func TestReportRoundTrip(t *testing.T) {
 	r.Add("figure2", map[string]any{"p50": 2.5, "technique": "reactive-anycast"})
 	r.Add("table1", []any{map[string]any{"site": "atl", "moved": true}})
 	roundTrip(t, *r)
+}
+
+// TestReportBytes pins the -json report encoding: sections come out in key
+// order at every nesting level (encoding/json sorts map keys by contract),
+// compact and indented, byte for byte what Report emitted when Sections was
+// a hand-sorted wrapper type.
+func TestReportBytes(t *testing.T) {
+	r := NewReport(7)
+	r.Add("table1", []any{map[string]any{"site": "atl", "moved": true}})
+	r.Add("figure2", map[string]any{"technique": "reactive-anycast", "p50": 2.5, "<html>": "a&b"})
+	const compact = `{"apiVersion":"v1","seed":7,"sections":{"figure2":{"\u003chtml\u003e":"a\u0026b","p50":2.5,"technique":"reactive-anycast"},"table1":[{"moved":true,"site":"atl"}]}}`
+	const indented = `{
+  "apiVersion": "v1",
+  "seed": 7,
+  "sections": {
+    "figure2": {
+      "\u003chtml\u003e": "a\u0026b",
+      "p50": 2.5,
+      "technique": "reactive-anycast"
+    },
+    "table1": [
+      {
+        "moved": true,
+        "site": "atl"
+      }
+    ]
+  }
+}`
+	if b, err := json.Marshal(r); err != nil || string(b) != compact {
+		t.Errorf("compact report = %s (err %v), want %s", b, err, compact)
+	}
+	if b, err := json.MarshalIndent(r, "", "  "); err != nil || string(b) != indented {
+		t.Errorf("indented report = %s (err %v), want %s", b, err, indented)
+	}
+	if b, _ := json.Marshal(Report{}); string(b) != `{"apiVersion":"","seed":0,"sections":null}` {
+		t.Errorf("zero report = %s", b)
+	}
 }
 
 func TestChangeSetRoundTrip(t *testing.T) {
@@ -91,18 +156,6 @@ func TestChangeSetRoundTrip(t *testing.T) {
 	})
 }
 
-func TestLintReportRoundTrip(t *testing.T) {
-	r := NewLintReport([]string{"detrand", "errcmp"})
-	r.Findings = append(r.Findings,
-		LintFinding{File: "internal/bgp/bgp.go", Line: 12, Col: 9, Check: "errcmp",
-			Message: "error compared with == against sentinel io.EOF; use errors.Is"},
-		LintFinding{File: "internal/ctlplane/server.go", Line: 341, Col: 14, Check: "detrand",
-			Message:    "wall-clock time flows into a wire literal",
-			Suppressed: true, Reason: "documented operational timestamp"},
-	)
-	roundTrip(t, *r)
-}
-
 func TestWorldInfoRoundTrip(t *testing.T) {
 	roundTrip(t, WorldInfo{
 		APIVersion:    Version,
@@ -113,4 +166,16 @@ func TestWorldInfoRoundTrip(t *testing.T) {
 		State: WorldState{Technique: "anycast", Availability: Availability{ReachableShare: 1},
 			Digests: Digests{RouteStateSHA256: "aa", FIBSHA256: "bb", DNSZoneSHA256: "cc"}},
 	})
+}
+
+// TestReadDocumentsRoundTrip covers the daemon's read-only documents
+// (GET /v1/dns, /v1/load, /v1/catchments).
+func TestReadDocumentsRoundTrip(t *testing.T) {
+	roundTrip(t, ZoneDump{APIVersion: Version, Origin: "cdn.example", Serial: 3,
+		Records: []DNSRecord{{Name: "www.cdn.example", Type: "A", TTL: 20, Addrs: []string{"184.164.240.10"}}}})
+	roundTrip(t, LoadReport{APIVersion: Version, Shedding: true,
+		Sites:        []SiteState{{Code: "atl", Load: &SiteLoad{CapacityMicroRPS: 100, OfferedMicroRPS: 120, ServedMicroRPS: 100, ShedMicroRPS: 20}}},
+		Availability: Availability{Targets: 10, Reachable: 10, ReachableShare: 1}})
+	roundTrip(t, Catchments{APIVersion: Version, Addr: "demand",
+		Sites: []SiteCatchment{{Site: "atl", Targets: 9, DemandMicroRPS: 900}}, Unreachable: 1, UnreachableRPS: 100})
 }
