@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke fuzz-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -71,8 +71,16 @@ ctlplane-smoke:
 	$(GO) run ./cmd/cdnlint -checks snapshotfields ./internal/ctlplane/... ./pkg/bestofboth/... ./internal/experiment/...
 	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf' -count=1 -v . ./internal/ctlplane/
 
+# Fuzz smoke: every native fuzz target runs for FUZZTIME on top of its
+# committed corpus (testdata/fuzz/<target>, which tier-1 already runs as plain
+# unit cases). go test -fuzz takes one target in one package per invocation,
+# so a new target is one more line here.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzTrie -fuzztime=$(FUZZTIME) ./internal/iptrie
+
 # Everything CI runs (see .github/workflows/ci.yml).
-ci: tier1 vet lint race bench-smoke ctlplane-smoke
+ci: tier1 vet lint race bench-smoke fuzz-smoke ctlplane-smoke
 
 # Shard-equivalence gate: the digest tests proving shards=1 and shards=N
 # produce bit-identical route and FIB state, run under the race detector

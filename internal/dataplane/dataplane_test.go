@@ -227,6 +227,15 @@ func TestPingEveryCadence(t *testing.T) {
 			t.Fatal("sequence numbers not consecutive")
 		}
 	}
+
+	// A zero interval would re-arm every tick at the current instant and
+	// never reach the deadline: it panics before sending anything.
+	defer func() {
+		if recover() == nil || len(pr.Sent) != 10 {
+			t.Fatalf("PingEvery with a zero interval: want a panic and no ping, sent %d", len(pr.Sent)-10)
+		}
+	}()
+	pr.PingEvery(ids["c"], 0, 15)
 }
 
 func TestRTTMatchesPaths(t *testing.T) {

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"net/netip"
 	"sort"
 
@@ -199,8 +200,13 @@ func (p *Prober) Ping(target topology.NodeID) uint64 {
 
 // PingEvery schedules pings to target at the given interval until deadline
 // (inclusive start, exclusive deadline), matching the paper's ~1.5 s probing
-// cadence for ~600 s after a failure.
+// cadence for ~600 s after a failure. A non-positive interval panics: the
+// tick would re-arm at the current instant forever, which is always a caller
+// bug (compare Sim.After on a negative delay).
 func (p *Prober) PingEvery(target topology.NodeID, interval, duration float64) {
+	if !(interval > 0) {
+		panic(fmt.Sprintf("dataplane: PingEvery interval %v is not positive", interval))
+	}
 	sim := p.plane.sim
 	deadline := sim.Now() + duration
 	var tick func()

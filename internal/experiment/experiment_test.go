@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/stats"
@@ -159,6 +160,37 @@ func TestRunFailoverUnknownSite(t *testing.T) {
 	sel := mustSelect(t, cfg, 10)
 	if _, err := RunFailover(cfg, sel, core.Anycast{}, "zzz", quickFailover()); err == nil {
 		t.Fatal("unknown site accepted")
+	}
+}
+
+// TestRunFailoverRejectsEmptySchedule pins the zero-interval fix: a probe
+// schedule with no cadence or no duration is a config error, returned in
+// bounded time. Before it, PingEvery(id, 0, d) re-armed every ping at the
+// current instant and the run never returned.
+func TestRunFailoverRejectsEmptySchedule(t *testing.T) {
+	cfg := tinyConfig(4)
+	sel := mustSelect(t, cfg, 10)
+	for _, fc := range []FailoverConfig{
+		{},
+		{ProbeDuration: 5, ConvergeTime: 3600},
+		{ProbeInterval: 1.5, ConvergeTime: 3600},
+		{ProbeInterval: math.NaN(), ProbeDuration: 5, ConvergeTime: 3600},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunFailover(cfg, sel, core.Anycast{}, "atl", fc)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%+v: accepted", fc)
+			} else if fc.ConvergeTime > 0 && !strings.Contains(err.Error(), "failover config") {
+				t.Errorf("%+v: error %q does not name the failover config", fc, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%+v: RunFailover did not return", fc)
+		}
 	}
 }
 

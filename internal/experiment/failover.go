@@ -142,6 +142,12 @@ func NewConvergedWorld(cfg WorldConfig, tech core.Technique, convergeTime float6
 // failoverOn runs the post-convergence part of the experiment on an already
 // deployed, converged world: fail the site, probe, analyze.
 func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, fc FailoverConfig) (*RunResult, error) {
+	// Written as !(x > 0) so NaN is refused too. A zero interval would
+	// re-arm every ping at the current instant and never reach the deadline.
+	if !(fc.ProbeInterval > 0) || !(fc.ProbeDuration > 0) {
+		return nil, fmt.Errorf("experiment: failover config: ProbeInterval %v and ProbeDuration %v must both be positive",
+			fc.ProbeInterval, fc.ProbeDuration)
+	}
 	failed := w.CDN.Site(failCode)
 	if failed == nil {
 		return nil, fmt.Errorf("experiment: %w %q", core.ErrUnknownSite, failCode)
@@ -197,16 +203,12 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 	// The campaign's emission count is known exactly — every controllable
 	// target is pinged once per interval until the duration elapses — so
 	// presize the probe logs instead of growing them ping by ping.
-	if fc.ProbeInterval > 0 {
-		pings := int(fc.ProbeDuration / fc.ProbeInterval)
-		if float64(pings)*fc.ProbeInterval < fc.ProbeDuration {
-			pings++
-		}
-		for i, g := range groups {
-			probers[i].Reserve(pings * len(g.Targets))
-		}
+	pings := int(fc.ProbeDuration / fc.ProbeInterval)
+	if float64(pings)*fc.ProbeInterval < fc.ProbeDuration {
+		pings++
 	}
 	for i, g := range groups {
+		probers[i].Reserve(pings * len(g.Targets))
 		for _, id := range g.Targets {
 			probers[i].PingEvery(id, fc.ProbeInterval, fc.ProbeDuration)
 		}
