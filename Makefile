@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke fuzz-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke profile-fig2 fuzz-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -60,6 +60,20 @@ race-full: vet
 # broken workload without paying for a measurement run.
 bench-smoke:
 	$(GO) run ./benchmark -workload all -quick
+
+# CPU and allocation profile of BenchmarkFigure2 (bench_test.go's reduced
+# Figure 2 matrix: restore, probing, withdrawal): twenty matrices at
+# GOMAXPROCS=2, then the top of both profiles. The test binary and the
+# profiles go under PROFDIR — a fresh temporary directory unless one is
+# named — never into the repository.
+PROFDIR ?=
+profile-fig2:
+	@set -e; dir="$(PROFDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); \
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure2$$' -cpu 2 -benchtime 20x \
+		-o "$$dir/fig2.test" -outputdir "$$dir" -cpuprofile cpu.prof -memprofile mem.prof .; \
+	$(GO) tool pprof -top -cum -nodecount 40 "$$dir/fig2.test" "$$dir/cpu.prof"; \
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 "$$dir/fig2.test" "$$dir/mem.prof"; \
+	echo "profiles kept in $$dir"
 
 # Control-plane gate: the snapshotfields analyzer over the packages that
 # carry ChangeSet / snapshot state, then the end-to-end smoke test — build

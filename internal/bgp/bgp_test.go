@@ -3,6 +3,7 @@ package bgp
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"bestofboth/internal/netsim"
@@ -502,18 +503,84 @@ func TestWithdrawNonOriginatedIsNoop(t *testing.T) {
 	}
 }
 
+// TestKnownPrefixesSorted pins the rib's order — the digest order — under
+// inserts that arrive out of order and mix families: IPv4 before IPv6, each
+// ascending by (address, length), at the origin and at a speaker that only
+// learns the prefixes.
 func TestKnownPrefixesSorted(t *testing.T) {
 	topo := lineTopo(t)
 	sim := netsim.New(1)
 	net := New(sim, topo, quickCfg())
-	p2 := netip.MustParsePrefix("10.0.0.0/8")
-	net.Originate(0, testPrefix, nil)
-	net.Originate(0, p2, nil)
-	sim.Run()
-	ps := net.Speaker(0).KnownPrefixes()
-	if len(ps) != 2 || ps[0] != p2 || ps[1] != testPrefix {
-		t.Fatalf("KnownPrefixes = %v", ps)
+	want := []netip.Prefix{
+		netip.MustParsePrefix("10.0.0.0/8"),
+		netip.MustParsePrefix("10.0.0.0/16"),
+		netip.MustParsePrefix("10.128.0.0/9"),
+		testPrefix,
+		netip.MustParsePrefix("::/0"),
+		netip.MustParsePrefix("2804:269c:fe00::/40"),
+		netip.MustParsePrefix("2804:269c:fe00::/48"),
 	}
+	for _, i := range []int{5, 3, 0, 6, 2, 4, 1} {
+		net.Originate(0, want[i], nil)
+	}
+	sim.Run()
+	for id := topology.NodeID(0); id < 3; id++ {
+		sp := net.Speaker(id)
+		if got := sp.KnownPrefixes(); !slices.Equal(got, want) {
+			t.Fatalf("node %d KnownPrefixes = %v, want %v", id, got, want)
+		}
+		for _, p := range want {
+			if sp.Best(p) == nil {
+				t.Fatalf("node %d: lookup of %v failed in a sorted rib", id, p)
+			}
+		}
+	}
+	got := net.Speaker(0).KnownPrefixes()
+	got[0] = testPrefix
+	if net.Speaker(0).KnownPrefixes()[0] != want[0] {
+		t.Fatal("KnownPrefixes handed out the rib's own storage")
+	}
+}
+
+// TestWriteThroughUnownedStatePanics pins the guard behind restore by
+// reference: recompute and export refuse a state the speaker does not own —
+// a snapshot's frozen one, or another speaker's — instead of corrupting
+// every world that shares it.
+func TestWriteThroughUnownedStatePanics(t *testing.T) {
+	_, net := convergeLine(t, 3, nil)
+	snap, err := net.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(netsim.New(3), lineTopo(t), quickCfg())
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	sp := restored.Speaker(1)
+	frozen := sp.lookup(testPrefix)
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s accepted a state the speaker does not own", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("recompute(frozen)", func() { sp.recompute(testPrefix, frozen) })
+	mustPanic("export(frozen)", func() { sp.export(testPrefix, frozen, 0) })
+	other := restored.Speaker(2).state(testPrefix)
+	mustPanic("export(another speaker's)", func() { sp.export(testPrefix, other, 0) })
+	if sp.lookup(testPrefix) != frozen {
+		t.Fatal("a refused write replaced the frozen state")
+	}
+	// The write accessor is the way in: it clones, and the snapshot's copy
+	// keeps its contents.
+	owned := sp.state(testPrefix)
+	if owned == frozen || owned.owner != sp || frozen.owner != nil {
+		t.Fatalf("state() returned %p (owner %p) for frozen %p", owned, owned.owner, frozen)
+	}
+	sp.recompute(testPrefix, owned)
 }
 
 func TestRouteClone(t *testing.T) {

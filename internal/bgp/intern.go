@@ -69,23 +69,6 @@ func (pi *pathIntern) extend(head topology.ASN, tail []topology.ASN) []topology.
 	return p
 }
 
-// seed registers an existing immutable path under its content so later
-// interning of the same content returns this exact slice. Restore seeds the
-// table with the snapshot's adj-RIB-out paths: post-restore exports of
-// unchanged routes then hit the pointer-equality fast path in samePath.
-func (pi *pathIntern) seed(p []topology.ASN) {
-	if len(p) == 0 {
-		return
-	}
-	pi.key = pi.key[:0]
-	for _, a := range p {
-		pi.appendASN(a)
-	}
-	if _, ok := pi.m[string(pi.key)]; !ok {
-		pi.m[string(pi.key)] = p
-	}
-}
-
 // delivery is the recycled payload of a send→receive event: the scheduled
 // arrival of one UPDATE at a neighbor. Pooling these (plus netsim.AtCall)
 // removes the per-message closure allocation on the hottest path in the

@@ -39,7 +39,7 @@ type shard struct {
 	sim *netsim.Sim // kernel state snapshots via NetworkSnapshot.kernels
 
 	// intern deduplicates AS-path slices across this shard's speakers.
-	intern pathIntern //cdnlint:nosnapshot cache: restore reseeds it from the snapshot's adj-RIB-out paths
+	intern pathIntern //cdnlint:nosnapshot cache: a restored network re-interns paths as it exports; samePath falls back to content
 	// freeDeliv and freePend recycle the payload structs of the two hottest
 	// event kinds, exactly as the unsharded Network did.
 	freeDeliv []*delivery      //cdnlint:nosnapshot free-list pool; contents are semantically empty

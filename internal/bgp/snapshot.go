@@ -2,31 +2,32 @@ package bgp
 
 import (
 	"fmt"
-	"net/netip"
 	"slices"
 
 	"bestofboth/internal/netsim"
 )
 
-// NetworkSnapshot is a copy-on-write capture of all per-speaker protocol
-// state at a quiescent moment: adj-RIBs-in/out, loc-RIB best routes,
-// origination policies, MRAI pacing deadlines, damping penalties, and the
-// TCP in-order delivery clocks. Together with a netsim.Snapshot of the
-// kernel it is the complete converged-world state of the control plane.
+// NetworkSnapshot is a frozen capture of all per-speaker protocol state at a
+// quiescent moment: adj-RIBs-in/out, loc-RIB best routes, origination
+// policies, MRAI pacing deadlines, damping penalties, and the TCP in-order
+// delivery clocks. Together with a netsim.Snapshot of the kernel it is the
+// complete converged-world state of the control plane.
 //
-// Routes and origin policies are immutable after publish (see the Route
-// doc), so the snapshot shares their pointers with the live network instead
-// of deep-copying: only the pointer slices and the mutable value slices
-// (pacing deadlines, damping state) are cloned. Restored worlds likewise
-// share the snapshot's routes and allocate only when a speaker actually
-// diverges after a fault — a diverging speaker builds new Routes and swaps
-// pointers, never touching the shared ones.
+// Per speaker the snapshot holds one []prefixState in rib order — the very
+// struct a live speaker uses, with owner nil. Restore copies none of it: a
+// restored speaker's rib is a window of pointers at those frozen states, and
+// a state is cloned only when that world first writes it (Speaker.own). A
+// Figure 2 run changes one or two of the eight or nine states a speaker
+// holds, so the rest stay shared for the run's whole life. Routes and origin
+// policies are immutable after publish (see the Route doc) and are shared by
+// pointer on every side, clones included.
 //
 // Snapshots can only be taken when no simulation events are pending (in
 // flight updates hold state that cannot be transplanted), which is exactly
 // the state a fully converged network leaves behind. A snapshot is immutable
 // after capture and may be restored into any number of freshly built
-// networks, concurrently: restores only read the shared routes.
+// networks, concurrently, while earlier restores are running: everything
+// they share is only ever read.
 type NetworkSnapshot struct {
 	// kernels capture each shard simulator's clock, sequence counter, and
 	// RNG position (one entry per shard; the unsharded single shard wraps
@@ -42,21 +43,13 @@ type speakerSnapshot struct {
 	lastFeedDeliver netsim.Seconds
 	downSess        []bool
 	sessEpoch       []uint64
-	prefixes        []prefixSnapshot
+	rib             []prefixState // frozen: owner nil, pending nil
 }
 
-type prefixSnapshot struct {
-	prefix      netip.Prefix
-	in          []*Route
-	out         []*Route
-	nextAllowed []netsim.Seconds
-	best        *Route
-	origin      *OriginPolicy
-	damp        []dampState
-}
-
-// Snapshot captures the network's protocol state copy-on-write. It fails if
-// simulation events are pending: snapshot only a converged network.
+// Snapshot captures the network's protocol state. It fails if simulation
+// events are pending: snapshot only a converged network. The live network
+// keeps its own states; the snapshot's are copies whose per-session slices
+// are carved from two arrays per speaker.
 func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 	if pending := n.sim.Pending(); pending != 0 {
 		return nil, fmt.Errorf("bgp: cannot snapshot with %d pending events", pending)
@@ -73,51 +66,54 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 		snap.kernels[i] = ks
 	}
 	for i, sp := range n.speakers {
-		ss := speakerSnapshot{
+		nAdj := len(sp.node.Adj)
+		routes := make([]*Route, 2*nAdj*len(sp.rib))
+		times := make([]netsim.Seconds, nAdj*len(sp.rib))
+		rib := make([]prefixState, len(sp.rib))
+		for k, st := range sp.rib {
+			// Route and OriginPolicy pointers are shared, not cloned: both
+			// are immutable once published. The live network moves on by
+			// swapping pointers in its own slices.
+			f := &rib[k]
+			*f = *st
+			f.owner, f.pending = nil, nil
+			f.in, routes = routes[:nAdj:nAdj], routes[nAdj:]
+			f.out, routes = routes[:nAdj:nAdj], routes[nAdj:]
+			f.nextAllowed, times = times[:nAdj:nAdj], times[nAdj:]
+			copy(f.in, st.in)
+			copy(f.out, st.out)
+			copy(f.nextAllowed, st.nextAllowed)
+			f.damp = slices.Clone(st.damp)
+		}
+		snap.speakers[i] = speakerSnapshot{
 			msgCount:        sp.msgCount,
 			lastDeliver:     slices.Clone(sp.lastDeliver),
 			lastFeedDeliver: sp.lastFeedDeliver,
 			downSess:        slices.Clone(sp.downSess),
 			sessEpoch:       slices.Clone(sp.sessEpoch),
-			prefixes:        make([]prefixSnapshot, 0, len(sp.prefixes)),
+			rib:             rib,
 		}
-		for _, p := range sp.KnownPrefixes() { // sorted: deterministic restore order
-			st := sp.prefixes[p]
-			// Route and OriginPolicy pointers are shared, not cloned: both
-			// are immutable once published. The live network moves on by
-			// swapping pointers in its own (cloned-here) slices.
-			ss.prefixes = append(ss.prefixes, prefixSnapshot{
-				prefix:      p,
-				in:          slices.Clone(st.in),
-				out:         slices.Clone(st.out),
-				nextAllowed: slices.Clone(st.nextAllowed),
-				best:        st.best,
-				origin:      st.origin,
-				damp:        slices.Clone(st.damp),
-			})
-		}
-		snap.speakers[i] = ss
 	}
 	return snap, nil
 }
 
 // Restore installs a snapshot into a freshly built network over an
 // identically shaped topology (same node count and adjacency layout, e.g.
-// regenerated from the same GenConfig). The restored network shares the
-// snapshot's immutable routes and policies copy-on-write: a no-divergence
-// restore allocates only per-prefix bookkeeping (pointer-slice headers and
-// pacing arrays), never route contents, and post-restore state changes swap
-// pointers without ever writing through shared ones. Concurrent restores
+// regenerated from the same GenConfig). It is O(speakers): every speaker's
+// rib is carved out of one network-wide array of pointers at the snapshot's
+// frozen states, and nothing per prefix is allocated or copied until the
+// restored world writes a state (see NetworkSnapshot). The carved windows
+// are capacity-limited, so a speaker that learns a new prefix reallocates
+// its own rib instead of growing over its neighbour's. Concurrent restores
 // from one snapshot are safe.
 //
-// The snapshot's adj-RIB-out paths are seeded into the network's AS-path
-// intern table, so exports computed after the restore resolve to the exact
-// shared slices and unchanged routes are recognized by pointer equality.
-//
-// Loc-RIB best routes are replayed to OnBestChange subscribers (rebuilding
-// data-plane FIBs) but NOT to collector feeds: feed deliveries are
-// simulation events, and the archive a collector accumulated up to the
-// snapshot point is restored separately.
+// Nothing is replayed and nothing is seeded. OnBestChange subscribers are
+// not called — the data plane restores its FIBs from its own snapshot — and
+// collector feeds are not fed: the archive a collector accumulated up to the
+// snapshot point is restored separately. The fresh network's intern tables
+// start empty, so its first exports build paths equal in content but not in
+// pointer to the snapshot's; samePath then compares content, with the same
+// result.
 func (n *Network) Restore(snap *NetworkSnapshot) error {
 	if pending := n.sim.Pending(); pending != 0 {
 		return fmt.Errorf("bgp: cannot restore with %d pending events", pending)
@@ -125,13 +121,15 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 	if len(snap.speakers) != len(n.speakers) {
 		return fmt.Errorf("bgp: snapshot has %d speakers, network has %d", len(snap.speakers), len(n.speakers))
 	}
+	states := 0
 	for i, sp := range n.speakers {
-		if len(sp.prefixes) != 0 {
+		if len(sp.rib) != 0 {
 			return fmt.Errorf("bgp: speaker %d already has prefix state; restore requires a fresh network", i)
 		}
 		if len(snap.speakers[i].lastDeliver) != len(sp.node.Adj) {
 			return fmt.Errorf("bgp: speaker %d adjacency count mismatch", i)
 		}
+		states += len(snap.speakers[i].rib)
 	}
 	if len(snap.kernels) != len(n.shards) {
 		return fmt.Errorf("bgp: snapshot has %d shard kernels, network has %d shards", len(snap.kernels), len(n.shards))
@@ -141,65 +139,18 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 			return fmt.Errorf("bgp: shard %d kernel: %w", i, err)
 		}
 	}
-	for i, ss := range snap.speakers {
+	ribs := make([]*prefixState, states)
+	for i := range snap.speakers {
+		ss := &snap.speakers[i]
 		sp := n.speakers[i]
 		sp.msgCount = ss.msgCount
 		copy(sp.lastDeliver, ss.lastDeliver)
 		sp.lastFeedDeliver = ss.lastFeedDeliver
 		copy(sp.downSess, ss.downSess)
 		copy(sp.sessEpoch, ss.sessEpoch)
-		// Carve this speaker's per-prefix RIB slots out of three backing
-		// arrays (one per element type) instead of allocating per prefix:
-		// restores dominate the experiment runner's allocation profile, and
-		// every prefix needs exactly len(Adj) slots per slice.
-		nAdj := len(sp.node.Adj)
-		routeBacking := make([]*Route, 2*nAdj*len(ss.prefixes))
-		timeBacking := make([]netsim.Seconds, nAdj*len(ss.prefixes))
-		pendBacking := make([]bool, nAdj*len(ss.prefixes))
-		for k, ps := range ss.prefixes {
-			rib := routeBacking[2*nAdj*k : 2*nAdj*(k+1) : 2*nAdj*(k+1)]
-			st := &prefixState{
-				prefix:      ps.prefix,
-				in:          rib[:nAdj:nAdj],
-				out:         rib[nAdj:],
-				nextAllowed: timeBacking[nAdj*k : nAdj*(k+1) : nAdj*(k+1)],
-				pending:     pendBacking[nAdj*k : nAdj*(k+1) : nAdj*(k+1)],
-				best:        ps.best,
-				origin:      ps.origin,
-				damp:        slices.Clone(ps.damp),
-			}
-			copy(st.in, ps.in)
-			copy(st.out, ps.out)
-			copy(st.nextAllowed, ps.nextAllowed)
-			if ps.origin != nil {
-				// The origin route's maximal LocalPref means it is the best
-				// route whenever an origination exists, so the snapshot's
-				// best IS the origin loc-RIB entry; rebuild defensively if a
-				// snapshot ever violates that.
-				if ps.best != nil && ps.best.learnedFrom == -1 {
-					st.originRoute = ps.best
-				} else {
-					st.originRoute = &Route{
-						Prefix:      ps.prefix,
-						LocalPref:   1 << 20,
-						MED:         ps.origin.MED,
-						OriginNode:  sp.node.ID,
-						learnedFrom: -1,
-					}
-				}
-			}
-			sp.prefixes[ps.prefix] = st
-			sp.sortedDirty = true
-			for _, r := range st.out {
-				if r != nil {
-					sp.sh.intern.seed(r.Path)
-				}
-			}
-			if st.best != nil {
-				for _, fn := range n.onBest {
-					fn(sp.node.ID, ps.prefix, st.best)
-				}
-			}
+		sp.rib, ribs = ribs[:len(ss.rib):len(ss.rib)], ribs[len(ss.rib):]
+		for k := range ss.rib {
+			sp.rib[k] = &ss.rib[k]
 		}
 	}
 	return nil

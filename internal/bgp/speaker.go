@@ -45,25 +45,35 @@ type Speaker struct {
 	// connection, so in-flight updates never arrive.
 	sessEpoch []uint64
 
-	prefixes map[netip.Prefix]*prefixState
-
-	// sorted caches KnownPrefixes' sorted output; sortedDirty is set on
-	// every prefix-state insertion. Fault injection iterates the full table
-	// per session flush, which re-sorted the map keys every time before the
-	// cache existed.
-	sorted      []netip.Prefix
-	sortedDirty bool
+	// rib is the per-prefix table, sorted by comparePrefix — the order of
+	// every digest and of fault injection's table walks. A speaker holds a
+	// handful of prefixes, so a sorted slice beats a map on lookup, needs no
+	// sorted view beside it, and lets Restore hand out a carved window of
+	// pointers into a snapshot's frozen states (see state and own).
+	rib []*prefixState
 }
 
-// prefixState holds all per-prefix RIB and pacing state of one speaker.
+// prefixState holds all per-prefix RIB and pacing state of one speaker. The
+// same struct is the snapshot representation: a NetworkSnapshot holds frozen
+// copies (owner nil) that any number of restored speakers, in any number of
+// worlds and on any shard goroutine, point at and read concurrently. Nothing
+// may write a state whose owner is not the writing speaker; own clones it
+// first.
 type prefixState struct {
-	prefix      netip.Prefix
+	prefix netip.Prefix
+	// owner is the one speaker allowed to write this state; nil marks a
+	// snapshot's frozen copy.
+	owner *Speaker //cdnlint:nosnapshot who may write, not what is stored: nil in every snapshot
+
 	in          []*Route // adj-RIB-in, one slot per session
 	out         []*Route // adj-RIB-out as last transmitted, per session
 	nextAllowed []netsim.Seconds
-	pending     []bool
-	best        *Route
-	origin      *OriginPolicy
+	// pending[sess] is true while an MRAI timer for the session is queued;
+	// allocated by the first export that has to wait.
+	pending []bool //cdnlint:nosnapshot mirrors queued MRAI timers; snapshots require an empty queue
+
+	best   *Route
+	origin *OriginPolicy
 	// originRoute is the loc-RIB entry representing the local origination,
 	// built once per Originate call instead of on every recompute. Non-nil
 	// exactly when origin is non-nil; its maximal LocalPref means it is
@@ -81,7 +91,6 @@ func newSpeaker(net *Network, sh *shard, node *topology.Node) *Speaker {
 		lastDeliver: make([]netsim.Seconds, len(node.Adj)),
 		downSess:    make([]bool, len(node.Adj)),
 		sessEpoch:   make([]uint64, len(node.Adj)),
-		prefixes:    make(map[netip.Prefix]*prefixState),
 	}
 }
 
@@ -103,28 +112,78 @@ func (s *Speaker) resolveReverse() {
 	}
 }
 
-func (s *Speaker) state(p netip.Prefix) *prefixState {
-	st, ok := s.prefixes[p]
-	if !ok {
-		n := len(s.node.Adj)
-		rib := make([]*Route, 2*n) // adj-RIBs-in and -out share one backing array
-		st = &prefixState{
-			prefix:      p,
-			in:          rib[:n:n],
-			out:         rib[n:],
-			nextAllowed: make([]netsim.Seconds, n),
-			pending:     make([]bool, n),
-		}
-		s.prefixes[p] = st
-		s.sortedDirty = true
-		s.net.m.prefixStates.Inc()
+// comparePrefix orders prefixes by address (IPv4 before IPv6), then length:
+// the rib's order, and iptrie.Walk's.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
 	}
+	return a.Bits() - b.Bits()
+}
+
+// find returns p's position in the rib and whether a state for it exists.
+func (s *Speaker) find(p netip.Prefix) (int, bool) {
+	return slices.BinarySearchFunc(s.rib, p, func(st *prefixState, p netip.Prefix) int {
+		return comparePrefix(st.prefix, p)
+	})
+}
+
+// lookup is the read accessor: the state for p, possibly a snapshot's
+// frozen one, or nil.
+func (s *Speaker) lookup(p netip.Prefix) *prefixState {
+	if i, ok := s.find(p); ok {
+		return s.rib[i]
+	}
+	return nil
+}
+
+// state is the write accessor: the state for p, created empty if absent and
+// cloned first if it still belongs to a snapshot.
+func (s *Speaker) state(p netip.Prefix) *prefixState {
+	i, ok := s.find(p)
+	if ok {
+		return s.own(i)
+	}
+	n := len(s.node.Adj)
+	routes := make([]*Route, 2*n) // adj-RIBs-in and -out share one backing array
+	st := &prefixState{
+		prefix:      p,
+		owner:       s,
+		in:          routes[:n:n],
+		out:         routes[n:],
+		nextAllowed: make([]netsim.Seconds, n),
+	}
+	s.rib = slices.Insert(s.rib, i, st)
+	s.net.m.prefixStates.Inc()
 	return st
+}
+
+// own returns rib[i] writable. A restored speaker's rib points at the
+// snapshot's frozen states, shared with every sibling restore; the first
+// write in this world replaces the pointer with a private copy. Routes and
+// policies stay shared (immutable after publish); pending is left nil, as in
+// every frozen state.
+func (s *Speaker) own(i int) *prefixState {
+	st := s.rib[i]
+	if st.owner == s {
+		return st
+	}
+	n := len(st.in)
+	routes := make([]*Route, 2*n)
+	c := *st
+	c.owner = s
+	c.in, c.out = routes[:n:n], routes[n:]
+	copy(c.in, st.in)
+	copy(c.out, st.out)
+	c.nextAllowed = slices.Clone(st.nextAllowed)
+	c.damp = slices.Clone(st.damp)
+	s.rib[i] = &c
+	return &c
 }
 
 // Best returns the current best route for p, or nil.
 func (s *Speaker) Best(p netip.Prefix) *Route {
-	if st, ok := s.prefixes[p]; ok {
+	if st := s.lookup(p); st != nil {
 		return st.best
 	}
 	return nil
@@ -133,33 +192,20 @@ func (s *Speaker) Best(p netip.Prefix) *Route {
 // AdjIn returns the adj-RIB-in routes for p (nil slots for sessions with no
 // route). The returned slice must not be modified.
 func (s *Speaker) AdjIn(p netip.Prefix) []*Route {
-	if st, ok := s.prefixes[p]; ok {
+	if st := s.lookup(p); st != nil {
 		return st.in
 	}
 	return nil
 }
 
-// KnownPrefixes returns every prefix with any state at this speaker, in
-// sorted order. The sorted list is cached and invalidated when a new prefix
-// appears, so repeated calls (session flushes walk the whole table) don't
-// re-sort. The returned slice is shared: callers must not modify it or hold
-// it across prefix insertions.
+// KnownPrefixes returns every prefix with any state at this speaker, in the
+// rib's sorted order. The slice is the caller's own.
 func (s *Speaker) KnownPrefixes() []netip.Prefix {
-	if !s.sortedDirty {
-		return s.sorted
+	out := make([]netip.Prefix, len(s.rib))
+	for i, st := range s.rib {
+		out[i] = st.prefix
 	}
-	s.sorted = s.sorted[:0]
-	for p := range s.prefixes {
-		s.sorted = append(s.sorted, p)
-	}
-	slices.SortFunc(s.sorted, func(a, b netip.Prefix) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
-		}
-		return a.Bits() - b.Bits()
-	})
-	s.sortedDirty = false
-	return s.sorted
+	return out
 }
 
 func (s *Speaker) originate(p netip.Prefix, pol *OriginPolicy) {
@@ -182,10 +228,11 @@ func (s *Speaker) originate(p netip.Prefix, pol *OriginPolicy) {
 }
 
 func (s *Speaker) withdrawOrigin(p netip.Prefix) {
-	st, ok := s.prefixes[p]
-	if !ok || st.origin == nil {
+	i, ok := s.find(p)
+	if !ok || s.rib[i].origin == nil {
 		return
 	}
+	st := s.own(i)
 	st.origin = nil
 	st.originRoute = nil
 	s.recompute(p, st)
@@ -295,6 +342,7 @@ func (s *Speaker) neighborAS(r *Route) topology.ASN {
 // recompute reselects the best route for p and fires FIB/feed callbacks on
 // change.
 func (s *Speaker) recompute(p netip.Prefix, st *prefixState) {
+	s.mustOwn(st)
 	var best *Route
 	if st.origin != nil {
 		// Locally originated routes always win (empty AS path, maximal
@@ -321,6 +369,15 @@ func (s *Speaker) recompute(p netip.Prefix, st *prefixState) {
 		fn(s.node.ID, p, best)
 	}
 	s.notifyFeeds(p, best)
+}
+
+// mustOwn panics when st is not this speaker's to write: a frozen snapshot
+// state (or another speaker's) reached a writer without passing through own,
+// which would corrupt every world sharing it.
+func (s *Speaker) mustOwn(st *prefixState) {
+	if st.owner != s {
+		panic("bgp: write to a prefix state " + st.prefix.String() + " that speaker " + s.node.Name + " does not own")
+	}
 }
 
 // routesEquivalent compares loc-RIB entries including the next hop.
@@ -442,8 +499,8 @@ func (s *Speaker) desiredExport(st *prefixState, sess int) (it exportIntent, ok 
 
 // samePath compares AS paths with a pointer-equality fast path: interned
 // paths with equal content are the same slice, so the content comparison
-// only runs for slices that predate the intern table (e.g. out of an old
-// snapshot).
+// only runs for slices from another intern table — a restored network's
+// first exports against the snapshot's adj-RIB-out.
 func samePath(a, b []topology.ASN) bool {
 	if len(a) != len(b) {
 		return false
@@ -475,6 +532,7 @@ func intentMatches(it exportIntent, out *Route) bool {
 // export transmits the desired state toward session sess, honoring MRAI for
 // advertisements. Withdrawals are sent immediately.
 func (s *Speaker) export(p netip.Prefix, st *prefixState, sess int) {
+	s.mustOwn(st)
 	if s.downSess[sess] {
 		// Nothing can be sent on a down session; the full re-advertisement
 		// at session establishment brings the neighbor up to date.
@@ -508,6 +566,9 @@ func (s *Speaker) export(p netip.Prefix, st *prefixState, sess int) {
 			s.send(sess, Update{Type: Announce, Prefix: p, Route: r})
 		}
 		return
+	}
+	if st.pending == nil {
+		st.pending = make([]bool, len(st.in))
 	}
 	if !st.pending[sess] {
 		st.pending[sess] = true
@@ -572,10 +633,11 @@ func (s *Speaker) send(sess int, u Update) {
 // flushSession clears all per-session RIB state for sess — adj-RIB-in,
 // adj-RIB-out, and MRAI pacing — as a session teardown does, then
 // re-selects and re-exports every prefix whose best route was lost.
-// Iteration is over sorted prefixes so fault injection stays deterministic.
+// Iteration is in rib (sorted prefix) order so fault injection stays
+// deterministic.
 func (s *Speaker) flushSession(sess int) {
-	for _, p := range s.KnownPrefixes() {
-		st := s.prefixes[p]
+	for i := range s.rib {
+		st := s.own(i)
 		st.out[sess] = nil
 		st.nextAllowed[sess] = 0
 		if st.in[sess] == nil {
@@ -583,8 +645,8 @@ func (s *Speaker) flushSession(sess int) {
 		}
 		st.in[sess] = nil
 		s.net.m.adjIn.Add(-1)
-		s.recompute(p, st)
-		s.exportAll(p, st)
+		s.recompute(st.prefix, st)
+		s.exportAll(st.prefix, st)
 	}
 }
 
@@ -593,7 +655,8 @@ func (s *Speaker) flushSession(sess int) {
 // entire Adj-RIB-Out). adj-RIB-out for the session is empty after the
 // flush, so export sends everything the policy allows.
 func (s *Speaker) readvertiseSession(sess int) {
-	for _, p := range s.KnownPrefixes() {
-		s.export(p, s.prefixes[p], sess)
+	for i := range s.rib {
+		st := s.own(i)
+		s.export(st.prefix, st, sess)
 	}
 }

@@ -25,14 +25,14 @@ const digestChunk = 32 << 10
 func (n *Network) WriteRouteState(w io.Writer) error {
 	buf := make([]byte, 0, digestChunk+digestChunk/4)
 	for _, sp := range n.speakers {
-		for _, p := range sp.KnownPrefixes() {
+		for _, st := range sp.rib {
 			mark := len(buf)
 			buf = append(buf, sp.node.Name...)
 			buf = append(buf, ' ')
-			buf = p.AppendTo(buf)
+			buf = st.prefix.AppendTo(buf)
 			buf = append(buf, '\n')
 			body := len(buf)
-			buf = appendPrefixState(buf, sp.prefixes[p])
+			buf = appendPrefixState(buf, st)
 			if len(buf) == body {
 				buf = buf[:mark] // empty husk left by a full withdraw cycle
 				continue

@@ -16,8 +16,17 @@ func RefRouteStateDigest(n *Network) string {
 	var b strings.Builder
 	for _, sp := range n.speakers {
 		var lines []string
-		for _, p := range sp.KnownPrefixes() {
-			st := sp.prefixes[p]
+		// The reference sorts for itself, as the map-backed table it was
+		// written against had to: the rib's own order must agree with it.
+		known := sp.KnownPrefixes()
+		sort.Slice(known, func(i, j int) bool {
+			if c := known[i].Addr().Compare(known[j].Addr()); c != 0 {
+				return c < 0
+			}
+			return known[i].Bits() < known[j].Bits()
+		})
+		for _, p := range known {
+			st := sp.lookup(p)
 			var sb strings.Builder
 			if st.origin != nil {
 				fmt.Fprintf(&sb, "  origin %s\n", refOriginWire(st.origin))

@@ -57,13 +57,9 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 		}},
 	}
 
-	whole := &Speaker{node: &topology.Node{Name: "all-cases"}, prefixes: map[netip.Prefix]*prefixState{}, sortedDirty: true}
+	whole := &Speaker{node: &topology.Node{Name: "all-cases"}}
 	for i, c := range cases {
-		sp := &Speaker{
-			node:        &topology.Node{Name: "edge"},
-			prefixes:    map[netip.Prefix]*prefixState{c.st.prefix: c.st},
-			sortedDirty: true,
-		}
+		sp := &Speaker{node: &topology.Node{Name: "edge"}, rib: []*prefixState{c.st}}
 		n := &Network{speakers: []*Speaker{sp}}
 		want := RefRouteStateDigest(n)
 		if got := n.RouteStateDigest(); got != want {
@@ -74,8 +70,9 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 		}
 		// The same states side by side, husk in the middle, so a rollback
 		// that truncates too much or too little shows.
-		addr := netip.AddrFrom4([4]byte{10, byte(len(cases) - i), 0, 0})
-		whole.prefixes[netip.PrefixFrom(addr, 16)] = c.st
+		st := *c.st
+		st.prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
+		whole.rib = append(whole.rib, &st)
 	}
 	n := &Network{speakers: []*Speaker{whole, whole}}
 	if got, want := n.RouteStateDigest(), RefRouteStateDigest(n); got != want {

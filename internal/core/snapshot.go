@@ -89,12 +89,5 @@ func (c *CDN) Restore(snap *Snapshot) error {
 		}
 	}
 	c.auth.RestoreZone(snap.zone)
-	// Re-sync the data plane's notion of which sites forward: CrashSite sets
-	// the node down, and that state lives in the plane, not the controller.
-	for code := range c.failed {
-		if s := c.byCode[code]; s != nil {
-			c.plane.SetDown(s.Node, true)
-		}
-	}
 	return nil
 }

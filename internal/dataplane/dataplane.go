@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -87,15 +88,25 @@ type ForwardResult struct {
 
 // Plane is the data plane bound to a BGP network. Create it before any
 // routes are originated so no FIB updates are missed.
+//
+// FIBs are shared copy-on-write between a plane, the snapshots taken of it
+// and every plane restored from them. fibs[i] is node i's trie, nil while
+// the node has never had a route; frozen[i] is the trie some snapshot holds
+// for the node. While the two are the same pointer the trie is read-only
+// here, and onBestChange clones it (one slab copy) before the first write —
+// on the plane the snapshot was taken of exactly as on a restored one. A
+// Figure 2 run rewrites the FIBs its one fault reaches and forwards through
+// the snapshot's for all the rest.
 type Plane struct {
-	net  *bgp.Network
-	topo *topology.Topology
-	sim  *netsim.Sim
-	fibs []*iptrie.Trie[fibEntry]
-	down []bool
+	net    *bgp.Network       //cdnlint:nosnapshot wiring: the network this plane subscribed to at construction
+	topo   *topology.Topology //cdnlint:nosnapshot immutable wiring; restore targets a plane built over the same topology
+	sim    *netsim.Sim        //cdnlint:nosnapshot wiring: the kernel snapshots itself
+	fibs   []*iptrie.Trie[fibEntry]
+	frozen []*iptrie.Trie[fibEntry]
+	down   []bool
 
 	// static shortest-path delay cache per source node (seconds).
-	staticDelay map[topology.NodeID][]float64
+	staticDelay map[topology.NodeID][]float64 //cdnlint:nosnapshot cache: a pure function of the immutable topology, refilled on demand
 
 	// Metrics are nil until Instrument attaches a registry (nil-safe).
 	m struct {
@@ -107,7 +118,8 @@ type Plane struct {
 	}
 }
 
-// New builds the data plane and subscribes to FIB updates.
+// New builds the data plane and subscribes to FIB updates. No trie exists
+// until a node's first route arrives.
 func New(net *bgp.Network) *Plane {
 	topo := net.Topology()
 	p := &Plane{
@@ -115,14 +127,41 @@ func New(net *bgp.Network) *Plane {
 		topo:        topo,
 		sim:         net.Sim(),
 		fibs:        make([]*iptrie.Trie[fibEntry], topo.Len()),
+		frozen:      make([]*iptrie.Trie[fibEntry], topo.Len()),
 		down:        make([]bool, topo.Len()),
 		staticDelay: make(map[topology.NodeID][]float64),
 	}
-	for i := range p.fibs {
-		p.fibs[i] = iptrie.New[fibEntry]()
-	}
 	net.OnBestChange(p.onBestChange)
 	return p
+}
+
+// Snapshot is an immutable capture of a plane's forwarding state: every
+// node's FIB and failure flag. The tries are shared, not copied; see Plane.
+type Snapshot struct {
+	fibs []*iptrie.Trie[fibEntry]
+	down []bool
+}
+
+// Snapshot captures the plane's FIBs and failure flags. It copies no trie:
+// the current ones become frozen, so this plane too clones before it next
+// writes one. The snapshot may be restored into any number of planes,
+// concurrently.
+func (p *Plane) Snapshot() *Snapshot {
+	copy(p.frozen, p.fibs)
+	return &Snapshot{fibs: slices.Clone(p.fibs), down: slices.Clone(p.down)}
+}
+
+// Restore installs a snapshot into a plane built over the same topology:
+// two pointer-array copies and the flags. The restored plane forwards
+// through the snapshot's tries until its own routes change.
+func (p *Plane) Restore(snap *Snapshot) error {
+	if len(snap.fibs) != len(p.fibs) {
+		return fmt.Errorf("dataplane: snapshot has %d nodes, plane has %d", len(snap.fibs), len(p.fibs))
+	}
+	copy(p.fibs, snap.fibs)
+	copy(p.frozen, snap.fibs)
+	copy(p.down, snap.down)
+	return nil
 }
 
 // Instrument attaches forwarding metrics to r: FIB rebuild operations
@@ -140,6 +179,14 @@ func (p *Plane) Instrument(r *obs.Registry) {
 func (p *Plane) onBestChange(node topology.NodeID, prefix netip.Prefix, route *bgp.Route) {
 	p.m.updates.Inc()
 	fib := p.fibs[node]
+	switch {
+	case fib == nil:
+		fib = iptrie.New[fibEntry]()
+		p.fibs[node] = fib
+	case fib == p.frozen[node]:
+		fib = fib.Clone()
+		p.fibs[node] = fib
+	}
 	if route == nil {
 		fib.Delete(prefix)
 		return
@@ -191,7 +238,11 @@ func (p *Plane) forward(src topology.NodeID, dst netip.Addr, path []topology.Nod
 			return res
 		}
 		p.m.lookups.Inc()
-		_, entry, ok := p.fibs[cur].Lookup(dst)
+		var entry fibEntry
+		ok := false
+		if fib := p.fibs[cur]; fib != nil {
+			_, entry, ok = fib.Lookup(dst)
+		}
 		if !ok {
 			res.Reason = DropNoRoute
 			p.m.dropped.Inc()
@@ -344,10 +395,12 @@ type FIBRecord struct {
 // first, ascending (address, length).
 func (p *Plane) DumpFIB(node topology.NodeID) []FIBRecord {
 	var out []FIBRecord
-	p.fibs[node].Walk(func(pfx netip.Prefix, e fibEntry) bool {
-		out = append(out, FIBRecord{Prefix: pfx, Local: e.local, Next: e.next})
-		return true
-	})
+	if fib := p.fibs[node]; fib != nil {
+		fib.Walk(func(pfx netip.Prefix, e fibEntry) bool {
+			out = append(out, FIBRecord{Prefix: pfx, Local: e.local, Next: e.next})
+			return true
+		})
+	}
 	return out
 }
 
@@ -361,6 +414,9 @@ const fibChunk = 32 << 10
 func (p *Plane) WriteFIB(w io.Writer) error {
 	buf := make([]byte, 0, fibChunk+fibChunk/4)
 	for id, fib := range p.fibs {
+		if fib == nil {
+			continue
+		}
 		mark := len(buf)
 		buf = append(buf, "node "...)
 		buf = strconv.AppendInt(buf, int64(id), 10)

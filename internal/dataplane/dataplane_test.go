@@ -386,3 +386,70 @@ func TestTraceroutePerHopRTT(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaneSnapshotSharesUntilWritten pins the copy-on-write contract of
+// Plane.Snapshot/Restore: a restored plane forwards through the very tries
+// the snapshot froze, the flags travel with them, and a FIB write on either
+// side — the plane the snapshot was taken of included — lands in a clone
+// and leaves the snapshot's trie as it was.
+func TestPlaneSnapshotSharesUntilWritten(t *testing.T) {
+	topo, ids := twoSite(t)
+	sim := netsim.New(1)
+	net := bgp.New(sim, topo, cfg())
+	live := New(net)
+	net.Originate(ids["s1"], prefixA, nil)
+	sim.Run()
+	live.SetDown(ids["s2"], true)
+	snap := live.Snapshot()
+	want := live.FIBDigest()
+
+	restore := func() *Plane {
+		p := New(bgp.New(netsim.New(1), topo, cfg()))
+		if err := p.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a := restore()
+	if got := a.FIBDigest(); got != want {
+		t.Fatalf("restored FIBs:\n%s\nwant:\n%s", got, want)
+	}
+	if !a.IsDown(ids["s2"]) || a.IsDown(ids["s1"]) {
+		t.Fatal("restored plane lost the forwarding flags")
+	}
+	c := ids["c"]
+	if a.fibs[c] != live.fibs[c] || a.fibs[c] == nil {
+		t.Fatal("restored plane does not share the snapshot's trie")
+	}
+	if a.fibs[ids["s2"]] != nil {
+		t.Fatal("a node that never had a route restored with a trie")
+	}
+
+	// The source plane moves on: its writes must not reach the snapshot.
+	net.Withdraw(ids["s1"], prefixA)
+	sim.Run()
+	if live.FIBDigest() == want {
+		t.Fatal("withdrawal left the live FIBs unmoved")
+	}
+	if live.fibs[c] == a.fibs[c] {
+		t.Fatal("live plane wrote without cloning the frozen trie")
+	}
+	// So does a restored plane.
+	a.onBestChange(c, superP, &bgp.Route{})
+	if got := a.DumpFIB(c); len(got) != 2 || got[0].Prefix != superP {
+		t.Fatalf("restored plane did not install its own route: %v", got)
+	}
+	if got := restore().FIBDigest(); got != want {
+		t.Fatalf("snapshot changed after both sides wrote:\n%s\nwant:\n%s", got, want)
+	}
+
+	b := topology.NewBuilder()
+	b.Link(b.AddNode(1, "a", topology.ClassTier1, topology.Point{}), b.AddNode(2, "b", topology.ClassStub, topology.Point{X: 1}), topology.RelCustomer, 0.001)
+	small, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(bgp.New(netsim.New(1), small, cfg())).Restore(snap); err == nil {
+		t.Fatal("restore into a plane of another size accepted")
+	}
+}

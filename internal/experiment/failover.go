@@ -221,8 +221,13 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 
 	// Per-target sent sequences, in emission order. Each target belongs to
 	// exactly one prober, so merging the per-prober logs never interleaves
-	// sequence spaces within a target.
+	// sequence spaces within a target. Every target is sent pings probes,
+	// so its slice is carved out of one array instead of grown by doubling.
 	sentByTarget := make(map[topology.NodeID][]uint64, len(controllable))
+	seqs := make([]uint64, pings*len(controllable))
+	for i, id := range controllable {
+		sentByTarget[id] = seqs[i*pings : i*pings : (i+1)*pings]
+	}
 	byTarget := make(map[topology.NodeID][]dataplane.CaptureEntry, len(controllable))
 	for _, p := range probers {
 		for _, s := range p.Sent {

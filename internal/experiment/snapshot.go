@@ -6,21 +6,24 @@ import (
 	"bestofboth/internal/bgp"
 	"bestofboth/internal/collector"
 	"bestofboth/internal/core"
+	"bestofboth/internal/dataplane"
 	"bestofboth/internal/netsim"
 )
 
 // WorldSnapshot captures a fully converged world — kernel clock and RNG
-// position, every speaker's RIBs and pacing state, the controller, DNS
-// zone and demand rates, and the collector archive — so that the expensive
-// deploy-and-converge phase can be paid once per ⟨configuration, technique⟩
-// and reused by every per-site run. A snapshot is immutable and safe to
-// restore from any number of goroutines concurrently.
+// position, every speaker's RIBs and pacing state, every node's FIB and
+// forwarding flag, the controller, DNS zone and demand rates, and the
+// collector archive — so that the expensive deploy-and-converge phase can be
+// paid once per ⟨configuration, technique⟩ and reused by every per-site run.
+// A snapshot is immutable and safe to restore from any number of goroutines
+// concurrently, also while worlds restored earlier are running.
 type WorldSnapshot struct {
-	cfg WorldConfig
-	sim netsim.Snapshot
-	net *bgp.NetworkSnapshot
-	cdn *core.Snapshot
-	col []collector.Record
+	cfg   WorldConfig
+	sim   netsim.Snapshot
+	net   *bgp.NetworkSnapshot
+	plane *dataplane.Snapshot
+	cdn   *core.Snapshot
+	col   []collector.Record
 }
 
 // Snapshot captures the world's state. It fails if simulation events are
@@ -42,24 +45,26 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 	cfg := w.Cfg
 	cfg.Obs = nil
 	return &WorldSnapshot{
-		cfg: cfg,
-		sim: simSnap,
-		net: netSnap,
-		cdn: w.CDN.Snapshot(),
-		col: w.Collector.SnapshotArchive(),
+		cfg:   cfg,
+		sim:   simSnap,
+		net:   netSnap,
+		plane: w.Plane.Snapshot(),
+		cdn:   w.CDN.Snapshot(),
+		col:   w.Collector.SnapshotArchive(),
 	}, nil
 }
 
 // RestoreWorld materializes an independent world from a snapshot: it builds
 // a fresh world from the snapshot's configuration (re-wiring all component
-// callbacks) and then overwrites the mutable state — clock, RNG position,
-// RIBs (replayed into the data plane), controller, zone, and archive — from
-// the snapshot's. Protocol state restores copy-on-write: the immutable
-// routes and origin policies are shared with the snapshot (and with sibling
-// restores) by pointer, and a restored world allocates new ones only where
-// it diverges after a fault. Everything mutable is copied, so the result is
+// callbacks) and then installs the snapshot's state — clock, RNG position,
+// RIBs, FIBs and forwarding flags, controller, zone, and archive. The two
+// bulky layers restore by reference: every speaker's rib points at the
+// snapshot's frozen per-prefix states and every node forwards through the
+// snapshot's FIB trie, shared with sibling restores, and a world copies a
+// state or a trie only when its own fault first writes it (bgp.Speaker.own,
+// dataplane.Plane). The small mutable rest is copied. The result is
 // bit-identical to the world the snapshot was taken from and observationally
-// isolated from it and from sibling restores.
+// isolated from it and from sibling restores (TestSnapshotStaysPristine).
 func RestoreWorld(snap *WorldSnapshot) (*World, error) {
 	w, err := NewWorld(snap.cfg)
 	if err != nil {
@@ -70,6 +75,9 @@ func RestoreWorld(snap *WorldSnapshot) (*World, error) {
 	}
 	if err := w.Net.Restore(snap.net); err != nil {
 		return nil, fmt.Errorf("experiment: restoring bgp: %w", err)
+	}
+	if err := w.Plane.Restore(snap.plane); err != nil {
+		return nil, fmt.Errorf("experiment: restoring data plane: %w", err)
 	}
 	if err := w.CDN.Restore(snap.cdn); err != nil {
 		return nil, fmt.Errorf("experiment: restoring cdn: %w", err)

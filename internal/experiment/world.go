@@ -101,7 +101,7 @@ type World struct {
 	Sim       *netsim.Sim
 	Topo      *topology.Topology //cdnlint:nosnapshot immutable after Build; identical worlds regenerate it from Cfg
 	Net       *bgp.Network
-	Plane     *dataplane.Plane //cdnlint:nosnapshot FIBs are rebuilt by the BGP restore's OnBestChange replay
+	Plane     *dataplane.Plane
 	CDN       *core.CDN
 	Collector *collector.Collector
 }

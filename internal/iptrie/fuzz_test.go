@@ -11,11 +11,14 @@ import (
 // bytes, or 16 when the op byte has fuzzV6 set (a truncated tail is
 // zero-padded). fuzzMapped turns a 4-byte address into its 4-in-6 form
 // ::ffff:a.b.c.d and shifts the length past the 96-bit mapping prefix, so
-// the IPv6 sub-trie sees the addresses the IPv4 one does.
+// the IPv6 sub-trie sees the addresses the IPv4 one does. fuzzClone makes
+// the step clone the trie first: the step and everything after it run on the
+// clone, and the trie left behind must never change again.
 type fuzzStep struct {
-	op   byte // fuzzInsert, fuzzDelete or fuzzProbe
-	pfx  netip.Prefix
-	addr netip.Addr // the unmasked address, for lookups
+	op    byte // fuzzInsert, fuzzDelete or fuzzProbe
+	clone bool
+	pfx   netip.Prefix
+	addr  netip.Addr // the unmasked address, for lookups
 }
 
 const (
@@ -25,6 +28,7 @@ const (
 	fuzzOpMask = 0x03 // 3 is a second insert, so scripts lean towards populated tries
 	fuzzV6     = 0x04
 	fuzzMapped = 0x08
+	fuzzClone  = 0x10
 )
 
 func decodeFuzzScript(data []byte) []fuzzStep {
@@ -48,10 +52,11 @@ func decodeFuzzScript(data []byte) []fuzzStep {
 		default:
 			addr, length = netip.AddrFrom4([4]byte(raw[:4])), length%33
 		}
+		clone := op&fuzzClone != 0
 		if op &= fuzzOpMask; op > fuzzProbe {
 			op = fuzzInsert
 		}
-		steps = append(steps, fuzzStep{op: op, pfx: netip.PrefixFrom(addr, length), addr: addr})
+		steps = append(steps, fuzzStep{op: op, clone: clone, pfx: netip.PrefixFrom(addr, length), addr: addr})
 	}
 	return steps
 }
@@ -63,15 +68,35 @@ type walked struct {
 	V int
 }
 
-// FuzzTrie runs a mixed IPv4/IPv6 insert/delete/replace/lookup/get script
-// against the path-compressed trie and the bit-per-node reference. After
-// every step Lookup, Get and Len must agree; at the end the two Walk
-// sequences must be equal element for element, order included. The seed
-// corpus under testdata/fuzz/FuzzTrie runs as unit cases on every go test.
+// walkOf collects a whole Walk, of either implementation.
+func walkOf(walk func(func(netip.Prefix, int) bool)) []walked {
+	var out []walked
+	walk(func(p netip.Prefix, v int) bool { out = append(out, walked{p, v}); return true })
+	return out
+}
+
+// FuzzTrie runs a mixed IPv4/IPv6 insert/delete/replace/lookup/get/clone
+// script against the path-compressed trie and the bit-per-node reference.
+// After every step Lookup, Get and Len must agree; at the end the two Walk
+// sequences must be equal element for element, order included, and every
+// trie a clone step left behind must still walk as the reference did at the
+// moment it was cloned — the property world restores rest on, since the
+// tries a snapshot shares are exactly such originals. The seed corpus under
+// testdata/fuzz/FuzzTrie runs as unit cases on every go test.
 func FuzzTrie(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, want := New[int](), newRef[int]()
+		type original struct {
+			step int
+			trie *Trie[int]
+			walk []walked // the reference's, when the clone was taken
+		}
+		var originals []original
 		for i, s := range decodeFuzzScript(data) {
+			if s.clone {
+				originals = append(originals, original{i, got, walkOf(want.Walk)})
+				got = got.Clone()
+			}
 			switch s.op {
 			case fuzzInsert:
 				// Unmasked on purpose: both sides must canonicalize alike.
@@ -97,11 +122,13 @@ func FuzzTrie(f *testing.F) {
 				t.Fatalf("step %d: Len = %d, reference %d", i, got.Len(), want.Len())
 			}
 		}
-		var gw, ww []walked
-		got.Walk(func(p netip.Prefix, v int) bool { gw = append(gw, walked{p, v}); return true })
-		want.Walk(func(p netip.Prefix, v int) bool { ww = append(ww, walked{p, v}); return true })
-		if !slices.Equal(gw, ww) {
+		if gw, ww := walkOf(got.Walk), walkOf(want.Walk); !slices.Equal(gw, ww) {
 			t.Fatalf("Walk differs:\n got %v\nwant %v", gw, ww)
+		}
+		for _, o := range originals {
+			if gw := walkOf(o.trie.Walk); !slices.Equal(gw, o.walk) {
+				t.Fatalf("trie cloned at step %d changed afterwards:\n got %v\nwant %v", o.step, gw, o.walk)
+			}
 		}
 	})
 }

@@ -87,7 +87,9 @@ func TestCalendarOrderingMatchesReference(t *testing.T) {
 // slot being drained — and now and then a timer past the 64 s horizon. One
 // slot therefore holds a whole round, heap-ordered while it is being popped
 // and pushed into; 150 rounds cross the horizon three times, so far-heap
-// migration refills such slots too.
+// migration refills such slots too. Such a slot outgrows its four-key carve:
+// it must trade arrays through the spare stack and be back on the carve once
+// drained.
 func TestCalendarSameInstantStorm(t *testing.T) {
 	const (
 		k        = 60
@@ -96,6 +98,17 @@ func TestCalendarSameInstantStorm(t *testing.T) {
 	)
 	s := New(7)
 	var want, got []rec
+	// outgrownMax is the most slots off their carve at one moment, sampled
+	// after every event's own pushes.
+	outgrown := func() (n int) {
+		for _, h := range s.queue.near {
+			if cap(h) > calSlotCap {
+				n++
+			}
+		}
+		return n
+	}
+	outgrownMax := 0
 	schedule := func(at Seconds, then func()) {
 		r := rec{at, len(want)}
 		want = append(want, r)
@@ -104,6 +117,7 @@ func TestCalendarSameInstantStorm(t *testing.T) {
 			if then != nil {
 				then()
 			}
+			outgrownMax = max(outgrownMax, outgrown()) // pushes are what outgrow a slot
 		})
 	}
 	var tick func(i, round int) func()
@@ -136,6 +150,26 @@ func TestCalendarSameInstantStorm(t *testing.T) {
 	for i, cb := range q.slab {
 		if cb.fn != nil || cb.afn != nil || cb.arg != nil {
 			t.Fatalf("slab[%d] still holds its callback after the drain", i)
+		}
+	}
+
+	// Every slot is back on its own window of the carve array, and the
+	// arrays the outgrown ones used are on the spare stack — no more of them
+	// than slots were outgrown at once, however many rounds ran.
+	for i, h := range q.near {
+		if len(h) != 0 || cap(h) != calSlotCap || &h[:1][0] != &q.carve[i*calSlotCap] {
+			t.Fatalf("slot %d is not back on its carve after the drain (len %d cap %d)", i, len(h), cap(h))
+		}
+	}
+	if outgrownMax < 2 {
+		t.Fatalf("at most %d slots outgrew their carve at once; the storm should overflow a tick slot and a reply slot", outgrownMax)
+	}
+	if len(q.spare) == 0 || len(q.spare) > outgrownMax {
+		t.Fatalf("spare stack holds %d arrays after the drain, want 1..%d (slots outgrown at once)", len(q.spare), outgrownMax)
+	}
+	for i, sp := range q.spare {
+		if len(sp) != 0 || cap(sp) <= calSlotCap {
+			t.Fatalf("spare[%d] has len %d cap %d; want an empty array larger than a carve", i, len(sp), cap(sp))
 		}
 	}
 }

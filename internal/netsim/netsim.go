@@ -59,6 +59,7 @@ const (
 	calHorizon  = Seconds(calSlots) * calWidth // 64 s
 	calSlotCap  = 4                            // pre-carved capacity per slot
 	farHeapCap  = 64                           // pre-allocated overflow heap and callback slab
+	spareCap    = 8                            // pre-allocated depth of the spare-array stack
 )
 
 // eventQueue is a two-level calendar queue ordered by (at, seq).
@@ -86,8 +87,19 @@ const (
 // (a Figure 2 matrix ran ≈ 9 % slower and allocated 10 % more), because
 // every sift move and every slot growth then pays the garbage collector's
 // write barrier, while keys move as plain memory the collector never scans.
+//
+// A slot starts on its own four-key window of one shared carve array. One
+// that outgrows the window (a probe round puts a whole population into one
+// slot, every 1.5 s into a different one) moves to a heap-allocated array;
+// when it drains empty it goes back to its window and the array goes onto the
+// spare stack, where the next slot to fill up finds it instead of regrowing
+// from four keys by doubling. Only outgrown slots trade arrays: recycling
+// every drained slot's array was measured and lost, because the big arrays
+// scatter over one-event slots and the tick slot regrows anyway.
 type eventQueue struct {
 	near  []keyHeap  //cdnlint:nosnapshot snapshots require an empty queue; pending events hold closures over model state
+	carve []eventKey //cdnlint:nosnapshot the slots' shared initial storage; holds no keys while the queue is empty
+	spare []keyHeap  //cdnlint:nosnapshot empty arrays awaiting reuse; capacity only, never read
 	cur   int        //cdnlint:nosnapshot calendar position; meaningless while the queue is empty
 	base  Seconds    //cdnlint:nosnapshot any value is valid: late pushes spill to far and settle rebases
 	limit Seconds    //cdnlint:nosnapshot any value is valid: late pushes spill to far and settle rebases
@@ -101,19 +113,25 @@ func newEventQueue() eventQueue {
 	// One backing array, re-sliced per slot: slots keep their carved
 	// capacity across rebases, so the steady-state event path never
 	// allocates (pinned by TestEventPathZeroAllocs).
-	backing := make([]eventKey, calSlots*calSlotCap)
-	near := make([]keyHeap, calSlots)
-	for i := range near {
-		near[i] = backing[i*calSlotCap : i*calSlotCap : (i+1)*calSlotCap]
-	}
-	return eventQueue{
-		near:  near,
+	q := eventQueue{
+		near:  make([]keyHeap, calSlots),
+		carve: make([]eventKey, calSlots*calSlotCap),
+		spare: make([]keyHeap, 0, spareCap),
 		base:  0,
 		limit: calHorizon,
 		slab:  make([]callback, 0, farHeapCap),
 		free:  make([]int32, 0, farHeapCap),
 		far:   make(keyHeap, 0, farHeapCap),
 	}
+	for i := range q.near {
+		q.near[i] = q.carved(i)
+	}
+	return q
+}
+
+// carved returns slot i's empty window of the carve array.
+func (q *eventQueue) carved(i int) keyHeap {
+	return q.carve[i*calSlotCap : i*calSlotCap : (i+1)*calSlotCap]
 }
 
 func (q *eventQueue) len() int { return q.nearN + len(q.far) }
@@ -148,7 +166,23 @@ func (q *eventQueue) place(k eventKey) {
 	if idx >= calSlots {
 		idx = calSlots - 1
 	}
-	q.near[idx].push(k)
+	h := &q.near[idx]
+	if len(*h) == cap(*h) {
+		// Full: move onto a spare array that has room, if there is one.
+		// Spares too small for this slot are dropped on the way, so the
+		// arrays in circulation never outnumber the slots outgrown at once;
+		// with no spare left, push's append grows the slot as usual.
+		for n := len(q.spare); n > 0; n = len(q.spare) {
+			s := q.spare[n-1]
+			q.spare[n-1] = nil
+			q.spare = q.spare[:n-1]
+			if cap(s) > len(*h) {
+				*h = append(s, *h...)
+				break
+			}
+		}
+	}
+	h.push(k)
 	q.nearN++
 }
 
@@ -186,8 +220,13 @@ func (q *eventQueue) peekAt() (Seconds, bool) {
 
 func (q *eventQueue) pop() event {
 	q.settle()
-	k := q.near[q.cur].pop()
+	h := &q.near[q.cur]
+	k := h.pop()
 	q.nearN--
+	if len(*h) == 0 && cap(*h) > calSlotCap {
+		q.spare = append(q.spare, *h)
+		*h = q.carved(q.cur)
+	}
 	e := event{at: k.at, seq: k.seq, callback: q.slab[k.ref]}
 	q.slab[k.ref] = callback{} // release the callback for GC
 	q.free = append(q.free, k.ref)
