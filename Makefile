@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke profile-fig2 fuzz-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke profile-fig2 outputs fuzz-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -68,12 +68,35 @@ bench-smoke:
 # named — never into the repository.
 PROFDIR ?=
 profile-fig2:
-	@set -e; dir="$(PROFDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); \
+	@set -e; dir="$(PROFDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure2$$' -cpu 2 -benchtime 20x \
 		-o "$$dir/fig2.test" -outputdir "$$dir" -cpuprofile cpu.prof -memprofile mem.prof .; \
 	$(GO) tool pprof -top -cum -nodecount 40 "$$dir/fig2.test" "$$dir/cpu.prof"; \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 "$$dir/fig2.test" "$$dir/mem.prof"; \
 	echo "profiles kept in $$dir"
+
+# The deterministic -json artifacts a refactor must leave byte-identical:
+# Figure 2 plain and under demand, validate, Figure 5, the combined
+# technique, and every bundled scenario under every technique. OUT is
+# required and must lie outside the repository; the *.manifest.json sidecars
+# (wall clock) are dropped. "Bit-identical to the parent" is this target run
+# in both checkouts and one diff -r; it is not part of ci for that reason.
+OUT ?=
+outputs:
+	@set -e; [ -n "$(OUT)" ] || { echo "make outputs: OUT=<dir> is required" >&2; exit 2; }; \
+	out="$(abspath $(OUT))"; \
+	case "$$out/" in "$(CURDIR)/"*) echo "make outputs: OUT must lie outside the repository" >&2; exit 2;; esac; \
+	mkdir -p "$$out"; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/cdnsim" ./cmd/cdnsim; \
+	"$$bin/cdnsim" -seed 7 -json "$$out/fig2.json" fig2 >/dev/null; \
+	"$$bin/cdnsim" -seed 7 -demand -tech load-shift,load-shed,anycast -json "$$out/fig2-demand.json" fig2 >/dev/null; \
+	for c in validate fig5 combined; do \
+		"$$bin/cdnsim" -seed 11 -json "$$out/$$c.json" $$c >/dev/null; \
+	done; \
+	for s in $$("$$bin/cdnsim" scenario -list | awk 'NR > 2 { print $$1 }'); do \
+		"$$bin/cdnsim" scenario -seed 7 -name $$s -tech all -json "$$out/scenario-$$s.json" >/dev/null; \
+	done; \
+	rm -f "$$out"/*.manifest.json; ls "$$out"
 
 # Control-plane gate: the snapshotfields analyzer over the packages that
 # carry ChangeSet / snapshot state, then the end-to-end smoke test — build

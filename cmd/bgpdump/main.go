@@ -100,7 +100,9 @@ func generateArchive(path string, seed int64, peers int, rib bool) error {
 
 // printRIB renders a TABLE_DUMP_V2 dump in `bgpdump -m` style:
 //
-//	TABLE_DUMP2|<time>|B|<peer ip>|<peer as>|<prefix>|<as path>|IGP
+//	TABLE_DUMP2|B|<peer ip>|<peer as>|<prefix>|<as path>|IGP
+//
+// (no time field: a RIB entry carries none).
 func printRIB(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,0 +1,96 @@
+package bestofboth_test
+
+// Smoke tests for the commands and examples no other test runs: tier-1
+// compiles cmd/topogen, cmd/bgpdump and the four examples but never executes
+// them. Each is built into a temporary directory and driven through its
+// documented flows.
+
+import (
+	"bytes"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// buildInto builds pkg into dir and returns the binary's path.
+func buildInto(t *testing.T, dir, pkg string) string {
+	t.Helper()
+	bin := filepath.Join(dir, filepath.Base(pkg))
+	if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+	}
+	return bin
+}
+
+// stdoutOf runs the command, requires exit 0, and returns its stdout.
+func stdoutOf(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%s %v: %v\n%s%s", filepath.Base(bin), args, err, stdout.String(), stderr.String())
+	}
+	return stdout.String()
+}
+
+func TestTopogenSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary; skipped in -short")
+	}
+	dir := t.TempDir()
+	topogen := buildInto(t, dir, "./cmd/topogen")
+	file := filepath.Join(dir, "topo.txt")
+
+	// The summary is everything before the trailing "wrote <file>" line.
+	written, _, _ := strings.Cut(stdoutOf(t, topogen, "-stubs", "60", "-eyeballs", "40", "-out", file), "\nwrote ")
+	read := stdoutOf(t, topogen, "-in", file)
+	if !strings.HasPrefix(written, "nodes: ") || strings.TrimSpace(written) != strings.TrimSpace(read) {
+		t.Fatalf("summary of the generated topology:\n%s\nsummary of the file read back:\n%s", written, read)
+	}
+	if out := stdoutOf(t, topogen, "-in", file, "-sites"); !strings.Contains(out, "CDN sites:") || !strings.Contains(out, "atl") {
+		t.Fatalf("-sites lists no site attachments:\n%s", out)
+	}
+}
+
+func TestBgpdumpSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary and converges a world; skipped in -short")
+	}
+	dir := t.TempDir()
+	bgpdump := buildInto(t, dir, "./cmd/bgpdump")
+	for _, tc := range []struct {
+		name   string
+		flags  []string
+		record string
+	}{
+		{"updates", nil, "BGP4MP_ET|"},
+		{"rib", []string{"-rib"}, "TABLE_DUMP2|"},
+	} {
+		file := filepath.Join(dir, tc.name+".mrt")
+		if out := stdoutOf(t, bgpdump, append([]string{"-generate", file}, tc.flags...)...); out != "" {
+			t.Errorf("%s: -generate alone printed records:\n%s", tc.name, out)
+		}
+		out := stdoutOf(t, bgpdump, append([]string{"-in", file}, tc.flags...)...)
+		if !strings.HasPrefix(out, tc.record) {
+			t.Errorf("%s: -in printed no %s record:\n%.300s", tc.name, tc.record, out)
+		}
+	}
+}
+
+func TestExamplesSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs four default-scale worlds; skipped in -short")
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"quickstart", "failuredrill", "loadbalancer", "trafficsteering"} {
+		out := stdoutOf(t, buildInto(t, dir, "./examples/"+name))
+		if strings.TrimSpace(out) == "" {
+			t.Errorf("%s printed nothing", name)
+		}
+		if name == "quickstart" && (!strings.Contains(out, "reconnection time") || !strings.Contains(out, "\nclient ends on site ")) {
+			t.Errorf("quickstart never reported a reconnection and a final site:\n%s", out)
+		}
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"os/exec"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -30,14 +29,8 @@ func TestCtlplaneSmoke(t *testing.T) {
 		t.Skip("builds binaries and a daemon world; skipped in -short")
 	}
 	dir := t.TempDir()
-	cdnsimd := filepath.Join(dir, "cdnsimd")
-	cdnsim := filepath.Join(dir, "cdnsim")
-	for bin, pkg := range map[string]string{cdnsimd: "./cmd/cdnsimd", cdnsim: "./cmd/cdnsim"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	cdnsimd := buildInto(t, dir, "./cmd/cdnsimd")
+	cdnsim := buildInto(t, dir, "./cmd/cdnsim")
 
 	// Start the daemon on an ephemeral port; its first stdout line carries
 	// the listen URL.

@@ -54,7 +54,7 @@ func main() {
 
 	var lastSite string
 	reconnected := false
-	for _, e := range prober.Capture.Entries() {
+	for _, e := range prober.Trace(client.ID).Replies {
 		site := w.Topo.Node(e.Site).Site
 		if !reconnected {
 			fmt.Printf("t=%5.1fs first reply after failure, served by %s (reconnection time)\n",

@@ -296,13 +296,26 @@ func TestChangeSetRejected(t *testing.T) {
 		{{Kind: "switch-technique", Technique: "nah"}}, // unknown technique
 		{{Kind: "recover", Site: "atl"}},               // site not failed
 		{{Kind: "demand-scale", Fraction: 2}},          // no demand model
+		// Counts that size an allocation: 2*count overflows makeslice, the
+		// next asks for gigabytes of actions, the last for a 10⁸-ASN path.
+		{{Kind: "flap", Site: "atl", Period: 1, Count: 1 << 62}},
+		{{Kind: "flap", Site: "atl", Period: 0.001, Count: 50_000_000}},
+		{{Kind: "announce-policy", Site: "atl", Count: 100_000_000}},
 	}
 	for i, muts := range cases {
-		cs, rec := postChangeSet(t, s, "/v1/changesets?execute=true", muts)
+		_, rec := postChangeSet(t, s, "/v1/changesets?execute=true", muts)
 		if rec.Code != http.StatusUnprocessableEntity {
 			t.Fatalf("case %d: code %d, want 422 (%s)", i, rec.Code, rec.Body.String())
 		}
-		_ = cs
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.APIVersion != api.Version || e.Error == "" {
+			t.Fatalf("case %d: not the uniform error document: %q (%v)", i, rec.Body.String(), err)
+		}
+		// The daemon keeps serving, on the world it had.
+		var got api.WorldState
+		if rec := do(t, s, "GET", "/v1/state", nil, &got); rec.Code != http.StatusOK || got.Digests != pre.Digests {
+			t.Fatalf("case %d: GET /v1/state after the rejection: code %d, digests %+v, want 200 and %+v", i, rec.Code, got.Digests, pre.Digests)
+		}
 	}
 	if got := StateOf(s.world); !statesEqual(got, pre) {
 		t.Fatal("rejected changesets mutated the live world")

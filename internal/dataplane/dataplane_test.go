@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"math"
 	"net/netip"
 	"testing"
 
@@ -177,11 +178,12 @@ func TestProberCapturesReplies(t *testing.T) {
 	pr.Ping(ids["c"])
 	sim.Run()
 
-	if pr.Capture.Len() != 1 {
-		t.Fatalf("capture has %d entries, want 1", pr.Capture.Len())
+	if pr.Answered() != 1 {
+		t.Fatalf("capture has %d entries, want 1", pr.Answered())
 	}
-	e := pr.Capture.Entries()[0]
-	if e.Site != ids["s1"] || e.Target != ids["c"] || e.Seq != 1 {
+	tr := pr.Trace(ids["c"])
+	e := tr.Replies[0]
+	if e.Site != ids["s1"] || tr.Target != ids["c"] || e.Seq != 1 {
 		t.Fatalf("entry = %+v", e)
 	}
 	if e.Time <= 0 {
@@ -198,8 +200,8 @@ func TestProberLostReplyNotCaptured(t *testing.T) {
 	pr := NewProber(plane, ids["s2"], addrA)
 	pr.Ping(ids["c"])
 	sim.Run()
-	if pr.Capture.Len() != 0 {
-		t.Fatalf("capture has %d entries, want 0", pr.Capture.Len())
+	if pr.Answered() != 0 {
+		t.Fatalf("capture has %d entries, want 0", pr.Answered())
 	}
 }
 
@@ -215,10 +217,10 @@ func TestPingEveryCadence(t *testing.T) {
 	pr.PingEvery(ids["c"], 1.5, 15)
 	sim.Run()
 	// 15/1.5 = 10 pings (t=0..13.5).
-	if got := pr.Capture.Len(); got != 10 {
+	if got := pr.Answered(); got != 10 {
 		t.Fatalf("captured %d replies, want 10", got)
 	}
-	es := pr.Capture.Entries()
+	es := pr.Trace(ids["c"]).Replies
 	for i := 1; i < len(es); i++ {
 		if es[i].Time <= es[i-1].Time {
 			t.Fatal("capture not time ordered")
@@ -231,8 +233,8 @@ func TestPingEveryCadence(t *testing.T) {
 	// A zero interval would re-arm every tick at the current instant and
 	// never reach the deadline: it panics before sending anything.
 	defer func() {
-		if recover() == nil || len(pr.Sent) != 10 {
-			t.Fatalf("PingEvery with a zero interval: want a panic and no ping, sent %d", len(pr.Sent)-10)
+		if recover() == nil || pr.Sent() != 10 {
+			t.Fatalf("PingEvery with a zero interval: want a panic and no ping, sent %d", pr.Sent()-10)
 		}
 	}()
 	pr.PingEvery(ids["c"], 0, 15)
@@ -258,18 +260,130 @@ func TestRTTMatchesPaths(t *testing.T) {
 	}
 }
 
-func TestCaptureByTarget(t *testing.T) {
-	c := &Capture{}
-	c.Add(CaptureEntry{Time: 2, Target: 1, Seq: 2})
-	c.Add(CaptureEntry{Time: 1, Target: 1, Seq: 1})
-	c.Add(CaptureEntry{Time: 3, Target: 2, Seq: 3})
-	by := c.ByTarget()
-	if len(by) != 2 || len(by[1]) != 2 || len(by[2]) != 1 {
-		t.Fatalf("ByTarget = %v", by)
-	}
-	if by[1][0].Time != 1 {
-		t.Fatal("ByTarget not sorted by time")
-	}
+// TestTraceInvariants pins what the prober promises about a trace, where it
+// writes it.
+func TestTraceInvariants(t *testing.T) {
+	t.Run("two targets under loss across a withdrawal", func(t *testing.T) {
+		topo, ids := twoSite(t)
+		sim := netsim.New(7)
+		net := bgp.New(sim, topo, cfg())
+		plane := New(net)
+		net.Originate(ids["s1"], prefixA, nil)
+		net.Originate(ids["s2"], superP, nil)
+		sim.Run()
+
+		pr := NewProber(plane, ids["s2"], addrA)
+		pr.LossRate = 0.3
+		targets := []topology.NodeID{ids["c"], ids["t2"]}
+		for i := 0; i < 200; i++ {
+			sim.After(float64(i)*0.5, func() { pr.Ping(targets[i%2]) })
+		}
+		sim.After(30, func() {
+			plane.SetDown(ids["s1"], true)
+			net.Withdraw(ids["s1"], prefixA)
+		})
+		sim.Run()
+
+		if pr.Trace(ids["t1"]) != nil {
+			t.Fatal("Trace of a never-pinged target is not nil")
+		}
+		probes, replies := 0, 0
+		for _, id := range targets {
+			tr := pr.Trace(id)
+			if tr == nil || tr.Target != id {
+				t.Fatalf("Trace(%d) = %+v", id, tr)
+			}
+			if len(tr.Probes) != 100 || len(tr.Replies) == 0 || len(tr.Replies) == len(tr.Probes) {
+				t.Fatalf("target %d: %d probes, %d replies; want 100 probes, some but not all answered", id, len(tr.Probes), len(tr.Replies))
+			}
+			answered := 0
+			for i, p := range tr.Probes {
+				if i > 0 && (p.Seq <= tr.Probes[i-1].Seq || p.Time < tr.Probes[i-1].Time) {
+					t.Fatalf("target %d: probe %d out of emission order", id, i)
+				}
+				if p.Reply < 0 {
+					continue
+				}
+				answered++
+				if int(p.Reply) >= len(tr.Replies) || tr.Replies[p.Reply].Seq != p.Seq {
+					t.Fatalf("target %d: probe %d (seq %d) links to reply %d", id, i, p.Seq, p.Reply)
+				}
+			}
+			for i := 1; i < len(tr.Replies); i++ {
+				if tr.Replies[i].Time < tr.Replies[i-1].Time {
+					t.Fatalf("target %d: reply %d out of arrival order", id, i)
+				}
+			}
+			// Seqs are unique, so a reply no probe links to leaves this short.
+			if answered != len(tr.Replies) {
+				t.Fatalf("target %d: %d answered probes, %d replies", id, answered, len(tr.Replies))
+			}
+			probes += len(tr.Probes)
+			replies += len(tr.Replies)
+		}
+		if probes != pr.Sent() || replies != pr.Answered() {
+			t.Fatalf("traces hold %d probes / %d replies, prober counted %d / %d", probes, replies, pr.Sent(), pr.Answered())
+		}
+	})
+
+	// The case the two orders exist for: a route change to a nearer origin
+	// between two pings lets the later probe's reply overtake the earlier one.
+	t.Run("a reply overtakes an earlier one", func(t *testing.T) {
+		b := topology.NewBuilder()
+		t1 := b.AddNode(10, "t1", topology.ClassTier1, topology.Point{})
+		far := b.AddNode(47065, "far", topology.ClassCDN, topology.Point{X: 9})
+		near := b.AddNode(47065, "near", topology.ClassCDN, topology.Point{Y: 1})
+		c := b.AddNode(30, "c", topology.ClassStub, topology.Point{Y: 2})
+		b.Link(far, t1, topology.RelProvider, 5)
+		b.Link(near, t1, topology.RelProvider, 0.001)
+		b.Link(c, t1, topology.RelProvider, 0.001)
+		topo, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := netsim.New(1)
+		net := bgp.New(sim, topo, cfg())
+		plane := New(net)
+		net.Originate(far, superP, nil)
+		sim.Run()
+
+		pr := NewProber(plane, near, addrA)
+		first := pr.Ping(c) // replies to far, 5 s away
+		net.Originate(near, prefixA, nil)
+		sim.RunUntil(sim.Now() + 2) // the more specific reaches c well within 2 s
+		second := pr.Ping(c)        // replies to near, milliseconds away
+		sim.Run()
+
+		tr := pr.Trace(c)
+		if len(tr.Probes) != 2 || tr.Probes[0].Seq != first || tr.Probes[1].Seq != second {
+			t.Fatalf("Probes = %+v, want emission order %d, %d", tr.Probes, first, second)
+		}
+		if len(tr.Replies) != 2 || tr.Replies[0].Seq != second || tr.Replies[1].Seq != first {
+			t.Fatalf("Replies = %+v, want arrival order %d, %d", tr.Replies, second, first)
+		}
+		if tr.Replies[0].Site != near || tr.Replies[1].Site != far || tr.Probes[0].Reply != 1 || tr.Probes[1].Reply != 0 {
+			t.Fatalf("trace = %+v", tr)
+		}
+	})
+
+	// The reservation is capacity sized from a duration that can come from
+	// outside the program.
+	t.Run("PingEvery reserves only plausible campaigns", func(t *testing.T) {
+		topo, ids := twoSite(t)
+		plane := New(bgp.New(netsim.New(1), topo, cfg()))
+		for _, d := range []float64{-5, math.NaN(), 1e300, math.Inf(1)} {
+			pr := NewProber(plane, ids["s2"], addrA)
+			pr.PingEvery(ids["c"], 1.5, d) // simulation not run: at most the first ping
+			if tr := pr.Trace(ids["c"]); cap(tr.Probes) > 8 || cap(tr.Replies) != 0 {
+				t.Errorf("duration %v reserved %d probes, %d replies", d, cap(tr.Probes), cap(tr.Replies))
+			}
+		}
+		pr := NewProber(plane, ids["s2"], addrA)
+		pr.PingEvery(ids["c"], 1.5, 600)
+		if tr := pr.Trace(ids["c"]); cap(tr.Probes) < 400 || cap(tr.Replies) < 400 {
+			t.Errorf("600 s at 1.5 s reserved %d probes, %d replies, want 400 each", cap(tr.Probes), cap(tr.Replies))
+		}
+	})
 }
 
 func TestDropReasonStrings(t *testing.T) {
@@ -303,12 +417,12 @@ func TestTransientBlackholeDuringWithdrawalConvergence(t *testing.T) {
 
 	// All captured replies must have landed at s2 (s1 is down), and the
 	// first capture must come after the withdrawal reached t1.
-	for _, e := range pr.Capture.Entries() {
+	for _, e := range pr.Trace(ids["c"]).Replies {
 		if e.Site != ids["s2"] {
 			t.Fatalf("reply captured at %d while s1 down", e.Site)
 		}
 	}
-	if pr.Capture.Len() == 0 {
+	if pr.Answered() == 0 {
 		t.Fatal("no replies ever reached s2; superprefix fallback broken")
 	}
 }
@@ -328,13 +442,13 @@ func TestProberLossRate(t *testing.T) {
 		pr.Ping(ids["c"])
 	}
 	sim.Run()
-	got := pr.Capture.Len()
+	got := pr.Answered()
 	// Request and reply each dropped at 30%: delivery ≈ 0.49.
 	if got < n*40/100 || got > n*58/100 {
 		t.Fatalf("captured %d/%d with 30%% bidirectional loss, want ≈49%%", got, n)
 	}
-	if len(pr.Sent) != n {
-		t.Fatalf("sent log has %d entries, want %d", len(pr.Sent), n)
+	if pr.Sent() != n {
+		t.Fatalf("sent log has %d entries, want %d", pr.Sent(), n)
 	}
 }
 
@@ -350,8 +464,8 @@ func TestProberZeroLossCapturesAll(t *testing.T) {
 		pr.Ping(ids["c"])
 	}
 	sim.Run()
-	if pr.Capture.Len() != 100 {
-		t.Fatalf("lost replies with zero loss rate: %d/100", pr.Capture.Len())
+	if pr.Answered() != 100 {
+		t.Fatalf("lost replies with zero loss rate: %d/100", pr.Answered())
 	}
 }
 

@@ -2,70 +2,49 @@ package dataplane
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"bestofboth/internal/topology"
 )
 
-// CaptureEntry records one echo reply arriving at a capture point, like a
-// line in the per-site tcpdump the paper runs during failover experiments.
-type CaptureEntry struct {
-	Time   float64 // virtual arrival time
-	Seq    uint64
-	Target topology.NodeID // the target that sent the reply
-	Site   topology.NodeID // the node where the reply arrived
+// Probe is one echo request in a target's trace. Reply indexes the trace's
+// Replies, or is -1 while no reply has been captured: the "missing sequence
+// number" of §5.2.
+type Probe struct {
+	Seq   uint64
+	Time  float64 // virtual emission time
+	Reply int32
 }
 
-// Capture accumulates echo replies across all sites for one experiment.
-type Capture struct {
-	entries []CaptureEntry
+// Reply is one echo reply arriving at a capture point, like a line in the
+// per-site tcpdump the paper runs during failover experiments.
+type Reply struct {
+	Time float64 // virtual arrival time
+	Seq  uint64
+	Site topology.NodeID // the node where the reply arrived
 }
 
-// Add appends an entry. Entries arrive in event order, which is time order.
-func (c *Capture) Add(e CaptureEntry) { c.entries = append(c.entries, e) }
-
-// Entries returns all recorded entries in arrival order.
-func (c *Capture) Entries() []CaptureEntry { return c.entries }
-
-// ByTarget groups entries per target, each group sorted by time. A counting
-// pass presizes the map and every group so the grouping allocates exactly
-// once per target instead of growing incrementally.
-func (c *Capture) ByTarget() map[topology.NodeID][]CaptureEntry {
-	counts := make(map[topology.NodeID]int)
-	for _, e := range c.entries {
-		counts[e.Target]++
-	}
-	out := make(map[topology.NodeID][]CaptureEntry, len(counts))
-	for _, e := range c.entries {
-		g, ok := out[e.Target]
-		if !ok {
-			g = make([]CaptureEntry, 0, counts[e.Target])
-		}
-		out[e.Target] = append(g, e)
-	}
-	for _, es := range out {
-		if !sort.SliceIsSorted(es, func(i, j int) bool { return es[i].Time < es[j].Time }) {
-			sort.Slice(es, func(i, j int) bool { return es[i].Time < es[j].Time })
-		}
-	}
-	return out
+// Trace is everything one prober sent to and heard from one target, filed as
+// the events fire, because every §5.4.1 metric is per ⟨failed site, target⟩.
+// It keeps two orders because both are read. Probes is emission order
+// (ascending Seq and Time): gaps, the stable failover suffix and per-window
+// availability walk the send schedule and follow Reply. Replies is arrival
+// order (ascending Time, since events fire in time order): reconnection,
+// bounces, the final site and searches by reply time read what the capture
+// points saw, and a reply routed to a nearer site can overtake an earlier
+// one, so the two orders are not interchangeable.
+type Trace struct {
+	Target  topology.NodeID
+	Probes  []Probe
+	Replies []Reply
 }
 
-// Len returns the number of captured replies.
-func (c *Capture) Len() int { return len(c.entries) }
-
-// Reserve grows the capture so at least n more entries can be added without
-// reallocating. Experiments that know their probe count up front use this to
-// avoid repeated log growth.
-func (c *Capture) Reserve(n int) {
-	if cap(c.entries)-len(c.entries) >= n {
-		return
-	}
-	grown := make([]CaptureEntry, len(c.entries), len(c.entries)+n)
-	copy(grown, c.entries)
-	c.entries = grown
-}
+// maxReserve bounds how many entries PingEvery presizes per log: one virtual
+// day at the paper's 1.5 s cadence. The count derives from a duration that
+// can come from outside the program.
+const maxReserve = 1 << 16
 
 // Prober issues Verfploeter-style echo requests: probes are sent from a
 // prober node with a spoofed source address inside the prefix under study,
@@ -78,18 +57,14 @@ type Prober struct {
 	// ReplyTo is the source address carried in requests; targets address
 	// replies to it.
 	ReplyTo netip.Addr
-	// Capture receives delivered replies.
-	Capture *Capture
-	// Sent logs every request in emission order; comparing it against
-	// Capture reveals lost replies (the "missing sequence numbers" of
-	// §5.2).
-	Sent []SentRecord
 	// LossRate drops each request or reply independently with this
 	// probability, modeling random loss and ICMP rate limiting (the §5.3
 	// concern); draws come from the simulation RNG so runs stay
 	// deterministic.
 	LossRate float64
 	seq      uint64
+	answered int
+	traces   map[topology.NodeID]*Trace
 
 	// freeFlights recycles in-flight echo payloads: the paper-scale runs
 	// emit hundreds of thousands of probes, and pooling them (together
@@ -100,12 +75,13 @@ type Prober struct {
 
 // flight is the recycled payload of one echo exchange: it rides the
 // request-arrival event (runEcho) and, if the reply survives, the
-// reply-arrival event (runCapture).
+// reply-arrival event (runCapture). It names its probe by trace and index,
+// so the capture links reply to probe without a lookup.
 type flight struct {
-	p      *Prober
-	seq    uint64
-	target topology.NodeID
-	dest   topology.NodeID
+	p     *Prober
+	tr    *Trace
+	probe int32
+	dest  topology.NodeID
 }
 
 func (p *Prober) newFlight() *flight {
@@ -132,7 +108,7 @@ func runEcho(a any) {
 		p.freeFlight(f)
 		return // reply lost (or rate-limited at the target)
 	}
-	res := p.plane.Forward(f.target, p.ReplyTo)
+	res := p.plane.Forward(f.tr.Target, p.ReplyTo)
 	if !res.Delivered {
 		p.freeFlight(f)
 		return
@@ -144,56 +120,57 @@ func runEcho(a any) {
 // runCapture fires when the reply arrives at a capture point.
 func runCapture(a any) {
 	f := a.(*flight)
-	p := f.p
-	p.Capture.Add(CaptureEntry{
-		Time:   p.plane.sim.Now(),
-		Seq:    f.seq,
-		Target: f.target,
-		Site:   f.dest,
-	})
+	p, tr := f.p, f.tr
+	probe := &tr.Probes[f.probe]
+	probe.Reply = int32(len(tr.Replies))
+	tr.Replies = append(tr.Replies, Reply{Time: p.plane.sim.Now(), Seq: probe.Seq, Site: f.dest})
+	p.answered++
 	p.freeFlight(f)
-}
-
-// SentRecord logs one emitted echo request.
-type SentRecord struct {
-	Seq    uint64
-	Target topology.NodeID
-	Time   float64
 }
 
 // NewProber builds a prober bound to a plane.
 func NewProber(plane *Plane, from topology.NodeID, replyTo netip.Addr) *Prober {
-	return &Prober{plane: plane, From: from, ReplyTo: replyTo, Capture: &Capture{}}
+	return &Prober{plane: plane, From: from, ReplyTo: replyTo, traces: make(map[topology.NodeID]*Trace)}
 }
 
-// Reserve presizes the sent log and the capture for n further echo
-// requests, so a paper-scale probing campaign (hundreds of thousands of
-// pings) fills preallocated logs instead of growing them.
-func (p *Prober) Reserve(n int) {
-	if cap(p.Sent)-len(p.Sent) < n {
-		grown := make([]SentRecord, len(p.Sent), len(p.Sent)+n)
-		copy(grown, p.Sent)
-		p.Sent = grown
+// Trace returns what the prober sent to and heard from target so far, or nil
+// for a target it was never asked to ping.
+func (p *Prober) Trace(target topology.NodeID) *Trace { return p.traces[target] }
+
+// Sent returns the number of echo requests emitted, lost ones included.
+func (p *Prober) Sent() int { return int(p.seq) }
+
+// Answered returns the number of replies captured.
+func (p *Prober) Answered() int { return p.answered }
+
+// trace is Trace for writers: it starts the target's trace on first use.
+func (p *Prober) trace(target topology.NodeID) *Trace {
+	tr := p.traces[target]
+	if tr == nil {
+		tr = &Trace{Target: target}
+		p.traces[target] = tr
 	}
-	p.Capture.Reserve(n)
+	return tr
 }
 
 // Ping sends one echo request to target now. The request travels the stable
 // forward path (static latency); the reply is routed by the live FIBs at
-// reply time. Lost replies produce no capture entry, mirroring a missing
-// sequence number in the paper's traces. It returns the sequence number
-// used.
-func (p *Prober) Ping(target topology.NodeID) uint64 {
+// reply time. A lost reply leaves the probe's Reply at -1, mirroring a
+// missing sequence number in the paper's traces. It returns the sequence
+// number used.
+func (p *Prober) Ping(target topology.NodeID) uint64 { return p.ping(p.trace(target)) }
+
+func (p *Prober) ping(tr *Trace) uint64 {
 	p.seq++
 	seq := p.seq
-	fwd := p.plane.StaticDelay(p.From, target)
+	fwd := p.plane.StaticDelay(p.From, tr.Target)
 	sim := p.plane.sim
-	p.Sent = append(p.Sent, SentRecord{Seq: seq, Target: target, Time: sim.Now()})
+	tr.Probes = append(tr.Probes, Probe{Seq: seq, Time: sim.Now(), Reply: -1})
 	if p.LossRate > 0 && sim.Rand().Float64() < p.LossRate {
 		return seq // request lost in flight
 	}
 	f := p.newFlight()
-	f.p, f.seq, f.target = p, seq, target
+	f.p, f.tr, f.probe = p, tr, int32(len(tr.Probes)-1)
 	sim.AtCall(sim.Now()+fwd, runEcho, f)
 	return seq
 }
@@ -202,10 +179,18 @@ func (p *Prober) Ping(target topology.NodeID) uint64 {
 // (inclusive start, exclusive deadline), matching the paper's ~1.5 s probing
 // cadence for ~600 s after a failure. A non-positive interval panics: the
 // tick would re-arm at the current instant forever, which is always a caller
-// bug (compare Sim.After on a negative delay).
+// bug (compare Sim.After on a negative delay). The campaign's length is known
+// here, so the target's logs are sized for it up front; that is capacity
+// only, and a count that is no plausible campaign (NaN, negative, beyond
+// maxReserve) reserves nothing.
 func (p *Prober) PingEvery(target topology.NodeID, interval, duration float64) {
 	if !(interval > 0) {
 		panic(fmt.Sprintf("dataplane: PingEvery interval %v is not positive", interval))
+	}
+	tr := p.trace(target)
+	if n := math.Ceil(duration / interval); n >= 1 && n <= maxReserve {
+		tr.Probes = slices.Grow(tr.Probes, int(n))
+		tr.Replies = slices.Grow(tr.Replies, int(n))
 	}
 	sim := p.plane.sim
 	deadline := sim.Now() + duration
@@ -214,7 +199,7 @@ func (p *Prober) PingEvery(target topology.NodeID, interval, duration float64) {
 		if sim.Now() >= deadline {
 			return
 		}
-		p.Ping(target)
+		p.ping(tr)
 		sim.After(interval, tick)
 	}
 	tick()

@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/dataplane"
@@ -200,15 +198,7 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 	} else if _, err := w.CDN.FailSite(failCode); err != nil {
 		return nil, err
 	}
-	// The campaign's emission count is known exactly — every controllable
-	// target is pinged once per interval until the duration elapses — so
-	// presize the probe logs instead of growing them ping by ping.
-	pings := int(fc.ProbeDuration / fc.ProbeInterval)
-	if float64(pings)*fc.ProbeInterval < fc.ProbeDuration {
-		pings++
-	}
 	for i, g := range groups {
-		probers[i].Reserve(pings * len(g.Targets))
 		for _, id := range g.Targets {
 			probers[i].PingEvery(id, fc.ProbeInterval, fc.ProbeDuration)
 		}
@@ -219,88 +209,42 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 		monitor.Stop()
 	}
 
-	// Per-target sent sequences, in emission order. Each target belongs to
-	// exactly one prober, so merging the per-prober logs never interleaves
-	// sequence spaces within a target. Every target is sent pings probes,
-	// so its slice is carved out of one array instead of grown by doubling.
-	sentByTarget := make(map[topology.NodeID][]uint64, len(controllable))
-	seqs := make([]uint64, pings*len(controllable))
-	for i, id := range controllable {
-		sentByTarget[id] = seqs[i*pings : i*pings : (i+1)*pings]
-	}
-	byTarget := make(map[topology.NodeID][]dataplane.CaptureEntry, len(controllable))
-	for _, p := range probers {
-		for _, s := range p.Sent {
-			sentByTarget[s.Target] = append(sentByTarget[s.Target], s.Seq)
-		}
-		for id, caps := range p.Capture.ByTarget() {
-			byTarget[id] = caps
-		}
-	}
 	res.Outcomes = make([]TargetOutcome, 0, len(controllable))
-	var scratch []dataplane.CaptureEntry // reused per-target seq index
-	for _, id := range controllable {
-		var o TargetOutcome
-		o, scratch = analyzeTarget(w, id, sentByTarget[id], byTarget[id], t0, scratch)
-		res.Outcomes = append(res.Outcomes, o)
+	for i, g := range groups {
+		for _, id := range g.Targets {
+			res.Outcomes = append(res.Outcomes, analyzeTarget(w, probers[i].Trace(id), t0))
+		}
 	}
 	return res, nil
 }
 
-// analyzeTarget derives the §5.4.1 metrics for one target by matching its
-// capture trace against the pings actually sent to it. The scratch buffer
-// holds the target's captures re-sorted by sequence number; callers pass it
-// back in across targets so one run allocates the index once instead of
-// building a map per target.
-func analyzeTarget(w *World, id topology.NodeID, sent []uint64, caps []dataplane.CaptureEntry, t0 float64, scratch []dataplane.CaptureEntry) (TargetOutcome, []dataplane.CaptureEntry) {
-	o := TargetOutcome{Target: id}
-	if len(caps) == 0 {
-		return o, scratch
+// analyzeTarget derives the §5.4.1 metrics for one target from its probe
+// trace: arrival order for reconnection, bounces and the final site,
+// emission order (following each probe's Reply link) for gaps and failover.
+func analyzeTarget(w *World, tr *dataplane.Trace, t0 float64) TargetOutcome {
+	o := TargetOutcome{Target: tr.Target}
+	replies := tr.Replies
+	if len(replies) == 0 {
+		return o
 	}
 	o.Reconnected = true
-	o.Reconnection = caps[0].Time - t0
+	o.Reconnection = replies[0].Time - t0
 
 	// Bounces: site changes across the captured replies.
-	for i := 1; i < len(caps); i++ {
-		if caps[i].Site != caps[i-1].Site {
+	for i := 1; i < len(replies); i++ {
+		if replies[i].Site != replies[i-1].Site {
 			o.Bounces++
 		}
 	}
-	if s := siteCode(w, caps[len(caps)-1].Site); s != "" {
-		o.FinalSite = s
-	}
+	o.FinalSite = siteCode(w, replies[len(replies)-1].Site)
 
-	// Index captures by sequence number: a seq-sorted slice searched in
-	// order, since sent sequences are emitted in ascending order.
-	scratch = append(scratch[:0], caps...)
-	slices.SortFunc(scratch, func(a, b dataplane.CaptureEntry) int {
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-	find := func(seq uint64) (dataplane.CaptureEntry, bool) {
-		i, ok := slices.BinarySearchFunc(scratch, seq, func(e dataplane.CaptureEntry, s uint64) int {
-			return cmp.Compare(e.Seq, s)
-		})
-		if !ok {
-			return dataplane.CaptureEntry{}, false
-		}
-		return scratch[i], true
-	}
-
-	// Gaps: runs of missing replies after the first captured reply. One
-	// merge walk over the ascending send schedule and the seq-sorted
-	// captures.
+	// Gaps: runs of missing replies after the first answered probe.
 	inGap := false
 	seenFirst := false
-	j := 0
-	for _, seq := range sent {
-		for j < len(scratch) && scratch[j].Seq < seq {
-			j++
-		}
-		got := j < len(scratch) && scratch[j].Seq == seq
+	for _, p := range tr.Probes {
+		got := p.Reply >= 0
 		if !seenFirst {
-			if got {
-				seenFirst = true
-			}
+			seenFirst = got
 			continue
 		}
 		if !got && !inGap {
@@ -316,21 +260,21 @@ func analyzeTarget(w *World, id topology.NodeID, sent []uint64, caps []dataplane
 	// the send schedule with no loss and a constant site. The suffix must
 	// extend through the final ping sent, otherwise the target ended the
 	// experiment disconnected.
-	lastCap, ok := find(sent[len(sent)-1])
-	if !ok {
-		return o, scratch // final ping lost: no stable suffix
+	last := len(tr.Probes) - 1
+	if tr.Probes[last].Reply < 0 {
+		return o // final ping lost: no stable suffix
 	}
-	start := lastCap
-	for i := len(sent) - 2; i >= 0; i-- {
-		c, ok := find(sent[i])
-		if !ok || c.Site != lastCap.Site {
+	start := replies[tr.Probes[last].Reply]
+	for i := last - 1; i >= 0; i-- {
+		ri := tr.Probes[i].Reply
+		if ri < 0 || replies[ri].Site != start.Site {
 			break
 		}
-		start = c
+		start = replies[ri]
 	}
 	o.FailedOver = true
 	o.Failover = start.Time - t0
-	return o, scratch
+	return o
 }
 
 func siteCode(w *World, node topology.NodeID) string {

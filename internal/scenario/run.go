@@ -334,29 +334,9 @@ func analyze(env *Env, res *Result, actions []action, groups []Group, probers []
 		siteOf[s.Node] = s.Code
 	}
 
-	// Per-prober indices: answered seqs, and captures per target in time
-	// order.
-	type trace struct {
-		sent map[topology.NodeID][]dataplane.SentRecord
-		caps map[topology.NodeID][]dataplane.CaptureEntry
-		got  map[uint64]bool
-	}
-	traces := make([]trace, len(probers))
-	for i, pr := range probers {
-		tr := trace{
-			sent: make(map[topology.NodeID][]dataplane.SentRecord),
-			caps: pr.Capture.ByTarget(),
-			got:  make(map[uint64]bool, pr.Capture.Len()),
-		}
-		for _, s := range pr.Sent {
-			tr.sent[s.Target] = append(tr.sent[s.Target], s)
-		}
-		for _, e := range pr.Capture.Entries() {
-			tr.got[e.Seq] = true
-		}
-		traces[i] = tr
-		res.Sent += len(pr.Sent)
-		res.Answered += pr.Capture.Len()
+	for _, pr := range probers {
+		res.Sent += pr.Sent()
+		res.Answered += pr.Answered()
 	}
 	res.Availability = ratio(res.Answered, res.Sent)
 
@@ -376,16 +356,15 @@ func analyze(env *Env, res *Result, actions []action, groups []Group, probers []
 		var recon []float64
 		failover := map[string]int{}
 		for gi, g := range groups {
-			tr := &traces[gi]
 			for _, tgt := range g.Targets {
-				sent := tr.sent[tgt]
+				tr := probers[gi].Trace(tgt)
 				firstLost := -1.0
-				for _, s := range sent {
+				for _, s := range tr.Probes {
 					if s.Time < winStart || s.Time >= winEnd {
 						continue
 					}
 					ev.Sent++
-					if tr.got[s.Seq] {
+					if s.Reply >= 0 {
 						ev.Answered++
 					} else if firstLost < 0 {
 						firstLost = s.Time
@@ -396,7 +375,7 @@ func analyze(env *Env, res *Result, actions []action, groups []Group, probers []
 				}
 				ev.AffectedTargets++
 				// Reconnection: first reply at or after the first loss.
-				caps := tr.caps[tgt]
+				caps := tr.Replies
 				ri := sort.Search(len(caps), func(k int) bool { return caps[k].Time >= firstLost })
 				if ri == len(caps) {
 					ev.Lost++

@@ -132,9 +132,18 @@ func needsSite(kind Kind) bool {
 	return false
 }
 
+// Bounds on the counts a scenario file or a ChangeSet may name: each one
+// sizes an allocation or a loop (flap actions, the AS path, probe logs and
+// load samples), so it is refused here, before anything is sized from it.
+const (
+	maxFlapCount = 1000  // cycles; the bundled library flaps 4 times
+	maxPrepends  = 254   // an AS_PATH segment holds 255 ASNs (RFC 4271 §4.3)
+	maxEndTime   = 86400 // virtual seconds; the longest bundled timeline is 890
+)
+
 // Validate checks the scenario's structural well-formedness (field
-// requirements per kind). Site and node names are resolved later, when
-// the scenario is bound to a world.
+// requirements and bounds per kind). Site and node names are resolved
+// later, when the scenario is bound to a world.
 func (s *Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: missing name")
@@ -169,8 +178,8 @@ func (s *Scenario) Validate() error {
 			if e.Period <= 0 {
 				return fmt.Errorf("%s: needs a positive period", where)
 			}
-			if e.Count <= 0 {
-				return fmt.Errorf("%s: needs a positive count", where)
+			if e.Count <= 0 || e.Count > maxFlapCount {
+				return fmt.Errorf("%s: count %d outside [1,%d]", where, e.Count, maxFlapCount)
 			}
 		case KindFlashCrowd:
 			if e.Fraction <= 0 {
@@ -192,8 +201,8 @@ func (s *Scenario) Validate() error {
 				return fmt.Errorf("%s: needs a positive fraction (demand multiplier)", where)
 			}
 		case KindAnnouncePolicy:
-			if e.Count < 0 {
-				return fmt.Errorf("%s: negative prepend count %d", where, e.Count)
+			if e.Count < 0 || e.Count > maxPrepends {
+				return fmt.Errorf("%s: prepend count %d outside [0,%d]", where, e.Count, maxPrepends)
 			}
 		default:
 			return fmt.Errorf("scenario %s: event %d: unknown kind %q", s.Name, i, e.Kind)
@@ -201,6 +210,9 @@ func (s *Scenario) Validate() error {
 		if needsSite(e.Kind) && e.Site == "" {
 			return fmt.Errorf("%s: needs a site", where)
 		}
+	}
+	if end := s.EndTime(); end > maxEndTime {
+		return fmt.Errorf("scenario %s: ends at %g s, past the %d s bound", s.Name, end, maxEndTime)
 	}
 	return nil
 }

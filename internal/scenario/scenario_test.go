@@ -48,6 +48,13 @@ func TestValidateRejectsMalformedScenarios(t *testing.T) {
 		{"regional without radius", Scenario{Name: "x", Events: []Event{{Kind: KindRegionalFail, Site: "slc"}}}},
 		{"flap without period", Scenario{Name: "x", Events: []Event{{Kind: KindFlap, Site: "sea1", Count: 3}}}},
 		{"flap without count", Scenario{Name: "x", Events: []Event{{Kind: KindFlap, Site: "sea1", Period: 60}}}},
+		{"flap count that overflows 2*count", Scenario{Name: "x", Events: []Event{{Kind: KindFlap, Site: "sea1", Period: 1, Count: 1 << 62}}}},
+		{"flap count past the bound", Scenario{Name: "x", Horizon: 60, Events: []Event{{Kind: KindFlap, Site: "sea1", Period: 0.01, Count: maxFlapCount + 1}}}},
+		{"prepend count past a path segment", Scenario{Name: "x", Events: []Event{{Kind: KindAnnouncePolicy, Site: "atl", Count: maxPrepends + 1}}}},
+		{"horizon past the bound", Scenario{Name: "x", Horizon: 1e300, Events: []Event{{Kind: KindFail, Site: "atl"}}}},
+		{"event past the bound", Scenario{Name: "x", Events: []Event{{At: maxEndTime - 100, Kind: KindFail, Site: "atl"}}}},
+		{"flap running past the bound", Scenario{Name: "x", Events: []Event{{Kind: KindFlap, Site: "sea1", Period: 100, Count: maxFlapCount}}}},
+		{"flash crowd lasting past the bound", Scenario{Name: "x", Events: []Event{{Kind: KindFlashCrowd, Site: "ams", Fraction: 2, Period: 1e9}}}},
 	}
 	for _, tc := range cases {
 		if err := tc.sc.Validate(); err == nil {
@@ -58,6 +65,9 @@ func TestValidateRejectsMalformedScenarios(t *testing.T) {
 		{At: 10, Kind: KindFail, Site: "atl"},
 		{At: 20, Kind: KindLinkDown, A: "a", B: "b"},
 		{At: 30, Kind: KindFlap, Site: "sea1", Period: 60, Count: 2},
+		{At: 40, Kind: KindFlap, Site: "bos", Period: 1, Count: maxFlapCount},
+		{At: 50, Kind: KindAnnouncePolicy, Site: "atl", Count: maxPrepends},
+		{At: maxEndTime - 120, Kind: KindRecover, Site: "atl"},
 	}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)

@@ -119,6 +119,10 @@ func TestParseRejectsBadInput(t *testing.T) {
 		{"quoted boolean", "name: x\ndamping: \"true\"\nevents:\n  - at: 1\n    kind: fail\n    site: atl\n"},
 		{"unknown event field json", `{"name": "x", "events": [{"at": 1, "kind": "fail", "site": "atl", "wat": 2}]}`},
 		{"trailing json", `{"name": "x", "events": [{"at": 1, "kind": "fail", "site": "atl"}]} {}`},
+		{"flap count sizing a slice", "name: x\nevents:\n  - at: 1\n    kind: flap\n    site: atl\n    period: 1\n    count: 4611686018427387904\n"},
+		{"flap count json", `{"name": "x", "horizon": 60, "events": [{"kind": "flap", "site": "atl", "period": 0.001, "count": 50000000}]}`},
+		{"prepend count sizing a path", "name: x\nevents:\n  - at: 1\n    kind: announce-policy\n    site: atl\n    count: 100000000\n"},
+		{"horizon sizing the probe logs", "name: x\nhorizon: 1e300\nevents:\n  - at: 1\n    kind: fail\n    site: atl\n"},
 	}
 	for _, tc := range cases {
 		if _, err := Parse([]byte(tc.src)); err == nil {
