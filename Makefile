@@ -61,15 +61,16 @@ race-full: vet
 bench-smoke:
 	$(GO) run ./benchmark -workload all -quick
 
-# CPU and allocation profile of BenchmarkFigure2 (bench_test.go's reduced
-# Figure 2 matrix: restore, probing, withdrawal): twenty matrices at
-# GOMAXPROCS=2, then the top of both profiles. The test binary and the
+# CPU and allocation profile of BenchmarkFigure2Default (bench_test.go: the
+# default-scale Figure 2 matrix on cached snapshots that `cdnsim fig2` and the
+# benchmark's fig2-warm run — restore, withdrawal, probing): twenty matrices
+# at GOMAXPROCS=2, then the top of both profiles. The test binary and the
 # profiles go under PROFDIR — a fresh temporary directory unless one is
 # named — never into the repository.
 PROFDIR ?=
 profile-fig2:
 	@set -e; dir="$(PROFDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
-	$(GO) test -run '^$$' -bench 'BenchmarkFigure2$$' -cpu 2 -benchtime 20x \
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure2Default$$' -cpu 2 -benchtime 20x \
 		-o "$$dir/fig2.test" -outputdir "$$dir" -cpuprofile cpu.prof -memprofile mem.prof .; \
 	$(GO) tool pprof -top -cum -nodecount 40 "$$dir/fig2.test" "$$dir/cpu.prof"; \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 "$$dir/fig2.test" "$$dir/mem.prof"; \
@@ -115,6 +116,7 @@ ctlplane-smoke:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTrie -fuzztime=$(FUZZTIME) ./internal/iptrie
+	$(GO) test -run='^$$' -fuzz=FuzzProber -fuzztime=$(FUZZTIME) ./internal/dataplane
 
 # Everything CI runs (see .github/workflows/ci.yml).
 ci: tier1 vet lint race bench-smoke fuzz-smoke ctlplane-smoke

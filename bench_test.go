@@ -85,6 +85,36 @@ func BenchmarkFigure2(b *testing.B) {
 	}
 }
 
+// BenchmarkFigure2Default is the matrix `cdnsim fig2` and the repository
+// benchmark's fig2-warm workload run — default scale, 200 targets selected
+// and at most 60 probed per site, all eight sites — on cached converged
+// snapshots: one untimed matrix fills the snapshot cache. `make
+// profile-fig2` profiles this one, so the percentages it prints are of the
+// workload the performance claims are made on.
+func BenchmarkFigure2Default(b *testing.B) {
+	cfg := experiment.DefaultWorldConfig(experiment.WithSeed(7))
+	sel, err := experiment.SelectTargets(cfg, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sites []string
+	for _, s := range sel.Sites {
+		sites = append(sites, s.Code)
+	}
+	fc := experiment.DefaultFailoverConfig()
+	fc.MaxTargets = 60
+	matrix := func() {
+		if _, err := (&experiment.Runner{}).Figure2(cfg, sel, benchFig2Techs, sites, fc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	matrix()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matrix()
+	}
+}
+
 var benchFig2Techs = []core.Technique{
 	core.ProactiveSuperprefix{},
 	core.ReactiveAnycast{},

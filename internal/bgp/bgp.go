@@ -180,9 +180,14 @@ type OriginPolicy struct {
 type FeedFunc func(now netsim.Seconds, peer topology.NodeID, u Update)
 
 // BestChangeFunc is invoked when a speaker's best route for a prefix
-// changes. route is nil when the prefix became unreachable. Used by the
-// data plane to maintain FIBs.
-type BestChangeFunc func(node topology.NodeID, prefix netip.Prefix, route *Route)
+// changes. route is nil when the prefix became unreachable. at is the
+// virtual time of the change on the changing speaker's own shard clock: in
+// the middle of a sharded round the control simulator still sits at the
+// previous barrier, so a subscriber that stamps what it records must use at.
+// The callback runs on that speaker's shard goroutine and may write only
+// state the node owns. Used by the data plane to maintain FIBs and to
+// journal them for probers.
+type BestChangeFunc func(node topology.NodeID, prefix netip.Prefix, route *Route, at netsim.Seconds)
 
 // Config holds the timing constants of the protocol model.
 type Config struct {

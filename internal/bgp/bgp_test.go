@@ -245,7 +245,7 @@ func TestAnycastFailoverShiftsOrigin(t *testing.T) {
 	}
 	// Track when each node's best route settles on the surviving origin.
 	settled := map[topology.NodeID]float64{}
-	net.OnBestChange(func(node topology.NodeID, p netip.Prefix, r *Route) {
+	net.OnBestChange(func(node topology.NodeID, p netip.Prefix, r *Route, _ netsim.Seconds) {
 		if r != nil && r.OriginNode == 0 {
 			settled[node] = sim.Now()
 		}
@@ -353,7 +353,7 @@ func TestBestChangeCallback(t *testing.T) {
 	sim := netsim.New(1)
 	net := New(sim, topo, quickCfg())
 	changes := map[topology.NodeID]int{}
-	net.OnBestChange(func(node topology.NodeID, p netip.Prefix, r *Route) {
+	net.OnBestChange(func(node topology.NodeID, p netip.Prefix, r *Route, _ netsim.Seconds) {
 		changes[node]++
 	})
 	net.Originate(0, testPrefix, nil)

@@ -366,7 +366,7 @@ func (s *Speaker) recompute(p netip.Prefix, st *prefixState) {
 	}
 	st.best = best
 	for _, fn := range s.net.onBest {
-		fn(s.node.ID, p, best)
+		fn(s.node.ID, p, best, s.sh.sim.Now())
 	}
 	s.notifyFeeds(p, best)
 }

@@ -10,14 +10,18 @@
 //
 // The prober reproduces the paper's Verfploeter-style methodology (§5.2):
 // echo requests are sent from a healthy site with a source address inside
-// the prefix under study, and the replies are routed by the live FIBs to
-// whichever site currently attracts that prefix, where a capture log
-// records them.
+// the prefix under study, and the replies are routed by the FIBs as they
+// stand when the target answers to whichever site then attracts that prefix,
+// where a capture log records them. The prober is an observer, so it puts
+// nothing on the simulation's calendar: the plane journals the FIB changes
+// that cover a probed address (see watch) and the prober evaluates its
+// schedule against that journal when its traces are read (see Prober).
 package dataplane
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"slices"
 	"strconv"
@@ -97,6 +101,12 @@ type ForwardResult struct {
 // on the plane the snapshot was taken of exactly as on a restored one. A
 // Figure 2 run rewrites the FIBs its one fault reaches and forwards through
 // the snapshot's for all the rest.
+//
+// The journal follows the same ownership rule as fibs[node]: onBestChange
+// runs on the changing node's shard goroutine and writes only that node's
+// slot of every watch, stamped with that shard's clock; the watch list
+// itself, the failure flags and every read of the journal belong to control
+// context, where all shards are parked at one instant.
 type Plane struct {
 	net    *bgp.Network       //cdnlint:nosnapshot wiring: the network this plane subscribed to at construction
 	topo   *topology.Topology //cdnlint:nosnapshot immutable wiring; restore targets a plane built over the same topology
@@ -104,6 +114,9 @@ type Plane struct {
 	fibs   []*iptrie.Trie[fibEntry]
 	frozen []*iptrie.Trie[fibEntry]
 	down   []bool
+	// watches journal, per probed address, how each node's forwarding state
+	// for it changed.
+	watches []*watch //cdnlint:nosnapshot the journal of one run, kept for its probers; Restore starts an empty one
 
 	// static shortest-path delay cache per source node (seconds).
 	staticDelay map[topology.NodeID][]float64 //cdnlint:nosnapshot cache: a pure function of the immutable topology, refilled on demand
@@ -115,6 +128,114 @@ type Plane struct {
 		forwards  *obs.Counter
 		delivered *obs.Counter
 		dropped   *obs.Counter
+		probes    *obs.Counter
+		answered  *obs.Counter
+		walks     *obs.Counter
+	}
+}
+
+// fibState is what one node does, from instant at on, with a packet for a
+// watched address: drop it because the node is down, or apply the FIB entry
+// that covers the address (ok false: no route). The entry is spelled out
+// field by field to keep a state at 24 bytes.
+type fibState struct {
+	at    float64
+	delay float64
+	next  topology.NodeID
+	down  bool
+	ok    bool
+	local bool
+}
+
+// same reports whether two states forward alike, whenever they took effect.
+func (a fibState) same(b fibState) bool {
+	a.at = b.at
+	return a == b
+}
+
+// watch is the journal for one probed address. hist[node] is empty while the
+// node's state for the address has not changed since the watch was
+// registered, so the live FIB still answers for every instant since; the
+// first change that makes a difference files the pre-change state as a
+// baseline stamped -Inf, and it and every later one append the new state
+// with its time, in ascending order. A walk at instant E reads, per hop, the
+// last state stamped <= E: a change at the very instant of an echo is
+// visible to it, which is the calendar's order for every tie a timeline can
+// construct (DESIGN.md §7).
+type watch struct {
+	addr netip.Addr
+	hist [][]fibState
+}
+
+// watch returns the journal for addr, starting it on first use. Control
+// context only.
+func (p *Plane) watch(addr netip.Addr) *watch {
+	for _, w := range p.watches {
+		if w.addr == addr {
+			return w
+		}
+	}
+	w := &watch{addr: addr, hist: make([][]fibState, len(p.fibs))}
+	p.watches = append(p.watches, w)
+	return w
+}
+
+// concerns reports whether a change to prefix in some FIB can change the
+// entry covering the watched address. The zero prefix stands for a node's
+// failure flag, which concerns every watch.
+func (w *watch) concerns(prefix netip.Prefix) bool {
+	return !prefix.IsValid() || prefix.Contains(w.addr)
+}
+
+// states appends node's live state for every watch prefix concerns.
+func (p *Plane) states(buf []fibState, node topology.NodeID, prefix netip.Prefix) []fibState {
+	for _, w := range p.watches {
+		if w.concerns(prefix) {
+			buf = append(buf, p.state(node, w.addr))
+		}
+	}
+	return buf
+}
+
+// state reads what node does right now with a packet for addr.
+func (p *Plane) state(node topology.NodeID, addr netip.Addr) fibState {
+	st := p.lookup(node, addr)
+	st.down = p.down[node]
+	return st
+}
+
+// lookup reads what node's FIB does with a packet for addr; the failure
+// flag is the caller's to add.
+func (p *Plane) lookup(node topology.NodeID, addr netip.Addr) (st fibState) {
+	p.m.lookups.Inc()
+	if fib := p.fibs[node]; fib != nil {
+		var e fibEntry
+		_, e, st.ok = fib.Lookup(addr)
+		st.local, st.next, st.delay = e.local, e.next, e.delay
+	}
+	return st
+}
+
+// journal files a change to node's forwarding state, made at instant at,
+// with every watch prefix concerns; pre is what states returned just before
+// the change. A change that leaves a watch's state as it was files nothing.
+func (p *Plane) journal(node topology.NodeID, prefix netip.Prefix, pre []fibState, at float64) {
+	for _, w := range p.watches {
+		if !w.concerns(prefix) {
+			continue
+		}
+		was, is := pre[0], p.state(node, w.addr)
+		pre = pre[1:]
+		if is.same(was) {
+			continue
+		}
+		h := w.hist[node]
+		if h == nil {
+			was.at = math.Inf(-1)
+			h = append(make([]fibState, 0, 4), was) // room for the two or three changes of one fault
+		}
+		is.at = at
+		w.hist[node] = append(h, is)
 	}
 }
 
@@ -153,7 +274,8 @@ func (p *Plane) Snapshot() *Snapshot {
 
 // Restore installs a snapshot into a plane built over the same topology:
 // two pointer-array copies and the flags. The restored plane forwards
-// through the snapshot's tries until its own routes change.
+// through the snapshot's tries until its own routes change. Its journal
+// starts empty, so a prober does not survive a Restore of its plane.
 func (p *Plane) Restore(snap *Snapshot) error {
 	if len(snap.fibs) != len(p.fibs) {
 		return fmt.Errorf("dataplane: snapshot has %d nodes, plane has %d", len(snap.fibs), len(p.fibs))
@@ -161,23 +283,41 @@ func (p *Plane) Restore(snap *Snapshot) error {
 	copy(p.fibs, snap.fibs)
 	copy(p.frozen, snap.fibs)
 	copy(p.down, snap.down)
+	p.watches = nil
 	return nil
 }
 
 // Instrument attaches forwarding metrics to r: FIB rebuild operations
-// (best-route changes applied), per-hop FIB lookups, and forwarding walks
-// split by outcome. Pure counting; never perturbs forwarding. A nil
-// registry detaches.
+// (best-route changes applied), per-hop FIB lookups, forwarding walks split
+// by outcome, and what the probers on this plane did: echo requests sent,
+// replies captured, and the walks those took (a prober reuses a walk's
+// answer until a FIB on its path changes, so walks <= probes sent). Pure
+// counting; never perturbs forwarding. A nil registry detaches.
 func (p *Plane) Instrument(r *obs.Registry) {
 	p.m.lookups = r.Counter("dataplane_fib_lookups_total")
 	p.m.updates = r.Counter("dataplane_fib_updates_total")
 	p.m.forwards = r.Counter("dataplane_forwards_total")
 	p.m.delivered = r.Counter("dataplane_forwards_delivered_total")
 	p.m.dropped = r.Counter("dataplane_forwards_dropped_total")
+	p.m.probes = r.Counter("dataplane_probes_sent_total")
+	p.m.answered = r.Counter("dataplane_probes_answered_total")
+	p.m.walks = r.Counter("dataplane_probe_walks_total")
 }
 
-func (p *Plane) onBestChange(node topology.NodeID, prefix netip.Prefix, route *bgp.Route) {
+func (p *Plane) onBestChange(node topology.NodeID, prefix netip.Prefix, route *bgp.Route, at netsim.Seconds) {
 	p.m.updates.Inc()
+	if len(p.watches) == 0 {
+		p.install(node, prefix, route)
+		return
+	}
+	var buf [4]fibState
+	pre := p.states(buf[:0], node, prefix)
+	p.install(node, prefix, route)
+	p.journal(node, prefix, pre, at)
+}
+
+// install writes one best-route change into node's FIB.
+func (p *Plane) install(node topology.NodeID, prefix netip.Prefix, route *bgp.Route) {
 	fib := p.fibs[node]
 	switch {
 	case fib == nil:
@@ -205,7 +345,11 @@ func (p *Plane) onBestChange(node topology.NodeID, prefix netip.Prefix, route *b
 // plane model (explicit withdrawals) stays in charge of route removal,
 // matching how the paper emulates failures by withdrawing announcements.
 func (p *Plane) SetDown(node topology.NodeID, down bool) {
+	var buf [4]fibState
+	pre := p.states(buf[:0], node, netip.Prefix{})
 	p.down[node] = down
+	// Control context: every shard clock reads what the plane's does.
+	p.journal(node, netip.Prefix{}, pre, p.sim.Now())
 }
 
 // IsDown reports the failure flag of a node.
@@ -215,51 +359,69 @@ func (p *Plane) IsDown(node topology.NodeID) bool { return p.down[node] }
 // The walk does not record the traversed path (and therefore does not
 // allocate); use ForwardTrace when the hop list matters.
 func (p *Plane) Forward(src topology.NodeID, dst netip.Addr) ForwardResult {
-	return p.forward(src, dst, nil)
+	res, _ := p.walk(nil, 0, src, dst, nil)
+	return res
 }
 
 // ForwardTrace is Forward with the traversed path recorded in the result.
 func (p *Plane) ForwardTrace(src topology.NodeID, dst netip.Addr) ForwardResult {
-	return p.forward(src, dst, make([]topology.NodeID, 0, 8))
+	res, _ := p.walk(nil, 0, src, dst, make([]topology.NodeID, 0, 8))
+	return res
 }
 
-func (p *Plane) forward(src topology.NodeID, dst netip.Addr, path []topology.NodeID) ForwardResult {
+// walk forwards a packet from src toward dst. With a nil watch it reads the
+// live FIBs. With w, the watch for dst, it reads them as they stood at
+// instant at — per hop the last journaled state stamped <= at, or the live
+// state where the journal has none — and also returns the earliest later
+// instant at which the journal has a hop of this path change (+Inf if none):
+// a walk from src at any instant before that gives the same result.
+func (p *Plane) walk(w *watch, at float64, src topology.NodeID, dst netip.Addr, path []topology.NodeID) (ForwardResult, float64) {
 	p.m.forwards.Inc()
 	record := path != nil
 	res := ForwardResult{Path: path}
+	until := math.Inf(1)
 	cur := src
 	for hops := 0; hops <= MaxHops; hops++ {
 		if record {
 			res.Path = append(res.Path, cur)
 		}
-		if p.down[cur] {
+		var st fibState
+		if w != nil && len(w.hist[cur]) > 0 {
+			h := w.hist[cur]
+			i := len(h) - 1
+			for h[i].at > at { // ends at the baseline, stamped -Inf
+				i--
+			}
+			st = h[i]
+			if i+1 < len(h) && h[i+1].at < until {
+				until = h[i+1].at
+			}
+		} else if p.down[cur] {
+			st.down = true
+		} else {
+			st = p.lookup(cur, dst)
+		}
+		switch {
+		case st.down:
 			res.Reason = DropNodeDown
 			p.m.dropped.Inc()
-			return res
-		}
-		p.m.lookups.Inc()
-		var entry fibEntry
-		ok := false
-		if fib := p.fibs[cur]; fib != nil {
-			_, entry, ok = fib.Lookup(dst)
-		}
-		if !ok {
+			return res, until
+		case !st.ok:
 			res.Reason = DropNoRoute
 			p.m.dropped.Inc()
-			return res
-		}
-		if entry.local {
+			return res, until
+		case st.local:
 			res.Delivered = true
 			res.Dest = cur
 			p.m.delivered.Inc()
-			return res
+			return res, until
 		}
-		res.Delay += entry.delay
-		cur = entry.next
+		res.Delay += st.delay
+		cur = st.next
 	}
 	res.Reason = DropLoop
 	p.m.dropped.Inc()
-	return res
+	return res, until
 }
 
 // Catchment returns the site/origin node that currently attracts traffic

@@ -176,7 +176,7 @@ func TestProberCapturesReplies(t *testing.T) {
 
 	pr := NewProber(plane, ids["s2"], addrA)
 	pr.Ping(ids["c"])
-	sim.Run()
+	sim.RunUntil(sim.Now() + 1) // probes are not events: Run would not wait for the reply
 
 	if pr.Answered() != 1 {
 		t.Fatalf("capture has %d entries, want 1", pr.Answered())
@@ -199,7 +199,7 @@ func TestProberLostReplyNotCaptured(t *testing.T) {
 	// No announcement: replies have no route.
 	pr := NewProber(plane, ids["s2"], addrA)
 	pr.Ping(ids["c"])
-	sim.Run()
+	sim.RunUntil(sim.Now() + 1)
 	if pr.Answered() != 0 {
 		t.Fatalf("capture has %d entries, want 0", pr.Answered())
 	}
@@ -215,7 +215,7 @@ func TestPingEveryCadence(t *testing.T) {
 
 	pr := NewProber(plane, ids["s2"], addrA)
 	pr.PingEvery(ids["c"], 1.5, 15)
-	sim.Run()
+	sim.RunUntil(sim.Now() + 20)
 	// 15/1.5 = 10 pings (t=0..13.5).
 	if got := pr.Answered(); got != 10 {
 		t.Fatalf("captured %d replies, want 10", got)
@@ -282,7 +282,7 @@ func TestTraceInvariants(t *testing.T) {
 			plane.SetDown(ids["s1"], true)
 			net.Withdraw(ids["s1"], prefixA)
 		})
-		sim.Run()
+		sim.RunUntil(sim.Now() + 120) // past the last ping's reply
 
 		if pr.Trace(ids["t1"]) != nil {
 			t.Fatal("Trace of a never-pinged target is not nil")
@@ -352,7 +352,7 @@ func TestTraceInvariants(t *testing.T) {
 		net.Originate(near, prefixA, nil)
 		sim.RunUntil(sim.Now() + 2) // the more specific reaches c well within 2 s
 		second := pr.Ping(c)        // replies to near, milliseconds away
-		sim.Run()
+		sim.RunUntil(sim.Now() + 10)
 
 		tr := pr.Trace(c)
 		if len(tr.Probes) != 2 || tr.Probes[0].Seq != first || tr.Probes[1].Seq != second {
@@ -413,7 +413,7 @@ func TestTransientBlackholeDuringWithdrawalConvergence(t *testing.T) {
 	plane.SetDown(ids["s1"], true)
 	net.Withdraw(ids["s1"], prefixA)
 	pr.PingEvery(ids["c"], 1.5, 60)
-	sim.Run()
+	sim.RunUntil(sim.Now() + 90)
 
 	// All captured replies must have landed at s2 (s1 is down), and the
 	// first capture must come after the withdrawal reached t1.
@@ -441,7 +441,7 @@ func TestProberLossRate(t *testing.T) {
 	for i := 0; i < n; i++ {
 		pr.Ping(ids["c"])
 	}
-	sim.Run()
+	sim.RunUntil(sim.Now() + 1)
 	got := pr.Answered()
 	// Request and reply each dropped at 30%: delivery ≈ 0.49.
 	if got < n*40/100 || got > n*58/100 {
@@ -463,7 +463,7 @@ func TestProberZeroLossCapturesAll(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pr.Ping(ids["c"])
 	}
-	sim.Run()
+	sim.RunUntil(sim.Now() + 1)
 	if pr.Answered() != 100 {
 		t.Fatalf("lost replies with zero loss rate: %d/100", pr.Answered())
 	}
@@ -549,7 +549,7 @@ func TestPlaneSnapshotSharesUntilWritten(t *testing.T) {
 		t.Fatal("live plane wrote without cloning the frozen trie")
 	}
 	// So does a restored plane.
-	a.onBestChange(c, superP, &bgp.Route{})
+	a.onBestChange(c, superP, &bgp.Route{}, 0)
 	if got := a.DumpFIB(c); len(got) != 2 || got[0].Prefix != superP {
 		t.Fatalf("restored plane did not install its own route: %v", got)
 	}

@@ -1,10 +1,13 @@
 package dataplane
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net/netip"
 	"slices"
+	"sort"
 
 	"bestofboth/internal/topology"
 )
@@ -26,15 +29,17 @@ type Reply struct {
 	Site topology.NodeID // the node where the reply arrived
 }
 
-// Trace is everything one prober sent to and heard from one target, filed as
-// the events fire, because every §5.4.1 metric is per ⟨failed site, target⟩.
-// It keeps two orders because both are read. Probes is emission order
-// (ascending Seq and Time): gaps, the stable failover suffix and per-window
-// availability walk the send schedule and follow Reply. Replies is arrival
-// order (ascending Time, since events fire in time order): reconnection,
+// Trace is everything one prober sent to and heard from one target, because
+// every §5.4.1 metric is per ⟨failed site, target⟩. It keeps two orders
+// because both are read. Probes is emission order (ascending Seq and Time):
+// gaps, the stable failover suffix and per-window availability walk the send
+// schedule and follow Reply. Replies is arrival order (ascending Time;
+// replies arriving at one instant keep emission order): reconnection,
 // bounces, the final site and searches by reply time read what the capture
 // points saw, and a reply routed to a nearer site can overtake an earlier
-// one, so the two orders are not interchangeable.
+// one, so the two orders are not interchangeable. A trace read at virtual
+// time now holds exactly the probes emitted and the replies arrived by now;
+// a reply still in flight appears at a later read.
 type Trace struct {
 	Target  topology.NodeID
 	Probes  []Probe
@@ -50,6 +55,18 @@ const maxReserve = 1 << 16
 // prober node with a spoofed source address inside the prefix under study,
 // so replies reveal which site that prefix currently routes to from each
 // target (§5.2).
+//
+// A prober observes and never acts, so it schedules nothing. Ping and
+// PingEvery record what to send; Trace, Sent and Answered bring the prober up
+// to the simulation's clock first: probes are emitted in the order a
+// calendar of ticks would have fired them, and each echo at instant E is
+// answered by walking the FIBs as the plane's journal says they stood at E
+// (see watch for the same-instant rule). The walk's answer is reused for the
+// target until the journal has a hop of that path change. Because nothing is
+// scheduled, Sim.Run does not wait for a campaign: advance the clock with
+// RunUntil. All of it is control context — between RunUntil calls or inside
+// an event of the plane's own simulator — where every FIB change stamped up
+// to now has been journaled.
 type Prober struct {
 	plane *Plane
 	// From is the node probes are emitted from (a healthy CDN site).
@@ -59,156 +76,306 @@ type Prober struct {
 	ReplyTo netip.Addr
 	// LossRate drops each request or reply independently with this
 	// probability, modeling random loss and ICMP rate limiting (the §5.3
-	// concern); draws come from the simulation RNG so runs stay
-	// deterministic.
+	// concern). Each decision is a pure function of the run's seed, From,
+	// ReplyTo, the probe's Seq and the leg, so a lossy run is the same BGP
+	// execution as the lossless one. From, ReplyTo and LossRate are read
+	// from the first Ping or PingEvery on; set them before it.
 	LossRate float64
+
+	watch    *watch // the journal for ReplyTo, registered by the first Ping or PingEvery
+	lossKey  uint64
 	seq      uint64
 	answered int
-	traces   map[topology.NodeID]*Trace
-
-	// freeFlights recycles in-flight echo payloads: the paper-scale runs
-	// emit hundreds of thousands of probes, and pooling them (together
-	// with netsim.AtCall) makes the request→reply→capture chain schedule
-	// without per-probe closure allocations.
-	freeFlights []*flight
+	targets  map[topology.NodeID]*target
+	order    []*target // targets in first-use order: what a read walks
+	// due holds the running campaigns from head on, sorted by less: the
+	// order their next ticks would fire in. It holds no pointers, so rotating
+	// it costs the collector nothing.
+	due  []campaign
+	head int
+	// fresh says nothing was asked of the prober since it was last brought
+	// up to syncedAt.
+	fresh    bool
+	syncedAt float64
 }
 
-// flight is the recycled payload of one echo exchange: it rides the
-// request-arrival event (runEcho) and, if the reply survives, the
-// reply-arrival event (runCapture). It names its probe by trace and index,
-// so the capture links reply to probe without a lookup.
-type flight struct {
-	p     *Prober
-	tr    *Trace
+// target is one target's trace and the evaluation state behind it.
+type target struct {
+	Trace
+	index int32   // position in Prober.order
+	fwd   float64 // static delay From → Target: an echo happens fwd after its probe
+	// Probes[:echoed] have had their echo evaluated. A target's echo instants
+	// ascend with its probes, so this is a prefix.
+	echoed int
+	// flying holds replies whose arrival lies past the last read, in emission
+	// order.
+	flying []flying
+	// An echo before until is answered by res, the last walk's result.
+	res   ForwardResult
+	until float64
+}
+
+type flying struct {
+	Reply
 	probe int32
-	dest  topology.NodeID
 }
 
-func (p *Prober) newFlight() *flight {
-	if k := len(p.freeFlights); k > 0 {
-		f := p.freeFlights[k-1]
-		p.freeFlights = p.freeFlights[:k-1]
-		return f
-	}
-	return &flight{}
+// campaign is one PingEvery: next is the accumulated sum a chain of ticks
+// would compute (not start + k·interval), and the campaign ends when that
+// sum reaches deadline.
+type campaign struct {
+	target                   int32 // index into Prober.order
+	next, interval, deadline float64
+	prev                     uint64 // Seq of this campaign's previous probe
 }
 
-func (p *Prober) freeFlight(f *flight) {
-	*f = flight{}
-	p.freeFlights = append(p.freeFlights, f)
-}
-
-// runEcho fires when the request reaches the target: the target emits the
-// reply, which is routed by the FIBs as they stand at this moment.
-func runEcho(a any) {
-	f := a.(*flight)
-	p := f.p
-	sim := p.plane.sim
-	if p.LossRate > 0 && sim.Rand().Float64() < p.LossRate {
-		p.freeFlight(f)
-		return // reply lost (or rate-limited at the target)
-	}
-	res := p.plane.Forward(f.tr.Target, p.ReplyTo)
-	if !res.Delivered {
-		p.freeFlight(f)
-		return
-	}
-	f.dest = res.Dest
-	sim.AtCall(sim.Now()+res.Delay, runCapture, f)
-}
-
-// runCapture fires when the reply arrives at a capture point.
-func runCapture(a any) {
-	f := a.(*flight)
-	p, tr := f.p, f.tr
-	probe := &tr.Probes[f.probe]
-	probe.Reply = int32(len(tr.Replies))
-	tr.Replies = append(tr.Replies, Reply{Time: p.plane.sim.Now(), Seq: probe.Seq, Site: f.dest})
-	p.answered++
-	p.freeFlight(f)
+// less orders campaigns as a calendar would fire their ticks: by instant,
+// and at one instant the campaign whose previous probe went out first (each
+// tick schedules its successor, so ticks tie-break in the order their
+// predecessors ran). Campaigns that tie on both — registered at one instant,
+// nothing emitted yet — keep registration order.
+func (c *campaign) less(o *campaign) bool {
+	return c.next < o.next || (c.next == o.next && c.prev < o.prev)
 }
 
 // NewProber builds a prober bound to a plane.
 func NewProber(plane *Plane, from topology.NodeID, replyTo netip.Addr) *Prober {
-	return &Prober{plane: plane, From: from, ReplyTo: replyTo, traces: make(map[topology.NodeID]*Trace)}
+	return &Prober{plane: plane, From: from, ReplyTo: replyTo, targets: make(map[topology.NodeID]*target)}
 }
 
-// Trace returns what the prober sent to and heard from target so far, or nil
-// for a target it was never asked to ping.
-func (p *Prober) Trace(target topology.NodeID) *Trace { return p.traces[target] }
-
-// Sent returns the number of echo requests emitted, lost ones included.
-func (p *Prober) Sent() int { return int(p.seq) }
-
-// Answered returns the number of replies captured.
-func (p *Prober) Answered() int { return p.answered }
-
-// trace is Trace for writers: it starts the target's trace on first use.
-func (p *Prober) trace(target topology.NodeID) *Trace {
-	tr := p.traces[target]
-	if tr == nil {
-		tr = &Trace{Target: target}
-		p.traces[target] = tr
+// Trace returns what the prober sent to and heard from target up to now, or
+// nil for a target it was never asked to ping.
+func (p *Prober) Trace(target topology.NodeID) *Trace {
+	tg := p.targets[target]
+	if tg == nil {
+		return nil
 	}
-	return tr
+	p.sync()
+	return &tg.Trace
 }
 
-// Ping sends one echo request to target now. The request travels the stable
-// forward path (static latency); the reply is routed by the live FIBs at
-// reply time. A lost reply leaves the probe's Reply at -1, mirroring a
-// missing sequence number in the paper's traces. It returns the sequence
-// number used.
-func (p *Prober) Ping(target topology.NodeID) uint64 { return p.ping(p.trace(target)) }
+// Sent returns the number of echo requests emitted up to now, lost ones
+// included.
+func (p *Prober) Sent() int {
+	p.sync()
+	return int(p.seq)
+}
 
-func (p *Prober) ping(tr *Trace) uint64 {
-	p.seq++
-	seq := p.seq
-	fwd := p.plane.StaticDelay(p.From, tr.Target)
-	sim := p.plane.sim
-	tr.Probes = append(tr.Probes, Probe{Seq: seq, Time: sim.Now(), Reply: -1})
-	if p.LossRate > 0 && sim.Rand().Float64() < p.LossRate {
-		return seq // request lost in flight
+// Answered returns the number of replies captured up to now.
+func (p *Prober) Answered() int {
+	p.sync()
+	return p.answered
+}
+
+// target returns id's state, starting its trace — and, for the prober's
+// first target, the plane's journal for ReplyTo — on first use.
+func (p *Prober) target(id topology.NodeID) *target {
+	tg := p.targets[id]
+	if tg == nil {
+		if p.watch == nil {
+			p.watch = p.plane.watch(p.ReplyTo)
+			p.lossKey = lossKey(p.plane.sim.Seed(), p.From, p.ReplyTo)
+		}
+		tg = &target{Trace: Trace{Target: id}, index: int32(len(p.order)), fwd: p.plane.StaticDelay(p.From, id), until: math.Inf(-1)}
+		p.targets[id] = tg
+		p.order = append(p.order, tg)
 	}
-	f := p.newFlight()
-	f.p, f.tr, f.probe = p, tr, int32(len(tr.Probes)-1)
-	sim.AtCall(sim.Now()+fwd, runEcho, f)
-	return seq
+	return tg
 }
 
-// PingEvery schedules pings to target at the given interval until deadline
-// (inclusive start, exclusive deadline), matching the paper's ~1.5 s probing
-// cadence for ~600 s after a failure. A non-positive interval panics: the
-// tick would re-arm at the current instant forever, which is always a caller
-// bug (compare Sim.After on a negative delay). The campaign's length is known
-// here, so the target's logs are sized for it up front; that is capacity
-// only, and a count that is no plausible campaign (NaN, negative, beyond
-// maxReserve) reserves nothing.
+// Ping sends one echo request to target now, after every campaign probe due
+// by now. The request travels the stable forward path (static latency); the
+// reply is routed by the FIBs as they stand when the target answers. A lost
+// reply leaves the probe's Reply at -1, mirroring a missing sequence number
+// in the paper's traces. It returns the sequence number used.
+func (p *Prober) Ping(target topology.NodeID) uint64 {
+	tg := p.target(target)
+	now := p.plane.sim.Now()
+	p.emit(now)
+	p.fresh = false
+	return p.probe(tg, now)
+}
+
+// PingEvery pings target at the given interval until deadline (inclusive
+// start, exclusive deadline), matching the paper's ~1.5 s probing cadence for
+// ~600 s after a failure. A non-positive interval panics: the campaign would
+// never leave the current instant, which is always a caller bug (compare
+// Sim.After on a negative delay). The campaign's length is known here, so the
+// target's logs are sized for it up front; that is capacity only, and a count
+// that is no plausible campaign (NaN, negative, beyond maxReserve) reserves
+// nothing.
 func (p *Prober) PingEvery(target topology.NodeID, interval, duration float64) {
 	if !(interval > 0) {
 		panic(fmt.Sprintf("dataplane: PingEvery interval %v is not positive", interval))
 	}
-	tr := p.trace(target)
+	tg := p.target(target)
 	if n := math.Ceil(duration / interval); n >= 1 && n <= maxReserve {
-		tr.Probes = slices.Grow(tr.Probes, int(n))
-		tr.Replies = slices.Grow(tr.Replies, int(n))
+		tg.Probes = slices.Grow(tg.Probes, int(n))
+		tg.Replies = slices.Grow(tg.Replies, int(n))
 	}
-	sim := p.plane.sim
-	deadline := sim.Now() + duration
-	var tick func()
-	tick = func() {
-		if sim.Now() >= deadline {
+	// The first probe is due now, after everything already due by now: a
+	// campaign started between two RunUntil calls finds the ticks of this
+	// instant fired.
+	now := p.plane.sim.Now()
+	p.emit(now)
+	if c := (campaign{target: tg.index, next: now, interval: interval, deadline: now + duration, prev: p.seq}); !(c.next >= c.deadline) {
+		p.enqueue(c)
+		p.fresh = false
+	}
+}
+
+// enqueue files a campaign by its next tick. Campaigns of one cadence, the
+// usual case, rotate: the one that just ticked goes last.
+func (p *Prober) enqueue(c campaign) {
+	if n := len(p.due); n == p.head || !c.less(&p.due[n-1]) {
+		p.due = append(p.due, c)
+		return
+	}
+	live := p.due[p.head:]
+	i := sort.Search(len(live), func(k int) bool { return c.less(&live[k]) })
+	p.due = slices.Insert(p.due, p.head+i, c)
+}
+
+// emit sends every campaign probe due by now, in tick order.
+func (p *Prober) emit(now float64) {
+	for p.head < len(p.due) && p.due[p.head].next <= now {
+		c := p.due[p.head]
+		p.head++
+		c.prev = p.probe(p.order[c.target], c.next)
+		c.next += c.interval
+		if !(c.next >= c.deadline) {
+			p.enqueue(c)
+		}
+		if p.head >= len(p.due)-p.head { // the spent prefix is half the queue: slide the rest down
+			p.due = p.due[:copy(p.due, p.due[p.head:])]
+			p.head = 0
+		}
+	}
+}
+
+// probe emits one echo request to tg at instant at.
+func (p *Prober) probe(tg *target, at float64) uint64 {
+	p.seq++
+	tg.Probes = append(tg.Probes, Probe{Seq: p.seq, Time: at, Reply: -1})
+	p.plane.m.probes.Inc()
+	return p.seq
+}
+
+// sync brings the prober up to the simulation's clock: campaign probes due
+// by now are emitted, every echo due by now is answered, and the replies that
+// have arrived by now are captured.
+func (p *Prober) sync() {
+	now := p.plane.sim.Now()
+	if p.fresh && now == p.syncedAt {
+		return
+	}
+	p.emit(now)
+	for _, tg := range p.order {
+		p.echo(tg, now)
+	}
+	p.fresh, p.syncedAt = true, now
+}
+
+// echo lands tg's replies in flight that have arrived by now, then answers
+// its echoes due by now. A reply is addressed to ReplyTo and walks the FIBs
+// as they stood at the echo's instant.
+func (p *Prober) echo(tg *target, now float64) {
+	if len(tg.flying) > 0 {
+		keep := tg.flying[:0]
+		for _, f := range tg.flying {
+			if f.Time <= now {
+				p.capture(tg, f)
+			} else {
+				keep = append(keep, f)
+			}
+		}
+		tg.flying = keep
+	}
+	for ; tg.echoed < len(tg.Probes); tg.echoed++ {
+		pb := tg.Probes[tg.echoed]
+		at := pb.Time + tg.fwd
+		if at > now {
 			return
 		}
-		p.ping(tr)
-		sim.After(interval, tick)
+		if p.LossRate > 0 && (lost(p.lossKey, pb.Seq, legRequest, p.LossRate) || lost(p.lossKey, pb.Seq, legReply, p.LossRate)) {
+			continue // lost in flight, or rate-limited at the target
+		}
+		if !(at < tg.until) {
+			p.plane.m.walks.Inc()
+			tg.res, tg.until = p.plane.walk(p.watch, at, tg.Target, p.ReplyTo, nil)
+			// The journal is complete only up to now, and a change stamped
+			// now may yet be filed: echoes from now on walk again.
+			tg.until = min(tg.until, now)
+		}
+		if !tg.res.Delivered {
+			continue
+		}
+		f := flying{Reply{Time: at + tg.res.Delay, Seq: pb.Seq, Site: tg.res.Dest}, int32(tg.echoed)}
+		if f.Time <= now {
+			p.capture(tg, f)
+		} else {
+			tg.flying = append(tg.flying, f)
+		}
 	}
-	tick()
+}
+
+// capture files a reply by arrival time, after every reply that arrived at
+// or before its instant: callers capture in emission order, which is the
+// order a calendar breaks such ties in. A reply that overtook earlier ones
+// goes in front of them, and their probes' links move with them.
+func (p *Prober) capture(tg *target, f flying) {
+	i := len(tg.Replies)
+	for i > 0 && tg.Replies[i-1].Time > f.Time {
+		i--
+	}
+	tg.Replies = slices.Insert(tg.Replies, i, f.Reply)
+	tg.Probes[f.probe].Reply = int32(i)
+	for j := i + 1; j < len(tg.Replies); j++ {
+		k, _ := slices.BinarySearchFunc(tg.Probes, tg.Replies[j].Seq, func(pb Probe, seq uint64) int {
+			return cmp.Compare(pb.Seq, seq)
+		})
+		tg.Probes[k].Reply = int32(j)
+	}
+	p.answered++
+	p.plane.m.answered.Inc()
+}
+
+// The two legs of an echo exchange a loss decision is drawn for.
+const (
+	legRequest = iota
+	legReply
+)
+
+// splitmix64 is the finalizer of Steele, Lea and Flood's SplitMix generator:
+// a stateless bijective mixer of 64 bits.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// lossKey folds what identifies a prober within a run into one word.
+func lossKey(seed int64, from topology.NodeID, replyTo netip.Addr) uint64 {
+	a := replyTo.As16()
+	k := splitmix64(uint64(seed))
+	k = splitmix64(k ^ uint64(from))
+	k = splitmix64(k ^ binary.BigEndian.Uint64(a[:8]))
+	return splitmix64(k ^ binary.BigEndian.Uint64(a[8:]))
+}
+
+// lost decides whether one leg of probe seq is dropped at the given rate. It
+// draws from no stream, so neither the order probes are evaluated in nor the
+// BGP jitter interleaved with them can change a decision.
+func lost(key, seq uint64, leg uint64, rate float64) bool {
+	u := splitmix64(splitmix64(key^seq) ^ leg)
+	return float64(u>>11)/(1<<53) < rate
 }
 
 // RTT measures the current round-trip time from the prober's site to the
 // target and back to ReplyTo, returning ok=false if the reply path is
-// broken. It inspects FIBs instantaneously (no events), which is how the
-// harness computes the ≤50 ms site-proximity filter of §5.1.
+// broken. It inspects FIBs instantaneously, which is how the harness computes
+// the ≤50 ms site-proximity filter of §5.1.
 func (p *Prober) RTT(target topology.NodeID) (float64, bool) {
 	res := p.plane.Forward(target, p.ReplyTo)
 	if !res.Delivered {

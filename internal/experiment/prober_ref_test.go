@@ -1,0 +1,233 @@
+package experiment
+
+import (
+	"fmt"
+	"net/netip"
+	"slices"
+	"testing"
+
+	"bestofboth/internal/core"
+	"bestofboth/internal/dataplane"
+	"bestofboth/internal/netsim"
+	"bestofboth/internal/scenario"
+	"bestofboth/internal/topology"
+)
+
+// refProber is internal/dataplane's probe_ref_test.go — the prober as it
+// stood while probes were calendar events — copied here because test files
+// do not cross packages, and cut to what the Figure 2 matrix needs: no loss.
+// It drives the world's control simulator and reads the plane through Forward
+// and StaticDelay only. See the original for why it is the oracle.
+type refProber struct {
+	sim      *netsim.Sim
+	plane    *dataplane.Plane
+	From     topology.NodeID
+	ReplyTo  netip.Addr
+	seq      uint64
+	answered int
+	traces   map[topology.NodeID]*dataplane.Trace
+
+	freeFlights []*refFlight
+}
+
+type refFlight struct {
+	p     *refProber
+	tr    *dataplane.Trace
+	probe int32
+	dest  topology.NodeID
+}
+
+func (p *refProber) newFlight() *refFlight {
+	if k := len(p.freeFlights); k > 0 {
+		f := p.freeFlights[k-1]
+		p.freeFlights = p.freeFlights[:k-1]
+		return f
+	}
+	return &refFlight{}
+}
+
+func (p *refProber) freeFlight(f *refFlight) {
+	*f = refFlight{}
+	p.freeFlights = append(p.freeFlights, f)
+}
+
+// runEcho fires when the request reaches the target: the target emits the
+// reply, which is routed by the FIBs as they stand at this moment.
+func runEcho(a any) {
+	f := a.(*refFlight)
+	p := f.p
+	res := p.plane.Forward(f.tr.Target, p.ReplyTo)
+	if !res.Delivered {
+		p.freeFlight(f)
+		return
+	}
+	f.dest = res.Dest
+	p.sim.AtCall(p.sim.Now()+res.Delay, runCapture, f)
+}
+
+// runCapture fires when the reply arrives at a capture point.
+func runCapture(a any) {
+	f := a.(*refFlight)
+	p, tr := f.p, f.tr
+	probe := &tr.Probes[f.probe]
+	probe.Reply = int32(len(tr.Replies))
+	tr.Replies = append(tr.Replies, dataplane.Reply{Time: p.sim.Now(), Seq: probe.Seq, Site: f.dest})
+	p.answered++
+	p.freeFlight(f)
+}
+
+func (p *refProber) Trace(target topology.NodeID) *dataplane.Trace { return p.traces[target] }
+func (p *refProber) Sent() int                                     { return int(p.seq) }
+func (p *refProber) Answered() int                                 { return p.answered }
+
+func (p *refProber) ping(tr *dataplane.Trace) {
+	p.seq++
+	fwd := p.plane.StaticDelay(p.From, tr.Target)
+	sim := p.sim
+	tr.Probes = append(tr.Probes, dataplane.Probe{Seq: p.seq, Time: sim.Now(), Reply: -1})
+	f := p.newFlight()
+	f.p, f.tr, f.probe = p, tr, int32(len(tr.Probes)-1)
+	sim.AtCall(sim.Now()+fwd, runEcho, f)
+}
+
+func (p *refProber) PingEvery(target topology.NodeID, interval, duration float64) {
+	if !(interval > 0) {
+		panic(fmt.Sprintf("dataplane: PingEvery interval %v is not positive", interval))
+	}
+	tr := p.traces[target]
+	if tr == nil {
+		tr = &dataplane.Trace{Target: target}
+		p.traces[target] = tr
+	}
+	sim := p.sim
+	deadline := sim.Now() + duration
+	var tick func()
+	tick = func() {
+		if sim.Now() >= deadline {
+			return
+		}
+		p.ping(tr)
+		sim.After(interval, tick)
+	}
+	tick()
+}
+
+// campaigner is what failoverOn asks of a prober.
+type campaigner interface {
+	PingEvery(target topology.NodeID, interval, duration float64)
+	Trace(topology.NodeID) *dataplane.Trace
+	Sent() int
+	Answered() int
+}
+
+// probeWith is failoverOn's fault and probing on its event schedule, with the
+// probers built by mk and handed back, one per probe group.
+func probeWith(t *testing.T, w *World, sel *Selection, failCode string, fc FailoverConfig, mk func(g scenario.Group) campaigner) ([]campaigner, []scenario.Group) {
+	t.Helper()
+	groups := probeGroups(w, sel, w.CDN.Site(failCode), fc.MaxTargets)
+	var probers []campaigner
+	for _, g := range groups {
+		probers = append(probers, mk(g))
+	}
+	t0 := w.Sim.Now()
+	var monitor *core.Monitor
+	var err error
+	if fc.UseMonitor {
+		if monitor, err = w.CDN.StartMonitor(core.MonitorInterval, core.MonitorMisses); err == nil {
+			_, err = w.CDN.CrashSite(failCode)
+		}
+	} else {
+		_, err = w.CDN.FailSite(failCode)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range groups {
+		for _, id := range g.Targets {
+			probers[i].PingEvery(id, fc.ProbeInterval, fc.ProbeDuration)
+		}
+	}
+	w.Sim.RunUntil(t0 + fc.ProbeDuration + 30)
+	if monitor != nil {
+		monitor.Stop()
+	}
+	return probers, groups
+}
+
+// TestProberMatchesCalendarReference runs failover_ref_test.go's matrix — the
+// four Figure 2 techniques plus load-shift under demand, site monitor off
+// and on, lossless — on sibling restores of one converged snapshot, one
+// probed by the prober and one by its calendar reference, at one and two
+// shards. Every trace, Sent and Answered must agree, and both worlds must end
+// in the same BGP state: at two shards the reference's events bound the
+// barrier rounds and the prober's absence of events does not, and neither
+// may show.
+func TestProberMatchesCalendarReference(t *testing.T) {
+	type column struct {
+		cfg  WorldConfig
+		tech core.Technique
+	}
+	cols := []column{
+		{tinyConfig(27), core.ProactiveSuperprefix{}},
+		{tinyConfig(27), core.ReactiveAnycast{}},
+		{tinyConfig(27), core.ProactivePrepending{Prepends: 3}},
+		{tinyConfig(27), core.Anycast{}},
+		{demandConfig(27), core.LoadShift{}}, // one prober per bucket /27
+	}
+	sel := mustSelect(t, tinyConfig(27), 15)
+	for _, shards := range []int{1, 2} {
+		for _, col := range cols {
+			cfg := col.cfg
+			cfg.Shards = shards
+			snap, err := buildSnapshot(cfg, col.tech, 3600)
+			if err != nil || snap == nil {
+				t.Fatalf("%s: snapshot: %v", col.tech.Name(), err)
+			}
+			traces, lost := 0, 0
+			for _, mon := range []bool{false, true} {
+				fc := quickFailover()
+				fc.UseMonitor = mon
+				name := fmt.Sprintf("%s/shards=%d/monitor=%v", col.tech.Name(), shards, mon)
+
+				real, err := RestoreWorld(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, groups := probeWith(t, real, sel, "msn", fc, func(g scenario.Group) campaigner {
+					return dataplane.NewProber(real.Plane, g.Prober, g.ReplyTo)
+				})
+				ref, err := RestoreWorld(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := probeWith(t, ref, sel, "msn", fc, func(g scenario.Group) campaigner {
+					return &refProber{sim: ref.Sim, plane: ref.Plane, From: g.Prober, ReplyTo: g.ReplyTo, traces: map[topology.NodeID]*dataplane.Trace{}}
+				})
+
+				for i, g := range groups {
+					if got[i].Sent() != want[i].Sent() || got[i].Answered() != want[i].Answered() {
+						t.Fatalf("%s, prober %d: sent %d answered %d, reference %d and %d", name, i, got[i].Sent(), got[i].Answered(), want[i].Sent(), want[i].Answered())
+					}
+					for _, id := range g.Targets {
+						a, b := got[i].Trace(id), want[i].Trace(id)
+						if a.Target != b.Target || !slices.Equal(a.Probes, b.Probes) || !slices.Equal(a.Replies, b.Replies) {
+							t.Fatalf("%s, prober %d, target %d: trace differs from the calendar reference's (%d/%d probes, %d/%d replies)",
+								name, i, id, len(a.Probes), len(b.Probes), len(a.Replies), len(b.Replies))
+						}
+						traces++
+						if len(a.Replies) < len(a.Probes) {
+							lost++
+						}
+					}
+				}
+				if real.Net.MessageCount() != ref.Net.MessageCount() || real.Net.RouteStateDigest() != ref.Net.RouteStateDigest() || real.Plane.FIBDigest() != ref.Plane.FIBDigest() {
+					t.Fatalf("%s: the two worlds ended in different BGP states", name)
+				}
+			}
+			if traces == 0 || lost == 0 {
+				t.Fatalf("%s: %d traces, %d with a lost probe: the matrix exercised nothing", col.tech.Name(), traces, lost)
+			}
+			t.Logf("%s, %d shard(s): %d traces agree, %d with lost probes", col.tech.Name(), shards, traces, lost)
+		}
+	}
+}

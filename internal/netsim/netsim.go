@@ -323,6 +323,7 @@ func (c *countingSource) Seed(seed int64) {
 // threaded by design so that runs are reproducible bit-for-bit. Distinct Sim
 // instances are fully independent and may run on concurrent goroutines.
 type Sim struct {
+	seed   int64 //cdnlint:nosnapshot immutable: Restore targets a simulator built with the same seed
 	now    Seconds
 	seq    uint64
 	queue  eventQueue
@@ -351,8 +352,14 @@ type Sim struct {
 // events produce identical executions.
 func New(seed int64) *Sim {
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Sim{src: src, rng: rand.New(src), queue: newEventQueue()}
+	return &Sim{seed: seed, src: src, rng: rand.New(src), queue: newEventQueue()}
 }
+
+// Seed returns the seed the simulator was built with. Model code that needs
+// randomness which must not perturb (or be perturbed by) the shared stream —
+// an observer such as the data-plane prober — derives it from the seed
+// through a stateless mixer instead of drawing from Rand.
+func (s *Sim) Seed() int64 { return s.seed }
 
 // Instrument attaches kernel metrics to r: events scheduled and executed,
 // the high-water queue depth, the furthest virtual clock reached, and the
