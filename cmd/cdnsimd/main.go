@@ -1,6 +1,7 @@
 // Command cdnsimd is the simulator's long-running control-plane daemon:
 // it builds one deployed world, converges it, and serves the versioned
-// HTTP/JSON API (pkg/bestofboth/api) over it until killed.
+// HTTP/JSON API (pkg/bestofboth/api) over it until SIGINT or SIGTERM, on
+// which it lets in-flight requests finish and exits 0.
 //
 // State is read through GET endpoints (/v1/state, /v1/digests, /v1/dns,
 // /v1/load, /v1/catchments) and mutated exclusively through ChangeSets
@@ -19,11 +20,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/ctlplane"
@@ -99,7 +105,31 @@ func run(tech string, seed int64, scale string, shards int, demand bool, addr st
 	// The listen URL is the daemon's only stdout output and always the
 	// first line, so `cdnsimd -addr 127.0.0.1:0 | head -1` is scriptable.
 	fmt.Printf("listening on http://%s\n", ln.Addr())
-	return http.Serve(ln, srv.Handler())
+
+	// No WriteTimeout: an execute at internet scale legitimately runs for
+	// tens of seconds. The read and idle bounds stop a slow or silent client
+	// from holding a connection.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	stopped := make(chan error, 1)
+	go func() {
+		sig := <-sigs
+		// Shutdown waits for in-flight handlers, so a signal never leaves the
+		// world mid-apply.
+		err := hs.Shutdown(context.Background())
+		fmt.Fprintf(os.Stderr, "cdnsimd: %v: shut down\n", sig)
+		stopped <- err
+	}()
+	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return <-stopped
 }
 
 // sabotageHook is the standard -test-sabotage divergence: silently stop

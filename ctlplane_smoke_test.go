@@ -7,7 +7,7 @@ package bestofboth_test
 // tentpole's promise — the dry run's predicted per-site load deltas are
 // exactly what execution produces (pass receipt, bit-identical digests),
 // and a sabotaged execution yields a fail receipt naming the diverging
-// fields.
+// fields. Last, SIGTERM must stop the daemon with exit status 0.
 
 import (
 	"bufio"
@@ -18,6 +18,7 @@ import (
 	"os/exec"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -159,6 +160,21 @@ func TestCtlplaneSmoke(t *testing.T) {
 	want := []string{api.StatusDryRun, api.StatusExecuted, api.StatusDiverged}
 	if !reflect.DeepEqual(statuses, want) {
 		t.Fatalf("changeset statuses %v, want %v", statuses, want)
+	}
+
+	// SIGTERM stops the daemon cleanly: exit status 0 within 10 s.
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- daemon.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("daemon after SIGTERM: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon still running 10 s after SIGTERM")
 	}
 }
 

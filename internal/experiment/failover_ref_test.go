@@ -242,23 +242,43 @@ func TestAnalyzeTargetMatchesReference(t *testing.T) {
 	}
 }
 
+// arrival is one reply of a hand-built or fuzzed trace: the probe it
+// answers, when it lands, and the site that answered.
+type arrival struct {
+	seq  uint64
+	at   float64
+	site topology.NodeID
+}
+
+// analyzeBoth builds a valid trace for one target — n probes 1.5 s apart
+// with seqs 1..n, answered by arrivals, which must be in arrival order — and
+// returns analyzeTarget's outcome and the reference's over its flat logs.
+func analyzeBoth(w *World, n int, arrivals []arrival) (got, want TargetOutcome) {
+	tr := &dataplane.Trace{Target: w.Targets()[0].ID}
+	for seq := uint64(1); seq <= uint64(n); seq++ {
+		tr.Probes = append(tr.Probes, dataplane.Probe{Seq: seq, Time: 1.5 * float64(seq), Reply: -1})
+	}
+	for i, r := range arrivals {
+		tr.Probes[r.seq-1].Reply = int32(i)
+		tr.Replies = append(tr.Replies, dataplane.Reply{Time: r.at, Seq: r.seq, Site: r.site})
+	}
+	sent, caps := flatLogs(tr)
+	want, _ = refAnalyzeTarget(w, tr.Target, sent, caps, 1, nil)
+	return analyzeTarget(w, tr, 1), want
+}
+
 // TestAnalyzeTargetOvertakenReplies feeds both analyzers the traces the
 // matrix above never produces (its replies are 1.5 s apart and arrive in
 // order): replies that overtake earlier ones, so arrival order and emission
 // order disagree about which reply is first, last, and where the stable
-// suffix starts.
+// suffix starts. FuzzAnalyzeTarget's committed corpus encodes these four.
 func TestAnalyzeTargetOvertakenReplies(t *testing.T) {
 	w, err := NewWorld(tinyConfig(27))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := w.CDN.Site("atl").Node, w.CDN.Site("msn").Node
-	type reply struct {
-		seq  uint64
-		at   float64
-		site topology.NodeID
-	}
-	for name, arrivals := range map[string][]reply{
+	for name, arrivals := range map[string][]arrival{
 		// seq 2 lands before seq 1; the last probe's reply lands before seq 5's.
 		"stable suffix": {{2, 3.1, a}, {1, 5.0, b}, {4, 6.1, a}, {6, 9.05, a}, {5, 9.2, a}},
 		// The site differs on the overtaking reply: bounces follow arrival
@@ -267,18 +287,37 @@ func TestAnalyzeTargetOvertakenReplies(t *testing.T) {
 		"final ping lost":       {{3, 4.6, a}, {2, 4.8, a}, {5, 7.6, b}},
 		"nothing answered":      nil,
 	} {
-		tr := &dataplane.Trace{Target: w.Targets()[0].ID}
-		for seq := uint64(1); seq <= 6; seq++ {
-			tr.Probes = append(tr.Probes, dataplane.Probe{Seq: seq, Time: 1.5 * float64(seq), Reply: -1})
-		}
-		for i, r := range arrivals {
-			tr.Probes[r.seq-1].Reply = int32(i)
-			tr.Replies = append(tr.Replies, dataplane.Reply{Time: r.at, Seq: r.seq, Site: r.site})
-		}
-		sent, caps := flatLogs(tr)
-		want, _ := refAnalyzeTarget(w, tr.Target, sent, caps, 1, nil)
-		if got := analyzeTarget(w, tr, 1); !reflect.DeepEqual(got, want) {
+		if got, want := analyzeBoth(w, 6, arrivals); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
+}
+
+// FuzzAnalyzeTarget generalises TestAnalyzeTargetOvertakenReplies to
+// arbitrary traces of up to 64 probes, one per byte pair. The first byte's
+// low two bits say the probe was lost (0) or which of three sites answered;
+// the second is its reply's delay in twentieths of a second, so a reply can
+// overtake up to eight later ones.
+func FuzzAnalyzeTarget(f *testing.F) {
+	w, err := NewWorld(tinyConfig(27))
+	if err != nil {
+		f.Fatal(err)
+	}
+	sites := []topology.NodeID{w.CDN.Site("atl").Node, w.CDN.Site("msn").Node, w.CDN.Site("bos").Node}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/2, 64)
+		var arrivals []arrival
+		for i := 0; i < n; i++ {
+			fate, delay := data[2*i]%4, data[2*i+1]
+			if fate == 0 {
+				continue
+			}
+			seq := uint64(i + 1)
+			arrivals = append(arrivals, arrival{seq, 1.5*float64(seq) + float64(delay)/20, sites[fate-1]})
+		}
+		slices.SortStableFunc(arrivals, func(x, y arrival) int { return cmp.Compare(x.at, y.at) })
+		if got, want := analyzeBoth(w, n, arrivals); !reflect.DeepEqual(got, want) {
+			t.Fatalf("arrivals %v:\n got %+v\nwant %+v", arrivals, got, want)
+		}
+	})
 }

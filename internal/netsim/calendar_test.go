@@ -31,10 +31,10 @@ func checkStableOrder(t *testing.T, want, got []rec) {
 	}
 }
 
-// TestCalendarOrderingMatchesReference drives the calendar queue with a
-// randomized schedule — near-bucket events, far-horizon events, exact ties,
-// and re-scheduling from inside callbacks — and checks the execution order
-// against a straightforward stable sort by (at, seq).
+// TestCalendarOrderingMatchesReference drives the event queue with a
+// randomized schedule — dense near-future events, events hundreds of seconds
+// out, exact ties, and re-scheduling from inside callbacks — and checks the
+// execution order against a straightforward stable sort by (at, seq).
 func TestCalendarOrderingMatchesReference(t *testing.T) {
 	s := New(7)
 	rng := rand.New(rand.NewSource(99))
@@ -49,8 +49,8 @@ func TestCalendarOrderingMatchesReference(t *testing.T) {
 		want = append(want, rec{at, id})
 		s.At(at, func() {
 			got = append(got, rec{at, id})
-			// From inside a callback, occasionally schedule follow-ups both
-			// within the calendar window and far beyond it.
+			// From inside a callback, occasionally schedule follow-ups a few
+			// seconds ahead of the clock.
 			if id%5 == 0 && nextID < 3000 {
 				d := rng.Float64() * 10
 				fid := nextID
@@ -62,34 +62,30 @@ func TestCalendarOrderingMatchesReference(t *testing.T) {
 		})
 	}
 
-	// Initial schedule: a mix of sub-bucket times, bucket-boundary times,
-	// exact duplicates (ties broken by seq), and far-future events well past
-	// the 64 s calendar horizon.
+	// Initial schedule: a mix of dense near-future times, a few repeated
+	// exact times (ties broken by seq), and times spread over hundreds of
+	// seconds.
 	for i := 0; i < 1500; i++ {
 		switch i % 4 {
 		case 0:
 			schedule(rng.Float64() * 2) // dense near-future
 		case 1:
-			schedule(Seconds(i%32) * calWidth) // exact bucket boundaries, many ties
+			schedule(Seconds(i%32) / 16) // 32 exact times, many ties
 		case 2:
-			schedule(rng.Float64() * 500) // spans several rebases
+			schedule(rng.Float64() * 500)
 		case 3:
-			schedule(100 + rng.Float64()*1000) // far heap
+			schedule(100 + rng.Float64()*1000)
 		}
 	}
 	s.Run()
 	checkStableOrder(t, want, got)
 }
 
-// TestCalendarSameInstantStorm is the schedule a Figure 2 probe campaign
-// produces: k tickers that all fire at one identical instant every 1.5 s and
-// re-arm themselves, each also scheduling a reply a few ms ahead — into the
-// slot being drained — and now and then a timer past the 64 s horizon. One
-// slot therefore holds a whole round, heap-ordered while it is being popped
-// and pushed into; 150 rounds cross the horizon three times, so far-heap
-// migration refills such slots too. Such a slot outgrows its four-key carve:
-// it must trade arrays through the spare stack and be back on the carve once
-// drained.
+// TestCalendarSameInstantStorm is the schedule a probe campaign once put on
+// the queue: k tickers that all fire at one identical instant every 1.5 s and
+// re-arm themselves, each also scheduling a reply a few ms ahead, and now and
+// then a timer 64 s or more out. The heap is popped and pushed into while
+// a whole round shares one timestamp.
 func TestCalendarSameInstantStorm(t *testing.T) {
 	const (
 		k        = 60
@@ -98,17 +94,6 @@ func TestCalendarSameInstantStorm(t *testing.T) {
 	)
 	s := New(7)
 	var want, got []rec
-	// outgrownMax is the most slots off their carve at one moment, sampled
-	// after every event's own pushes.
-	outgrown := func() (n int) {
-		for _, h := range s.queue.near {
-			if cap(h) > calSlotCap {
-				n++
-			}
-		}
-		return n
-	}
-	outgrownMax := 0
 	schedule := func(at Seconds, then func()) {
 		r := rec{at, len(want)}
 		want = append(want, r)
@@ -117,7 +102,6 @@ func TestCalendarSameInstantStorm(t *testing.T) {
 			if then != nil {
 				then()
 			}
-			outgrownMax = max(outgrownMax, outgrown()) // pushes are what outgrow a slot
 		})
 	}
 	var tick func(i, round int) func()
@@ -125,7 +109,7 @@ func TestCalendarSameInstantStorm(t *testing.T) {
 		return func() {
 			schedule(s.Now()+Seconds(1+i%7)/1000, nil)
 			if (i+round)%17 == 0 {
-				schedule(s.Now()+calHorizon+Seconds(i), nil)
+				schedule(s.Now()+64+Seconds(i), nil)
 			}
 			if round+1 < rounds {
 				schedule(s.Now()+interval, tick(i, round+1))
@@ -136,9 +120,6 @@ func TestCalendarSameInstantStorm(t *testing.T) {
 		schedule(0, tick(i, 0))
 	}
 	s.Run()
-	if s.Now() < 3*calHorizon {
-		t.Fatalf("storm ended at %v s, before a third rebase", s.Now())
-	}
 	checkStableOrder(t, want, got)
 
 	// Drained: every slab entry is back on the free list and cleared, so no
@@ -152,33 +133,12 @@ func TestCalendarSameInstantStorm(t *testing.T) {
 			t.Fatalf("slab[%d] still holds its callback after the drain", i)
 		}
 	}
-
-	// Every slot is back on its own window of the carve array, and the
-	// arrays the outgrown ones used are on the spare stack — no more of them
-	// than slots were outgrown at once, however many rounds ran.
-	for i, h := range q.near {
-		if len(h) != 0 || cap(h) != calSlotCap || &h[:1][0] != &q.carve[i*calSlotCap] {
-			t.Fatalf("slot %d is not back on its carve after the drain (len %d cap %d)", i, len(h), cap(h))
-		}
-	}
-	if outgrownMax < 2 {
-		t.Fatalf("at most %d slots outgrew their carve at once; the storm should overflow a tick slot and a reply slot", outgrownMax)
-	}
-	if len(q.spare) == 0 || len(q.spare) > outgrownMax {
-		t.Fatalf("spare stack holds %d arrays after the drain, want 1..%d (slots outgrown at once)", len(q.spare), outgrownMax)
-	}
-	for i, sp := range q.spare {
-		if len(sp) != 0 || cap(sp) <= calSlotCap {
-			t.Fatalf("spare[%d] has len %d cap %d; want an empty array larger than a carve", i, len(sp), cap(sp))
-		}
-	}
 }
 
 // BenchmarkQueueSameInstant measures the kernel on that schedule at two
 // population sizes. One operation is one event (a tick, which re-arms itself
-// and schedules a reply, or the reply), so ns/event flat from 60 to 6000
-// tickers is the evidence that popping a slot is not linear in what it
-// holds.
+// and schedules a reply, or the reply); from 60 to 6000 tickers the heap is
+// about seven levels deeper, which is what ns/event should grow by.
 func BenchmarkQueueSameInstant(b *testing.B) {
 	for _, n := range []int{60, 6000} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
@@ -192,7 +152,7 @@ func BenchmarkQueueSameInstant(b *testing.B) {
 			for i := 0; i < n; i++ {
 				s.At(0, tick)
 			}
-			s.RunUntil(3) // two rounds: slots and slab are grown
+			s.RunUntil(3) // two rounds: heap and slab are grown
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Step()
@@ -203,13 +163,13 @@ func BenchmarkQueueSameInstant(b *testing.B) {
 }
 
 // TestCalendarRunUntilBoundary checks that RunUntil with a deadline between
-// events leaves later events queued, including events in the far heap.
+// events leaves later events queued, including ones just past the deadline.
 func TestCalendarRunUntilBoundary(t *testing.T) {
 	s := New(1)
 	fired := map[string]bool{}
 	s.At(0.5, func() { fired["a"] = true })
-	s.At(63.99, func() { fired["b"] = true }) // last near bucket
-	s.At(64.01, func() { fired["c"] = true }) // just past the horizon: far heap
+	s.At(63.99, func() { fired["b"] = true }) // exactly at the deadline
+	s.At(64.01, func() { fired["c"] = true }) // just past it
 	s.At(500, func() { fired["d"] = true })
 
 	s.RunUntil(63.99)
@@ -228,17 +188,16 @@ func TestCalendarRunUntilBoundary(t *testing.T) {
 	}
 }
 
-// TestCalendarScheduleBeforeBase exercises the clamp path: after a rebase
-// triggered by a far-future event, the clock may still trail the calendar
-// base, and a callback-free At from model code at now must still order
-// correctly against the rebased window.
+// TestCalendarScheduleBeforeBase checks a same-instant At from inside a
+// callback after a long idle jump: the clock leaps from 0 to 200 s in one
+// pop, and an event scheduled at now must still run before one scheduled
+// later, and after the callback that scheduled it.
 func TestCalendarScheduleBeforeBase(t *testing.T) {
 	s := New(1)
 	var order []string
 	s.At(200, func() {
 		order = append(order, "far")
-		// now == 200 == queue base after the rebase; schedule slightly
-		// ahead and exactly at now.
+		// now == 200; schedule exactly at now and slightly ahead.
 		s.At(200, func() { order = append(order, "tie") })
 		s.At(200.5, func() { order = append(order, "next") })
 	})

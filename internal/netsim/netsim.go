@@ -45,96 +45,43 @@ func (c *callback) run() {
 	c.fn()
 }
 
-// Calendar-queue geometry. Near-future events dominate the schedule (MRAI
-// pacing, TCP-ordering nudges, probe ticks), so the queue keeps a calendar of
-// fixed-width buckets covering calHorizon seconds ahead of the most recent
-// rebase and spills everything further out into one overflow heap. The
-// bucket width is a power of two so the slot computation is an exact,
-// monotone float scaling: a <= b always lands a in a bucket no later than b,
-// which is what keeps execution order identical to a single global heap.
-const (
-	calSlots    = 1024
-	calInvWidth = 16.0                         // buckets per second
-	calWidth    = 1.0 / calInvWidth            // seconds per bucket
-	calHorizon  = Seconds(calSlots) * calWidth // 64 s
-	calSlotCap  = 4                            // pre-carved capacity per slot
-	farHeapCap  = 64                           // pre-allocated overflow heap and callback slab
-	spareCap    = 8                            // pre-allocated depth of the spare-array stack
-)
+// queueCap is the pre-allocated capacity of the heap, slab and free list.
+const queueCap = 64
 
-// eventQueue is a two-level calendar queue ordered by (at, seq).
+// eventQueue is one binary min-heap ordered by (at, seq) — a strict total
+// order, so the execution order is the one a stable sort of the schedule by
+// time would give.
 //
-// Level one ("near") is a flat array of calSlots buckets; slot i holds
-// events with at in [base + i*calWidth, base + (i+1)*calWidth), where base
-// is the time of the last rebase. cur is the first slot that may still hold
-// events; it only moves forward between rebases, so the array never wraps.
-// Level two ("far") holds everything at or beyond limit = base + calHorizon.
+// What the heap orders is not the events but 24-byte pointer-free keys; the
+// callbacks sit still in slab, a free-listed side array each key indexes by
+// ref. That split is the design, not a refinement: heaps of the 48-byte
+// pointerful events themselves were measured and lost (a Figure 2 matrix ran
+// ≈ 9 % slower and allocated 10 % more), because every sift move and every
+// growth then pays the garbage collector's write barrier, while keys move as
+// plain memory the collector never scans.
 //
-// Invariant: every near event is earlier than every far event (near events
-// are < limit, far events >= limit, and limit only changes on a rebase,
-// which happens when near is empty). pop therefore drains near completely
-// before consulting far.
-//
-// Every slot, and far, is a binary min-heap under the exact (at, seq)
-// comparator — a strict total order, so the execution order is bit-identical
-// to one global heap's. A slot is not small: a probe campaign ticks its
-// whole population at one instant, so all of a round's events share one
-// slot, and finding each minimum by scanning the slot was quadratic in the
-// population. What the heaps order is not the events but 24-byte
-// pointer-free keys; the callbacks sit still in slab, a free-listed side
-// array each key indexes by ref. That split is the design, not a refinement:
-// heaps of the 48-byte pointerful events themselves were measured and lost
-// (a Figure 2 matrix ran ≈ 9 % slower and allocated 10 % more), because
-// every sift move and every slot growth then pays the garbage collector's
-// write barrier, while keys move as plain memory the collector never scans.
-//
-// A slot starts on its own four-key window of one shared carve array. One
-// that outgrows the window (a probe round puts a whole population into one
-// slot, every 1.5 s into a different one) moves to a heap-allocated array;
-// when it drains empty it goes back to its window and the array goes onto the
-// spare stack, where the next slot to fill up finds it instead of regrowing
-// from four keys by doubling. Only outgrown slots trade arrays: recycling
-// every drained slot's array was measured and lost, because the big arrays
-// scatter over one-event slots and the tick slot regrows anyway.
+// One heap, not a calendar of per-slot heaps: since probing schedules
+// nothing, no workload puts a population on the queue at one instant, and
+// one heap measured no slower on the benchmark's workloads and allocated
+// ≈ 3 % less; its cost at internet-scale depths is in EXPERIMENTS.md
+// "One heap".
 type eventQueue struct {
-	near  []keyHeap  //cdnlint:nosnapshot snapshots require an empty queue; pending events hold closures over model state
-	carve []eventKey //cdnlint:nosnapshot the slots' shared initial storage; holds no keys while the queue is empty
-	spare []keyHeap  //cdnlint:nosnapshot empty arrays awaiting reuse; capacity only, never read
-	cur   int        //cdnlint:nosnapshot calendar position; meaningless while the queue is empty
-	base  Seconds    //cdnlint:nosnapshot any value is valid: late pushes spill to far and settle rebases
-	limit Seconds    //cdnlint:nosnapshot any value is valid: late pushes spill to far and settle rebases
-	slab  []callback //cdnlint:nosnapshot callbacks of pending events; all cleared while the queue is empty
-	free  []int32    //cdnlint:nosnapshot recycling order of slab indices; refs never influence execution order
-	nearN int
-	far   keyHeap
+	heap keyHeap    //cdnlint:nosnapshot snapshots require an empty queue; pending events hold closures over model state
+	slab []callback //cdnlint:nosnapshot callbacks of pending events; all cleared while the queue is empty
+	free []int32    //cdnlint:nosnapshot recycling order of slab indices; refs never influence execution order
 }
 
 func newEventQueue() eventQueue {
-	// One backing array, re-sliced per slot: slots keep their carved
-	// capacity across rebases, so the steady-state event path never
-	// allocates (pinned by TestEventPathZeroAllocs).
-	q := eventQueue{
-		near:  make([]keyHeap, calSlots),
-		carve: make([]eventKey, calSlots*calSlotCap),
-		spare: make([]keyHeap, 0, spareCap),
-		base:  0,
-		limit: calHorizon,
-		slab:  make([]callback, 0, farHeapCap),
-		free:  make([]int32, 0, farHeapCap),
-		far:   make(keyHeap, 0, farHeapCap),
+	// The three arrays keep their capacity once grown, so the steady-state
+	// event path never allocates (pinned by TestEventPathZeroAllocs).
+	return eventQueue{
+		heap: make(keyHeap, 0, queueCap),
+		slab: make([]callback, 0, queueCap),
+		free: make([]int32, 0, queueCap),
 	}
-	for i := range q.near {
-		q.near[i] = q.carved(i)
-	}
-	return q
 }
 
-// carved returns slot i's empty window of the carve array.
-func (q *eventQueue) carved(i int) keyHeap {
-	return q.carve[i*calSlotCap : i*calSlotCap : (i+1)*calSlotCap]
-}
-
-func (q *eventQueue) len() int { return q.nearN + len(q.far) }
+func (q *eventQueue) len() int { return len(q.heap) }
 
 func (q *eventQueue) push(e event) {
 	k := eventKey{at: e.at, seq: e.seq}
@@ -146,94 +93,26 @@ func (q *eventQueue) push(e event) {
 		k.ref = int32(len(q.slab))
 		q.slab = append(q.slab, e.callback)
 	}
-	if k.at >= q.limit {
-		q.far.push(k)
-		return
-	}
-	q.place(k)
-}
-
-// place files a key that belongs below limit into its calendar slot.
-func (q *eventQueue) place(k eventKey) {
-	idx := int((k.at - q.base) * calInvWidth)
-	// Clamp defensively: at can sit below base right after a peek-driven
-	// rebase (the clock has not caught up yet), and boundary rounding can
-	// land exactly on calSlots. Clamping only ever moves an event to an
-	// earlier slot, where the slot's exact ordering still puts it right.
-	if idx < q.cur {
-		idx = q.cur
-	}
-	if idx >= calSlots {
-		idx = calSlots - 1
-	}
-	h := &q.near[idx]
-	if len(*h) == cap(*h) {
-		// Full: move onto a spare array that has room, if there is one.
-		// Spares too small for this slot are dropped on the way, so the
-		// arrays in circulation never outnumber the slots outgrown at once;
-		// with no spare left, push's append grows the slot as usual.
-		for n := len(q.spare); n > 0; n = len(q.spare) {
-			s := q.spare[n-1]
-			q.spare[n-1] = nil
-			q.spare = q.spare[:n-1]
-			if cap(s) > len(*h) {
-				*h = append(s, *h...)
-				break
-			}
-		}
-	}
-	h.push(k)
-	q.nearN++
-}
-
-// settle advances cur to the first non-empty slot, rebasing the calendar
-// from the overflow heap when the near level is exhausted. Returns false if
-// the queue is empty.
-func (q *eventQueue) settle() bool {
-	if q.nearN == 0 {
-		if len(q.far) == 0 {
-			return false
-		}
-		// Rebase: restart the calendar window at the earliest far event and
-		// migrate everything inside the new window down into the buckets.
-		q.cur = 0
-		q.base = q.far[0].at
-		q.limit = q.base + calHorizon
-		for len(q.far) > 0 && q.far[0].at < q.limit {
-			q.place(q.far.pop())
-		}
-		return true
-	}
-	for len(q.near[q.cur]) == 0 {
-		q.cur++
-	}
-	return true
+	q.heap.push(k)
 }
 
 // peekAt returns the timestamp of the earliest pending event.
 func (q *eventQueue) peekAt() (Seconds, bool) {
-	if !q.settle() {
+	if len(q.heap) == 0 {
 		return 0, false
 	}
-	return q.near[q.cur][0].at, true
+	return q.heap[0].at, true
 }
 
 func (q *eventQueue) pop() event {
-	q.settle()
-	h := &q.near[q.cur]
-	k := h.pop()
-	q.nearN--
-	if len(*h) == 0 && cap(*h) > calSlotCap {
-		q.spare = append(q.spare, *h)
-		*h = q.carved(q.cur)
-	}
+	k := q.heap.pop()
 	e := event{at: k.at, seq: k.seq, callback: q.slab[k.ref]}
 	q.slab[k.ref] = callback{} // release the callback for GC
 	q.free = append(q.free, k.ref)
 	return e
 }
 
-// eventKey is an event as the heaps see it: its position in the total order
+// eventKey is an event as the heap sees it: its position in the total order
 // plus the slab index of its callback. It holds no pointers.
 type eventKey struct {
 	at  Seconds

@@ -148,6 +148,35 @@ func TestParseRoundTripsLibraryJSON(t *testing.T) {
 	}
 }
 
+// FuzzParse feeds arbitrary bytes to Parse, the decoder user -f files reach.
+// It must never panic, whatever it accepts must be valid, and an accepted
+// scenario must come back unchanged through json.Marshal and Parse. The
+// committed corpus (testdata/fuzz/FuzzParse) holds yaml.go's example, a
+// switch-technique timeline in each syntax, and two rejections: an oversized
+// flap count and trailing data.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("Parse accepted an invalid scenario: %v", err)
+		}
+		asJSON, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(asJSON)
+		if err != nil {
+			t.Fatalf("re-parsing %s: %v", asJSON, err)
+		}
+		if !reflect.DeepEqual(back, sc) {
+			t.Fatalf("round trip through %s:\n got %+v\nwant %+v", asJSON, back, sc)
+		}
+	})
+}
+
 // TestParseEveryEventFieldBothSyntaxes walks Event's JSON tags reflectively,
 // so a field added to the vocabulary struct is covered without editing this
 // test: each tagged field gets a distinct non-zero value and must survive
