@@ -104,10 +104,10 @@ outputs:
 # cdnsimd and cdnsim, start the daemon on an ephemeral port, and drive a
 # drain ChangeSet dry-run → execute → verify (pass receipt, bit-identical
 # digests) plus a sabotaged execution (fail receipt naming the diverging
-# fields).
+# fields) — and the published-view, rollback and busy-daemon tests.
 ctlplane-smoke:
 	$(GO) run ./cmd/cdnlint -checks snapshotfields ./internal/ctlplane/... ./pkg/bestofboth/... ./internal/experiment/...
-	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf' -count=1 -v . ./internal/ctlplane/
+	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf|TestPublished|TestExecuteRollsBack|TestReadsDoNotWait' -count=1 -v . ./internal/ctlplane/
 
 # Fuzz smoke: every native fuzz target runs for FUZZTIME on top of its
 # committed corpus (testdata/fuzz/<target>, which tier-1 already runs as plain

@@ -8,7 +8,9 @@
 // (POST /v1/changesets): dry-run by default against a copy-on-write
 // snapshot of the live world, executed only with ?execute=true, and every
 // execution carries a verification receipt re-diffing the predicted
-// post-state against the actual one.
+// post-state against the actual one. GETs are served from the state the
+// last execute published and never wait for a mutation; a ChangeSet that
+// arrives while another runs is answered 503 with Retry-After.
 //
 // The daemon prints its listen URL to stdout as the first output line, so
 // scripts can start it on port 0 and scrape the address:

@@ -162,6 +162,14 @@ func TestCtlplaneSmoke(t *testing.T) {
 		t.Fatalf("changeset statuses %v, want %v", statuses, want)
 	}
 
+	// Reads serve the view the last execute published: the live state is
+	// that ChangeSet's actual post-state, field for field.
+	var after api.WorldState
+	mustJSON(t, ctl(0, "state"), &after)
+	if sab.Actual == nil || !reflect.DeepEqual(after, *sab.Actual) {
+		t.Fatalf("GET /v1/state after the last execute differs from its actual post-state:\nstate  %+v\nactual %+v", after, sab.Actual)
+	}
+
 	// SIGTERM stops the daemon cleanly: exit status 0 within 10 s.
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

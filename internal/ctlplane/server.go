@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bestofboth/internal/core"
@@ -42,18 +43,32 @@ type Config struct {
 }
 
 // Server owns one live deployed world and serves the versioned control
-// plane over it. All handlers serialize on one mutex: the simulator is
-// single-threaded state, and the control plane's semantics are a strict
-// sequence of observations and ChangeSets.
+// plane over it. The world changes only when a ChangeSet executes, so reads
+// never touch it: every execute publishes one immutable view of the world,
+// and GETs render from the latest view without a lock. mu is the mutation
+// lock — the simulator is single-threaded state, so ChangeSets run one at a
+// time — and logMu guards the audit trail, held only to append or copy.
 type Server struct {
-	mu    sync.Mutex
-	world *experiment.World
-	cfg   Config
-	now   func() time.Time
-
+	mu     sync.Mutex // held by POST /v1/changesets; guards world and nextID
+	world  *experiment.World
 	nextID int
-	sets   []*api.ChangeSet
-	byID   map[string]*api.ChangeSet
+
+	view atomic.Pointer[view]
+	cfg  Config
+	now  func() time.Time
+
+	logMu sync.Mutex
+	sets  []*api.ChangeSet
+	byID  map[string]*api.ChangeSet
+}
+
+// view is what the GET routes serve: the live world observed once, when it
+// last changed. Nothing in it is written after it is published.
+type view struct {
+	info       api.WorldInfo // identity and the full api.WorldState
+	zone       api.ZoneDump
+	catchments api.Catchments
+	shedding   bool
 }
 
 // NewServer builds the world, deploys the technique, converges, and
@@ -72,16 +87,42 @@ func NewServer(cfg Config) (*Server, error) {
 	if now == nil {
 		now = time.Now
 	}
-	return &Server{
+	s := &Server{
 		world: w,
 		cfg:   cfg,
 		now:   now,
 		byID:  map[string]*api.ChangeSet{},
-	}, nil
+	}
+	s.publish(StateOf(w))
+	return s, nil
 }
 
-// World exposes the live world (for tests that inspect or sabotage it).
+// World exposes the live world (for tests that inspect or sabotage it). A
+// failed execute replaces it, so it must not be called while a ChangeSet
+// runs.
 func (s *Server) World() *experiment.World { return s.world }
+
+// publish derives the view of the live world whose api.WorldState is st and
+// makes it the one every GET serves. Only NewServer and execute call it.
+func (s *Server) publish(st api.WorldState) {
+	w := s.world
+	v := &view{
+		info: api.WorldInfo{
+			APIVersion:    api.Version,
+			Seed:          w.Cfg.Seed,
+			ConfigDigest:  w.Cfg.Digest(),
+			Shards:        w.Cfg.Shards,
+			DemandEnabled: w.Cfg.Demand.Enabled,
+			State:         st,
+		},
+		zone:       zoneDumpOf(w.CDN.Authoritative()),
+		catchments: catchmentsOf(w),
+	}
+	if acct := w.CDN.Load(); acct != nil {
+		v.shedding = acct.Shedding()
+	}
+	s.view.Store(v)
+}
 
 // Handler returns the HTTP handler serving the v1 API:
 //
@@ -98,30 +139,34 @@ func (s *Server) World() *experiment.World { return s.world }
 //	GET  /healthz             liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/world", s.locked(s.handleWorld))
-	mux.HandleFunc("GET /v1/state", s.locked(s.handleState))
-	mux.HandleFunc("GET /v1/digests", s.locked(s.handleDigests))
-	mux.HandleFunc("GET /v1/dns", s.locked(s.handleDNS))
-	mux.HandleFunc("GET /v1/load", s.locked(s.handleLoad))
-	mux.HandleFunc("GET /v1/catchments", s.locked(s.handleCatchments))
-	mux.HandleFunc("GET /v1/changesets", s.locked(s.handleChangeSets))
-	mux.HandleFunc("GET /v1/changesets/{id}", s.locked(s.handleChangeSet))
-	mux.HandleFunc("POST /v1/changesets", s.locked(s.handlePostChangeSet))
-	mux.HandleFunc("GET /metrics", s.locked(s.handleMetrics))
+	mux.HandleFunc("GET /v1/world", s.handleWorld)
+	mux.HandleFunc("GET /v1/state", s.handleState)
+	mux.HandleFunc("GET /v1/digests", s.handleDigests)
+	mux.HandleFunc("GET /v1/dns", s.handleDNS)
+	mux.HandleFunc("GET /v1/load", s.handleLoad)
+	mux.HandleFunc("GET /v1/catchments", s.handleCatchments)
+	mux.HandleFunc("GET /v1/changesets", s.handleChangeSets)
+	mux.HandleFunc("GET /v1/changesets/{id}", s.handleChangeSet)
+	mux.HandleFunc("POST /v1/changesets", s.handlePostChangeSet)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	return mux
+	return recovered(mux)
 }
 
-// locked serializes a handler on the server mutex.
-func (s *Server) locked(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		h(w, r)
-	}
+// recovered answers a panicking handler with one 500 and the uniform error
+// document instead of a dropped connection.
+func recovered(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if p := recover(); p != nil {
+				writeError(w, http.StatusInternalServerError, "internal error: %v", p)
+			}
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // writeJSON emits a response document as indented JSON. Every document is
@@ -148,58 +193,49 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleWorld(w http.ResponseWriter, _ *http.Request) {
-	cfg := s.world.Cfg
-	writeJSON(w, http.StatusOK, api.WorldInfo{
-		APIVersion:    api.Version,
-		Seed:          cfg.Seed,
-		ConfigDigest:  cfg.Digest(),
-		Shards:        cfg.Shards,
-		DemandEnabled: cfg.Demand.Enabled,
-		State:         StateOf(s.world),
-	})
+	writeJSON(w, http.StatusOK, s.view.Load().info)
 }
 
 func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, StateOf(s.world))
+	writeJSON(w, http.StatusOK, s.view.Load().info.State)
 }
 
 func (s *Server) handleDigests(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, digestsOf(s.world))
+	writeJSON(w, http.StatusOK, s.view.Load().info.State.Digests)
 }
 
 func (s *Server) handleDNS(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, zoneDumpOf(s.world.CDN.Authoritative()))
+	writeJSON(w, http.StatusOK, s.view.Load().zone)
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request) {
-	rep := api.LoadReport{
+	v := s.view.Load()
+	writeJSON(w, http.StatusOK, api.LoadReport{
 		APIVersion:   api.Version,
-		Sites:        sitesOf(s.world),
-		Availability: availabilityOf(s.world),
-	}
-	if acct := s.world.CDN.Load(); acct != nil {
-		rep.Shedding = acct.Shedding()
-	}
-	writeJSON(w, http.StatusOK, rep)
+		Sites:        v.info.State.Sites,
+		Availability: v.info.State.Availability,
+		Shedding:     v.shedding,
+	})
 }
 
 func (s *Server) handleCatchments(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, catchmentsOf(s.world))
+	writeJSON(w, http.StatusOK, s.view.Load().catchments)
 }
 
 func (s *Server) handleChangeSets(w http.ResponseWriter, _ *http.Request) {
-	out := struct {
+	s.logMu.Lock()
+	sets := append([]*api.ChangeSet{}, s.sets...)
+	s.logMu.Unlock()
+	writeJSON(w, http.StatusOK, struct {
 		APIVersion string           `json:"apiVersion"`
 		ChangeSets []*api.ChangeSet `json:"changesets"`
-	}{APIVersion: api.Version, ChangeSets: s.sets}
-	if out.ChangeSets == nil {
-		out.ChangeSets = []*api.ChangeSet{}
-	}
-	writeJSON(w, http.StatusOK, out)
+	}{APIVersion: api.Version, ChangeSets: sets})
 }
 
 func (s *Server) handleChangeSet(w http.ResponseWriter, r *http.Request) {
+	s.logMu.Lock()
 	cs, ok := s.byID[r.PathValue("id")]
+	s.logMu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown changeset %q", r.PathValue("id"))
 		return
@@ -267,6 +303,13 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if !s.mu.TryLock() {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "another changeset is running; retry")
+		return
+	}
+	defer s.mu.Unlock()
+
 	s.nextID++
 	cs := &api.ChangeSet{
 		APIVersion: api.Version,
@@ -274,11 +317,13 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 		Status:     api.StatusDryRun,
 		CreatedAt:  s.now().UTC().Format(time.RFC3339),
 		Mutations:  req.Mutations,
-		Pre:        StateOf(s.world),
+		// Under mu the view is the live world's state: an execute either
+		// publishes or rolls back before it lets mu go.
+		Pre: s.view.Load().info.State,
 	}
 
 	// Dry run: apply to a copy-on-write restore of the live world.
-	predicted, err := s.dryRun(req.Mutations)
+	predicted, snap, err := s.dryRun(req.Mutations)
 	if err != nil {
 		cs.Status = api.StatusRejected
 		s.record(cs)
@@ -295,7 +340,8 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 
 	// Execute: the same mutations against the live world, then verify by
 	// re-diffing the actual post-state against the prediction.
-	if err := apply(s.world, req.Mutations); err != nil {
+	actual, err := s.execute(snap, req.Mutations, sabotage)
+	if err != nil {
 		// The dry run accepted this batch, so a live failure means the two
 		// worlds were not equivalent — surface loudly, keep the record.
 		cs.Status = api.StatusRejected
@@ -303,10 +349,6 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "changeset %s: live execution diverged from accepted dry-run: %v", cs.ID, err)
 		return
 	}
-	if sabotage {
-		s.cfg.Sabotage(s.world)
-	}
-	actual := StateOf(s.world)
 	cs.Actual = &actual
 	cs.ExecutedAt = s.now().UTC().Format(time.RFC3339)
 	diffs := diffStates(cs.Predicted, actual)
@@ -321,23 +363,60 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 }
 
 // dryRun applies muts to a scratch restore of the live world and returns
-// the predicted post-state. The live world is never touched.
-func (s *Server) dryRun(muts []api.Mutation) (api.WorldState, error) {
+// the predicted post-state with the snapshot it restored. The live world is
+// never touched.
+func (s *Server) dryRun(muts []api.Mutation) (api.WorldState, *experiment.WorldSnapshot, error) {
 	snap, err := s.world.Snapshot()
 	if err != nil {
-		return api.WorldState{}, fmt.Errorf("snapshotting live world: %w", err)
+		return api.WorldState{}, nil, fmt.Errorf("snapshotting live world: %w", err)
 	}
 	scratch, err := experiment.RestoreWorld(snap)
 	if err != nil {
-		return api.WorldState{}, fmt.Errorf("restoring scratch world: %w", err)
+		return api.WorldState{}, nil, fmt.Errorf("restoring scratch world: %w", err)
 	}
 	if err := apply(scratch, muts); err != nil {
+		return api.WorldState{}, nil, err
+	}
+	return StateOf(scratch), snap, nil
+}
+
+// execute applies muts to the live world, runs the sabotage hook when asked,
+// and publishes the actual post-state. It is all or nothing: on an apply
+// error or a panic anywhere in it, the live world is replaced by a restore
+// of snap, the pre-state the dry run started from, and the view is left as
+// it was.
+func (s *Server) execute(snap *experiment.WorldSnapshot, muts []api.Mutation, sabotage bool) (actual api.WorldState, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+		if err == nil {
+			return
+		}
+		w, rerr := experiment.RestoreWorld(snap)
+		if rerr != nil {
+			// The dry run restored snap moments ago, so only a bug gets here.
+			err = fmt.Errorf("%w; rollback failed: %v", err, rerr)
+			return
+		}
+		w.Instrument(s.cfg.Obs) // restores carry no registry (Runner.materialize)
+		s.world = w
+		err = fmt.Errorf("%w; the live world was rolled back", err)
+	}()
+	if err := apply(s.world, muts); err != nil {
 		return api.WorldState{}, err
 	}
-	return StateOf(scratch), nil
+	if sabotage {
+		s.cfg.Sabotage(s.world)
+	}
+	actual = StateOf(s.world)
+	s.publish(actual)
+	return actual, nil
 }
 
 func (s *Server) record(cs *api.ChangeSet) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	s.sets = append(s.sets, cs)
 	s.byID[cs.ID] = cs
 }

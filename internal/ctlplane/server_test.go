@@ -51,22 +51,25 @@ func newTestServer(t *testing.T, tech core.Technique, demand bool) *Server {
 	return s
 }
 
-// get performs a request against the server's handler and decodes into out.
+// serve runs one request through s's handler. It never touches a
+// testing.T, so goroutines other than the test's may call it.
+func serve(s *Server, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// do performs a request against the server's handler and decodes into out.
 func do(t *testing.T, s *Server, method, path string, body any, out any) *httptest.ResponseRecorder {
 	t.Helper()
-	var rd *bytes.Reader
+	var b []byte
 	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if b, err = json.Marshal(body); err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(b)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req := httptest.NewRequest(method, path, rd)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
+	rec := serve(s, method, path, b)
 	if out != nil && rec.Code < 300 {
 		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
 			t.Fatalf("%s %s: decoding %q: %v", method, path, rec.Body.String(), err)

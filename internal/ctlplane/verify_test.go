@@ -24,14 +24,7 @@ func TestSabotagedExecutionFailsReceipt(t *testing.T) {
 			// Silently stop the first healthy non-target site's forwarding:
 			// routing and DNS stay put, so only catchment-derived fields
 			// (availability, per-site load) diverge.
-			for _, site := range w.CDN.Sites() {
-				if !w.CDN.Failed(site.Code) {
-					sabotagedSite = site.Code
-					w.Plane.SetDown(site.Node, true)
-					w.CDN.RefreshLoad()
-					return
-				}
-			}
+			sabotagedSite = downFirstHealthy(w)
 		},
 	})
 	if err != nil {
