@@ -107,7 +107,7 @@ outputs:
 # fields) — and the published-view, rollback and busy-daemon tests.
 ctlplane-smoke:
 	$(GO) run ./cmd/cdnlint -checks snapshotfields ./internal/ctlplane/... ./pkg/bestofboth/... ./internal/experiment/...
-	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf|TestPublished|TestExecuteRollsBack|TestReadsDoNotWait' -count=1 -v . ./internal/ctlplane/
+	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf|TestPublished|TestExecuteRollsBack|TestReadsDoNotWait|TestChangeSetAuditTrail' -count=1 -v . ./internal/ctlplane/
 
 # Fuzz smoke: every native fuzz target runs for FUZZTIME on top of its
 # committed corpus (testdata/fuzz/<target>, which tier-1 already runs as plain
@@ -119,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzProber -fuzztime=$(FUZZTIME) ./internal/dataplane
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeTarget -fuzztime=$(FUZZTIME) ./internal/experiment
+	$(GO) test -run='^$$' -fuzz=FuzzDNSDecode -fuzztime=$(FUZZTIME) ./internal/dns
 
 # Everything CI runs (see .github/workflows/ci.yml).
 ci: tier1 vet lint race bench-smoke fuzz-smoke ctlplane-smoke

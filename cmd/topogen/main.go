@@ -1,11 +1,10 @@
-// Command topogen generates, inspects, and serializes the synthetic
-// Internet topologies used by the simulator.
+// Command topogen generates and inspects the synthetic Internet
+// topologies used by the simulator.
 //
 // Usage:
 //
 //	topogen [flags]            print summary statistics
-//	topogen -out topo.txt      also write the topology in the CAIDA-style format
-//	topogen -in topo.txt       load and summarize an existing file
+//	topogen -sites             also list each CDN site's attachments
 package main
 
 import (
@@ -20,32 +19,18 @@ import (
 func main() {
 	var (
 		seed    = flag.Int64("seed", 42, "generator seed")
-		out     = flag.String("out", "", "write the topology to this file")
-		in      = flag.String("in", "", "read a topology from this file instead of generating")
 		stubs   = flag.Int("stubs", 0, "stub AS count (0 = default)")
 		eyeball = flag.Int("eyeballs", 0, "eyeball AS count (0 = default)")
 		sites   = flag.Bool("sites", false, "print per-site attachment details")
 	)
 	flag.Parse()
 
-	var (
-		topo *topology.Topology
-		err  error
-	)
-	if *in != "" {
-		f, err2 := os.Open(*in)
-		if err2 != nil {
-			fatal(err2)
-		}
-		topo, err = topology.Read(f)
-		f.Close()
-	} else {
-		topo, err = topology.Generate(topology.GenConfig{
-			Seed: *seed, NumStub: *stubs, NumEyeball: *eyeball,
-		})
-	}
+	topo, err := topology.Generate(topology.GenConfig{
+		Seed: *seed, NumStub: *stubs, NumEyeball: *eyeball,
+	})
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
+		os.Exit(1)
 	}
 
 	st := topo.ComputeStats()
@@ -72,23 +57,4 @@ func main() {
 			}
 		}
 	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := topology.Write(f, topo); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", *out)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
-	os.Exit(1)
 }

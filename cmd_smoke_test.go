@@ -1,9 +1,9 @@
 package bestofboth_test
 
 // Smoke tests for the commands and examples no other test runs: tier-1
-// compiles cmd/topogen, cmd/bgpdump and the four examples but never executes
-// them. Each is built into a temporary directory and driven through its
-// documented flows.
+// compiles cmd/topogen and the four examples but never executes them. Each
+// is built into a temporary directory and driven through its documented
+// flows.
 
 import (
 	"bytes"
@@ -39,43 +39,14 @@ func TestTopogenSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary; skipped in -short")
 	}
-	dir := t.TempDir()
-	topogen := buildInto(t, dir, "./cmd/topogen")
-	file := filepath.Join(dir, "topo.txt")
-
-	// The summary is everything before the trailing "wrote <file>" line.
-	written, _, _ := strings.Cut(stdoutOf(t, topogen, "-stubs", "60", "-eyeballs", "40", "-out", file), "\nwrote ")
-	read := stdoutOf(t, topogen, "-in", file)
-	if !strings.HasPrefix(written, "nodes: ") || strings.TrimSpace(written) != strings.TrimSpace(read) {
-		t.Fatalf("summary of the generated topology:\n%s\nsummary of the file read back:\n%s", written, read)
+	topogen := buildInto(t, t.TempDir(), "./cmd/topogen")
+	summary := stdoutOf(t, topogen, "-stubs", "60", "-eyeballs", "40")
+	if !strings.HasPrefix(summary, "nodes: ") || strings.Contains(summary, "CDN sites:") {
+		t.Fatalf("summary without -sites:\n%s", summary)
 	}
-	if out := stdoutOf(t, topogen, "-in", file, "-sites"); !strings.Contains(out, "CDN sites:") || !strings.Contains(out, "atl") {
-		t.Fatalf("-sites lists no site attachments:\n%s", out)
-	}
-}
-
-func TestBgpdumpSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and converges a world; skipped in -short")
-	}
-	dir := t.TempDir()
-	bgpdump := buildInto(t, dir, "./cmd/bgpdump")
-	for _, tc := range []struct {
-		name   string
-		flags  []string
-		record string
-	}{
-		{"updates", nil, "BGP4MP_ET|"},
-		{"rib", []string{"-rib"}, "TABLE_DUMP2|"},
-	} {
-		file := filepath.Join(dir, tc.name+".mrt")
-		if out := stdoutOf(t, bgpdump, append([]string{"-generate", file}, tc.flags...)...); out != "" {
-			t.Errorf("%s: -generate alone printed records:\n%s", tc.name, out)
-		}
-		out := stdoutOf(t, bgpdump, append([]string{"-in", file}, tc.flags...)...)
-		if !strings.HasPrefix(out, tc.record) {
-			t.Errorf("%s: -in printed no %s record:\n%.300s", tc.name, tc.record, out)
-		}
+	out := stdoutOf(t, topogen, "-stubs", "60", "-eyeballs", "40", "-sites")
+	if !strings.HasPrefix(out, summary) || !strings.Contains(out, "CDN sites:") || !strings.Contains(out, "atl") {
+		t.Fatalf("-sites lists no site attachments after the summary:\n%s", out)
 	}
 }
 

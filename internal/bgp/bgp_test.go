@@ -619,28 +619,6 @@ func TestNoExportConfinesRoute(t *testing.T) {
 	}
 }
 
-func TestNoExportWireRoundTrip(t *testing.T) {
-	u := Update{Type: Announce, Prefix: testPrefix, Route: &Route{
-		Prefix: testPrefix, Path: []topology.ASN{47065},
-		Communities: []uint32{CommunityNoExport, 47065<<16 | 3},
-	}}
-	w, err := u.ToWire(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := EncodeUpdate(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeUpdate(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Community) != 2 || got.Community[0] != CommunityNoExport {
-		t.Fatalf("communities = %v", got.Community)
-	}
-}
-
 // TestDecisionProcessStrictOrder verifies better() behaves as a strict
 // order on random route sets: irreflexive, asymmetric, and with a unique
 // maximum under repeated selection — the properties recompute() relies on

@@ -132,7 +132,7 @@ func (s *Server) publish(st api.WorldState) {
 //	GET  /v1/dns              authoritative zone dump
 //	GET  /v1/load             per-site load + availability
 //	GET  /v1/catchments       per-site client/demand catchments
-//	GET  /v1/changesets       all recorded ChangeSets
+//	GET  /v1/changesets       the retained ChangeSet records, oldest first
 //	POST /v1/changesets       dry-run (default) or ?execute=true
 //	GET  /v1/changesets/{id}  one ChangeSet record
 //	GET  /metrics             Prometheus exposition
@@ -414,9 +414,21 @@ func (s *Server) execute(snap *experiment.WorldSnapshot, muts []api.Mutation, sa
 	return actual, nil
 }
 
+// maxChangeSetRecords bounds the audit trail: a long-running daemon keeps
+// the last this many ChangeSet records and forgets older ones, so an
+// evicted id answers 404 like one never issued.
+const maxChangeSetRecords = 256
+
+// record appends cs to the audit trail, evicting the oldest record once the
+// trail is full. Records arrive in id order (ids are issued under mu), so
+// the trail stays in id order.
 func (s *Server) record(cs *api.ChangeSet) {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
+	if len(s.sets) == maxChangeSetRecords {
+		delete(s.byID, s.sets[0].ID)
+		s.sets = append(s.sets[:0], s.sets[1:]...)
+	}
 	s.sets = append(s.sets, cs)
 	s.byID[cs.ID] = cs
 }

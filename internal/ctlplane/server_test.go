@@ -3,6 +3,7 @@ package ctlplane
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -343,6 +344,50 @@ func TestChangeSetRejected(t *testing.T) {
 		"mutations": []api.Mutation{{Kind: "crash", Site: "atl"}},
 	}, nil); rec.Code != http.StatusForbidden {
 		t.Fatalf("sabotage without hook: %d, want 403", rec.Code)
+	}
+}
+
+// TestChangeSetAuditTrailBounded: the audit trail keeps only the last
+// maxChangeSetRecords records. Three more ChangeSets than it holds evict
+// the three oldest: the list starts at cs-000004 in id order, an evicted id
+// answers 404 with the uniform error document, and ids stay monotonic.
+func TestChangeSetAuditTrailBounded(t *testing.T) {
+	s := newTestServer(t, core.Anycast{}, false)
+	// One cycle over the flap bound: Validate refuses it before anything
+	// settles, so each post is cheap and recorded as rejected.
+	refused := []api.Mutation{{Kind: "flap", Site: "atl", Period: 1, Count: 1001}}
+	for i := 0; i < maxChangeSetRecords+3; i++ {
+		if _, rec := postChangeSet(t, s, "/v1/changesets", refused); rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("post %d: code %d, want 422 (%s)", i, rec.Code, rec.Body.String())
+		}
+	}
+
+	var list struct {
+		ChangeSets []*api.ChangeSet `json:"changesets"`
+	}
+	do(t, s, "GET", "/v1/changesets", nil, &list)
+	if len(list.ChangeSets) != maxChangeSetRecords {
+		t.Fatalf("%d records retained, want %d", len(list.ChangeSets), maxChangeSetRecords)
+	}
+	for i, cs := range list.ChangeSets {
+		if want := fmt.Sprintf("cs-%06d", i+4); cs.ID != want || cs.Status != api.StatusRejected {
+			t.Fatalf("record %d: %s %q, want %s rejected", i, cs.ID, cs.Status, want)
+		}
+	}
+
+	rec := do(t, s, "GET", "/v1/changesets/cs-000001", nil, nil)
+	var e errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusNotFound || err != nil || e.APIVersion != api.Version || e.Error == "" {
+		t.Fatalf("evicted cs-000001: code %d, body %q, want 404 and the uniform error document", rec.Code, rec.Body.String())
+	}
+	var cs api.ChangeSet
+	if rec := do(t, s, "GET", "/v1/changesets/cs-000004", nil, &cs); rec.Code != http.StatusOK || cs.ID != "cs-000004" {
+		t.Fatalf("oldest retained cs-000004: code %d, id %q", rec.Code, cs.ID)
+	}
+
+	next, rec := postChangeSet(t, s, "/v1/changesets", []api.Mutation{{Kind: "drain", Site: "atl", DrainFor: 30}})
+	if rec.Code != http.StatusOK || next.ID != "cs-000260" {
+		t.Fatalf("next changeset: code %d, id %q, want 200 and cs-000260 (%s)", rec.Code, next.ID, rec.Body.String())
 	}
 }
 

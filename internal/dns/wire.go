@@ -295,6 +295,14 @@ func (d *decoder) u32() (uint32, error) {
 	return v, nil
 }
 
+// maxPointerJumps bounds the compression pointers one name may follow.
+// Pointers only point backward and a name stops at 255 bytes, so decoding
+// ends without it; the bound caps the work a chain of pointers costs. It
+// must admit every name Encode writes: a 255-byte name has at most 127
+// labels, and every pointer Encode emits lands on a label, so a name it
+// writes follows no more pointers than it has labels.
+const maxPointerJumps = 127
+
 // name decodes a possibly compressed name starting at d.pos.
 func (d *decoder) name() (string, error) {
 	var sb strings.Builder
@@ -327,7 +335,7 @@ func (d *decoder) name() (string, error) {
 				return "", ErrBadPointer // pointers must point backward
 			}
 			jumps++
-			if jumps > 32 {
+			if jumps > maxPointerJumps {
 				return "", ErrBadPointer
 			}
 			pos = target

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"bytes"
 	"net/netip"
 	"testing"
 )
@@ -191,65 +190,6 @@ func TestGenerateSubsetOfSites(t *testing.T) {
 func TestGenerateUnknownSite(t *testing.T) {
 	if _, err := Generate(GenConfig{Seed: 1, SiteCodes: []string{"xxx"}}); err == nil {
 		t.Fatal("unknown site code accepted")
-	}
-}
-
-func TestSerializeRoundTrip(t *testing.T) {
-	orig, err := Generate(GenConfig{Seed: 7, NumStub: 50, NumEyeball: 30, NumUniversity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != orig.Len() {
-		t.Fatalf("round trip node count %d != %d", got.Len(), orig.Len())
-	}
-	for i := range orig.Nodes {
-		a, b := orig.Nodes[i], got.Nodes[i]
-		if a.Name != b.Name || a.ASN != b.ASN || a.Class != b.Class || a.Prefix != b.Prefix || a.Site != b.Site {
-			t.Fatalf("node %d differs after round trip: %+v vs %+v", i, a, b)
-		}
-		if len(a.Adj) != len(b.Adj) {
-			t.Fatalf("node %d degree differs: %d vs %d", i, len(a.Adj), len(b.Adj))
-		}
-		// Adjacency order may differ; compare as sets.
-		want := map[NodeID]Adjacency{}
-		for _, adj := range a.Adj {
-			want[adj.To] = adj
-		}
-		for _, adj := range b.Adj {
-			w, ok := want[adj.To]
-			if !ok || w.Rel != adj.Rel || !close(w.Delay, adj.Delay) {
-				t.Fatalf("node %d adjacency to %d differs: %+v vs %+v", i, adj.To, w, adj)
-			}
-		}
-	}
-}
-
-func close(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d < 1e-9
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"X|1|2",
-		"N|0|1|a|0|0|0", // too few fields
-		"L|0|1|5|0.1",   // bad rel code after valid nodes
-	}
-	for _, c := range cases {
-		if _, err := Read(bytes.NewBufferString(c)); err == nil {
-			t.Errorf("Read(%q) accepted garbage", c)
-		}
 	}
 }
 

@@ -33,7 +33,6 @@ func TestFacadeCompat(t *testing.T) {
 		_ bestofboth.ProactivePrepending
 		_ bestofboth.Combined
 		_ *bestofboth.Registry
-		_ bestofboth.MetricSnapshot
 		_ *bestofboth.Plane
 		_ *bestofboth.Prober
 		_ bestofboth.ForwardResult

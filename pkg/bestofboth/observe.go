@@ -8,14 +8,5 @@ import (
 // *Registry disables collection at near-zero cost.
 type Registry = obs.Registry
 
-// MetricSnapshot is one metric's state in a snapshot.
-//
-// Deprecated: this aliases the internal registry's snapshot type, whose
-// shape is not versioned. Programs serializing metrics should use the wire
-// twin api.MetricSample (pkg/bestofboth/api), which round-trips and carries
-// the apiVersion stamp; MetricSnapshot remains only so Registry.Snapshot
-// results stay nameable.
-type MetricSnapshot = obs.MetricSnapshot
-
 // NewRegistry builds an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
