@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke profile-fig2 outputs fuzz-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke profile-fig2 profile-converge outputs fuzz-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -61,19 +61,23 @@ race-full: vet
 bench-smoke:
 	$(GO) run ./benchmark -workload all -quick
 
-# CPU and allocation profile of BenchmarkFigure2Default (bench_test.go: the
-# default-scale Figure 2 matrix on cached snapshots that `cdnsim fig2` and the
-# benchmark's fig2-warm run — restore, withdrawal, probing): twenty matrices
-# at GOMAXPROCS=2, then the top of both profiles. The test binary and the
-# profiles go under PROFDIR — a fresh temporary directory unless one is
-# named — never into the repository.
+# CPU and allocation profiles, twenty iterations at GOMAXPROCS=2 and then
+# the top of both: profile-fig2 of BenchmarkFigure2Default (bench_test.go:
+# the default-scale Figure 2 matrix on cached snapshots that `cdnsim fig2`
+# and the benchmark's fig2-warm run — restore, withdrawal, probing),
+# profile-converge of BenchmarkConvergePaper (one converge-cold operation:
+# a paper-scale world from a fresh seed, deploy, cold converge). The test
+# binary and the profiles go under PROFDIR — a fresh temporary directory
+# unless one is named — never into the repository.
 PROFDIR ?=
-profile-fig2:
+profile-fig2: PROFBENCH = BenchmarkFigure2Default
+profile-converge: PROFBENCH = BenchmarkConvergePaper
+profile-fig2 profile-converge:
 	@set -e; dir="$(PROFDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
-	$(GO) test -run '^$$' -bench 'BenchmarkFigure2Default$$' -cpu 2 -benchtime 20x \
-		-o "$$dir/fig2.test" -outputdir "$$dir" -cpuprofile cpu.prof -memprofile mem.prof .; \
-	$(GO) tool pprof -top -cum -nodecount 40 "$$dir/fig2.test" "$$dir/cpu.prof"; \
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 "$$dir/fig2.test" "$$dir/mem.prof"; \
+	$(GO) test -run '^$$' -bench '$(PROFBENCH)$$' -cpu 2 -benchtime 20x \
+		-o "$$dir/$@.test" -outputdir "$$dir" -cpuprofile cpu.prof -memprofile mem.prof .; \
+	$(GO) tool pprof -top -cum -nodecount 40 "$$dir/$@.test" "$$dir/cpu.prof"; \
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 "$$dir/$@.test" "$$dir/mem.prof"; \
 	echo "profiles kept in $$dir"
 
 # The deterministic -json artifacts a refactor must leave byte-identical:
@@ -107,7 +111,7 @@ outputs:
 # fields) — and the published-view, rollback and busy-daemon tests.
 ctlplane-smoke:
 	$(GO) run ./cmd/cdnlint -checks snapshotfields ./internal/ctlplane/... ./pkg/bestofboth/... ./internal/experiment/...
-	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf|TestPublished|TestExecuteRollsBack|TestReadsDoNotWait|TestChangeSetAuditTrail' -count=1 -v . ./internal/ctlplane/
+	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf|TestPublished|TestExecuteRollsBack|TestReadsDoNotWait|TestChangeSetAuditTrail|TestPostRejectsTrailingData' -count=1 -v . ./internal/ctlplane/
 
 # Fuzz smoke: every native fuzz target runs for FUZZTIME on top of its
 # committed corpus (testdata/fuzz/<target>, which tier-1 already runs as plain

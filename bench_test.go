@@ -115,6 +115,25 @@ func BenchmarkFigure2Default(b *testing.B) {
 	}
 }
 
+// BenchmarkConvergePaper is one operation of the repository benchmark's
+// converge-cold workload: a paper-scale world from a seed no earlier
+// iteration used (its topology generated inside the iteration), proactive
+// prepending at depth three deployed, and the control plane drained for up
+// to an hour of virtual time. `make profile-converge` profiles this one.
+func BenchmarkConvergePaper(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		w, err := experiment.NewWorld(experiment.DefaultWorldConfig(
+			experiment.WithSeed(int64(1000+i)), experiment.WithPaperScale()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.CDN.Deploy(core.ProactivePrepending{Prepends: 3}); err != nil {
+			b.Fatal(err)
+		}
+		w.Converge(3600)
+	}
+}
+
 var benchFig2Techs = []core.Technique{
 	core.ProactiveSuperprefix{},
 	core.ReactiveAnycast{},

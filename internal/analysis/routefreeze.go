@@ -14,8 +14,8 @@ import (
 // element write into a Route slice field (Path, Communities share backing
 // arrays even across value copies), and copy/append targeting those
 // fields, unless the enclosing function is annotated with a
-// //cdnlint:mutates-route doc comment marking it as a construction or
-// import site that only touches unpublished routes.
+// //cdnlint:mutates-route doc comment marking it as a construction site
+// that only touches unpublished routes.
 var AnalyzerRoutefreeze = &Analyzer{
 	Name: "routefreeze",
 	Doc: "flag writes to bgp.Route fields or its slice elements outside functions annotated " +

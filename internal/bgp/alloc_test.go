@@ -50,10 +50,11 @@ func TestSendPathZeroAllocs(t *testing.T) {
 
 // TestExportPathAllocBudget bounds the allocation cost of a real route
 // change rippling through a small network. The budget covers the genuinely
-// new state — one origin route, one materialized Route per changed
-// adj-RIB-out entry, one shallow copy per import — and nothing per message:
-// the pre-interning kernel cloned the route and its AS path on every hop
-// and blows well past it.
+// new state — one origin route, and one Route per speaker whose best
+// changed, shared by every session it is exported on and held by reference
+// in every receiver's adj-RIB-in — and nothing per session or per message.
+// A Route per session, an import copy, or the pre-interning kernel's clone
+// of the route and its AS path on every hop each blows past it.
 func TestExportPathAllocBudget(t *testing.T) {
 	topo := diamond(t)
 	sim := netsim.New(9)
@@ -77,10 +78,10 @@ func TestExportPathAllocBudget(t *testing.T) {
 		net.Originate(3, testPrefix, pols[i%2])
 		sim.Run()
 	})
-	// One full flap across 4 nodes currently costs ~20 allocations; 64
-	// leaves slack for decision-process changes while still failing fast if
-	// per-message cloning returns (that regime costs hundreds per flap).
-	const budget = 64
+	// One full flap across 4 nodes costs 5 allocations: the origin route and
+	// one exported Route at each speaker. A Route per session costs 8, an
+	// import copy per received announcement 12, per-message cloning hundreds.
+	const budget = 7
 	if avg > budget {
 		t.Fatalf("route change allocated %.1f times per flap; budget %d", avg, budget)
 	}

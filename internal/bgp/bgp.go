@@ -48,19 +48,21 @@ const (
 	CommunityNoAdvertise uint32 = 0xFFFFFF02
 )
 
-// Route is a BGP path for one prefix as stored in a RIB.
+// Route is a BGP path for one prefix as the sender put it on the wire.
 //
 // Immutability invariant: a Route is frozen the moment it is published —
 // stored into an adj-RIB slot, handed to send, or passed to any callback.
 // Only the speaker code that constructs a Route may set its fields, and only
-// before publishing it. Everything downstream relies on this: send shares
-// the sender's adj-RIB-out pointer into the Update instead of cloning,
-// receive makes a shallow struct copy (sharing Path and Communities) to hold
-// its receiver-local LocalPref/learnedFrom, feeds and OnBestChange callbacks
-// see live RIB pointers, AS paths are interned per Network, and snapshots
-// share Route pointers copy-on-write across restored worlds. Mutating a
-// published Route corrupts all of those at once — change state by building a
-// new Route and swapping the pointer.
+// before publishing it. Everything downstream relies on this: export builds
+// one Route per best change and shares it across every session whose wire
+// attributes match (an update group), send puts that adj-RIB-out pointer on
+// the wire, the receiver's adj-RIB-in holds the very same pointer, feeds and
+// OnBestChange callbacks see live RIB pointers, AS paths are interned per
+// Network, and snapshots share Route pointers copy-on-write across restored
+// worlds. The receiver-local facts — LOCAL_PREF and the next hop — are not
+// on the Route: they follow from the session a speaker learned it on.
+// Mutating a published Route corrupts all of those at once — change state
+// by building a new Route and swapping the pointer.
 type Route struct {
 	Prefix netip.Prefix
 	// Path is the AS path. Path[0] is the ASN of the speaker that sent the
@@ -69,9 +71,6 @@ type Route struct {
 	// Communities carried with the route (RFC 1997). Transitive: copied on
 	// export unless a policy strips them.
 	Communities []uint32
-	// LocalPref is assigned by the receiver's import policy and is not
-	// transmitted (eBGP semantics).
-	LocalPref int
 	// MED is transmitted and compared between routes from the same
 	// neighbor AS.
 	MED int
@@ -79,25 +78,6 @@ type Route struct {
 	// originated the route. It is carried for catchment accounting and
 	// debugging and takes no part in the decision process.
 	OriginNode topology.NodeID
-	// learnedFrom is the receiver-local session index, or -1 if originated.
-	learnedFrom int
-}
-
-// LearnedFrom returns the receiver-local session index the route was
-// learned on, or -1 for locally originated routes. The index refers to the
-// owning node's adjacency list.
-func (r *Route) LearnedFrom() int { return r.learnedFrom }
-
-// Clone returns a deep copy of r. The protocol hot paths no longer clone —
-// published routes are immutable and shared — but Clone remains for code
-// that wants a detached copy to build a modified route from.
-//
-//cdnlint:mutates-route the copy under construction is unpublished until returned
-func (r *Route) Clone() *Route {
-	c := *r
-	c.Path = slices.Clone(r.Path)
-	c.Communities = slices.Clone(r.Communities)
-	return &c
 }
 
 // HasCommunity reports whether the route carries community c.
@@ -111,7 +91,7 @@ func (r *Route) ContainsASN(asn topology.ASN) bool {
 }
 
 // sameWire reports whether two routes are identical as transmitted on the
-// wire (prefix, path, MED). LocalPref is receiver-local and not compared.
+// wire (prefix, path, MED, communities).
 func sameWire(a, b *Route) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -180,14 +160,16 @@ type OriginPolicy struct {
 type FeedFunc func(now netsim.Seconds, peer topology.NodeID, u Update)
 
 // BestChangeFunc is invoked when a speaker's best route for a prefix
-// changes. route is nil when the prefix became unreachable. at is the
+// changes. route is nil when the prefix became unreachable. sess is the
+// session route was learned on — an index into the node's adjacency list,
+// so the next hop — or -1 for a local origination and for nil. at is the
 // virtual time of the change on the changing speaker's own shard clock: in
 // the middle of a sharded round the control simulator still sits at the
 // previous barrier, so a subscriber that stamps what it records must use at.
 // The callback runs on that speaker's shard goroutine and may write only
 // state the node owns. Used by the data plane to maintain FIBs and to
 // journal them for probers.
-type BestChangeFunc func(node topology.NodeID, prefix netip.Prefix, route *Route, at netsim.Seconds)
+type BestChangeFunc func(node topology.NodeID, prefix netip.Prefix, route *Route, sess int, at netsim.Seconds)
 
 // Config holds the timing constants of the protocol model.
 type Config struct {

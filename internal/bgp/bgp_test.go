@@ -115,8 +115,13 @@ func TestCustomerRoutePreferredOverPeer(t *testing.T) {
 	if best == nil || len(best.Path) != 1 || best.Path[0] != 40 {
 		t.Fatalf("C best = %+v, want direct customer path [40]", best)
 	}
-	if best.LocalPref != PrefCustomer {
-		t.Fatalf("C localpref = %d, want %d", best.LocalPref, PrefCustomer)
+	sp := net.Speaker(1)
+	sess := sp.BestSession(testPrefix)
+	if sess < 0 || topo.Node(1).Adj[sess].Rel != topology.RelCustomer {
+		t.Fatalf("C best learned on session %d, want the session to its customer O", sess)
+	}
+	if lp := sp.localPref(sess); lp != PrefCustomer {
+		t.Fatalf("C localpref = %d, want %d", lp, PrefCustomer)
 	}
 }
 
@@ -245,7 +250,7 @@ func TestAnycastFailoverShiftsOrigin(t *testing.T) {
 	}
 	// Track when each node's best route settles on the surviving origin.
 	settled := map[topology.NodeID]float64{}
-	net.OnBestChange(func(node topology.NodeID, p netip.Prefix, r *Route, _ netsim.Seconds) {
+	net.OnBestChange(func(node topology.NodeID, p netip.Prefix, r *Route, _ int, _ netsim.Seconds) {
 		if r != nil && r.OriginNode == 0 {
 			settled[node] = sim.Now()
 		}
@@ -353,7 +358,7 @@ func TestBestChangeCallback(t *testing.T) {
 	sim := netsim.New(1)
 	net := New(sim, topo, quickCfg())
 	changes := map[topology.NodeID]int{}
-	net.OnBestChange(func(node topology.NodeID, p netip.Prefix, r *Route, _ netsim.Seconds) {
+	net.OnBestChange(func(node topology.NodeID, p netip.Prefix, r *Route, _ int, _ netsim.Seconds) {
 		changes[node]++
 	})
 	net.Originate(0, testPrefix, nil)
@@ -370,12 +375,12 @@ func TestMEDComparedSameNeighborAS(t *testing.T) {
 	sim := netsim.New(1)
 	net := New(sim, topo, quickCfg())
 	s := net.Speaker(0)
-	a := &Route{Prefix: testPrefix, Path: []topology.ASN{20, 40}, LocalPref: 300, MED: 10, learnedFrom: 0}
-	b := &Route{Prefix: testPrefix, Path: []topology.ASN{20, 40}, LocalPref: 300, MED: 5, learnedFrom: 0}
-	if s.better(a, b) {
+	a := &Route{Prefix: testPrefix, Path: []topology.ASN{20, 40}, MED: 10}
+	b := &Route{Prefix: testPrefix, Path: []topology.ASN{20, 40}, MED: 5}
+	if s.better(a, 0, b, 0) {
 		t.Fatal("higher MED preferred")
 	}
-	if !s.better(b, a) {
+	if !s.better(b, 0, a, 0) {
 		t.Fatal("lower MED not preferred")
 	}
 }
@@ -436,18 +441,18 @@ func TestSteadyStateForwardingConsistency(t *testing.T) {
 			}
 			visited[cur] = true
 			sp := net.Speaker(cur)
-			best := sp.Best(testPrefix)
-			if best == nil {
+			if sp.Best(testPrefix) == nil {
 				break
 			}
-			if best.learnedFrom == -1 {
+			sess := sp.BestSession(testPrefix)
+			if sess == -1 {
 				if cur != site.ID {
 					t.Fatalf("unexpected originator %d", cur)
 				}
 				reached++
 				break
 			}
-			cur = sp.Node().Adj[best.learnedFrom].To
+			cur = sp.Node().Adj[sess].To
 		}
 	}
 	if reached < topo.Len()*9/10 {
@@ -583,15 +588,6 @@ func TestWriteThroughUnownedStatePanics(t *testing.T) {
 	sp.recompute(testPrefix, owned)
 }
 
-func TestRouteClone(t *testing.T) {
-	r := &Route{Prefix: testPrefix, Path: []topology.ASN{1, 2, 3}}
-	c := r.Clone()
-	c.Path[0] = 99
-	if r.Path[0] == 99 {
-		t.Fatal("Clone shares path storage")
-	}
-}
-
 func TestCommunitiesPropagateTransitively(t *testing.T) {
 	topo := lineTopo(t) // O -- A -- B
 	sim := netsim.New(1)
@@ -622,40 +618,41 @@ func TestNoExportConfinesRoute(t *testing.T) {
 // TestDecisionProcessStrictOrder verifies better() behaves as a strict
 // order on random route sets: irreflexive, asymmetric, and with a unique
 // maximum under repeated selection — the properties recompute() relies on
-// to make deterministic, stable choices.
+// to make deterministic, stable choices. C's sessions reach a provider, a
+// peer and a customer, so with the local origination (-1) every LOCAL_PREF
+// and every neighbor-ASN tiebreak is drawn.
 func TestDecisionProcessStrictOrder(t *testing.T) {
 	topo := diamond(t)
 	net := New(netsim.New(1), topo, quickCfg())
-	s := net.Speaker(0) // T, sessions to C and D
+	s := net.Speaker(1) // C: sessions to T, D and O
 	r := rand.New(rand.NewSource(55))
 
-	randRoute := func() *Route {
+	type cand struct {
+		r    *Route
+		sess int
+	}
+	randRoute := func() cand {
 		n := 1 + r.Intn(5)
 		path := make([]topology.ASN, n)
 		for i := range path {
 			path[i] = topology.ASN(10 + r.Intn(5)*10)
 		}
-		return &Route{
-			Prefix:      testPrefix,
-			Path:        path,
-			LocalPref:   []int{PrefCustomer, PrefPeer, PrefProvider}[r.Intn(3)],
-			MED:         r.Intn(3),
-			learnedFrom: r.Intn(2),
-		}
+		return cand{&Route{Prefix: testPrefix, Path: path, MED: r.Intn(3)}, r.Intn(len(s.node.Adj)+1) - 1}
 	}
+	better := func(a, b cand) bool { return s.better(a.r, a.sess, b.r, b.sess) }
 	for trial := 0; trial < 2000; trial++ {
 		a, b := randRoute(), randRoute()
-		if s.better(a, a) {
+		if better(a, a) {
 			t.Fatalf("better is not irreflexive: %+v", a)
 		}
-		if s.better(a, b) && s.better(b, a) {
+		if better(a, b) && better(b, a) {
 			t.Fatalf("better is not asymmetric:\n a=%+v\n b=%+v", a, b)
 		}
 	}
 	// Transitivity over random triples.
 	for trial := 0; trial < 2000; trial++ {
 		a, b, c := randRoute(), randRoute(), randRoute()
-		if s.better(a, b) && s.better(b, c) && !s.better(a, c) && !routesEquivalent(a, c) {
+		if better(a, b) && better(b, c) && !better(a, c) && !routesEquivalent(a.r, a.sess, c.r, c.sess) {
 			t.Fatalf("better is not transitive:\n a=%+v\n b=%+v\n c=%+v", a, b, c)
 		}
 	}

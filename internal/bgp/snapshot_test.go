@@ -39,7 +39,7 @@ func TestNetworkSnapshotRestoreEquivalence(t *testing.T) {
 	sim2 := netsim.New(seed)
 	net2 := New(sim2, lineTopo(t), quickCfg())
 	bestReplays := 0
-	net2.OnBestChange(func(topology.NodeID, netip.Prefix, *Route, netsim.Seconds) { bestReplays++ })
+	net2.OnBestChange(func(topology.NodeID, netip.Prefix, *Route, int, netsim.Seconds) { bestReplays++ })
 	if err := sim2.Restore(simSnap); err != nil {
 		t.Fatal(err)
 	}

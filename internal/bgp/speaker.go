@@ -72,11 +72,17 @@ type prefixState struct {
 	// allocated by the first export that has to wait.
 	pending []bool //cdnlint:nosnapshot mirrors queued MRAI timers; snapshots require an empty queue
 
-	best   *Route
+	best *Route
+	// bestSess is the session best was learned on, -1 for the local
+	// origination: the next hop, and what best's LOCAL_PREF derives from.
+	bestSess int
+	// sent is the Route export built or shared last; groupRoute hands it
+	// to every session whose intent it matches.
+	sent   *Route
 	origin *OriginPolicy
 	// originRoute is the loc-RIB entry representing the local origination,
 	// built once per Originate call instead of on every recompute. Non-nil
-	// exactly when origin is non-nil; its maximal LocalPref means it is
+	// exactly when origin is non-nil; its maximal LOCAL_PREF means it is
 	// always the best route while present.
 	originRoute *Route
 	damp        []dampState // allocated on first flap when damping is on
@@ -189,6 +195,16 @@ func (s *Speaker) Best(p netip.Prefix) *Route {
 	return nil
 }
 
+// BestSession returns the session the best route for p was learned on, an
+// index into the node's adjacency list, or -1 when the route is locally
+// originated or there is none.
+func (s *Speaker) BestSession(p netip.Prefix) int {
+	if st := s.lookup(p); st != nil && st.best != nil {
+		return st.bestSess
+	}
+	return -1
+}
+
 // AdjIn returns the adj-RIB-in routes for p (nil slots for sessions with no
 // route). The returned slice must not be modified.
 func (s *Speaker) AdjIn(p netip.Prefix) []*Route {
@@ -214,13 +230,7 @@ func (s *Speaker) originate(p netip.Prefix, pol *OriginPolicy) {
 	// Build the loc-RIB origin entry once per origination. A fresh Route is
 	// mandatory even on re-origination: the previous one may be published
 	// (st.best, FIBs, feeds) and published routes are immutable.
-	st.originRoute = &Route{
-		Prefix:      p,
-		LocalPref:   1 << 20,
-		MED:         pol.MED,
-		OriginNode:  s.node.ID,
-		learnedFrom: -1,
-	}
+	st.originRoute = &Route{Prefix: p, MED: pol.MED, OriginNode: s.node.ID}
 	s.recompute(p, st)
 	// A policy change (e.g. new prepend depth) may alter exports even when
 	// the best route is unchanged, so always reconsider every session.
@@ -251,6 +261,16 @@ func importPref(rel topology.Rel) int {
 	}
 }
 
+// localPref is the LOCAL_PREF of a route learned on session sess: the
+// import preference of the session's relationship, or the maximal
+// preference of the local origination at sess -1.
+func (s *Speaker) localPref(sess int) int {
+	if sess < 0 {
+		return 1 << 20
+	}
+	return importPref(s.node.Adj[sess].Rel)
+}
+
 // receive processes an UPDATE delivered on session sess.
 func (s *Speaker) receive(sess int, u Update) {
 	s.msgCount++
@@ -272,11 +292,11 @@ func (s *Speaker) receive(sess int, u Update) {
 			// usable, so the net effect is a withdrawal of the old route.
 			st.in[sess] = nil
 		} else if cur := st.in[sess]; cur != nil && sameWire(r, cur) {
-			// Duplicate re-advertisement: the adj-RIB-in entry would come
-			// out identical (LocalPref and learnedFrom depend only on the
-			// session), so keep the existing one.
+			// Duplicate re-advertisement: keep the existing entry.
 		} else {
-			st.in[sess] = importCopy(r, importPref(s.node.Adj[sess].Rel), sess)
+			// The adj-RIB-in holds the sender's published adj-RIB-out
+			// pointer; what is receiver-local follows from sess.
+			st.in[sess] = r
 		}
 	case Withdraw:
 		if st.in[sess] == nil {
@@ -298,30 +318,18 @@ func (s *Speaker) receive(sess int, u Update) {
 	s.exportAll(u.Prefix, st)
 }
 
-// importCopy builds the adj-RIB-in entry for a received route. The route is
-// shared with the sender's adj-RIB-out and immutable; the shallow struct
-// copy holds the receiver-local LocalPref and learnedFrom while Path and
-// Communities stay shared.
-//
-//cdnlint:mutates-route the copy is unpublished until returned
-func importCopy(r *Route, localPref, sess int) *Route {
-	c := *r
-	c.LocalPref = localPref
-	c.learnedFrom = sess
-	return &c
-}
-
-// better reports whether a should be preferred over b under the standard
-// BGP decision process. Both must be non-nil.
-func (s *Speaker) better(a, b *Route) bool {
-	if a.LocalPref != b.LocalPref {
-		return a.LocalPref > b.LocalPref
+// better reports whether a, learned on session aSess, should be preferred
+// over b, learned on bSess, under the standard BGP decision process. Both
+// must be non-nil; session -1 is the local origination.
+func (s *Speaker) better(a *Route, aSess int, b *Route, bSess int) bool {
+	if la, lb := s.localPref(aSess), s.localPref(bSess); la != lb {
+		return la > lb
 	}
 	if len(a.Path) != len(b.Path) {
 		return len(a.Path) < len(b.Path)
 	}
 	// MED, compared only between routes from the same neighbor AS.
-	aAS, bAS := s.neighborAS(a), s.neighborAS(b)
+	aAS, bAS := s.neighborAS(aSess), s.neighborAS(bSess)
 	if aAS == bAS && a.MED != b.MED {
 		return a.MED < b.MED
 	}
@@ -329,21 +337,22 @@ func (s *Speaker) better(a, b *Route) bool {
 	if aAS != bAS {
 		return aAS < bAS
 	}
-	return a.learnedFrom < b.learnedFrom
+	return aSess < bSess
 }
 
-func (s *Speaker) neighborAS(r *Route) topology.ASN {
-	if r.learnedFrom < 0 {
+// neighborAS is the ASN across session sess; the speaker's own at -1.
+func (s *Speaker) neighborAS(sess int) topology.ASN {
+	if sess < 0 {
 		return s.node.ASN
 	}
-	return s.net.topo.Node(s.node.Adj[r.learnedFrom].To).ASN
+	return s.net.topo.Node(s.node.Adj[sess].To).ASN
 }
 
 // recompute reselects the best route for p and fires FIB/feed callbacks on
 // change.
 func (s *Speaker) recompute(p netip.Prefix, st *prefixState) {
 	s.mustOwn(st)
-	var best *Route
+	best, bestSess := (*Route)(nil), -1
 	if st.origin != nil {
 		// Locally originated routes always win (empty AS path, maximal
 		// preference — the analogue of administrative weight).
@@ -357,16 +366,16 @@ func (s *Speaker) recompute(p netip.Prefix, st *prefixState) {
 		if damping != nil && s.dampSuppressed(st, sess, damping) {
 			continue
 		}
-		if best == nil || s.better(r, best) {
-			best = r
+		if best == nil || s.better(r, sess, best, bestSess) {
+			best, bestSess = r, sess
 		}
 	}
-	if routesEquivalent(best, st.best) {
+	if routesEquivalent(best, bestSess, st.best, st.bestSess) {
 		return
 	}
-	st.best = best
+	st.best, st.bestSess = best, bestSess
 	for _, fn := range s.net.onBest {
-		fn(s.node.ID, p, best, s.sh.sim.Now())
+		fn(s.node.ID, p, best, bestSess, s.sh.sim.Now())
 	}
 	s.notifyFeeds(p, best)
 }
@@ -380,12 +389,13 @@ func (s *Speaker) mustOwn(st *prefixState) {
 	}
 }
 
-// routesEquivalent compares loc-RIB entries including the next hop.
-func routesEquivalent(a, b *Route) bool {
+// routesEquivalent compares loc-RIB entries, each with the session it was
+// learned on: the next hop, and through it the LOCAL_PREF.
+func routesEquivalent(a *Route, aSess int, b *Route, bSess int) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.learnedFrom == b.learnedFrom && a.LocalPref == b.LocalPref && sameWire(a, b)
+	return aSess == bSess && sameWire(a, b)
 }
 
 func (s *Speaker) notifyFeeds(p netip.Prefix, best *Route) {
@@ -432,7 +442,8 @@ func (s *Speaker) exportAll(p netip.Prefix, st *prefixState) {
 // exportIntent describes what should be on the wire toward one session:
 // an interned path, a shared (immutable) communities slice, and the scalar
 // attributes. Computing an intent never allocates — a Route is materialized
-// only when the wire state actually changes.
+// only when the wire state actually changes and no session of the prefix
+// state already carries it (groupRoute).
 type exportIntent struct {
 	path       []topology.ASN
 	comm       []uint32
@@ -449,7 +460,7 @@ func (s *Speaker) desiredExport(st *prefixState, sess int) (it exportIntent, ok 
 	}
 	adj := s.node.Adj[sess]
 
-	if best.learnedFrom == -1 {
+	if st.bestSess == -1 {
 		// Locally originated: apply the origination policy.
 		pol := st.origin
 		prepend := pol.Prepend
@@ -469,7 +480,7 @@ func (s *Speaker) desiredExport(st *prefixState, sess int) (it exportIntent, ok 
 
 	// Transit route. Split horizon: never send a route back over the
 	// session it was learned from.
-	if best.learnedFrom == sess {
+	if st.bestSess == sess {
 		return exportIntent{}, false
 	}
 	// Well-known communities (RFC 1997): NO_ADVERTISE stops the route
@@ -480,7 +491,7 @@ func (s *Speaker) desiredExport(st *prefixState, sess int) (it exportIntent, ok 
 	}
 	// Gao-Rexford export: routes learned from peers or providers are only
 	// exported to customers.
-	learnedRel := s.node.Adj[best.learnedFrom].Rel
+	learnedRel := s.node.Adj[st.bestSess].Rel
 	if learnedRel != topology.RelCustomer && adj.Rel != topology.RelCustomer {
 		return exportIntent{}, false
 	}
@@ -529,6 +540,26 @@ func intentMatches(it exportIntent, out *Route) bool {
 		sameComm(out.Communities, it.comm)
 }
 
+// groupRoute returns the Route that carries intent it for st: the one
+// export built last, else the one an adj-RIB-out slot already holds, else a
+// new one. Every session of a prefix state that carries the same intent
+// thus holds one pointer (an update group), and a best change materializes
+// one Route however many sessions it reaches.
+func groupRoute(p netip.Prefix, st *prefixState, it exportIntent) *Route {
+	carries := func(r *Route) bool { return intentMatches(it, r) && r.OriginNode == it.originNode }
+	if carries(st.sent) {
+		return st.sent
+	}
+	for _, r := range st.out {
+		if carries(r) {
+			st.sent = r
+			return r
+		}
+	}
+	st.sent = &Route{Prefix: p, Path: it.path, MED: it.med, OriginNode: it.originNode, Communities: it.comm}
+	return st.sent
+}
+
 // export transmits the desired state toward session sess, honoring MRAI for
 // advertisements. Withdrawals are sent immediately.
 func (s *Speaker) export(p netip.Prefix, st *prefixState, sess int) {
@@ -558,10 +589,7 @@ func (s *Speaker) export(p netip.Prefix, st *prefixState, sess int) {
 			st.out[sess] = nil
 			s.send(sess, Update{Type: Withdraw, Prefix: p})
 		} else {
-			r := &Route{
-				Prefix: p, Path: it.path, MED: it.med,
-				OriginNode: it.originNode, Communities: it.comm,
-			}
+			r := groupRoute(p, st, it)
 			st.out[sess] = r
 			s.send(sess, Update{Type: Announce, Prefix: p, Route: r})
 		}

@@ -32,7 +32,7 @@ func (n *Network) WriteRouteState(w io.Writer) error {
 			buf = st.prefix.AppendTo(buf)
 			buf = append(buf, '\n')
 			body := len(buf)
-			buf = appendPrefixState(buf, st)
+			buf = appendPrefixState(buf, sp, st)
 			if len(buf) == body {
 				buf = buf[:mark] // empty husk left by a full withdraw cycle
 				continue
@@ -69,9 +69,10 @@ func (d *digestText) Write(p []byte) (int, error) {
 }
 
 // appendPrefixState renders one prefix's lines; nothing for an empty husk.
+// sp owns the sessions: the adj-RIB-in's LOCAL_PREF derives from them.
 //
 //cdnlint:allocfree runs once per (speaker, prefix) of every state digest
-func appendPrefixState(buf []byte, st *prefixState) []byte {
+func appendPrefixState(buf []byte, sp *Speaker, st *prefixState) []byte {
 	if st.origin != nil {
 		buf = append(buf, "  origin "...)
 		buf = appendOrigin(buf, st.origin)
@@ -79,7 +80,7 @@ func appendPrefixState(buf []byte, st *prefixState) []byte {
 	}
 	if st.best != nil {
 		buf = append(buf, "  best sess="...)
-		buf = strconv.AppendInt(buf, int64(st.best.learnedFrom), 10)
+		buf = strconv.AppendInt(buf, int64(st.bestSess), 10)
 		buf = append(buf, ' ')
 		buf = appendRoute(buf, st.best)
 		buf = append(buf, '\n')
@@ -89,7 +90,7 @@ func appendPrefixState(buf []byte, st *prefixState) []byte {
 			buf = append(buf, "  in["...)
 			buf = strconv.AppendInt(buf, int64(sess), 10)
 			buf = append(buf, "] lp="...)
-			buf = strconv.AppendInt(buf, int64(r.LocalPref), 10)
+			buf = strconv.AppendInt(buf, int64(sp.localPref(sess)), 10)
 			buf = append(buf, ' ')
 			buf = appendRoute(buf, r)
 			buf = append(buf, '\n')

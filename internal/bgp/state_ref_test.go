@@ -32,11 +32,11 @@ func RefRouteStateDigest(n *Network) string {
 				fmt.Fprintf(&sb, "  origin %s\n", refOriginWire(st.origin))
 			}
 			if st.best != nil {
-				fmt.Fprintf(&sb, "  best sess=%d %s\n", st.best.learnedFrom, refRouteWire(st.best))
+				fmt.Fprintf(&sb, "  best sess=%d %s\n", st.bestSess, refRouteWire(st.best))
 			}
 			for sess, r := range st.in {
 				if r != nil {
-					fmt.Fprintf(&sb, "  in[%d] lp=%d %s\n", sess, r.LocalPref, refRouteWire(r))
+					fmt.Fprintf(&sb, "  in[%d] lp=%d %s\n", sess, sp.localPref(sess), refRouteWire(r))
 				}
 			}
 			for sess, r := range st.out {

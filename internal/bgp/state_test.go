@@ -11,7 +11,8 @@ import (
 // on hand-built RIB states covering every formatting edge the fmt verbs
 // had: nil versus empty slices, signed integers, originated routes, path
 // shapes, per-neighbor policies in map order, and prefixes that render
-// nothing.
+// nothing. The speakers' three sessions reach a provider, a customer and a
+// peer, so the adj-RIB-in renders every import LOCAL_PREF.
 func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 	p4 := netip.MustParsePrefix("184.164.240.0/24")
 	p6 := netip.MustParsePrefix("2804:269c:fe00::/40")
@@ -20,16 +21,17 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 		name string
 		st   *prefixState
 	}{
-		{"nil communities", &prefixState{prefix: p4, best: &Route{Path: []topology.ASN{47065}, learnedFrom: 2}}},
-		{"empty communities", &prefixState{prefix: p4, best: &Route{Path: []topology.ASN{47065}, Communities: []uint32{}, learnedFrom: 2}}},
-		{"communities", &prefixState{prefix: p4, in: slots(nil, &Route{
-			Path: []topology.ASN{3356, 47065}, Communities: []uint32{CommunityNoExport, 0, 65000<<16 | 7}, LocalPref: PrefPeer,
+		{"nil communities", &prefixState{prefix: p4, best: &Route{Path: []topology.ASN{47065}}, bestSess: 2}},
+		{"empty communities", &prefixState{prefix: p4, best: &Route{Path: []topology.ASN{47065}, Communities: []uint32{}}, bestSess: 2}},
+		{"communities", &prefixState{prefix: p4, in: slots(nil, nil, &Route{
+			Path: []topology.ASN{3356, 47065}, Communities: []uint32{CommunityNoExport, 0, 65000<<16 | 7},
 		})}},
 		{"negative med", &prefixState{prefix: p4, out: slots(&Route{Path: []topology.ASN{1}, MED: -5})}},
-		{"zero med and local-pref", &prefixState{prefix: p4, in: slots(&Route{Path: []topology.ASN{1}})}},
+		{"zero med", &prefixState{prefix: p4, in: slots(&Route{Path: []topology.ASN{1}})}},
 		{"originated best", &prefixState{prefix: p4,
-			origin: &OriginPolicy{},
-			best:   &Route{Path: []topology.ASN{47065}, LocalPref: 1 << 30, learnedFrom: -1},
+			origin:   &OriginPolicy{},
+			best:     &Route{Path: []topology.ASN{47065}},
+			bestSess: -1,
 		}},
 		{"nil path", &prefixState{prefix: p4, best: &Route{}}},
 		{"empty husk", &prefixState{prefix: p4, in: slots(nil, nil), out: slots(nil, nil)}},
@@ -48,18 +50,20 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 				0:  {Export: true, Prepend: -1},
 			},
 		}}},
-		{"ipv6 prefix", &prefixState{prefix: p6, best: &Route{Path: []topology.ASN{4200000000}, learnedFrom: 0}}},
+		{"ipv6 prefix", &prefixState{prefix: p6, best: &Route{Path: []topology.ASN{4200000000}}, bestSess: 0}},
 		{"every section", &prefixState{prefix: p4,
-			origin: &OriginPolicy{MED: 4},
-			best:   &Route{Path: []topology.ASN{2, 1}, learnedFrom: 1},
-			in:     slots(&Route{Path: []topology.ASN{9, 1}, LocalPref: PrefProvider}, &Route{Path: []topology.ASN{2, 1}, LocalPref: PrefCustomer}),
-			out:    slots(&Route{Path: []topology.ASN{5, 2, 1}}, nil),
+			origin:   &OriginPolicy{MED: 4},
+			best:     &Route{Path: []topology.ASN{2, 1}},
+			bestSess: 1,
+			in:       slots(&Route{Path: []topology.ASN{9, 1}}, &Route{Path: []topology.ASN{2, 1}}),
+			out:      slots(&Route{Path: []topology.ASN{5, 2, 1}}, nil),
 		}},
 	}
 
-	whole := &Speaker{node: &topology.Node{Name: "all-cases"}}
+	adj := []topology.Adjacency{{Rel: topology.RelProvider}, {Rel: topology.RelCustomer}, {Rel: topology.RelPeer}}
+	whole := &Speaker{node: &topology.Node{Name: "all-cases", Adj: adj}}
 	for i, c := range cases {
-		sp := &Speaker{node: &topology.Node{Name: "edge"}, rib: []*prefixState{c.st}}
+		sp := &Speaker{node: &topology.Node{Name: "edge", Adj: adj}, rib: []*prefixState{c.st}}
 		n := &Network{speakers: []*Speaker{sp}}
 		want := RefRouteStateDigest(n)
 		if got := n.RouteStateDigest(); got != want {

@@ -135,10 +135,11 @@ func TestValleyFreeProperty(t *testing.T) {
 					walk = nil
 					break
 				}
-				if best.LearnedFrom() < 0 {
+				sess := sp.BestSession(prefix)
+				if sess < 0 {
 					break
 				}
-				cur = sp.Node().Adj[best.LearnedFrom()].To
+				cur = sp.Node().Adj[sess].To
 				if len(walk) > topo.Len() {
 					t.Fatalf("trial %d: forwarding loop from %s", trial, n.Name)
 				}

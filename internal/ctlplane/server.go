@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -277,7 +278,16 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 	var req changeSetRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxChangeSetBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// One document per request: what follows it is refused, not dropped.
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the changeset document")
+		}
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -441,6 +441,44 @@ func TestChangeSetBodyCap(t *testing.T) {
 	}
 }
 
+// TestPostRejectsTrailingData: a ChangeSet request is one JSON document. A
+// second document or garbage after it answers 400 with the uniform error
+// document instead of running the first and dropping the rest; nothing is
+// recorded, no id is consumed, and the live world does not move.
+// Trailing whitespace is still fine.
+func TestPostRejectsTrailingData(t *testing.T) {
+	s := newTestServer(t, core.Anycast{}, false)
+	pre := StateOf(s.world)
+
+	drain := `{"mutations":[{"kind":"drain","site":"atl","drainFor":30}]}`
+	for _, body := range []string{
+		drain + ` {"mutations":[{"kind":"fail","site":"msn"}]}`,
+		drain + ` garbage`,
+	} {
+		rec := serve(s, "POST", "/v1/changesets?execute=true", []byte(body))
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusBadRequest || err != nil || e.APIVersion != api.Version || e.Error == "" {
+			t.Fatalf("%q: code %d, error %q, want 400 and the uniform error document", body, rec.Code, e.Error)
+		}
+	}
+
+	var list struct {
+		ChangeSets []*api.ChangeSet `json:"changesets"`
+	}
+	do(t, s, "GET", "/v1/changesets", nil, &list)
+	if len(list.ChangeSets) != 0 {
+		t.Fatalf("%d changesets recorded by refused requests", len(list.ChangeSets))
+	}
+	if got := StateOf(s.world); !statesEqual(got, pre) {
+		t.Fatal("refused requests moved the live world")
+	}
+	rec := serve(s, "POST", "/v1/changesets", []byte(drain+"\n\t "))
+	var cs api.ChangeSet
+	if err := json.Unmarshal(rec.Body.Bytes(), &cs); rec.Code != http.StatusOK || err != nil || cs.ID != "cs-000001" {
+		t.Fatalf("next changeset: code %d, id %q, want 200 and cs-000001 (%s)", rec.Code, cs.ID, rec.Body.String())
+	}
+}
+
 // TestDryRunDeterminism: the same dry-run against two independently built
 // servers produces byte-identical response bodies (the golden-file
 // property the API's determinism contract promises).

@@ -304,20 +304,21 @@ func (p *Plane) Instrument(r *obs.Registry) {
 	p.m.walks = r.Counter("dataplane_probe_walks_total")
 }
 
-func (p *Plane) onBestChange(node topology.NodeID, prefix netip.Prefix, route *bgp.Route, at netsim.Seconds) {
+func (p *Plane) onBestChange(node topology.NodeID, prefix netip.Prefix, route *bgp.Route, sess int, at netsim.Seconds) {
 	p.m.updates.Inc()
 	if len(p.watches) == 0 {
-		p.install(node, prefix, route)
+		p.install(node, prefix, route, sess)
 		return
 	}
 	var buf [4]fibState
 	pre := p.states(buf[:0], node, prefix)
-	p.install(node, prefix, route)
+	p.install(node, prefix, route, sess)
 	p.journal(node, prefix, pre, at)
 }
 
-// install writes one best-route change into node's FIB.
-func (p *Plane) install(node topology.NodeID, prefix netip.Prefix, route *bgp.Route) {
+// install writes one best-route change into node's FIB: route learned on
+// session sess, -1 for a local origination.
+func (p *Plane) install(node topology.NodeID, prefix netip.Prefix, route *bgp.Route, sess int) {
 	fib := p.fibs[node]
 	switch {
 	case fib == nil:
@@ -331,7 +332,6 @@ func (p *Plane) install(node topology.NodeID, prefix netip.Prefix, route *bgp.Ro
 		fib.Delete(prefix)
 		return
 	}
-	sess := route.LearnedFrom()
 	if sess < 0 {
 		fib.Insert(prefix, fibEntry{local: true})
 		return

@@ -549,7 +549,7 @@ func TestPlaneSnapshotSharesUntilWritten(t *testing.T) {
 		t.Fatal("live plane wrote without cloning the frozen trie")
 	}
 	// So does a restored plane.
-	a.onBestChange(c, superP, &bgp.Route{}, 0)
+	a.onBestChange(c, superP, &bgp.Route{}, 0, 0)
 	if got := a.DumpFIB(c); len(got) != 2 || got[0].Prefix != superP {
 		t.Fatalf("restored plane did not install its own route: %v", got)
 	}
