@@ -93,10 +93,10 @@ outputs:
 	case "$$out/" in "$(CURDIR)/"*) echo "make outputs: OUT must lie outside the repository" >&2; exit 2;; esac; \
 	mkdir -p "$$out"; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
 	$(GO) build -o "$$bin/cdnsim" ./cmd/cdnsim; \
-	"$$bin/cdnsim" -seed 7 -json "$$out/fig2.json" fig2 >/dev/null; \
-	"$$bin/cdnsim" -seed 7 -demand -tech load-shift,load-shed,anycast -json "$$out/fig2-demand.json" fig2 >/dev/null; \
+	"$$bin/cdnsim" fig2 -seed 7 -json "$$out/fig2.json" >/dev/null; \
+	"$$bin/cdnsim" fig2 -seed 7 -demand -tech load-shift,load-shed,anycast -json "$$out/fig2-demand.json" >/dev/null; \
 	for c in validate fig5 combined; do \
-		"$$bin/cdnsim" -seed 11 -json "$$out/$$c.json" $$c >/dev/null; \
+		"$$bin/cdnsim" $$c -seed 11 -json "$$out/$$c.json" >/dev/null; \
 	done; \
 	for s in $$("$$bin/cdnsim" scenario -list | awk 'NR > 2 { print $$1 }'); do \
 		"$$bin/cdnsim" scenario -seed 7 -name $$s -tech all -json "$$out/scenario-$$s.json" >/dev/null; \
@@ -105,7 +105,7 @@ outputs:
 
 # Control-plane gate: the snapshotfields analyzer over the packages that
 # carry ChangeSet / snapshot state, then the end-to-end smoke test — build
-# cdnsimd and cdnsim, start the daemon on an ephemeral port, and drive a
+# cdnsim, start `cdnsim serve` on an ephemeral port, and drive a
 # drain ChangeSet dry-run → execute → verify (pass receipt, bit-identical
 # digests) plus a sabotaged execution (fail receipt naming the diverging
 # fields) — and the published-view, rollback and busy-daemon tests.

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,15 +13,12 @@ import (
 	"bestofboth/pkg/bestofboth/api"
 )
 
-// errReceiptFailed marks a diverged verification receipt; runCtlCmd's
-// caller turns it into a distinct exit code so scripts can tell "the
-// change verified as wrong" from "the request failed".
+// errReceiptFailed marks a diverged verification receipt; cli turns it
+// into a distinct exit code so scripts can tell "the change verified as
+// wrong" from "the request failed".
 var errReceiptFailed = fmt.Errorf("verification receipt failed")
 
-const ctlUsage = `usage: cdnsim ctl [-addr URL] [-x] [-sabotage] [-drain-for S] <command> [args]
-
-Query and mutate a running cdnsimd control-plane daemon (v1 API).
-The exact JSON response body is printed to stdout.
+const ctlDoc = `The exact JSON response body of the daemon's v1 API is printed to stdout.
 
 Query commands:
   world | state | digests | dns | load | catchments | changesets
@@ -38,30 +34,18 @@ Mutation commands (dry-run by default; -x executes and verifies):
   apply <file|->          post mutations from a JSON file ({"mutations":[...]})
 
 Exit status: 0 on success (and pass receipts), 3 when an executed
-changeset's verification receipt fails, 1 on errors.
-`
+changeset's verification receipt fails, 1 on errors.`
 
-// runCtlCmd implements the `cdnsim ctl` client for cdnsimd's v1 API.
-func runCtlCmd(args []string) error {
-	fs := flag.NewFlagSet("ctl", flag.ContinueOnError)
-	fs.Usage = func() {
-		fmt.Fprint(os.Stderr, ctlUsage)
-		fs.PrintDefaults()
+// runCtl implements the ctl command, a client for serve's v1 API.
+func runCtl(o *options) error {
+	if len(o.args) == 0 {
+		return fmt.Errorf("ctl: missing command (see cdnsim ctl -h)")
 	}
-	addr := fs.String("addr", "http://127.0.0.1:8316", "daemon base URL")
-	execute := fs.Bool("x", false, "execute the changeset on the live world (default: dry-run only)")
-	sabotage := fs.Bool("sabotage", false, "ask a -test-sabotage daemon to diverge the execution (the receipt must then fail)")
-	drainFor := fs.Float64("drain-for", 600, "drain duration in virtual seconds for the drain command")
-	if err := fs.Parse(args); err != nil {
-		return err
+	base := strings.TrimSuffix(o.addr, "/")
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
 	}
-	rest := fs.Args()
-	if len(rest) == 0 {
-		fs.Usage()
-		return fmt.Errorf("ctl: missing command")
-	}
-	base := strings.TrimSuffix(*addr, "/")
-	cmd, operands := rest[0], rest[1:]
+	cmd, operands := o.args[0], o.args[1:]
 
 	switch cmd {
 	case "world", "state", "digests", "dns", "load", "catchments", "changesets":
@@ -76,11 +60,11 @@ func runCtlCmd(args []string) error {
 		return ctlGet(base + "/v1/changesets/" + operands[0])
 	}
 
-	muts, err := ctlMutations(cmd, operands, *drainFor)
+	muts, err := ctlMutations(cmd, operands, o.drainFor)
 	if err != nil {
 		return err
 	}
-	return ctlPost(base, muts, *execute, *sabotage)
+	return ctlPost(base, muts, o.execute, o.sabotage)
 }
 
 // ctlMutations builds the one-mutation ChangeSet each mutation command

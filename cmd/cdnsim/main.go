@@ -1,33 +1,19 @@
 // Command cdnsim reproduces the paper's evaluation on the simulated
-// Internet: each subcommand regenerates one figure or table.
+// Internet and operates its control plane. Each figure or table command
+// regenerates one result of the paper; scenario runs fault-injection
+// timelines, serve runs the control-plane daemon, ctl drives it, and topo
+// inspects the synthetic Internet.
 //
 // Usage:
 //
-//	cdnsim [flags] <command>
+//	cdnsim <command> [flags]
 //
-// Commands:
+// `cdnsim -h` lists the commands and `cdnsim <command> -h` the flags one
+// command reads. A command registers only the flags it reads, so a flag it
+// would ignore is refused as bad usage.
 //
-//	fig2         reconnection & failover CDFs per technique (§5.4.1, Figure 2)
-//	table1       per-site traffic control under prepending (§5.4.2, Table 1)
-//	table2       qualitative tradeoff matrix with measured medians (Table 2)
-//	fig3         unicast withdrawal convergence, hypergiant vs testbed (Appendix A, Figure 3)
-//	fig4         anycast announcement propagation (Appendix B, Figure 4)
-//	fig5         prepend-3 vs prepend-5 failover (Appendix C.2, Figure 5)
-//	c1           diverging-AS analysis for the pathological site (Appendix C.1)
-//	unicast-dns  unicast failover gated by DNS TTL and violations (§2 context)
-//	combined     reactive-anycast + superprefix ablation (§4)
-//	scenario     declarative fault-injection timelines (flaps, link failures,
-//	             partial and regional outages, drains, flash crowds); has its
-//	             own flags — see cdnsim scenario -h
-//	ctl          client for a running cdnsimd control-plane daemon: query
-//	             state and post verified ChangeSets; see cdnsim ctl -h
-//	load         demand, capacity, and per-site load under a technique:
-//	             offered/served/shed tables and the load-shifting fixed point
-//	             (default when -tech is given without a command)
-//	fig2-sites   per-failed-site breakdown of Figure 2 for one technique
-//	prepend-sweep control-vs-failover tradeoff across prepend depths 1-7 (§4)
-//	validate     §5.1 criterion robustness and repeatability checks
-//	all          everything above in paper order
+// Exit status: 0 on success, 1 when the command fails, 2 on bad usage, and
+// 3 when ctl executed a ChangeSet whose verification receipt failed.
 package main
 
 import (
@@ -38,6 +24,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -49,144 +36,307 @@ import (
 	"bestofboth/internal/traffic"
 )
 
+// options holds every flag value; a command's flag set points into it.
 type options struct {
-	seed       int64
-	targets    int
-	maxTargets int
-	duration   float64
-	sites      string
-	scale      string
-	scaleF     float64
-	shards     int
-	tech       string
-	demand     bool
-	c1Site     string
-	ttl        uint
-	clients    int
-	trials     int
-	workers    int
-	jsonOut    string
-	metricsOut string
-	pprofAddr  string
-	progress   bool
+	// World.
+	seed   int64
+	scale  string
+	scaleF float64 // -scale resolved by check
+	shards int
+	demand bool
+	// Output.
+	jsonOut, metricsOut, pprofAddr string
+	// Matrix.
+	workers  int
+	progress bool
+	// Selection and probing.
+	targets, maxTargets int
+	duration            float64
+	sites, tech         string
+	// One command's own.
+	c1Site            string  // c1
+	ttl               uint    // unicast-dns
+	clients           int     // unicast-dns
+	trials            int     // fig3, fig4
+	file, name        string  // scenario
+	list, monitor     bool    // scenario
+	addr              string  // serve, ctl
+	execute, sabotage bool    // ctl
+	drainFor          float64 // ctl
+	testSabotage      bool    // serve
+	attachments       bool    // topo
 
+	cmd    string   // the command word
+	args   []string // positional arguments (ctl)
 	report *experiment.Report
 	reg    *obs.Registry
 }
 
-func main() {
-	opts := options{}
-	flag.Int64Var(&opts.seed, "seed", 42, "simulation seed (identical seeds reproduce runs bit-for-bit)")
-	flag.IntVar(&opts.targets, "targets", 200, "max targets selected per site (§5.1; paper uses 50K)")
-	flag.IntVar(&opts.maxTargets, "probe-targets", 60, "max controllable targets probed per failover run")
-	flag.Float64Var(&opts.duration, "probe-duration", 600, "seconds of probing after a failure (§5.2)")
-	flag.StringVar(&opts.sites, "sites", strings.Join(topology.DefaultSiteCodes, ","), "comma-separated sites to fail")
-	flag.StringVar(&opts.scale, "scale", "1", `topology scale factor (1 ≈ 900 ASes), "paper" (~4x topology, 50K-target selection), or "internet" (~81x topology, ≈72K ASes; budget ~4 GiB and pair with -shards)`)
-	flag.IntVar(&opts.shards, "shards", 1,
-		"BGP shard simulators per world (1 = classic single kernel; converged route/FIB state is bit-identical at any shard count, transient timings follow shard-local jitter)")
-	flag.StringVar(&opts.tech, "tech", "",
-		`comma-separated techniques for the load and fig2 commands: the paper's five, "load-shift", "load-shed", "load-shift+<base>", "combined", or "all"/"seven"; with no command, implies the load command`)
-	flag.BoolVar(&opts.demand, "demand", false,
-		"attach the default demand model (Pareto rates, 1.25x capacity headroom) to every world; adds user-weighted CDFs to fig2")
-	flag.StringVar(&opts.c1Site, "c1-site", "sea1", "site analyzed by the c1 command")
-	flag.UintVar(&opts.ttl, "ttl", 600, "DNS record TTL for unicast-dns (seconds)")
-	flag.IntVar(&opts.clients, "clients", 2000, "client population for unicast-dns")
-	flag.IntVar(&opts.trials, "trials", 3, "withdrawal/announcement trials per origin (fig3/fig4)")
-	flag.IntVar(&opts.workers, "workers", runtime.NumCPU(),
-		"concurrent failover runs (1 = sequential; results are identical at any worker count)")
-	flag.StringVar(&opts.jsonOut, "json", "", "also write results as JSON to this file")
-	flag.StringVar(&opts.metricsOut, "metrics", "",
-		"write the final metric snapshot here (.json = JSON, otherwise Prometheus text)")
-	flag.StringVar(&opts.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.BoolVar(&opts.progress, "progress", false, "print live run progress to stderr")
-	flag.Parse()
+// declareFlags declares every flag exactly once, on a catalog set from
+// which each command copies the flags it reads.
+func (o *options) declareFlags() *flag.FlagSet {
+	fs := flag.NewFlagSet("cdnsim", flag.ContinueOnError)
 
-	var err error
-	if opts.scaleF, err = experiment.ParseScale(opts.scale); err != nil {
-		fmt.Fprintf(os.Stderr, "cdnsim: -scale: %v\n", err)
-		os.Exit(2)
+	// World: what every simulated world is built from.
+	fs.Int64Var(&o.seed, "seed", 42, "simulation seed (identical seeds reproduce runs bit-for-bit)")
+	fs.StringVar(&o.scale, "scale", "1", `topology scale factor (1 ≈ 900 ASes), "paper" (~4x topology, 50K-target selection), or "internet" (~81x topology, ≈72K ASes; budget ~4 GiB and pair with -shards)`)
+	fs.IntVar(&o.shards, "shards", 1,
+		"BGP shard simulators per world (1 = classic single kernel; converged route/FIB state is bit-identical at any shard count, transient timings follow shard-local jitter)")
+	fs.BoolVar(&o.demand, "demand", false,
+		"attach the default demand model (Pareto rates, 1.25x capacity headroom) to every world; adds user-weighted CDFs to fig2")
+
+	// Output.
+	fs.StringVar(&o.jsonOut, "json", "", "also write results as JSON to this file (plus a .manifest.json sidecar)")
+	fs.StringVar(&o.metricsOut, "metrics", "",
+		"write the final metric snapshot here (.json = JSON, otherwise Prometheus text)")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+
+	// Matrix: how a run matrix is executed (never what it computes).
+	fs.IntVar(&o.workers, "workers", 0,
+		"concurrent runs (0 = one per CPU, 1 = sequential; results are identical at any worker count)")
+	fs.BoolVar(&o.progress, "progress", false, "print live run progress to stderr")
+
+	// Selection and probing.
+	fs.IntVar(&o.targets, "targets", 200, "max targets selected per site (§5.1; paper uses 50K)")
+	fs.IntVar(&o.maxTargets, "probe-targets", 60, "max targets probed per failover run (scenario: per site group)")
+	fs.Float64Var(&o.duration, "probe-duration", 600, "seconds of probing after a failure (§5.2)")
+	fs.StringVar(&o.sites, "sites", strings.Join(topology.DefaultSiteCodes, ","), "comma-separated sites to fail")
+	fs.StringVar(&o.tech, "tech", "",
+		`comma-separated techniques: the paper's five, "load-shift", "load-shed", "load-shift+<base>", "combined", or "all"/"seven" (serve deploys exactly one; empty runs the command's default set)`)
+
+	// Flags of one command each.
+	fs.StringVar(&o.c1Site, "c1-site", "sea1", "site analyzed by c1")
+	fs.UintVar(&o.ttl, "ttl", 600, "DNS record TTL for unicast-dns (seconds)")
+	fs.IntVar(&o.clients, "clients", 2000, "client population for unicast-dns")
+	fs.IntVar(&o.trials, "trials", 3, "withdrawal/announcement trials per origin (fig3/fig4)")
+	fs.StringVar(&o.file, "f", "", "JSON scenario file to run")
+	fs.StringVar(&o.name, "name", "", "bundled scenario to run (see -list)")
+	fs.BoolVar(&o.list, "list", false, "list the bundled scenarios and exit")
+	fs.BoolVar(&o.monitor, "monitor", false, "run the probing health monitor (detects silent crashes)")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8316",
+		"daemon address: serve listens on it (port 0 picks a free port), ctl connects to it (host:port or http:// URL)")
+	fs.BoolVar(&o.execute, "x", false, "execute the changeset on the live world (default: dry-run only)")
+	fs.BoolVar(&o.sabotage, "sabotage", false, "ask a -test-sabotage daemon to diverge the execution (the receipt must then fail)")
+	fs.Float64Var(&o.drainFor, "drain-for", 600, "drain duration in virtual seconds for the drain command")
+	fs.BoolVar(&o.testSabotage, "test-sabotage", false, "enable ?sabotage=true on execution: silently fail a healthy site's forwarding after executing, so the verification receipt must fail (testing the verifier, not the network)")
+	fs.BoolVar(&o.attachments, "attachments", false, "also list each CDN site's neighbors")
+	return fs
+}
+
+// Flag groups several commands read together.
+var (
+	worldFlags  = []string{"seed", "scale", "shards", "demand"}
+	outputFlags = []string{"json", "metrics", "pprof"}
+	matrixFlags = []string{"workers", "progress"}
+	probeFlags  = []string{"targets", "probe-targets", "probe-duration", "sites"}
+)
+
+// command is one command word. flags names the catalog flags its run
+// function reads (and so the only ones it accepts); defaults overrides
+// catalog defaults as "name=value" before parsing.
+type command struct {
+	name     string
+	doc      string // first line: the summary cdnsim -h prints
+	args     string // positional-argument synopsis; "" = none accepted
+	flags    []string
+	defaults []string
+	run      func(o *options) error
+}
+
+// commands is the dispatch table, in usage order; cdnsim -h prints it, so
+// a command cannot be dispatchable yet unlisted.
+var commands = []command{
+	{name: "fig2", doc: "reconnection & failover CDFs per technique (§5.4.1, Figure 2)",
+		flags: slices.Concat(worldFlags, outputFlags, matrixFlags, probeFlags, []string{"tech"}),
+		run: figure(true, func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
+			_, err := runFig2(cfg, sel, o, nil)
+			return err
+		})},
+	{name: "table1", doc: "per-site traffic control under prepending (§5.4.2, Table 1)",
+		flags: slices.Concat(worldFlags, outputFlags, []string{"targets"}),
+		run: figure(true, func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
+			_, err := runTable1(cfg, sel, o)
+			return err
+		})},
+	{name: "table2", doc: "qualitative tradeoff matrix with measured medians (Table 2)",
+		flags: slices.Concat(worldFlags, outputFlags, matrixFlags, probeFlags, []string{"tech"}),
+		run:   figure(true, runTable2)},
+	{name: "fig3", doc: "unicast withdrawal convergence, hypergiant vs testbed (Appendix A, Figure 3)",
+		flags: slices.Concat(worldFlags, outputFlags, []string{"trials"}),
+		run:   figure(false, runFig3)},
+	{name: "fig4", doc: "anycast announcement propagation (Appendix B, Figure 4)",
+		flags: slices.Concat(worldFlags, outputFlags, []string{"trials"}),
+		run:   figure(false, runFig4)},
+	{name: "fig5", doc: "prepend-3 vs prepend-5 failover (Appendix C.2, Figure 5)",
+		flags: slices.Concat(worldFlags, outputFlags, matrixFlags, probeFlags),
+		run:   figure(true, runFig5)},
+	{name: "c1", doc: "diverging-AS analysis for the pathological site (Appendix C.1)",
+		flags: slices.Concat(worldFlags, outputFlags, []string{"targets", "c1-site"}),
+		run:   figure(true, runC1)},
+	{name: "unicast-dns", doc: "unicast failover gated by DNS TTL and violations (§2 context)",
+		flags: slices.Concat(worldFlags, outputFlags, []string{"ttl", "clients"}),
+		run:   figure(false, runUnicastDNS)},
+	{name: "combined", doc: "reactive-anycast + superprefix ablation (§4)",
+		flags: slices.Concat(worldFlags, outputFlags, matrixFlags, probeFlags),
+		run: figure(true, func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
+			_, err := runFig2(cfg, sel, o, []core.Technique{core.ReactiveAnycast{}, core.Combined{}})
+			return err
+		})},
+	{name: "load", doc: "offered/served/shed load per site and the load-shifting fixed point",
+		// Load is meaningless without a demand model, so -demand is forced
+		// (not accepted): the manifest's config digest and DemandSummary
+		// then describe the world actually run.
+		flags: slices.Concat([]string{"seed", "scale", "shards"}, outputFlags, []string{"tech"}), defaults: []string{"demand=true", "tech=load-shift"},
+		run: figure(false, runLoad)},
+	{name: "fig2-sites", doc: "per-failed-site breakdown of Figure 2 for reactive-anycast",
+		flags: slices.Concat(worldFlags, outputFlags, matrixFlags, probeFlags),
+		run:   figure(true, runFig2Sites)},
+	{name: "prepend-sweep", doc: "control-vs-failover tradeoff across prepend depths 1-7 (§4)",
+		flags: slices.Concat(worldFlags, outputFlags, matrixFlags, probeFlags),
+		run:   figure(true, runPrependSweep)},
+	{name: "validate", doc: "§5.1 criterion robustness and repeatability checks (on the first of -sites)",
+		flags: slices.Concat(worldFlags, outputFlags, probeFlags),
+		run:   figure(true, runValidate)},
+	{name: "all", doc: "table2, fig3, fig4, fig5, c1 and unicast-dns in paper order",
+		flags: slices.Concat(worldFlags, outputFlags, matrixFlags, probeFlags, []string{"tech", "c1-site", "ttl", "clients", "trials"}),
+		run:   figure(true, runAll)},
+	{name: "scenario", doc: "fault-injection timelines: flaps, link failures, outages, drains, flash crowds\n\n" + scenarioDoc,
+		flags:    slices.Concat(worldFlags, outputFlags, matrixFlags, []string{"targets", "probe-targets", "tech", "f", "name", "list", "monitor"}),
+		defaults: []string{"probe-targets=12", "tech=reactive-anycast"},
+		run:      runScenario},
+	{name: "serve", doc: "the control-plane daemon: one converged world behind the v1 HTTP/JSON API\n\n" + serveDoc,
+		flags:    slices.Concat(worldFlags, []string{"tech", "addr", "test-sabotage"}),
+		defaults: []string{"tech=reactive-anycast"},
+		run:      runServe},
+	{name: "ctl", args: "<command> [args]", doc: "client for a running serve daemon: query state and post verified ChangeSets\n\n" + ctlDoc,
+		flags: []string{"addr", "x", "sabotage", "drain-for"},
+		run:   runCtl},
+	{name: "topo", doc: "summary statistics of the synthetic Internet a world is built on",
+		flags: []string{"seed", "scale", "attachments"},
+		run:   runTopo},
+}
+
+func main() { os.Exit(cli(os.Args[1:])) }
+
+// cli runs one invocation and returns its exit status.
+func cli(args []string) int {
+	if len(args) == 0 || args[0] == "-h" || args[0] == "-help" || args[0] == "--help" {
+		usage()
+		if len(args) == 0 {
+			return 2
+		}
+		return 0
 	}
-	if opts.scale == "paper" || opts.scale == "internet" {
-		// The named presets also raise the selection cap to the paper's
-		// 50K targets per site (§5.1), unless -targets was given explicitly.
-		opts.applyPresetTargets()
+	var c *command
+	for i := range commands {
+		if commands[i].name == args[0] {
+			c = &commands[i]
+		}
 	}
-	if opts.shards < 1 {
-		fmt.Fprintf(os.Stderr, "cdnsim: -shards must be >= 1, got %d\n", opts.shards)
-		os.Exit(2)
+	if c == nil {
+		if strings.HasPrefix(args[0], "-") {
+			fmt.Fprintf(os.Stderr, "cdnsim: flags follow the command: cdnsim <command> [flags]\n")
+		} else {
+			fmt.Fprintf(os.Stderr, "cdnsim: unknown command %q\n", args[0])
+		}
+		usage()
+		return 2
 	}
 
 	// The registry is always live: instrumentation is pure counting, never
 	// perturbs the simulation, and costs a few percent at most. -metrics
 	// only controls whether the snapshot is written out.
-	opts.reg = obs.NewRegistry()
-	if opts.pprofAddr != "" {
+	o := &options{cmd: c.name, reg: obs.NewRegistry()}
+	fs := o.flagSet(c)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := o.check(c, fs); err != nil {
+		fmt.Fprintf(os.Stderr, "cdnsim %s: %v\n", c.name, err)
+		return 2
+	}
+
+	if o.pprofAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(opts.pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "cdnsim: pprof: %v\n", err)
 			}
 		}()
 	}
-
-	if flag.NArg() >= 1 && flag.Arg(0) == "ctl" {
-		// The ctl subcommand is a pure HTTP client for a running cdnsimd
-		// daemon and owns its trailing flags — see cdnsim ctl -h.
-		if err := runCtlCmd(flag.Args()[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
-			if errors.Is(err, errReceiptFailed) {
-				os.Exit(3)
-			}
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "scenario" {
-		// The scenario subcommand owns its trailing flags and keeps stdout
-		// deterministic (no wall-clock epilogue).
-		if err := runScenarioCmd(flag.Args()[1:], opts); err != nil {
-			fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.NArg() == 0 && opts.tech != "" {
-		// `cdnsim -tech load-shift` with no command word inspects the
-		// converged load state of the named techniques.
-		if err := run("load", opts); err != nil {
-			fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.NArg() != 1 {
-		names := []string{"scenario", "ctl"} // dispatched above; the rest by run
-		for _, c := range commands {
-			names = append(names, c.name)
-		}
-		fmt.Fprintf(os.Stderr, "usage: cdnsim [flags] <%s>\n", strings.Join(names, "|"))
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
-	cmd := flag.Arg(0)
-	if err := run(cmd, opts); err != nil {
+	if err := c.run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
-		os.Exit(1)
+		if errors.Is(err, errReceiptFailed) {
+			return 3
+		}
+		return 1
 	}
+	return 0
 }
 
-// applyPresetTargets raises the selection cap to the paper's 50K targets
-// per site for the named scale presets, unless -targets was given
-// explicitly.
-func (o *options) applyPresetTargets() {
-	targetsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "targets" {
-			targetsSet = true
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: cdnsim <command> [flags]\n\ncommands:")
+	for _, c := range commands {
+		summary, _, _ := strings.Cut(c.doc, "\n")
+		fmt.Fprintf(os.Stderr, "  %-14s %s\n", c.name, summary)
+	}
+	fmt.Fprintln(os.Stderr, "\nRun `cdnsim <command> -h` for the flags a command reads.")
+}
+
+// flagSet applies the command's defaults to the catalog and copies the
+// flags the command reads into its own set. It panics when the commands
+// table names an undeclared flag.
+func (o *options) flagSet(c *command) *flag.FlagSet {
+	catalog := o.declareFlags()
+	for _, d := range c.defaults {
+		name, value, _ := strings.Cut(d, "=")
+		if err := catalog.Set(name, value); err != nil {
+			panic(fmt.Sprintf("command %s: default %s: %v", c.name, d, err))
 		}
-	})
-	if !targetsSet {
+	}
+	fs := flag.NewFlagSet("cdnsim "+c.name, flag.ContinueOnError)
+	fs.Usage = func() {
+		synopsis := strings.TrimSpace(fs.Name() + " [flags] " + c.args)
+		fmt.Fprintf(fs.Output(), "usage: %s\n\n%s\n\nflags:\n", synopsis, c.doc)
+		fs.PrintDefaults()
+	}
+	for _, name := range c.flags {
+		f := catalog.Lookup(name)
+		if f == nil {
+			panic(fmt.Sprintf("command %s: no flag -%s", c.name, name))
+		}
+		fs.Var(f.Value, f.Name, f.Usage)
+	}
+	return fs
+}
+
+// check validates the parsed flags the command reads, resolves -scale and
+// its target preset, and collects positional arguments.
+func (o *options) check(c *command, fs *flag.FlagSet) error {
+	if c.args == "" && fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (flags only; see cdnsim %s -h)", fs.Arg(0), c.name)
+	}
+	o.args = fs.Args()
+	var err error
+	if o.scaleF, err = experiment.ParseScale(o.scale); err != nil {
+		return fmt.Errorf("-scale: %v", err)
+	}
+	if o.shards < 1 {
+		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
+	}
+	if fs.Lookup("sites") != nil && len(o.siteList()) == 0 {
+		return fmt.Errorf("-sites names no site")
+	}
+	targetsSet := false
+	fs.Visit(func(f *flag.Flag) { targetsSet = targetsSet || f.Name == "targets" })
+	if (o.scale == "paper" || o.scale == "internet") && !targetsSet {
+		// The named presets also raise the selection cap to the paper's
+		// 50K targets per site (§5.1), unless -targets was given explicitly.
 		o.targets = experiment.PaperTargetsPerSite
 	}
+	return nil
 }
 
 func (o options) worldConfig() experiment.WorldConfig {
@@ -194,7 +344,6 @@ func (o options) worldConfig() experiment.WorldConfig {
 		experiment.WithSeed(o.seed),
 		experiment.WithScale(o.scaleF),
 		experiment.WithShards(o.shards),
-		experiment.WithWorkers(o.workers),
 		experiment.WithObs(o.reg),
 	}
 	if o.demand {
@@ -206,7 +355,7 @@ func (o options) worldConfig() experiment.WorldConfig {
 // runner builds the experiment runner honoring -workers, sharing the
 // process-wide registry, and reporting progress when -progress is set.
 func (o options) runner() *experiment.Runner {
-	r := o.worldConfig().Runner()
+	r := &experiment.Runner{Workers: o.workers, Obs: o.reg}
 	if o.progress {
 		r.Progress = progressPrinter()
 	}
@@ -235,8 +384,12 @@ func progressPrinter() func(done, total int) {
 // requested, the per-run manifest describing the invocation.
 func (o options) finish(command string, cfg experiment.WorldConfig) error {
 	if o.jsonOut != "" {
+		workers := o.workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
 		mp := experiment.ManifestPath(o.jsonOut)
-		man := experiment.NewManifest(command, cfg, o.workers, o.reg)
+		man := experiment.NewManifest(command, cfg, workers, o.reg)
 		if o.metricsOut != "" {
 			// Paper-scale runs record their memory footprint alongside the
 			// metric snapshot: peak RSS and cumulative heap allocation.
@@ -273,91 +426,41 @@ func (o options) siteList() []string {
 	return out
 }
 
-// command is one command word run dispatches. needSel marks the commands
-// that start from a §5.1 target selection (the others get a nil one).
-type command struct {
-	name    string
-	needSel bool
-	run     func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error
-}
-
-// commands is the dispatch table, in usage order; the usage line prints
-// its names, so a command cannot be dispatchable yet unlisted.
-var commands = []command{
-	{"fig2", true, func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
-		_, err := runFig2(cfg, sel, o, nil)
-		return err
-	}},
-	{"table1", true, func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
-		_, err := runTable1(cfg, sel, o)
-		return err
-	}},
-	{"table2", true, runTable2},
-	{"fig3", false, runFig3},
-	{"fig4", false, runFig4},
-	{"fig5", true, runFig5},
-	{"c1", true, runC1},
-	{"unicast-dns", false, runUnicastDNS},
-	{"combined", true, func(cfg experiment.WorldConfig, sel *experiment.Selection, o options) error {
-		_, err := runFig2(cfg, sel, o, []core.Technique{core.ReactiveAnycast{}, core.Combined{}})
-		return err
-	}},
-	{"load", false, runLoad},
-	{"fig2-sites", true, runFig2Sites},
-	{"prepend-sweep", true, runPrependSweep},
-	{"validate", true, runValidate},
-	{"all", true, runAll},
-}
-
-func run(cmd string, o options) error {
-	start := time.Now()
-	var c *command
-	for i := range commands {
-		if commands[i].name == cmd {
-			c = &commands[i]
-			break
+// figure wraps a figure or table function into a command run: the world
+// config, an optional §5.1 target selection, the JSON report, the manifest
+// and the wall-clock footer.
+func figure(needSel bool, f func(experiment.WorldConfig, *experiment.Selection, options) error) func(*options) error {
+	return func(o *options) error {
+		start := time.Now()
+		cfg := o.worldConfig()
+		o.report = experiment.NewReport(o.seed)
+		var sel *experiment.Selection
+		if needSel {
+			fmt.Printf("selecting targets (§5.1, seed=%d, cap=%d/site)...\n", o.seed, o.targets)
+			var err error
+			if sel, err = experiment.SelectTargets(cfg, o.targets); err != nil {
+				return err
+			}
+			for _, st := range sel.Sites {
+				fmt.Printf("  %-5s proximate=%4d not-routed-by-anycast=%4d\n",
+					st.Code, len(st.Proximate), len(st.NotAnycast))
+			}
 		}
-	}
-	if c == nil {
-		return fmt.Errorf("unknown command %q", cmd)
-	}
-	if cmd == "load" {
-		// The load command is meaningless without a demand model; force it
-		// here (not inside runLoad) so the manifest's config digest and
-		// DemandSummary describe the world actually run.
-		o.demand = true
-	}
-	cfg := o.worldConfig()
-	o.report = experiment.NewReport(o.seed)
-
-	var sel *experiment.Selection
-	if c.needSel {
-		fmt.Printf("selecting targets (§5.1, seed=%d, cap=%d/site)...\n", o.seed, o.targets)
-		var err error
-		sel, err = experiment.SelectTargets(cfg, o.targets)
-		if err != nil {
+		if err := f(cfg, sel, *o); err != nil {
 			return err
 		}
-		for _, st := range sel.Sites {
-			fmt.Printf("  %-5s proximate=%4d not-routed-by-anycast=%4d\n",
-				st.Code, len(st.Proximate), len(st.NotAnycast))
+		if o.jsonOut != "" {
+			if err := o.report.WriteFile(o.jsonOut); err != nil {
+				return err
+			}
+			fmt.Printf("\nwrote %s\n", o.jsonOut)
 		}
-	}
-
-	if err := c.run(cfg, sel, o); err != nil {
-		return err
-	}
-	if o.jsonOut != "" {
-		if err := o.report.WriteFile(o.jsonOut); err != nil {
+		if err := o.finish(o.cmd, cfg); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %s\n", o.jsonOut)
+		fmt.Printf("\ndone in %v\n", time.Since(start).Round(time.Millisecond))
+		return nil
 	}
-	if err := o.finish(cmd, cfg); err != nil {
-		return err
-	}
-	fmt.Printf("\ndone in %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
 }
 
 // runTable2 regenerates Figure 2 and Table 1 and joins them into the
@@ -468,16 +571,9 @@ func printPairs(pairs []experiment.CDFPair, xmax float64) {
 // aggregate totals, and — for load shifting — whether the rebalance loop
 // reached the Sinha et al. stable fixed point.
 func runLoad(cfg experiment.WorldConfig, _ *experiment.Selection, o options) error {
-	spec := o.tech
-	if spec == "" {
-		spec = "load-shift"
-	}
-	techs, err := core.TechniquesBySpec(spec)
+	techs, err := core.TechniquesBySpec(o.tech)
 	if err != nil {
 		return err
-	}
-	if !cfg.Demand.Enabled {
-		experiment.WithDefaultDemand()(&cfg)
 	}
 	fmt.Println("\n=== Load management: demand, capacity, and per-site load ===")
 	for _, tech := range techs {
@@ -623,10 +719,12 @@ func runC1(cfg experiment.WorldConfig, sel *experiment.Selection, o options) err
 		return err
 	}
 	fmt.Println(experiment.RenderC1(o.c1Site, res))
-	if w, werr := experiment.NewWorld(cfg); werr == nil {
-		fmt.Println("example divergences:")
-		fmt.Print(experiment.RenderC1Examples(w.Topo, res, 3))
+	w, err := experiment.NewWorld(cfg)
+	if err != nil {
+		return err
 	}
+	fmt.Println("example divergences:")
+	fmt.Print(experiment.RenderC1Examples(w.Topo, res, 3))
 	if o.report != nil {
 		o.report.Add("appendixC1", map[string]any{
 			"site":                   o.c1Site,

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"sort"
@@ -13,66 +12,43 @@ import (
 	"bestofboth/internal/stats"
 )
 
-// runScenarioCmd implements the `scenario` subcommand: run a declarative
-// fault-injection timeline (bundled by name or loaded from a YAML/JSON
-// file) against one or more techniques, reporting per-event metrics.
-//
-// The subcommand has its own flag set, parsed after the command word:
-//
-//	cdnsim scenario -name regional-outage -tech all -workers 8
-//	cdnsim scenario -f outage.yaml -json out.json
-//
-// Output is deterministic: identical invocations are bit-identical on
-// stdout at any -workers value (progress goes to stderr).
-func runScenarioCmd(args []string, o options) error {
-	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
-	file := fs.String("f", "", "YAML or JSON scenario file to run")
-	name := fs.String("name", "", "bundled scenario to run (see -list)")
-	list := fs.Bool("list", false, "list the bundled scenarios and exit")
-	techs := fs.String("tech", "reactive-anycast", "comma-separated techniques, or \"all\"")
-	monitor := fs.Bool("monitor", false, "run the probing health monitor (detects silent crashes)")
-	seed := fs.Int64("seed", o.seed, "simulation seed")
-	workers := fs.Int("workers", o.workers, "concurrent runs (results are identical at any worker count)")
-	targets := fs.Int("targets", o.targets, "max targets selected per site")
-	perSite := fs.Int("probe-targets", 12, "max targets probed per site group")
-	jsonOut := fs.String("json", o.jsonOut, "also write results as JSON to this file")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: cdnsim scenario [-f file | -name scenario | -list] [flags]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+const scenarioDoc = `Run a bundled timeline (-name, see -list) or a JSON scenario file (-f)
+against each technique and report per-event metrics:
 
-	if *list {
+  cdnsim scenario -name regional-outage -tech all -workers 8
+  cdnsim scenario -f outage.json -json out.json
+
+Identical invocations are bit-identical on stdout at any -workers value
+(progress goes to stderr).`
+
+// runScenario implements the scenario command (scenarioDoc).
+func runScenario(o *options) error {
+	if o.list {
 		printScenarioList()
 		return nil
 	}
-	sc, err := loadScenario(*file, *name)
+	sc, err := loadScenario(o.file, o.name)
 	if err != nil {
 		return err
 	}
-	techniques, err := core.TechniquesBySpec(*techs)
+	techniques, err := core.TechniquesBySpec(o.tech)
 	if err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
 
-	sopts := o
-	sopts.seed, sopts.workers, sopts.jsonOut = *seed, *workers, *jsonOut
-	cfg := sopts.worldConfig()
-	fmt.Fprintf(os.Stderr, "selecting targets (seed=%d, cap=%d/site)...\n", *seed, *targets)
-	sel, err := experiment.SelectTargets(cfg, *targets)
+	cfg := o.worldConfig()
+	fmt.Fprintf(os.Stderr, "selecting targets (seed=%d, cap=%d/site)...\n", o.seed, o.targets)
+	sel, err := experiment.SelectTargets(cfg, o.targets)
 	if err != nil {
 		return err
 	}
 
-	runner := sopts.runner()
 	sco := experiment.DefaultScenarioConfig()
-	sco.MaxTargetsPerSite = *perSite
-	sco.UseMonitor = *monitor
+	sco.MaxTargetsPerSite = o.maxTargets
+	sco.UseMonitor = o.monitor
 
-	report := experiment.NewReport(*seed)
-	results, err := runner.RunScenarioMatrix(cfg, sel, techniques, []*scenario.Scenario{sc}, sco)
+	report := experiment.NewReport(o.seed)
+	results, err := o.runner().RunScenarioMatrix(cfg, sel, techniques, []*scenario.Scenario{sc}, sco)
 	if err != nil {
 		return err
 	}
@@ -81,13 +57,13 @@ func runScenarioCmd(args []string, o options) error {
 		printScenarioResult(res, sc)
 		report.Add("scenario:"+sc.Name+":"+tech.Name(), res)
 	}
-	if *jsonOut != "" {
-		if err := report.WriteFile(*jsonOut); err != nil {
+	if o.jsonOut != "" {
+		if err := report.WriteFile(o.jsonOut); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", o.jsonOut)
 	}
-	return sopts.finish("scenario:"+sc.Name, cfg)
+	return o.finish("scenario:"+sc.Name, cfg)
 }
 
 func printScenarioList() {

@@ -1,9 +1,8 @@
 package bestofboth_test
 
-// Smoke tests for the commands and examples no other test runs: tier-1
-// compiles cmd/topogen and the four examples but never executes them. Each
-// is built into a temporary directory and driven through its documented
-// flows.
+// Smoke tests for the examples no other test runs: tier-1 compiles the four
+// examples but never executes them. Each is built into a temporary
+// directory and driven through its documented flow.
 
 import (
 	"bytes"
@@ -33,21 +32,6 @@ func stdoutOf(t *testing.T, bin string, args ...string) string {
 		t.Fatalf("%s %v: %v\n%s%s", filepath.Base(bin), args, err, stdout.String(), stderr.String())
 	}
 	return stdout.String()
-}
-
-func TestTopogenSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary; skipped in -short")
-	}
-	topogen := buildInto(t, t.TempDir(), "./cmd/topogen")
-	summary := stdoutOf(t, topogen, "-stubs", "60", "-eyeballs", "40")
-	if !strings.HasPrefix(summary, "nodes: ") || strings.Contains(summary, "CDN sites:") {
-		t.Fatalf("summary without -sites:\n%s", summary)
-	}
-	out := stdoutOf(t, topogen, "-stubs", "60", "-eyeballs", "40", "-sites")
-	if !strings.HasPrefix(out, summary) || !strings.Contains(out, "CDN sites:") || !strings.Contains(out, "atl") {
-		t.Fatalf("-sites lists no site attachments after the summary:\n%s", out)
-	}
 }
 
 func TestExamplesSmoke(t *testing.T) {

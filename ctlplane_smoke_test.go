@@ -1,9 +1,9 @@
 package bestofboth_test
 
 // Control-plane smoke test: the `make ctlplane-smoke` gate. It builds the
-// real cdnsimd and cdnsim binaries, starts the daemon on an ephemeral
-// port, and drives a drain ChangeSet through the full lifecycle with the
-// ctl client: dry-run → execute → verify. The acceptance bar is the
+// real cdnsim binary, starts `cdnsim serve` on an ephemeral port, and
+// drives a drain ChangeSet through the full lifecycle with `cdnsim ctl`:
+// dry-run → execute → verify. The acceptance bar is the
 // tentpole's promise — the dry run's predicted per-site load deltas are
 // exactly what execution produces (pass receipt, bit-identical digests),
 // and a sabotaged execution yields a fail receipt naming the diverging
@@ -30,12 +30,11 @@ func TestCtlplaneSmoke(t *testing.T) {
 		t.Skip("builds binaries and a daemon world; skipped in -short")
 	}
 	dir := t.TempDir()
-	cdnsimd := buildInto(t, dir, "./cmd/cdnsimd")
 	cdnsim := buildInto(t, dir, "./cmd/cdnsim")
 
 	// Start the daemon on an ephemeral port; its first stdout line carries
 	// the listen URL.
-	daemon := exec.Command(cdnsimd,
+	daemon := exec.Command(cdnsim, "serve",
 		"-tech", "load-shift", "-demand", "-scale", "0.3",
 		"-addr", "127.0.0.1:0", "-test-sabotage")
 	stdout, err := daemon.StdoutPipe()

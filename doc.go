@@ -15,8 +15,9 @@
 //
 // Entry points:
 //
-//   - cmd/cdnsim regenerates every figure and table from the paper.
-//   - cmd/topogen generates and inspects the synthetic Internet.
+//   - cmd/cdnsim regenerates every figure and table from the paper, runs
+//     fault-injection scenarios, serves and drives the control-plane
+//     daemon, and inspects the synthetic Internet (cdnsim -h).
 //   - examples/ contains runnable walkthroughs of the public API.
 //   - bench_test.go benchmarks each experiment and the design ablations.
 //

@@ -8,7 +8,7 @@ import (
 	"bestofboth/pkg/bestofboth/api"
 )
 
-// defaultDemandWorld is what `cdnsimd -tech load-shift -demand` serves: the
+// defaultDemandWorld is what `cdnsim serve -tech load-shift -demand` serves: the
 // seed-42 default-scale world with the default demand model, settled.
 func defaultDemandWorld(t *testing.T) *experiment.World {
 	t.Helper()

@@ -163,12 +163,11 @@ func TestWorldConfigOptions(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := DefaultWorldConfig(
 		WithSeed(7),
-		WithWorkers(3),
 		WithDamping(),
 		WithObs(reg),
 		WithScale(0.1),
 	)
-	if cfg.Seed != 7 || cfg.Workers != 3 || cfg.Obs != reg {
+	if cfg.Seed != 7 || cfg.Obs != reg {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 	if cfg.BGP.Damping == nil {
@@ -187,23 +186,17 @@ func TestWorldConfigOptions(t *testing.T) {
 	if got := DefaultWorldConfig(WithScale(1.0)); !reflect.DeepEqual(got.Topology, DefaultWorldConfig().Topology) {
 		t.Fatal("WithScale(1) must leave generator defaults untouched")
 	}
-
-	r := cfg.Runner()
-	if r.Workers != 3 || r.Obs != reg {
-		t.Fatalf("WorldConfig.Runner() = %+v", r)
-	}
 }
 
 // TestManifestDigest pins the config fingerprint: identical simulation
-// identity ⇒ identical digest, regardless of Workers/Obs; any identity field
+// identity ⇒ identical digest, regardless of Obs; any identity field
 // change ⇒ different digest.
 func TestManifestDigest(t *testing.T) {
 	a := tinyConfig(35)
 	b := tinyConfig(35)
-	b.Workers = 9
 	b.Obs = obs.NewRegistry()
 	if a.Digest() != b.Digest() {
-		t.Fatal("Workers/Obs changed the digest")
+		t.Fatal("Obs changed the digest")
 	}
 	c := tinyConfig(36)
 	if a.Digest() == c.Digest() {

@@ -20,7 +20,7 @@ type Option func(*WorldConfig)
 //
 //	cfg := experiment.DefaultWorldConfig(
 //		experiment.WithSeed(7),
-//		experiment.WithWorkers(4),
+//		experiment.WithScale(0.5),
 //	)
 func DefaultWorldConfig(opts ...Option) WorldConfig {
 	cfg := WorldConfig{Seed: 42}
@@ -36,13 +36,6 @@ func WithSeed(seed int64) Option {
 	return func(c *WorldConfig) { c.Seed = seed }
 }
 
-// WithWorkers bounds concurrent runs in Runner instances built from the
-// config (WorldConfig.Runner); <= 0 means GOMAXPROCS. Results are identical
-// at any worker count.
-func WithWorkers(n int) Option {
-	return func(c *WorldConfig) { c.Workers = n }
-}
-
 // WithDamping enables route-flap damping (RFC 2439) with bgp.DefaultDamping
 // parameters, filling the rest of the BGP config with defaults first so the
 // override survives fillDefaults.
@@ -56,8 +49,7 @@ func WithDamping() Option {
 }
 
 // WithObs attaches an observability registry: every world built from the
-// config instruments all layers into r, and Runner instances built via
-// WorldConfig.Runner record runner metrics there too.
+// config instruments all layers into r.
 func WithObs(r *obs.Registry) Option {
 	return func(c *WorldConfig) { c.Obs = r }
 }

@@ -20,7 +20,7 @@ func downFlags(w *World) []bool {
 // TestSnapshotCarriesForwardingFlags pins where the forwarding flags live: in
 // the data plane's own snapshot, not in a guess from the controller's failed
 // set. A drained site is failed but keeps forwarding; a node taken down
-// behind the controller's back (cdnsimd -test-sabotage, a scenario SetDown)
+// behind the controller's back (cdnsim serve -test-sabotage, a scenario SetDown)
 // is down without being failed. Both must restore as they were.
 func TestSnapshotCarriesForwardingFlags(t *testing.T) {
 	w, err := NewConvergedWorld(tinyConfig(9), core.ProactivePrepending{Prepends: 3}, 3600)

@@ -35,9 +35,6 @@ type WorldConfig struct {
 	// (default 40, emulating the RIS/RouteViews full-feed peers used in
 	// Appendices A and B).
 	CollectorPeers int
-	// Workers bounds concurrent runs in Runner instances built from this
-	// config (see Runner()); <= 0 means GOMAXPROCS.
-	Workers int
 	// Shards splits the BGP speakers of each world across this many shard
 	// simulators run in deterministic phase-barrier rounds (see bgp.NewSharded).
 	// <= 1 means the classic single-kernel world (fillDefaults normalizes
@@ -76,8 +73,7 @@ func (c *WorldConfig) fillDefaults() {
 
 // identity canonicalizes the simulation-identity fields of the config,
 // defaults filled: two configs render equally exactly when they build
-// bit-identical worlds. Workers and Obs take no part (they never affect
-// results). bgp.Config holds a *DampingConfig, which %+v would render as a
+// bit-identical worlds. Obs takes no part (it never affects results). bgp.Config holds a *DampingConfig, which %+v would render as a
 // pointer address, so damping is flattened explicitly. Shards participates
 // even though route state is shard-count invariant: a snapshot's kernel
 // list is sized to the shard count, so a snapshot taken at one count
@@ -170,12 +166,6 @@ func (w *World) Instrument(r *obs.Registry) {
 // through which scenario runs and control-plane mutation batches act on it.
 func (w *World) Env() *scenario.Env {
 	return &scenario.Env{Sim: w.Sim, Topo: w.Topo, Net: w.Net, Plane: w.Plane, CDN: w.CDN}
-}
-
-// Runner builds a Runner honoring the config's Workers bound and sharing
-// its observability registry.
-func (c WorldConfig) Runner() *Runner {
-	return &Runner{Workers: c.Workers, Obs: c.Obs}
 }
 
 // Converge drains control-plane events up to maxVirtual seconds, the

@@ -13,9 +13,9 @@
 // schedules them on the virtual clock, probes targets throughout, and
 // reports per-event reconnection, failover, and availability metrics.
 //
-// Scenarios are plain data: construct them in Go, or load them from YAML
-// or JSON files (see Parse). A library of named scenarios used by
-// the cdnsim CLI is in library.go.
+// Scenarios are plain data: construct them in Go, or load them from JSON
+// files (see Parse). A library of named scenarios used by the cdnsim CLI
+// is in library.go.
 package scenario
 
 import (

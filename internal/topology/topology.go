@@ -277,7 +277,7 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// Stats summarizes a topology for logs and the topogen tool.
+// Stats summarizes a topology for logs and `cdnsim topo`.
 type Stats struct {
 	Nodes, Links        int
 	ByClass             map[Class]int

@@ -1,6 +1,6 @@
 // Package api defines the simulator's versioned public wire schema: the
-// JSON types exchanged by the cdnsimd control-plane daemon and written into
-// per-run manifests and -json experiment output.
+// JSON types exchanged by the control-plane daemon (cdnsim serve) and
+// written into per-run manifests and -json experiment output.
 //
 // Every top-level document carries an "apiVersion" field (Version). The
 // package depends only on the standard library — no internal simulator

@@ -35,10 +35,6 @@ func DefaultWorldConfig(opts ...Option) WorldConfig { return experiment.DefaultW
 // WithSeed sets the simulation seed.
 func WithSeed(seed int64) Option { return experiment.WithSeed(seed) }
 
-// WithWorkers bounds concurrent runs in Runner instances built from the
-// config; results are identical at any worker count.
-func WithWorkers(n int) Option { return experiment.WithWorkers(n) }
-
 // WithDamping enables RFC 2439 route-flap damping with default parameters.
 func WithDamping() Option { return experiment.WithDamping() }
 
