@@ -27,12 +27,11 @@ func dnsRecordDigest(t *testing.T, auth *dns.Authoritative) string {
 // TestCrashRecoverRoundTrip is the leaked-state regression test: for every
 // technique, failing a site, letting the controller react, recovering it,
 // and converging must land in exactly the RIB/FIB/DNS state of a world
-// that never failed. A technique whose OnSiteRecovery forgets to withdraw
-// a reactive announcement (or whose recovery path forgets a DNS record)
-// diverges here.
+// that never failed. A recovery that forgets to withdraw a reactive
+// announcement, or to restore a plan entry or a DNS record, diverges here.
 func TestCrashRecoverRoundTrip(t *testing.T) {
 	const seed, failCode = 7, "sea1"
-	for _, tech := range AllTechniques() {
+	for _, tech := range recoveryTechniques() {
 		t.Run(tech.Name(), func(t *testing.T) {
 			ref := newWorld(t, seed)
 			if err := ref.cdn.Deploy(tech); err != nil {
