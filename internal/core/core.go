@@ -225,6 +225,16 @@ func (c *CDN) announce(node topology.NodeID, prefix netip.Prefix, pol *bgp.Origi
 	return nil
 }
 
+// announcePlan makes a plan's announcements in order.
+func (c *CDN) announcePlan(plan []Announcement) error {
+	for _, a := range plan {
+		if err := c.announce(a.Site.Node, a.Prefix, a.Policy); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // withdraw removes one origination (and its v6 mirror) and forgets it.
 func (c *CDN) withdraw(node topology.NodeID, prefix netip.Prefix) {
 	c.net.Withdraw(node, prefix)
@@ -250,9 +260,8 @@ func (c *CDN) withdrawAll(node topology.NodeID) {
 	c.announced = kept
 }
 
-// Deploy activates a technique: it installs the technique's
-// normal-operation announcements and publishes DNS records. Deploy must be
-// called once per CDN instance.
+// Deploy activates a technique: it announces the technique's plan and
+// publishes DNS records. Deploy must be called once per CDN instance.
 func (c *CDN) Deploy(t Technique) error {
 	if c.technique != nil {
 		return fmt.Errorf("core: technique %s already deployed", c.technique.Name())
@@ -263,7 +272,7 @@ func (c *CDN) Deploy(t Technique) error {
 			c.load.SetShedding(sh.ShedsOverload())
 		}
 	}
-	if err := t.Setup(c); err != nil {
+	if err := c.announcePlan(t.Plan(c)); err != nil {
 		return fmt.Errorf("core: deploying %s: %w", t.Name(), err)
 	}
 	// Publish per-site service names and the main service name. The main

@@ -129,6 +129,36 @@ func TestDualStackDNSServesAAAA(t *testing.T) {
 	}
 }
 
+// TestDualStackDrainAllRemovesAAAA drains every site under dual stack: once
+// no healthy site is left, no name may still resolve over either family to
+// a site that is out of service.
+func TestDualStackDrainAllRemovesAAAA(t *testing.T) {
+	w := newWorld(t, 81)
+	if err := w.cdn.EnableDualStack(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.cdn.Deploy(ReactiveAnycast{}); err != nil {
+		t.Fatal(err)
+	}
+	w.converge()
+	for _, s := range w.cdn.Sites() {
+		if _, err := w.cdn.DrainSite(s.Code); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.converge()
+	auth := w.cdn.Authoritative()
+	for _, name := range []string{"www", "msn"} {
+		if a := authQueryA(t, auth, name); len(a) != 0 {
+			t.Errorf("%s still answers A %v with every site drained", name, a)
+		}
+		q := &dns.Message{Question: []dns.Question{{Name: name + ".cdn.example.", Type: dns.TypeAAAA}}}
+		if resp := auth.Answer(q); len(resp.Answer) != 0 {
+			t.Errorf("%s still answers AAAA %v with every site drained", name, resp.Answer[0].A)
+		}
+	}
+}
+
 func TestEnableDualStackAfterDeployFails(t *testing.T) {
 	w := newWorld(t, 84)
 	w.cdn.Deploy(Unicast{})

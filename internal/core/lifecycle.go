@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"bestofboth/internal/netsim"
 	"bestofboth/internal/topology"
@@ -161,9 +162,15 @@ func (c *CDN) DrainSite(code string) (SiteTransition, error) {
 }
 
 // RecoverSite restores a failed site: it resumes forwarding, reinstalls the
-// technique's normal-operation announcements for the site, and restores the
-// DNS records the failure reaction repointed — the site's own name and the
-// main service name.
+// technique's plan at the site, and restores the DNS records the failure
+// reaction repointed — the site's own name and the main service name.
+//
+// The announcements follow from the plan alone. First, in site order, every
+// other site's announcement of the site's prefix that the plan does not
+// contain (a reaction) is withdrawn; then the plan's entries at the site
+// are announced, its own prefix first and the rest in plan order. The order
+// is part of the contract: it decides when BGP hears each change, and so
+// the message count and convergence time of the recovery.
 func (c *CDN) RecoverSite(code string) (SiteTransition, error) {
 	return c.Transition(code, TransitionRecover)
 }
@@ -173,7 +180,26 @@ func (c *CDN) RecoverSite(code string) (SiteTransition, error) {
 func (c *CDN) recoverSite(s *Site) error {
 	delete(c.failed, s.Code)
 	c.plane.SetDown(s.Node, false)
-	if err := c.technique.OnSiteRecovery(c, s); err != nil {
+	plan := c.technique.Plan(c)
+	planned := func(o *Site) bool {
+		return slices.ContainsFunc(plan, func(a Announcement) bool { return a.Site == o && a.Prefix == s.Prefix })
+	}
+	for _, o := range c.sites {
+		if o != s && c.announcedAt(o.Node, s.Prefix) && !planned(o) {
+			c.withdraw(o.Node, s.Prefix)
+		}
+	}
+	var own, rest []Announcement
+	for _, a := range plan {
+		switch {
+		case a.Site != s:
+		case a.Prefix == s.Prefix:
+			own = append(own, a)
+		default:
+			rest = append(rest, a)
+		}
+	}
+	if err := c.announcePlan(append(own, rest...)); err != nil {
 		return err
 	}
 	if err := c.auth.SetA(s.Code, c.DNSTTL, c.technique.SteerAddr(c, s)); err != nil {
@@ -196,8 +222,8 @@ func (c *CDN) recoverSite(s *Site) error {
 }
 
 // ReactToFailure runs the controller's response to a detected site
-// failure: the technique's reactive announcements plus DNS repointing. It
-// is idempotent per failure episode.
+// failure: the technique's reaction (when it is a Reactor) plus DNS
+// repointing. It is idempotent per failure episode.
 func (c *CDN) ReactToFailure(code string) error {
 	s := c.byCode[code]
 	if s == nil {
@@ -211,16 +237,21 @@ func (c *CDN) ReactToFailure(code string) error {
 	}
 	c.reacted[code] = true
 	c.m.reactions.Inc()
-	if err := c.technique.OnSiteFailure(c, s); err != nil {
-		return err
+	if r, ok := c.technique.(Reactor); ok {
+		if err := c.announcePlan(r.React(c, s)); err != nil {
+			return err
+		}
 	}
 	c.RefreshLoad()
 	// DNS: repoint the failed site's name and the main name at a healthy
-	// site.
+	// site, or remove both names' records over both families if none is
+	// left.
 	healthy := c.HealthySites()
 	if len(healthy) == 0 {
-		c.auth.RemoveA(s.Code)
-		c.auth.RemoveA("www")
+		for _, name := range []string{s.Code, "www"} {
+			c.auth.RemoveA(name)
+			c.auth.RemoveAAAA(name)
+		}
 		return nil
 	}
 	backup := healthy[0]

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 
-	"bestofboth/internal/iptrie"
 	"bestofboth/internal/topology"
 )
 
@@ -148,29 +146,10 @@ func (lb *LoadBalancer) Rebalance() {
 // assigned site (falling back to BestSiteFor when unassigned).
 func (lb *LoadBalancer) InstallMapper() {
 	c := lb.cdn
-	topo := c.net.Topology()
-	clients := iptrie.New[topology.NodeID]()
-	for _, n := range topo.Nodes {
-		if n.Prefix.IsValid() {
-			clients.Insert(n.Prefix, n.ID)
+	c.installMapper(func(node topology.NodeID) *Site {
+		if site := lb.assignment[node]; site != nil && !c.Failed(site.Code) {
+			return site
 		}
-	}
-	www := "www." + c.auth.Origin()
-	c.auth.SetMapper(func(name string, client netip.Prefix) ([]netip.Addr, uint32, uint8, bool) {
-		if name != www {
-			return nil, 0, 0, false
-		}
-		_, node, ok := clients.Lookup(client.Addr())
-		if !ok {
-			return nil, 0, 0, false
-		}
-		site := lb.assignment[node]
-		if site == nil || c.Failed(site.Code) {
-			site = c.BestSiteFor(node)
-		}
-		if site == nil {
-			return nil, 0, 0, false
-		}
-		return []netip.Addr{c.technique.SteerAddr(c, site)}, c.DNSTTL, 24, true
+		return c.BestSiteFor(node)
 	})
 }

@@ -177,57 +177,32 @@ func (t LoadShift) Name() string {
 	return "load-shift"
 }
 
-// Setup announces the base technique's prefixes (if any), the covering
-// anycast /24, and every bucket /27 from every site.
-func (t LoadShift) Setup(c *CDN) error {
+// Plan is the base technique's plan (if any) followed by the covering
+// anycast /24 and every bucket /27 from every site. A recovered site gets
+// the full bucket set back; a fresh rebalance pass re-derives any shifts
+// the failure episode invalidated.
+func (t LoadShift) Plan(c *CDN) []Announcement {
+	var plan []Announcement
 	if t.Base != nil {
-		if err := t.Base.Setup(c); err != nil {
-			return err
-		}
+		plan = t.Base.Plan(c)
 	}
 	_, baseIsAnycast := t.Base.(Anycast)
 	for _, s := range c.sites {
-		if !baseIsAnycast { // Anycast base already announced the /24
-			if err := c.announce(s.Node, AnycastPrefix, nil); err != nil {
-				return err
-			}
+		if !baseIsAnycast { // Anycast base already announces the /24
+			plan = append(plan, Announcement{s, AnycastPrefix, nil})
 		}
 		for b := 0; b < LoadBuckets; b++ {
-			if err := c.announce(s.Node, LoadBucketPrefix(b), nil); err != nil {
-				return err
-			}
+			plan = append(plan, Announcement{s, LoadBucketPrefix(b), nil})
 		}
 	}
-	return nil
+	return plan
 }
 
-// OnSiteFailure delegates to the base technique; for the bucket overlay
-// the failed site's withdrawal suffices (anycast semantics).
-func (t LoadShift) OnSiteFailure(c *CDN, failed *Site) error {
-	if t.Base != nil {
-		return t.Base.OnSiteFailure(c, failed)
-	}
-	return nil
-}
-
-// OnSiteRecovery restores the base technique's announcements and the full
-// bucket set at the site; a fresh rebalance pass re-derives any shifts the
-// failure episode invalidated.
-func (t LoadShift) OnSiteRecovery(c *CDN, s *Site) error {
-	if t.Base != nil {
-		if err := t.Base.OnSiteRecovery(c, s); err != nil {
-			return err
-		}
-	}
-	if _, baseIsAnycast := t.Base.(Anycast); !baseIsAnycast {
-		if err := c.announce(s.Node, AnycastPrefix, nil); err != nil {
-			return err
-		}
-	}
-	for b := 0; b < LoadBuckets; b++ {
-		if err := c.announce(s.Node, LoadBucketPrefix(b), nil); err != nil {
-			return err
-		}
+// React is the base technique's reaction; for the bucket overlay the
+// failed site's withdrawal suffices (anycast semantics).
+func (t LoadShift) React(c *CDN, failed *Site) []Announcement {
+	if r, ok := t.Base.(Reactor); ok {
+		return r.React(c, failed)
 	}
 	return nil
 }
@@ -343,16 +318,8 @@ type LoadShed struct{}
 // Name implements Technique.
 func (LoadShed) Name() string { return "load-shed" }
 
-// Setup announces the shared prefix everywhere (as Anycast).
-func (LoadShed) Setup(c *CDN) error { return Anycast{}.Setup(c) }
-
-// OnSiteFailure does nothing: the withdrawal suffices.
-func (LoadShed) OnSiteFailure(*CDN, *Site) error { return nil }
-
-// OnSiteRecovery re-announces the shared prefix at the site.
-func (LoadShed) OnSiteRecovery(c *CDN, s *Site) error {
-	return Anycast{}.OnSiteRecovery(c, s)
-}
+// Plan is anycast's.
+func (LoadShed) Plan(c *CDN) []Announcement { return Anycast{}.Plan(c) }
 
 // SteerAddr returns the shared anycast address.
 func (LoadShed) SteerAddr(_ *CDN, _ *Site) netip.Addr { return AnycastServiceAddr }

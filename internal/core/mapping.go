@@ -17,7 +17,11 @@ import (
 // The mapper consults live controller state on every query: after a site
 // failure it stops handing out that site as soon as the zone is asked,
 // independent of the static record updates in ReactToFailure.
-func (c *CDN) EnableEndUserMapping() {
+func (c *CDN) EnableEndUserMapping() { c.installMapper(c.BestSiteFor) }
+
+// installMapper answers ECS queries for the service name with the steering
+// address of the site pick chooses for the client network's node.
+func (c *CDN) installMapper(pick func(client topology.NodeID) *Site) {
 	topo := c.net.Topology()
 	clients := iptrie.New[topology.NodeID]()
 	for _, n := range topo.Nodes {
@@ -34,7 +38,7 @@ func (c *CDN) EnableEndUserMapping() {
 		if !ok {
 			return nil, 0, 0, false
 		}
-		site := c.BestSiteFor(node)
+		site := pick(node)
 		if site == nil {
 			return nil, 0, 0, false
 		}

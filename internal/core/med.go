@@ -4,7 +4,6 @@ import (
 	"net/netip"
 
 	"bestofboth/internal/bgp"
-	"bestofboth/internal/topology"
 )
 
 // ProactiveMED is the §4 variant the paper sketches but does not evaluate:
@@ -35,78 +34,10 @@ func (t ProactiveMED) med() int {
 // Name implements Technique.
 func (ProactiveMED) Name() string { return "proactive-med" }
 
-// Setup announces each prefix at its site with MED 0 and at other sites
+// Plan announces each prefix at its site with MED 0 and at other sites
 // with the backup MED, scoped to shared neighbors.
-func (t ProactiveMED) Setup(c *CDN) error {
-	for _, owner := range c.sites {
-		for _, s := range c.sites {
-			if s.Node == owner.Node {
-				if err := c.announce(s.Node, owner.Prefix, &bgp.OriginPolicy{MED: 0}); err != nil {
-					return err
-				}
-				continue
-			}
-			pol := t.backupPolicy(c, owner, s)
-			if pol == nil {
-				continue
-			}
-			pol.MED = t.med()
-			if err := c.announce(s.Node, owner.Prefix, pol); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// backupPolicy scopes the MED backup announcement at site s for owner's
-// prefix to neighbors (by ASN) shared with the owner site. Returns nil if
-// no neighbor is shared.
-func (ProactiveMED) backupPolicy(c *CDN, owner, s *Site) *bgp.OriginPolicy {
-	topo := c.net.Topology()
-	ownerASNs := map[topology.ASN]bool{}
-	for _, adj := range topo.Node(owner.Node).Adj {
-		ownerASNs[topo.Node(adj.To).ASN] = true
-	}
-	pol := &bgp.OriginPolicy{PerNeighbor: map[topology.NodeID]bgp.NeighborPolicy{}}
-	any := false
-	for _, adj := range topo.Node(s.Node).Adj {
-		if ownerASNs[topo.Node(adj.To).ASN] {
-			pol.PerNeighbor[adj.To] = bgp.NeighborPolicy{Export: true}
-			any = true
-		} else {
-			pol.PerNeighbor[adj.To] = bgp.NeighborPolicy{Export: false}
-		}
-	}
-	if !any {
-		return nil
-	}
-	return pol
-}
-
-// OnSiteFailure does nothing: the MED backups are already announced.
-func (ProactiveMED) OnSiteFailure(*CDN, *Site) error { return nil }
-
-// OnSiteRecovery restores the site's primary announcement and its backup
-// announcements for other sites' prefixes.
-func (t ProactiveMED) OnSiteRecovery(c *CDN, s *Site) error {
-	if err := c.announce(s.Node, s.Prefix, &bgp.OriginPolicy{MED: 0}); err != nil {
-		return err
-	}
-	for _, owner := range c.sites {
-		if owner.Node == s.Node {
-			continue
-		}
-		pol := t.backupPolicy(c, owner, s)
-		if pol == nil {
-			continue
-		}
-		pol.MED = t.med()
-		if err := c.announce(s.Node, owner.Prefix, pol); err != nil {
-			return err
-		}
-	}
-	return nil
+func (t ProactiveMED) Plan(c *CDN) []Announcement {
+	return backupPlan(c, bgp.OriginPolicy{MED: t.med()}, true)
 }
 
 // SteerAddr returns the site's unicast service address.

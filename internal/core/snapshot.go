@@ -53,7 +53,7 @@ func (c *CDN) Snapshot() *Snapshot {
 // Restore installs a snapshot into a freshly built CDN over the same
 // topology. The receiver must not have deployed a technique yet: Restore
 // replaces Deploy (the announcements the snapshot records are already in the
-// restored BGP state, so Setup must not run again).
+// restored BGP state, so the plan must not be announced again).
 func (c *CDN) Restore(snap *Snapshot) error {
 	if c.technique != nil {
 		return fmt.Errorf("core: cannot restore over deployed technique %s", c.technique.Name())

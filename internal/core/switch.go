@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,11 +12,11 @@ import (
 // ErrBadTechnique reports a technique name that resolves to nothing.
 var ErrBadTechnique = fmt.Errorf("unknown technique")
 
-// TechniqueByName resolves a technique name — the paper's five plus
-// combined, the two Sinha et al. load techniques, the scoped prepending
-// variant, and the composed form "load-shift+<base>" (prefix-granularity
-// shifting layered on any base). This is the single name vocabulary shared
-// by the CLI flags, scenario events, and control-plane mutations.
+// TechniqueByName resolves a technique name — any technique listed by
+// SevenTechniques, AllTechniques or ExtensionTechniques, and the composed
+// form "load-shift+<base>" (prefix-granularity shifting layered on any
+// base). This is the single name vocabulary shared by the CLI flags,
+// scenario events, and control-plane mutations.
 func TechniqueByName(name string) (Technique, error) {
 	if base, ok := strings.CutPrefix(name, "load-shift+"); ok {
 		bt, err := TechniqueByName(base)
@@ -24,15 +25,7 @@ func TechniqueByName(name string) (Technique, error) {
 		}
 		return LoadShift{Base: bt}, nil
 	}
-	if name == "proactive-prepending-scoped" {
-		return ProactivePrepending{Prepends: 3, Scoped: true}, nil
-	}
-	for _, t := range SevenTechniques() {
-		if t.Name() == name {
-			return t, nil
-		}
-	}
-	for _, t := range AllTechniques() {
+	for _, t := range slices.Concat(SevenTechniques(), AllTechniques(), ExtensionTechniques()) {
 		if t.Name() == name {
 			return t, nil
 		}

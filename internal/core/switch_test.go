@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// TestTechniqueByName round-trips every technique's own name plus the
-// composed and scoped forms, and rejects garbage with ErrBadTechnique.
+// TestTechniqueByName round-trips every listed technique's own name plus
+// composed forms, and rejects garbage with ErrBadTechnique.
 func TestTechniqueByName(t *testing.T) {
 	names := []string{}
-	for _, tech := range SevenTechniques() {
-		names = append(names, tech.Name())
+	for _, list := range [][]Technique{SevenTechniques(), AllTechniques(), ExtensionTechniques()} {
+		for _, tech := range list {
+			names = append(names, tech.Name())
+		}
 	}
-	names = append(names, "combined", "proactive-prepending-scoped",
-		"load-shift+unicast", "load-shift+reactive-anycast")
+	names = append(names, "load-shift+unicast", "load-shift+reactive-anycast", "load-shift+proactive-med")
 	for _, name := range names {
 		tech, err := TechniqueByName(name)
 		if err != nil {

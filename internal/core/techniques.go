@@ -24,26 +24,89 @@ type Tradeoffs struct {
 	Risk         Rating
 }
 
+// Announcement is one entry of a technique's announcement plan: Site
+// originates Prefix under Policy (nil is a plain announcement).
+type Announcement struct {
+	Site   *Site
+	Prefix netip.Prefix
+	Policy *bgp.OriginPolicy
+}
+
 // Technique is a CDN client-to-site routing strategy (Figure 1): what each
-// site announces in normal operation, what changes after a site failure,
-// and which address DNS returns to steer a client to a given site.
+// site announces in normal operation and which address DNS returns to
+// steer a client to a given site. A technique whose other sites add
+// announcements once a site fails also implements Reactor.
 type Technique interface {
 	// Name returns the technique's identifier as used in the paper.
 	Name() string
-	// Setup installs the normal-operation announcements.
-	Setup(c *CDN) error
-	// OnSiteFailure installs announcements other sites make after the
-	// failed site withdrew (Figure 1, right column). Called by the
-	// controller after failure detection.
-	OnSiteFailure(c *CDN, failed *Site) error
-	// OnSiteRecovery restores the site's normal-operation announcements
-	// and unwinds any reactive state.
-	OnSiteRecovery(c *CDN, s *Site) error
+	// Plan returns every site's normal-operation announcements (Figure 1,
+	// left column) in the order Deploy makes them. Recovery is derived
+	// from it: see CDN.RecoverSite.
+	Plan(c *CDN) []Announcement
 	// SteerAddr returns the address DNS hands to clients the CDN wants at
 	// the given site.
 	SteerAddr(c *CDN, s *Site) netip.Addr
 	// Tradeoffs returns the Table 2 qualitative ratings.
 	Tradeoffs() Tradeoffs
+}
+
+// Reactor is implemented by techniques that react to a site failure
+// (Figure 1, right column): the controller makes React's announcements
+// once it detects the failure, and recovery withdraws them again.
+type Reactor interface {
+	React(c *CDN, failed *Site) []Announcement
+}
+
+// backupPlan announces every site's prefix plainly from its own site and
+// under backup from every other site, owner by owner: the proactive
+// techniques' plan. With scoped, each backup reaches only the neighbors
+// the announcing site shares with the prefix's own site, so every network
+// hearing the backup also hears the primary and the policy decides; a site
+// sharing no neighbor with the owner announces no backup.
+func backupPlan(c *CDN, backup bgp.OriginPolicy, scoped bool) []Announcement {
+	var plan []Announcement
+	for _, owner := range c.sites {
+		for _, s := range c.sites {
+			if s == owner {
+				plan = append(plan, Announcement{s, owner.Prefix, nil})
+				continue
+			}
+			pol := backup
+			if scoped {
+				pol.PerNeighbor = sharedNeighbors(c, owner, s, backup.Prepend)
+				if pol.PerNeighbor == nil {
+					continue
+				}
+			}
+			plan = append(plan, Announcement{s, owner.Prefix, &pol})
+		}
+	}
+	return plan
+}
+
+// sharedNeighbors is the per-neighbor export policy at site s that admits,
+// with the given prepend, only neighbors whose ASN also has a session with
+// the owner site. It returns nil if s shares no neighbor with the owner.
+func sharedNeighbors(c *CDN, owner, s *Site, prepend int) map[topology.NodeID]bgp.NeighborPolicy {
+	topo := c.net.Topology()
+	ownerASNs := map[topology.ASN]bool{}
+	for _, adj := range topo.Node(owner.Node).Adj {
+		ownerASNs[topo.Node(adj.To).ASN] = true
+	}
+	per := map[topology.NodeID]bgp.NeighborPolicy{}
+	shared := false
+	for _, adj := range topo.Node(s.Node).Adj {
+		if ownerASNs[topo.Node(adj.To).ASN] {
+			per[adj.To] = bgp.NeighborPolicy{Export: true, Prepend: prepend}
+			shared = true
+		} else {
+			per[adj.To] = bgp.NeighborPolicy{Export: false}
+		}
+	}
+	if !shared {
+		return nil
+	}
+	return per
 }
 
 // --- unicast ---------------------------------------------------------------
@@ -55,22 +118,13 @@ type Unicast struct{}
 // Name implements Technique.
 func (Unicast) Name() string { return "unicast" }
 
-// Setup announces each site's own /24 from that site only.
-func (Unicast) Setup(c *CDN) error {
+// Plan announces each site's own /24 from that site only.
+func (Unicast) Plan(c *CDN) []Announcement {
+	plan := make([]Announcement, 0, len(c.sites))
 	for _, s := range c.sites {
-		if err := c.announce(s.Node, s.Prefix, nil); err != nil {
-			return err
-		}
+		plan = append(plan, Announcement{s, s.Prefix, nil})
 	}
-	return nil
-}
-
-// OnSiteFailure does nothing: unicast relies on DNS record updates alone.
-func (Unicast) OnSiteFailure(*CDN, *Site) error { return nil }
-
-// OnSiteRecovery re-announces the site prefix.
-func (Unicast) OnSiteRecovery(c *CDN, s *Site) error {
-	return c.announce(s.Node, s.Prefix, nil)
+	return plan
 }
 
 // SteerAddr returns the site's unicast service address.
@@ -88,22 +142,13 @@ type Anycast struct{}
 // Name implements Technique.
 func (Anycast) Name() string { return "anycast" }
 
-// Setup announces the shared prefix everywhere.
-func (Anycast) Setup(c *CDN) error {
+// Plan announces the shared prefix everywhere.
+func (Anycast) Plan(c *CDN) []Announcement {
+	plan := make([]Announcement, 0, len(c.sites))
 	for _, s := range c.sites {
-		if err := c.announce(s.Node, AnycastPrefix, nil); err != nil {
-			return err
-		}
+		plan = append(plan, Announcement{s, AnycastPrefix, nil})
 	}
-	return nil
-}
-
-// OnSiteFailure does nothing: the failed site's withdrawal suffices.
-func (Anycast) OnSiteFailure(*CDN, *Site) error { return nil }
-
-// OnSiteRecovery re-announces the shared prefix at the site.
-func (Anycast) OnSiteRecovery(c *CDN, s *Site) error {
-	return c.announce(s.Node, AnycastPrefix, nil)
+	return plan
 }
 
 // SteerAddr returns the shared anycast address regardless of site: BGP, not
@@ -125,29 +170,14 @@ type ProactiveSuperprefix struct{}
 // Name implements Technique.
 func (ProactiveSuperprefix) Name() string { return "proactive-superprefix" }
 
-// Setup announces each site's /24 at that site and the covering superprefix
+// Plan announces each site's /24 at that site and the covering superprefix
 // everywhere.
-func (ProactiveSuperprefix) Setup(c *CDN) error {
+func (ProactiveSuperprefix) Plan(c *CDN) []Announcement {
+	plan := make([]Announcement, 0, 2*len(c.sites))
 	for _, s := range c.sites {
-		if err := c.announce(s.Node, s.Prefix, nil); err != nil {
-			return err
-		}
-		if err := c.announce(s.Node, SuperPrefix, nil); err != nil {
-			return err
-		}
+		plan = append(plan, Announcement{s, s.Prefix, nil}, Announcement{s, SuperPrefix, nil})
 	}
-	return nil
-}
-
-// OnSiteFailure does nothing: the covering prefix is already in place.
-func (ProactiveSuperprefix) OnSiteFailure(*CDN, *Site) error { return nil }
-
-// OnSiteRecovery restores both announcements.
-func (ProactiveSuperprefix) OnSiteRecovery(c *CDN, s *Site) error {
-	if err := c.announce(s.Node, s.Prefix, nil); err != nil {
-		return err
-	}
-	return c.announce(s.Node, SuperPrefix, nil)
+	return plan
 }
 
 // SteerAddr returns the site's unicast service address.
@@ -168,35 +198,16 @@ type ReactiveAnycast struct{}
 // Name implements Technique.
 func (ReactiveAnycast) Name() string { return "reactive-anycast" }
 
-// Setup is identical to unicast.
-func (ReactiveAnycast) Setup(c *CDN) error {
-	for _, s := range c.sites {
-		if err := c.announce(s.Node, s.Prefix, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Plan is unicast's.
+func (ReactiveAnycast) Plan(c *CDN) []Announcement { return Unicast{}.Plan(c) }
 
-// OnSiteFailure makes every healthy site announce the failed site's prefix.
-func (ReactiveAnycast) OnSiteFailure(c *CDN, failed *Site) error {
+// React makes every healthy site announce the failed site's prefix.
+func (ReactiveAnycast) React(c *CDN, failed *Site) []Announcement {
+	var plan []Announcement
 	for _, s := range c.HealthySites() {
-		if err := c.announce(s.Node, failed.Prefix, nil); err != nil {
-			return err
-		}
+		plan = append(plan, Announcement{s, failed.Prefix, nil})
 	}
-	return nil
-}
-
-// OnSiteRecovery withdraws the reactive announcements from other sites and
-// restores the site's own announcement.
-func (ReactiveAnycast) OnSiteRecovery(c *CDN, s *Site) error {
-	for _, other := range c.sites {
-		if other.Node != s.Node {
-			c.withdraw(other.Node, s.Prefix)
-		}
-	}
-	return c.announce(s.Node, s.Prefix, nil)
+	return plan
 }
 
 // SteerAddr returns the site's unicast service address.
@@ -231,92 +242,14 @@ func (t ProactivePrepending) Name() string {
 	return "proactive-prepending"
 }
 
-// Setup announces every site prefix from every site: un-prepended at its
+// Plan announces every site prefix from every site: un-prepended at its
 // own site, prepended elsewhere.
-func (t ProactivePrepending) Setup(c *CDN) error {
+func (t ProactivePrepending) Plan(c *CDN) []Announcement {
 	k := t.Prepends
 	if k <= 0 {
 		k = 3
 	}
-	for _, owner := range c.sites {
-		for _, s := range c.sites {
-			if s.Node == owner.Node {
-				if err := c.announce(s.Node, owner.Prefix, nil); err != nil {
-					return err
-				}
-				continue
-			}
-			pol := &bgp.OriginPolicy{Prepend: k}
-			if t.Scoped {
-				pol = t.scopedPolicy(c, owner, s, k)
-				if pol == nil {
-					continue // no shared neighbors: nothing to announce
-				}
-			}
-			if err := c.announce(s.Node, owner.Prefix, pol); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// scopedPolicy restricts the backup announcement at site s for owner's
-// prefix to neighbors (by ASN) that also have a session with the owner
-// site, so every network hearing the prepended backup also hears the
-// un-prepended primary and path length decides. Returns nil if s shares no
-// neighbors with owner.
-func (t ProactivePrepending) scopedPolicy(c *CDN, owner, s *Site, k int) *bgp.OriginPolicy {
-	topo := c.net.Topology()
-	ownerASNs := map[topology.ASN]bool{}
-	for _, adj := range topo.Node(owner.Node).Adj {
-		ownerASNs[topo.Node(adj.To).ASN] = true
-	}
-	pol := &bgp.OriginPolicy{Prepend: k, PerNeighbor: map[topology.NodeID]bgp.NeighborPolicy{}}
-	any := false
-	for _, adj := range topo.Node(s.Node).Adj {
-		if ownerASNs[topo.Node(adj.To).ASN] {
-			pol.PerNeighbor[adj.To] = bgp.NeighborPolicy{Export: true, Prepend: k}
-			any = true
-		} else {
-			pol.PerNeighbor[adj.To] = bgp.NeighborPolicy{Export: false}
-		}
-	}
-	if !any {
-		return nil
-	}
-	return pol
-}
-
-// OnSiteFailure does nothing: the prepended backups are already announced.
-func (ProactivePrepending) OnSiteFailure(*CDN, *Site) error { return nil }
-
-// OnSiteRecovery restores the site's announcements: its own prefix
-// un-prepended plus prepended backups for every other site's prefix.
-func (t ProactivePrepending) OnSiteRecovery(c *CDN, s *Site) error {
-	k := t.Prepends
-	if k <= 0 {
-		k = 3
-	}
-	if err := c.announce(s.Node, s.Prefix, nil); err != nil {
-		return err
-	}
-	for _, owner := range c.sites {
-		if owner.Node == s.Node {
-			continue
-		}
-		pol := &bgp.OriginPolicy{Prepend: k}
-		if t.Scoped {
-			pol = t.scopedPolicy(c, owner, s, k)
-			if pol == nil {
-				continue
-			}
-		}
-		if err := c.announce(s.Node, owner.Prefix, pol); err != nil {
-			return err
-		}
-	}
-	return nil
+	return backupPlan(c, bgp.OriginPolicy{Prepend: k}, t.Scoped)
 }
 
 // SteerAddr returns the site's service address (its prefix is globally
@@ -337,23 +270,12 @@ type Combined struct{}
 // Name implements Technique.
 func (Combined) Name() string { return "combined" }
 
-// Setup is proactive-superprefix's setup.
-func (Combined) Setup(c *CDN) error { return ProactiveSuperprefix{}.Setup(c) }
+// Plan is proactive-superprefix's.
+func (Combined) Plan(c *CDN) []Announcement { return ProactiveSuperprefix{}.Plan(c) }
 
-// OnSiteFailure is reactive-anycast's reaction.
-func (Combined) OnSiteFailure(c *CDN, failed *Site) error {
-	return ReactiveAnycast{}.OnSiteFailure(c, failed)
-}
-
-// OnSiteRecovery unwinds the reactive announcements and restores both
-// proactive layers.
-func (Combined) OnSiteRecovery(c *CDN, s *Site) error {
-	for _, other := range c.sites {
-		if other.Node != s.Node {
-			c.withdraw(other.Node, s.Prefix)
-		}
-	}
-	return ProactiveSuperprefix{}.OnSiteRecovery(c, s)
+// React is reactive-anycast's reaction.
+func (Combined) React(c *CDN, failed *Site) []Announcement {
+	return ReactiveAnycast{}.React(c, failed)
 }
 
 // SteerAddr returns the site's unicast service address.
