@@ -84,7 +84,9 @@ profile-fig2 profile-converge:
 # Figure 2 plain and under demand, validate, Figure 5, the combined
 # technique, every bundled scenario under every technique, and rolling
 # maintenance — each site drained and recovered — under load-shift over
-# prepending, scoped prepending and load-shed, which -tech all leaves out. OUT is
+# prepending, scoped prepending and load-shed, which -tech all leaves out, and
+# the regional outage with the health monitor on under the seven techniques
+# (the one output that runs the monitor through the scenario campaign). OUT is
 # required and must lie outside the repository; the *.manifest.json sidecars
 # (wall clock) are dropped. "Bit-identical to the parent" is this target run
 # in both checkouts and one diff -r; it is not part of ci for that reason.
@@ -104,6 +106,7 @@ outputs:
 		"$$bin/cdnsim" scenario -seed 7 -name $$s -tech all -json "$$out/scenario-$$s.json" >/dev/null; \
 	done; \
 	"$$bin/cdnsim" scenario -seed 7 -name rolling-maintenance -tech load-shift+proactive-prepending,proactive-prepending-scoped,load-shed -json "$$out/scenario-rolling-maintenance-extra.json" >/dev/null; \
+	"$$bin/cdnsim" scenario -seed 7 -name regional-outage -monitor -tech seven -json "$$out/scenario-regional-outage-monitor.json" >/dev/null; \
 	rm -f "$$out"/*.manifest.json; ls "$$out"
 
 # Control-plane gate: the snapshotfields analyzer over the packages that
