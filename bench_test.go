@@ -40,9 +40,7 @@ func benchConfig(seed int64) experiment.WorldConfig {
 }
 
 func benchFailover() experiment.FailoverConfig {
-	return experiment.FailoverConfig{
-		ProbeInterval: 1.5, ProbeDuration: 300, ConvergeTime: 3600, MaxTargets: 15,
-	}
+	return experiment.FailoverConfig{ProbeDuration: 300, MaxTargets: 15}
 }
 
 var benchSites = []string{"atl", "msn", "slc"}

@@ -577,7 +577,7 @@ func runLoad(cfg experiment.WorldConfig, _ *experiment.Selection, o options) err
 	}
 	fmt.Println("\n=== Load management: demand, capacity, and per-site load ===")
 	for _, tech := range techs {
-		w, err := experiment.NewConvergedWorld(cfg, tech, 3600)
+		w, err := experiment.NewConvergedWorld(cfg, tech, experiment.ConvergeTime)
 		if err != nil {
 			return err
 		}

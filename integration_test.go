@@ -39,7 +39,7 @@ func TestPaperHeadlineClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := experiment.FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 300, ConvergeTime: 3600, MaxTargets: 15}
+	fc := experiment.FailoverConfig{ProbeDuration: 300, MaxTargets: 15}
 	sites := []string{"atl", "msn", "slc"}
 
 	pairs, err := (&experiment.Runner{}).Figure2(cfg, sel, []core.Technique{
@@ -142,7 +142,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc := experiment.FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 120, ConvergeTime: 3600, MaxTargets: 10}
+		fc := experiment.FailoverConfig{ProbeDuration: 120, MaxTargets: 10}
 		r, err := experiment.RunFailover(cfg, sel, core.ReactiveAnycast{}, "atl", fc)
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSharedProviderDeploymentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := experiment.FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 300, ConvergeTime: 3600, MaxTargets: 10}
+	fc := experiment.FailoverConfig{ProbeDuration: 300, MaxTargets: 10}
 
 	for _, tech := range []core.Technique{
 		core.ProactivePrepending{Prepends: 3, Scoped: true},
@@ -238,7 +238,7 @@ func TestDampingWorsensReactiveTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc := experiment.FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 300, ConvergeTime: 3600, MaxTargets: 12}
+		fc := experiment.FailoverConfig{ProbeDuration: 300, MaxTargets: 12}
 		pairs, err := (&experiment.Runner{}).Figure2(cfg, sel,
 			[]core.Technique{core.ReactiveAnycast{}}, []string{"atl", "msn"}, fc)
 		if err != nil {

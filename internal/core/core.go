@@ -104,13 +104,8 @@ type CDN struct {
 	demand *traffic.Model
 	load   *traffic.Accountant //cdnlint:nosnapshot measurement sink; reattached by NewWorld and refolded on demand
 
-	// DetectionDelay is the latency of the CDN's health monitoring between
-	// a site failing and the controller reacting (reactive announcements,
-	// DNS updates). CDNs deploy real-time monitoring [Odin, NEL]; the
-	// default models ~1 s detection plus actuation.
-	DetectionDelay netsim.Seconds
-
-	// DNSTTL is the TTL on service A records.
+	// DNSTTL is the TTL on service A records (default 600 s, the ~10 min
+	// median TTL of popular domains per Moura et al.).
 	DNSTTL uint32
 
 	// Metrics are nil until Instrument attaches a registry (nil-safe).
@@ -121,39 +116,25 @@ type CDN struct {
 	}
 }
 
-// Config bundles CDN construction parameters.
-type Config struct {
-	// DetectionDelay overrides the default 1 s failure-detection latency.
-	DetectionDelay netsim.Seconds
-	// DNSTTL overrides the default 600 s record TTL (the ~10 min median
-	// TTL of popular domains per Moura et al.).
-	DNSTTL uint32
-	// ZoneOrigin overrides the default "cdn.example." zone.
-	ZoneOrigin string
-}
+// DetectionDelay is the latency of the CDN's health monitoring between a
+// site failing (FailSite) and the controller reacting (reactive
+// announcements, DNS updates). CDNs deploy real-time monitoring [Odin, NEL];
+// this models ~1 s detection plus actuation.
+const DetectionDelay netsim.Seconds = 1
 
 // New builds a CDN over every ClassCDN node in the topology, in site-code
-// order of the generator's DefaultSiteCodes (stable ordering: by node id).
-func New(net *bgp.Network, plane *dataplane.Plane, cfg Config) (*CDN, error) {
-	if cfg.DetectionDelay == 0 {
-		cfg.DetectionDelay = 1.0
-	}
-	if cfg.DNSTTL == 0 {
-		cfg.DNSTTL = 600
-	}
-	if cfg.ZoneOrigin == "" {
-		cfg.ZoneOrigin = "cdn.example."
-	}
+// order of the generator's DefaultSiteCodes (stable ordering: by node id),
+// serving the zone cdn.example.
+func New(net *bgp.Network, plane *dataplane.Plane) (*CDN, error) {
 	c := &CDN{
-		net:            net,
-		plane:          plane,
-		sim:            net.Sim(),
-		auth:           dns.NewAuthoritative(cfg.ZoneOrigin),
-		byCode:         map[string]*Site{},
-		failed:         map[string]bool{},
-		reacted:        map[string]bool{},
-		DetectionDelay: cfg.DetectionDelay,
-		DNSTTL:         cfg.DNSTTL,
+		net:     net,
+		plane:   plane,
+		sim:     net.Sim(),
+		auth:    dns.NewAuthoritative("cdn.example."),
+		byCode:  map[string]*Site{},
+		failed:  map[string]bool{},
+		reacted: map[string]bool{},
+		DNSTTL:  600,
 	}
 	nodes := net.Topology().NodesOfClass(topology.ClassCDN)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })

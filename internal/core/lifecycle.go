@@ -99,7 +99,7 @@ func (c *CDN) Transition(code string, kind TransitionKind) (SiteTransition, erro
 	case TransitionFail:
 		c.markFailed(s)
 		c.plane.SetDown(s.Node, true)
-		c.sim.After(c.DetectionDelay, func() {
+		c.sim.After(DetectionDelay, func() {
 			c.ReactToFailure(code)
 		})
 	case TransitionDrain:

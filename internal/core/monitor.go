@@ -47,7 +47,12 @@ const (
 )
 
 // StartMonitor begins health monitoring with the given probe interval and
-// miss threshold.
+// miss threshold. The monitor watches a site only while the deployed
+// technique's plan announces the site's own prefix at that site: the health
+// check is addressed to that prefix, and a technique that never announces
+// it (anycast, load-shed, load-shift over anycast) would have every healthy
+// site declared down. Under such a technique a silent crash goes
+// undetected, as it does without a monitor.
 func (c *CDN) StartMonitor(interval netsim.Seconds, misses int) (*Monitor, error) {
 	if c.technique == nil {
 		return nil, fmt.Errorf("core: deploy a technique before monitoring")
@@ -85,9 +90,19 @@ func (m *Monitor) schedule() {
 	})
 }
 
-// probeAll checks reachability of every site from a healthy vantage.
+// probeAll checks reachability of every watched site from a healthy
+// vantage, in site order.
 func (m *Monitor) probeAll() {
+	own := map[*Site]bool{}
+	for _, a := range m.cdn.technique.Plan(m.cdn) {
+		if a.Prefix == a.Site.Prefix {
+			own[a.Site] = true
+		}
+	}
 	for _, s := range m.cdn.sites {
+		if !own[s] {
+			continue
+		}
 		if m.declared[s.Code] && m.cdn.failed[s.Code] {
 			continue // already handled this episode
 		}

@@ -54,6 +54,30 @@ func TestMonitorDetectsCrash(t *testing.T) {
 	}
 }
 
+// TestMonitorIgnoresSitesWithoutOwnPrefix runs the monitor over healthy
+// worlds whose technique never announces a site's own prefix: the health
+// check has nothing to reach, so those sites must not be watched at all,
+// let alone declared down.
+func TestMonitorIgnoresSitesWithoutOwnPrefix(t *testing.T) {
+	for _, tech := range []Technique{Anycast{}, LoadShed{}, LoadShift{}} {
+		w := newWorld(t, 24)
+		if err := w.cdn.Deploy(tech); err != nil {
+			t.Fatal(err)
+		}
+		w.converge()
+		mon, err := w.cdn.StartMonitor(MonitorInterval, MonitorMisses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.sim.RunFor(30)
+		mon.Stop()
+		if mon.Detections != 0 || len(w.cdn.HealthySites()) != len(w.cdn.Sites()) {
+			t.Errorf("%s: %d detections, %d of %d sites healthy on a fault-free run",
+				tech.Name(), mon.Detections, len(w.cdn.HealthySites()), len(w.cdn.Sites()))
+		}
+	}
+}
+
 func TestMonitorStop(t *testing.T) {
 	w := newWorld(t, 21)
 	w.cdn.Deploy(Anycast{})

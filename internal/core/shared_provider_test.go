@@ -24,7 +24,7 @@ func newSharedWorld(t *testing.T, seed int64) *world {
 	sim := netsim.New(seed)
 	net := bgp.New(sim, topo, bgp.Config{MRAI: 30, MRAIJitter: 0.2, ProcMin: 0.02, ProcMax: 0.3})
 	plane := dataplane.New(net)
-	cdn, err := New(net, plane, Config{})
+	cdn, err := New(net, plane)
 	if err != nil {
 		t.Fatal(err)
 	}

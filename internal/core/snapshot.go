@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"bestofboth/internal/dns"
-	"bestofboth/internal/netsim"
 )
 
 // Snapshot is a deep copy of the controller's mutable state: the deployed
@@ -20,15 +19,14 @@ import (
 // depth, is immutable after construction), so the snapshot shares the
 // technique itself.
 type Snapshot struct {
-	technique      Technique
-	announced      []announcement
-	failed         map[string]bool
-	reacted        map[string]bool
-	dualStack      bool
-	detectionDelay netsim.Seconds
-	dnsTTL         uint32
-	zone           dns.ZoneSnapshot
-	demandRates    []int64
+	technique   Technique
+	announced   []announcement
+	failed      map[string]bool
+	reacted     map[string]bool
+	dualStack   bool
+	dnsTTL      uint32
+	zone        dns.ZoneSnapshot
+	demandRates []int64
 }
 
 // Snapshot deep-copies the controller state.
@@ -38,15 +36,14 @@ func (c *CDN) Snapshot() *Snapshot {
 		rates = c.demand.Rates()
 	}
 	return &Snapshot{
-		technique:      c.technique,
-		announced:      slices.Clone(c.announced),
-		failed:         maps.Clone(c.failed),
-		reacted:        maps.Clone(c.reacted),
-		dualStack:      c.dualStack,
-		detectionDelay: c.DetectionDelay,
-		dnsTTL:         c.DNSTTL,
-		zone:           c.auth.SnapshotZone(),
-		demandRates:    rates,
+		technique:   c.technique,
+		announced:   slices.Clone(c.announced),
+		failed:      maps.Clone(c.failed),
+		reacted:     maps.Clone(c.reacted),
+		dualStack:   c.dualStack,
+		dnsTTL:      c.DNSTTL,
+		zone:        c.auth.SnapshotZone(),
+		demandRates: rates,
 	}
 }
 
@@ -79,7 +76,6 @@ func (c *CDN) Restore(snap *Snapshot) error {
 	c.announced = slices.Clone(snap.announced)
 	c.failed = maps.Clone(snap.failed)
 	c.reacted = maps.Clone(snap.reacted)
-	c.DetectionDelay = snap.detectionDelay
 	c.DNSTTL = snap.dnsTTL
 	if snap.dualStack {
 		c.dualStack = true

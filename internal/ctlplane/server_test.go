@@ -515,7 +515,7 @@ func TestCachedTopologyStaysPristine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := experiment.FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 300, ConvergeTime: 3600, MaxTargets: 12}
+	fc := experiment.FailoverConfig{ProbeDuration: 300, MaxTargets: 12}
 	techs := []core.Technique{core.ReactiveAnycast{}, core.ProactiveSuperprefix{}}
 	if _, err := (&experiment.Runner{Workers: 2}).Figure2(cfg, sel, techs, []string{"atl", "msn"}, fc); err != nil {
 		t.Fatal(err)

@@ -69,36 +69,54 @@ func (r *Resolver) Resolve(now float64, name string) ([]netip.Addr, float64, err
 		delete(r.cache, fq)
 		r.mExpired.Inc()
 	}
+	resp, addrs, ttl, err := r.exchange(fq, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(addrs) == 0 {
+		if resp.Header.RCode != RCodeNoError || len(resp.Answer) == 0 {
+			// Negative caching (RFC 2308): remember the miss for the SOA
+			// minimum so repeated lookups of dead names do not hammer the
+			// authoritative.
+			if negTTL, ok := negativeTTL(resp); ok {
+				r.cache[fq] = cacheEntry{ttl: negTTL, fetchedAt: now, negative: true}
+			}
+		}
+		return nil, 0, ErrNoSuchName
+	}
+	r.cache[fq] = cacheEntry{addrs: addrs, ttl: ttl, fetchedAt: now}
+	return addrs, float64(ttl), nil
+}
+
+// exchange sends one A query for fq to the authoritative, carrying edns
+// when non-nil, and returns the response with its A records for fq and
+// their minimum TTL. A response that is not NOERROR yields no addresses.
+func (r *Resolver) exchange(fq string, edns *EDNS) (*Message, []netip.Addr, uint32, error) {
 	r.nextID++
 	r.UpstreamQueries++
 	r.mUpstream.Inc()
 	query := &Message{
 		Header:   Header{ID: r.nextID, RecursionDesired: true},
 		Question: []Question{{Name: fq, Type: TypeA}},
+		Edns:     edns,
 	}
 	wire, err := query.Encode()
 	if err != nil {
-		return nil, 0, fmt.Errorf("dns: encoding query: %w", err)
+		return nil, nil, 0, fmt.Errorf("dns: encoding query: %w", err)
 	}
 	respWire, err := r.auth.HandleQuery(wire)
 	if err != nil {
-		return nil, 0, fmt.Errorf("dns: authoritative failed: %w", err)
+		return nil, nil, 0, fmt.Errorf("dns: authoritative failed: %w", err)
 	}
 	resp, err := Decode(respWire)
 	if err != nil {
-		return nil, 0, fmt.Errorf("dns: decoding response: %w", err)
+		return nil, nil, 0, fmt.Errorf("dns: decoding response: %w", err)
 	}
 	if resp.Header.ID != query.Header.ID {
-		return nil, 0, fmt.Errorf("dns: response ID %d does not match query %d", resp.Header.ID, query.Header.ID)
+		return nil, nil, 0, fmt.Errorf("dns: response ID %d does not match query %d", resp.Header.ID, query.Header.ID)
 	}
-	if resp.Header.RCode != RCodeNoError || len(resp.Answer) == 0 {
-		// Negative caching (RFC 2308): remember the miss for the SOA
-		// minimum so repeated lookups of dead names do not hammer the
-		// authoritative.
-		if negTTL, ok := negativeTTL(resp); ok {
-			r.cache[fq] = cacheEntry{ttl: negTTL, fetchedAt: now, negative: true}
-		}
-		return nil, 0, ErrNoSuchName
+	if resp.Header.RCode != RCodeNoError {
+		return resp, nil, 0, nil
 	}
 	var addrs []netip.Addr
 	ttl := uint32(math.MaxUint32)
@@ -110,11 +128,7 @@ func (r *Resolver) Resolve(now float64, name string) ([]netip.Addr, float64, err
 			}
 		}
 	}
-	if len(addrs) == 0 {
-		return nil, 0, ErrNoSuchName
-	}
-	r.cache[fq] = cacheEntry{addrs: addrs, ttl: ttl, fetchedAt: now}
-	return addrs, float64(ttl), nil
+	return resp, addrs, ttl, nil
 }
 
 // negativeTTL extracts the RFC 2308 negative-cache TTL: the minimum of the
@@ -181,38 +195,9 @@ func (r *Resolver) ResolveFor(now float64, name string, client netip.Addr) ([]ne
 	}
 
 	subnet := netip.PrefixFrom(client, 24).Masked()
-	r.nextID++
-	r.UpstreamQueries++
-	r.mUpstream.Inc()
-	query := &Message{
-		Header:   Header{ID: r.nextID, RecursionDesired: true},
-		Question: []Question{{Name: fq, Type: TypeA}},
-		Edns:     &EDNS{ECS: &ClientSubnet{Subnet: subnet}},
-	}
-	wire, err := query.Encode()
+	resp, addrs, ttl, err := r.exchange(fq, &EDNS{ECS: &ClientSubnet{Subnet: subnet}})
 	if err != nil {
-		return nil, 0, fmt.Errorf("dns: encoding ECS query: %w", err)
-	}
-	respWire, err := r.auth.HandleQuery(wire)
-	if err != nil {
-		return nil, 0, fmt.Errorf("dns: authoritative failed: %w", err)
-	}
-	resp, err := Decode(respWire)
-	if err != nil {
-		return nil, 0, fmt.Errorf("dns: decoding ECS response: %w", err)
-	}
-	if resp.Header.RCode != RCodeNoError || len(resp.Answer) == 0 {
-		return nil, 0, ErrNoSuchName
-	}
-	var addrs []netip.Addr
-	ttl := uint32(math.MaxUint32)
-	for _, rr := range resp.Answer {
-		if rr.Type == TypeA && CanonicalName(rr.Name) == fq {
-			addrs = append(addrs, rr.A)
-			if rr.TTL < ttl {
-				ttl = rr.TTL
-			}
-		}
+		return nil, 0, err
 	}
 	if len(addrs) == 0 {
 		return nil, 0, ErrNoSuchName

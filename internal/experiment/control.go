@@ -26,29 +26,14 @@ type Table1Row struct {
 // targets anycast mis-routes, and how many of those proactive-prepending
 // recovers at each prepend depth.
 func Table1(cfg WorldConfig, sel *Selection) ([]Table1Row, error) {
-	steerable := func(prepends int) (map[string]float64, error) {
-		w, err := NewWorld(cfg)
+	steerable := func(prepends int) ([]float64, error) {
+		w, err := NewConvergedWorld(cfg, core.ProactivePrepending{Prepends: prepends}, ConvergeTime)
 		if err != nil {
 			return nil, err
 		}
-		if err := w.CDN.Deploy(core.ProactivePrepending{Prepends: prepends}); err != nil {
-			return nil, fmt.Errorf("experiment: deploying prepending-%d: %w", prepends, err)
-		}
-		w.Converge(3600)
-		out := map[string]float64{}
-		for _, s := range w.CDN.Sites() {
-			st := sel.ForSite(s.Code)
-			if st == nil || len(st.NotAnycast) == 0 {
-				out[s.Code] = 0
-				continue
-			}
-			n := 0
-			for _, id := range st.NotAnycast {
-				if w.CDN.CanSteer(id, s) {
-					n++
-				}
-			}
-			out[s.Code] = float64(n) / float64(len(st.NotAnycast))
+		out := make([]float64, len(sel.Sites))
+		for i := range sel.Sites {
+			out[i] = controlShare(w, &sel.Sites[i])
 		}
 		return out, nil
 	}
@@ -62,17 +47,31 @@ func Table1(cfg WorldConfig, sel *Selection) ([]Table1Row, error) {
 		return nil, err
 	}
 
-	var rows []Table1Row
-	for _, st := range sel.Sites {
-		row := Table1Row{Site: st.Code, Proximate: len(st.Proximate)}
+	rows := make([]Table1Row, 0, len(sel.Sites))
+	for i, st := range sel.Sites {
+		row := Table1Row{Site: st.Code, Proximate: len(st.Proximate), Prepend3: p3[i], Prepend5: p5[i]}
 		if len(st.Proximate) > 0 {
 			row.NotAnycast = float64(len(st.NotAnycast)) / float64(len(st.Proximate))
 		}
-		row.Prepend3 = p3[st.Code]
-		row.Prepend5 = p5[st.Code]
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// controlShare is the fraction of st's NotAnycast targets that the world's
+// deployed technique can steer to st's site (§5.4.2), 0 when it has none.
+func controlShare(w *World, st *SiteTargets) float64 {
+	if len(st.NotAnycast) == 0 {
+		return 0
+	}
+	s := w.CDN.Site(st.Code)
+	n := 0
+	for _, id := range st.NotAnycast {
+		if w.CDN.CanSteer(id, s) {
+			n++
+		}
+	}
+	return float64(n) / float64(len(st.NotAnycast))
 }
 
 // RenderTable1 lays the measurement out like the paper's Table 1: sites as

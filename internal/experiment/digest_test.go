@@ -63,7 +63,7 @@ func TestInterningDigestEquivalence(t *testing.T) {
 		t.Fatal("fresh world produced empty digests")
 	}
 
-	snap, err := buildSnapshot(cfg, tech, converge)
+	snap, err := buildSnapshot(cfg, tech)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func tinyConfig(seed int64) WorldConfig {
 // quickFailover probes fewer targets for less time than the paper's
 // schedule.
 func quickFailover() FailoverConfig {
-	return FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 300, ConvergeTime: 3600, MaxTargets: 12}
+	return FailoverConfig{ProbeDuration: 300, MaxTargets: 12}
 }
 
 func mustSelect(t *testing.T, cfg WorldConfig, maxPerSite int) *Selection {
@@ -163,33 +163,34 @@ func TestRunFailoverUnknownSite(t *testing.T) {
 	}
 }
 
-// TestRunFailoverRejectsEmptySchedule pins the zero-interval fix: a probe
-// schedule with no cadence or no duration is a config error, returned in
-// bounded time. Before it, PingEvery(id, 0, d) re-armed every ping at the
-// current instant and the run never returned.
+// TestRunFailoverRejectsEmptySchedule pins the empty-schedule fix: a probe
+// schedule with no duration is a config error, returned in bounded time,
+// and so is one past the scenario bound on a timeline's end.
 func TestRunFailoverRejectsEmptySchedule(t *testing.T) {
 	cfg := tinyConfig(4)
 	sel := mustSelect(t, cfg, 10)
-	for _, fc := range []FailoverConfig{
-		{},
-		{ProbeDuration: 5, ConvergeTime: 3600},
-		{ProbeInterval: 1.5, ConvergeTime: 3600},
-		{ProbeInterval: math.NaN(), ProbeDuration: 5, ConvergeTime: 3600},
+	for _, tc := range []struct {
+		fc   FailoverConfig
+		want string
+	}{
+		{FailoverConfig{}, "failover config"},
+		{FailoverConfig{ProbeDuration: math.NaN()}, "failover config"},
+		{FailoverConfig{ProbeDuration: 86401}, "past the 86400 s bound"},
 	} {
 		done := make(chan error, 1)
 		go func() {
-			_, err := RunFailover(cfg, sel, core.Anycast{}, "atl", fc)
+			_, err := RunFailover(cfg, sel, core.Anycast{}, "atl", tc.fc)
 			done <- err
 		}()
 		select {
 		case err := <-done:
 			if err == nil {
-				t.Errorf("%+v: accepted", fc)
-			} else if fc.ConvergeTime > 0 && !strings.Contains(err.Error(), "failover config") {
-				t.Errorf("%+v: error %q does not name the failover config", fc, err)
+				t.Errorf("%+v: accepted", tc.fc)
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%+v: error %q does not say %q", tc.fc, err, tc.want)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("%+v: RunFailover did not return", fc)
+			t.Fatalf("%+v: RunFailover did not return", tc.fc)
 		}
 	}
 }

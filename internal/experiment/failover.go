@@ -5,37 +5,34 @@ import (
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/dataplane"
+	"bestofboth/internal/scenario"
 	"bestofboth/internal/stats"
 	"bestofboth/internal/topology"
 	"bestofboth/internal/traffic"
 )
 
-// FailoverConfig sets the probing schedule of §5.2.
+// ConvergeTime bounds the pre-failure convergence wait of every converged
+// world the Runner builds (§5.2: "wait one hour to ensure convergence").
+const ConvergeTime = 3600
+
+// FailoverConfig sets the §5.2 probing of one failover run: the run probes
+// every scenario.ProbeInterval seconds for ProbeDuration seconds after the
+// failure.
 type FailoverConfig struct {
-	// ProbeInterval is the per-target ping cadence (paper: ~1.5 s).
-	ProbeInterval float64
+	// Options sets probe loss (the §5.3 ICMP-rate-limit concern) and the
+	// health monitor: with UseMonitor the site crashes silently and the
+	// controller reacts only once the monitor declares it down.
+	scenario.Options
 	// ProbeDuration is how long probing continues after failure (paper:
 	// ~600 s).
 	ProbeDuration float64
-	// ConvergeTime bounds the pre-failure convergence wait (paper: 1 h).
-	ConvergeTime float64
 	// MaxTargets caps controllable targets probed per run (0 = no cap).
 	MaxTargets int
-	// LossRate injects independent request/reply loss into probing (the
-	// §5.3 ICMP-rate-limit concern); metrics must remain in regime under
-	// a few percent of loss.
-	LossRate float64
-	// UseMonitor replaces the fixed DetectionDelay with the CDN's
-	// probing-based health monitor: the site crashes silently and the
-	// controller reacts only when the monitor declares it down, so
-	// detection latency is emergent (§4: "CDNs need to make new
-	// announcements quickly after the detection of an outage").
-	UseMonitor bool
 }
 
 // DefaultFailoverConfig returns the paper's schedule.
 func DefaultFailoverConfig() FailoverConfig {
-	return FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 600, ConvergeTime: 3600}
+	return FailoverConfig{ProbeDuration: 600}
 }
 
 // TargetOutcome is the per-⟨failed site, target⟩ measurement of §5.4.1.
@@ -111,7 +108,7 @@ func (r *RunResult) FailoverSamples(clamp float64) []float64 {
 // convergence, find the controllable targets for the site, fail it, probe
 // every ~1.5 s for ~600 s, and compute reconnection/failover per target.
 func RunFailover(cfg WorldConfig, sel *Selection, tech core.Technique, failCode string, fc FailoverConfig) (*RunResult, error) {
-	w, err := NewConvergedWorld(cfg, tech, fc.ConvergeTime)
+	w, err := NewConvergedWorld(cfg, tech, ConvergeTime)
 	if err != nil {
 		return nil, err
 	}
@@ -138,13 +135,14 @@ func NewConvergedWorld(cfg WorldConfig, tech core.Technique, convergeTime float6
 }
 
 // failoverOn runs the post-convergence part of the experiment on an already
-// deployed, converged world: fail the site, probe, analyze.
+// deployed, converged world: a one-event scenario — the site fails at the
+// start, or crashes silently for the health monitor to detect — probed for
+// ProbeDuration, then each target's trace analyzed.
 func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, fc FailoverConfig) (*RunResult, error) {
-	// Written as !(x > 0) so NaN is refused too. A zero interval would
-	// re-arm every ping at the current instant and never reach the deadline.
-	if !(fc.ProbeInterval > 0) || !(fc.ProbeDuration > 0) {
-		return nil, fmt.Errorf("experiment: failover config: ProbeInterval %v and ProbeDuration %v must both be positive",
-			fc.ProbeInterval, fc.ProbeDuration)
+	// Written as !(x > 0) so NaN is refused too; a zero horizon would mean
+	// the scenario default instead.
+	if !(fc.ProbeDuration > 0) {
+		return nil, fmt.Errorf("experiment: failover config: ProbeDuration %v must be positive", fc.ProbeDuration)
 	}
 	failed := w.CDN.Site(failCode)
 	if failed == nil {
@@ -159,10 +157,7 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 	// overlay gets one per live bucket /27.
 	groups := probeGroups(w, sel, failed, fc.MaxTargets)
 	var controllable []topology.NodeID
-	probers := make([]*dataplane.Prober, len(groups))
-	for i, g := range groups {
-		probers[i] = dataplane.NewProber(w.Plane, g.Prober, g.ReplyTo)
-		probers[i].LossRate = fc.LossRate
+	for _, g := range groups {
 		controllable = append(controllable, g.Targets...)
 	}
 
@@ -181,38 +176,26 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 		return res, nil
 	}
 
-	t0 := w.Sim.Now()
-	var monitor *core.Monitor
+	kind := scenario.KindFail
 	if fc.UseMonitor {
-		m, err := w.CDN.StartMonitor(core.MonitorInterval, core.MonitorMisses)
-		if err != nil {
-			return nil, err
-		}
-		monitor = m
-		m.OnDetect = func(code string, at float64) {
-			res.DetectedAt = at - t0
-		}
-		if _, err := w.CDN.CrashSite(failCode); err != nil {
-			return nil, err
-		}
-	} else if _, err := w.CDN.FailSite(failCode); err != nil {
+		kind = scenario.KindCrash
+	}
+	sc := &scenario.Scenario{Name: "failover", Horizon: fc.ProbeDuration, Events: []scenario.Event{{Kind: kind, Site: failCode}}}
+	c, err := scenario.Start(w.Env(), sc, groups, fc.Options)
+	if err != nil {
 		return nil, err
 	}
-	for i, g := range groups {
-		for _, id := range g.Targets {
-			probers[i].PingEvery(id, fc.ProbeInterval, fc.ProbeDuration)
-		}
+	if err := c.Finish(); err != nil {
+		return nil, err
 	}
-	// Let the final replies land (replies take well under 30 s).
-	w.Sim.RunUntil(t0 + fc.ProbeDuration + 30)
-	if monitor != nil {
-		monitor.Stop()
+	if n := len(c.Detections); n > 0 {
+		res.DetectedAt = c.Detections[n-1].At
 	}
 
 	res.Outcomes = make([]TargetOutcome, 0, len(controllable))
 	for i, g := range groups {
 		for _, id := range g.Targets {
-			res.Outcomes = append(res.Outcomes, analyzeTarget(w, probers[i].Trace(id), t0))
+			res.Outcomes = append(res.Outcomes, analyzeTarget(w, c.Probers[i].Trace(id), c.T0))
 		}
 	}
 	return res, nil
@@ -303,15 +286,32 @@ type CDFPair struct {
 // Figure2Single converts one run into a CDFPair (convenience for single
 // ⟨technique, site⟩ analyses).
 func Figure2Single(r *RunResult, fc FailoverConfig) CDFPair {
-	p := CDFPair{
-		Technique:    r.Technique,
-		Reconnection: stats.NewCDF(r.ReconnectionSamples(fc.ProbeDuration)),
-		Failover:     stats.NewCDF(r.FailoverSamples(fc.ProbeDuration)),
-		Stability:    Stability(r.Outcomes),
+	return poolRuns(r.Technique, []*RunResult{r}, fc.ProbeDuration)
+}
+
+// poolRuns pools runs' outcomes, in order, into one technique's CDFPair,
+// with unreconnected and unstable targets clamped to clamp. Weights align
+// one-to-one with outcomes whenever the worlds carried a demand model;
+// pooled in the same order as the samples, the user-weighted CDFs are as
+// worker-count invariant as the unweighted ones.
+func poolRuns(technique string, runs []*RunResult, clamp float64) CDFPair {
+	var recon, fail, weights []float64
+	var outcomes []TargetOutcome
+	for _, r := range runs {
+		recon = append(recon, r.ReconnectionSamples(clamp)...)
+		fail = append(fail, r.FailoverSamples(clamp)...)
+		outcomes = append(outcomes, r.Outcomes...)
+		weights = append(weights, r.Weights...)
 	}
-	if len(r.Weights) == len(r.Outcomes) && len(r.Outcomes) > 0 {
-		p.UserReconnection = stats.NewWeightedCDF(r.ReconnectionSamples(fc.ProbeDuration), r.Weights)
-		p.UserFailover = stats.NewWeightedCDF(r.FailoverSamples(fc.ProbeDuration), r.Weights)
+	p := CDFPair{
+		Technique:    technique,
+		Reconnection: stats.NewCDF(recon),
+		Failover:     stats.NewCDF(fail),
+		Stability:    Stability(outcomes),
+	}
+	if len(weights) == len(recon) && len(recon) > 0 {
+		p.UserReconnection = stats.NewWeightedCDF(recon, weights)
+		p.UserFailover = stats.NewWeightedCDF(fail, weights)
 	}
 	return p
 }

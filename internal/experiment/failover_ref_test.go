@@ -9,6 +9,7 @@ import (
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/dataplane"
+	"bestofboth/internal/scenario"
 	"bestofboth/internal/topology"
 )
 
@@ -146,7 +147,7 @@ func probeFailover(t *testing.T, w *World, sel *Selection, failCode string, fc F
 	}
 	for _, g := range groups {
 		for _, id := range g.targets {
-			g.prober.PingEvery(id, fc.ProbeInterval, fc.ProbeDuration)
+			g.prober.PingEvery(id, scenario.ProbeInterval, fc.ProbeDuration)
 		}
 	}
 	w.Sim.RunUntil(t0 + fc.ProbeDuration + 30)
@@ -181,7 +182,7 @@ func TestAnalyzeTargetMatchesReference(t *testing.T) {
 	}
 	sel := mustSelect(t, tinyConfig(27), 15)
 	for _, col := range cols {
-		snap, err := buildSnapshot(col.cfg, col.tech, 3600)
+		snap, err := buildSnapshot(col.cfg, col.tech)
 		if err != nil || snap == nil {
 			t.Fatalf("%s: snapshot: %v", col.tech.Name(), err)
 		}

@@ -144,7 +144,7 @@ func probeWith(t *testing.T, w *World, sel *Selection, failCode string, fc Failo
 	}
 	for i, g := range groups {
 		for _, id := range g.Targets {
-			probers[i].PingEvery(id, fc.ProbeInterval, fc.ProbeDuration)
+			probers[i].PingEvery(id, scenario.ProbeInterval, fc.ProbeDuration)
 		}
 	}
 	w.Sim.RunUntil(t0 + fc.ProbeDuration + 30)
@@ -179,7 +179,7 @@ func TestProberMatchesCalendarReference(t *testing.T) {
 		for _, col := range cols {
 			cfg := col.cfg
 			cfg.Shards = shards
-			snap, err := buildSnapshot(cfg, col.tech, 3600)
+			snap, err := buildSnapshot(cfg, col.tech)
 			if err != nil || snap == nil {
 				t.Fatalf("%s: snapshot: %v", col.tech.Name(), err)
 			}

@@ -9,7 +9,6 @@ import (
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/obs"
-	"bestofboth/internal/stats"
 )
 
 // Runner executes failover experiment matrices across a worker pool with
@@ -87,7 +86,7 @@ func (r *Runner) metrics() runnerMetrics {
 }
 
 // worldSnaps caches converged-world snapshots per ⟨world configuration,
-// technique, converge time⟩ across all Runner instances: repeated
+// technique⟩ across all Runner instances: repeated
 // invocations (benchmark iterations, figure 2 followed by figure 5 in one
 // process) reuse each other's converge work. Entries are built at most once;
 // concurrent requesters for the same key share one build.
@@ -107,19 +106,19 @@ type worldSnapEntry struct {
 }
 
 // snapKey canonicalizes the full converged-world identity: the config's
-// identity string plus technique and converge time. Techniques are flat
-// value structs, so their type and formatted value identify them (including
-// e.g. prepend depth).
-func snapKey(cfg WorldConfig, tech core.Technique, convergeTime float64) string {
-	return fmt.Sprintf("%s tech=%T%+v conv=%g", cfg.identity(), tech, tech, convergeTime)
+// identity string plus technique. Techniques are flat value structs, so
+// their type and formatted value identify them (including e.g. prepend
+// depth).
+func snapKey(cfg WorldConfig, tech core.Technique) string {
+	return fmt.Sprintf("%s tech=%T%+v", cfg.identity(), tech, tech)
 }
 
 // buildSnapshot deploys and converges a template world and snapshots it.
 // A (nil, nil) return means the world cannot be snapshotted — convergence
 // did not drain the event queue within its deadline — and callers must fall
 // back to fresh full runs.
-func buildSnapshot(cfg WorldConfig, tech core.Technique, convergeTime float64) (*WorldSnapshot, error) {
-	w, err := NewConvergedWorld(cfg, tech, convergeTime)
+func buildSnapshot(cfg WorldConfig, tech core.Technique) (*WorldSnapshot, error) {
+	w, err := NewConvergedWorld(cfg, tech, ConvergeTime)
 	if err != nil {
 		return nil, err
 	}
@@ -135,12 +134,12 @@ func buildSnapshot(cfg WorldConfig, tech core.Technique, convergeTime float64) (
 
 // convergedSnapshot returns the (possibly cached) converged snapshot for the
 // key, or nil when reuse is off or snapshotting is impossible.
-func (r *Runner) convergedSnapshot(cfg WorldConfig, tech core.Technique, convergeTime float64) (*WorldSnapshot, error) {
+func (r *Runner) convergedSnapshot(cfg WorldConfig, tech core.Technique) (*WorldSnapshot, error) {
 	if r != nil && r.DisableReuse {
 		return nil, nil
 	}
 	m := r.metrics()
-	key := snapKey(cfg, tech, convergeTime)
+	key := snapKey(cfg, tech)
 	worldSnaps.Lock()
 	e, ok := worldSnaps.m[key]
 	if !ok {
@@ -148,7 +147,7 @@ func (r *Runner) convergedSnapshot(cfg WorldConfig, tech core.Technique, converg
 			worldSnaps.Unlock()
 			m.snapBuilds.Inc()
 			defer obs.StartTimer(m.buildSecs).Stop()
-			return buildSnapshot(cfg, tech, convergeTime)
+			return buildSnapshot(cfg, tech)
 		}
 		e = &worldSnapEntry{}
 		worldSnaps.m[key] = e
@@ -160,7 +159,7 @@ func (r *Runner) convergedSnapshot(cfg WorldConfig, tech core.Technique, converg
 	e.once.Do(func() {
 		m.snapBuilds.Inc()
 		t := obs.StartTimer(m.buildSecs)
-		e.snap, e.err = buildSnapshot(cfg, tech, convergeTime)
+		e.snap, e.err = buildSnapshot(cfg, tech)
 		t.Stop()
 	})
 	return e.snap, e.err
@@ -170,7 +169,7 @@ func (r *Runner) convergedSnapshot(cfg WorldConfig, tech core.Technique, converg
 // run: restored from the snapshot when one exists, built from scratch
 // otherwise. Restored worlds are re-instrumented with the caller's registry
 // (snapshots strip theirs).
-func (r *Runner) materialize(cfg WorldConfig, tech core.Technique, convergeTime float64, snap *WorldSnapshot) (*World, error) {
+func (r *Runner) materialize(cfg WorldConfig, tech core.Technique, snap *WorldSnapshot) (*World, error) {
 	m := r.metrics()
 	defer obs.StartTimer(m.matSecs).Stop()
 	if snap != nil {
@@ -182,7 +181,7 @@ func (r *Runner) materialize(cfg WorldConfig, tech core.Technique, convergeTime 
 		w.Instrument(cfg.Obs)
 		return w, nil
 	}
-	return NewConvergedWorld(cfg, tech, convergeTime)
+	return NewConvergedWorld(cfg, tech, ConvergeTime)
 }
 
 // matrixPool is the bounded worker pool behind RunMatrix and
@@ -265,14 +264,14 @@ func (r *Runner) RunMatrix(cfg WorldConfig, sel *Selection, techs []core.Techniq
 		// Build (or fetch) the technique's converged template under a
 		// worker slot, then fan the per-site runs out across slots.
 		p.spawn(func() error {
-			snap, err := r.convergedSnapshot(cfg, tech, fc.ConvergeTime)
+			snap, err := r.convergedSnapshot(cfg, tech)
 			if err != nil {
 				return err
 			}
 			for si, site := range sites {
 				p.spawn(func() error {
 					start := time.Now()
-					w, err := r.materialize(cfg, tech, fc.ConvergeTime, snap)
+					w, err := r.materialize(cfg, tech, snap)
 					if err != nil {
 						return err
 					}
@@ -307,30 +306,7 @@ func (r *Runner) Figure2(cfg WorldConfig, sel *Selection, techs []core.Technique
 	}
 	out := make([]CDFPair, 0, len(techs))
 	for ti, tech := range techs {
-		var recon, fail, weights []float64
-		var outcomes []TargetOutcome
-		for si := range sites {
-			res := matrix[ti][si]
-			recon = append(recon, res.ReconnectionSamples(fc.ProbeDuration)...)
-			fail = append(fail, res.FailoverSamples(fc.ProbeDuration)...)
-			outcomes = append(outcomes, res.Outcomes...)
-			weights = append(weights, res.Weights...)
-		}
-		pair := CDFPair{
-			Technique:    tech.Name(),
-			Reconnection: stats.NewCDF(recon),
-			Failover:     stats.NewCDF(fail),
-			Stability:    Stability(outcomes),
-		}
-		// Weights align one-to-one with outcomes whenever the worlds carried
-		// a demand model; pooled in the same ⟨technique, site⟩ index order as
-		// the samples, the user-weighted CDFs are as worker-count invariant
-		// as the unweighted ones.
-		if len(weights) == len(recon) && len(recon) > 0 {
-			pair.UserReconnection = stats.NewWeightedCDF(recon, weights)
-			pair.UserFailover = stats.NewWeightedCDF(fail, weights)
-		}
-		out = append(out, pair)
+		out = append(out, poolRuns(tech.Name(), matrix[ti], fc.ProbeDuration))
 	}
 	return out, nil
 }

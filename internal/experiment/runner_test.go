@@ -62,7 +62,7 @@ func TestRunnerDeterminismAcrossWorkers(t *testing.T) {
 // snapshot) untouched.
 func TestWorldSnapshotIsolation(t *testing.T) {
 	cfg := tinyConfig(22)
-	snap, err := buildSnapshot(cfg, core.ReactiveAnycast{}, 3600)
+	snap, err := buildSnapshot(cfg, core.ReactiveAnycast{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestWorldSnapshotIsolation(t *testing.T) {
 func TestSnapKeyDistinguishesConfigs(t *testing.T) {
 	base := tinyConfig(23)
 	k := func(cfg WorldConfig, tech core.Technique) string {
-		return snapKey(cfg, tech, 3600)
+		return snapKey(cfg, tech)
 	}
 
 	cfg2 := base
@@ -153,9 +153,6 @@ func TestSnapKeyDistinguishesConfigs(t *testing.T) {
 	if k(base, core.Anycast{}) == k(base, core.ReactiveAnycast{}) {
 		t.Fatal("technique type did not change the key")
 	}
-	if snapKey(base, core.Anycast{}, 3600) == snapKey(base, core.Anycast{}, 600) {
-		t.Fatal("converge time did not change the key")
-	}
 }
 
 // TestRunFailoverMatchesRunnerReuse pins the core reuse guarantee: one run
@@ -171,7 +168,7 @@ func TestRunFailoverMatchesRunnerReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := buildSnapshot(cfg, tech, fc.ConvergeTime)
+	snap, err := buildSnapshot(cfg, tech)
 	if err != nil {
 		t.Fatal(err)
 	}

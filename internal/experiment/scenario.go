@@ -10,26 +10,19 @@ import (
 )
 
 // ScenarioConfig configures scenario-matrix runs: the probing options
-// handed to scenario.Run plus the world-preparation parameters shared with
-// the failover experiments.
+// handed to scenario.Run plus how many targets each site group probes.
 type ScenarioConfig struct {
 	scenario.Options
-	// ConvergeTime bounds the pre-scenario convergence wait (default 1 h,
-	// as in §5.2).
-	ConvergeTime float64
 	// MaxTargetsPerSite caps the probed targets per site group (default 12).
 	MaxTargetsPerSite int
 }
 
-// DefaultScenarioConfig mirrors the failover experiments' schedule.
+// DefaultScenarioConfig probes up to 12 targets per site group.
 func DefaultScenarioConfig() ScenarioConfig {
-	return ScenarioConfig{ConvergeTime: 3600, MaxTargetsPerSite: 12}
+	return ScenarioConfig{MaxTargetsPerSite: 12}
 }
 
 func (c *ScenarioConfig) fill() {
-	if c.ConvergeTime <= 0 {
-		c.ConvergeTime = 3600
-	}
 	if c.MaxTargetsPerSite <= 0 {
 		c.MaxTargetsPerSite = 12
 	}
@@ -126,11 +119,11 @@ func (r *Runner) RunScenario(cfg WorldConfig, sel *Selection, tech core.Techniqu
 		cfg.Obs = r.Obs
 	}
 	eff := ScenarioWorldConfig(cfg, sc)
-	snap, err := r.convergedSnapshot(eff, tech, sco.ConvergeTime)
+	snap, err := r.convergedSnapshot(eff, tech)
 	if err != nil {
 		return nil, err
 	}
-	w, err := r.materialize(eff, tech, sco.ConvergeTime, snap)
+	w, err := r.materialize(eff, tech, snap)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 
 // quickScenario shortens the pre-scenario convergence wait for tests.
 func quickScenario() ScenarioConfig {
-	return ScenarioConfig{ConvergeTime: 3600, MaxTargetsPerSite: 6}
+	return ScenarioConfig{MaxTargetsPerSite: 6}
 }
 
 // shortScenarios returns fast library-flavored scenarios for matrix tests:
@@ -145,7 +145,7 @@ func TestScenarioPopulationMatchesFailover(t *testing.T) {
 	}
 
 	sco := quickScenario()
-	fc := FailoverConfig{ProbeInterval: 1.5, ProbeDuration: 3, ConvergeTime: sco.ConvergeTime, MaxTargets: sco.MaxTargetsPerSite}
+	fc := FailoverConfig{ProbeDuration: 3, MaxTargets: sco.MaxTargetsPerSite}
 	sc := &scenario.Scenario{Name: "one-fail", Horizon: 30, Events: []scenario.Event{{At: 5, Kind: scenario.KindFail, Site: "sea1"}}}
 	r := &Runner{Workers: 1}
 	for _, tc := range worlds {
@@ -158,11 +158,11 @@ func TestScenarioPopulationMatchesFailover(t *testing.T) {
 				t.Fatalf("scenario probed nobody: %d groups, %d targets, %d probes", res.Groups, res.Targets, res.Sent)
 			}
 
-			snap, err := r.convergedSnapshot(tc.cfg, tc.tech, sco.ConvergeTime)
+			snap, err := r.convergedSnapshot(tc.cfg, tc.tech)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := r.materialize(tc.cfg, tc.tech, sco.ConvergeTime, snap)
+			w, err := r.materialize(tc.cfg, tc.tech, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestScenarioPopulationMatchesFailover(t *testing.T) {
 				bySite[g.Site] = append(bySite[g.Site], g.Targets...)
 			}
 			for _, s := range w.CDN.Sites() {
-				fw, err := r.materialize(tc.cfg, tc.tech, sco.ConvergeTime, snap)
+				fw, err := r.materialize(tc.cfg, tc.tech, snap)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -43,49 +43,35 @@ func (r *Runner) PrependSweep(cfg WorldConfig, sel *Selection, depths []int, sit
 	for di, k := range depths {
 		// Control measurement: the steerable share over each site's
 		// NotAnycast set on the converged pre-failure world.
-		snap, err := r.convergedSnapshot(cfg, techs[di], fc.ConvergeTime)
+		snap, err := r.convergedSnapshot(cfg, techs[di])
 		if err != nil {
 			return nil, err
 		}
-		w, err := r.materialize(cfg, techs[di], fc.ConvergeTime, snap)
+		w, err := r.materialize(cfg, techs[di], snap)
 		if err != nil {
 			return nil, err
 		}
 		var control float64
 		counted := 0
-		for _, st := range sel.Sites {
-			if len(st.NotAnycast) == 0 {
-				continue
+		for i := range sel.Sites {
+			if len(sel.Sites[i].NotAnycast) > 0 {
+				control += controlShare(w, &sel.Sites[i])
+				counted++
 			}
-			s := w.CDN.Site(st.Code)
-			ok := 0
-			for _, id := range st.NotAnycast {
-				if w.CDN.CanSteer(id, s) {
-					ok++
-				}
-			}
-			control += float64(ok) / float64(len(st.NotAnycast))
-			counted++
 		}
 		if counted > 0 {
 			control /= float64(counted)
 		}
 
 		// Failover distributions pooled over the requested sites.
-		var recon, fail []float64
-		for si := range sites {
-			res := matrix[di][si]
-			recon = append(recon, res.ReconnectionSamples(fc.ProbeDuration)...)
-			fail = append(fail, res.FailoverSamples(fc.ProbeDuration)...)
-		}
-		rc, fc2 := stats.NewCDF(recon), stats.NewCDF(fail)
+		pair := poolRuns(techs[di].Name(), matrix[di], fc.ProbeDuration)
 		out = append(out, SweepPoint{
 			Depth:       k,
 			MeanControl: control,
-			ReconP50:    rc.Median(),
-			FailoverP50: fc2.Median(),
-			FailoverP90: fc2.Percentile(90),
-			Samples:     fc2.N(),
+			ReconP50:    pair.Reconnection.Median(),
+			FailoverP50: pair.Failover.Median(),
+			FailoverP90: pair.Failover.Percentile(90),
+			Samples:     pair.Failover.N(),
 		})
 	}
 	return out, nil

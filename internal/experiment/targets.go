@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -55,14 +54,10 @@ func (s *Selection) ForSite(code string) *SiteTargets {
 // targets deterministically from cfg.Seed. Zero means no cap.
 func SelectTargets(cfg WorldConfig, maxPerSite int) (*Selection, error) {
 	// Pass 1: unicast world for proximity.
-	wu, err := NewWorld(cfg)
+	wu, err := NewConvergedWorld(cfg, core.Unicast{}, ConvergeTime)
 	if err != nil {
 		return nil, err
 	}
-	if err := wu.CDN.Deploy(core.Unicast{}); err != nil {
-		return nil, fmt.Errorf("experiment: deploying unicast for proximity: %w", err)
-	}
-	wu.Converge(3600)
 
 	type siteInfo struct {
 		code string
@@ -84,14 +79,10 @@ func SelectTargets(cfg WorldConfig, maxPerSite int) (*Selection, error) {
 	}
 
 	// Pass 2: anycast world for catchments.
-	wa, err := NewWorld(cfg)
+	wa, err := NewConvergedWorld(cfg, core.Anycast{}, ConvergeTime)
 	if err != nil {
 		return nil, err
 	}
-	if err := wa.CDN.Deploy(core.Anycast{}); err != nil {
-		return nil, fmt.Errorf("experiment: deploying anycast for catchments: %w", err)
-	}
-	wa.Converge(3600)
 
 	catch := make(map[topology.NodeID]string, len(targets))
 	for _, tgt := range targets {

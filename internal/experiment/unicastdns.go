@@ -83,7 +83,7 @@ func UnicastDNSFailover(cfg WorldConfig, ucfg UnicastDNSConfig) (*stats.CDF, err
 	if _, err := w.CDN.FailSite(failed.Code); err != nil {
 		return nil, err
 	}
-	w.Sim.RunUntil(t0 + w.CDN.DetectionDelay + 1)
+	w.Sim.RunUntil(t0 + core.DetectionDelay + 1)
 	dnsUpdated := w.Sim.Now()
 
 	var failover []float64

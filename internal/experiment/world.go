@@ -29,8 +29,6 @@ type WorldConfig struct {
 	Topology topology.GenConfig
 	// BGP overrides protocol timing; zero value uses bgp.DefaultConfig.
 	BGP bgp.Config
-	// CDN overrides controller parameters.
-	CDN core.Config
 	// CollectorPeers is the number of route-collector peer sessions
 	// (default 40, emulating the RIS/RouteViews full-feed peers used in
 	// Appendices A and B).
@@ -86,8 +84,8 @@ func (c WorldConfig) identity() string {
 	}
 	flat := c.BGP
 	flat.Damping = nil
-	return fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s cdn=%+v peers=%d shards=%d demand=%+v",
-		c.Seed, c.Topology, flat, damp, c.CDN, c.CollectorPeers, c.Shards, c.Demand)
+	return fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s peers=%d shards=%d demand=%+v",
+		c.Seed, c.Topology, flat, damp, c.CollectorPeers, c.Shards, c.Demand)
 }
 
 // World bundles one fully wired simulation: topology, BGP, data plane,
@@ -119,7 +117,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, fmt.Errorf("experiment: sharding BGP: %w", err)
 	}
 	plane := dataplane.New(net)
-	cdn, err := core.New(net, plane, cfg.CDN)
+	cdn, err := core.New(net, plane)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: building CDN: %w", err)
 	}

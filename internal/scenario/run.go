@@ -40,22 +40,18 @@ type Group struct {
 	Targets []topology.NodeID
 }
 
+// ProbeInterval is the per-target ping cadence of every probing campaign
+// (§5.2: ~1.5 s).
+const ProbeInterval = 1.5
+
 // Options configures a scenario run.
 type Options struct {
-	// ProbeInterval is the per-target ping cadence (default 1.5 s, §5.2).
-	ProbeInterval float64
 	// LossRate injects independent request/reply loss into probing.
 	LossRate float64
 	// UseMonitor runs the CDN's probing-based health monitor during the
 	// scenario, so silent crashes (KindCrash) are detected with emergent
 	// latency instead of never.
 	UseMonitor bool
-}
-
-func (o *Options) fillDefaults() {
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 1.5
-	}
 }
 
 // DistSummary summarizes a sample distribution. Zero-valued when empty
@@ -163,94 +159,122 @@ type Result struct {
 	Load *LoadSummary `json:"load,omitempty"`
 }
 
-// Run executes the scenario against env: it schedules every bound event on
-// the virtual clock, probes every group's targets at the probe cadence
-// until the horizon, runs the simulation, and computes per-event metrics.
-// The env is consumed — its clock advances and its world mutates; callers
-// wanting a pristine world afterwards should run on a snapshot-restored
-// copy.
-func Run(env *Env, sc *Scenario, groups []Group, opts Options) (*Result, error) {
-	opts.fillDefaults()
+// Campaign is a scenario in flight: its timeline scheduled on the virtual
+// clock, the health monitor (Options.UseMonitor) and one prober per group.
+// Run is Start, the load sampler, Finish and the per-event analysis; a §5.2
+// failover run is a campaign of one fail event.
+type Campaign struct {
+	// T0 is the virtual time the campaign started: event times, detections
+	// and the horizon count from it.
+	T0 float64
+	// Probers holds one prober per group, in group order.
+	Probers []*dataplane.Prober
+	// Detections lists the health monitor's detections so far.
+	Detections []Detection
+
+	env     *Env
+	horizon float64
+	actions []action
+	events  []EventResult // per action: identity, and SitesDown once applied
+	mon     *core.Monitor
+	err     error // the first action that failed to apply
+}
+
+// Start binds the scenario to env and schedules every action from now on,
+// starts the health monitor when opts asks for it, and pings every group's
+// targets at ProbeInterval until the horizon. Nothing runs until Finish
+// advances the clock.
+func Start(env *Env, sc *Scenario, groups []Group, opts Options) (*Campaign, error) {
 	actions, err := sc.bind(env)
 	if err != nil {
 		return nil, err
 	}
-	horizon := sc.EndTime()
-	t0 := env.Sim.Now()
-	msgs0 := env.Net.MessageCount()
-
-	res := &Result{
-		Scenario:  sc.Name,
-		Technique: techName(env.CDN),
-		Horizon:   horizon,
-		Groups:    len(groups),
-		Events:    make([]EventResult, len(actions)),
+	c := &Campaign{
+		T0:      env.Sim.Now(),
+		Probers: make([]*dataplane.Prober, len(groups)),
+		env:     env,
+		horizon: sc.EndTime(),
+		actions: actions,
+		events:  make([]EventResult, len(actions)),
 	}
 
 	// Schedule the timeline. The wrapper records post-event state; a failed
-	// apply aborts the run (reported after the simulation drains).
-	var runErr error
+	// apply stops the timeline (Finish reports it).
 	for i := range actions {
-		a := &actions[i]
-		slot := &res.Events[i]
-		slot.At = a.at
-		slot.Kind = a.kind
-		slot.Label = a.label
-		env.Sim.At(t0+a.at, func() {
-			if runErr != nil {
+		a, slot := &actions[i], &c.events[i]
+		*slot = EventResult{At: a.at, Kind: a.kind, Label: a.label}
+		env.Sim.At(c.T0+a.at, func() {
+			if c.err != nil {
 				return
 			}
 			if err := a.apply(env); err != nil {
-				runErr = fmt.Errorf("scenario %s: %s at t=%g: %w", sc.Name, a.label, a.at, err)
+				c.err = fmt.Errorf("scenario %s: %s at t=%g: %w", sc.Name, a.label, a.at, err)
 				return
 			}
 			slot.SitesDown = len(env.CDN.Sites()) - len(env.CDN.HealthySites())
 		})
 	}
 
-	var mon *core.Monitor
 	if opts.UseMonitor {
-		m, err := env.CDN.StartMonitor(core.MonitorInterval, core.MonitorMisses)
-		if err != nil {
+		if c.mon, err = env.CDN.StartMonitor(core.MonitorInterval, core.MonitorMisses); err != nil {
 			return nil, err
 		}
-		m.OnDetect = func(code string, at netsim.Seconds) {
-			res.Detections = append(res.Detections, Detection{Site: code, At: at - t0})
+		c.mon.OnDetect = func(code string, at netsim.Seconds) {
+			c.Detections = append(c.Detections, Detection{Site: code, At: at - c.T0})
 		}
-		mon = m
 	}
 
-	probers := make([]*dataplane.Prober, len(groups))
 	for i, g := range groups {
-		pr := dataplane.NewProber(env.Plane, g.Prober, g.ReplyTo)
-		pr.LossRate = opts.LossRate
+		c.Probers[i] = dataplane.NewProber(env.Plane, g.Prober, g.ReplyTo)
+		c.Probers[i].LossRate = opts.LossRate
 		for _, tgt := range g.Targets {
-			pr.PingEvery(tgt, opts.ProbeInterval, horizon)
+			c.Probers[i].PingEvery(tgt, ProbeInterval, c.horizon)
 		}
-		probers[i] = pr
-		res.Targets += len(g.Targets)
 	}
+	return c, nil
+}
 
+// Finish runs the campaign to its horizon plus 30 s of slack for the last
+// replies to land, stops the monitor, and returns the first action that
+// failed to apply.
+func (c *Campaign) Finish() error {
+	c.env.Sim.RunUntil(c.T0 + c.horizon + 30)
+	if c.mon != nil {
+		c.mon.Stop()
+	}
+	return c.err
+}
+
+// Run executes the scenario against env as one campaign, samples load
+// throughout, and computes per-event metrics. The env is consumed — its
+// clock advances and its world mutates; callers wanting a pristine world
+// afterwards should run on a snapshot-restored copy.
+func Run(env *Env, sc *Scenario, groups []Group, opts Options) (*Result, error) {
+	tech, msgs0 := techName(env.CDN), env.Net.MessageCount()
+	c, err := Start(env, sc, groups, opts)
+	if err != nil {
+		return nil, err
+	}
 	// Load sampler: refold the accountant every 5 s of virtual time so
 	// per-site peaks and served/shed integrals track the fault timeline.
 	// RefreshLoad is a pure read of converged FIBs and the sampler draws no
-	// randomness, so scheduling it does not perturb the simulation.
-	sampler := newLoadSampler(env, t0, horizon)
-
-	// Drain: horizon plus slack for the last replies (well under 30 s).
-	env.Sim.RunUntil(t0 + horizon + 30)
-	if mon != nil {
-		mon.Stop()
-	}
-	if runErr != nil {
-		return nil, runErr
+	// randomness, so scheduling it does not perturb the simulation. It is
+	// Run's alone: a failover campaign reports no load, and sampling there
+	// would more than double a demand-model Figure 2.
+	sampler := newLoadSampler(env, c.T0, c.horizon)
+	if err := c.Finish(); err != nil {
+		return nil, err
 	}
 
-	res.BGPUpdates = env.Net.MessageCount() - msgs0
+	res := &Result{Scenario: sc.Name, Technique: tech, Horizon: c.horizon, Groups: len(groups),
+		BGPUpdates: env.Net.MessageCount() - msgs0, Detections: c.Detections, Events: c.events}
+	for _, g := range groups {
+		res.Targets += len(g.Targets)
+	}
 	if sampler != nil {
 		res.Load = sampler.summary()
 	}
-	analyze(env, res, actions, groups, probers, t0)
+	analyze(env, res, c.actions, groups, c.Probers, c.T0)
 	return res, nil
 }
 

@@ -178,7 +178,6 @@ func refAnalyze(env *Env, res *Result, actions []action, groups []Group, probers
 // analyze: identity, the bound events and their post-event SitesDown.
 func probeScenario(t *testing.T, env *Env, sc *Scenario, groups []Group, opts Options) (*Result, []action, []*dataplane.Prober, float64) {
 	t.Helper()
-	opts.fillDefaults()
 	actions, err := sc.bind(env)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +199,7 @@ func probeScenario(t *testing.T, env *Env, sc *Scenario, groups []Group, opts Op
 		probers[i] = dataplane.NewProber(env.Plane, g.Prober, g.ReplyTo)
 		probers[i].LossRate = opts.LossRate
 		for _, tgt := range g.Targets {
-			probers[i].PingEvery(tgt, opts.ProbeInterval, horizon)
+			probers[i].PingEvery(tgt, ProbeInterval, horizon)
 		}
 		res.Targets += len(g.Targets)
 	}
@@ -232,7 +231,7 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 			{At: 20, Kind: KindFail, Site: "sea1"},
 			{At: 20, Kind: KindFail, Site: "atl"}, // same instant: the first window is empty
 			{At: 120, Kind: KindRecover, Site: "sea1"},
-		}}, Options{LossRate: 0.05, ProbeInterval: 1}},
+		}}, Options{LossRate: 0.05}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

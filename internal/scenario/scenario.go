@@ -38,7 +38,7 @@ const (
 	// health monitor (Options.UseMonitor) detects it.
 	KindCrash Kind = "crash"
 	// KindFail is the paper's §5.2 failure: the site crashes and the
-	// controller reacts after the CDN's DetectionDelay.
+	// controller reacts after core.DetectionDelay.
 	KindFail Kind = "fail"
 	// KindRecover returns a failed (or drained) site to service.
 	KindRecover Kind = "recover"

@@ -20,7 +20,7 @@ func testEnv(t *testing.T, seed int64, tech core.Technique) *Env {
 	sim := netsim.New(seed)
 	net := bgp.New(sim, topo, bgp.Config{MRAI: 30, MRAIJitter: 0.2, ProcMin: 0.02, ProcMax: 0.3})
 	plane := dataplane.New(net)
-	cdn, err := core.New(net, plane, core.Config{})
+	cdn, err := core.New(net, plane)
 	if err != nil {
 		t.Fatal(err)
 	}
