@@ -86,7 +86,10 @@ profile-fig2 profile-converge:
 # maintenance — each site drained and recovered — under load-shift over
 # prepending, scoped prepending and load-shed, which -tech all leaves out, and
 # the regional outage with the health monitor on under the seven techniques
-# (the one output that runs the monitor through the scenario campaign). OUT is
+# (the one output that runs the monitor through the scenario campaign), the
+# unicast-DNS baseline (the one path through the DNS resolver and client), the
+# capacity-aware load steering of `cdnsim load`, and Table 2 (which covers
+# Table 1). OUT is
 # required and must lie outside the repository; the *.manifest.json sidecars
 # (wall clock) are dropped. "Bit-identical to the parent" is this target run
 # in both checkouts and one diff -r; it is not part of ci for that reason.
@@ -107,6 +110,9 @@ outputs:
 	done; \
 	"$$bin/cdnsim" scenario -seed 7 -name rolling-maintenance -tech load-shift+proactive-prepending,proactive-prepending-scoped,load-shed -json "$$out/scenario-rolling-maintenance-extra.json" >/dev/null; \
 	"$$bin/cdnsim" scenario -seed 7 -name regional-outage -monitor -tech seven -json "$$out/scenario-regional-outage-monitor.json" >/dev/null; \
+	"$$bin/cdnsim" unicast-dns -seed 11 -json "$$out/unicast-dns.json" >/dev/null; \
+	"$$bin/cdnsim" load -seed 7 -tech load-shift,load-shed,load-shift+proactive-superprefix -json "$$out/load.json" >/dev/null; \
+	"$$bin/cdnsim" table2 -seed 7 -json "$$out/table2.json" >/dev/null; \
 	rm -f "$$out"/*.manifest.json; ls "$$out"
 
 # Control-plane gate: the snapshotfields analyzer over the packages that
