@@ -36,10 +36,10 @@ func stdoutOf(t *testing.T, bin string, args ...string) string {
 
 func TestExamplesSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs four default-scale worlds; skipped in -short")
+		t.Skip("builds and runs three default-scale worlds; skipped in -short")
 	}
 	dir := t.TempDir()
-	for _, name := range []string{"quickstart", "failuredrill", "loadbalancer", "trafficsteering"} {
+	for _, name := range []string{"quickstart", "failuredrill", "trafficsteering"} {
 		out := stdoutOf(t, buildInto(t, dir, "./examples/"+name))
 		if strings.TrimSpace(out) == "" {
 			t.Errorf("%s printed nothing", name)

@@ -69,10 +69,6 @@ type Site struct {
 	// Addr is the service address within Prefix that DNS hands out to
 	// steer clients here.
 	Addr netip.Addr
-	// Prefix6/Addr6 are the site's /48 and v6 service address when the
-	// CDN runs dual stack (EnableDualStack).
-	Prefix6 netip.Prefix
-	Addr6   netip.Addr
 }
 
 // announcement tracks one live origination for later withdrawal.
@@ -96,7 +92,6 @@ type CDN struct {
 	announced []announcement
 	failed    map[string]bool
 	reacted   map[string]bool
-	dualStack bool
 
 	// Load state (nil unless the experiment config enables demand).
 	// experiment.NewWorld rebuilds both from the world config; snapshots
@@ -186,23 +181,12 @@ func (c *CDN) Technique() Technique { return c.technique }
 // Plane returns the data plane (for catchment queries in examples/tools).
 func (c *CDN) Plane() *dataplane.Plane { return c.plane }
 
-// announce originates prefix at node and records it for cleanup. Under
-// dual stack, plan prefixes are mirrored onto their /48 twins with the
-// same policy, so every technique's announcement algebra carries over to
-// IPv6 unchanged.
+// announce originates prefix at node and records it for cleanup.
 func (c *CDN) announce(node topology.NodeID, prefix netip.Prefix, pol *bgp.OriginPolicy) error {
 	if err := c.net.Originate(node, prefix, pol); err != nil {
 		return err
 	}
 	c.announced = append(c.announced, announcement{node, prefix})
-	if c.dualStack {
-		if p6, ok := c.v6Counterpart(prefix); ok {
-			if err := c.net.Originate(node, p6, pol); err != nil {
-				return err
-			}
-			c.announced = append(c.announced, announcement{node, p6})
-		}
-	}
 	return nil
 }
 
@@ -216,16 +200,10 @@ func (c *CDN) announcePlan(plan []Announcement) error {
 	return nil
 }
 
-// withdraw removes one origination (and its v6 mirror) and forgets it.
+// withdraw removes one origination and forgets it.
 func (c *CDN) withdraw(node topology.NodeID, prefix netip.Prefix) {
 	c.net.Withdraw(node, prefix)
 	c.forget(node, prefix)
-	if c.dualStack {
-		if p6, ok := c.v6Counterpart(prefix); ok {
-			c.net.Withdraw(node, p6)
-			c.forget(node, p6)
-		}
-	}
 }
 
 // withdrawAll withdraws every live announcement made by node.
@@ -264,21 +242,8 @@ func (c *CDN) Deploy(t Technique) error {
 		if err := c.auth.SetA(s.Code, c.DNSTTL, t.SteerAddr(c, s)); err != nil {
 			return err
 		}
-		if c.dualStack {
-			if err := c.auth.SetAAAA(s.Code, c.DNSTTL, c.SteerAddr6(s)); err != nil {
-				return err
-			}
-		}
 	}
-	if err := c.auth.SetA("www", c.DNSTTL, t.SteerAddr(c, c.sites[0])); err != nil {
-		return err
-	}
-	if c.dualStack {
-		if err := c.auth.SetAAAA("www", c.DNSTTL, c.SteerAddr6(c.sites[0])); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.auth.SetA("www", c.DNSTTL, t.SteerAddr(c, c.sites[0]))
 }
 
 // Failed reports whether the site is currently failed.

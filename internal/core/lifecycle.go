@@ -205,19 +205,9 @@ func (c *CDN) recoverSite(s *Site) error {
 	if err := c.auth.SetA(s.Code, c.DNSTTL, c.technique.SteerAddr(c, s)); err != nil {
 		return err
 	}
-	if c.dualStack {
-		if err := c.auth.SetAAAA(s.Code, c.DNSTTL, c.SteerAddr6(s)); err != nil {
-			return err
-		}
-	}
 	// Point the main name back at the first healthy site; with every site
 	// recovered this is the deployment-time default again.
 	best := c.HealthySites()[0]
-	if c.dualStack {
-		if err := c.auth.SetAAAA("www", c.DNSTTL, c.SteerAddr6(best)); err != nil {
-			return err
-		}
-	}
 	return c.auth.SetA("www", c.DNSTTL, c.technique.SteerAddr(c, best))
 }
 
@@ -244,27 +234,16 @@ func (c *CDN) ReactToFailure(code string) error {
 	}
 	c.RefreshLoad()
 	// DNS: repoint the failed site's name and the main name at a healthy
-	// site, or remove both names' records over both families if none is
-	// left.
+	// site, or remove both names' records if none is left.
 	healthy := c.HealthySites()
 	if len(healthy) == 0 {
-		for _, name := range []string{s.Code, "www"} {
-			c.auth.RemoveA(name)
-			c.auth.RemoveAAAA(name)
-		}
+		c.auth.RemoveA(s.Code)
+		c.auth.RemoveA("www")
 		return nil
 	}
 	backup := healthy[0]
 	if err := c.auth.SetA(s.Code, c.DNSTTL, c.technique.SteerAddr(c, backup)); err != nil {
 		return err
-	}
-	if c.dualStack {
-		if err := c.auth.SetAAAA(s.Code, c.DNSTTL, c.SteerAddr6(backup)); err != nil {
-			return err
-		}
-		if err := c.auth.SetAAAA("www", c.DNSTTL, c.SteerAddr6(backup)); err != nil {
-			return err
-		}
 	}
 	return c.auth.SetA("www", c.DNSTTL, c.technique.SteerAddr(c, backup))
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"net/netip"
-	"testing"
-
-	"bestofboth/internal/dns"
-)
+import "testing"
 
 func TestMonitorDetectsCrash(t *testing.T) {
 	w := newWorld(t, 20)
@@ -133,100 +128,5 @@ func TestReactToFailureIdempotentAndGuarded(t *testing.T) {
 	if w.net.MessageCount() != after {
 		t.Fatalf("duplicate reaction generated traffic (%d -> %d, initial %d)",
 			after, w.net.MessageCount(), msgs)
-	}
-}
-
-func TestEndUserMappingAnswersPerClient(t *testing.T) {
-	w := newWorld(t, 24)
-	w.cdn.Deploy(Unicast{})
-	w.converge()
-	w.cdn.EnableEndUserMapping()
-
-	resolver := dns.NewResolver(w.cdn.Authoritative())
-	// Two clients in different regions should (typically) map to
-	// different sites; at minimum both get valid steering addresses of
-	// healthy sites they can reach.
-	var clients []netip.Addr
-	for _, n := range w.topo.Nodes {
-		if n.Prefix.IsValid() {
-			clients = append(clients, n.Prefix.Addr().Next())
-		}
-		if len(clients) >= 40 {
-			break
-		}
-	}
-	distinct := map[netip.Addr]bool{}
-	for _, caddr := range clients {
-		addrs, _, err := resolver.ResolveFor(0, "www.cdn.example", caddr)
-		if err != nil {
-			t.Fatalf("client %v: %v", caddr, err)
-		}
-		if len(addrs) != 1 {
-			t.Fatalf("client %v got %d answers", caddr, len(addrs))
-		}
-		distinct[addrs[0]] = true
-		if !SuperPrefix.Contains(addrs[0]) {
-			t.Fatalf("answer %v outside the site prefix plan", addrs[0])
-		}
-	}
-	if len(distinct) < 2 {
-		t.Fatalf("end-user mapping returned a single site for all %d clients", len(clients))
-	}
-	if w.cdn.Authoritative().ECSAnswered == 0 {
-		t.Fatal("no ECS-answered queries recorded")
-	}
-}
-
-func TestEndUserMappingAvoidsFailedSite(t *testing.T) {
-	w := newWorld(t, 25)
-	w.cdn.Deploy(Unicast{})
-	w.converge()
-	w.cdn.EnableEndUserMapping()
-	resolver := dns.NewResolver(w.cdn.Authoritative())
-
-	// Find a client mapped to some site, then fail that site and confirm
-	// the mapper immediately moves the client.
-	client := w.someClient(t)
-	caddr := client.Prefix.Addr().Next()
-	addrs, _, err := resolver.ResolveFor(0, "www.cdn.example", caddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mapped *Site
-	for _, s := range w.cdn.Sites() {
-		if s.Addr == addrs[0] {
-			mapped = s
-		}
-	}
-	if mapped == nil {
-		t.Fatalf("answer %v is not a site address", addrs[0])
-	}
-	w.cdn.FailSite(mapped.Code)
-	w.converge()
-	resolver.Flush()
-	addrs2, _, err := resolver.ResolveFor(w.sim.Now(), "www.cdn.example", caddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if addrs2[0] == mapped.Addr {
-		t.Fatalf("mapper still hands out failed site %s", mapped.Code)
-	}
-}
-
-func TestBestSiteForPrefersSteerableNearest(t *testing.T) {
-	w := newWorld(t, 26)
-	w.cdn.Deploy(Unicast{})
-	w.converge()
-	client := w.someClient(t)
-	best := w.cdn.BestSiteFor(client.ID)
-	if best == nil {
-		t.Fatal("no best site")
-	}
-	// Under unicast every site is steerable, so best must be the latency
-	// minimum across all sites.
-	for _, s := range w.cdn.Sites() {
-		if w.plane.StaticDelay(s.Node, client.ID) < w.plane.StaticDelay(best.Node, client.ID)-1e-12 {
-			t.Fatalf("site %s is closer than chosen %s", s.Code, best.Code)
-		}
 	}
 }

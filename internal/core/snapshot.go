@@ -23,7 +23,6 @@ type Snapshot struct {
 	announced   []announcement
 	failed      map[string]bool
 	reacted     map[string]bool
-	dualStack   bool
 	dnsTTL      uint32
 	zone        dns.ZoneSnapshot
 	demandRates []int64
@@ -40,7 +39,6 @@ func (c *CDN) Snapshot() *Snapshot {
 		announced:   slices.Clone(c.announced),
 		failed:      maps.Clone(c.failed),
 		reacted:     maps.Clone(c.reacted),
-		dualStack:   c.dualStack,
 		dnsTTL:      c.DNSTTL,
 		zone:        c.auth.SnapshotZone(),
 		demandRates: rates,
@@ -77,13 +75,6 @@ func (c *CDN) Restore(snap *Snapshot) error {
 	c.failed = maps.Clone(snap.failed)
 	c.reacted = maps.Clone(snap.reacted)
 	c.DNSTTL = snap.dnsTTL
-	if snap.dualStack {
-		c.dualStack = true
-		for i, s := range c.sites {
-			s.Prefix6 = SitePrefix6(i)
-			s.Addr6 = ServiceAddr6(s.Prefix6)
-		}
-	}
 	c.auth.RestoreZone(snap.zone)
 	return nil
 }

@@ -2,11 +2,13 @@ package dns
 
 // EDNS(0) (RFC 6891) with the Client Subnet option (RFC 7871).
 //
-// CDN redirection answers differently per client location ("end-user
+// CDN redirection can answer differently per client location ("end-user
 // mapping", Chen et al., SIGCOMM 2015 — the paper's reference [9] for
-// DNS-based site selection). Resolvers attach the client's subnet to the
-// query; the authoritative tailors the answer and declares the scope for
-// which it is valid, and resolvers cache per scope.
+// DNS-based site selection): resolvers attach the client's subnet to the
+// query, and the authoritative declares the scope its answer is valid for.
+// This package's authoritative serves the same A records to every client;
+// the codec still carries the option, because a server must parse what
+// resolvers send.
 
 import (
 	"fmt"

@@ -64,158 +64,3 @@ func TestEDNSRejectsIPv6Subnet(t *testing.T) {
 		t.Fatal("IPv6 ECS accepted")
 	}
 }
-
-func TestMapperAnswersPerSubnet(t *testing.T) {
-	auth := NewAuthoritative("cdn.example.")
-	auth.SetA("www", 600, netip.MustParseAddr("184.164.240.10")) // static fallback
-	west := netip.MustParseAddr("184.164.244.10")
-	east := netip.MustParseAddr("184.164.245.10")
-	auth.SetMapper(func(name string, client netip.Prefix) ([]netip.Addr, uint32, uint8, bool) {
-		if name != "www.cdn.example." {
-			return nil, 0, 0, false
-		}
-		if client.Addr().As4()[1] < 128 {
-			return []netip.Addr{west}, 60, 16, true
-		}
-		return []netip.Addr{east}, 60, 16, true
-	})
-
-	query := func(subnet string) *Message {
-		q := &Message{
-			Header:   Header{ID: 1},
-			Question: []Question{{Name: "www.cdn.example.", Type: TypeA}},
-			Edns:     &EDNS{ECS: &ClientSubnet{Subnet: netip.MustParsePrefix(subnet)}},
-		}
-		wire, err := q.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := auth.HandleQuery(wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := Decode(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	r1 := query("20.1.0.0/24")
-	if len(r1.Answer) != 1 || r1.Answer[0].A != west {
-		t.Fatalf("west answer = %+v", r1.Answer)
-	}
-	if r1.Edns == nil || r1.Edns.ECS == nil || r1.Edns.ECS.Scope != 16 {
-		t.Fatalf("scope missing: %+v", r1.Edns)
-	}
-	r2 := query("20.200.0.0/24")
-	if len(r2.Answer) != 1 || r2.Answer[0].A != east {
-		t.Fatalf("east answer = %+v", r2.Answer)
-	}
-	// Without ECS, the static record answers.
-	q := &Message{Header: Header{ID: 2}, Question: []Question{{Name: "www.cdn.example.", Type: TypeA}}}
-	resp := auth.Answer(q)
-	if resp.Answer[0].A != netip.MustParseAddr("184.164.240.10") {
-		t.Fatalf("static fallback = %+v", resp.Answer)
-	}
-	if auth.ECSAnswered != 2 {
-		t.Fatalf("ECSAnswered = %d", auth.ECSAnswered)
-	}
-}
-
-func TestResolverECSCachesPerScope(t *testing.T) {
-	auth := NewAuthoritative("cdn.example.")
-	west := netip.MustParseAddr("184.164.244.10")
-	east := netip.MustParseAddr("184.164.245.10")
-	auth.SetMapper(func(name string, client netip.Prefix) ([]netip.Addr, uint32, uint8, bool) {
-		// Scope /16: clients in 20.1/16 go west, others east.
-		if netip.MustParsePrefix("20.1.0.0/16").Contains(client.Addr()) {
-			return []netip.Addr{west}, 600, 16, true
-		}
-		return []netip.Addr{east}, 600, 16, true
-	})
-	r := NewResolver(auth)
-
-	a1, _, err := r.ResolveFor(0, "www.cdn.example", netip.MustParseAddr("20.1.2.3"))
-	if err != nil || a1[0] != west {
-		t.Fatalf("west = %v, %v", a1, err)
-	}
-	// A client in the same /16 hits the scope cache: no new upstream query.
-	q0 := r.UpstreamQueries
-	a2, _, err := r.ResolveFor(1, "www.cdn.example", netip.MustParseAddr("20.1.99.1"))
-	if err != nil || a2[0] != west {
-		t.Fatalf("west cached = %v, %v", a2, err)
-	}
-	if r.UpstreamQueries != q0 {
-		t.Fatalf("cache miss for same-scope client: %d vs %d", r.UpstreamQueries, q0)
-	}
-	// A client outside the scope triggers a new query and a different
-	// answer.
-	a3, _, err := r.ResolveFor(2, "www.cdn.example", netip.MustParseAddr("20.50.1.1"))
-	if err != nil || a3[0] != east {
-		t.Fatalf("east = %v, %v", a3, err)
-	}
-	if r.UpstreamQueries != q0+1 {
-		t.Fatalf("expected one more upstream query")
-	}
-	// Expiry evicts scoped entries.
-	q1 := r.UpstreamQueries
-	if _, _, err := r.ResolveFor(601, "www.cdn.example", netip.MustParseAddr("20.1.2.3")); err != nil {
-		t.Fatal(err)
-	}
-	if r.UpstreamQueries != q1+1 {
-		t.Fatal("expired ECS entry still served")
-	}
-	// Flush clears the ECS cache too.
-	r.Flush()
-	if _, _, err := r.ResolveFor(602, "www.cdn.example", netip.MustParseAddr("20.1.2.3")); err != nil {
-		t.Fatal(err)
-	}
-	if r.UpstreamQueries != q1+2 {
-		t.Fatal("flush did not clear ECS cache")
-	}
-}
-
-func TestResolveForIPv6FallsBack(t *testing.T) {
-	auth := NewAuthoritative("cdn.example.")
-	auth.SetA("www", 600, netip.MustParseAddr("184.164.240.10"))
-	r := NewResolver(auth)
-	addrs, _, err := r.ResolveFor(0, "www.cdn.example", netip.MustParseAddr("2001:db8::1"))
-	if err != nil || len(addrs) != 1 {
-		t.Fatalf("fallback = %v, %v", addrs, err)
-	}
-}
-
-func TestSetAAAAValidation(t *testing.T) {
-	auth := NewAuthoritative("cdn.example.")
-	if err := auth.SetAAAA("www", 60, netip.MustParseAddr("10.0.0.1")); err == nil {
-		t.Fatal("IPv4 accepted in SetAAAA")
-	}
-	if err := auth.SetAAAA("www.other.example.", 60, netip.MustParseAddr("2001:db8::1")); err == nil {
-		t.Fatal("out-of-zone SetAAAA accepted")
-	}
-	if err := auth.SetAAAA("www", 60, netip.MustParseAddr("2001:db8::1")); err != nil {
-		t.Fatal(err)
-	}
-	q := &Message{Question: []Question{{Name: "www.cdn.example.", Type: TypeAAAA}}}
-	resp := auth.Answer(q)
-	if len(resp.Answer) != 1 || resp.Answer[0].A != netip.MustParseAddr("2001:db8::1") {
-		t.Fatalf("AAAA answer = %+v", resp.Answer)
-	}
-	// NODATA: A exists but no AAAA.
-	auth.SetA("v4only", 60, netip.MustParseAddr("10.0.0.1"))
-	q2 := &Message{Question: []Question{{Name: "v4only.cdn.example.", Type: TypeAAAA}}}
-	resp2 := auth.Answer(q2)
-	if resp2.Header.RCode != RCodeNoError || len(resp2.Answer) != 0 {
-		t.Fatalf("NODATA response = %+v", resp2)
-	}
-	// NXDOMAIN: neither record type.
-	q3 := &Message{Question: []Question{{Name: "none.cdn.example.", Type: TypeAAAA}}}
-	if resp3 := auth.Answer(q3); resp3.Header.RCode != RCodeNXDomain {
-		t.Fatalf("rcode = %v", resp3.Header.RCode)
-	}
-	auth.RemoveAAAA("www")
-	if resp := auth.Answer(q); len(resp.Answer) != 0 {
-		t.Fatal("RemoveAAAA did not remove")
-	}
-}

@@ -15,9 +15,8 @@ import (
 // exchange against the authoritative server. Time is supplied by the caller
 // as virtual seconds so the resolver composes with the simulation kernel.
 type Resolver struct {
-	auth     *Authoritative
-	cache    map[string]cacheEntry
-	ecsCache map[string][]ecsEntry
+	auth  *Authoritative
+	cache map[string]cacheEntry
 	// nextID numbers outgoing queries.
 	nextID uint16
 	// UpstreamQueries counts cache misses that reached the authoritative.
@@ -69,7 +68,7 @@ func (r *Resolver) Resolve(now float64, name string) ([]netip.Addr, float64, err
 		delete(r.cache, fq)
 		r.mExpired.Inc()
 	}
-	resp, addrs, ttl, err := r.exchange(fq, nil)
+	resp, addrs, ttl, err := r.exchange(fq)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -88,17 +87,16 @@ func (r *Resolver) Resolve(now float64, name string) ([]netip.Addr, float64, err
 	return addrs, float64(ttl), nil
 }
 
-// exchange sends one A query for fq to the authoritative, carrying edns
-// when non-nil, and returns the response with its A records for fq and
-// their minimum TTL. A response that is not NOERROR yields no addresses.
-func (r *Resolver) exchange(fq string, edns *EDNS) (*Message, []netip.Addr, uint32, error) {
+// exchange sends one A query for fq to the authoritative and returns the
+// response with its A records for fq and their minimum TTL. A response that
+// is not NOERROR yields no addresses.
+func (r *Resolver) exchange(fq string) (*Message, []netip.Addr, uint32, error) {
 	r.nextID++
 	r.UpstreamQueries++
 	r.mUpstream.Inc()
 	query := &Message{
 		Header:   Header{ID: r.nextID, RecursionDesired: true},
 		Question: []Question{{Name: fq, Type: TypeA}},
-		Edns:     edns,
 	}
 	wire, err := query.Encode()
 	if err != nil {
@@ -150,66 +148,6 @@ func negativeTTL(resp *Message) (uint32, bool) {
 // Flush drops the entire cache.
 func (r *Resolver) Flush() {
 	r.cache = map[string]cacheEntry{}
-	r.ecsCache = map[string][]ecsEntry{}
-}
-
-// ecsEntry is a per-scope cache entry (RFC 7871 §7.3.1: answers are cached
-// against the scope the authoritative declared).
-type ecsEntry struct {
-	scope     netip.Prefix
-	addrs     []netip.Addr
-	ttl       uint32
-	fetchedAt float64
-}
-
-// ResolveFor is Resolve with an EDNS Client Subnet: the resolver forwards
-// the client's /24 and caches the answer per the scope the authoritative
-// returns, so differently-located clients can receive different answers
-// through the same resolver ("end-user mapping").
-func (r *Resolver) ResolveFor(now float64, name string, client netip.Addr) ([]netip.Addr, float64, error) {
-	if !client.Is4() {
-		return r.Resolve(now, name)
-	}
-	fq := CanonicalName(name)
-	if r.ecsCache == nil {
-		r.ecsCache = map[string][]ecsEntry{}
-	}
-	// Scope-aware cache lookup.
-	entries := r.ecsCache[fq]
-	live := entries[:0]
-	var hit *ecsEntry
-	for i := range entries {
-		e := entries[i]
-		if now >= e.fetchedAt+float64(e.ttl) {
-			r.mExpired.Inc()
-			continue // expired
-		}
-		live = append(live, e)
-		if e.scope.Contains(client) && hit == nil {
-			hit = &live[len(live)-1]
-		}
-	}
-	r.ecsCache[fq] = live
-	if hit != nil {
-		return hit.addrs, hit.fetchedAt + float64(hit.ttl) - now, nil
-	}
-
-	subnet := netip.PrefixFrom(client, 24).Masked()
-	resp, addrs, ttl, err := r.exchange(fq, &EDNS{ECS: &ClientSubnet{Subnet: subnet}})
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(addrs) == 0 {
-		return nil, 0, ErrNoSuchName
-	}
-	scope := subnet
-	if resp.Edns != nil && resp.Edns.ECS != nil {
-		scope = netip.PrefixFrom(client, int(resp.Edns.ECS.Scope)).Masked()
-	}
-	r.ecsCache[fq] = append(r.ecsCache[fq], ecsEntry{
-		scope: scope, addrs: addrs, ttl: ttl, fetchedAt: now,
-	})
-	return addrs, float64(ttl), nil
 }
 
 // ViolationModel captures empirical TTL-violation behavior: a fraction of

@@ -23,24 +23,14 @@ type Authoritative struct {
 	soa    SOA      //cdnlint:nosnapshot identity fields are construction-time; RestoreZone reinstates only Serial
 	ns     []string //cdnlint:nosnapshot construction-time zone identity, untouched by RestoreZone
 	a      map[string]aSet
-	aaaa   map[string]aSet
 	serial uint32
-	mapper MapFunc //cdnlint:nosnapshot wiring: the steering policy is re-registered, not snapshotted
 	// QueryCount tallies answered queries for reporting.
 	QueryCount uint64
-	// ECSAnswered counts queries answered via the client-subnet mapper.
-	ECSAnswered uint64
 
 	// Metrics are nil until Instrument attaches a registry (nil-safe).
 	mQueries     *obs.Counter
-	mECS         *obs.Counter
 	mZoneUpdates *obs.Counter
 }
-
-// MapFunc computes a per-client answer for an A query ("end-user mapping").
-// It returns the addresses, record TTL, and the ECS scope prefix length the
-// answer is valid for. Returning ok=false falls back to the static records.
-type MapFunc func(name string, client netip.Prefix) (addrs []netip.Addr, ttl uint32, scope uint8, ok bool)
 
 type aSet struct {
 	addrs []netip.Addr
@@ -64,7 +54,6 @@ func NewAuthoritative(origin string) *Authoritative {
 		},
 		ns:     []string{"ns1." + origin, "ns2." + origin},
 		a:      map[string]aSet{},
-		aaaa:   map[string]aSet{},
 		serial: 1,
 	}
 }
@@ -72,23 +61,14 @@ func NewAuthoritative(origin string) *Authoritative {
 // Origin returns the zone origin.
 func (s *Authoritative) Origin() string { return s.origin }
 
-// Instrument attaches DNS metrics to r: queries answered, ECS-mapped
-// answers, and zone updates (every record change — the controller's
-// failover "repoints" land here). A nil registry detaches.
+// Instrument attaches DNS metrics to r: queries answered and zone updates
+// (every record change — the controller's failover "repoints" land here).
+// A nil registry detaches.
 func (s *Authoritative) Instrument(r *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mQueries = r.Counter("dns_queries_total")
-	s.mECS = r.Counter("dns_ecs_answered_total")
 	s.mZoneUpdates = r.Counter("dns_zone_updates_total")
-}
-
-// SetMapper installs the per-client answer function used for queries that
-// carry an EDNS Client Subnet option.
-func (s *Authoritative) SetMapper(m MapFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mapper = m
 }
 
 // Serial returns the current zone serial, bumped on every record change.
@@ -119,39 +99,6 @@ func (s *Authoritative) SetA(name string, ttl uint32, addrs ...netip.Addr) error
 	return nil
 }
 
-// SetAAAA replaces the AAAA records for name with addrs at the given TTL.
-func (s *Authoritative) SetAAAA(name string, ttl uint32, addrs ...netip.Addr) error {
-	fq := s.qualify(name)
-	if !strings.HasSuffix(fq, s.origin) {
-		return fmt.Errorf("dns: name %q outside zone %q", fq, s.origin)
-	}
-	for _, a := range addrs {
-		if !a.Is6() || a.Is4In6() {
-			return fmt.Errorf("dns: non-IPv6 address %v for %q", a, fq)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.aaaa[fq] = aSet{addrs: append([]netip.Addr(nil), addrs...), ttl: ttl}
-	s.serial++
-	s.soa.Serial = s.serial
-	s.mZoneUpdates.Inc()
-	return nil
-}
-
-// RemoveAAAA deletes the AAAA records for name.
-func (s *Authoritative) RemoveAAAA(name string) {
-	fq := s.qualify(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.aaaa[fq]; ok {
-		delete(s.aaaa, fq)
-		s.serial++
-		s.soa.Serial = s.serial
-		s.mZoneUpdates.Inc()
-	}
-}
-
 // RemoveA deletes the A records for name.
 func (s *Authoritative) RemoveA(name string) {
 	fq := s.qualify(name)
@@ -168,29 +115,21 @@ func (s *Authoritative) RemoveA(name string) {
 // Record is one exported record set of the zone, as returned by DumpZone.
 type Record struct {
 	Name  string
-	Type  string // "A" or "AAAA"
+	Type  string // always "A"
 	TTL   uint32
 	Addrs []netip.Addr
 }
 
-// DumpZone returns every A and AAAA record set, sorted by name then type —
-// the deterministic zone dump the control-plane API serves and fingerprints.
+// DumpZone returns every A record set, sorted by name — the deterministic
+// zone dump the control-plane API serves and fingerprints.
 func (s *Authoritative) DumpZone() []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Record, 0, len(s.a)+len(s.aaaa))
+	out := make([]Record, 0, len(s.a))
 	for name, set := range s.a {
 		out = append(out, Record{Name: name, Type: "A", TTL: set.ttl, Addrs: append([]netip.Addr(nil), set.addrs...)})
 	}
-	for name, set := range s.aaaa {
-		out = append(out, Record{Name: name, Type: "AAAA", TTL: set.ttl, Addrs: append([]netip.Addr(nil), set.addrs...)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Type < out[j].Type
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -231,11 +170,6 @@ func (s *Authoritative) Answer(q *Message) *Message {
 	s.mu.Lock()
 	s.QueryCount++
 	s.mQueries.Inc()
-	isECS := s.mapper != nil && q.Edns != nil && q.Edns.ECS != nil
-	if isECS && len(q.Question) == 1 && q.Question[0].Type == TypeA {
-		s.ECSAnswered++
-		s.mECS.Inc()
-	}
 	s.mu.Unlock()
 
 	resp := &Message{Header: Header{
@@ -260,18 +194,6 @@ func (s *Authoritative) Answer(q *Message) *Message {
 	defer s.mu.RUnlock()
 	switch question.Type {
 	case TypeA:
-		// End-user mapping: tailor the answer to the client subnet when
-		// the resolver supplied one and a mapper is installed (RFC 7871).
-		if s.mapper != nil && q.Edns != nil && q.Edns.ECS != nil {
-			ecs := q.Edns.ECS
-			if addrs, ttl, scope, ok := s.mapper(name, ecs.Subnet); ok {
-				for _, a := range addrs {
-					resp.Answer = append(resp.Answer, RR{Name: name, Type: TypeA, TTL: ttl, A: a})
-				}
-				resp.Edns = &EDNS{ECS: &ClientSubnet{Subnet: ecs.Subnet, Scope: scope}}
-				return resp
-			}
-		}
 		set, ok := s.a[name]
 		if !ok {
 			resp.Header.RCode = RCodeNXDomain
@@ -280,20 +202,6 @@ func (s *Authoritative) Answer(q *Message) *Message {
 		}
 		for _, a := range set.addrs {
 			resp.Answer = append(resp.Answer, RR{Name: name, Type: TypeA, TTL: set.ttl, A: a})
-		}
-	case TypeAAAA:
-		set, ok := s.aaaa[name]
-		if !ok {
-			// NOERROR/NODATA when the name has A records, NXDOMAIN
-			// otherwise.
-			if _, hasA := s.a[name]; !hasA {
-				resp.Header.RCode = RCodeNXDomain
-			}
-			resp.Authority = append(resp.Authority, s.soaRR())
-			return resp
-		}
-		for _, a := range set.addrs {
-			resp.Answer = append(resp.Answer, RR{Name: name, Type: TypeAAAA, TTL: set.ttl, A: a})
 		}
 	case TypeNS:
 		if name != s.origin {

@@ -3,15 +3,12 @@ package dns
 import "net/netip"
 
 // ZoneSnapshot is a deep copy of the mutable zone contents of an
-// Authoritative server: A/AAAA record sets, the zone serial, and the query
-// counters. The mapper function is intentionally excluded — it is a closure
-// over live model state and must be re-installed by whoever owns it.
+// Authoritative server: the A record sets, the zone serial, and the query
+// counter.
 type ZoneSnapshot struct {
-	a           map[string]aSet
-	aaaa        map[string]aSet
-	serial      uint32
-	queryCount  uint64
-	ecsAnswered uint64
+	a          map[string]aSet
+	serial     uint32
+	queryCount uint64
 }
 
 func cloneRecords(m map[string]aSet) map[string]aSet {
@@ -28,11 +25,9 @@ func (s *Authoritative) SnapshotZone() ZoneSnapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return ZoneSnapshot{
-		a:           cloneRecords(s.a),
-		aaaa:        cloneRecords(s.aaaa),
-		serial:      s.serial,
-		queryCount:  s.QueryCount,
-		ecsAnswered: s.ECSAnswered,
+		a:          cloneRecords(s.a),
+		serial:     s.serial,
+		queryCount: s.QueryCount,
 	}
 }
 
@@ -43,9 +38,7 @@ func (s *Authoritative) RestoreZone(snap ZoneSnapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.a = cloneRecords(snap.a)
-	s.aaaa = cloneRecords(snap.aaaa)
 	s.serial = snap.serial
 	s.soa.Serial = snap.serial
 	s.QueryCount = snap.queryCount
-	s.ECSAnswered = snap.ecsAnswered
 }

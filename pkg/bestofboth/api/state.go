@@ -94,7 +94,7 @@ type Digests struct {
 // DNSRecord is one record set of the authoritative zone.
 type DNSRecord struct {
 	Name  string   `json:"name"`
-	Type  string   `json:"type"` // "A" or "AAAA"
+	Type  string   `json:"type"` // always "A"
 	TTL   uint32   `json:"ttl"`
 	Addrs []string `json:"addrs"`
 }

@@ -22,7 +22,6 @@ func TestFacadeCompat(t *testing.T) {
 		_ *bestofboth.CDN
 		_ *bestofboth.Site
 		_ *bestofboth.Monitor
-		_ *bestofboth.LoadBalancer
 		_ bestofboth.SiteTransition
 		_ bestofboth.TransitionKind
 		_ bestofboth.Technique

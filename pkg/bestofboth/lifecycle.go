@@ -15,9 +15,6 @@ type Site = core.Site
 // Monitor is the probing health-monitoring subsystem.
 type Monitor = core.Monitor
 
-// LoadBalancer assigns clients to sites under per-site capacities.
-type LoadBalancer = core.LoadBalancer
-
 // SiteTransition describes one applied lifecycle change (crash, fail,
 // drain, or recover) of a site.
 type SiteTransition = core.SiteTransition
