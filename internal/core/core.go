@@ -92,6 +92,9 @@ type CDN struct {
 	announced []announcement
 	failed    map[string]bool
 	reacted   map[string]bool
+	// episode numbers each site's failure episodes: failing and recovering
+	// the site both move it on (Episode).
+	episode map[string]uint64
 
 	// Load state (nil unless the experiment config enables demand).
 	// experiment.NewWorld rebuilds both from the world config; snapshots
@@ -129,6 +132,7 @@ func New(net *bgp.Network, plane *dataplane.Plane) (*CDN, error) {
 		byCode:  map[string]*Site{},
 		failed:  map[string]bool{},
 		reacted: map[string]bool{},
+		episode: map[string]uint64{},
 		DNSTTL:  600,
 	}
 	nodes := net.Topology().NodesOfClass(topology.ClassCDN)
@@ -248,6 +252,12 @@ func (c *CDN) Deploy(t Technique) error {
 
 // Failed reports whether the site is currently failed.
 func (c *CDN) Failed(code string) bool { return c.failed[code] }
+
+// Episode identifies the site's current failure episode: every transition
+// that fails or recovers the site changes it. Work scheduled for one
+// episode, such as a drain's grace timer, compares it to tell that the site
+// has moved on since.
+func (c *CDN) Episode(code string) uint64 { return c.episode[code] }
 
 // AnnouncementsAt returns the number of live originations the controller
 // currently holds at the site (0 for unknown sites).

@@ -128,6 +128,7 @@ func (c *CDN) Transition(code string, kind TransitionKind) (SiteTransition, erro
 // crash detection.
 func (c *CDN) markFailed(s *Site) {
 	c.failed[s.Code] = true
+	c.episode[s.Code]++
 	delete(c.reacted, s.Code)
 	c.withdrawAll(s.Node)
 }
@@ -179,6 +180,7 @@ func (c *CDN) RecoverSite(code string) (SiteTransition, error) {
 // Transition.
 func (c *CDN) recoverSite(s *Site) error {
 	delete(c.failed, s.Code)
+	c.episode[s.Code]++
 	c.plane.SetDown(s.Node, false)
 	plan := c.technique.Plan(c)
 	planned := func(o *Site) bool {

@@ -23,6 +23,7 @@ type Snapshot struct {
 	announced   []announcement
 	failed      map[string]bool
 	reacted     map[string]bool
+	episode     map[string]uint64
 	dnsTTL      uint32
 	zone        dns.ZoneSnapshot
 	demandRates []int64
@@ -39,6 +40,7 @@ func (c *CDN) Snapshot() *Snapshot {
 		announced:   slices.Clone(c.announced),
 		failed:      maps.Clone(c.failed),
 		reacted:     maps.Clone(c.reacted),
+		episode:     maps.Clone(c.episode),
 		dnsTTL:      c.DNSTTL,
 		zone:        c.auth.SnapshotZone(),
 		demandRates: rates,
@@ -74,6 +76,7 @@ func (c *CDN) Restore(snap *Snapshot) error {
 	c.announced = slices.Clone(snap.announced)
 	c.failed = maps.Clone(snap.failed)
 	c.reacted = maps.Clone(snap.reacted)
+	c.episode = maps.Clone(snap.episode)
 	c.DNSTTL = snap.dnsTTL
 	c.auth.RestoreZone(snap.zone)
 	return nil

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -189,6 +190,45 @@ func TestScenarioPopulationMatchesFailover(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Errorf("site %s: scenario groups probe %v, failoverOn's controllable set is %v", s.Code, got, want)
 				}
+			}
+		})
+	}
+}
+
+// TestFlashCrowdEndKeepsOverlappingChanges pins what a flash crowd's end
+// puts back. A lone crowd restores every rate bit-exactly. A crowd whose
+// targets' demand changed meanwhile (a second crowd, a demand-scale) only
+// takes back its own multiplier, so total demand ends at the product of the
+// changes still in force.
+func TestFlashCrowdEndKeepsOverlappingChanges(t *testing.T) {
+	crowd := func(at, mult float64) scenario.Event {
+		return scenario.Event{At: at, Kind: scenario.KindFlashCrowd, Site: "ams", Fraction: mult, Period: 60}
+	}
+	for _, tc := range []struct {
+		name   string
+		events []scenario.Event
+		want   string // total demand after the run over total before, to 4 digits
+	}{
+		{"lone crowd", []scenario.Event{crowd(0, 1.5)}, "1.0000"}, // x1.5 truncates: dividing it out is lossy
+		{"overlapping crowds", []scenario.Event{crowd(0, 2), crowd(10, 3)}, "1.0000"},
+		{"demand-scale inside a crowd", []scenario.Event{crowd(0, 2), {At: 10, Kind: scenario.KindDemandScale, Fraction: 0.5}}, "0.5000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := NewConvergedWorld(demandConfig(7), core.LoadShed{}, ConvergeTime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := w.CDN.Demand()
+			rates0, total0 := m.Rates(), m.TotalRate()
+			sc := &scenario.Scenario{Name: tc.name, Horizon: 80, Events: tc.events}
+			if _, err := scenario.Run(w.Env(), sc, nil, scenario.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%.4f", float64(m.TotalRate())/float64(total0)); got != tc.want {
+				t.Errorf("total demand after the run = %s x its value before, want %s", got, tc.want)
+			}
+			if len(tc.events) == 1 && !slices.Equal(m.Rates(), rates0) {
+				t.Error("a lone crowd did not restore every rate exactly")
 			}
 		})
 	}

@@ -72,8 +72,9 @@ const (
 	// route-flap damping (bgp.DampingConfig) exists to punish.
 	KindFlap Kind = "flap"
 	// KindFlashCrowd multiplies the demand of every target currently in
-	// Site's catchment by Fraction for Period seconds, then restores the
-	// original rates exactly. Requires a world with a demand model
+	// Site's catchment by Fraction for Period seconds, then divides it out
+	// again: a target still at the crowd's rate gets its original rate back
+	// exactly, one whose demand changed meanwhile keeps that change. Requires a world with a demand model
 	// (Scenario.Demand or an explicit demand config).
 	KindFlashCrowd Kind = "flash-crowd"
 	// KindCapacityDrain is a capacity-aware maintenance drain: like
@@ -308,11 +309,11 @@ func bindEvent(env *Env, e *Event) ([]action, error) {
 			if _, err := env.CDN.DrainSite(site); err != nil {
 				return err
 			}
-			node := env.CDN.Site(site).Node
+			node, ep := env.CDN.Site(site).Node, env.CDN.Episode(site)
 			env.Sim.After(grace, func() {
-				// Stop forwarding only if the site was not recovered
-				// during the grace period.
-				if env.CDN.Failed(site) {
+				// Stop forwarding only if this drain is still in progress:
+				// a recovery during the grace opens a new episode.
+				if env.CDN.Episode(site) == ep {
 					env.Plane.SetDown(node, true)
 				}
 			})
@@ -443,17 +444,25 @@ func bindEvent(env *Env, e *Event) ([]action, error) {
 				}
 			})
 			// Integer scaling by mult expressed in thousandths keeps the
-			// rates exact; the restore puts back the saved originals rather
-			// than dividing (scaling down is lossy in integer space).
+			// rates exact. The end puts back the saved original of a target
+			// still at the crowd's rate (scaling down is lossy in integer
+			// space) and divides the crowd's multiplier out of any target
+			// whose demand changed meanwhile, keeping that change.
 			num := int64(math.Round(mult * 1000))
+			spiked := make([]int64, len(ids))
 			for i, id := range ids {
 				r := orig[i]
-				m.SetRate(id, r/1000*num+r%1000*num/1000)
+				spiked[i] = r/1000*num + r%1000*num/1000
+				m.SetRate(id, spiked[i])
 			}
 			env.CDN.RefreshLoad()
 			env.Sim.After(dur, func() {
 				for i, id := range ids {
-					m.SetRate(id, orig[i])
+					if m.Rate(id) == spiked[i] {
+						m.SetRate(id, orig[i])
+					} else {
+						m.ScaleRate(id, 1000, num)
+					}
 				}
 				env.CDN.RefreshLoad()
 			})
@@ -469,7 +478,7 @@ func bindEvent(env *Env, e *Event) ([]action, error) {
 			if _, err := env.CDN.DrainSite(site); err != nil {
 				return err
 			}
-			node := env.CDN.Site(site).Node
+			node, ep := env.CDN.Site(site).Node, env.CDN.Episode(site)
 			acct := env.CDN.Load()
 			idx := -1
 			if acct != nil {
@@ -483,7 +492,7 @@ func bindEvent(env *Env, e *Event) ([]action, error) {
 			if idx < 0 {
 				// No load accounting: plain drain with DrainFor as the grace.
 				env.Sim.After(bound, func() {
-					if env.CDN.Failed(site) {
+					if env.CDN.Episode(site) == ep {
 						env.Plane.SetDown(node, true)
 					}
 				})
@@ -495,7 +504,7 @@ func bindEvent(env *Env, e *Event) ([]action, error) {
 			// capacity), or at the deadline regardless.
 			var poll func()
 			poll = func() {
-				if !env.CDN.Failed(site) {
+				if env.CDN.Episode(site) != ep {
 					return // recovered mid-drain: keep serving
 				}
 				env.CDN.RefreshLoad()

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"testing"
 
 	"bestofboth/internal/bgp"
@@ -345,5 +346,46 @@ func TestLibraryScenariosBind(t *testing.T) {
 	}
 	if !ByName("flap-damped").Damping {
 		t.Error("flap-damped does not request damping")
+	}
+}
+
+// TestDrainGraceActsOnlyForItsDrain pins that a drain's grace timer, and a
+// capacity-drain's poller, cut forwarding only for the drain that scheduled
+// them. ams is drained at 0 with a 300 s grace and recovered at 50; the
+// recovery retires the first drain's timer, so ams still forwards at 399 s.
+// When ams is drained again at 100 with a 300 s grace, it stops forwarding
+// at that drain's deadline of 400 s, not at the first one's of 300 s.
+// capacity-drain takes its no-accountant path: the world has no demand
+// model.
+func TestDrainGraceActsOnlyForItsDrain(t *testing.T) {
+	for _, kind := range []Kind{KindDrain, KindCapacityDrain} {
+		for _, redrain := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/redrain=%t", kind, redrain), func(t *testing.T) {
+				env := testEnv(t, 7, core.ReactiveAnycast{})
+				sc := &Scenario{Name: "redrain", Horizon: 420, Events: []Event{
+					{At: 0, Kind: kind, Site: "ams", DrainFor: 300},
+					{At: 50, Kind: KindRecover, Site: "ams"},
+				}}
+				if redrain {
+					sc.Events = append(sc.Events, Event{At: 100, Kind: kind, Site: "ams", DrainFor: 300})
+				}
+				c, err := Start(env, sc, nil, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				node := env.CDN.Site("ams").Node
+				env.Sim.RunUntil(c.T0 + 399)
+				if env.Plane.IsDown(node) {
+					t.Errorf("ams stopped forwarding before 399 s")
+				}
+				env.Sim.RunUntil(c.T0 + 401)
+				if env.Plane.IsDown(node) != redrain {
+					t.Errorf("at 401 s ams down = %t, want %t", env.Plane.IsDown(node), redrain)
+				}
+				if err := c.Finish(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
