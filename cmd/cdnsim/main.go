@@ -814,7 +814,7 @@ func runUnicastDNS(cfg experiment.WorldConfig, _ *experiment.Selection, o option
 	if err != nil {
 		return err
 	}
-	fmt.Print(cdf.Render(fmt.Sprintf("unicast failover (TTL=%ds, violations per Allman'20)", o.ttl), 1, ucfg.Horizon, 48))
+	fmt.Print(cdf.Render(fmt.Sprintf("unicast failover (TTL=%ds, violations per Allman'20)", o.ttl), 1, experiment.UnicastDNSHorizon, 48))
 	if o.report != nil {
 		o.report.Add("unicastDNS", experiment.SummarizeCDF(cdf, 120))
 	}

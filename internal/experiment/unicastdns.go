@@ -20,27 +20,23 @@ type UnicastDNSConfig struct {
 	TTL uint32
 	// Clients is the client population size.
 	Clients int
-	// Violations models clients using records past expiry.
-	Violations dns.ViolationModel
-	// Horizon caps the measured failover time in seconds (CDF clamp).
-	Horizon float64
 }
+
+// UnicastDNSHorizon caps the measured unicast failover time in seconds
+// (the CDF clamp).
+const UnicastDNSHorizon = 7200
 
 // DefaultUnicastDNSConfig matches the literature's parameters.
 func DefaultUnicastDNSConfig() UnicastDNSConfig {
-	return UnicastDNSConfig{
-		TTL:        600,
-		Clients:    2000,
-		Violations: dns.DefaultViolationModel(),
-		Horizon:    7200,
-	}
+	return UnicastDNSConfig{TTL: 600, Clients: 2000}
 }
 
 // UnicastDNSFailover simulates a site failure under pure unicast: every
 // client cached the failed site's record at a uniformly random time before
 // the failure, the CDN repoints DNS after its detection delay, and each
 // client recovers when it actually re-resolves — at TTL expiry, or far
-// later if it violates TTL. Returns the failover-time CDF across clients.
+// later if it violates TTL (dns.DefaultViolationModel, after Allman 2020).
+// Returns the failover-time CDF across clients.
 func UnicastDNSFailover(cfg WorldConfig, ucfg UnicastDNSConfig) (*stats.CDF, error) {
 	w, err := NewWorld(cfg)
 	if err != nil {
@@ -70,7 +66,7 @@ func UnicastDNSFailover(cfg WorldConfig, ucfg UnicastDNSConfig) (*stats.CDF, err
 	clients := make([]clientState, 0, ucfg.Clients)
 	for i := 0; i < ucfg.Clients; i++ {
 		resolver := dns.NewResolver(auth)
-		c := dns.NewClient(resolver, name, cfg.Seed+int64(i)*7919, ucfg.Violations)
+		c := dns.NewClient(resolver, name, cfg.Seed+int64(i)*7919, dns.DefaultViolationModel())
 		fetchedAt := w.Sim.Now() + rng.Float64()*float64(ucfg.TTL)
 		if _, err := c.Addr(fetchedAt); err != nil {
 			return nil, fmt.Errorf("experiment: client resolve: %w", err)
@@ -103,8 +99,8 @@ func UnicastDNSFailover(cfg WorldConfig, ucfg UnicastDNSConfig) (*stats.CDF, err
 		if ft < 0 {
 			ft = 0
 		}
-		if ft > ucfg.Horizon {
-			ft = ucfg.Horizon
+		if ft > UnicastDNSHorizon {
+			ft = UnicastDNSHorizon
 		}
 		// Verify through the machinery: after recovery the client must
 		// fetch a healthy address.
