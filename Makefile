@@ -6,8 +6,8 @@ GO ?= go
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 
-# Non-test Go line count as ROADMAP item 2 counts it: every .go file that
-# is not a _test.go and lies outside testdata/ and benchmark/.
+# Non-test Go line count, the measure of the ROADMAP's quality aim: every
+# .go file that is not a _test.go and lies outside testdata/ and benchmark/.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 
@@ -138,7 +138,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDNSDecode -fuzztime=$(FUZZTIME) ./internal/dns
 
 # Everything CI runs (see .github/workflows/ci.yml).
-ci: tier1 vet lint race bench-smoke fuzz-smoke ctlplane-smoke
+ci: tier1 vet lint lint-fixtures govulncheck race bench-smoke fuzz-smoke shard-equivalence ctlplane-smoke
 
 # Shard-equivalence gate: the digest tests proving shards=1 and shards=N
 # produce bit-identical route and FIB state, run under the race detector
