@@ -74,8 +74,9 @@ const (
 	// KindFlashCrowd multiplies the demand of every target currently in
 	// Site's catchment by Fraction for Period seconds, then divides it out
 	// again: a target still at the crowd's rate gets its original rate back
-	// exactly, one whose demand changed meanwhile keeps that change. Requires a world with a demand model
-	// (Scenario.Demand or an explicit demand config).
+	// exactly, one whose demand changed meanwhile keeps that change.
+	// Requires a world with a demand model (Scenario.Demand or an explicit
+	// demand config).
 	KindFlashCrowd Kind = "flash-crowd"
 	// KindCapacityDrain is a capacity-aware maintenance drain: like
 	// KindDrain, but the site stops forwarding as soon as its offered load
