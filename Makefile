@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke profile-fig2 profile-converge outputs fuzz-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke profile-fig2 profile-converge outputs outputs-diff fuzz-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -114,6 +114,23 @@ outputs:
 	"$$bin/cdnsim" load -seed 7 -tech load-shift,load-shed,load-shift+proactive-superprefix -json "$$out/load.json" >/dev/null; \
 	"$$bin/cdnsim" table2 -seed 7 -json "$$out/table2.json" >/dev/null; \
 	rm -f "$$out"/*.manifest.json; ls "$$out"
+
+# Bit-identity against another commit: this Makefile's `outputs` run on the
+# committed tree of PARENT (a `git archive` extracted to a temporary
+# directory, so nothing is registered in the repository) and on the working
+# tree, then one diff -r. Exits 0 and says so when every artifact is
+# identical; otherwise prints the diff and exits 1. Everything it writes is
+# removed on exit. Not part of ci: some changes alter outputs on purpose.
+PARENT ?=
+outputs-diff:
+	@set -e; [ -n "$(PARENT)" ] || { echo "make outputs-diff: PARENT=<ref> is required" >&2; exit 2; }; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/src"; \
+	git archive "$(PARENT)" | tar -x -C "$$tmp/src"; \
+	$(MAKE) --no-print-directory -C "$$tmp/src" -f "$(CURDIR)/Makefile" outputs OUT="$$tmp/parent" \
+		>"$$tmp/log" 2>&1 || { cat "$$tmp/log" >&2; exit 1; }; \
+	$(MAKE) --no-print-directory outputs OUT="$$tmp/change" >"$$tmp/log" 2>&1 || { cat "$$tmp/log" >&2; exit 1; }; \
+	diff -r "$$tmp/parent" "$$tmp/change"; \
+	echo "make outputs-diff: all $$(ls "$$tmp/change" | wc -l) outputs identical to $(PARENT)"
 
 # Control-plane gate: the snapshotfields analyzer over the packages that
 # carry ChangeSet / snapshot state, then the end-to-end smoke test — build
