@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"bestofboth/internal/netsim"
 	"bestofboth/internal/topology"
 )
 
@@ -90,7 +91,7 @@ func runDelivery(a any) {
 	peer, rev, epoch, u := d.peer, d.rev, d.epoch, d.u
 	sh := peer.sh
 	*d = delivery{}
-	sh.freeDeliv = append(sh.freeDeliv, d)
+	sh.freeDeliv = netsim.AppendDoubling(sh.freeDeliv, d)
 	// A session reset or link failure while the update was in flight tears
 	// down the TCP connection it rode on; the update must never arrive.
 	if peer.sessEpoch[rev] != epoch {
@@ -113,7 +114,7 @@ func runPendingExport(a any) {
 	s, st, sess := pe.s, pe.st, pe.sess
 	sh := s.sh
 	*pe = pendingExport{}
-	sh.freePend = append(sh.freePend, pe)
+	sh.freePend = netsim.AppendDoubling(sh.freePend, pe)
 	st.pending[sess] = false
 	s.export(st.prefix, st, sess)
 }

@@ -41,7 +41,8 @@ type shard struct {
 	// intern deduplicates AS-path slices across this shard's speakers.
 	intern pathIntern //cdnlint:nosnapshot cache: a restored network re-interns paths as it exports; samePath falls back to content
 	// freeDeliv and freePend recycle the payload structs of the two hottest
-	// event kinds, exactly as the unsharded Network did.
+	// event kinds, exactly as the unsharded Network did. They grow by the
+	// event queue's rule, netsim.AppendDoubling.
 	freeDeliv []*delivery      //cdnlint:nosnapshot free-list pool; contents are semantically empty
 	freePend  []*pendingExport //cdnlint:nosnapshot free-list pool; contents are semantically empty
 

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"bestofboth/internal/obs"
 )
@@ -30,6 +32,33 @@ func TestEventPathZeroAllocs(t *testing.T) {
 		sim.Instrument(obs.NewRegistry())
 		run(t, sim)
 	})
+}
+
+// TestQueueGrowthAllocBudget pins the queue's growth rule: pushing n events
+// into a fresh simulator allocates at most 2.5× the bytes the n queued keys
+// and callbacks occupy. n is the peak queue depth of a paper-scale cold
+// converge at seed 1. append's 1.25× growth allocates 4.85× here; doubling
+// allocates 2.27×.
+func TestQueueGrowthAllocBudget(t *testing.T) {
+	const n = 57685
+	perEvent := unsafe.Sizeof(eventKey{}) + unsafe.Sizeof(callback{})
+	s := New(1)
+	fn := func(any) {}
+	arg := &struct{}{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		s.AtCall(Seconds(i%1000), fn, arg)
+	}
+	runtime.ReadMemStats(&after)
+	if s.Pending() != n {
+		t.Fatalf("pending = %d, want %d", s.Pending(), n)
+	}
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	if budget := 2.5 * n * float64(perEvent); got > budget {
+		t.Fatalf("%d pushes allocated %.0f B = %.2f× the %d B per queued event, budget 2.5×",
+			n, got, got/(n*float64(perEvent)), perEvent)
+	}
 }
 
 func TestInstrumentCountsKernelActivity(t *testing.T) {
