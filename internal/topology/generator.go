@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 )
 
 // GenConfig parameterizes the synthetic Internet generator.
@@ -188,36 +189,50 @@ func Generate(cfg GenConfig) (*Topology, error) {
 	nextASN := ASN(100)
 	asn := func() ASN { nextASN++; return nextASN }
 
+	// Every random subset below is drawn into smp's buffers and every
+	// candidate list is gathered into cands; each is used up before the
+	// next draw or gather.
+	smp := sampler{r: r}
+	var cands []NodeID
+	// gather collects, metro by metro, what each of byMetro lists at the
+	// given metros.
+	gather := func(metros []string, byMetro ...map[string][]NodeID) []NodeID {
+		cands = cands[:0]
+		for _, mc := range metros {
+			for _, m := range byMetro {
+				cands = append(cands, m[mc]...)
+			}
+		}
+		return cands
+	}
+
 	// nearest returns up to n of the given nodes closest to p, with the
 	// candidate pool limited to the 2n nearest to keep some diversity.
+	type near struct {
+		id NodeID
+		d  float64
+	}
+	var nears []near
 	nearest := func(p Point, nodes []NodeID, n int) []NodeID {
-		type cand struct {
-			id NodeID
-			d  float64
-		}
-		cands := make([]cand, 0, len(nodes))
+		nears = nears[:0]
 		for _, id := range nodes {
-			cands = append(cands, cand{id, p.Dist(b.t.Node(id).Loc)})
+			nears = append(nears, near{id, p.Dist(b.t.Node(id).Loc)})
 		}
-		for i := 0; i < len(cands); i++ {
-			for j := i + 1; j < len(cands); j++ {
-				if cands[j].d < cands[i].d {
-					cands[i], cands[j] = cands[j], cands[i]
+		for i := 0; i < len(nears); i++ {
+			for j := i + 1; j < len(nears); j++ {
+				if nears[j].d < nears[i].d {
+					nears[i], nears[j] = nears[j], nears[i]
 				}
 			}
 		}
-		pool := 2 * n
-		if pool > len(cands) {
-			pool = len(cands)
-		}
-		perm := r.Perm(pool)
-		out := make([]NodeID, 0, n)
-		for _, i := range perm {
-			out = append(out, cands[i].id)
+		out := smp.out[:0]
+		for _, i := range smp.permute(min(2*n, len(nears))) {
+			out = append(out, nears[i].id)
 			if len(out) == n {
 				break
 			}
 		}
+		smp.out = out
 		return out
 	}
 
@@ -258,13 +273,8 @@ func Generate(cfg GenConfig) (*Topology, error) {
 	}
 	// Same-continent transit peering.
 	for _, id := range transits {
-		code := metroCodeOf(b.t.Node(id).Name)
-		cont := continentOf(code)
-		var candidates []NodeID
-		for _, mc := range cont {
-			candidates = append(candidates, transitsByMetro[mc]...)
-		}
-		for _, p := range pick(r, candidates, 7) {
+		cont := continentOf(metroCodeOf(b.t.Node(id).Name))
+		for _, p := range smp.pick(gather(cont, transitsByMetro), 7) {
 			if p != id {
 				link(id, p, RelPeer)
 			}
@@ -285,22 +295,13 @@ func Generate(cfg GenConfig) (*Topology, error) {
 		regionals = append(regionals, id)
 		regionalsByMetro[m.Code] = append(regionalsByMetro[m.Code], id)
 		cont := continentOf(m.Code)
-		var cands []NodeID
-		for _, mc := range cont {
-			cands = append(cands, transitsByMetro[mc]...)
-		}
-		for _, p := range pick(r, cands, 2+r.Intn(2)) {
+		for _, p := range smp.pick(gather(cont, transitsByMetro), 2+r.Intn(2)) {
 			link(id, p, RelProvider)
 		}
 	}
 	for _, id := range regionals {
-		code := metroCodeOf(b.t.Node(id).Name)
-		cont := continentOf(code)
-		var cands []NodeID
-		for _, mc := range cont {
-			cands = append(cands, regionalsByMetro[mc]...)
-		}
-		for _, p := range pick(r, cands, 3) {
+		cont := continentOf(metroCodeOf(b.t.Node(id).Name))
+		for _, p := range smp.pick(gather(cont, regionalsByMetro), 3) {
 			if p != id {
 				link(id, p, RelPeer)
 			}
@@ -377,11 +378,11 @@ func Generate(cfg GenConfig) (*Topology, error) {
 		hub := metroByCode(tier1Hubs[(i*2)%len(tier1Hubs)])
 		id := b.AddNode(asn(), fmt.Sprintf("hypergiant-%d", i), ClassHypergiant, scatter(hub))
 		hypergiants = append(hypergiants, id)
-		for _, p := range pick(r, tier1s, 2) {
+		for _, p := range smp.pick(tier1s, 2) {
 			link(id, p, RelProvider)
 		}
 		// Dense peering: with roughly half of all transits.
-		for _, p := range pick(r, transits, len(transits)/2) {
+		for _, p := range smp.pick(transits, len(transits)/2) {
 			link(id, p, RelPeer)
 		}
 	}
@@ -398,16 +399,11 @@ func Generate(cfg GenConfig) (*Topology, error) {
 		// multihoming gives routers the alternative-route inventory that
 		// drives path exploration on withdrawal.
 		cont := continentOf(m.Code)
-		var cands []NodeID
-		for _, mc := range cont {
-			cands = append(cands, transitsByMetro[mc]...)
-			cands = append(cands, regionalsByMetro[mc]...)
-		}
-		for _, p := range pick(r, cands, 3+r.Intn(2)) {
+		for _, p := range smp.pick(gather(cont, transitsByMetro, regionalsByMetro), 3+r.Intn(2)) {
 			link(id, p, RelProvider)
 		}
 		// IXP peering with other eyeballs in the same metro.
-		for _, p := range pick(r, eyeballsByMetro[m.Code], 3) {
+		for _, p := range smp.pick(eyeballsByMetro[m.Code], 3) {
 			if p != id {
 				link(id, p, RelPeer)
 			}
@@ -426,14 +422,12 @@ func Generate(cfg GenConfig) (*Topology, error) {
 		stubs = append(stubs, id)
 		// Customer of 2-3 upstreams: local transit or local eyeball.
 		ups := 2 + r.Intn(2)
-		var cands []NodeID
-		cands = append(cands, transitsByMetro[m.Code]...)
-		cands = append(cands, regionalsByMetro[m.Code]...)
-		cands = append(cands, eyeballsByMetro[m.Code]...)
-		if len(cands) == 0 {
-			cands = transits
+		// Not assigned to cands: the next gather would overwrite transits.
+		local := gather([]string{m.Code}, transitsByMetro, regionalsByMetro, eyeballsByMetro)
+		if len(local) == 0 {
+			local = transits
 		}
-		for _, p := range pick(r, cands, ups) {
+		for _, p := range smp.pick(local, ups) {
 			link(id, p, RelProvider)
 		}
 	}
@@ -451,7 +445,7 @@ func Generate(cfg GenConfig) (*Topology, error) {
 	}
 	weakSea := b.AddNode(asn(), "transit-sea-weak", ClassTransit, scatter(metroByCode("sea")))
 	link(weakSea, weakT1, RelProvider)
-	for _, p := range pick(r, eyeballsByMetro["sea"], 5) {
+	for _, p := range smp.pick(eyeballsByMetro["sea"], 5) {
 		link(weakSea, p, RelPeer)
 	}
 
@@ -490,7 +484,7 @@ func Generate(cfg GenConfig) (*Topology, error) {
 				link(id, transits[r.Intn(len(transits))], RelProvider)
 			}
 		}
-		for _, p := range pick(r, eyeballsByMetro[spec.metro], spec.ixPeers) {
+		for _, p := range smp.pick(eyeballsByMetro[spec.metro], spec.ixPeers) {
 			link(id, p, RelPeer)
 		}
 		if spec.peersHyper {
@@ -553,17 +547,39 @@ func metroCodeOf(name string) string {
 	return name[start:end]
 }
 
-// pick returns up to n distinct random elements of xs.
-func pick(r *rand.Rand, xs []NodeID, n int) []NodeID {
-	if n >= len(xs) {
-		out := make([]NodeID, len(xs))
-		copy(out, xs)
-		return out
+// sampler draws the generator's random subsets into buffers it reuses, so a
+// result is valid until the next draw. Its permutations consume the random
+// source exactly as rand.Perm does, so every topology is the one that fresh
+// slices per draw would give.
+type sampler struct {
+	r    *rand.Rand
+	perm []int
+	out  []NodeID
+}
+
+// permute returns a random permutation of [0, n) with rand.Perm(n)'s
+// values and draws.
+func (s *sampler) permute(n int) []int {
+	m := slices.Grow(s.perm[:0], n)[:n]
+	for i := range m {
+		j := s.r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
 	}
-	idx := r.Perm(len(xs))[:n]
-	out := make([]NodeID, 0, n)
-	for _, i := range idx {
+	s.perm = m
+	return m
+}
+
+// pick returns up to n distinct random elements of xs: xs itself, with no
+// draw, when n covers all of it.
+func (s *sampler) pick(xs []NodeID, n int) []NodeID {
+	if n >= len(xs) {
+		return xs
+	}
+	out := s.out[:0]
+	for _, i := range s.permute(len(xs))[:n] {
 		out = append(out, xs[i])
 	}
+	s.out = out
 	return out
 }

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 )
 
@@ -146,6 +148,24 @@ func TestGenerateDeterministic(t *testing.T) {
 			if na.Adj[j] != nb.Adj[j] {
 				t.Fatalf("adjacency %d of node %d differs", j, i)
 			}
+		}
+	}
+}
+
+// TestPermuteMatchesRandPerm pins the generator's reused-buffer
+// permutation to rand.Perm: the same values, and the same source position
+// afterwards (the next draw agrees). Sizes shrink as well as grow, so a
+// buffer still holding an earlier, longer permutation is reused.
+func TestPermuteMatchesRandPerm(t *testing.T) {
+	smp := sampler{r: rand.New(rand.NewSource(5))}
+	ref := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 7, 3, 64, 1, 200, 5, 199} {
+		got, want := smp.permute(n), ref.Perm(n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: permute = %v, rand.Perm = %v", n, got, want)
+		}
+		if a, b := smp.r.Int63(), ref.Int63(); a != b {
+			t.Fatalf("n=%d: next draw %d after permute, %d after rand.Perm", n, a, b)
 		}
 	}
 }
