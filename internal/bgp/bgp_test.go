@@ -615,45 +615,126 @@ func TestNoExportConfinesRoute(t *testing.T) {
 	}
 }
 
-// TestDecisionProcessStrictOrder verifies better() behaves as a strict
-// order on random route sets: irreflexive, asymmetric, and with a unique
-// maximum under repeated selection — the properties recompute() relies on
-// to make deterministic, stable choices. C's sessions reach a provider, a
-// peer and a customer, so with the local origination (-1) every LOCAL_PREF
-// and every neighbor-ASN tiebreak is drawn.
+// fan builds S (ASN 1) with eight sessions whose neighbor ASes repeat and
+// interleave in session order: providers P1, Q, P2 (ASNs 10, 20, 10), then
+// customers and peers C1 (40), R1 (30), C3 (50), R2 (30), C2 (40). Two
+// sessions to one AS differ only in MED and session index, and a session to
+// another AS sits between them.
+func fan(t *testing.T) *topology.Topology {
+	t.Helper()
+	b := topology.NewBuilder()
+	s := b.AddNode(1, "S", topology.ClassTransit, topology.Point{})
+	for i, n := range []struct {
+		asn  topology.ASN
+		name string
+		rel  topology.Rel // the neighbor's role toward S
+	}{
+		{10, "P1", topology.RelProvider}, {20, "Q", topology.RelProvider}, {10, "P2", topology.RelProvider},
+		{40, "C1", topology.RelCustomer}, {30, "R1", topology.RelPeer}, {50, "C3", topology.RelCustomer},
+		{30, "R2", topology.RelPeer}, {40, "C2", topology.RelCustomer},
+	} {
+		id := b.AddNode(n.asn, n.name, topology.ClassStub, topology.Point{X: float64(i + 1)})
+		b.Link(s, id, n.rel, 0.001)
+	}
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
+// TestDecisionProcessStrictOrder verifies that better() is a strict total
+// order over candidates on distinct sessions: irreflexive, total (exactly
+// one of any two distinct candidates wins) and transitive — what lets
+// recompute's scan and reselect's single comparison pick the same route.
+// S's sessions cover every LOCAL_PREF, plus the local origination (-1), and
+// pairs of sessions to one neighbor AS with a session to another AS between
+// them, where MED compares the pair and must not close a cycle.
 func TestDecisionProcessStrictOrder(t *testing.T) {
-	topo := diamond(t)
-	net := New(netsim.New(1), topo, quickCfg())
-	s := net.Speaker(1) // C: sessions to T, D and O
+	net := New(netsim.New(1), fan(t), quickCfg())
+	s := net.Speaker(0)
 	r := rand.New(rand.NewSource(55))
 
 	type cand struct {
 		r    *Route
 		sess int
 	}
-	randRoute := func() cand {
-		n := 1 + r.Intn(5)
-		path := make([]topology.ASN, n)
+	// Short paths and few MEDs, so ties reach every tie-break.
+	randRoute := func(sess int) cand {
+		path := make([]topology.ASN, 1+r.Intn(2))
 		for i := range path {
-			path[i] = topology.ASN(10 + r.Intn(5)*10)
+			path[i] = topology.ASN(100 + r.Intn(3))
 		}
-		return cand{&Route{Prefix: testPrefix, Path: path, MED: r.Intn(3)}, r.Intn(len(s.node.Adj)+1) - 1}
+		return cand{&Route{Prefix: testPrefix, Path: path, MED: r.Intn(3)}, sess}
 	}
 	better := func(a, b cand) bool { return s.better(a.r, a.sess, b.r, b.sess) }
-	for trial := 0; trial < 2000; trial++ {
-		a, b := randRoute(), randRoute()
+	nSess := len(s.node.Adj)
+	for trial := 0; trial < 20000; trial++ {
+		// Three distinct sessions, -1 included.
+		perm := r.Perm(nSess + 1)
+		a, b, c := randRoute(perm[0]-1), randRoute(perm[1]-1), randRoute(perm[2]-1)
 		if better(a, a) {
 			t.Fatalf("better is not irreflexive: %+v", a)
 		}
-		if better(a, b) && better(b, a) {
-			t.Fatalf("better is not asymmetric:\n a=%+v\n b=%+v", a, b)
+		if better(a, b) == better(b, a) {
+			t.Fatalf("better is not total and asymmetric:\n a=%+v\n b=%+v", a, b)
+		}
+		if better(a, b) && better(b, c) && !better(a, c) {
+			t.Fatalf("better is not transitive:\n a=%+v %v\n b=%+v %v\n c=%+v %v",
+				a.sess, *a.r, b.sess, *b.r, c.sess, *c.r)
 		}
 	}
-	// Transitivity over random triples.
-	for trial := 0; trial < 2000; trial++ {
-		a, b, c := randRoute(), randRoute(), randRoute()
-		if better(a, b) && better(b, c) && !better(a, c) && !routesEquivalent(a.r, a.sess, c.r, c.sess) {
-			t.Fatalf("better is not transitive:\n a=%+v\n b=%+v\n c=%+v", a, b, c)
+}
+
+// TestReselectMatchesFullScan drives S with random UPDATEs — announcements,
+// replacements, duplicates, looped paths and withdrawals on random
+// sessions — and after each one requires the best route a full scan of the
+// adj-RIB-in picks, and that a second export pass sends nothing: the two
+// facts receive's shortcuts (reselect, and no export pass after an
+// unchanged best) rest on. Virtual time advances now and then so MRAI
+// timers fire in between.
+func TestReselectMatchesFullScan(t *testing.T) {
+	sim := netsim.New(3)
+	net := New(sim, fan(t), quickCfg())
+	s := net.Speaker(0)
+	r := rand.New(rand.NewSource(77))
+	nSess := len(s.node.Adj)
+	fullScan := func(st *prefixState) (*Route, int) {
+		best, bestSess := (*Route)(nil), -1
+		for sess, rt := range st.in {
+			if rt != nil && (best == nil || s.better(rt, sess, best, bestSess)) {
+				best, bestSess = rt, sess
+			}
+		}
+		return best, bestSess
+	}
+	for step := 0; step < 5000; step++ {
+		sess := r.Intn(nSess)
+		u := Update{Type: Withdraw, Prefix: testPrefix}
+		if r.Intn(4) != 0 {
+			path := make([]topology.ASN, 1+r.Intn(3))
+			for i := range path {
+				path[i] = topology.ASN(100 + r.Intn(3))
+			}
+			if r.Intn(10) == 0 {
+				path[len(path)-1] = s.node.ASN // a loop: withdraws the session's route
+			}
+			u = Update{Type: Announce, Prefix: testPrefix, Route: &Route{Prefix: testPrefix, Path: path, MED: r.Intn(3)}}
+		}
+		s.receive(sess, u)
+		st := s.lookup(testPrefix)
+		want, wantSess := fullScan(st)
+		if !routesEquivalent(st.best, st.bestSess, want, wantSess) {
+			t.Fatalf("step %d (%v on session %d): best is session %d %v, a full scan picks session %d %v",
+				step, u.Type, sess, st.bestSess, st.best, wantSess, want)
+		}
+		pending := sim.Pending()
+		s.exportAll(testPrefix, st)
+		if sim.Pending() != pending {
+			t.Fatalf("step %d: a second export pass scheduled %d events", step, sim.Pending()-pending)
+		}
+		if r.Intn(20) == 0 {
+			sim.RunFor(r.Float64() * 60)
 		}
 	}
 }

@@ -314,13 +314,31 @@ func (s *Speaker) receive(sess int, u Update) {
 			s.net.m.adjIn.Add(-1)
 		}
 	}
-	s.recompute(u.Prefix, st)
-	s.exportAll(u.Prefix, st)
+	// Only an UPDATE on the best route's session can promote another
+	// session's route, and damping suppresses and releases routes as time
+	// passes; both rescan. Any other UPDATE is one comparison (reselect).
+	var changed bool
+	if damping != nil || (st.best != nil && sess == st.bestSess) {
+		changed = s.recompute(u.Prefix, st)
+	} else {
+		changed = s.reselect(u.Prefix, st, sess)
+	}
+	// An unchanged best exports nothing: desiredExport reads only the best
+	// route, the origination and static wiring, and every export pass
+	// leaves each up session carrying its intent or with an MRAI timer
+	// queued.
+	if changed {
+		s.exportAll(u.Prefix, st)
+	}
 }
 
 // better reports whether a, learned on session aSess, should be preferred
 // over b, learned on bSess, under the standard BGP decision process. Both
-// must be non-nil; session -1 is the local origination.
+// must be non-nil; session -1 is the local origination. It is a strict
+// total order, lexicographic on (LOCAL_PREF, path length, neighbor ASN,
+// MED, session): MED only ever compares routes from one neighbor AS, and
+// the neighbor-ASN tie-break orders all others before MED is reached, so
+// MED cannot close a cycle. reselect's single comparison relies on this.
 func (s *Speaker) better(a *Route, aSess int, b *Route, bSess int) bool {
 	if la, lb := s.localPref(aSess), s.localPref(bSess); la != lb {
 		return la > lb
@@ -348,9 +366,10 @@ func (s *Speaker) neighborAS(sess int) topology.ASN {
 	return s.net.topo.Node(s.node.Adj[sess].To).ASN
 }
 
-// recompute reselects the best route for p and fires FIB/feed callbacks on
-// change.
-func (s *Speaker) recompute(p netip.Prefix, st *prefixState) {
+// recompute reselects the best route for p from a full scan of the
+// candidates, fires FIB/feed callbacks on change and reports whether the
+// best changed.
+func (s *Speaker) recompute(p netip.Prefix, st *prefixState) bool {
 	s.mustOwn(st)
 	best, bestSess := (*Route)(nil), -1
 	if st.origin != nil {
@@ -371,8 +390,29 @@ func (s *Speaker) recompute(p netip.Prefix, st *prefixState) {
 		}
 	}
 	if routesEquivalent(best, bestSess, st.best, st.bestSess) {
-		return
+		return false
 	}
+	s.setBest(p, st, best, bestSess)
+	return true
+}
+
+// reselect is recompute after an UPDATE on session sess when sess does not
+// carry the best route and damping is off. Every other candidate is as it
+// was, so the best of them is still st.best, and since better is a strict
+// total order one comparison with sess's route picks what the full scan
+// would.
+func (s *Speaker) reselect(p netip.Prefix, st *prefixState, sess int) bool {
+	s.mustOwn(st)
+	r := st.in[sess]
+	if r == nil || (st.best != nil && !s.better(r, sess, st.best, st.bestSess)) {
+		return false
+	}
+	s.setBest(p, st, r, sess)
+	return true
+}
+
+// setBest installs a new best route and fires the FIB/feed callbacks.
+func (s *Speaker) setBest(p netip.Prefix, st *prefixState, best *Route, bestSess int) {
 	st.best, st.bestSess = best, bestSess
 	for _, fn := range s.net.onBest {
 		fn(s.node.ID, p, best, bestSess, s.sh.sim.Now())
@@ -432,10 +472,13 @@ func (s *Speaker) notifyFeeds(p netip.Prefix, best *Route) {
 	})
 }
 
-// exportAll reconsiders what should be advertised to every session.
+// exportAll reconsiders what should be advertised to every session. The
+// transit path is interned once for the pass, by the first session that
+// needs it.
 func (s *Speaker) exportAll(p netip.Prefix, st *prefixState) {
+	var transit []topology.ASN
 	for sess := range s.node.Adj {
-		s.export(p, st, sess)
+		s.exportPass(p, st, sess, &transit)
 	}
 }
 
@@ -452,8 +495,9 @@ type exportIntent struct {
 }
 
 // desiredExport computes the export intent toward session sess, or ok=false
-// if nothing should be advertised.
-func (s *Speaker) desiredExport(st *prefixState, sess int) (it exportIntent, ok bool) {
+// if nothing should be advertised. *transit caches the best route's transit
+// path across the sessions of one export pass; nil until first needed.
+func (s *Speaker) desiredExport(st *prefixState, sess int, transit *[]topology.ASN) (it exportIntent, ok bool) {
 	best := st.best
 	if best == nil {
 		return exportIntent{}, false
@@ -500,8 +544,11 @@ func (s *Speaker) desiredExport(st *prefixState, sess int) (it exportIntent, ok 
 	if best.ContainsASN(s.net.topo.Node(adj.To).ASN) {
 		return exportIntent{}, false
 	}
+	if *transit == nil {
+		*transit = s.sh.intern.extend(s.node.ASN, best.Path)
+	}
 	return exportIntent{
-		path:       s.sh.intern.extend(s.node.ASN, best.Path),
+		path:       *transit,
 		comm:       best.Communities,
 		med:        0,
 		originNode: best.OriginNode,
@@ -563,13 +610,20 @@ func groupRoute(p netip.Prefix, st *prefixState, it exportIntent) *Route {
 // export transmits the desired state toward session sess, honoring MRAI for
 // advertisements. Withdrawals are sent immediately.
 func (s *Speaker) export(p netip.Prefix, st *prefixState, sess int) {
+	var transit []topology.ASN
+	s.exportPass(p, st, sess, &transit)
+}
+
+// exportPass is export as one session of a pass that shares the interned
+// transit path in *transit (see desiredExport).
+func (s *Speaker) exportPass(p netip.Prefix, st *prefixState, sess int, transit *[]topology.ASN) {
 	s.mustOwn(st)
 	if s.downSess[sess] {
 		// Nothing can be sent on a down session; the full re-advertisement
 		// at session establishment brings the neighbor up to date.
 		return
 	}
-	it, want := s.desiredExport(st, sess)
+	it, want := s.desiredExport(st, sess, transit)
 	if want {
 		if intentMatches(it, st.out[sess]) {
 			return
