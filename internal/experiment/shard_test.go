@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bestofboth/internal/core"
+	"bestofboth/internal/obs"
 	"bestofboth/internal/scenario"
 )
 
@@ -12,6 +13,35 @@ import (
 // the classic single-kernel world, the smallest genuinely parallel split,
 // and the paper-scale CI configuration.
 var shardCounts = []int{1, 2, 8}
+
+// TestConvergeStopsAtBudget cuts a converge short, five virtual seconds
+// after a deploy, and requires that no event later than that budget has
+// executed, on one kernel and across two shards. Every kernel reports the
+// time of each event it executes to one shared gauge.
+func TestConvergeStopsAtBudget(t *testing.T) {
+	const budget = 5
+	for _, shards := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		w, err := NewWorld(DefaultWorldConfig(WithSeed(7), WithShards(shards), WithObs(reg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.CDN.Deploy(core.ReactiveAnycast{}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := w.Sim.Now() + budget
+		w.Converge(budget)
+		if w.Sim.Pending() == 0 {
+			t.Fatalf("shards=%d: converged within %d s; the budget cuts nothing", shards, budget)
+		}
+		if last := reg.Gauge("netsim_virtual_time_max_seconds").Value(); last > deadline {
+			t.Errorf("shards=%d: an event at %.6f s executed, past the deadline %.6f s", shards, last, deadline)
+		}
+		if now := w.Sim.Now(); now > deadline {
+			t.Errorf("shards=%d: clock at %.6f s, past the deadline %.6f s", shards, now, deadline)
+		}
+	}
+}
 
 // TestShardedDigestEquivalence is the observable-equivalence gate for the
 // sharded convergence runner: for every technique, a world converged at
