@@ -120,8 +120,9 @@ func BenchmarkFigure2Default(b *testing.B) {
 // to an hour of virtual time. `make profile-converge` profiles this one.
 func BenchmarkConvergePaper(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		convergeSeed++
 		w, err := experiment.NewWorld(experiment.DefaultWorldConfig(
-			experiment.WithSeed(int64(1000+i)), experiment.WithPaperScale()))
+			experiment.WithSeed(convergeSeed), experiment.WithPaperScale()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,6 +132,12 @@ func BenchmarkConvergePaper(b *testing.B) {
 		w.Converge(3600)
 	}
 }
+
+// convergeSeed is the last seed BenchmarkConvergePaper used. It runs on
+// across the benchmark's ramp-up runs and -count repetitions, because
+// topology.Cached memoizes every seed's topology: a seed used twice would
+// skip generation the second time.
+var convergeSeed int64 = 1000
 
 var benchFig2Techs = []core.Technique{
 	core.ProactiveSuperprefix{},
