@@ -132,14 +132,13 @@ outputs-diff:
 	diff -r "$$tmp/parent" "$$tmp/change"; \
 	echo "make outputs-diff: all $$(ls "$$tmp/change" | wc -l) outputs identical to $(PARENT)"
 
-# Control-plane gate: the snapshotfields analyzer over the packages that
-# carry ChangeSet / snapshot state, then the end-to-end smoke test — build
-# cdnsim, start `cdnsim serve` on an ephemeral port, and drive a
-# drain ChangeSet dry-run → execute → verify (pass receipt, bit-identical
-# digests) plus a sabotaged execution (fail receipt naming the diverging
-# fields) — and the published-view, rollback and busy-daemon tests.
+# Control-plane gate: the end-to-end smoke test — build cdnsim, start
+# `cdnsim serve` on an ephemeral port, and drive a drain ChangeSet dry-run →
+# execute → verify (pass receipt, bit-identical digests) plus a sabotaged
+# execution (fail receipt naming the diverging fields) — and the
+# published-view, rollback and busy-daemon tests. `make lint` runs
+# snapshotfields, with every other check, over every package.
 ctlplane-smoke:
-	$(GO) run ./cmd/cdnlint -checks snapshotfields ./internal/ctlplane/... ./pkg/bestofboth/... ./internal/experiment/...
 	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf|TestPublished|TestExecuteRollsBack|TestReadsDoNotWait|TestChangeSetAuditTrail|TestPostRejectsTrailingData' -count=1 -v . ./internal/ctlplane/
 
 # Fuzz smoke: every native fuzz target runs for FUZZTIME on top of its

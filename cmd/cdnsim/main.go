@@ -34,6 +34,7 @@ import (
 	"bestofboth/internal/stats"
 	"bestofboth/internal/topology"
 	"bestofboth/internal/traffic"
+	"bestofboth/pkg/bestofboth/api"
 )
 
 // options holds every flag value; a command's flag set points into it.
@@ -68,7 +69,7 @@ type options struct {
 
 	cmd    string   // the command word
 	args   []string // positional arguments (ctl)
-	report *experiment.Report
+	report *api.Report
 	reg    *obs.Registry
 }
 
@@ -433,7 +434,7 @@ func figure(needSel bool, f func(experiment.WorldConfig, *experiment.Selection, 
 	return func(o *options) error {
 		start := time.Now()
 		cfg := o.worldConfig()
-		o.report = experiment.NewReport(o.seed)
+		o.report = api.NewReport(o.seed)
 		var sel *experiment.Selection
 		if needSel {
 			fmt.Printf("selecting targets (§5.1, seed=%d, cap=%d/site)...\n", o.seed, o.targets)

@@ -10,6 +10,7 @@ import (
 	"bestofboth/internal/experiment"
 	"bestofboth/internal/scenario"
 	"bestofboth/internal/stats"
+	"bestofboth/pkg/bestofboth/api"
 )
 
 const scenarioDoc = `Run a bundled timeline (-name, see -list) or a JSON scenario file (-f)
@@ -47,7 +48,7 @@ func runScenario(o *options) error {
 	sco.MaxTargetsPerSite = o.maxTargets
 	sco.UseMonitor = o.monitor
 
-	report := experiment.NewReport(o.seed)
+	report := api.NewReport(o.seed)
 	results, err := o.runner().RunScenarioMatrix(cfg, sel, techniques, []*scenario.Scenario{sc}, sco)
 	if err != nil {
 		return err

@@ -18,7 +18,7 @@
 //   - cmd/cdnsim regenerates every figure and table from the paper, runs
 //     fault-injection scenarios, serves and drives the control-plane
 //     daemon, and inspects the synthetic Internet (cdnsim -h).
-//   - examples/ contains runnable walkthroughs of the public API.
+//   - examples/ contains runnable walkthroughs of the simulator as a library.
 //   - bench_test.go benchmarks each experiment and the design ablations.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured

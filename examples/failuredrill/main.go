@@ -15,24 +15,28 @@ import (
 	"log"
 	"net/netip"
 
-	"bestofboth/pkg/bestofboth"
+	"bestofboth/internal/bgp"
+	"bestofboth/internal/core"
+	"bestofboth/internal/dns"
+	"bestofboth/internal/experiment"
+	"bestofboth/internal/stats"
 )
 
 func main() {
-	w, err := bestofboth.NewWorld(bestofboth.DefaultWorldConfig(
-		bestofboth.WithSeed(33),
+	w, err := experiment.NewWorld(experiment.DefaultWorldConfig(
+		experiment.WithSeed(33),
 	))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := w.CDN.Deploy(bestofboth.ReactiveAnycast{}); err != nil {
+	if err := w.CDN.Deploy(core.ReactiveAnycast{}); err != nil {
 		log.Fatal(err)
 	}
 	w.Converge(3600)
 
 	// --- Drill 1: rotate a test prefix through the sites -----------------
 	testPrefix := netip.MustParsePrefix("184.164.251.0/24")
-	testAddr := bestofboth.ServiceAddr(testPrefix)
+	testAddr := core.ServiceAddr(testPrefix)
 	probe := w.Targets()[42]
 
 	fmt.Println("rotating test prefix through sites (§4 debugging drill):")
@@ -42,7 +46,7 @@ func main() {
 		// backup, then withdraw from the primary and verify traffic moves.
 		backup := sites[(i+1)%len(sites)]
 		w.Net.Originate(s.Node, testPrefix, nil)
-		w.Net.Originate(backup.Node, testPrefix, &bestofboth.OriginPolicy{Prepend: 3})
+		w.Net.Originate(backup.Node, testPrefix, &bgp.OriginPolicy{Prepend: 3})
 		w.Converge(1200)
 
 		before, _ := w.Plane.Catchment(probe.ID, testAddr)
@@ -65,7 +69,7 @@ func main() {
 
 	// --- Drill 2: the DNS failover tail ----------------------------------
 	fmt.Println("\nDNS failover for comparison (why unicast alone is not enough):")
-	auth := bestofboth.NewAuthoritative("cdn.example.")
+	auth := dns.NewAuthoritative("cdn.example.")
 	failedAddr := netip.MustParseAddr("184.164.240.10")
 	healthyAddr := netip.MustParseAddr("184.164.241.10")
 	const ttl = 600
@@ -76,8 +80,8 @@ func main() {
 	const clients = 3000
 	var recoveries []float64
 	for i := 0; i < clients; i++ {
-		resolver := bestofboth.NewResolver(auth)
-		c := bestofboth.NewDNSClient(resolver, "www.cdn.example", int64(i), bestofboth.DefaultViolationModel())
+		resolver := dns.NewResolver(auth)
+		c := dns.NewClient(resolver, "www.cdn.example", int64(i), dns.DefaultViolationModel())
 		fetchedAt := float64(i%ttl) + float64(i)/clients
 		if _, err := c.Addr(fetchedAt); err != nil {
 			log.Fatal(err)
@@ -92,7 +96,7 @@ func main() {
 	}
 	auth.SetA("www", ttl, healthyAddr)
 
-	cdf := bestofboth.NewCDF(recoveries)
+	cdf := stats.NewCDF(recoveries)
 	fmt.Printf("  %d clients cached the dead record (TTL %ds)\n", clients, ttl)
 	fmt.Printf("  time until clients stop hitting the dead address:\n")
 	fmt.Printf("    median %.0fs   p90 %.0fs   p99 %.0fs (TTL violations)\n",

@@ -7,15 +7,17 @@ import (
 	"fmt"
 	"log"
 
-	"bestofboth/pkg/bestofboth"
+	"bestofboth/internal/core"
+	"bestofboth/internal/dataplane"
+	"bestofboth/internal/experiment"
 )
 
 func main() {
 	// A World bundles the event-driven simulation: topology (~900 ASes),
 	// BGP speakers, FIB-driven data plane, CDN controller, and a route
 	// collector.
-	w, err := bestofboth.NewWorld(bestofboth.DefaultWorldConfig(
-		bestofboth.WithSeed(7),
+	w, err := experiment.NewWorld(experiment.DefaultWorldConfig(
+		experiment.WithSeed(7),
 	))
 	if err != nil {
 		log.Fatal(err)
@@ -24,7 +26,7 @@ func main() {
 	// Deploy reactive-anycast: per-site unicast prefixes in normal
 	// operation (full DNS steering control); on failure every other site
 	// announces the failed site's prefix.
-	if err := w.CDN.Deploy(bestofboth.ReactiveAnycast{}); err != nil {
+	if err := w.CDN.Deploy(core.ReactiveAnycast{}); err != nil {
 		log.Fatal(err)
 	}
 	w.Converge(3600) // "wait one hour to ensure convergence" (§5.2)
@@ -42,7 +44,7 @@ func main() {
 	// Probe the client the way the paper does (§5.2): pings every 1.5 s
 	// with replies addressed to the atl prefix, captured at whichever site
 	// attracts them.
-	prober := bestofboth.NewProber(w.Plane, w.CDN.Site("ams").Node, atl.Addr)
+	prober := dataplane.NewProber(w.Plane, w.CDN.Site("ams").Node, atl.Addr)
 
 	fmt.Println("\nfailing site atl...")
 	t0 := w.Sim.Now()

@@ -9,19 +9,21 @@ import (
 	"log"
 	"sort"
 
-	"bestofboth/pkg/bestofboth"
+	"bestofboth/internal/core"
+	"bestofboth/internal/experiment"
+	"bestofboth/internal/stats"
 )
 
 func main() {
 	const seed = 21
-	cfg := bestofboth.DefaultWorldConfig(bestofboth.WithSeed(seed))
+	cfg := experiment.DefaultWorldConfig(experiment.WithSeed(seed))
 
 	// World A: pure anycast. Catchments are whatever BGP policy produces.
-	wa, err := bestofboth.NewWorld(cfg)
+	wa, err := experiment.NewWorld(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := wa.CDN.Deploy(bestofboth.Anycast{}); err != nil {
+	if err := wa.CDN.Deploy(core.Anycast{}); err != nil {
 		log.Fatal(err)
 	}
 	wa.Converge(3600)
@@ -29,7 +31,7 @@ func main() {
 	catchments := map[string]int{}
 	targets := wa.Targets()
 	for _, tgt := range targets {
-		if s := wa.CDN.CatchmentOf(tgt.ID, bestofboth.AnycastAddr()); s != nil {
+		if s := wa.CDN.CatchmentOf(tgt.ID, core.AnycastServiceAddr); s != nil {
 			catchments[s.Code]++
 		}
 	}
@@ -37,17 +39,17 @@ func main() {
 	printDist(catchments, len(targets))
 
 	// World B: proactive-prepending(3). The CDN decides per client.
-	wb, err := bestofboth.NewWorld(cfg)
+	wb, err := experiment.NewWorld(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := wb.CDN.Deploy(bestofboth.ProactivePrepending{Prepends: 3}); err != nil {
+	if err := wb.CDN.Deploy(core.ProactivePrepending{Prepends: 3}); err != nil {
 		log.Fatal(err)
 	}
 	wb.Converge(3600)
 
 	fmt.Println("\nsteering success per intended site (all client networks):")
-	t := &bestofboth.Table{Header: []string{"site", "steerable", "of", "share"}}
+	t := &stats.Table{Header: []string{"site", "steerable", "of", "share"}}
 	for _, s := range wb.CDN.Sites() {
 		ok := 0
 		for _, tgt := range targets {
@@ -56,7 +58,7 @@ func main() {
 			}
 		}
 		t.AddRow(s.Code, fmt.Sprintf("%d", ok), fmt.Sprintf("%d", len(targets)),
-			bestofboth.Pct(float64(ok)/float64(len(targets))))
+			stats.Pct(float64(ok)/float64(len(targets))))
 	}
 	fmt.Println(t.Render())
 
@@ -91,6 +93,6 @@ func printDist(m map[string]int, total int) {
 	}
 	sort.Slice(codes, func(i, j int) bool { return m[codes[i]] > m[codes[j]] })
 	for _, c := range codes {
-		fmt.Printf("  %-5s %5d clients (%s)\n", c, m[c], bestofboth.Pct(float64(m[c])/float64(total)))
+		fmt.Printf("  %-5s %5d clients (%s)\n", c, m[c], stats.Pct(float64(m[c])/float64(total)))
 	}
 }

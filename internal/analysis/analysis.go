@@ -19,8 +19,9 @@
 //
 // A missing reason is itself a diagnostic, and an ignore that no longer
 // matches any finding is reported as stale (see ignore.go). Analyzers also
-// honor purpose-built marker comments (//cdnlint:mutates-route,
-// //cdnlint:allocfree, //cdnlint:nosnapshot) described in their docs.
+// honor purpose-built marker comments (//cdnlint:allocfree,
+// //cdnlint:nosnapshot, //cdnlint:shardowned, //cdnlint:barrieronly)
+// described in their docs.
 package analysis
 
 import (

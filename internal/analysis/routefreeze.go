@@ -13,13 +13,12 @@ import (
 // snapshots. The analyzer flags every write to a Route field, every
 // element write into a Route slice field (Path, Communities share backing
 // arrays even across value copies), and copy/append targeting those
-// fields, unless the enclosing function is annotated with a
-// //cdnlint:mutates-route doc comment marking it as a construction site
-// that only touches unpublished routes.
+// fields. There is no exemption: a Route is built whole, as a composite
+// literal, and replaced rather than edited.
 var AnalyzerRoutefreeze = &Analyzer{
 	Name: "routefreeze",
-	Doc: "flag writes to bgp.Route fields or its slice elements outside functions annotated " +
-		"//cdnlint:mutates-route; published routes are shared and must be replaced, never mutated",
+	Doc: "flag writes to bgp.Route fields or its slice elements; published routes are shared " +
+		"and must be replaced, never mutated",
 	Run: runRoutefreeze,
 }
 
@@ -43,7 +42,7 @@ func isRouteType(t types.Type) bool {
 
 func runRoutefreeze(pass *Pass) {
 	for _, fd := range funcDecls(pass.Files) {
-		if fd.Body == nil || funcHasMarker(fd.Doc, "mutates-route") {
+		if fd.Body == nil {
 			continue
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -69,7 +68,7 @@ func (p *Pass) checkRouteWriteTarget(lhs ast.Expr) {
 	case *ast.SelectorExpr:
 		// r.Field = ... where r is a Route (or *Route, possibly nested).
 		if tv, ok := p.Info.Types[e.X]; ok && isRouteType(tv.Type) {
-			p.Reportf(e.Sel.Pos(), "write to field %s of bgp.Route outside a //cdnlint:mutates-route function; "+
+			p.Reportf(e.Sel.Pos(), "write to field %s of bgp.Route; "+
 				"published routes are immutable — build a new Route and swap the pointer", e.Sel.Name)
 		}
 	case *ast.IndexExpr:
@@ -77,8 +76,7 @@ func (p *Pass) checkRouteWriteTarget(lhs ast.Expr) {
 		// value copy of the Route.
 		if sel, ok := e.X.(*ast.SelectorExpr); ok {
 			if tv, ok := p.Info.Types[sel.X]; ok && isRouteType(tv.Type) {
-				p.Reportf(e.Pos(), "element write into bgp.Route.%s mutates the shared backing array outside a "+
-					"//cdnlint:mutates-route function", sel.Sel.Name)
+				p.Reportf(e.Pos(), "element write into bgp.Route.%s mutates the shared backing array", sel.Sel.Name)
 			}
 		}
 	case *ast.StarExpr:
@@ -86,7 +84,7 @@ func (p *Pass) checkRouteWriteTarget(lhs ast.Expr) {
 		// replaces the whole published struct through the pointer.
 		if tv, ok := p.Info.Types[e.X]; ok && isRouteType(tv.Type) {
 			if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-				p.Reportf(e.Pos(), "write through *bgp.Route outside a //cdnlint:mutates-route function; "+
+				p.Reportf(e.Pos(), "write through *bgp.Route; "+
 					"published routes are immutable — build a new Route and swap the pointer")
 			}
 		}
@@ -112,7 +110,7 @@ func (p *Pass) checkRouteBuiltinMutation(call *ast.CallExpr) {
 		return
 	}
 	if tv, ok := p.Info.Types[sel.X]; ok && isRouteType(tv.Type) {
-		p.Reportf(call.Pos(), "%s on bgp.Route.%s may write the shared backing array outside a "+
-			"//cdnlint:mutates-route function; clone the slice instead", id.Name, sel.Sel.Name)
+		p.Reportf(call.Pos(), "%s on bgp.Route.%s may write the shared backing array; clone the slice instead",
+			id.Name, sel.Sel.Name)
 	}
 }

@@ -9,14 +9,17 @@ type Route struct {
 	LocalPref int
 }
 
-// build constructs unpublished routes; mutation is its whole job.
-//
-//cdnlint:mutates-route
+// build edits a route it has just made. No function is exempt: build it
+// whole, as buildLiteral does.
 func build(pfx string) *Route {
 	r := &Route{Prefix: pfx}
-	r.LocalPref = 100 // annotated function: allowed
-	r.Path = append(r.Path, 64500)
+	r.LocalPref = 100              // want `write to field LocalPref of bgp\.Route`
+	r.Path = append(r.Path, 64500) // want `write to field Path of bgp\.Route` `append on bgp\.Route\.Path`
 	return r
+}
+
+func buildLiteral(pfx string) *Route {
+	return &Route{Prefix: pfx, Path: []uint32{64500}, LocalPref: 100}
 }
 
 func tamper(r *Route) {

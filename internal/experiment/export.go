@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bestofboth/internal/stats"
-	"bestofboth/pkg/bestofboth/api"
 )
 
 // CDFSummary is the JSON-friendly form of a distribution: headline
@@ -87,10 +86,3 @@ func ExportPairs(pairs []CDFPair, points int) []TechniqueSeries {
 	}
 	return out
 }
-
-// Report accumulates experiment results for machine-readable output — an
-// alias of the versioned api.Report wire document.
-type Report = api.Report
-
-// NewReport creates an empty report for a seed.
-func NewReport(seed int64) *Report { return api.NewReport(seed) }

@@ -23,14 +23,6 @@ func (c WorldConfig) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Manifest is the versioned wire document recording how one experiment
-// invocation ran — an alias of the public api.Manifest so the manifest,
-// the daemon's responses, and -json output share one schema.
-type Manifest = api.Manifest
-
-// MemFootprint is the wire form of one invocation's memory cost.
-type MemFootprint = api.MemFootprint
-
 // DemandSummary rebuilds the config's demand model — a pure function of
 // (Demand config, Seed, topology) — and condenses it for the manifest.
 // It returns nil when demand is disabled or the model cannot be built.
@@ -94,10 +86,10 @@ func metricSamples(reg *obs.Registry) []api.MetricSample {
 }
 
 // ReadMemFootprint samples the current process's memory footprint.
-func ReadMemFootprint() *MemFootprint {
+func ReadMemFootprint() *api.MemFootprint {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return &MemFootprint{
+	return &api.MemFootprint{
 		PeakRSSBytes:    peakRSSBytes(),
 		TotalAllocBytes: ms.TotalAlloc,
 		Mallocs:         ms.Mallocs,
@@ -129,8 +121,8 @@ func peakRSSBytes() uint64 {
 }
 
 // NewManifest assembles a manifest for one invocation. reg may be nil.
-func NewManifest(command string, cfg WorldConfig, workers int, reg *obs.Registry) Manifest {
-	return Manifest{
+func NewManifest(command string, cfg WorldConfig, workers int, reg *obs.Registry) api.Manifest {
+	return api.Manifest{
 		APIVersion:   api.Version,
 		Command:      command,
 		Seed:         cfg.Seed,
