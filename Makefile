@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke profile-fig2 profile-converge outputs outputs-diff fuzz-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge outputs outputs-diff fuzz-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -61,8 +61,51 @@ race-full: vet
 bench-smoke:
 	$(GO) run ./benchmark -workload all -quick
 
-# CPU and allocation profiles, twenty iterations at GOMAXPROCS=2 and then
-# the top of both: profile-fig2 of BenchmarkFigure2Default (bench_test.go:
+# An A/B measurement of the working tree against the committed tree of
+# PARENT: PAIRS pairs of runs of one benchmark WORKLOAD on seeds SEED,
+# SEED+1, ..., each run a fresh process, the side that runs first
+# alternating from pair to pair. It refuses to run unless benchmark/ and
+# BENCHMARK.json are the same on both sides, so both measure with the same
+# code. It prints the benchmark's -compare rows for the workload and, per
+# end-to-end metric, the pairs the working tree won (lower is better; a tie
+# counts for neither side). The two binaries, each run's output and the two
+# JSONL files stay in ABDIR, a fresh temporary directory unless one is named.
+WORKLOAD ?= converge-cold
+PAIRS ?= 10
+SEED ?= 1
+ABDIR ?=
+ab:
+	@set -e; [ -n "$(PARENT)" ] || { echo "make ab: PARENT=<ref> is required" >&2; exit 2; }; \
+	git diff --quiet "$(PARENT)" -- benchmark BENCHMARK.json || { \
+		echo "make ab: benchmark/ or BENCHMARK.json differs from $(PARENT); both sides must run the same benchmark" >&2; exit 2; }; \
+	dir="$(ABDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; dir=$$(cd "$$dir" && pwd); \
+	src=$$(mktemp -d); trap 'rm -rf "$$src"' EXIT; \
+	git archive "$(PARENT)" | tar -x -C "$$src"; \
+	(cd "$$src" && $(GO) build -o "$$dir/parent" ./benchmark); \
+	$(GO) build -o "$$dir/change" ./benchmark; \
+	rm -f "$$dir/parent.jsonl" "$$dir/change.jsonl"; \
+	i=0; while [ $$i -lt $(PAIRS) ]; do \
+		seed=$$(($(SEED) + i)); order="parent change"; [ $$((i % 2)) -eq 0 ] || order="change parent"; \
+		for side in $$order; do \
+			echo "pair $$((i + 1))/$(PAIRS) seed $$seed: $$side"; \
+			"$$dir/$$side" -workload $(WORKLOAD) -seed $$seed -out "$$dir/$$side.jsonl" >"$$dir/$$side-$$seed.log"; \
+		done; \
+		i=$$((i + 1)); \
+	done; \
+	"$$dir/change" -compare "$$dir/parent.jsonl" "$$dir/change.jsonl" | grep -E '^(workload|$(WORKLOAD)) ' || true; \
+	for m in $$(head -n 1 "$$dir/change.jsonl" | grep -o '"metrics":{.*' | grep -o '"[a-z0-9_.]*":{"value"' | cut -d'"' -f2); do \
+		for side in parent change; do \
+			sed -n 's/.*"metrics":{.*"'"$$m"'":{"value":\([^,}]*\).*/\1/p' "$$dir/$$side.jsonl" >"$$dir/$$side.$$m"; \
+		done; \
+		paste "$$dir/parent.$$m" "$$dir/change.$$m" | \
+			awk -v m="$$m" '$$2 < $$1 { k++ } END { printf "%-16s change wins %d/%d pairs\n", m, k, NR }'; \
+		rm -f "$$dir/parent.$$m" "$$dir/change.$$m"; \
+	done; \
+	echo "runs kept in $$dir"
+
+# CPU and allocation profiles, twenty iterations at GOMAXPROCS=2 (the
+# benchmark line carries B/op and allocs/op) and then the top of both:
+# profile-fig2 of BenchmarkFigure2Default (bench_test.go:
 # the default-scale Figure 2 matrix on cached snapshots that `cdnsim fig2`
 # and the benchmark's fig2-warm run — restore, withdrawal, probing),
 # profile-converge of BenchmarkConvergePaper (one converge-cold operation:
@@ -74,7 +117,7 @@ profile-fig2: PROFBENCH = BenchmarkFigure2Default
 profile-converge: PROFBENCH = BenchmarkConvergePaper
 profile-fig2 profile-converge:
 	@set -e; dir="$(PROFDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
-	$(GO) test -run '^$$' -bench '$(PROFBENCH)$$' -cpu 2 -benchtime 20x \
+	$(GO) test -run '^$$' -bench '$(PROFBENCH)$$' -cpu 2 -benchtime 20x -benchmem \
 		-o "$$dir/$@.test" -outputdir "$$dir" -cpuprofile cpu.prof -memprofile mem.prof .; \
 	$(GO) tool pprof -top -cum -nodecount 40 "$$dir/$@.test" "$$dir/cpu.prof"; \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 "$$dir/$@.test" "$$dir/mem.prof"; \

@@ -27,8 +27,8 @@ func TestSendPathZeroAllocs(t *testing.T) {
 	sp := net.Speaker(0)
 	st := sp.lookup(testPrefix)
 	sess := -1
-	for i, r := range st.out {
-		if r != nil {
+	for i, a := range st.adj {
+		if a.out != nil {
 			sess = i
 			break
 		}
@@ -36,7 +36,7 @@ func TestSendPathZeroAllocs(t *testing.T) {
 	if sess < 0 {
 		t.Fatal("origin speaker has no adj-RIB-out entry")
 	}
-	r := st.out[sess]
+	r := st.adj[sess].out
 
 	avg := testing.AllocsPerRun(100, func() {
 		sp.send(sess, Update{Type: Announce, Prefix: testPrefix, Route: r})
@@ -151,4 +151,82 @@ func TestRestoreAllocBudget(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPrefixStateAllocs pins the prefix state's layout: a state's
+// per-session RIB and pacing slots are one array. A speaker's first state
+// for a prefix therefore costs the state and that array, and the first
+// write to a snapshot's frozen state copies the same two; one array for the
+// adj-RIBs beside one for the MRAI deadlines costs three. AdjIn hands out a
+// copy, so writing into it leaves the speaker as it was.
+func TestPrefixStateAllocs(t *testing.T) {
+	topo := diamond(t)
+	sim := netsim.New(5)
+	net := New(sim, topo, quickCfg())
+	if err := net.Originate(3, testPrefix, nil); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	snap, err := net.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("own", func(t *testing.T) {
+		restored := New(netsim.New(5), topo, quickCfg())
+		if err := restored.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		sp := restored.Speaker(0)
+		i, ok := sp.find(testPrefix)
+		if !ok {
+			t.Fatal("restored speaker has no state for the prefix")
+		}
+		frozen := sp.rib[i]
+		allocs := testing.AllocsPerRun(20, func() {
+			sp.rib[i] = frozen
+			sp.own(i)
+		})
+		if allocs != 2 {
+			t.Fatalf("owning a frozen state made %v allocations; want 2", allocs)
+		}
+		if st := sp.rib[i]; st == frozen || st.owner != sp || frozen.owner != nil {
+			t.Fatal("own did not replace the frozen state with a private copy")
+		}
+	})
+
+	t.Run("first state", func(t *testing.T) {
+		sp := New(netsim.New(5), topo, quickCfg()).Speaker(0)
+		sp.rib = make([]*prefixState, 0, 1)
+		allocs := testing.AllocsPerRun(20, func() {
+			sp.rib = sp.rib[:0]
+			sp.state(testPrefix)
+		})
+		if allocs != 2 {
+			t.Fatalf("a speaker's first state for a prefix made %v allocations; want 2", allocs)
+		}
+	})
+
+	t.Run("AdjIn is the caller's", func(t *testing.T) {
+		sp := net.Speaker(0)
+		in := sp.AdjIn(testPrefix)
+		held := 0
+		for sess, r := range in {
+			if r != nil {
+				held++
+			}
+			in[sess] = nil
+		}
+		if held == 0 {
+			t.Fatal("speaker 0 learned no route; the check proved nothing")
+		}
+		for _, a := range sp.lookup(testPrefix).adj {
+			if a.in != nil {
+				held--
+			}
+		}
+		if held != 0 {
+			t.Fatal("clearing the slice AdjIn returned cleared the speaker's adj-RIB-in")
+		}
+	})
 }

@@ -701,8 +701,8 @@ func TestReselectMatchesFullScan(t *testing.T) {
 	nSess := len(s.node.Adj)
 	fullScan := func(st *prefixState) (*Route, int) {
 		best, bestSess := (*Route)(nil), -1
-		for sess, rt := range st.in {
-			if rt != nil && (best == nil || s.better(rt, sess, best, bestSess)) {
+		for sess, a := range st.adj {
+			if rt := a.in; rt != nil && (best == nil || s.better(rt, sess, best, bestSess)) {
 				best, bestSess = rt, sess
 			}
 		}

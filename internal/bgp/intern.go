@@ -1,9 +1,6 @@
 package bgp
 
-import (
-	"bestofboth/internal/netsim"
-	"bestofboth/internal/topology"
-)
+import "bestofboth/internal/topology"
 
 // pathIntern deduplicates AS-path slices within one Network. Routes are
 // immutable after publish (see the Route doc), so every speaker that exports
@@ -73,12 +70,13 @@ func (pi *pathIntern) extend(head topology.ASN, tail []topology.ASN) []topology.
 // delivery is the recycled payload of a send→receive event: the scheduled
 // arrival of one UPDATE at a neighbor. Pooling these (plus netsim.AtCall)
 // removes the per-message closure allocation on the hottest path in the
-// simulator.
+// simulator. next links a free delivery into its shard's pool.
 type delivery struct {
 	peer  *Speaker
 	rev   int
 	epoch uint64
 	u     Update
+	next  *delivery
 }
 
 // runDelivery is the shared event callback for all pooled deliveries. The
@@ -90,8 +88,8 @@ func runDelivery(a any) {
 	d := a.(*delivery)
 	peer, rev, epoch, u := d.peer, d.rev, d.epoch, d.u
 	sh := peer.sh
-	*d = delivery{}
-	sh.freeDeliv = netsim.AppendDoubling(sh.freeDeliv, d)
+	*d = delivery{next: sh.freeDeliv}
+	sh.freeDeliv = d
 	// A session reset or link failure while the update was in flight tears
 	// down the TCP connection it rode on; the update must never arrive.
 	if peer.sessEpoch[rev] != epoch {
@@ -102,19 +100,21 @@ func runDelivery(a any) {
 
 // pendingExport is the recycled payload of an MRAI-pacing timer: re-run
 // export for one (prefix, session) when its advertisement interval expires.
+// The speaker is st.owner. next links a free one into its shard's pool.
 type pendingExport struct {
-	s    *Speaker
 	st   *prefixState
 	sess int
+	next *pendingExport
 }
 
 //cdnlint:allocfree
 func runPendingExport(a any) {
 	pe := a.(*pendingExport)
-	s, st, sess := pe.s, pe.st, pe.sess
+	st, sess := pe.st, pe.sess
+	s := st.owner
 	sh := s.sh
-	*pe = pendingExport{}
-	sh.freePend = netsim.AppendDoubling(sh.freePend, pe)
+	*pe = pendingExport{next: sh.freePend}
+	sh.freePend = pe
 	st.pending[sess] = false
 	s.export(st.prefix, st, sess)
 }

@@ -40,11 +40,11 @@ type shard struct {
 
 	// intern deduplicates AS-path slices across this shard's speakers.
 	intern pathIntern //cdnlint:nosnapshot cache: a restored network re-interns paths as it exports; samePath falls back to content
-	// freeDeliv and freePend recycle the payload structs of the two hottest
-	// event kinds, exactly as the unsharded Network did. They grow by the
-	// event queue's rule, netsim.AppendDoubling.
-	freeDeliv []*delivery      //cdnlint:nosnapshot free-list pool; contents are semantically empty
-	freePend  []*pendingExport //cdnlint:nosnapshot free-list pool; contents are semantically empty
+	// freeDeliv and freePend head the free lists that recycle the payload
+	// structs of the two hottest event kinds. The lists are intrusive (each
+	// free struct links the next), so recycling never grows an array.
+	freeDeliv *delivery      //cdnlint:nosnapshot free-list pool; contents are semantically empty
+	freePend  *pendingExport //cdnlint:nosnapshot free-list pool; contents are semantically empty
 
 	// out[d] buffers updates for speakers on shard d; drained at barriers.
 	out [][]xmsg //cdnlint:nosnapshot snapshots require quiescence, where all mailboxes are empty
@@ -88,9 +88,8 @@ func (sh *shard) sendCross(at netsim.Seconds, peer *Speaker, rev int, u Update) 
 
 //cdnlint:allocfree pool hit path; the miss allocates once per steady-state depth
 func (sh *shard) newDelivery() *delivery {
-	if k := len(sh.freeDeliv); k > 0 {
-		d := sh.freeDeliv[k-1]
-		sh.freeDeliv = sh.freeDeliv[:k-1]
+	if d := sh.freeDeliv; d != nil {
+		sh.freeDeliv, d.next = d.next, nil
 		return d
 	}
 	return &delivery{}
@@ -98,9 +97,8 @@ func (sh *shard) newDelivery() *delivery {
 
 //cdnlint:allocfree pool hit path; the miss allocates once per steady-state depth
 func (sh *shard) newPendingExport() *pendingExport {
-	if k := len(sh.freePend); k > 0 {
-		pe := sh.freePend[k-1]
-		sh.freePend = sh.freePend[:k-1]
+	if pe := sh.freePend; pe != nil {
+		sh.freePend, pe.next = pe.next, nil
 		return pe
 	}
 	return &pendingExport{}

@@ -48,8 +48,8 @@ type speakerSnapshot struct {
 
 // Snapshot captures the network's protocol state. It fails if simulation
 // events are pending: snapshot only a converged network. The live network
-// keeps its own states; the snapshot's are copies whose per-session slices
-// are carved from two arrays per speaker.
+// keeps its own states; the snapshot's are copies whose per-session slots
+// are carved from one array per speaker.
 func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 	if pending := n.sim.Pending(); pending != 0 {
 		return nil, fmt.Errorf("bgp: cannot snapshot with %d pending events", pending)
@@ -67,22 +67,17 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 	}
 	for i, sp := range n.speakers {
 		nAdj := len(sp.node.Adj)
-		routes := make([]*Route, 2*nAdj*len(sp.rib))
-		times := make([]netsim.Seconds, nAdj*len(sp.rib))
+		slots := make([]adjSlot, nAdj*len(sp.rib))
 		rib := make([]prefixState, len(sp.rib))
 		for k, st := range sp.rib {
-			// Route and OriginPolicy pointers are shared, not cloned: both
+			// Route and origination pointers are shared, not cloned: both
 			// are immutable once published. The live network moves on by
-			// swapping pointers in its own slices.
+			// swapping pointers in its own slots.
 			f := &rib[k]
 			*f = *st
 			f.owner, f.pending = nil, nil
-			f.in, routes = routes[:nAdj:nAdj], routes[nAdj:]
-			f.out, routes = routes[:nAdj:nAdj], routes[nAdj:]
-			f.nextAllowed, times = times[:nAdj:nAdj], times[nAdj:]
-			copy(f.in, st.in)
-			copy(f.out, st.out)
-			copy(f.nextAllowed, st.nextAllowed)
+			f.adj, slots = slots[:nAdj:nAdj], slots[nAdj:]
+			copy(f.adj, st.adj)
 			f.damp = slices.Clone(st.damp)
 		}
 		snap.speakers[i] = speakerSnapshot{

@@ -65,9 +65,9 @@ type prefixState struct {
 	// snapshot's frozen copy.
 	owner *Speaker //cdnlint:nosnapshot who may write, not what is stored: nil in every snapshot
 
-	in          []*Route // adj-RIB-in, one slot per session
-	out         []*Route // adj-RIB-out as last transmitted, per session
-	nextAllowed []netsim.Seconds
+	// adj holds the per-session RIB and pacing state, one slot per session:
+	// one array, so a state costs one allocation for all of it.
+	adj []adjSlot
 	// pending[sess] is true while an MRAI timer for the session is queued;
 	// allocated by the first export that has to wait.
 	pending []bool //cdnlint:nosnapshot mirrors queued MRAI timers; snapshots require an empty queue
@@ -78,14 +78,29 @@ type prefixState struct {
 	bestSess int
 	// sent is the Route export built or shared last; groupRoute hands it
 	// to every session whose intent it matches.
-	sent   *Route
-	origin *OriginPolicy
-	// originRoute is the loc-RIB entry representing the local origination,
-	// built once per Originate call instead of on every recompute. Non-nil
-	// exactly when origin is non-nil; its maximal LOCAL_PREF means it is
-	// always the best route while present.
-	originRoute *Route
-	damp        []dampState // allocated on first flap when damping is on
+	sent *Route
+	// origin is the local origination, nil when the speaker does not
+	// originate the prefix.
+	origin *origination
+	damp   []dampState // allocated on first flap when damping is on
+}
+
+// adjSlot is one session's share of a prefix state.
+type adjSlot struct {
+	in  *Route // adj-RIB-in: what the neighbor last advertised
+	out *Route // adj-RIB-out: what was last transmitted
+	// next is when the MRAI timer next allows an advertisement.
+	next netsim.Seconds
+}
+
+// origination is a local origination: the policy and the loc-RIB entry
+// that represents it, built once per Originate call instead of on every
+// recompute. Its maximal LOCAL_PREF makes route the best route while the
+// origination stands. Like the Routes it holds, it is immutable once
+// installed: originate builds a fresh one on every call.
+type origination struct {
+	pol   *OriginPolicy
+	route Route
 }
 
 func newSpeaker(net *Network, sh *shard, node *topology.Node) *Speaker {
@@ -150,15 +165,7 @@ func (s *Speaker) state(p netip.Prefix) *prefixState {
 	if ok {
 		return s.own(i)
 	}
-	n := len(s.node.Adj)
-	routes := make([]*Route, 2*n) // adj-RIBs-in and -out share one backing array
-	st := &prefixState{
-		prefix:      p,
-		owner:       s,
-		in:          routes[:n:n],
-		out:         routes[n:],
-		nextAllowed: make([]netsim.Seconds, n),
-	}
+	st := &prefixState{prefix: p, owner: s, adj: make([]adjSlot, len(s.node.Adj))}
 	s.rib = slices.Insert(s.rib, i, st)
 	s.net.m.prefixStates.Inc()
 	return st
@@ -167,21 +174,16 @@ func (s *Speaker) state(p netip.Prefix) *prefixState {
 // own returns rib[i] writable. A restored speaker's rib points at the
 // snapshot's frozen states, shared with every sibling restore; the first
 // write in this world replaces the pointer with a private copy. Routes and
-// policies stay shared (immutable after publish); pending is left nil, as in
-// every frozen state.
+// originations stay shared (immutable after publish); pending is left nil,
+// as in every frozen state.
 func (s *Speaker) own(i int) *prefixState {
 	st := s.rib[i]
 	if st.owner == s {
 		return st
 	}
-	n := len(st.in)
-	routes := make([]*Route, 2*n)
 	c := *st
 	c.owner = s
-	c.in, c.out = routes[:n:n], routes[n:]
-	copy(c.in, st.in)
-	copy(c.out, st.out)
-	c.nextAllowed = slices.Clone(st.nextAllowed)
+	c.adj = slices.Clone(st.adj)
 	c.damp = slices.Clone(st.damp)
 	s.rib[i] = &c
 	return &c
@@ -205,13 +207,19 @@ func (s *Speaker) BestSession(p netip.Prefix) int {
 	return -1
 }
 
-// AdjIn returns the adj-RIB-in routes for p (nil slots for sessions with no
-// route). The returned slice must not be modified.
+// AdjIn returns the adj-RIB-in routes for p, one per session (nil slots for
+// sessions with no route). The slice is the caller's own; the routes are
+// published and must not be modified.
 func (s *Speaker) AdjIn(p netip.Prefix) []*Route {
-	if st := s.lookup(p); st != nil {
-		return st.in
+	st := s.lookup(p)
+	if st == nil {
+		return nil
 	}
-	return nil
+	in := make([]*Route, len(st.adj))
+	for sess, a := range st.adj {
+		in[sess] = a.in
+	}
+	return in
 }
 
 // KnownPrefixes returns every prefix with any state at this speaker, in the
@@ -226,11 +234,10 @@ func (s *Speaker) KnownPrefixes() []netip.Prefix {
 
 func (s *Speaker) originate(p netip.Prefix, pol *OriginPolicy) {
 	st := s.state(p)
-	st.origin = pol
-	// Build the loc-RIB origin entry once per origination. A fresh Route is
-	// mandatory even on re-origination: the previous one may be published
+	// Build the loc-RIB origin entry once per origination. A fresh one is
+	// mandatory even on re-origination: the previous route may be published
 	// (st.best, FIBs, feeds) and published routes are immutable.
-	st.originRoute = &Route{Prefix: p, MED: pol.MED, OriginNode: s.node.ID}
+	st.origin = &origination{pol: pol, route: Route{Prefix: p, MED: pol.MED, OriginNode: s.node.ID}}
 	s.recompute(p, st)
 	// A policy change (e.g. new prepend depth) may alter exports even when
 	// the best route is unchanged, so always reconsider every session.
@@ -244,7 +251,6 @@ func (s *Speaker) withdrawOrigin(p netip.Prefix) {
 	}
 	st := s.own(i)
 	st.origin = nil
-	st.originRoute = nil
 	s.recompute(p, st)
 	s.exportAll(p, st)
 }
@@ -276,13 +282,14 @@ func (s *Speaker) receive(sess int, u Update) {
 	s.msgCount++
 	s.net.m.received.Inc()
 	st := s.state(u.Prefix)
-	hadIn := st.in[sess] != nil
+	a := &st.adj[sess]
+	hadIn := a.in != nil
 	damping := s.net.cfg.Damping
 	switch u.Type {
 	case Announce:
 		// Route-flap damping counts re-advertisements that change an
 		// existing route as flaps (RFC 2439 §4.4.2).
-		if damping != nil && st.in[sess] != nil && !sameWire(u.Route, st.in[sess]) {
+		if damping != nil && a.in != nil && !sameWire(u.Route, a.in) {
 			s.flap(st, sess, damping)
 		}
 		r := u.Route
@@ -290,24 +297,24 @@ func (s *Speaker) receive(sess int, u Update) {
 			// Receiver-side loop detection: the NLRI replaces whatever this
 			// neighbor previously advertised, but the looping path is not
 			// usable, so the net effect is a withdrawal of the old route.
-			st.in[sess] = nil
-		} else if cur := st.in[sess]; cur != nil && sameWire(r, cur) {
+			a.in = nil
+		} else if cur := a.in; cur != nil && sameWire(r, cur) {
 			// Duplicate re-advertisement: keep the existing entry.
 		} else {
 			// The adj-RIB-in holds the sender's published adj-RIB-out
 			// pointer; what is receiver-local follows from sess.
-			st.in[sess] = r
+			a.in = r
 		}
 	case Withdraw:
-		if st.in[sess] == nil {
+		if a.in == nil {
 			return
 		}
 		if damping != nil {
 			s.flap(st, sess, damping)
 		}
-		st.in[sess] = nil
+		a.in = nil
 	}
-	if hasIn := st.in[sess] != nil; hasIn != hadIn {
+	if hasIn := a.in != nil; hasIn != hadIn {
 		if hasIn {
 			s.net.m.adjIn.Add(1)
 		} else {
@@ -375,10 +382,11 @@ func (s *Speaker) recompute(p netip.Prefix, st *prefixState) bool {
 	if st.origin != nil {
 		// Locally originated routes always win (empty AS path, maximal
 		// preference — the analogue of administrative weight).
-		best = st.originRoute
+		best = &st.origin.route
 	}
 	damping := s.net.cfg.Damping
-	for sess, r := range st.in {
+	for sess := range st.adj {
+		r := st.adj[sess].in
 		if r == nil {
 			continue
 		}
@@ -403,7 +411,7 @@ func (s *Speaker) recompute(p netip.Prefix, st *prefixState) bool {
 // would.
 func (s *Speaker) reselect(p netip.Prefix, st *prefixState, sess int) bool {
 	s.mustOwn(st)
-	r := st.in[sess]
+	r := st.adj[sess].in
 	if r == nil || (st.best != nil && !s.better(r, sess, st.best, st.bestSess)) {
 		return false
 	}
@@ -506,7 +514,7 @@ func (s *Speaker) desiredExport(st *prefixState, sess int, transit *[]topology.A
 
 	if st.bestSess == -1 {
 		// Locally originated: apply the origination policy.
-		pol := st.origin
+		pol := st.origin.pol
 		prepend := pol.Prepend
 		if np, ok := pol.PerNeighbor[adj.To]; ok {
 			if !np.Export {
@@ -597,10 +605,10 @@ func groupRoute(p netip.Prefix, st *prefixState, it exportIntent) *Route {
 	if carries(st.sent) {
 		return st.sent
 	}
-	for _, r := range st.out {
-		if carries(r) {
-			st.sent = r
-			return r
+	for _, a := range st.adj {
+		if carries(a.out) {
+			st.sent = a.out
+			return a.out
 		}
 	}
 	st.sent = &Route{Prefix: p, Path: it.path, MED: it.med, OriginNode: it.originNode, Communities: it.comm}
@@ -624,39 +632,40 @@ func (s *Speaker) exportPass(p netip.Prefix, st *prefixState, sess int, transit 
 		return
 	}
 	it, want := s.desiredExport(st, sess, transit)
+	a := &st.adj[sess]
 	if want {
-		if intentMatches(it, st.out[sess]) {
+		if intentMatches(it, a.out) {
 			return
 		}
-	} else if st.out[sess] == nil {
+	} else if a.out == nil {
 		return
 	}
 	now := s.sh.sim.Now()
 	if !want && !s.net.cfg.PaceWithdrawals {
-		st.out[sess] = nil
+		a.out = nil
 		s.send(sess, Update{Type: Withdraw, Prefix: p})
 		return
 	}
-	if now >= st.nextAllowed[sess] {
-		st.nextAllowed[sess] = now + s.mraiInterval()
+	if now >= a.next {
+		a.next = now + s.mraiInterval()
 		if !want {
-			st.out[sess] = nil
+			a.out = nil
 			s.send(sess, Update{Type: Withdraw, Prefix: p})
 		} else {
 			r := groupRoute(p, st, it)
-			st.out[sess] = r
+			a.out = r
 			s.send(sess, Update{Type: Announce, Prefix: p, Route: r})
 		}
 		return
 	}
 	if st.pending == nil {
-		st.pending = make([]bool, len(st.in))
+		st.pending = make([]bool, len(st.adj))
 	}
 	if !st.pending[sess] {
 		st.pending[sess] = true
 		pe := s.sh.newPendingExport()
-		pe.s, pe.st, pe.sess = s, st, sess
-		s.sh.sim.AtCall(st.nextAllowed[sess], runPendingExport, pe)
+		pe.st, pe.sess = st, sess
+		s.sh.sim.AtCall(a.next, runPendingExport, pe)
 	}
 }
 
@@ -720,12 +729,12 @@ func (s *Speaker) send(sess int, u Update) {
 func (s *Speaker) flushSession(sess int) {
 	for i := range s.rib {
 		st := s.own(i)
-		st.out[sess] = nil
-		st.nextAllowed[sess] = 0
-		if st.in[sess] == nil {
+		a := &st.adj[sess]
+		a.out, a.next = nil, 0
+		if a.in == nil {
 			continue
 		}
-		st.in[sess] = nil
+		a.in = nil
 		s.net.m.adjIn.Add(-1)
 		s.recompute(st.prefix, st)
 		s.exportAll(st.prefix, st)

@@ -75,7 +75,7 @@ func (d *digestText) Write(p []byte) (int, error) {
 func appendPrefixState(buf []byte, sp *Speaker, st *prefixState) []byte {
 	if st.origin != nil {
 		buf = append(buf, "  origin "...)
-		buf = appendOrigin(buf, st.origin)
+		buf = appendOrigin(buf, st.origin.pol)
 		buf = append(buf, '\n')
 	}
 	if st.best != nil {
@@ -85,8 +85,8 @@ func appendPrefixState(buf []byte, sp *Speaker, st *prefixState) []byte {
 		buf = appendRoute(buf, st.best)
 		buf = append(buf, '\n')
 	}
-	for sess, r := range st.in {
-		if r != nil {
+	for sess := range st.adj {
+		if r := st.adj[sess].in; r != nil {
 			buf = append(buf, "  in["...)
 			buf = strconv.AppendInt(buf, int64(sess), 10)
 			buf = append(buf, "] lp="...)
@@ -96,8 +96,8 @@ func appendPrefixState(buf []byte, sp *Speaker, st *prefixState) []byte {
 			buf = append(buf, '\n')
 		}
 	}
-	for sess, r := range st.out {
-		if r != nil {
+	for sess := range st.adj {
+		if r := st.adj[sess].out; r != nil {
 			buf = append(buf, "  out["...)
 			buf = strconv.AppendInt(buf, int64(sess), 10)
 			buf = append(buf, "] "...)

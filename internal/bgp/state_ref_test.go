@@ -29,18 +29,18 @@ func RefRouteStateDigest(n *Network) string {
 			st := sp.lookup(p)
 			var sb strings.Builder
 			if st.origin != nil {
-				fmt.Fprintf(&sb, "  origin %s\n", refOriginWire(st.origin))
+				fmt.Fprintf(&sb, "  origin %s\n", refOriginWire(st.origin.pol))
 			}
 			if st.best != nil {
 				fmt.Fprintf(&sb, "  best sess=%d %s\n", st.bestSess, refRouteWire(st.best))
 			}
-			for sess, r := range st.in {
-				if r != nil {
+			for sess, a := range st.adj {
+				if r := a.in; r != nil {
 					fmt.Fprintf(&sb, "  in[%d] lp=%d %s\n", sess, sp.localPref(sess), refRouteWire(r))
 				}
 			}
-			for sess, r := range st.out {
-				if r != nil {
+			for sess, a := range st.adj {
+				if r := a.out; r != nil {
 					fmt.Fprintf(&sb, "  out[%d] %s\n", sess, refRouteWire(r))
 				}
 			}

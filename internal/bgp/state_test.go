@@ -16,32 +16,43 @@ import (
 func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 	p4 := netip.MustParsePrefix("184.164.240.0/24")
 	p6 := netip.MustParsePrefix("2804:269c:fe00::/40")
-	slots := func(rs ...*Route) []*Route { return rs }
+	routes := func(rs ...*Route) []*Route { return rs }
+	// slots builds a state's per-session slots from its adj-RIB-in and -out.
+	slots := func(in, out []*Route) []adjSlot {
+		adj := make([]adjSlot, max(len(in), len(out)))
+		for sess, r := range in {
+			adj[sess].in = r
+		}
+		for sess, r := range out {
+			adj[sess].out = r
+		}
+		return adj
+	}
 	cases := []struct {
 		name string
 		st   *prefixState
 	}{
 		{"nil communities", &prefixState{prefix: p4, best: &Route{Path: []topology.ASN{47065}}, bestSess: 2}},
 		{"empty communities", &prefixState{prefix: p4, best: &Route{Path: []topology.ASN{47065}, Communities: []uint32{}}, bestSess: 2}},
-		{"communities", &prefixState{prefix: p4, in: slots(nil, nil, &Route{
+		{"communities", &prefixState{prefix: p4, adj: slots(routes(nil, nil, &Route{
 			Path: []topology.ASN{3356, 47065}, Communities: []uint32{CommunityNoExport, 0, 65000<<16 | 7},
-		})}},
-		{"negative med", &prefixState{prefix: p4, out: slots(&Route{Path: []topology.ASN{1}, MED: -5})}},
-		{"zero med", &prefixState{prefix: p4, in: slots(&Route{Path: []topology.ASN{1}})}},
+		}), nil)}},
+		{"negative med", &prefixState{prefix: p4, adj: slots(nil, routes(&Route{Path: []topology.ASN{1}, MED: -5}))}},
+		{"zero med", &prefixState{prefix: p4, adj: slots(routes(&Route{Path: []topology.ASN{1}}), nil)}},
 		{"originated best", &prefixState{prefix: p4,
-			origin:   &OriginPolicy{},
+			origin:   &origination{pol: &OriginPolicy{}},
 			best:     &Route{Path: []topology.ASN{47065}},
 			bestSess: -1,
 		}},
 		{"nil path", &prefixState{prefix: p4, best: &Route{}}},
-		{"empty husk", &prefixState{prefix: p4, in: slots(nil, nil), out: slots(nil, nil)}},
-		{"prepended path", &prefixState{prefix: p4, out: slots(nil, nil, &Route{
+		{"empty husk", &prefixState{prefix: p4, adj: slots(routes(nil, nil), routes(nil, nil))}},
+		{"prepended path", &prefixState{prefix: p4, adj: slots(nil, routes(nil, nil, &Route{
 			Path: []topology.ASN{47065, 47065, 47065, 47065}, MED: 10,
-		})}},
-		{"origin policy", &prefixState{prefix: p4, origin: &OriginPolicy{
+		}))}},
+		{"origin policy", &prefixState{prefix: p4, origin: &origination{pol: &OriginPolicy{
 			Prepend: 3, MED: -1, Communities: []uint32{CommunityNoAdvertise},
-		}}},
-		{"origin per-neighbor", &prefixState{prefix: p4, origin: &OriginPolicy{
+		}}}},
+		{"origin per-neighbor", &prefixState{prefix: p4, origin: &origination{pol: &OriginPolicy{
 			Prepend: 1,
 			PerNeighbor: map[topology.NodeID]NeighborPolicy{
 				40: {Export: true, Prepend: 3},
@@ -49,14 +60,14 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 				19: {Export: true},
 				0:  {Export: true, Prepend: -1},
 			},
-		}}},
+		}}}},
 		{"ipv6 prefix", &prefixState{prefix: p6, best: &Route{Path: []topology.ASN{4200000000}}, bestSess: 0}},
 		{"every section", &prefixState{prefix: p4,
-			origin:   &OriginPolicy{MED: 4},
+			origin:   &origination{pol: &OriginPolicy{MED: 4}},
 			best:     &Route{Path: []topology.ASN{2, 1}},
 			bestSess: 1,
-			in:       slots(&Route{Path: []topology.ASN{9, 1}}, &Route{Path: []topology.ASN{2, 1}}),
-			out:      slots(&Route{Path: []topology.ASN{5, 2, 1}}, nil),
+			adj: slots(routes(&Route{Path: []topology.ASN{9, 1}}, &Route{Path: []topology.ASN{2, 1}}),
+				routes(&Route{Path: []topology.ASN{5, 2, 1}}, nil)),
 		}},
 	}
 

@@ -62,8 +62,9 @@ func TestExportSharesRouteAcrossSessions(t *testing.T) {
 	shared := 0
 	for _, sp := range net.speakers {
 		for _, st := range sp.rib {
-			for i, a := range st.out {
-				for _, b := range st.out[i+1:] {
+			for i, sa := range st.adj {
+				for _, sb := range st.adj[i+1:] {
+					a, b := sa.out, sb.out
 					if a == nil || b == nil || !sameWire(a, b) || a.OriginNode != b.OriginNode {
 						continue
 					}
@@ -79,13 +80,14 @@ func TestExportSharesRouteAcrossSessions(t *testing.T) {
 		t.Fatal("no two sessions share an advertisement; the check proved nothing")
 	}
 
-	out := origin.lookup(testPrefix).out
-	pre := out[prepended]
+	adj := origin.lookup(testPrefix).adj
+	pre := adj[prepended].out
 	if pre == nil || len(pre.Path) != 3 {
 		t.Fatalf("prepended neighbor got %+v, want a three-ASN path", pre)
 	}
 	plain := 0
-	for sess, r := range out {
+	for sess, a := range adj {
+		r := a.out
 		if sess == prepended || r == nil {
 			continue
 		}
@@ -146,12 +148,13 @@ func TestImportKeepsSenderRoute(t *testing.T) {
 			held := 0
 			for _, sp := range net.speakers {
 				for _, st := range sp.rib {
-					for sess, r := range st.in {
+					for sess, a := range st.adj {
+						r := a.in
 						if r == nil {
 							continue
 						}
 						peer := net.speakers[sp.node.Adj[sess].To]
-						if sent := peer.lookup(st.prefix).out[sp.reverse[sess]]; r != sent {
+						if sent := peer.lookup(st.prefix).adj[sp.reverse[sess]].out; r != sent {
 							t.Fatalf("%s in[%d] %s is %p, sender %s holds %p", sp.node.Name, sess, st.prefix, r, peer.node.Name, sent)
 						}
 						held++

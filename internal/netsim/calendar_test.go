@@ -125,12 +125,28 @@ func TestCalendarSameInstantStorm(t *testing.T) {
 	// Drained: every slab entry is back on the free list and cleared, so no
 	// popped callback (a stopped timer's closure, say) stays reachable.
 	q := &s.queue
-	if len(q.free) != len(q.slab) {
-		t.Fatalf("free list holds %d of %d slab entries after the drain", len(q.free), len(q.slab))
+	if len(q.free) != int(q.slab.n) {
+		t.Fatalf("free list holds %d of %d slab entries after the drain", len(q.free), q.slab.n)
 	}
-	for i, cb := range q.slab {
-		if cb.fn != nil || cb.afn != nil || cb.arg != nil {
-			t.Fatalf("slab[%d] still holds its callback after the drain", i)
+	for ref := int32(0); ref < q.slab.n; ref++ {
+		if cb := q.slab.at(ref); cb.afn != nil || cb.arg != nil {
+			t.Fatalf("slab[%d] still holds its callback after the drain", ref)
+		}
+	}
+}
+
+// TestSlabPagesTileRefs checks the slab's ref → (page, offset) map: refs in
+// order fill page 0, then page 1, and so on, each page exactly, with no ref
+// skipped or shared.
+func TestSlabPagesTileRefs(t *testing.T) {
+	page, off := 0, 0
+	for ref := int32(0); ref < 1<<20; ref++ {
+		p, o := pageOf(ref)
+		if p != page || o != off {
+			t.Fatalf("ref %d maps to page %d offset %d, want page %d offset %d", ref, p, o, page, off)
+		}
+		if off++; off == queueCap<<page {
+			page, off = page+1, 0
 		}
 	}
 }

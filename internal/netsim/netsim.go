@@ -11,6 +11,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"bestofboth/internal/obs"
@@ -27,36 +28,33 @@ type event struct {
 	callback
 }
 
-// callback is what an event runs: either a plain closure (fn) or a shared
-// function plus argument (afn, arg); the latter lets hot model paths recycle
-// their payload structs through free-lists instead of allocating a fresh
-// closure per event (see Sim.AtCall).
+// callback is what an event runs: a shared function plus its argument. Hot
+// model paths schedule one package-level function with recycled payload
+// structs (see Sim.AtCall), so they allocate no closure per event; At
+// schedules a plain closure as the argument of the callFunc trampoline. A
+// func value is pointer-shaped and converts to any without allocating.
 type callback struct {
-	fn  func()
 	afn func(any)
 	arg any
 }
 
-func (c *callback) run() {
-	if c.afn != nil {
-		c.afn(c.arg)
-		return
-	}
-	c.fn()
-}
+func (c *callback) run() { c.afn(c.arg) }
 
-// queueCap is the pre-allocated capacity of the heap, slab and free list.
+// callFunc is the callback At schedules: arg is the closure itself.
+func callFunc(arg any) { arg.(func())() }
+
+// queueCap is the pre-allocated capacity of the heap and the free list, and
+// the size of the slab's first page.
 const queueCap = 64
 
-// AppendDoubling appends v to s and, when s is full, first moves it to an
-// array of twice the capacity. It is the growth rule of the event queue's
-// arrays and of the free lists model code keeps for the payloads it
-// schedules. append's own rule grows a large slice by about 1.25×, so an
-// array that reaches n elements has allocated about 5n along the way;
+// appendDoubling appends v to s and, when s is full, first moves it to an
+// array of twice the capacity. It is the growth rule of the key heap and
+// the free list. append's own rule grows a large slice by about 1.25×, so
+// an array that reaches n elements has allocated about 5n along the way;
 // doubling allocates at most 4n and, for n just under a power of two, 2n.
 //
 //cdnlint:allocfree the copy runs once per doubling, never in steady state
-func AppendDoubling[T any](s []T, v T) []T {
+func appendDoubling[T any](s []T, v T) []T {
 	if len(s) == cap(s) {
 		g := make([]T, len(s), max(2*cap(s), queueCap))
 		copy(g, s)
@@ -70,7 +68,7 @@ func AppendDoubling[T any](s []T, v T) []T {
 // time would give.
 //
 // What the heap orders is not the events but 24-byte pointer-free keys; the
-// callbacks sit still in slab, a free-listed side array each key indexes by
+// callbacks sit still in slab, a free-listed side store each key indexes by
 // ref. That split is the design, not a refinement: heaps of the 48-byte
 // pointerful events themselves were measured and lost (a Figure 2 matrix ran
 // ≈ 9 % slower and allocated 10 % more), because every sift move and every
@@ -83,18 +81,18 @@ func AppendDoubling[T any](s []T, v T) []T {
 // ≈ 3 % less; its cost at internet-scale depths is in EXPERIMENTS.md
 // "One heap".
 type eventQueue struct {
-	heap keyHeap    //cdnlint:nosnapshot snapshots require an empty queue; pending events hold closures over model state
-	slab []callback //cdnlint:nosnapshot callbacks of pending events; all cleared while the queue is empty
-	free []int32    //cdnlint:nosnapshot recycling order of slab indices; refs never influence execution order
+	heap keyHeap      //cdnlint:nosnapshot snapshots require an empty queue; pending events hold closures over model state
+	slab callbackSlab //cdnlint:nosnapshot callbacks of pending events; all cleared while the queue is empty
+	free []int32      //cdnlint:nosnapshot recycling order of slab indices; refs never influence execution order
 }
 
 func newEventQueue() eventQueue {
-	// The three arrays grow by doubling (AppendDoubling) and keep their
-	// capacity once grown, so the steady-state event path never allocates
-	// (pinned by TestEventPathZeroAllocs).
+	// The heap and the free list grow by doubling (appendDoubling), the slab
+	// by pages; all keep their capacity once grown, so the steady-state event
+	// path never allocates (pinned by TestEventPathZeroAllocs).
 	return eventQueue{
 		heap: make(keyHeap, 0, queueCap),
-		slab: make([]callback, 0, queueCap),
+		slab: callbackSlab{pages: [][]callback{make([]callback, queueCap)}},
 		free: make([]int32, 0, queueCap),
 	}
 }
@@ -106,11 +104,10 @@ func (q *eventQueue) push(e event) {
 	if n := len(q.free); n > 0 {
 		k.ref = q.free[n-1]
 		q.free = q.free[:n-1]
-		q.slab[k.ref] = e.callback
 	} else {
-		k.ref = int32(len(q.slab))
-		q.slab = AppendDoubling(q.slab, e.callback)
+		k.ref = q.slab.grow()
 	}
+	*q.slab.at(k.ref) = e.callback
 	q.heap.push(k)
 }
 
@@ -124,10 +121,48 @@ func (q *eventQueue) peekAt() (Seconds, bool) {
 
 func (q *eventQueue) pop() event {
 	k := q.heap.pop()
-	e := event{at: k.at, seq: k.seq, callback: q.slab[k.ref]}
-	q.slab[k.ref] = callback{} // release the callback for GC
-	q.free = AppendDoubling(q.free, k.ref)
+	cb := q.slab.at(k.ref)
+	e := event{at: k.at, seq: k.seq, callback: *cb}
+	*cb = callback{} // release the callback for GC
+	q.free = appendDoubling(q.free, k.ref)
 	return e
+}
+
+// callbackSlab stores callbacks by ref in pages that are never copied or
+// freed: page c holds queueCap<<c callbacks, so the refs of page c start at
+// queueCap·(2^c − 1) and one bit length maps a ref to its page. A doubling
+// array would copy every callback at each growth and leave the old arrays
+// behind; pages allocate each slot once. The key heap still doubles: every
+// sift level indexes it, where the slab is touched once per push and once
+// per pop (DESIGN.md §3b).
+type callbackSlab struct {
+	pages [][]callback
+	n     int32 // refs handed out so far; every ref below n has a slot
+}
+
+// pageOf maps ref to its page and the offset within it.
+func pageOf(ref int32) (page, off int) {
+	v := uint32(ref) + queueCap
+	page = bits.Len32(v) - bits.Len32(queueCap)
+	return page, int(v - queueCap<<page)
+}
+
+func (s *callbackSlab) at(ref int32) *callback {
+	page, off := pageOf(ref)
+	return &s.pages[page][off]
+}
+
+// grow hands out the next unused ref, adding the page it lies on when it is
+// the first of one.
+//
+//cdnlint:allocfree a page is added once per doubling of the slab, never in steady state
+func (s *callbackSlab) grow() int32 {
+	ref := s.n
+	s.n++
+	if page, _ := pageOf(ref); page == len(s.pages) {
+		s.pages = append(s.pages, make([]callback, queueCap<<page))
+	}
+	return ref
 }
 
 // eventKey is an event as the heap sees it: its position in the total order
@@ -147,7 +182,7 @@ func (k eventKey) before(o eventKey) bool {
 type keyHeap []eventKey
 
 func (h *keyHeap) push(k eventKey) {
-	q := AppendDoubling(*h, k)
+	q := appendDoubling(*h, k)
 	*h = q
 	i := len(q) - 1
 	for i > 0 {
@@ -308,7 +343,7 @@ func (s *Sim) schedule(e event) {
 // panics: it always indicates a model bug and silently reordering events
 // would destroy determinism.
 func (s *Sim) At(at Seconds, fn func()) {
-	s.schedule(event{at: at, callback: callback{fn: fn}})
+	s.schedule(event{at: at, callback: callback{afn: callFunc, arg: fn}})
 }
 
 // AtCall schedules fn(arg) at absolute virtual time at. Unlike At, the
