@@ -38,8 +38,6 @@ type callback struct {
 	arg any
 }
 
-func (c *callback) run() { c.afn(c.arg) }
-
 // callFunc is the callback At schedules: arg is the closure itself.
 func callFunc(arg any) { arg.(func())() }
 
@@ -346,10 +344,10 @@ func (s *Sim) At(at Seconds, fn func()) {
 	s.schedule(event{at: at, callback: callback{afn: callFunc, arg: fn}})
 }
 
-// AtCall schedules fn(arg) at absolute virtual time at. Unlike At, the
-// callback and its payload are stored separately, so model code that fires
-// the same function with recycled argument structs (free-listed message
-// deliveries, pending-export timers) schedules without allocating a closure.
+// AtCall schedules fn(arg) at absolute virtual time at. The function and
+// its payload are stored separately, so model code that fires the same
+// function with recycled argument structs (free-listed message deliveries,
+// pending-export timers) schedules without allocating a closure.
 //
 //cdnlint:allocfree
 func (s *Sim) AtCall(at Seconds, fn func(any), arg any) {
@@ -408,7 +406,7 @@ func (s *Sim) Step() bool {
 		s.mSteps.Inc()
 		s.mClockMax.SetMax(e.at)
 	}
-	e.run()
+	e.afn(e.arg)
 	return true
 }
 
