@@ -45,10 +45,11 @@ type Config struct {
 
 // Server owns one live deployed world and serves the versioned control
 // plane over it. The world changes only when a ChangeSet executes, so reads
-// never touch it: every execute publishes one immutable view of the world,
-// and GETs render from the latest view without a lock. mu is the mutation
-// lock — the simulator is single-threaded state, so ChangeSets run one at a
-// time — and logMu guards the audit trail, held only to append or copy.
+// never touch it: every execute publishes one immutable, already rendered
+// view of the world, and GETs write its bodies without a lock. mu is the
+// mutation lock — the simulator is single-threaded state, so ChangeSets run
+// one at a time — and logMu guards the audit trail, held only to append or
+// copy.
 type Server struct {
 	mu     sync.Mutex // held by POST /v1/changesets; guards world and nextID
 	world  *experiment.World
@@ -64,12 +65,14 @@ type Server struct {
 }
 
 // view is what the GET routes serve: the live world observed once, when it
-// last changed. Nothing in it is written after it is published.
+// last changed, with each route's reply rendered then. Nothing in it is
+// written after it is published. A GET encodes nothing, so what it
+// allocates does not depend on whether encoding/json's per-P buffer pool
+// happens to hold a warm buffer on the P the request runs on.
 type view struct {
-	info       api.WorldInfo // identity and the full api.WorldState
-	zone       api.ZoneDump
-	catchments api.Catchments
-	shedding   bool
+	state api.WorldState // the next ChangeSet's Pre
+
+	world, stateReply, digests, zone, load, catchments reply
 }
 
 // NewServer builds the world, deploys the technique, converges, and
@@ -107,22 +110,26 @@ func (s *Server) World() *experiment.World { return s.world }
 // makes it the one every GET serves. Only NewServer and execute call it.
 func (s *Server) publish(st api.WorldState) {
 	w := s.world
-	v := &view{
-		info: api.WorldInfo{
+	load := api.LoadReport{APIVersion: api.Version, Sites: st.Sites, Availability: st.Availability}
+	if acct := w.CDN.Load(); acct != nil {
+		load.Shedding = acct.Shedding()
+	}
+	s.view.Store(&view{
+		state: st,
+		world: renderJSON(api.WorldInfo{
 			APIVersion:    api.Version,
 			Seed:          w.Cfg.Seed,
 			ConfigDigest:  w.Cfg.Digest(),
 			Shards:        w.Cfg.Shards,
 			DemandEnabled: w.Cfg.Demand.Enabled,
 			State:         st,
-		},
-		zone:       zoneDumpOf(w.CDN.Authoritative()),
-		catchments: catchmentsOf(w),
-	}
-	if acct := w.CDN.Load(); acct != nil {
-		v.shedding = acct.Shedding()
-	}
-	s.view.Store(v)
+		}),
+		stateReply: renderJSON(st),
+		digests:    renderJSON(st.Digests),
+		zone:       renderJSON(zoneDumpOf(w.CDN.Authoritative())),
+		load:       renderJSON(load),
+		catchments: renderJSON(catchmentsOf(w)),
+	})
 }
 
 // Handler returns the HTTP handler serving the v1 API:
@@ -173,14 +180,32 @@ func recovered(h http.Handler) http.Handler {
 // writeJSON emits a response document as indented JSON. Every document is
 // deterministic given the world state (struct order, sorted slices).
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	renderJSON(v).write(w, status)
+}
+
+// reply is one response document rendered ahead of the write: its body,
+// or the error encoding it failed with.
+type reply struct {
+	body []byte
+	err  error
+}
+
+func renderJSON(v any) reply {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		http.Error(w, fmt.Sprintf("encoding response: %v", err), http.StatusInternalServerError)
+		return reply{err: err}
+	}
+	return reply{body: append(b, '\n')}
+}
+
+func (r reply) write(w http.ResponseWriter, status int) {
+	if r.err != nil {
+		http.Error(w, fmt.Sprintf("encoding response: %v", r.err), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(b, '\n'))
+	w.Write(r.body)
 }
 
 // errorBody is the uniform error document.
@@ -194,33 +219,27 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleWorld(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.view.Load().info)
+	s.view.Load().world.write(w, http.StatusOK)
 }
 
 func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.view.Load().info.State)
+	s.view.Load().stateReply.write(w, http.StatusOK)
 }
 
 func (s *Server) handleDigests(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.view.Load().info.State.Digests)
+	s.view.Load().digests.write(w, http.StatusOK)
 }
 
 func (s *Server) handleDNS(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.view.Load().zone)
+	s.view.Load().zone.write(w, http.StatusOK)
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request) {
-	v := s.view.Load()
-	writeJSON(w, http.StatusOK, api.LoadReport{
-		APIVersion:   api.Version,
-		Sites:        v.info.State.Sites,
-		Availability: v.info.State.Availability,
-		Shedding:     v.shedding,
-	})
+	s.view.Load().load.write(w, http.StatusOK)
 }
 
 func (s *Server) handleCatchments(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.view.Load().catchments)
+	s.view.Load().catchments.write(w, http.StatusOK)
 }
 
 func (s *Server) handleChangeSets(w http.ResponseWriter, _ *http.Request) {
@@ -329,7 +348,7 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 		Mutations:  req.Mutations,
 		// Under mu the view is the live world's state: an execute either
 		// publishes or rolls back before it lets mu go.
-		Pre: s.view.Load().info.State,
+		Pre: s.view.Load().state,
 	}
 
 	// Dry run: apply to a copy-on-write restore of the live world.

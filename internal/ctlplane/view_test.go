@@ -256,3 +256,35 @@ func TestReadsDoNotWaitForMutation(t *testing.T) {
 		t.Fatalf("next ChangeSet: code %d id %q, want cs-000003 (the refused POST consumed an id)", rec.Code, next.ID)
 	}
 }
+
+// headerOnly is a ResponseWriter that keeps the header and drops the body.
+type headerOnly struct{ h http.Header }
+
+func (w *headerOnly) Header() http.Header         { return w.h }
+func (w *headerOnly) Write(b []byte) (int, error) { return len(b), nil }
+func (w *headerOnly) WriteHeader(int)             {}
+
+// TestViewReadsEncodeNothing: every view-served GET writes the reply
+// rendered at publish. It allocates only its Content-Type header value,
+// whatever the JSON encoder's pools hold, so a read's cost is the same
+// from one request to the next.
+func TestViewReadsEncodeNothing(t *testing.T) {
+	s, err := NewServer(Config{World: testConfig(41, true), Technique: core.LoadShed{}, Now: fixedClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlers := map[string]http.HandlerFunc{
+		"/v1/world": s.handleWorld, "/v1/state": s.handleState, "/v1/digests": s.handleDigests,
+		"/v1/load": s.handleLoad, "/v1/dns": s.handleDNS, "/v1/catchments": s.handleCatchments,
+	}
+	if len(handlers) != len(viewRoutes) {
+		t.Fatalf("%d handlers for %d view routes", len(handlers), len(viewRoutes))
+	}
+	w := &headerOnly{h: http.Header{}}
+	for _, path := range viewRoutes {
+		handle := handlers[path]
+		if got := testing.AllocsPerRun(20, func() { handle(w, nil) }); got > 1 {
+			t.Errorf("GET %s: %.0f allocations per read, want at most 1 (the header value)", path, got)
+		}
+	}
+}
