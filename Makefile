@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge outputs outputs-diff fuzz-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet fmt lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge outputs outputs-diff fuzz-smoke shard-equivalence ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -13,6 +13,11 @@ loc:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, naming nothing else, when gofmt would rewrite any
+# file in the tree (`gofmt -l .` lists the offenders).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # Invariant lint: the cdnlint analyzer suite (internal/analysis) over the
 # tree `make loc` counts. Exits non-zero on any unsuppressed diagnostic; see
@@ -197,7 +202,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDNSDecode -fuzztime=$(FUZZTIME) ./internal/dns
 
 # Everything CI runs (see .github/workflows/ci.yml).
-ci: tier1 vet lint lint-fixtures govulncheck race bench-smoke fuzz-smoke shard-equivalence ctlplane-smoke
+ci: tier1 vet fmt lint lint-fixtures govulncheck race bench-smoke fuzz-smoke shard-equivalence ctlplane-smoke
 
 # Shard-equivalence gate: the digest tests proving shards=1 and shards=N
 # produce bit-identical route and FIB state, run under the race detector

@@ -440,11 +440,8 @@ func BenchmarkAblationDamping(b *testing.B) {
 			var p50, p95 float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig(1)
-				bcfg := bgp.DefaultConfig()
-				if damp {
-					bcfg.Damping = bgp.DefaultDamping()
-				}
-				cfg.BGP = bcfg
+				cfg.BGP = bgp.DefaultConfig()
+				cfg.BGP.Damping = damp
 				pairs, err := (&experiment.Runner{}).Figure2(cfg, sel,
 					[]core.Technique{core.ReactiveAnycast{}}, benchSites[:2], benchFailover())
 				if err != nil {

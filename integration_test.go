@@ -229,11 +229,8 @@ func TestDampingWorsensReactiveTail(t *testing.T) {
 	}
 	run := func(damp bool) float64 {
 		cfg := integrationConfig(21)
-		bcfg := bgp.DefaultConfig()
-		if damp {
-			bcfg.Damping = bgp.DefaultDamping()
-		}
-		cfg.BGP = bcfg
+		cfg.BGP = bgp.DefaultConfig()
+		cfg.BGP.Damping = damp
 		sel, err := experiment.SelectTargets(cfg, 25)
 		if err != nil {
 			t.Fatal(err)

@@ -183,11 +183,11 @@ type Config struct {
 	// ProcMin/ProcMax bound the per-update processing delay applied on
 	// delivery, modeling router update processing and batching.
 	ProcMin, ProcMax netsim.Seconds
-	// Damping enables route-flap damping (RFC 2439) when non-nil. Off by
+	// Damping enables route-flap damping (RFC 2439, damping.go). Off by
 	// default: the paper's measurement-era collectors largely post-date
 	// widespread damping deployment, and the evaluation does not assume
 	// it; BenchmarkAblationDamping quantifies its effect.
-	Damping *DampingConfig
+	Damping bool
 	// PaceWithdrawals applies the MRAI timer to withdrawals as well as
 	// advertisements. RFC 4271 exempts withdrawals, but deployed routers of
 	// the era behind the measured ~100 s withdrawal convergence (Labovitz

@@ -6,48 +6,23 @@ import (
 	"bestofboth/internal/netsim"
 )
 
-// DampingConfig enables route-flap damping (RFC 2439): a per-(prefix,
+// Route-flap damping (RFC 2439), enabled by Config.Damping: a per-(prefix,
 // session) penalty accrues on each flap and decays exponentially; routes
 // whose penalty exceeds the suppress threshold are withheld from the
 // decision process until the penalty decays below the reuse threshold.
+// The parameters are RFC 2439's example values.
 //
 // Damping is how deployed networks protect themselves from churn, and it
 // interacts with the paper's techniques: reactive announcements arriving
 // during the withdrawal churn of a failure can be penalized at routers
 // that already saw the prefix flap, lengthening failover tails (one
 // candidate explanation for the combined technique's poor tail, §4).
-type DampingConfig struct {
-	// Penalty added per flap (default 1000).
-	Penalty float64
-	// SuppressAt is the cutoff penalty above which a route is suppressed
-	// (default 2000).
-	SuppressAt float64
-	// ReuseAt is the penalty below which a suppressed route is restored
-	// (default 750).
-	ReuseAt float64
-	// HalfLife of the exponential decay in seconds (default 900).
-	HalfLife netsim.Seconds
-}
-
-// DefaultDamping returns RFC 2439's example parameters.
-func DefaultDamping() *DampingConfig {
-	return &DampingConfig{Penalty: 1000, SuppressAt: 2000, ReuseAt: 750, HalfLife: 900}
-}
-
-func (d *DampingConfig) fill() {
-	if d.Penalty == 0 {
-		d.Penalty = 1000
-	}
-	if d.SuppressAt == 0 {
-		d.SuppressAt = 2000
-	}
-	if d.ReuseAt == 0 {
-		d.ReuseAt = 750
-	}
-	if d.HalfLife == 0 {
-		d.HalfLife = 900
-	}
-}
+const (
+	dampPenalty    = 1000 // added per flap
+	dampSuppressAt = 2000 // penalty above which a route is suppressed
+	dampReuseAt    = 750  // penalty below which a suppressed route is restored
+	dampHalfLife   = 900  // seconds of exponential decay per halving
+)
 
 // dampState tracks the flap penalty of one (prefix, session).
 type dampState struct {
@@ -57,9 +32,9 @@ type dampState struct {
 }
 
 // decayTo brings the penalty forward to time now.
-func (d *dampState) decayTo(now netsim.Seconds, halfLife float64) {
+func (d *dampState) decayTo(now netsim.Seconds) {
 	if d.penalty > 0 && now > d.lastUpdate {
-		d.penalty *= math.Exp2(-(now - d.lastUpdate) / halfLife)
+		d.penalty *= math.Exp2(-(now - d.lastUpdate) / dampHalfLife)
 		if d.penalty < 1 {
 			d.penalty = 0
 		}
@@ -69,35 +44,35 @@ func (d *dampState) decayTo(now netsim.Seconds, halfLife float64) {
 
 // flap records one flap at time now and returns whether the route is now
 // suppressed.
-func (s *Speaker) flap(p *prefixState, sess int, cfg *DampingConfig) bool {
+func (s *Speaker) flap(p *prefixState, sess int) bool {
 	if p.damp == nil {
 		p.damp = make([]dampState, len(s.node.Adj))
 	}
 	d := &p.damp[sess]
 	now := s.sh.sim.Now()
-	d.decayTo(now, cfg.HalfLife)
-	d.penalty += cfg.Penalty
+	d.decayTo(now)
+	d.penalty += dampPenalty
 	s.net.m.dampFlaps.Inc()
-	if !d.suppressed && d.penalty >= cfg.SuppressAt {
+	if !d.suppressed && d.penalty >= dampSuppressAt {
 		d.suppressed = true
 		s.net.m.dampSupp.Inc()
-		s.scheduleReuse(p, sess, cfg)
+		s.scheduleReuse(p, sess)
 	}
 	return d.suppressed
 }
 
-// suppressed reports whether the session's route for this prefix is
+// dampSuppressed reports whether the session's route for this prefix is
 // currently withheld, unsuppressing lazily when the penalty has decayed.
-func (s *Speaker) dampSuppressed(p *prefixState, sess int, cfg *DampingConfig) bool {
-	if cfg == nil || p.damp == nil {
+func (s *Speaker) dampSuppressed(p *prefixState, sess int) bool {
+	if p.damp == nil {
 		return false
 	}
 	d := &p.damp[sess]
 	if !d.suppressed {
 		return false
 	}
-	d.decayTo(s.sh.sim.Now(), cfg.HalfLife)
-	if d.penalty <= cfg.ReuseAt {
+	d.decayTo(s.sh.sim.Now())
+	if d.penalty <= dampReuseAt {
 		d.suppressed = false
 	}
 	return d.suppressed
@@ -105,20 +80,20 @@ func (s *Speaker) dampSuppressed(p *prefixState, sess int, cfg *DampingConfig) b
 
 // scheduleReuse arranges a recompute when the penalty will have decayed to
 // the reuse threshold.
-func (s *Speaker) scheduleReuse(p *prefixState, sess int, cfg *DampingConfig) {
+func (s *Speaker) scheduleReuse(p *prefixState, sess int) {
 	d := &p.damp[sess]
-	if d.penalty <= cfg.ReuseAt {
+	if d.penalty <= dampReuseAt {
 		return
 	}
-	wait := cfg.HalfLife * math.Log2(d.penalty/cfg.ReuseAt)
+	wait := dampHalfLife * math.Log2(d.penalty/dampReuseAt)
 	prefix := p.prefix
 	s.sh.sim.After(wait+0.001, func() {
-		if !s.dampSuppressed(p, sess, cfg) {
+		if !s.dampSuppressed(p, sess) {
 			// The route re-enters the decision process.
 			s.recompute(prefix, p)
 			s.exportAll(prefix, p)
 		} else if p.damp[sess].suppressed {
-			s.scheduleReuse(p, sess, cfg)
+			s.scheduleReuse(p, sess)
 		}
 	})
 }

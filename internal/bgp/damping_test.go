@@ -10,7 +10,7 @@ import (
 func dampCfg() Config {
 	return Config{
 		MRAI: 30, MRAIJitter: 0.2, ProcMin: 0.01, ProcMax: 0.05,
-		Damping: DefaultDamping(),
+		Damping: true,
 	}
 }
 
@@ -96,11 +96,11 @@ func TestDampingDisabledByDefault(t *testing.T) {
 
 func TestDampStateDecay(t *testing.T) {
 	d := dampState{penalty: 2000, lastUpdate: 0}
-	d.decayTo(900, 900)
+	d.decayTo(900)
 	if d.penalty < 999 || d.penalty > 1001 {
 		t.Fatalf("penalty after one half-life = %v, want ≈1000", d.penalty)
 	}
-	d.decayTo(900+9000, 900) // ten more half-lives: negligible
+	d.decayTo(900 + 9000) // ten more half-lives: negligible
 	if d.penalty != 0 {
 		t.Fatalf("penalty should floor to 0, got %v", d.penalty)
 	}

@@ -289,8 +289,8 @@ func (s *Speaker) receive(sess int, u Update) {
 	case Announce:
 		// Route-flap damping counts re-advertisements that change an
 		// existing route as flaps (RFC 2439 §4.4.2).
-		if damping != nil && a.in != nil && !sameWire(u.Route, a.in) {
-			s.flap(st, sess, damping)
+		if damping && a.in != nil && !sameWire(u.Route, a.in) {
+			s.flap(st, sess)
 		}
 		r := u.Route
 		if r.ContainsASN(s.node.ASN) {
@@ -309,8 +309,8 @@ func (s *Speaker) receive(sess int, u Update) {
 		if a.in == nil {
 			return
 		}
-		if damping != nil {
-			s.flap(st, sess, damping)
+		if damping {
+			s.flap(st, sess)
 		}
 		a.in = nil
 	}
@@ -325,7 +325,7 @@ func (s *Speaker) receive(sess int, u Update) {
 	// session's route, and damping suppresses and releases routes as time
 	// passes; both rescan. Any other UPDATE is one comparison (reselect).
 	var changed bool
-	if damping != nil || (st.best != nil && sess == st.bestSess) {
+	if damping || (st.best != nil && sess == st.bestSess) {
 		changed = s.recompute(u.Prefix, st)
 	} else {
 		changed = s.reselect(u.Prefix, st, sess)
@@ -390,7 +390,7 @@ func (s *Speaker) recompute(p netip.Prefix, st *prefixState) bool {
 		if r == nil {
 			continue
 		}
-		if damping != nil && s.dampSuppressed(st, sess, damping) {
+		if damping && s.dampSuppressed(st, sess) {
 			continue
 		}
 		if best == nil || s.better(r, sess, best, bestSess) {

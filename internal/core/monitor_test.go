@@ -11,7 +11,7 @@ func TestMonitorDetectsCrash(t *testing.T) {
 
 	var detectedCode string
 	var detectedAt float64
-	mon, err := w.cdn.StartMonitor(0.5, 3)
+	mon, err := w.cdn.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMonitorIgnoresSitesWithoutOwnPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.converge()
-		mon, err := w.cdn.StartMonitor(MonitorInterval, MonitorMisses)
+		mon, err := w.cdn.StartMonitor()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +73,16 @@ func TestMonitorIgnoresSitesWithoutOwnPrefix(t *testing.T) {
 	}
 }
 
+// TestMonitorStop crashes a watched site after Stop: a monitor that kept
+// probing would detect it. The technique must announce each site's own
+// prefix, or the monitor watches nothing and the test checks nothing.
 func TestMonitorStop(t *testing.T) {
 	w := newWorld(t, 21)
-	w.cdn.Deploy(Anycast{})
+	if err := w.cdn.Deploy(ReactiveAnycast{}); err != nil {
+		t.Fatal(err)
+	}
 	w.converge()
-	mon, err := w.cdn.StartMonitor(0.5, 2)
+	mon, err := w.cdn.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +94,14 @@ func TestMonitorStop(t *testing.T) {
 	}
 }
 
-func TestMonitorRequiresDeployAndValidParams(t *testing.T) {
+func TestMonitorRequiresDeploy(t *testing.T) {
 	w := newWorld(t, 22)
-	if _, err := w.cdn.StartMonitor(0.5, 3); err == nil {
+	if _, err := w.cdn.StartMonitor(); err == nil {
 		t.Fatal("monitor started without technique")
 	}
 	w.cdn.Deploy(Anycast{})
-	if _, err := w.cdn.StartMonitor(0, 3); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-	if _, err := w.cdn.StartMonitor(1, 0); err == nil {
-		t.Fatal("zero misses accepted")
+	if _, err := w.cdn.StartMonitor(); err != nil {
+		t.Fatalf("monitor refused a deployed technique: %v", err)
 	}
 }
 

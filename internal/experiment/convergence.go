@@ -210,7 +210,7 @@ func Table2(fig2 []CDFPair, table1 []Table1Row) []Table2Row {
 	var rows []Table2Row
 	for _, tech := range core.AllTechniques() {
 		switch tech.Name() {
-		case "combined", "proactive-prepending-scoped":
+		case "combined":
 			continue // not in the paper's Table 2
 		}
 		row := Table2Row{

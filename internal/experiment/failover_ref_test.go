@@ -136,7 +136,7 @@ func probeFailover(t *testing.T, w *World, sel *Selection, failCode string, fc F
 	var monitor *core.Monitor
 	var err error
 	if fc.UseMonitor {
-		if monitor, err = w.CDN.StartMonitor(core.MonitorInterval, core.MonitorMisses); err == nil {
+		if monitor, err = w.CDN.StartMonitor(); err == nil {
 			_, err = w.CDN.CrashSite(failCode)
 		}
 	} else {

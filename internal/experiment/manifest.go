@@ -24,7 +24,7 @@ func (c WorldConfig) Digest() string {
 }
 
 // DemandSummary rebuilds the config's demand model — a pure function of
-// (Demand config, Seed, topology) — and condenses it for the manifest.
+// (Seed, topology) — and condenses it for the manifest.
 // It returns nil when demand is disabled or the model cannot be built.
 func DemandSummary(cfg WorldConfig) *api.DemandSummary {
 	cfg.fillDefaults()

@@ -170,8 +170,8 @@ func TestWorldConfigOptions(t *testing.T) {
 	if cfg.Seed != 7 || cfg.Obs != reg {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
-	if cfg.BGP.Damping == nil {
-		t.Fatal("WithDamping left damping nil")
+	if !cfg.BGP.Damping {
+		t.Fatal("WithDamping left damping off")
 	}
 	if cfg.BGP.MRAI != bgp.DefaultConfig().MRAI {
 		t.Fatal("WithDamping did not fill BGP defaults first")

@@ -7,7 +7,6 @@ import (
 	"bestofboth/internal/bgp"
 	"bestofboth/internal/obs"
 	"bestofboth/internal/topology"
-	"bestofboth/internal/traffic"
 )
 
 // Option mutates a WorldConfig under construction; see DefaultWorldConfig.
@@ -36,15 +35,14 @@ func WithSeed(seed int64) Option {
 	return func(c *WorldConfig) { c.Seed = seed }
 }
 
-// WithDamping enables route-flap damping (RFC 2439) with bgp.DefaultDamping
-// parameters, filling the rest of the BGP config with defaults first so the
-// override survives fillDefaults.
+// WithDamping enables route-flap damping (RFC 2439), filling the rest of
+// the BGP config with defaults first so the override survives fillDefaults.
 func WithDamping() Option {
 	return func(c *WorldConfig) {
 		if c.BGP == (bgp.Config{}) {
 			c.BGP = bgp.DefaultConfig()
 		}
-		c.BGP.Damping = bgp.DefaultDamping()
+		c.BGP.Damping = true
 	}
 }
 
@@ -83,21 +81,12 @@ func WithShards(n int) Option {
 	return func(c *WorldConfig) { c.Shards = n }
 }
 
-// WithDemand attaches a demand model to every world built from the config:
-// each client target gets a seeded heavy-tailed request rate and each site
-// a capacity (internal/traffic). The config's zero fields fill with the
-// documented defaults; Enabled is forced on.
-func WithDemand(d traffic.Config) Option {
-	return func(c *WorldConfig) {
-		d.Enabled = true
-		c.Demand = d
-	}
-}
-
-// WithDefaultDemand attaches the default demand model: Pareto rates
-// (α=1.2), 120K rps aggregate, 1.25× capacity headroom.
+// WithDefaultDemand attaches the demand model to every world built from the
+// config: each client target gets a seeded Pareto (α=1.2) request rate out
+// of 120K rps aggregate and each site an even share of 1.25× that as
+// capacity (internal/traffic).
 func WithDefaultDemand() Option {
-	return WithDemand(traffic.Config{})
+	return func(c *WorldConfig) { c.Demand.Enabled = true }
 }
 
 // PaperScale is the topology multiplier of the paper-scale preset: ~4× the

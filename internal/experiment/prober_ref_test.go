@@ -133,7 +133,7 @@ func probeWith(t *testing.T, w *World, sel *Selection, failCode string, fc Failo
 	var monitor *core.Monitor
 	var err error
 	if fc.UseMonitor {
-		if monitor, err = w.CDN.StartMonitor(core.MonitorInterval, core.MonitorMisses); err == nil {
+		if monitor, err = w.CDN.StartMonitor(); err == nil {
 			_, err = w.CDN.CrashSite(failCode)
 		}
 	} else {

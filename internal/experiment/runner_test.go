@@ -112,9 +112,9 @@ func TestWorldSnapshotIsolation(t *testing.T) {
 }
 
 // TestSnapKeyDistinguishesConfigs pins the converged-snapshot cache key:
-// changed topology or protocol parameters must miss, equal-valued configs
-// must hit even across distinct damping pointers, and techniques of the
-// same type but different parameters must miss.
+// changed topology or protocol parameters (damping included) must miss, an
+// explicit default must hit the elided one, and techniques of the same type
+// but different parameters must miss.
 func TestSnapKeyDistinguishesConfigs(t *testing.T) {
 	base := tinyConfig(23)
 	k := func(cfg WorldConfig, tech core.Technique) string {
@@ -134,17 +134,15 @@ func TestSnapKeyDistinguishesConfigs(t *testing.T) {
 		t.Fatal("changed bgp.Config did not change the key")
 	}
 
-	cfg4, cfg5 := base, base
-	cfg4.BGP = bgp.DefaultConfig()
-	cfg4.BGP.Damping = &bgp.DampingConfig{Penalty: 1000, SuppressAt: 2000, ReuseAt: 750, HalfLife: 900}
-	cfg5.BGP = bgp.DefaultConfig()
-	cfg5.BGP.Damping = &bgp.DampingConfig{Penalty: 1000, SuppressAt: 2000, ReuseAt: 750, HalfLife: 900}
-	if k(cfg4, core.Anycast{}) != k(cfg5, core.Anycast{}) {
-		t.Fatal("equal damping configs behind distinct pointers changed the key")
+	cfg4 := base
+	WithDamping()(&cfg4)
+	if k(base, core.Anycast{}) == k(cfg4, core.Anycast{}) {
+		t.Fatal("enabling damping did not change the key")
 	}
-	cfg5.BGP.Damping.HalfLife = 300
-	if k(cfg4, core.Anycast{}) == k(cfg5, core.Anycast{}) {
-		t.Fatal("changed damping parameters did not change the key")
+	cfg5 := base
+	cfg5.BGP = bgp.DefaultConfig()
+	if k(base, core.Anycast{}) != k(cfg5, core.Anycast{}) {
+		t.Fatal("an explicit default bgp.Config changed the key")
 	}
 
 	if k(base, core.ProactivePrepending{Prepends: 3}) == k(base, core.ProactivePrepending{Prepends: 5}) {

@@ -29,14 +29,14 @@ func (c *ScenarioConfig) fill() {
 }
 
 // ScenarioWorldConfig returns the world configuration a scenario runs
-// under: the base config, with route-flap damping (bgp.DefaultDamping)
-// enabled when the scenario requests it and a default demand model
-// attached when the scenario requests one and the config carries none.
+// under: the base config, with route-flap damping enabled when the
+// scenario requests it and the demand model attached when the scenario
+// requests one.
 func ScenarioWorldConfig(cfg WorldConfig, sc *scenario.Scenario) WorldConfig {
 	if sc.Damping {
 		WithDamping()(&cfg)
 	}
-	if sc.Demand && !cfg.Demand.Enabled {
+	if sc.Demand {
 		WithDefaultDemand()(&cfg)
 	}
 	return cfg

@@ -113,14 +113,14 @@ func TestRunScenarioShapes(t *testing.T) {
 func TestScenarioWorldConfigDamping(t *testing.T) {
 	base := tinyConfig(33)
 	plain := ScenarioWorldConfig(base, &scenario.Scenario{Name: "x"})
-	if plain.BGP.Damping != nil {
+	if plain.BGP.Damping {
 		t.Error("non-damping scenario enabled damping")
 	}
 	damped := ScenarioWorldConfig(base, &scenario.Scenario{Name: "x", Damping: true})
-	if damped.BGP.Damping == nil {
+	if !damped.BGP.Damping {
 		t.Error("damping scenario did not enable damping")
 	}
-	if base.BGP.Damping != nil {
+	if base.BGP.Damping {
 		t.Error("ScenarioWorldConfig mutated its input")
 	}
 }

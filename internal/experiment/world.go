@@ -60,9 +60,6 @@ func (c *WorldConfig) fillDefaults() {
 	if c.CollectorPeers == 0 {
 		c.CollectorPeers = 40
 	}
-	if c.Demand.Enabled {
-		c.Demand = c.Demand.Normalized()
-	}
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
@@ -71,21 +68,14 @@ func (c *WorldConfig) fillDefaults() {
 
 // identity canonicalizes the simulation-identity fields of the config,
 // defaults filled: two configs render equally exactly when they build
-// bit-identical worlds. Obs takes no part (it never affects results). bgp.Config holds a *DampingConfig, which %+v would render as a
-// pointer address, so damping is flattened explicitly. Shards participates
-// even though route state is shard-count invariant: a snapshot's kernel
-// list is sized to the shard count, so a snapshot taken at one count
-// cannot restore into a world at another.
+// bit-identical worlds. Obs takes no part (it never affects results).
+// Shards participates even though route state is shard-count invariant: a
+// snapshot's kernel list is sized to the shard count, so a snapshot taken
+// at one count cannot restore into a world at another.
 func (c WorldConfig) identity() string {
 	c.fillDefaults()
-	damp := "<nil>"
-	if c.BGP.Damping != nil {
-		damp = fmt.Sprintf("%+v", *c.BGP.Damping)
-	}
-	flat := c.BGP
-	flat.Damping = nil
-	return fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s peers=%d shards=%d demand=%+v",
-		c.Seed, c.Topology, flat, damp, c.CollectorPeers, c.Shards, c.Demand)
+	return fmt.Sprintf("seed=%d topo=%+v bgp=%+v peers=%d shards=%d demand=%+v",
+		c.Seed, c.Topology, c.BGP, c.CollectorPeers, c.Shards, c.Demand)
 }
 
 // World bundles one fully wired simulation: topology, BGP, data plane,
@@ -126,8 +116,8 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, fmt.Errorf("experiment: attaching collector: %w", err)
 	}
 	if cfg.Demand.Enabled {
-		// As built, the demand model is a pure function of (Demand config,
-		// Seed, topology, site roster): restored worlds rebuild it here and
+		// As built, the demand model is a pure function of (Seed, topology,
+		// site roster): restored worlds rebuild it here and
 		// core.CDN.Restore overwrites its rates from the snapshot.
 		codes := make([]string, 0, len(cdn.Sites()))
 		for _, s := range cdn.Sites() {

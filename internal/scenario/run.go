@@ -216,7 +216,7 @@ func Start(env *Env, sc *Scenario, groups []Group, opts Options) (*Campaign, err
 	}
 
 	if opts.UseMonitor {
-		if c.mon, err = env.CDN.StartMonitor(core.MonitorInterval, core.MonitorMisses); err != nil {
+		if c.mon, err = env.CDN.StartMonitor(); err != nil {
 			return nil, err
 		}
 		c.mon.OnDetect = func(code string, at netsim.Seconds) {

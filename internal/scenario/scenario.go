@@ -69,7 +69,7 @@ const (
 	KindRegionalRecover Kind = "regional-recover"
 	// KindFlap is a periodic crash/recover cycle: Count repetitions of
 	// fail at At+i*Period, recover half a period later — the input that
-	// route-flap damping (bgp.DampingConfig) exists to punish.
+	// route-flap damping (bgp.Config.Damping) exists to punish.
 	KindFlap Kind = "flap"
 	// KindFlashCrowd multiplies the demand of every target currently in
 	// Site's catchment by Fraction for Period seconds, then divides it out
@@ -108,12 +108,12 @@ type Event = api.Mutation
 type Scenario struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
-	// Damping requests route-flap damping (bgp.DefaultDamping) in worlds
+	// Damping requests route-flap damping (bgp.Config.Damping) in worlds
 	// built for this scenario. It is advisory: the world builder (e.g.
 	// experiment.Runner) honors it; Run itself uses whatever network it is
 	// handed.
 	Damping bool `json:"damping,omitempty"`
-	// Demand requests a demand model (traffic.Config defaults) in worlds
+	// Demand requests the demand model (internal/traffic) in worlds
 	// built for this scenario — required by flash-crowd events and
 	// meaningful for any load-summary reporting. Advisory, like Damping.
 	Demand bool `json:"demand,omitempty"`

@@ -32,10 +32,10 @@ type genEntry struct {
 // value fields and a string slice, so the formatted representation is a
 // faithful identity.
 func genKey(cfg GenConfig) string {
-	return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d|%d|%d|%q|%d|%d",
+	return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d|%d|%d|%q|%d",
 		cfg.Seed, cfg.NumTier1, cfg.NumTransit, cfg.NumRegional, cfg.NumREN,
 		cfg.NumUniversity, cfg.NumEyeball, cfg.NumStub, cfg.NumHypergiant,
-		cfg.SiteCodes, cfg.CDNASN, cfg.CDNSharedProviders)
+		cfg.SiteCodes, cfg.CDNSharedProviders)
 }
 
 // Cached returns the topology for cfg, generating it at most once per

@@ -35,10 +35,6 @@ type GenConfig struct {
 	// paper's eight Table 1 sites.
 	SiteCodes []string
 
-	// CDNASN is the origin AS of the emulated CDN (default 47065, the
-	// PEERING testbed ASN).
-	CDNASN ASN
-
 	// CDNSharedProviders gives every CDN site sessions to this many common
 	// tier-1 providers. PEERING sites have disjoint providers (the default,
 	// 0), which is why the paper's evaluation prepends from all sites; real
@@ -47,6 +43,10 @@ type GenConfig struct {
 	// and MED variants viable. Set to 2 to model that deployment.
 	CDNSharedProviders int
 }
+
+// cdnASN is the origin AS of the emulated CDN: 47065, the PEERING testbed
+// ASN.
+const cdnASN ASN = 47065
 
 // DefaultSiteCodes is the Table 1 site list.
 var DefaultSiteCodes = []string{"ams", "ath", "bos", "atl", "sea1", "slc", "sea2", "msn"}
@@ -78,9 +78,6 @@ func (c *GenConfig) fillDefaults() {
 	}
 	if len(c.SiteCodes) == 0 {
 		c.SiteCodes = DefaultSiteCodes
-	}
-	if c.CDNASN == 0 {
-		c.CDNASN = 47065
 	}
 }
 
@@ -456,7 +453,7 @@ func Generate(cfg GenConfig) (*Topology, error) {
 			return nil, fmt.Errorf("topology: unknown CDN site code %q", code)
 		}
 		m := metroByCode(spec.metro)
-		id := b.AddNode(cfg.CDNASN, "cdn-"+code, ClassCDN, scatter(m))
+		id := b.AddNode(cdnASN, "cdn-"+code, ClassCDN, scatter(m))
 		b.SetSite(id, code)
 		if spec.viaREN != "" {
 			ren, ok := renByName[spec.viaREN]

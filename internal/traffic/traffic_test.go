@@ -20,50 +20,47 @@ func testTargets(n int) []*topology.Node {
 var testSites = []string{"ams", "ath", "bos", "atl"}
 
 // TestModelReproducibility is the seeded-distribution gate: equal
-// (config, seed, targets, sites) inputs must reproduce the model
-// bit-for-bit, and a different seed must actually change the draw.
+// (seed, targets, sites) inputs must reproduce the model bit-for-bit, and a
+// different seed must actually change the draw.
 func TestModelReproducibility(t *testing.T) {
-	for _, dist := range []string{"pareto", "lognormal"} {
-		cfg := Config{Enabled: true, Distribution: dist}
-		a, err := NewModel(cfg, 42, testTargets(300), testSites)
-		if err != nil {
-			t.Fatalf("%s: %v", dist, err)
+	cfg := Config{Enabled: true}
+	a, err := NewModel(cfg, 42, testTargets(300), testSites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewModel(cfg, 42, testTargets(300), testSites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range a.ids {
+		if a.Rate(id) != b.Rate(id) {
+			t.Fatalf("seed 42 rates differ at node %d: %d vs %d", id, a.Rate(id), b.Rate(id))
 		}
-		b, err := NewModel(cfg, 42, testTargets(300), testSites)
-		if err != nil {
-			t.Fatal(err)
+		if a.Bucket(id) != b.Bucket(id) {
+			t.Fatalf("buckets differ at node %d", id)
 		}
-		for _, id := range a.ids {
-			if a.Rate(id) != b.Rate(id) {
-				t.Fatalf("%s: seed 42 rates differ at node %d: %d vs %d", dist, id, a.Rate(id), b.Rate(id))
-			}
-			if a.Bucket(id) != b.Bucket(id) {
-				t.Fatalf("%s: buckets differ at node %d", dist, id)
-			}
+	}
+	c, err := NewModel(cfg, 43, testTargets(300), testSites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := true
+	for _, id := range a.ids {
+		if a.Rate(id) != c.Rate(id) {
+			same = false
+			break
 		}
-		c, err := NewModel(cfg, 43, testTargets(300), testSites)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same := true
-		for _, id := range a.ids {
-			if a.Rate(id) != c.Rate(id) {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatalf("%s: seeds 42 and 43 drew identical models", dist)
-		}
+	}
+	if same {
+		t.Fatal("seeds 42 and 43 drew identical models")
 	}
 }
 
 // TestModelExactTotals checks the fixed-point bookkeeping: rates sum to
-// exactly round(TotalRPS·Micro) and capacities to exactly
-// round(TotalRPS·Headroom·Micro), with no float residue.
+// exactly round(totalRPS·Micro) and capacities to exactly
+// round(totalRPS·headroom·Micro), with no float residue.
 func TestModelExactTotals(t *testing.T) {
-	cfg := Config{Enabled: true, TotalRPS: 120000, Headroom: 1.25}
-	m, err := NewModel(cfg, 7, testTargets(501), testSites)
+	m, err := NewModel(Config{Enabled: true}, 7, testTargets(501), testSites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,23 +151,10 @@ func TestModelSummary(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{Distribution: "zipf"}).Validate(); err == nil {
-		t.Fatal("unknown distribution accepted")
-	}
-	if err := (Config{}).Validate(); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	n := Config{}.Normalized()
-	if n.Distribution != "pareto" || n.Buckets != MaxBuckets || n.TotalRPS != 120000 {
-		t.Fatalf("Normalized defaults wrong: %+v", n)
-	}
-}
-
 // TestAccountantFold exercises the fold lifecycle with and without the
 // shedding policy, including the unserved path and Begin's full zeroing.
 func TestAccountantFold(t *testing.T) {
-	m, err := NewModel(Config{Enabled: true, TotalRPS: 100}, 9, testTargets(40), testSites)
+	m, err := NewModel(Config{Enabled: true}, 9, testTargets(40), testSites)
 	if err != nil {
 		t.Fatal(err)
 	}
