@@ -67,14 +67,16 @@ bench-smoke:
 	$(GO) run ./benchmark -workload all -quick
 
 # An A/B measurement of the working tree against the committed tree of
-# PARENT: PAIRS pairs of runs of one benchmark WORKLOAD on seeds SEED,
-# SEED+1, ..., each run a fresh process, the side that runs first
-# alternating from pair to pair. It refuses to run unless benchmark/ and
-# BENCHMARK.json are the same on both sides, so both measure with the same
-# code. It prints the benchmark's -compare rows for the workload and, per
-# end-to-end metric, the pairs the working tree won (lower is better; a tie
-# counts for neither side). The two binaries, each run's output and the two
-# JSONL files stay in ABDIR, a fresh temporary directory unless one is named.
+# PARENT: PAIRS pairs of runs of one benchmark WORKLOAD, or of every workload
+# with WORKLOAD=all (the benchmark's -workload all, each workload in its own
+# process), on seeds SEED, SEED+1, ..., each run a fresh process, the side
+# that runs first alternating from pair to pair. It refuses to run unless
+# benchmark/ and BENCHMARK.json are the same on both sides, so both measure
+# with the same code. It prints the benchmark's -compare rows for the
+# workloads run and, per workload and end-to-end metric, the pairs the
+# working tree won (lower is better; a tie counts for neither side). The two
+# binaries, each run's output and the two JSONL files stay in ABDIR, a fresh
+# temporary directory unless one is named.
 WORKLOAD ?= converge-cold
 PAIRS ?= 10
 SEED ?= 1
@@ -97,14 +99,19 @@ ab:
 		done; \
 		i=$$((i + 1)); \
 	done; \
-	"$$dir/change" -compare "$$dir/parent.jsonl" "$$dir/change.jsonl" | grep -E '^(workload|$(WORKLOAD)) ' || true; \
-	for m in $$(head -n 1 "$$dir/change.jsonl" | grep -o '"metrics":{.*' | grep -o '"[a-z0-9_.]*":{"value"' | cut -d'"' -f2); do \
-		for side in parent change; do \
-			sed -n 's/.*"metrics":{.*"'"$$m"'":{"value":\([^,}]*\).*/\1/p' "$$dir/$$side.jsonl" >"$$dir/$$side.$$m"; \
+	rows='^(workload|$(WORKLOAD)) '; [ "$(WORKLOAD)" != all ] || rows=.; \
+	"$$dir/change" -compare "$$dir/parent.jsonl" "$$dir/change.jsonl" | grep -E "$$rows" || true; \
+	for w in $$(sed -n 's/^{"workload":"\([^"]*\)".*/\1/p' "$$dir/change.jsonl" | awk '!seen[$$0]++'); do \
+		for side in parent change; do grep "^{\"workload\":\"$$w\"" "$$dir/$$side.jsonl" >"$$dir/$$side.w"; done; \
+		for m in $$(head -n 1 "$$dir/change.w" | grep -o '"metrics":{.*' | grep -o '"[a-z0-9_.]*":{"value"' | cut -d'"' -f2); do \
+			for side in parent change; do \
+				sed -n 's/.*"metrics":{.*"'"$$m"'":{"value":\([^,}]*\).*/\1/p' "$$dir/$$side.w" >"$$dir/$$side.$$m"; \
+			done; \
+			paste "$$dir/parent.$$m" "$$dir/change.$$m" | \
+				awk -v w="$$w" -v m="$$m" '$$2 < $$1 { k++ } END { printf "%-18s %-16s change wins %d/%d pairs\n", w, m, k, NR }'; \
+			rm -f "$$dir/parent.$$m" "$$dir/change.$$m"; \
 		done; \
-		paste "$$dir/parent.$$m" "$$dir/change.$$m" | \
-			awk -v m="$$m" '$$2 < $$1 { k++ } END { printf "%-16s change wins %d/%d pairs\n", m, k, NR }'; \
-		rm -f "$$dir/parent.$$m" "$$dir/change.$$m"; \
+		rm -f "$$dir/parent.w" "$$dir/change.w"; \
 	done; \
 	echo "runs kept in $$dir"
 

@@ -133,8 +133,8 @@ func (s *Speaker) resolveReverse() {
 	}
 }
 
-// comparePrefix orders prefixes by address (IPv4 before IPv6), then length:
-// the rib's order, and iptrie.Walk's.
+// comparePrefix orders prefixes by address, then length: the rib's order,
+// and iptrie.Walk's.
 func comparePrefix(a, b netip.Prefix) int {
 	if c := a.Addr().Compare(b.Addr()); c != 0 {
 		return c

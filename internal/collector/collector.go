@@ -1,9 +1,8 @@
 // Package collector emulates public BGP route collectors (RIS, RouteViews):
 // receive-only sessions with a set of peer ASes, a timestamped update
 // archive, and the estimators the paper's Appendices A and B apply to
-// archived feeds — visibility time series, withdrawal/announcement onset
-// estimation from update bursts, per-peer convergence time, and per-peer
-// propagation delay.
+// archived feeds — withdrawal/announcement onset estimation from update
+// bursts, per-peer convergence time, and per-peer propagation delay.
 package collector
 
 import (
@@ -29,8 +28,7 @@ type Record struct {
 
 // Collector archives the update feeds of its peers.
 type Collector struct {
-	name    string            //cdnlint:nosnapshot construction-time identity, not archived state
-	peers   []topology.NodeID //cdnlint:nosnapshot session wiring; restore targets a collector attached to the same peers
+	name    string //cdnlint:nosnapshot construction-time identity, not archived state
 	archive []Record
 }
 
@@ -39,9 +37,6 @@ func New(name string) *Collector { return &Collector{name: name} }
 
 // Name returns the collector name.
 func (c *Collector) Name() string { return c.name }
-
-// Peers returns the attached peer nodes in attachment order.
-func (c *Collector) Peers() []topology.NodeID { return slices.Clone(c.peers) }
 
 // Attach opens receive-only sessions with the given peers on net.
 func (c *Collector) Attach(net *bgp.Network, peers ...topology.NodeID) error {
@@ -56,7 +51,6 @@ func (c *Collector) Attach(net *bgp.Network, peers ...topology.NodeID) error {
 		}); err != nil {
 			return fmt.Errorf("collector %s: attaching peer %d: %w", c.name, p, err)
 		}
-		c.peers = append(c.peers, p)
 	}
 	return nil
 }
@@ -74,10 +68,6 @@ func (c *Collector) RecordsFor(prefix netip.Prefix) []Record {
 	}
 	return out
 }
-
-// Clear drops the archive (peers stay attached), so one collector can serve
-// multiple sequential experiments.
-func (c *Collector) Clear() { c.archive = nil }
 
 // SnapshotArchive deep-copies the archive (including AS paths) so the copy
 // can outlive, and be restored into, other collectors without sharing.
@@ -98,29 +88,6 @@ func (c *Collector) RestoreArchive(recs []Record) {
 		r.Path = slices.Clone(r.Path)
 		c.archive[i] = r
 	}
-}
-
-// Visibility returns the fraction of peers that have a route to prefix at
-// time t, replaying the archive. This mirrors the RIPE Routing History
-// visibility metric the paper uses to flag withdrawals (Appendix A).
-func (c *Collector) Visibility(prefix netip.Prefix, t float64) float64 {
-	if len(c.peers) == 0 {
-		return 0
-	}
-	state := make(map[topology.NodeID]bool, len(c.peers))
-	for _, r := range c.RecordsFor(prefix) {
-		if r.Time > t {
-			break
-		}
-		state[r.Peer] = r.Type == bgp.Announce
-	}
-	n := 0
-	for _, has := range state {
-		if has {
-			n++
-		}
-	}
-	return float64(n) / float64(len(c.peers))
 }
 
 // EstimateEventTime implements the paper's onset estimator: the event
@@ -188,31 +155,6 @@ func (c *Collector) PropagationTimes(prefix netip.Prefix, eventTime float64) map
 		out[p] = t - eventTime
 	}
 	return out
-}
-
-// FullyWithdrawn reports whether at least frac of the peers that ever had a
-// route to prefix eventually withdrew it — the paper's check that a flagged
-// visibility drop is an actual withdrawal (Appendix A uses 90%).
-func (c *Collector) FullyWithdrawn(prefix netip.Prefix, frac float64) bool {
-	state := map[topology.NodeID]bool{}
-	ever := map[topology.NodeID]bool{}
-	for _, r := range c.RecordsFor(prefix) {
-		has := r.Type == bgp.Announce
-		state[r.Peer] = has
-		if has {
-			ever[r.Peer] = true
-		}
-	}
-	if len(ever) == 0 {
-		return false
-	}
-	withdrawn := 0
-	for p := range ever {
-		if !state[p] {
-			withdrawn++
-		}
-	}
-	return float64(withdrawn) >= frac*float64(len(ever))
 }
 
 // SelectPeers picks n collector peers from the topology, weighted toward

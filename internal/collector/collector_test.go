@@ -87,32 +87,6 @@ func TestSnapshotPathsSurviveWire(t *testing.T) {
 	}
 }
 
-func TestVisibilityTimeline(t *testing.T) {
-	sim, net, topo := testNet(t)
-	c := New("rrc01")
-	c.Attach(net, SelectPeers(topo, 12, 2)...)
-	site := topo.NodeByName("cdn-atl")
-
-	if v := c.Visibility(prefix, 0); v != 0 {
-		t.Fatalf("initial visibility = %v", v)
-	}
-	net.Originate(site.ID, prefix, nil)
-	sim.Run()
-	tAnnounced := sim.Now()
-	if v := c.Visibility(prefix, tAnnounced); v < 0.9 {
-		t.Fatalf("visibility after announce = %v, want ≥0.9", v)
-	}
-	net.Withdraw(site.ID, prefix)
-	sim.Run()
-	if v := c.Visibility(prefix, sim.Now()); v != 0 {
-		t.Fatalf("visibility after withdrawal = %v, want 0", v)
-	}
-	// Historical query still sees the announced period.
-	if v := c.Visibility(prefix, tAnnounced); v < 0.9 {
-		t.Fatalf("historical visibility = %v", v)
-	}
-}
-
 func TestEstimateEventTime(t *testing.T) {
 	sim, net, topo := testNet(t)
 	c := New("rrc02")
@@ -194,51 +168,6 @@ func TestConvergenceAndPropagationTimes(t *testing.T) {
 	avgConv /= float64(len(conv))
 	if avgConv <= avgProp {
 		t.Fatalf("withdrawal convergence (%.1fs) not slower than propagation (%.1fs)", avgConv, avgProp)
-	}
-}
-
-func TestFullyWithdrawn(t *testing.T) {
-	sim, net, topo := testNet(t)
-	c := New("rrc04")
-	c.Attach(net, SelectPeers(topo, 10, 5)...)
-	site := topo.NodeByName("cdn-msn")
-	net.Originate(site.ID, prefix, nil)
-	sim.Run()
-	if c.FullyWithdrawn(prefix, 0.9) {
-		t.Fatal("prefix flagged withdrawn while announced")
-	}
-	net.Withdraw(site.ID, prefix)
-	sim.Run()
-	if !c.FullyWithdrawn(prefix, 0.9) {
-		t.Fatal("full withdrawal not detected")
-	}
-	// Unknown prefix: never withdrawn.
-	if c.FullyWithdrawn(netip.MustParsePrefix("9.9.9.0/24"), 0.9) {
-		t.Fatal("unknown prefix flagged withdrawn")
-	}
-}
-
-func TestClearKeepsPeers(t *testing.T) {
-	sim, net, topo := testNet(t)
-	c := New("rrc05")
-	c.Attach(net, SelectPeers(topo, 5, 6)...)
-	site := topo.NodeByName("cdn-ams")
-	net.Originate(site.ID, prefix, nil)
-	sim.Run()
-	if len(c.Records()) == 0 {
-		t.Fatal("no records before clear")
-	}
-	c.Clear()
-	if len(c.Records()) != 0 {
-		t.Fatal("clear did not drop archive")
-	}
-	if len(c.Peers()) != 5 {
-		t.Fatal("clear dropped peers")
-	}
-	net.Withdraw(site.ID, prefix)
-	sim.Run()
-	if len(c.Records()) == 0 {
-		t.Fatal("collector stopped archiving after clear")
 	}
 }
 

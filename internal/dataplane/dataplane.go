@@ -516,35 +516,6 @@ func (h *delayHeap) pop() delayItem {
 	return top
 }
 
-// Hop is one step of a Traceroute: the node reached and the cumulative
-// round-trip latency to it (assuming symmetric per-hop delays, as
-// traceroute does).
-type Hop struct {
-	Node topology.NodeID
-	RTT  float64
-}
-
-// Traceroute walks a packet like Forward but reports per-hop cumulative
-// RTTs, the analogue of the measured paths Appendix C.1 reasons over.
-func (p *Plane) Traceroute(src topology.NodeID, dst netip.Addr) ([]Hop, ForwardResult) {
-	res := p.ForwardTrace(src, dst)
-	hops := make([]Hop, 0, len(res.Path))
-	var acc float64
-	for i, node := range res.Path {
-		if i > 0 {
-			prev := p.topo.Node(res.Path[i-1])
-			for _, adj := range prev.Adj {
-				if adj.To == node {
-					acc += adj.Delay
-					break
-				}
-			}
-		}
-		hops = append(hops, Hop{Node: node, RTT: 2 * acc})
-	}
-	return hops, res
-}
-
 // FIBRecord is one forwarding entry as reported by DumpFIB.
 type FIBRecord struct {
 	Prefix netip.Prefix
@@ -553,8 +524,8 @@ type FIBRecord struct {
 }
 
 // DumpFIB returns node's forwarding table sorted by prefix — a stable,
-// comparable view of data-plane state. The order is iptrie.Walk's: IPv4
-// first, ascending (address, length).
+// comparable view of data-plane state. The order is iptrie.Walk's:
+// ascending (address, length).
 func (p *Plane) DumpFIB(node topology.NodeID) []FIBRecord {
 	var out []FIBRecord
 	if fib := p.fibs[node]; fib != nil {

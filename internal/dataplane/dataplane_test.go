@@ -469,38 +469,6 @@ func TestProberZeroLossCapturesAll(t *testing.T) {
 	}
 }
 
-func TestTraceroutePerHopRTT(t *testing.T) {
-	topo, ids := twoSite(t)
-	sim := netsim.New(11)
-	net := bgp.New(sim, topo, cfg())
-	plane := New(net)
-	net.Originate(ids["s1"], prefixA, nil)
-	sim.Run()
-
-	hops, res := plane.Traceroute(ids["c"], addrA)
-	if !res.Delivered {
-		t.Fatalf("traceroute failed: %+v", res)
-	}
-	// c -> t1 -> s1: RTTs 0, 2*0.002, 2*0.004.
-	if len(hops) != 3 {
-		t.Fatalf("got %d hops", len(hops))
-	}
-	if hops[0].RTT != 0 {
-		t.Fatalf("first hop RTT = %v", hops[0].RTT)
-	}
-	want := []float64{0, 0.004, 0.008}
-	for i, h := range hops {
-		if diff := h.RTT - want[i]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("hop %d RTT = %v, want %v", i, h.RTT, want[i])
-		}
-	}
-	for i := 1; i < len(hops); i++ {
-		if hops[i].RTT < hops[i-1].RTT {
-			t.Fatal("RTTs not monotone")
-		}
-	}
-}
-
 // TestPlaneSnapshotSharesUntilWritten pins the copy-on-write contract of
 // Plane.Snapshot/Restore: a restored plane forwards through the very tries
 // the snapshot froze, the flags travel with them, and a FIB write on either

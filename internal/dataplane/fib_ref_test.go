@@ -51,9 +51,10 @@ func RefFIBDigest(p *Plane) string {
 }
 
 // TestWriteFIBEdgeEntries pins the encoder to the reference renderer on
-// hand-built FIBs: IPv4 and IPv6 entries inserted out of order, nested
-// prefixes sharing an address, local and forwarded entries, node 0 as a
-// next hop, and empty FIBs before, between and after populated ones.
+// hand-built FIBs: entries inserted out of order, nested prefixes sharing an
+// address, a default route and a host route, local and forwarded entries,
+// node 0 as a next hop, and empty FIBs before, between and after populated
+// ones.
 func TestWriteFIBEdgeEntries(t *testing.T) {
 	fib := func(entries map[string]fibEntry) *iptrie.Trie[fibEntry] {
 		tr := iptrie.New[fibEntry]()
@@ -67,17 +68,17 @@ func TestWriteFIBEdgeEntries(t *testing.T) {
 	p := &Plane{fibs: []*iptrie.Trie[fibEntry]{
 		fib(nil),
 		fib(map[string]fibEntry{
-			"2804:269c:fe00::/40": {next: 12},
-			"184.164.240.0/24":    {local: true},
-			"184.164.224.0/19":    {next: 0},
-			"184.164.224.0/24":    {next: 3},
-			"2804:269c::/32":      {local: true},
-			"10.0.0.0/8":          {next: 911},
-			"::/0":                {next: 4},
-			"0.0.0.0/0":           {next: 5},
+			"203.0.113.128/25": {next: 12},
+			"184.164.240.0/24": {local: true},
+			"184.164.224.0/19": {next: 0},
+			"184.164.224.0/24": {next: 3},
+			"203.0.0.0/8":      {local: true},
+			"10.0.0.0/8":       {next: 911},
+			"10.0.0.0/16":      {next: 4},
+			"0.0.0.0/0":        {next: 5},
 		}),
 		fib(nil),
-		fib(map[string]fibEntry{"2001:db8::1/128": {next: 1}}),
+		fib(map[string]fibEntry{"198.51.100.1/32": {next: 1}}),
 		fib(map[string]fibEntry{"192.0.2.1/32": {local: true}}),
 		fib(nil),
 	}}

@@ -22,13 +22,12 @@ import (
 // Type is a DNS RR type.
 type Type uint16
 
-// Supported RR types.
+// Supported RR types: the ones the authoritative writes. Decode keeps the
+// envelope of any other type and skips its RDATA; Encode refuses it.
 const (
-	TypeA     Type = 1
-	TypeNS    Type = 2
-	TypeCNAME Type = 5
-	TypeSOA   Type = 6
-	TypeAAAA  Type = 28
+	TypeA   Type = 1
+	TypeNS  Type = 2
+	TypeSOA Type = 6
 )
 
 // String names the type.
@@ -38,12 +37,8 @@ func (t Type) String() string {
 		return "A"
 	case TypeNS:
 		return "NS"
-	case TypeCNAME:
-		return "CNAME"
 	case TypeSOA:
 		return "SOA"
-	case TypeAAAA:
-		return "AAAA"
 	default:
 		return fmt.Sprintf("TYPE%d", uint16(t))
 	}
@@ -87,14 +82,13 @@ type SOA struct {
 }
 
 // RR is a resource record. Exactly one of A / Target / SOA is meaningful
-// depending on Type. The paper's techniques apply equally to IPv6 (per-site
-// /48s instead of /24s, §4); AAAA records are supported at the codec level.
+// depending on Type.
 type RR struct {
 	Name   string
 	Type   Type
 	TTL    uint32
-	A      netip.Addr // TypeA (IPv4) and TypeAAAA (IPv6)
-	Target string     // TypeNS, TypeCNAME
+	A      netip.Addr // TypeA
+	Target string     // TypeNS
 	SOA    *SOA       // TypeSOA
 }
 
@@ -105,9 +99,6 @@ type Message struct {
 	Answer     []RR
 	Authority  []RR
 	Additional []RR
-	// Edns is the OPT pseudo-record (RFC 6891), carried in the additional
-	// section on the wire but surfaced separately here.
-	Edns *EDNS
 }
 
 // CanonicalName lowercases and ensures a trailing dot.
@@ -187,13 +178,7 @@ func (e *encoder) rr(r RR) error {
 		}
 		a := r.A.As4()
 		e.buf = append(e.buf, a[:]...)
-	case TypeAAAA:
-		if !r.A.Is6() || r.A.Is4In6() {
-			return fmt.Errorf("dns: AAAA record %q without IPv6 address", r.Name)
-		}
-		a := r.A.As16()
-		e.buf = append(e.buf, a[:]...)
-	case TypeNS, TypeCNAME:
+	case TypeNS:
 		if err := e.name(r.Target); err != nil {
 			return err
 		}
@@ -243,11 +228,7 @@ func (m *Message) Encode() ([]byte, error) {
 	e.u16(uint16(len(m.Question)))
 	e.u16(uint16(len(m.Answer)))
 	e.u16(uint16(len(m.Authority)))
-	arcount := len(m.Additional)
-	if m.Edns != nil {
-		arcount++
-	}
-	e.u16(uint16(arcount))
+	e.u16(uint16(len(m.Additional)))
 	for _, q := range m.Question {
 		if err := e.name(q.Name); err != nil {
 			return nil, err
@@ -260,11 +241,6 @@ func (m *Message) Encode() ([]byte, error) {
 			if err := e.rr(r); err != nil {
 				return nil, err
 			}
-		}
-	}
-	if m.Edns != nil {
-		if err := e.opt(m.Edns); err != nil {
-			return nil, err
 		}
 	}
 	return e.buf, nil
@@ -357,76 +333,61 @@ func (d *decoder) name() (string, error) {
 	}
 }
 
-func (d *decoder) rr() (RR, uint16, []byte, error) {
+func (d *decoder) rr() (RR, error) {
 	var r RR
 	name, err := d.name()
 	if err != nil {
-		return r, 0, nil, err
+		return r, err
 	}
 	r.Name = name
 	typ, err := d.u16()
 	if err != nil {
-		return r, 0, nil, err
+		return r, err
 	}
 	r.Type = Type(typ)
-	class, err := d.u16()
-	if err != nil {
-		return r, 0, nil, err
+	if _, err := d.u16(); err != nil { // CLASS
+		return r, err
 	}
-	ttl, err := d.u32()
-	if err != nil {
-		return r, 0, nil, err
+	if r.TTL, err = d.u32(); err != nil {
+		return r, err
 	}
-	r.TTL = ttl
 	rdlen, err := d.u16()
 	if err != nil {
-		return r, 0, nil, err
-	}
-	if d.pos+int(rdlen) > len(d.buf) {
-		return r, 0, nil, ErrTruncated
+		return r, err
 	}
 	end := d.pos + int(rdlen)
-	rdata := d.buf[d.pos:end]
+	if end > len(d.buf) {
+		return r, ErrTruncated
+	}
 	switch r.Type {
 	case TypeA:
 		if rdlen != 4 {
-			return r, 0, nil, fmt.Errorf("dns: A record with rdlength %d", rdlen)
+			return r, fmt.Errorf("dns: A record with rdlength %d", rdlen)
 		}
-		r.A = netip.AddrFrom4([4]byte(d.buf[d.pos : d.pos+4]))
-		d.pos = end
-	case TypeAAAA:
-		if rdlen != 16 {
-			return r, 0, nil, fmt.Errorf("dns: AAAA record with rdlength %d", rdlen)
+		r.A = netip.AddrFrom4([4]byte(d.buf[d.pos:end]))
+	case TypeNS:
+		if r.Target, err = d.name(); err != nil {
+			return r, err
 		}
-		r.A = netip.AddrFrom16([16]byte(d.buf[d.pos : d.pos+16]))
-		d.pos = end
-	case TypeNS, TypeCNAME:
-		t, err := d.name()
-		if err != nil {
-			return r, 0, nil, err
-		}
-		r.Target = t
-		d.pos = end
 	case TypeSOA:
 		var soa SOA
 		if soa.MName, err = d.name(); err != nil {
-			return r, 0, nil, err
+			return r, err
 		}
 		if soa.RName, err = d.name(); err != nil {
-			return r, 0, nil, err
+			return r, err
 		}
 		for _, f := range []*uint32{&soa.Serial, &soa.Refresh, &soa.Retry, &soa.Expire, &soa.Minimum} {
 			if *f, err = d.u32(); err != nil {
-				return r, 0, nil, err
+				return r, err
 			}
 		}
 		r.SOA = &soa
-		d.pos = end
-	default:
-		// Unknown types (including OPT): skip RDATA, keep the envelope.
-		d.pos = end
 	}
-	return r, class, rdata, nil
+	// Every type resumes after its RDATA; unknown ones (AAAA, OPT, ...)
+	// keep only the envelope.
+	d.pos = end
+	return r, nil
 }
 
 // Decode parses a wire-format message.
@@ -469,17 +430,9 @@ func Decode(buf []byte) (*Message, error) {
 	}
 	for i, sec := range []*[]RR{&m.Answer, &m.Authority, &m.Additional} {
 		for j := 0; j < int(counts[i+1]); j++ {
-			r, class, rdata, err := d.rr()
+			r, err := d.rr()
 			if err != nil {
 				return nil, err
-			}
-			if r.Type == TypeOPT {
-				ed, err := decodeOPT(class, rdata)
-				if err != nil {
-					return nil, err
-				}
-				m.Edns = ed
-				continue
 			}
 			*sec = append(*sec, r)
 		}

@@ -60,31 +60,6 @@ func demandSummaryOf(s traffic.Summary) *api.DemandSummary {
 	}
 }
 
-// metricSamples converts a registry snapshot to the wire representation.
-// reg may be nil (nil in, nil out).
-func metricSamples(reg *obs.Registry) []api.MetricSample {
-	snap := reg.Snapshot()
-	if snap == nil {
-		return nil
-	}
-	out := make([]api.MetricSample, 0, len(snap))
-	for _, m := range snap {
-		ms := api.MetricSample{
-			Name:     m.Name,
-			Kind:     m.Kind,
-			Value:    m.Value,
-			Count:    m.Count,
-			Sum:      m.Sum,
-			Volatile: m.Volatile,
-		}
-		for _, b := range m.Buckets {
-			ms.Buckets = append(ms.Buckets, api.HistBucket{LE: b.LE, Count: b.Count})
-		}
-		out = append(out, ms)
-	}
-	return out
-}
-
 // ReadMemFootprint samples the current process's memory footprint.
 func ReadMemFootprint() *api.MemFootprint {
 	var ms runtime.MemStats
@@ -128,7 +103,7 @@ func NewManifest(command string, cfg WorldConfig, workers int, reg *obs.Registry
 		Seed:         cfg.Seed,
 		ConfigDigest: cfg.Digest(),
 		Workers:      workers,
-		Metrics:      metricSamples(reg),
+		Metrics:      reg.Snapshot(),
 		Demand:       DemandSummary(cfg),
 	}
 }

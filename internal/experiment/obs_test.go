@@ -9,6 +9,7 @@ import (
 	"bestofboth/internal/bgp"
 	"bestofboth/internal/core"
 	"bestofboth/internal/obs"
+	"bestofboth/pkg/bestofboth/api"
 )
 
 // TestMetricsDeterministicAcrossWorkers is the observability determinism
@@ -34,7 +35,7 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	validName := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	run := func(workers int) ([][]*RunResult, []obs.MetricSnapshot) {
+	run := func(workers int) ([][]*RunResult, []api.MetricSample) {
 		reg := obs.NewRegistry()
 		r := &Runner{Workers: workers, Obs: reg}
 		m, err := r.RunMatrix(cfg, sel, techs, sites, fc)

@@ -11,14 +11,16 @@ import (
 // bytes, or 16 when the op byte has fuzzV6 set (a truncated tail is
 // zero-padded). fuzzMapped turns a 4-byte address into its 4-in-6 form
 // ::ffff:a.b.c.d and shifts the length past the 96-bit mapping prefix, so
-// the IPv6 sub-trie sees the addresses the IPv4 one does. fuzzClone makes
-// the step clone the trie first: the step and everything after it run on the
-// clone, and the trie left behind must never change again.
+// the trie is offered, and must refuse, the very addresses the IPv4 steps
+// store. fuzzClone makes the step clone the trie first: the step and
+// everything after it run on the clone, and the trie left behind must never
+// change again.
 type fuzzStep struct {
-	op    byte // fuzzInsert, fuzzDelete or fuzzProbe
-	clone bool
-	pfx   netip.Prefix
-	addr  netip.Addr // the unmasked address, for lookups
+	op      byte // fuzzInsert, fuzzDelete or fuzzProbe
+	clone   bool
+	nonIPv4 bool // a fuzzV6 or fuzzMapped step
+	pfx     netip.Prefix
+	addr    netip.Addr // the unmasked address, for lookups
 }
 
 const (
@@ -52,11 +54,11 @@ func decodeFuzzScript(data []byte) []fuzzStep {
 		default:
 			addr, length = netip.AddrFrom4([4]byte(raw[:4])), length%33
 		}
-		clone := op&fuzzClone != 0
+		clone, nonIPv4 := op&fuzzClone != 0, op&(fuzzV6|fuzzMapped) != 0
 		if op &= fuzzOpMask; op > fuzzProbe {
 			op = fuzzInsert
 		}
-		steps = append(steps, fuzzStep{op: op, clone: clone, pfx: netip.PrefixFrom(addr, length), addr: addr})
+		steps = append(steps, fuzzStep{op: op, clone: clone, nonIPv4: nonIPv4, pfx: netip.PrefixFrom(addr, length), addr: addr})
 	}
 	return steps
 }
@@ -75,9 +77,11 @@ func walkOf(walk func(func(netip.Prefix, int) bool)) []walked {
 	return out
 }
 
-// FuzzTrie runs a mixed IPv4/IPv6 insert/delete/replace/lookup/get/clone
-// script against the path-compressed trie and the bit-per-node reference.
-// After every step Lookup, Get and Len must agree; at the end the two Walk
+// FuzzTrie runs an insert/delete/replace/lookup/get/clone script against
+// the path-compressed trie and the bit-per-node reference. After every step
+// Lookup, Get and Len must agree, and a step on an IPv6 or 4-in-6 prefix
+// must be refused: Insert errs, Delete, Get and Lookup miss, and Len stays
+// as it was. At the end the two Walk
 // sequences must be equal element for element, order included, and every
 // trie a clone step left behind must still walk as the reference did at the
 // moment it was cloned — the property world restores rest on, since the
@@ -97,29 +101,41 @@ func FuzzTrie(f *testing.F) {
 				originals = append(originals, original{i, got, walkOf(want.Walk)})
 				got = got.Clone()
 			}
+			size := got.Len()
 			switch s.op {
 			case fuzzInsert:
 				// Unmasked on purpose: both sides must canonicalize alike.
-				if g, w := got.Insert(s.pfx, i), want.Insert(s.pfx, i); (g == nil) != (w == nil) {
+				g, w := got.Insert(s.pfx, i), want.Insert(s.pfx, i)
+				if (g == nil) != (w == nil) {
 					t.Fatalf("step %d: Insert(%v) = %v, reference %v", i, s.pfx, g, w)
 				}
+				if s.nonIPv4 && g == nil {
+					t.Fatalf("step %d: Insert(%v) of a non-IPv4 prefix succeeded", i, s.pfx)
+				}
 			case fuzzDelete:
-				if g, w := got.Delete(s.pfx), want.Delete(s.pfx); g != w {
+				g, w := got.Delete(s.pfx), want.Delete(s.pfx)
+				if g != w {
 					t.Fatalf("step %d: Delete(%v) = %v, reference %v", i, s.pfx, g, w)
 				}
+				if s.nonIPv4 && g {
+					t.Fatalf("step %d: Delete(%v) of a non-IPv4 prefix hit", i, s.pfx)
+				}
 			}
-			gp, gv, gok := got.Lookup(s.addr)
+			gp, gv, lok := got.Lookup(s.addr)
 			wp, wv, wok := want.Lookup(s.addr)
-			if gp != wp || gv != wv || gok != wok {
-				t.Fatalf("step %d: Lookup(%v) = %v %d %v, reference %v %d %v", i, s.addr, gp, gv, gok, wp, wv, wok)
+			if gp != wp || gv != wv || lok != wok {
+				t.Fatalf("step %d: Lookup(%v) = %v %d %v, reference %v %d %v", i, s.addr, gp, gv, lok, wp, wv, wok)
 			}
-			gv, gok = got.Get(s.pfx)
+			gv, gok := got.Get(s.pfx)
 			wv, wok = want.Get(s.pfx)
 			if gv != wv || gok != wok {
 				t.Fatalf("step %d: Get(%v) = %d %v, reference %d %v", i, s.pfx, gv, gok, wv, wok)
 			}
 			if got.Len() != want.Len() {
 				t.Fatalf("step %d: Len = %d, reference %d", i, got.Len(), want.Len())
+			}
+			if s.nonIPv4 && (lok || gok || got.Len() != size) {
+				t.Fatalf("step %d: non-IPv4 %v reached the trie: Lookup hit %v, Get hit %v, Len %d -> %d", i, s.pfx, lok, gok, size, got.Len())
 			}
 		}
 		if gw, ww := walkOf(got.Walk), walkOf(want.Walk); !slices.Equal(gw, ww) {

@@ -28,10 +28,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"bestofboth/pkg/bestofboth/api"
 )
 
 // microScale is the fixed-point resolution for gauge values and histogram
@@ -289,79 +290,30 @@ func (r *Registry) VolatileHistogram(name string, bounds ...float64) *Histogram 
 	return h
 }
 
-// Bucket is one cumulative histogram bucket in a snapshot.
-type Bucket struct {
-	// LE is the inclusive upper bound; +Inf for the overflow bucket.
-	LE float64 `json:"le"`
-	// Count is the cumulative observation count at or below LE.
-	Count uint64 `json:"count"`
-}
-
-// MarshalJSON renders the bound as a string so the +Inf overflow bucket
-// survives encoding (encoding/json rejects infinite float64s).
-func (b Bucket) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		LE    string `json:"le"`
-		Count uint64 `json:"count"`
-	}{LE: formatValue(b.LE), Count: b.Count})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (b *Bucket) UnmarshalJSON(data []byte) error {
-	var aux struct {
-		LE    string `json:"le"`
-		Count uint64 `json:"count"`
-	}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	if aux.LE == "+Inf" {
-		b.LE = math.Inf(1)
-	} else {
-		v, err := strconv.ParseFloat(aux.LE, 64)
-		if err != nil {
-			return err
-		}
-		b.LE = v
-	}
-	b.Count = aux.Count
-	return nil
-}
-
-// MetricSnapshot is the point-in-time state of one metric.
-type MetricSnapshot struct {
-	Name     string   `json:"name"`
-	Kind     string   `json:"kind"` // "counter", "gauge", or "histogram"
-	Value    float64  `json:"value,omitempty"`
-	Count    uint64   `json:"count,omitempty"`
-	Sum      float64  `json:"sum,omitempty"`
-	Buckets  []Bucket `json:"buckets,omitempty"`
-	Volatile bool     `json:"volatile,omitempty"`
-}
-
 // Snapshot returns the state of every metric, sorted by name — the order is
-// deterministic regardless of registration order.
-func (r *Registry) Snapshot() []MetricSnapshot {
+// deterministic regardless of registration order. The entries are the wire
+// type manifests carry, so a snapshot is written as it is taken.
+func (r *Registry) Snapshot() []api.MetricSample {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]MetricSnapshot, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	out := make([]api.MetricSample, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for name, c := range r.counters {
-		out = append(out, MetricSnapshot{
+		out = append(out, api.MetricSample{
 			Name: name, Kind: "counter",
 			Value: float64(c.Value()), Volatile: r.volatile[name],
 		})
 	}
 	for name, g := range r.gauges {
-		out = append(out, MetricSnapshot{
+		out = append(out, api.MetricSample{
 			Name: name, Kind: "gauge",
 			Value: g.Value(), Volatile: r.volatile[name],
 		})
 	}
 	for name, h := range r.hists {
-		ms := MetricSnapshot{
+		ms := api.MetricSample{
 			Name: name, Kind: "histogram",
 			Count: h.Count(), Sum: h.Sum(), Volatile: r.volatile[name],
 		}
@@ -372,7 +324,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			if i < len(h.bounds) {
 				le = h.bounds[i]
 			}
-			ms.Buckets = append(ms.Buckets, Bucket{LE: le, Count: cum})
+			ms.Buckets = append(ms.Buckets, api.HistBucket{LE: le, Count: cum})
 		}
 		out = append(out, ms)
 	}
@@ -383,7 +335,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 // DeterministicSnapshot is Snapshot restricted to non-volatile metrics: the
 // set whose values equal seeds are guaranteed to reproduce at any worker
 // count.
-func (r *Registry) DeterministicSnapshot() []MetricSnapshot {
+func (r *Registry) DeterministicSnapshot() []api.MetricSample {
 	all := r.Snapshot()
 	out := all[:0]
 	for _, m := range all {
@@ -441,7 +393,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	snap := r.Snapshot()
 	if snap == nil {
-		snap = []MetricSnapshot{}
+		snap = []api.MetricSample{}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

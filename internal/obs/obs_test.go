@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"bestofboth/pkg/bestofboth/api"
 )
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
@@ -55,13 +57,13 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 	h.Observe(1.5) // le=2
 	h.Observe(99)  // +Inf
 
-	var snap MetricSnapshot
+	var snap api.MetricSample
 	for _, m := range r.Snapshot() {
 		if m.Name == "h" {
 			snap = m
 		}
 	}
-	want := []Bucket{{LE: 1, Count: 2}, {LE: 2, Count: 3}, {LE: math.Inf(1), Count: 4}}
+	want := []api.HistBucket{{LE: 1, Count: 2}, {LE: 2, Count: 3}, {LE: math.Inf(1), Count: 4}}
 	if !reflect.DeepEqual(snap.Buckets, want) {
 		t.Fatalf("buckets = %+v, want %+v", snap.Buckets, want)
 	}
@@ -171,7 +173,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var got []MetricSnapshot
+	var got []api.MetricSample
 	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatalf("exposition is not valid JSON: %v", err)
 	}

@@ -48,8 +48,8 @@ func (m Manifest) WriteFile(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// MetricSample is the point-in-time state of one metric, the wire twin of
-// the internal registry's snapshot entry.
+// MetricSample is the point-in-time state of one metric: the entry
+// obs.Registry.Snapshot returns and manifests carry.
 type MetricSample struct {
 	Name     string       `json:"name"`
 	Kind     string       `json:"kind"` // "counter", "gauge", or "histogram"
