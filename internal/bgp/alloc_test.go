@@ -155,7 +155,8 @@ func TestRestoreAllocBudget(t *testing.T) {
 
 // TestPrefixStateAllocs pins the prefix state's layout: a state's
 // per-session RIB and pacing slots are one array. A speaker's first state
-// for a prefix therefore costs the state and that array, and the first
+// for a prefix therefore costs the state and that array (once its
+// id-indexed rib has room for the prefix), and the first
 // write to a snapshot's frozen state copies the same two; one array for the
 // adj-RIBs beside one for the MRAI deadlines costs three. AdjIn hands out a
 // copy, so writing into it leaves the speaker as it was.
@@ -178,8 +179,8 @@ func TestPrefixStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := restored.Speaker(0)
-		i, ok := sp.find(testPrefix)
-		if !ok {
+		i, ok := restored.prefixID(testPrefix)
+		if !ok || sp.at(i) == nil {
 			t.Fatal("restored speaker has no state for the prefix")
 		}
 		frozen := sp.rib[i]
@@ -196,14 +197,37 @@ func TestPrefixStateAllocs(t *testing.T) {
 	})
 
 	t.Run("first state", func(t *testing.T) {
-		sp := New(netsim.New(5), topo, quickCfg()).Speaker(0)
-		sp.rib = make([]*prefixState, 0, 1)
+		fresh := New(netsim.New(5), topo, quickCfg())
+		id := fresh.prefixIDOrNew(testPrefix)
+		sp := fresh.Speaker(0)
+		sp.rib = make([]*prefixState, 1)
 		allocs := testing.AllocsPerRun(20, func() {
-			sp.rib = sp.rib[:0]
-			sp.state(testPrefix)
+			sp.rib[id] = nil
+			sp.state(id)
 		})
 		if allocs != 2 {
 			t.Fatalf("a speaker's first state for a prefix made %v allocations; want 2", allocs)
+		}
+	})
+
+	// Figures 3 and 4 originate one scratch prefix per trial, so each
+	// speaker's rib grows by one id at a time; sizing it exactly to the
+	// prefix count would copy the whole rib every trial.
+	t.Run("rib grows geometrically", func(t *testing.T) {
+		const prefixes = 256
+		fresh := New(netsim.New(5), topo, quickCfg())
+		sp := fresh.Speaker(0)
+		grows := 0
+		for k := range prefixes {
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{23, byte(k >> 8), byte(k), 0}), 24)
+			before := cap(sp.rib)
+			sp.state(fresh.prefixIDOrNew(p))
+			if cap(sp.rib) != before {
+				grows++
+			}
+		}
+		if grows > 16 {
+			t.Fatalf("%d prefixes added one at a time grew the rib %d times; want ≤ 16 (amortized growth)", prefixes, grows)
 		}
 	})
 

@@ -125,6 +125,15 @@ type Update struct {
 	Route  *Route // nil for withdrawals
 }
 
+// update is an Update as it rides between speakers: the prefix by its id
+// (Network.prefixes), 16 bytes where the public form is 48. Feeds and
+// callbacks get the public form.
+type update struct {
+	typ   UpdateType
+	id    int32
+	route *Route // nil for withdrawals
+}
+
 // NeighborPolicy configures origination toward one specific neighbor.
 type NeighborPolicy struct {
 	// Export enables advertising the originated prefix to this neighbor.
@@ -221,6 +230,14 @@ type Network struct {
 	cfg      Config             //cdnlint:nosnapshot immutable wiring; restore targets a network built with the same config
 	speakers []*Speaker
 	onBest   []BestChangeFunc //cdnlint:nosnapshot subscriber wiring belongs to the target network, not the captured one
+
+	// prefixes maps a prefix id to its prefix. A prefix gets the next id at
+	// its first Originate, which runs only in control context, so shard
+	// goroutines read the table and never see it change; the ids index
+	// every speaker's rib and ride every UPDATE. order lists the ids in
+	// comparePrefix order, the order of every digest and table walk.
+	prefixes []netip.Prefix
+	order    []int32
 
 	// shards hold the per-shard kernels, intern tables, payload pools, and
 	// mailboxes; see shard.go. Unsharded networks have exactly one shard
@@ -341,16 +358,50 @@ func (n *Network) Originate(node topology.NodeID, prefix netip.Prefix, pol *Orig
 	if pol == nil {
 		pol = &OriginPolicy{}
 	}
-	sp.originate(prefix, pol)
+	sp.originate(n.prefixIDOrNew(prefix), pol)
 	return nil
 }
 
 // Withdraw removes node's origination of prefix. It is a no-op if the node
 // does not originate the prefix.
 func (n *Network) Withdraw(node topology.NodeID, prefix netip.Prefix) {
-	if sp := n.Speaker(node); sp != nil {
-		sp.withdrawOrigin(prefix)
+	sp := n.Speaker(node)
+	if sp == nil {
+		return
 	}
+	if id, ok := n.prefixID(prefix); ok {
+		sp.withdrawOrigin(id)
+	}
+}
+
+// search returns p's position in order and whether p has an id.
+func (n *Network) search(p netip.Prefix) (int, bool) {
+	return slices.BinarySearchFunc(n.order, p, func(id int32, p netip.Prefix) int {
+		return comparePrefix(n.prefixes[id], p)
+	})
+}
+
+// prefixID returns p's id, if any Originate has given it one.
+func (n *Network) prefixID(p netip.Prefix) (int32, bool) {
+	if i, ok := n.search(p); ok {
+		return n.order[i], true
+	}
+	return 0, false
+}
+
+// prefixIDOrNew returns p's id, handing out the next one if p has none.
+// Control context only. A restored network's tables are capacity-limited
+// windows of the snapshot's, so the append and the insert copy them rather
+// than write into arrays that sibling restores read.
+func (n *Network) prefixIDOrNew(p netip.Prefix) int32 {
+	i, ok := n.search(p)
+	if ok {
+		return n.order[i]
+	}
+	id := int32(len(n.prefixes))
+	n.prefixes = append(n.prefixes, p)
+	n.order = slices.Insert(n.order, i, id)
+	return id
 }
 
 // AttachFeed registers a route-collector session at peer: every best-route

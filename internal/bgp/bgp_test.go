@@ -572,20 +572,20 @@ func TestWriteThroughUnownedStatePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("recompute(frozen)", func() { sp.recompute(testPrefix, frozen) })
-	mustPanic("export(frozen)", func() { sp.export(testPrefix, frozen, 0) })
-	other := restored.Speaker(2).state(testPrefix)
-	mustPanic("export(another speaker's)", func() { sp.export(testPrefix, other, 0) })
+	mustPanic("recompute(frozen)", func() { sp.recompute(frozen) })
+	mustPanic("export(frozen)", func() { sp.export(frozen, 0) })
+	other := restored.Speaker(2).state(frozen.id)
+	mustPanic("export(another speaker's)", func() { sp.export(other, 0) })
 	if sp.lookup(testPrefix) != frozen {
 		t.Fatal("a refused write replaced the frozen state")
 	}
 	// The write accessor is the way in: it clones, and the snapshot's copy
 	// keeps its contents.
-	owned := sp.state(testPrefix)
+	owned := sp.state(frozen.id)
 	if owned == frozen || owned.owner != sp || frozen.owner != nil {
 		t.Fatalf("state() returned %p (owner %p) for frozen %p", owned, owned.owner, frozen)
 	}
-	sp.recompute(testPrefix, owned)
+	sp.recompute(owned)
 }
 
 func TestCommunitiesPropagateTransitively(t *testing.T) {
@@ -708,9 +708,10 @@ func TestReselectMatchesFullScan(t *testing.T) {
 		}
 		return best, bestSess
 	}
+	id := net.prefixIDOrNew(testPrefix)
 	for step := 0; step < 5000; step++ {
 		sess := r.Intn(nSess)
-		u := Update{Type: Withdraw, Prefix: testPrefix}
+		u := update{typ: Withdraw, id: id}
 		if r.Intn(4) != 0 {
 			path := make([]topology.ASN, 1+r.Intn(3))
 			for i := range path {
@@ -719,17 +720,17 @@ func TestReselectMatchesFullScan(t *testing.T) {
 			if r.Intn(10) == 0 {
 				path[len(path)-1] = s.node.ASN // a loop: withdraws the session's route
 			}
-			u = Update{Type: Announce, Prefix: testPrefix, Route: &Route{Prefix: testPrefix, Path: path, MED: r.Intn(3)}}
+			u = update{typ: Announce, id: id, route: &Route{Prefix: testPrefix, Path: path, MED: r.Intn(3)}}
 		}
 		s.receive(sess, u)
-		st := s.lookup(testPrefix)
+		st := s.at(id)
 		want, wantSess := fullScan(st)
-		if !routesEquivalent(st.best, st.bestSess, want, wantSess) {
+		if !routesEquivalent(st.best, int(st.bestSess), want, wantSess) {
 			t.Fatalf("step %d (%v on session %d): best is session %d %v, a full scan picks session %d %v",
-				step, u.Type, sess, st.bestSess, st.best, wantSess, want)
+				step, u.typ, sess, st.bestSess, st.best, wantSess, want)
 		}
 		pending := sim.Pending()
-		s.exportAll(testPrefix, st)
+		s.exportAll(st)
 		if sim.Pending() != pending {
 			t.Fatalf("step %d: a second export pass scheduled %d events", step, sim.Pending()-pending)
 		}

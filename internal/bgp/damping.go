@@ -86,12 +86,11 @@ func (s *Speaker) scheduleReuse(p *prefixState, sess int) {
 		return
 	}
 	wait := dampHalfLife * math.Log2(d.penalty/dampReuseAt)
-	prefix := p.prefix
 	s.sh.sim.After(wait+0.001, func() {
 		if !s.dampSuppressed(p, sess) {
 			// The route re-enters the decision process.
-			s.recompute(prefix, p)
-			s.exportAll(prefix, p)
+			s.recompute(p)
+			s.exportAll(p)
 		} else if p.damp[sess].suppressed {
 			s.scheduleReuse(p, sess)
 		}

@@ -70,12 +70,14 @@ func (pi *pathIntern) extend(head topology.ASN, tail []topology.ASN) []topology.
 // delivery is the recycled payload of a send→receive event: the scheduled
 // arrival of one UPDATE at a neighbor. Pooling these (plus netsim.AtCall)
 // removes the per-message closure allocation on the hottest path in the
-// simulator. next links a free delivery into its shard's pool.
+// simulator. next links a free delivery into its shard's pool. With the
+// prefix carried as its id the struct is 48 bytes, Go's 48-byte size class
+// (TestWireLayout).
 type delivery struct {
 	peer  *Speaker
 	rev   int
 	epoch uint64
-	u     Update
+	u     update
 	next  *delivery
 }
 
@@ -99,7 +101,8 @@ func runDelivery(a any) {
 }
 
 // pendingExport is the recycled payload of an MRAI-pacing timer: re-run
-// export for one (prefix, session) when its advertisement interval expires.
+// export for one (prefix state, session) when its advertisement interval
+// expires.
 // The speaker is st.owner. next links a free one into its shard's pool.
 type pendingExport struct {
 	st   *prefixState
@@ -116,5 +119,5 @@ func runPendingExport(a any) {
 	*pe = pendingExport{next: sh.freePend}
 	sh.freePend = pe
 	st.pending[sess] = false
-	s.export(st.prefix, st, sess)
+	s.export(st, sess)
 }

@@ -57,13 +57,14 @@ type shard struct {
 }
 
 // xmsg is one cross-shard UPDATE in flight: the same payload a pooled
-// delivery carries, held by value in the mailbox until the barrier.
+// delivery carries, held by value in the mailbox until the barrier; 56
+// bytes (TestWireLayout).
 type xmsg struct {
 	at    netsim.Seconds
 	peer  *Speaker
 	rev   int
 	epoch uint64
-	u     Update
+	u     update
 	seq   uint64
 }
 
@@ -79,7 +80,7 @@ type feedMsg struct {
 // sending shard's goroutine; only sender-owned state is written.
 //
 //cdnlint:allocfree cross-shard sends append one value into the mailbox; no per-message heap traffic
-func (sh *shard) sendCross(at netsim.Seconds, peer *Speaker, rev int, u Update) {
+func (sh *shard) sendCross(at netsim.Seconds, peer *Speaker, rev int, u update) {
 	sh.outSeq++
 	//lint:ignore cdnlint/shardsafe idx is immutable wiring; addressing the destination mailbox reads no mutable peer-shard state
 	dst := peer.sh.idx

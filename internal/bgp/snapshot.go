@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"net/netip"
 	"slices"
 
 	"bestofboth/internal/netsim"
@@ -13,10 +14,11 @@ import (
 // delivery clocks. Together with a netsim.Snapshot of the kernel it is the
 // complete converged-world state of the control plane.
 //
-// Per speaker the snapshot holds one []prefixState in rib order — the very
-// struct a live speaker uses, with owner nil. Restore copies none of it: a
-// restored speaker's rib is a window of pointers at those frozen states, and
-// a state is cloned only when that world first writes it (Speaker.own). A
+// Per speaker the snapshot holds one []prefixState in prefix order — the
+// very struct a live speaker uses, with owner nil. Restore copies none of
+// it: a restored speaker's rib is a window of pointers at those frozen
+// states, indexed by the prefix ids the snapshot also captures, and a state
+// is cloned only when that world first writes it (Speaker.own). A
 // Figure 2 run changes one or two of the eight or nine states a speaker
 // holds, so the rest stay shared for the run's whole life. Routes and origin
 // policies are immutable after publish (see the Route doc) and are shared by
@@ -35,6 +37,10 @@ type NetworkSnapshot struct {
 	// restoring it twice is idempotent).
 	kernels  []netsim.Snapshot
 	speakers []speakerSnapshot
+	// prefixes and order are the network's prefix-id tables (see Network),
+	// shared read-only by every restore.
+	prefixes []netip.Prefix
+	order    []int32
 }
 
 type speakerSnapshot struct {
@@ -43,7 +49,7 @@ type speakerSnapshot struct {
 	lastFeedDeliver netsim.Seconds
 	downSess        []bool
 	sessEpoch       []uint64
-	rib             []prefixState // frozen: owner nil, pending nil
+	rib             []prefixState // in prefix order; frozen: owner nil, pending nil
 }
 
 // Snapshot captures the network's protocol state. It fails if simulation
@@ -57,6 +63,9 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 	snap := &NetworkSnapshot{
 		kernels:  make([]netsim.Snapshot, len(n.shards)),
 		speakers: make([]speakerSnapshot, len(n.speakers)),
+		// Copies: the live network goes on inserting into order in place.
+		prefixes: slices.Clone(n.prefixes),
+		order:    slices.Clone(n.order),
 	}
 	for i, sh := range n.shards {
 		ks, err := sh.sim.Snapshot()
@@ -66,15 +75,25 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 		snap.kernels[i] = ks
 	}
 	for i, sp := range n.speakers {
+		states := 0
+		for _, st := range sp.rib {
+			if st != nil {
+				states++
+			}
+		}
 		nAdj := len(sp.node.Adj)
-		slots := make([]adjSlot, nAdj*len(sp.rib))
-		rib := make([]prefixState, len(sp.rib))
-		for k, st := range sp.rib {
+		slots := make([]adjSlot, nAdj*states)
+		rib := make([]prefixState, 0, states)
+		for _, id := range n.order {
+			st := sp.at(id)
+			if st == nil {
+				continue
+			}
 			// Route and origination pointers are shared, not cloned: both
 			// are immutable once published. The live network moves on by
 			// swapping pointers in its own slots.
-			f := &rib[k]
-			*f = *st
+			rib = append(rib, *st)
+			f := &rib[len(rib)-1]
 			f.owner, f.pending = nil, nil
 			f.adj, slots = slots[:nAdj:nAdj], slots[nAdj:]
 			copy(f.adj, st.adj)
@@ -94,13 +113,15 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 
 // Restore installs a snapshot into a freshly built network over an
 // identically shaped topology (same node count and adjacency layout, e.g.
-// regenerated from the same GenConfig). It is O(speakers): every speaker's
-// rib is carved out of one network-wide array of pointers at the snapshot's
-// frozen states, and nothing per prefix is allocated or copied until the
-// restored world writes a state (see NetworkSnapshot). The carved windows
-// are capacity-limited, so a speaker that learns a new prefix reallocates
-// its own rib instead of growing over its neighbour's. Concurrent restores
-// from one snapshot are safe.
+// regenerated from the same GenConfig). It is O(speakers × prefixes):
+// every speaker's id-indexed rib is carved out of one network-wide array of
+// pointers at the snapshot's frozen states, and nothing per prefix is
+// allocated or copied until the restored world writes a state (see
+// NetworkSnapshot). The carved windows and the prefix-id tables are
+// capacity-limited, so a world that originates a new prefix copies its
+// tables, and a speaker that learns one reallocates its own rib, instead of
+// growing over arrays that a neighbour or a sibling restore reads.
+// Concurrent restores from one snapshot are safe.
 //
 // Nothing is replayed and nothing is seeded. OnBestChange subscribers are
 // not called — the data plane restores its FIBs from its own snapshot — and
@@ -116,7 +137,6 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 	if len(snap.speakers) != len(n.speakers) {
 		return fmt.Errorf("bgp: snapshot has %d speakers, network has %d", len(snap.speakers), len(n.speakers))
 	}
-	states := 0
 	for i, sp := range n.speakers {
 		if len(sp.rib) != 0 {
 			return fmt.Errorf("bgp: speaker %d already has prefix state; restore requires a fresh network", i)
@@ -124,7 +144,6 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 		if len(snap.speakers[i].lastDeliver) != len(sp.node.Adj) {
 			return fmt.Errorf("bgp: speaker %d adjacency count mismatch", i)
 		}
-		states += len(snap.speakers[i].rib)
 	}
 	if len(snap.kernels) != len(n.shards) {
 		return fmt.Errorf("bgp: snapshot has %d shard kernels, network has %d shards", len(snap.kernels), len(n.shards))
@@ -134,7 +153,10 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 			return fmt.Errorf("bgp: shard %d kernel: %w", i, err)
 		}
 	}
-	ribs := make([]*prefixState, states)
+	nPrefix := len(snap.prefixes)
+	n.prefixes = snap.prefixes[:nPrefix:nPrefix]
+	n.order = snap.order[:nPrefix:nPrefix]
+	ribs := make([]*prefixState, len(n.speakers)*nPrefix)
 	for i := range snap.speakers {
 		ss := &snap.speakers[i]
 		sp := n.speakers[i]
@@ -143,9 +165,9 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 		sp.lastFeedDeliver = ss.lastFeedDeliver
 		copy(sp.downSess, ss.downSess)
 		copy(sp.sessEpoch, ss.sessEpoch)
-		sp.rib, ribs = ribs[:len(ss.rib):len(ss.rib)], ribs[len(ss.rib):]
+		sp.rib, ribs = ribs[:nPrefix:nPrefix], ribs[nPrefix:]
 		for k := range ss.rib {
-			sp.rib[k] = &ss.rib[k]
+			sp.rib[ss.rib[k].id] = &ss.rib[k]
 		}
 	}
 	return nil

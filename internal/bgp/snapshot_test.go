@@ -162,3 +162,46 @@ func TestNetworkSnapshotRefusals(t *testing.T) {
 		t.Fatal("restore over a non-fresh network accepted")
 	}
 }
+
+// TestRestoredPrefixTablesAreCapped originates a prefix the snapshot never
+// held in one restored network, sorting it first so that its id is
+// inserted at the head of the order, while a sibling restore reads the
+// same tables. The snapshot's tables get spare capacity first, as a clone
+// rounded up to its size class has: without the capacity limit Restore
+// puts on them, the insert would shift the sibling's order in place.
+func TestRestoredPrefixTablesAreCapped(t *testing.T) {
+	sim, net := convergeLine(t, 5, nil)
+	if err := net.Originate(2, netip.MustParsePrefix("184.164.250.0/24"), nil); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	snap, err := net.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.prefixes = append(make([]netip.Prefix, 0, 8), snap.prefixes...)
+	snap.order = append(make([]int32, 0, 8), snap.order...)
+	want := net.RouteStateDigest()
+
+	restore := func() *Network {
+		r := New(netsim.New(5), lineTopo(t), quickCfg())
+		if err := r.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	sibling, grower := restore(), restore()
+	if err := grower.Originate(1, netip.MustParsePrefix("10.0.0.0/24"), nil); err != nil {
+		t.Fatal(err)
+	}
+	grower.Sim().Run()
+	if len(grower.Speaker(0).KnownPrefixes()) != 3 {
+		t.Fatalf("the growing network knows %v, want three prefixes", grower.Speaker(0).KnownPrefixes())
+	}
+	if got := sibling.RouteStateDigest(); got != want {
+		t.Fatalf("a sibling restore changed under a new origination:\n got %q\nwant %q", got, want)
+	}
+	if got := restore().RouteStateDigest(); got != want {
+		t.Fatal("a restore after a sibling's new origination differs from the snapshotted network")
+	}
+}

@@ -45,11 +45,15 @@ type Speaker struct {
 	// connection, so in-flight updates never arrive.
 	sessEpoch []uint64
 
-	// rib is the per-prefix table, sorted by comparePrefix — the order of
-	// every digest and of fault injection's table walks. A speaker holds a
-	// handful of prefixes, so a sorted slice beats a map on lookup, needs no
-	// sorted view beside it, and lets Restore hand out a carved window of
-	// pointers into a snapshot's frozen states (see state and own).
+	// rib is the per-prefix table, indexed by prefix id (Network.prefixes);
+	// nil means no state. An UPDATE carries the id, so finding its state is
+	// one index. Walks that must keep prefix order — digests, fault
+	// injection's table walks, snapshots — go through Network.order. The
+	// table is appended up to the network's prefix count, with append's
+	// geometric growth, when a state for a newer id is first written, and
+	// Restore hands each speaker a capacity-limited
+	// window of one network-wide pointer array into a snapshot's frozen
+	// states (see state and own).
 	rib []*prefixState
 }
 
@@ -59,8 +63,14 @@ type Speaker struct {
 // worlds and on any shard goroutine, point at and read concurrently. Nothing
 // may write a state whose owner is not the writing speaker; own clones it
 // first.
+//
+// The struct is 112 bytes, Go's 112-byte size class (TestWireLayout): the
+// prefix rides as its id and the best route's session as an int32.
 type prefixState struct {
-	prefix netip.Prefix
+	id int32 // the prefix, an index into Network.prefixes
+	// bestSess is the session best was learned on, -1 for the local
+	// origination: the next hop, and what best's LOCAL_PREF derives from.
+	bestSess int32
 	// owner is the one speaker allowed to write this state; nil marks a
 	// snapshot's frozen copy.
 	owner *Speaker //cdnlint:nosnapshot who may write, not what is stored: nil in every snapshot
@@ -73,9 +83,6 @@ type prefixState struct {
 	pending []bool //cdnlint:nosnapshot mirrors queued MRAI timers; snapshots require an empty queue
 
 	best *Route
-	// bestSess is the session best was learned on, -1 for the local
-	// origination: the next hop, and what best's LOCAL_PREF derives from.
-	bestSess int
 	// sent is the Route export built or shared last; groupRoute hands it
 	// to every session whose intent it matches.
 	sent *Route
@@ -133,8 +140,8 @@ func (s *Speaker) resolveReverse() {
 	}
 }
 
-// comparePrefix orders prefixes by address, then length: the rib's order,
-// and iptrie.Walk's.
+// comparePrefix orders prefixes by address, then length: Network.order,
+// and iptrie.Walk's order.
 func comparePrefix(a, b netip.Prefix) int {
 	if c := a.Addr().Compare(b.Addr()); c != 0 {
 		return c
@@ -142,42 +149,48 @@ func comparePrefix(a, b netip.Prefix) int {
 	return a.Bits() - b.Bits()
 }
 
-// find returns p's position in the rib and whether a state for it exists.
-func (s *Speaker) find(p netip.Prefix) (int, bool) {
-	return slices.BinarySearchFunc(s.rib, p, func(st *prefixState, p netip.Prefix) int {
-		return comparePrefix(st.prefix, p)
-	})
-}
-
-// lookup is the read accessor: the state for p, possibly a snapshot's
+// at is the read accessor: the state for prefix id, possibly a snapshot's
 // frozen one, or nil.
-func (s *Speaker) lookup(p netip.Prefix) *prefixState {
-	if i, ok := s.find(p); ok {
-		return s.rib[i]
+func (s *Speaker) at(id int32) *prefixState {
+	if int(id) < len(s.rib) {
+		return s.rib[id]
 	}
 	return nil
 }
 
-// state is the write accessor: the state for p, created empty if absent and
-// cloned first if it still belongs to a snapshot.
-func (s *Speaker) state(p netip.Prefix) *prefixState {
-	i, ok := s.find(p)
-	if ok {
-		return s.own(i)
+// lookup is at by prefix, for the accessors that take one.
+func (s *Speaker) lookup(p netip.Prefix) *prefixState {
+	if id, ok := s.net.prefixID(p); ok {
+		return s.at(id)
 	}
-	st := &prefixState{prefix: p, owner: s, adj: make([]adjSlot, len(s.node.Adj))}
-	s.rib = slices.Insert(s.rib, i, st)
+	return nil
+}
+
+// state is the write accessor: the state for prefix id, created empty if
+// absent and cloned first if it still belongs to a snapshot.
+func (s *Speaker) state(id int32) *prefixState {
+	if st := s.at(id); st != nil {
+		return s.own(id)
+	}
+	if int(id) >= len(s.rib) {
+		// Cover every id the network has handed out. append grows the
+		// capacity geometrically, so one prefix originated per trial (Figures
+		// 3 and 4) costs amortized O(1) per speaker, not a copy of the rib.
+		s.rib = append(s.rib, make([]*prefixState, len(s.net.prefixes)-len(s.rib))...)
+	}
+	st := &prefixState{id: id, owner: s, adj: make([]adjSlot, len(s.node.Adj))}
+	s.rib[id] = st
 	s.net.m.prefixStates.Inc()
 	return st
 }
 
-// own returns rib[i] writable. A restored speaker's rib points at the
-// snapshot's frozen states, shared with every sibling restore; the first
-// write in this world replaces the pointer with a private copy. Routes and
-// originations stay shared (immutable after publish); pending is left nil,
-// as in every frozen state.
-func (s *Speaker) own(i int) *prefixState {
-	st := s.rib[i]
+// own returns the state for id, which must exist, writable. A restored
+// speaker's rib points at the snapshot's frozen states, shared with every
+// sibling restore; the first write in this world replaces the pointer with
+// a private copy. Routes and originations stay shared (immutable after
+// publish); pending is left nil, as in every frozen state.
+func (s *Speaker) own(id int32) *prefixState {
+	st := s.rib[id]
 	if st.owner == s {
 		return st
 	}
@@ -185,7 +198,7 @@ func (s *Speaker) own(i int) *prefixState {
 	c.owner = s
 	c.adj = slices.Clone(st.adj)
 	c.damp = slices.Clone(st.damp)
-	s.rib[i] = &c
+	s.rib[id] = &c
 	return &c
 }
 
@@ -202,7 +215,7 @@ func (s *Speaker) Best(p netip.Prefix) *Route {
 // originated or there is none.
 func (s *Speaker) BestSession(p netip.Prefix) int {
 	if st := s.lookup(p); st != nil && st.best != nil {
-		return st.bestSess
+		return int(st.bestSess)
 	}
 	return -1
 }
@@ -222,37 +235,38 @@ func (s *Speaker) AdjIn(p netip.Prefix) []*Route {
 	return in
 }
 
-// KnownPrefixes returns every prefix with any state at this speaker, in the
-// rib's sorted order. The slice is the caller's own.
+// KnownPrefixes returns every prefix with any state at this speaker, in
+// comparePrefix order. The slice is the caller's own.
 func (s *Speaker) KnownPrefixes() []netip.Prefix {
-	out := make([]netip.Prefix, len(s.rib))
-	for i, st := range s.rib {
-		out[i] = st.prefix
+	var out []netip.Prefix
+	for _, id := range s.net.order {
+		if s.at(id) != nil {
+			out = append(out, s.net.prefixes[id])
+		}
 	}
 	return out
 }
 
-func (s *Speaker) originate(p netip.Prefix, pol *OriginPolicy) {
-	st := s.state(p)
+func (s *Speaker) originate(id int32, pol *OriginPolicy) {
+	st := s.state(id)
 	// Build the loc-RIB origin entry once per origination. A fresh one is
 	// mandatory even on re-origination: the previous route may be published
 	// (st.best, FIBs, feeds) and published routes are immutable.
-	st.origin = &origination{pol: pol, route: Route{Prefix: p, MED: pol.MED, OriginNode: s.node.ID}}
-	s.recompute(p, st)
+	st.origin = &origination{pol: pol, route: Route{Prefix: s.net.prefixes[id], MED: pol.MED, OriginNode: s.node.ID}}
+	s.recompute(st)
 	// A policy change (e.g. new prepend depth) may alter exports even when
 	// the best route is unchanged, so always reconsider every session.
-	s.exportAll(p, st)
+	s.exportAll(st)
 }
 
-func (s *Speaker) withdrawOrigin(p netip.Prefix) {
-	i, ok := s.find(p)
-	if !ok || s.rib[i].origin == nil {
+func (s *Speaker) withdrawOrigin(id int32) {
+	if st := s.at(id); st == nil || st.origin == nil {
 		return
 	}
-	st := s.own(i)
+	st := s.own(id)
 	st.origin = nil
-	s.recompute(p, st)
-	s.exportAll(p, st)
+	s.recompute(st)
+	s.exportAll(st)
 }
 
 // importPref maps the session relationship to LOCAL_PREF (Gao-Rexford).
@@ -278,21 +292,21 @@ func (s *Speaker) localPref(sess int) int {
 }
 
 // receive processes an UPDATE delivered on session sess.
-func (s *Speaker) receive(sess int, u Update) {
+func (s *Speaker) receive(sess int, u update) {
 	s.msgCount++
 	s.net.m.received.Inc()
-	st := s.state(u.Prefix)
+	st := s.state(u.id)
 	a := &st.adj[sess]
 	hadIn := a.in != nil
 	damping := s.net.cfg.Damping
-	switch u.Type {
+	switch u.typ {
 	case Announce:
 		// Route-flap damping counts re-advertisements that change an
 		// existing route as flaps (RFC 2439 §4.4.2).
-		if damping && a.in != nil && !sameWire(u.Route, a.in) {
+		if damping && a.in != nil && !sameWire(u.route, a.in) {
 			s.flap(st, sess)
 		}
-		r := u.Route
+		r := u.route
 		if r.ContainsASN(s.node.ASN) {
 			// Receiver-side loop detection: the NLRI replaces whatever this
 			// neighbor previously advertised, but the looping path is not
@@ -325,17 +339,17 @@ func (s *Speaker) receive(sess int, u Update) {
 	// session's route, and damping suppresses and releases routes as time
 	// passes; both rescan. Any other UPDATE is one comparison (reselect).
 	var changed bool
-	if damping || (st.best != nil && sess == st.bestSess) {
-		changed = s.recompute(u.Prefix, st)
+	if damping || (st.best != nil && sess == int(st.bestSess)) {
+		changed = s.recompute(st)
 	} else {
-		changed = s.reselect(u.Prefix, st, sess)
+		changed = s.reselect(st, sess)
 	}
 	// An unchanged best exports nothing: desiredExport reads only the best
 	// route, the origination and static wiring, and every export pass
 	// leaves each up session carrying its intent or with an MRAI timer
 	// queued.
 	if changed {
-		s.exportAll(u.Prefix, st)
+		s.exportAll(st)
 	}
 }
 
@@ -373,10 +387,10 @@ func (s *Speaker) neighborAS(sess int) topology.ASN {
 	return s.net.topo.Node(s.node.Adj[sess].To).ASN
 }
 
-// recompute reselects the best route for p from a full scan of the
+// recompute reselects the best route of st from a full scan of the
 // candidates, fires FIB/feed callbacks on change and reports whether the
 // best changed.
-func (s *Speaker) recompute(p netip.Prefix, st *prefixState) bool {
+func (s *Speaker) recompute(st *prefixState) bool {
 	s.mustOwn(st)
 	best, bestSess := (*Route)(nil), -1
 	if st.origin != nil {
@@ -397,10 +411,10 @@ func (s *Speaker) recompute(p netip.Prefix, st *prefixState) bool {
 			best, bestSess = r, sess
 		}
 	}
-	if routesEquivalent(best, bestSess, st.best, st.bestSess) {
+	if routesEquivalent(best, bestSess, st.best, int(st.bestSess)) {
 		return false
 	}
-	s.setBest(p, st, best, bestSess)
+	s.setBest(st, best, bestSess)
 	return true
 }
 
@@ -409,19 +423,20 @@ func (s *Speaker) recompute(p netip.Prefix, st *prefixState) bool {
 // was, so the best of them is still st.best, and since better is a strict
 // total order one comparison with sess's route picks what the full scan
 // would.
-func (s *Speaker) reselect(p netip.Prefix, st *prefixState, sess int) bool {
+func (s *Speaker) reselect(st *prefixState, sess int) bool {
 	s.mustOwn(st)
 	r := st.adj[sess].in
-	if r == nil || (st.best != nil && !s.better(r, sess, st.best, st.bestSess)) {
+	if r == nil || (st.best != nil && !s.better(r, sess, st.best, int(st.bestSess))) {
 		return false
 	}
-	s.setBest(p, st, r, sess)
+	s.setBest(st, r, sess)
 	return true
 }
 
 // setBest installs a new best route and fires the FIB/feed callbacks.
-func (s *Speaker) setBest(p netip.Prefix, st *prefixState, best *Route, bestSess int) {
-	st.best, st.bestSess = best, bestSess
+func (s *Speaker) setBest(st *prefixState, best *Route, bestSess int) {
+	st.best, st.bestSess = best, int32(bestSess)
+	p := s.net.prefixes[st.id]
 	for _, fn := range s.net.onBest {
 		fn(s.node.ID, p, best, bestSess, s.sh.sim.Now())
 	}
@@ -433,7 +448,7 @@ func (s *Speaker) setBest(p netip.Prefix, st *prefixState, best *Route, bestSess
 // which would corrupt every world sharing it.
 func (s *Speaker) mustOwn(st *prefixState) {
 	if st.owner != s {
-		panic("bgp: write to a prefix state " + st.prefix.String() + " that speaker " + s.node.Name + " does not own")
+		panic("bgp: write to a prefix state " + s.net.prefixes[st.id].String() + " that speaker " + s.node.Name + " does not own")
 	}
 }
 
@@ -483,10 +498,10 @@ func (s *Speaker) notifyFeeds(p netip.Prefix, best *Route) {
 // exportAll reconsiders what should be advertised to every session. The
 // transit path is interned once for the pass, by the first session that
 // needs it.
-func (s *Speaker) exportAll(p netip.Prefix, st *prefixState) {
+func (s *Speaker) exportAll(st *prefixState) {
 	var transit []topology.ASN
 	for sess := range s.node.Adj {
-		s.exportPass(p, st, sess, &transit)
+		s.exportPass(st, sess, &transit)
 	}
 }
 
@@ -532,7 +547,7 @@ func (s *Speaker) desiredExport(st *prefixState, sess int, transit *[]topology.A
 
 	// Transit route. Split horizon: never send a route back over the
 	// session it was learned from.
-	if st.bestSess == sess {
+	if int(st.bestSess) == sess {
 		return exportIntent{}, false
 	}
 	// Well-known communities (RFC 1997): NO_ADVERTISE stops the route
@@ -600,7 +615,7 @@ func intentMatches(it exportIntent, out *Route) bool {
 // new one. Every session of a prefix state that carries the same intent
 // thus holds one pointer (an update group), and a best change materializes
 // one Route however many sessions it reaches.
-func groupRoute(p netip.Prefix, st *prefixState, it exportIntent) *Route {
+func (s *Speaker) groupRoute(st *prefixState, it exportIntent) *Route {
 	carries := func(r *Route) bool { return intentMatches(it, r) && r.OriginNode == it.originNode }
 	if carries(st.sent) {
 		return st.sent
@@ -611,20 +626,20 @@ func groupRoute(p netip.Prefix, st *prefixState, it exportIntent) *Route {
 			return a.out
 		}
 	}
-	st.sent = &Route{Prefix: p, Path: it.path, MED: it.med, OriginNode: it.originNode, Communities: it.comm}
+	st.sent = &Route{Prefix: s.net.prefixes[st.id], Path: it.path, MED: it.med, OriginNode: it.originNode, Communities: it.comm}
 	return st.sent
 }
 
 // export transmits the desired state toward session sess, honoring MRAI for
 // advertisements. Withdrawals are sent immediately.
-func (s *Speaker) export(p netip.Prefix, st *prefixState, sess int) {
+func (s *Speaker) export(st *prefixState, sess int) {
 	var transit []topology.ASN
-	s.exportPass(p, st, sess, &transit)
+	s.exportPass(st, sess, &transit)
 }
 
 // exportPass is export as one session of a pass that shares the interned
 // transit path in *transit (see desiredExport).
-func (s *Speaker) exportPass(p netip.Prefix, st *prefixState, sess int, transit *[]topology.ASN) {
+func (s *Speaker) exportPass(st *prefixState, sess int, transit *[]topology.ASN) {
 	s.mustOwn(st)
 	if s.downSess[sess] {
 		// Nothing can be sent on a down session; the full re-advertisement
@@ -643,18 +658,18 @@ func (s *Speaker) exportPass(p netip.Prefix, st *prefixState, sess int, transit 
 	now := s.sh.sim.Now()
 	if !want && !s.net.cfg.PaceWithdrawals {
 		a.out = nil
-		s.send(sess, Update{Type: Withdraw, Prefix: p})
+		s.transmit(sess, update{typ: Withdraw, id: st.id})
 		return
 	}
 	if now >= a.next {
 		a.next = now + s.mraiInterval()
 		if !want {
 			a.out = nil
-			s.send(sess, Update{Type: Withdraw, Prefix: p})
+			s.transmit(sess, update{typ: Withdraw, id: st.id})
 		} else {
-			r := groupRoute(p, st, it)
+			r := s.groupRoute(st, it)
 			a.out = r
-			s.send(sess, Update{Type: Announce, Prefix: p, Route: r})
+			s.transmit(sess, update{typ: Announce, id: st.id, route: r})
 		}
 		return
 	}
@@ -678,11 +693,11 @@ func (s *Speaker) mraiInterval() netsim.Seconds {
 	return cfg.MRAI * (1 + s.sh.sim.Jitter(-j, j))
 }
 
-// send delivers an update to the neighbor on session sess after link and
-// processing delay.
+// transmit delivers an update to the neighbor on session sess after link
+// and processing delay.
 //
 //cdnlint:allocfree pinned by TestSendPathZeroAllocs
-func (s *Speaker) send(sess int, u Update) {
+func (s *Speaker) transmit(sess int, u update) {
 	adj := s.node.Adj[sess]
 	peer := s.net.speakers[adj.To]
 	rev := s.reverse[sess]
@@ -690,7 +705,7 @@ func (s *Speaker) send(sess int, u Update) {
 		return // asymmetric link; Validate prevents this
 	}
 	s.net.m.sent.Inc()
-	if u.Type == Withdraw {
+	if u.typ == Withdraw {
 		s.net.m.sentWdr.Inc()
 	} else {
 		s.net.m.sentAnn.Inc()
@@ -724,11 +739,14 @@ func (s *Speaker) send(sess int, u Update) {
 // flushSession clears all per-session RIB state for sess — adj-RIB-in,
 // adj-RIB-out, and MRAI pacing — as a session teardown does, then
 // re-selects and re-exports every prefix whose best route was lost.
-// Iteration is in rib (sorted prefix) order so fault injection stays
-// deterministic.
+// Iteration is in Network.order (sorted prefix order) so fault injection
+// stays deterministic.
 func (s *Speaker) flushSession(sess int) {
-	for i := range s.rib {
-		st := s.own(i)
+	for _, id := range s.net.order {
+		if s.at(id) == nil {
+			continue
+		}
+		st := s.own(id)
 		a := &st.adj[sess]
 		a.out, a.next = nil, 0
 		if a.in == nil {
@@ -736,8 +754,8 @@ func (s *Speaker) flushSession(sess int) {
 		}
 		a.in = nil
 		s.net.m.adjIn.Add(-1)
-		s.recompute(st.prefix, st)
-		s.exportAll(st.prefix, st)
+		s.recompute(st)
+		s.exportAll(st)
 	}
 }
 
@@ -746,8 +764,9 @@ func (s *Speaker) flushSession(sess int) {
 // entire Adj-RIB-Out). adj-RIB-out for the session is empty after the
 // flush, so export sends everything the policy allows.
 func (s *Speaker) readvertiseSession(sess int) {
-	for i := range s.rib {
-		st := s.own(i)
-		s.export(st.prefix, st, sess)
+	for _, id := range s.net.order {
+		if s.at(id) != nil {
+			s.export(s.own(id), sess)
+		}
 	}
 }

@@ -25,11 +25,15 @@ const digestChunk = 32 << 10
 func (n *Network) WriteRouteState(w io.Writer) error {
 	buf := make([]byte, 0, digestChunk+digestChunk/4)
 	for _, sp := range n.speakers {
-		for _, st := range sp.rib {
+		for _, id := range n.order {
+			st := sp.at(id)
+			if st == nil {
+				continue
+			}
 			mark := len(buf)
 			buf = append(buf, sp.node.Name...)
 			buf = append(buf, ' ')
-			buf = st.prefix.AppendTo(buf)
+			buf = n.prefixes[id].AppendTo(buf)
 			buf = append(buf, '\n')
 			body := len(buf)
 			buf = appendPrefixState(buf, sp, st)

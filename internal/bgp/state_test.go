@@ -30,29 +30,29 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 	}
 	cases := []struct {
 		name string
+		p    netip.Prefix
 		st   *prefixState
 	}{
-		{"nil communities", &prefixState{prefix: p4, best: &Route{Path: []topology.ASN{47065}}, bestSess: 2}},
-		{"empty communities", &prefixState{prefix: p4, best: &Route{Path: []topology.ASN{47065}, Communities: []uint32{}}, bestSess: 2}},
-		{"communities", &prefixState{prefix: p4, adj: slots(routes(nil, nil, &Route{
+		{"nil communities", p4, &prefixState{best: &Route{Path: []topology.ASN{47065}}, bestSess: 2}},
+		{"empty communities", p4, &prefixState{best: &Route{Path: []topology.ASN{47065}, Communities: []uint32{}}, bestSess: 2}},
+		{"communities", p4, &prefixState{adj: slots(routes(nil, nil, &Route{
 			Path: []topology.ASN{3356, 47065}, Communities: []uint32{CommunityNoExport, 0, 65000<<16 | 7},
 		}), nil)}},
-		{"negative med", &prefixState{prefix: p4, adj: slots(nil, routes(&Route{Path: []topology.ASN{1}, MED: -5}))}},
-		{"zero med", &prefixState{prefix: p4, adj: slots(routes(&Route{Path: []topology.ASN{1}}), nil)}},
-		{"originated best", &prefixState{prefix: p4,
-			origin:   &origination{pol: &OriginPolicy{}},
+		{"negative med", p4, &prefixState{adj: slots(nil, routes(&Route{Path: []topology.ASN{1}, MED: -5}))}},
+		{"zero med", p4, &prefixState{adj: slots(routes(&Route{Path: []topology.ASN{1}}), nil)}},
+		{"originated best", p4, &prefixState{origin: &origination{pol: &OriginPolicy{}},
 			best:     &Route{Path: []topology.ASN{47065}},
 			bestSess: -1,
 		}},
-		{"nil path", &prefixState{prefix: p4, best: &Route{}}},
-		{"empty husk", &prefixState{prefix: p4, adj: slots(routes(nil, nil), routes(nil, nil))}},
-		{"prepended path", &prefixState{prefix: p4, adj: slots(nil, routes(nil, nil, &Route{
+		{"nil path", p4, &prefixState{best: &Route{}}},
+		{"empty husk", p4, &prefixState{adj: slots(routes(nil, nil), routes(nil, nil))}},
+		{"prepended path", p4, &prefixState{adj: slots(nil, routes(nil, nil, &Route{
 			Path: []topology.ASN{47065, 47065, 47065, 47065}, MED: 10,
 		}))}},
-		{"origin policy", &prefixState{prefix: p4, origin: &origination{pol: &OriginPolicy{
+		{"origin policy", p4, &prefixState{origin: &origination{pol: &OriginPolicy{
 			Prepend: 3, MED: -1, Communities: []uint32{CommunityNoAdvertise},
 		}}}},
-		{"origin per-neighbor", &prefixState{prefix: p4, origin: &origination{pol: &OriginPolicy{
+		{"origin per-neighbor", p4, &prefixState{origin: &origination{pol: &OriginPolicy{
 			Prepend: 1,
 			PerNeighbor: map[topology.NodeID]NeighborPolicy{
 				40: {Export: true, Prepend: 3},
@@ -61,9 +61,8 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 				0:  {Export: true, Prepend: -1},
 			},
 		}}}},
-		{"ipv6 prefix", &prefixState{prefix: p6, best: &Route{Path: []topology.ASN{4200000000}}, bestSess: 0}},
-		{"every section", &prefixState{prefix: p4,
-			origin:   &origination{pol: &OriginPolicy{MED: 4}},
+		{"ipv6 prefix", p6, &prefixState{best: &Route{Path: []topology.ASN{4200000000}}, bestSess: 0}},
+		{"every section", p4, &prefixState{origin: &origination{pol: &OriginPolicy{MED: 4}},
 			best:     &Route{Path: []topology.ASN{2, 1}},
 			bestSess: 1,
 			adj: slots(routes(&Route{Path: []topology.ASN{9, 1}}, &Route{Path: []topology.ASN{2, 1}}),
@@ -72,10 +71,12 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 	}
 
 	adj := []topology.Adjacency{{Rel: topology.RelProvider}, {Rel: topology.RelCustomer}, {Rel: topology.RelPeer}}
-	whole := &Speaker{node: &topology.Node{Name: "all-cases", Adj: adj}}
+	all := &Network{}
+	whole := &Speaker{net: all, node: &topology.Node{Name: "all-cases", Adj: adj}}
+	all.speakers = []*Speaker{whole, whole}
 	for i, c := range cases {
-		sp := &Speaker{node: &topology.Node{Name: "edge", Adj: adj}, rib: []*prefixState{c.st}}
-		n := &Network{speakers: []*Speaker{sp}}
+		n := &Network{prefixes: []netip.Prefix{c.p}, order: []int32{0}}
+		n.speakers = []*Speaker{{net: n, node: &topology.Node{Name: "edge", Adj: adj}, rib: []*prefixState{c.st}}}
 		want := RefRouteStateDigest(n)
 		if got := n.RouteStateDigest(); got != want {
 			t.Errorf("%s:\n got %q\nwant %q", c.name, got, want)
@@ -86,11 +87,12 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 		// The same states side by side, husk in the middle, so a rollback
 		// that truncates too much or too little shows.
 		st := *c.st
-		st.prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
+		st.id = int32(i)
+		all.prefixes = append(all.prefixes, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16))
+		all.order = append(all.order, st.id)
 		whole.rib = append(whole.rib, &st)
 	}
-	n := &Network{speakers: []*Speaker{whole, whole}}
-	if got, want := n.RouteStateDigest(), RefRouteStateDigest(n); got != want {
+	if got, want := all.RouteStateDigest(), RefRouteStateDigest(all); got != want {
 		t.Errorf("combined network:\n got %q\nwant %q", got, want)
 	}
 }

@@ -62,6 +62,9 @@ func TestExportSharesRouteAcrossSessions(t *testing.T) {
 	shared := 0
 	for _, sp := range net.speakers {
 		for _, st := range sp.rib {
+			if st == nil {
+				continue
+			}
 			for i, sa := range st.adj {
 				for _, sb := range st.adj[i+1:] {
 					a, b := sa.out, sb.out
@@ -69,7 +72,7 @@ func TestExportSharesRouteAcrossSessions(t *testing.T) {
 						continue
 					}
 					if a != b {
-						t.Fatalf("%s %s: two Routes %p and %p carry path %v to different sessions", sp.node.Name, st.prefix, a, b, a.Path)
+						t.Fatalf("%s %s: two Routes %p and %p carry path %v to different sessions", sp.node.Name, net.prefixes[st.id], a, b, a.Path)
 					}
 					shared++
 				}
@@ -148,14 +151,17 @@ func TestImportKeepsSenderRoute(t *testing.T) {
 			held := 0
 			for _, sp := range net.speakers {
 				for _, st := range sp.rib {
+					if st == nil {
+						continue
+					}
 					for sess, a := range st.adj {
 						r := a.in
 						if r == nil {
 							continue
 						}
 						peer := net.speakers[sp.node.Adj[sess].To]
-						if sent := peer.lookup(st.prefix).adj[sp.reverse[sess]].out; r != sent {
-							t.Fatalf("%s in[%d] %s is %p, sender %s holds %p", sp.node.Name, sess, st.prefix, r, peer.node.Name, sent)
+						if sent := peer.at(st.id).adj[sp.reverse[sess]].out; r != sent {
+							t.Fatalf("%s in[%d] %s is %p, sender %s holds %p", sp.node.Name, sess, net.prefixes[st.id], r, peer.node.Name, sent)
 						}
 						held++
 					}

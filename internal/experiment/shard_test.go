@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"net/netip"
 	"os"
+	"sync"
 	"testing"
 
 	"bestofboth/internal/core"
@@ -128,6 +130,113 @@ func TestShardedScenarioDigestEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedNewPrefixAfterRestoreEquivalence restores one converged
+// proactive-prepending snapshot into two worlds at once. One switches to
+// proactive-superprefix, which originates a covering prefix the snapshot
+// never held, so that world grows the prefix table and every rib it shares
+// with the snapshot; the other runs a failover on the snapshot's prefixes.
+// A third restore afterwards must still be the snapshotted world, the
+// switched world must match a world built cold and given the same switch,
+// and all of it must agree at one and two shards. Under the race detector
+// a write into an array the siblings read is a reported data race.
+func TestShardedNewPrefixAfterRestoreEquivalence(t *testing.T) {
+	tech := core.ProactivePrepending{Prepends: 3}
+	// knownPrefixes counts the prefixes some speaker holds state for: every
+	// prefix an Originate has named, since its originator keeps one.
+	knownPrefixes := func(w *World) int {
+		seen := map[netip.Prefix]bool{}
+		for _, n := range w.Topo.Nodes {
+			for _, p := range w.Net.Speaker(n.ID).KnownPrefixes() {
+				seen[p] = true
+			}
+		}
+		return len(seen)
+	}
+	switched := func(w *World) (routes, fib string) {
+		t.Helper()
+		if err := w.CDN.SwitchTechnique(core.ProactiveSuperprefix{}); err != nil {
+			t.Error(err)
+			return "", ""
+		}
+		w.Converge(3600)
+		return w.Net.RouteStateDigest(), w.Plane.FIBDigest()
+	}
+
+	var first [2]string
+	for _, shards := range []int{1, 2} {
+		cfg := tinyConfig(33)
+		cfg.Shards = shards
+		sel := mustSelect(t, cfg, 40)
+		src, err := NewConvergedWorld(cfg, tech, 3600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := src.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRoutes, wantFIB, wantPrefixes := src.Net.RouteStateDigest(), src.Plane.FIBDigest(), knownPrefixes(src)
+
+		var got [2]string
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			w, err := RestoreWorld(snap)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[0], got[1] = switched(w)
+			if n := knownPrefixes(w); n != wantPrefixes+1 {
+				t.Errorf("shards=%d: the switched world knows %d prefixes, want the snapshot's %d and the superprefix", shards, n, wantPrefixes)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			w, err := RestoreWorld(snap)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := failoverOn(w, sel, tech, "atl", quickFailover()); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+
+		c, err := RestoreWorld(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := knownPrefixes(c); n != wantPrefixes {
+			t.Errorf("shards=%d: a restore after the siblings ran knows %d prefixes, the snapshot %d", shards, n, wantPrefixes)
+		}
+		if c.Net.RouteStateDigest() != wantRoutes || c.Plane.FIBDigest() != wantFIB {
+			t.Errorf("shards=%d: a restore after the siblings ran differs from the snapshotted world", shards)
+		}
+
+		cold, err := NewConvergedWorld(cfg, tech, 3600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if routes, fib := switched(cold); routes != got[0] || fib != got[1] {
+			t.Errorf("shards=%d: the restored world's switch converged to other digests than a cold world's", shards)
+		}
+		if got[0] == wantRoutes {
+			t.Errorf("shards=%d: the switch left the route digest unmoved", shards)
+		}
+		if shards == 1 {
+			first = got
+		} else if got != first {
+			t.Errorf("shards=%d: the switched world's digests differ from shards=1", shards)
+		}
 	}
 }
 

@@ -37,9 +37,9 @@ func TestEventPathZeroAllocs(t *testing.T) {
 // TestQueueGrowthAllocBudget pins the queue's growth rules: pushing n events
 // into a fresh simulator allocates at most 1.8× the bytes the n queued keys
 // and callbacks occupy. n is the peak queue depth of a paper-scale cold
-// converge at seed 1. A doubling heap beside a paged slab allocates 1.70×
-// here; doubling both arrays allocates 2.27×, and append's 1.25× growth
-// 4.85×.
+// converge at seed 1. A doubling heap of 16-byte keys beside a paged slab
+// allocates about 1.59× here (1.70× when keys were 24 bytes); doubling both
+// arrays allocated 2.27×, and append's 1.25× growth 4.85×.
 func TestQueueGrowthAllocBudget(t *testing.T) {
 	const n = 57685
 	perEvent := unsafe.Sizeof(eventKey{}) + unsafe.Sizeof(callback{})
