@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet fmt lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge outputs outputs-diff fuzz-smoke shard-equivalence ctlplane-smoke ci
+.PHONY: tier1 loc vet fmt lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge outputs outputs-diff fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -207,9 +207,22 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeTarget -fuzztime=$(FUZZTIME) ./internal/experiment
 	$(GO) test -run='^$$' -fuzz=FuzzDNSDecode -fuzztime=$(FUZZTIME) ./internal/dns
+	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesConverge -fuzztime=$(FUZZTIME) -parallel 2 ./internal/experiment
 
 # Everything CI runs (see .github/workflows/ci.yml).
-ci: tier1 vet fmt lint lint-fixtures govulncheck race bench-smoke fuzz-smoke shard-equivalence ctlplane-smoke
+ci: tier1 vet fmt lint lint-fixtures govulncheck race bench-smoke fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke
+
+# Solver oracle gate: bgp.Solve against the event-driven converge it
+# replaces where only the fixed point is read — random hierarchies and the
+# shared-ASN tie-breaks (bgp), the solved target selection against the
+# converged one, the fuzz corpus, and TestSolverOracle at default and paper
+# scale: every technique TechniqueByName resolves, shared providers 0 and 2,
+# shards 1 and 2, each single-site failure and recovery. Its internet-scale
+# case runs in the nightly race-full workflow.
+solver-oracle:
+	$(GO) test -count=1 -run 'TestSolve' ./internal/bgp/
+	$(GO) test -count=1 -run 'TestSelectTargetsMatchesReference|FuzzSolveMatchesConverge' ./internal/experiment/
+	$(GO) test -count=1 -run 'TestSolverOracle/(default|paper)' ./internal/experiment/
 
 # Shard-equivalence gate: the digest tests proving shards=1 and shards=N
 # produce bit-identical route and FIB state, run under the race detector

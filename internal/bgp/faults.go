@@ -108,12 +108,3 @@ func (n *Network) ResetSession(a, b topology.NodeID) error {
 	sb.readvertiseSession(ib)
 	return nil
 }
-
-// LinkIsDown reports whether the link between a and b is currently failed.
-func (n *Network) LinkIsDown(a, b topology.NodeID) (bool, error) {
-	sa, _, ia, _, err := n.sessionPair(a, b)
-	if err != nil {
-		return false, err
-	}
-	return sa.downSess[ia], nil
-}

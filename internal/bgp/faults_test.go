@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bestofboth/internal/netsim"
+	"bestofboth/internal/topology"
 )
 
 // convergedDiamond builds the diamond topology with O originating the test
@@ -20,6 +21,16 @@ func convergedDiamond(t *testing.T) (*netsim.Sim, *Network) {
 	return sim, net
 }
 
+// linkDown reads the down flag of the a-b session at a.
+func linkDown(t *testing.T, net *Network, a, b topology.NodeID) bool {
+	t.Helper()
+	sa, _, ia, _, err := net.sessionPair(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sa.downSess[ia]
+}
+
 func TestLinkDownWithdrawsRoutesLearnedOverLink(t *testing.T) {
 	sim, net := convergedDiamond(t)
 	// T initially prefers its customer route via C (lowest neighbor ASN).
@@ -34,7 +45,7 @@ func TestLinkDownWithdrawsRoutesLearnedOverLink(t *testing.T) {
 	}
 	sim.Run()
 
-	if down, _ := net.LinkIsDown(3, 1); !down {
+	if !linkDown(t, net, 3, 1) {
 		t.Fatal("link O-C not reported down")
 	}
 	// T re-selects the customer route via D.
@@ -168,7 +179,7 @@ func TestSnapshotCarriesSessionState(t *testing.T) {
 	if err := net2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if down, _ := net2.LinkIsDown(3, 1); !down {
+	if !linkDown(t, net2, 3, 1) {
 		t.Fatal("restored network lost the link-down flag")
 	}
 	if got := net2.RouteStateDigest(); got != digest {

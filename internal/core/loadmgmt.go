@@ -331,12 +331,6 @@ func (LoadShed) ShedsOverload() bool { return true }
 // site load so operational risk stays low.
 func (LoadShed) Tradeoffs() Tradeoffs { return Tradeoffs{Low, High, Low} }
 
-// LoadTechniques returns the two Sinha et al. load-management techniques
-// at their defaults.
-func LoadTechniques() []Technique {
-	return []Technique{LoadShift{}, LoadShed{}}
-}
-
 // SevenTechniques returns the paper's five announcement techniques plus
 // the two load-management techniques — the set the user-weighted
 // evaluation compares.

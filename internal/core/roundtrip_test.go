@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"net/netip"
 	"strings"
 	"testing"
 
+	"bestofboth/internal/dataplane"
 	"bestofboth/internal/dns"
 )
 
@@ -96,7 +98,7 @@ func TestDrainSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Draining is graceful: the site still forwards while routes move.
-	if w.plane.IsDown(s.Node) {
+	if w.plane.Forward(s.Node, netip.Addr{}).Reason == dataplane.DropNodeDown {
 		t.Fatal("drain stopped the data plane immediately")
 	}
 	if !w.cdn.Failed("atl") {

@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite testdata/transitions.golden")
 // extensions, and load-shift layered on each base with its own per-site or
 // shared prefixes.
 func recoveryTechniques() []Technique {
-	techs := append(AllTechniques(), LoadTechniques()...)
+	techs := append(AllTechniques(), LoadShift{}, LoadShed{})
 	techs = append(techs, ExtensionTechniques()...)
 	for _, base := range []Technique{Anycast{}, ReactiveAnycast{}, ProactivePrepending{Prepends: 3}, Combined{}} {
 		techs = append(techs, LoadShift{Base: base})

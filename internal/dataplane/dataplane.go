@@ -307,18 +307,33 @@ func (p *Plane) Instrument(r *obs.Registry) {
 func (p *Plane) onBestChange(node topology.NodeID, prefix netip.Prefix, route *bgp.Route, sess int, at netsim.Seconds) {
 	p.m.updates.Inc()
 	if len(p.watches) == 0 {
-		p.install(node, prefix, route, sess)
+		p.install(node, prefix, route != nil, sess)
 		return
 	}
 	var buf [4]fibState
 	pre := p.states(buf[:0], node, prefix)
-	p.install(node, prefix, route, sess)
+	p.install(node, prefix, route != nil, sess)
 	p.journal(node, prefix, pre, at)
 }
 
-// install writes one best-route change into node's FIB: route learned on
-// session sess, -1 for a local origination.
-func (p *Plane) install(node topology.NodeID, prefix netip.Prefix, route *bgp.Route, sess int) {
+// InstallSolution writes a solved routing state (bgp.Solve) into the FIBs
+// through install: every ⟨node, prefix⟩ with a route, as a converge of the
+// same originations leaves it. Control context only, on a plane whose
+// network has originated nothing.
+func (p *Plane) InstallSolution(sol *bgp.Solution) {
+	for _, prefix := range sol.Prefixes() {
+		for node := range p.fibs {
+			if sess, ok := sol.BestSession(topology.NodeID(node), prefix); ok {
+				p.m.updates.Inc()
+				p.install(topology.NodeID(node), prefix, true, sess)
+			}
+		}
+	}
+}
+
+// install writes one best-route change into node's FIB: no route, or a
+// route learned on session sess, -1 for a local origination.
+func (p *Plane) install(node topology.NodeID, prefix netip.Prefix, reachable bool, sess int) {
 	fib := p.fibs[node]
 	switch {
 	case fib == nil:
@@ -328,7 +343,7 @@ func (p *Plane) install(node topology.NodeID, prefix netip.Prefix, route *bgp.Ro
 		fib = fib.Clone()
 		p.fibs[node] = fib
 	}
-	if route == nil {
+	if !reachable {
 		fib.Delete(prefix)
 		return
 	}
@@ -351,9 +366,6 @@ func (p *Plane) SetDown(node topology.NodeID, down bool) {
 	// Control context: every shard clock reads what the plane's does.
 	p.journal(node, netip.Prefix{}, pre, p.sim.Now())
 }
-
-// IsDown reports the failure flag of a node.
-func (p *Plane) IsDown(node topology.NodeID) bool { return p.down[node] }
 
 // Forward walks a packet from src toward dst through the current FIBs.
 // The walk does not record the traversed path (and therefore does not

@@ -97,8 +97,8 @@ func TestDownNodeDropsPackets(t *testing.T) {
 	if !plane.Forward(ids["c"], addrA).Delivered {
 		t.Fatal("recovery did not restore delivery")
 	}
-	if plane.IsDown(ids["s1"]) {
-		t.Fatal("IsDown stale")
+	if plane.down[ids["s1"]] {
+		t.Fatal("failure flag stale")
 	}
 }
 
@@ -496,7 +496,7 @@ func TestPlaneSnapshotSharesUntilWritten(t *testing.T) {
 	if got := a.FIBDigest(); got != want {
 		t.Fatalf("restored FIBs:\n%s\nwant:\n%s", got, want)
 	}
-	if !a.IsDown(ids["s2"]) || a.IsDown(ids["s1"]) {
+	if !a.down[ids["s2"]] || a.down[ids["s1"]] {
 		t.Fatal("restored plane lost the forwarding flags")
 	}
 	c := ids["c"]

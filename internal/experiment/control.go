@@ -27,13 +27,14 @@ type Table1Row struct {
 // recovers at each prepend depth.
 func Table1(cfg WorldConfig, sel *Selection) ([]Table1Row, error) {
 	steerable := func(prepends int) ([]float64, error) {
-		w, err := NewConvergedWorld(cfg, core.ProactivePrepending{Prepends: prepends}, ConvergeTime)
+		tech := core.ProactivePrepending{Prepends: prepends}
+		w, err := solvedWorld(cfg, tech)
 		if err != nil {
 			return nil, err
 		}
 		out := make([]float64, len(sel.Sites))
 		for i := range sel.Sites {
-			out[i] = controlShare(w, &sel.Sites[i])
+			out[i] = controlShare(w, tech, &sel.Sites[i])
 		}
 		return out, nil
 	}
@@ -58,16 +59,19 @@ func Table1(cfg WorldConfig, sel *Selection) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// controlShare is the fraction of st's NotAnycast targets that the world's
-// deployed technique can steer to st's site (§5.4.2), 0 when it has none.
-func controlShare(w *World, st *SiteTargets) float64 {
+// controlShare is the fraction of st's NotAnycast targets that tech, whose
+// routing w's FIBs hold, can steer to st's site (§5.4.2): the catchment of
+// the address tech steers st's clients to is st's site (CDN.CanSteer for a
+// world tech is deployed on). 0 when st has no such target.
+func controlShare(w *World, tech core.Technique, st *SiteTargets) float64 {
 	if len(st.NotAnycast) == 0 {
 		return 0
 	}
 	s := w.CDN.Site(st.Code)
+	addr := tech.SteerAddr(w.CDN, s)
 	n := 0
 	for _, id := range st.NotAnycast {
-		if w.CDN.CanSteer(id, s) {
+		if got := w.CDN.CatchmentOf(id, addr); got != nil && got.Node == s.Node {
 			n++
 		}
 	}

@@ -58,7 +58,7 @@ func TestUserWeightedCDFDeterminismAcrossWorkers(t *testing.T) {
 // must be bit-identical (exact int64s) across shards {1,2,8}, for both
 // load-management techniques and a plain announcement technique.
 func TestLoadStateShardEquivalence(t *testing.T) {
-	techs := append(core.LoadTechniques(), core.ReactiveAnycast{})
+	techs := []core.Technique{core.LoadShift{}, core.LoadShed{}, core.ReactiveAnycast{}}
 	for _, tech := range techs {
 		tech := tech
 		t.Run(tech.Name(), func(t *testing.T) {

@@ -1,18 +1,27 @@
 package experiment
 
 import (
+	"net/netip"
 	"slices"
 	"sync"
 	"testing"
 
 	"bestofboth/internal/core"
+	"bestofboth/internal/dataplane"
+	"bestofboth/internal/topology"
 )
+
+// nodeDown reads node's forwarding flag: a walk from a failed node is
+// dropped at its first hop, whatever the address.
+func nodeDown(p *dataplane.Plane, node topology.NodeID) bool {
+	return p.Forward(node, netip.Addr{}).Reason == dataplane.DropNodeDown
+}
 
 // downFlags reads the forwarding flag of every node, in node order.
 func downFlags(w *World) []bool {
 	out := make([]bool, w.Topo.Len())
 	for _, n := range w.Topo.Nodes {
-		out[n.ID] = w.Plane.IsDown(n.ID)
+		out[n.ID] = nodeDown(w.Plane, n.ID)
 	}
 	return out
 }
@@ -33,9 +42,9 @@ func TestSnapshotCarriesForwardingFlags(t *testing.T) {
 	w.Converge(3600)
 	atl, bos := w.CDN.Site("atl").Node, w.CDN.Site("bos").Node
 	w.Plane.SetDown(bos, true)
-	if !w.CDN.Failed("atl") || w.Plane.IsDown(atl) || w.CDN.Failed("bos") {
+	if !w.CDN.Failed("atl") || nodeDown(w.Plane, atl) || w.CDN.Failed("bos") {
 		t.Fatalf("setup: atl failed=%v down=%v, bos failed=%v; want a drained atl that forwards and an unfailed bos",
-			w.CDN.Failed("atl"), w.Plane.IsDown(atl), w.CDN.Failed("bos"))
+			w.CDN.Failed("atl"), nodeDown(w.Plane, atl), w.CDN.Failed("bos"))
 	}
 
 	snap, err := w.Snapshot()
@@ -46,10 +55,10 @@ func TestSnapshotCarriesForwardingFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Plane.IsDown(atl) {
+	if nodeDown(r.Plane, atl) {
 		t.Error("drained site atl forwards in the live world but restored as down")
 	}
-	if !r.Plane.IsDown(bos) {
+	if !nodeDown(r.Plane, bos) {
 		t.Error("node bos is down in the live world but restored as forwarding")
 	}
 	if !slices.Equal(downFlags(r), downFlags(w)) {

@@ -55,7 +55,7 @@ func (r *Runner) PrependSweep(cfg WorldConfig, sel *Selection, depths []int, sit
 		counted := 0
 		for i := range sel.Sites {
 			if len(sel.Sites[i].NotAnycast) > 0 {
-				control += controlShare(w, &sel.Sites[i])
+				control += controlShare(w, techs[di], &sel.Sites[i])
 				counted++
 			}
 		}

@@ -49,12 +49,19 @@ func (s *Selection) ForSite(code string) *SiteTargets {
 // SelectTargets reproduces §5.1 against the simulated Internet: it builds
 // one throwaway world with unicast announcements to measure per-site RTTs,
 // and a second with pure anycast to measure catchments, then filters and
-// caps targets per site. maxPerSite caps each site's sets (the paper uses
-// 50 K; simulations typically use 50-500), spreading selection across
-// targets deterministically from cfg.Seed. Zero means no cap.
+// caps targets per site. Both read only converged routing, so both are
+// solved worlds (solvedWorld), not converged ones. maxPerSite caps each
+// site's sets (the paper uses 50 K; simulations typically use 50-500),
+// spreading selection across targets deterministically from cfg.Seed. Zero
+// means no cap.
 func SelectTargets(cfg WorldConfig, maxPerSite int) (*Selection, error) {
+	// Route-flap damping has no fixed point to solve (bgp.ErrSolveDamping),
+	// but a cold converge flaps too little for it to outlast ConvergeTime:
+	// a damped world's selection is the undamped one
+	// (TestSelectTargetsMatchesReference), so selection solves without it.
+	cfg.BGP.Damping = false
 	// Pass 1: unicast world for proximity.
-	wu, err := NewConvergedWorld(cfg, core.Unicast{}, ConvergeTime)
+	wu, err := solvedWorld(cfg, core.Unicast{})
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +86,7 @@ func SelectTargets(cfg WorldConfig, maxPerSite int) (*Selection, error) {
 	}
 
 	// Pass 2: anycast world for catchments.
-	wa, err := NewConvergedWorld(cfg, core.Anycast{}, ConvergeTime)
+	wa, err := solvedWorld(cfg, core.Anycast{})
 	if err != nil {
 		return nil, err
 	}

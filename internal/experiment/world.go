@@ -137,6 +137,32 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	return w, nil
 }
 
+// solvedWorld builds a read-only world routed as tech's deployed and
+// converged world would be: NewWorld, then tech's plan solved (bgp.Solve)
+// and written into the FIBs. Nothing is deployed, so the kernel and the BGP
+// RIBs stay empty and CDN.Transition refuses faults; the FIBs, and the
+// probes and catchments they answer, are the converged world's. Only
+// callers that read that fixed point and drop the world get one, and only
+// for a technique whose settled announcements are its plan (a Rebalancer
+// under demand withdraws some as it settles).
+func solvedWorld(cfg WorldConfig, tech core.Technique) (*World, error) {
+	w, err := NewWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	plan := tech.Plan(w.CDN)
+	origs := make([]bgp.Origination, len(plan))
+	for i, a := range plan {
+		origs[i] = bgp.Origination{Node: a.Site.Node, Prefix: a.Prefix, Policy: a.Policy}
+	}
+	sol, err := bgp.Solve(w.Topo, w.Cfg.BGP, origs)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: solving %s: %w", tech.Name(), err)
+	}
+	w.Plane.InstallSolution(sol)
+	return w, nil
+}
+
 // Instrument attaches (or, with nil, detaches) an observability registry
 // across every layer of the world: kernel, BGP, data plane, and the CDN
 // (including its authoritative DNS). Instrumentation is pure counting and

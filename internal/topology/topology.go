@@ -162,7 +162,6 @@ type Node struct {
 // Generate function.
 type Topology struct {
 	Nodes  []*Node
-	byASN  map[ASN][]NodeID
 	byName map[string]NodeID
 }
 
@@ -173,9 +172,6 @@ func (t *Topology) Node(id NodeID) *Node {
 	}
 	return t.Nodes[id]
 }
-
-// NodesByASN returns all node ids sharing the ASN (several for the CDN AS).
-func (t *Topology) NodesByASN(a ASN) []NodeID { return t.byASN[a] }
 
 // NodeByName returns the node with the given unique name.
 func (t *Topology) NodeByName(name string) *Node {
@@ -324,7 +320,6 @@ type Builder struct {
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{t: &Topology{
-		byASN:  map[ASN][]NodeID{},
 		byName: map[string]NodeID{},
 	}}
 }
@@ -337,7 +332,6 @@ func (b *Builder) AddNode(asn ASN, name string, class Class, loc Point) NodeID {
 	}
 	n := &Node{ID: id, ASN: asn, Name: name, Class: class, Loc: loc}
 	b.t.Nodes = append(b.t.Nodes, n)
-	b.t.byASN[asn] = append(b.t.byASN[asn], id)
 	b.t.byName[name] = id
 	return id
 }

@@ -78,9 +78,6 @@ func TestNodeLookups(t *testing.T) {
 	if topo.NodeByName("c1") == nil || topo.NodeByName("zzz") != nil {
 		t.Fatal("NodeByName broken")
 	}
-	if got := topo.NodesByASN(1); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("NodesByASN(1) = %v", got)
-	}
 	if topo.Node(-1) != nil || topo.Node(99) != nil {
 		t.Fatal("out-of-range Node should be nil")
 	}

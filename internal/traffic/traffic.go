@@ -133,9 +133,6 @@ func NewModel(cfg Config, seed int64, targets []*topology.Node, sites []string) 
 	return m, nil
 }
 
-// NumTargets returns the number of demand-bearing targets.
-func (m *Model) NumTargets() int { return len(m.ids) }
-
 // NumBuckets returns the anycast load-shift bucket count.
 func (m *Model) NumBuckets() int { return MaxBuckets }
 
