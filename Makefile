@@ -213,19 +213,28 @@ fuzz-smoke:
 ci: tier1 vet fmt lint lint-fixtures govulncheck race bench-smoke fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke
 
 # Solver oracle gate: bgp.Solve against the event-driven converge it
-# replaces where only the fixed point is read — random hierarchies and the
-# shared-ASN tie-breaks (bgp), the solved target selection against the
-# converged one, the fuzz corpus, and TestSolverOracle at default and paper
-# scale: every technique TechniqueByName resolves, shared providers 0 and 2,
-# shards 1 and 2, each single-site failure and recovery. Its internet-scale
-# case runs in the nightly race-full workflow.
+# replaces — random hierarchies and the shared-ASN tie-breaks (bgp), a solve
+# installed into a network (bgp.Network.Install) against the converged one
+# through a fault, the solved target selection against the converged one,
+# the fuzz corpus, TestSolverOracle at default and paper scale (every
+# technique TechniqueByName resolves, shared providers 0 and 2, shards 1
+# and 2, each single-site failure and recovery), the world oracle
+# TestSolvedWorldMatchesConverged at default scale (NewConvergedWorld's
+# solved worlds against the event-driven references, through Figure 2 and
+# scenario runs) and the pin on the worlds that must converge event by
+# event. The two internet- and paper-scale cases run in the weekly
+# race-full workflow.
 solver-oracle:
 	$(GO) test -count=1 -run 'TestSolve' ./internal/bgp/
-	$(GO) test -count=1 -run 'TestSelectTargetsMatchesReference|FuzzSolveMatchesConverge' ./internal/experiment/
+	$(GO) test -count=1 -run 'TestSelectTargetsMatchesReference|FuzzSolveMatchesConverge|TestUnsolvableWorldsConverge' ./internal/experiment/
 	$(GO) test -count=1 -run 'TestSolverOracle/(default|paper)' ./internal/experiment/
+	$(GO) test -count=1 -run 'TestSolvedWorldMatchesConverged/default' ./internal/experiment/
 
 # Shard-equivalence gate: the digest tests proving shards=1 and shards=N
-# produce bit-identical route and FIB state, run under the race detector
-# (the sharded runner's worker handoffs are exactly what -race scrutinizes).
+# produce bit-identical route and FIB state, and the world oracle's
+# two-shard case (a converge across two shard kernels, handed off, against
+# the solved world), run under the race detector (the sharded runner's
+# worker handoffs are exactly what -race scrutinizes).
 shard-equivalence:
 	$(GO) test -race -run 'TestSharded.*Equivalence|TestShardRunner' ./internal/experiment/ ./internal/netsim/
+	$(GO) test -race -run 'TestSolvedWorldMatchesConverged/default/shards=2' ./internal/experiment/

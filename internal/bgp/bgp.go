@@ -74,9 +74,14 @@ type Route struct {
 	// MED is transmitted and compared between routes from the same
 	// neighbor AS.
 	MED int
-	// OriginNode is simulator-side bookkeeping identifying the speaker that
-	// originated the route. It is carried for catchment accounting and
-	// debugging and takes no part in the decision process.
+	// OriginNode is simulator-side bookkeeping naming an originating
+	// speaker, for debugging; it takes no part in the decision process, and
+	// nothing outside this package reads it. It is a breadcrumb, not where
+	// the route leads: a transit speaker whose best moves between
+	// wire-identical routes of two sites of one AS re-exports nothing, so
+	// downstream of it a converged route names whichever site's route
+	// arrived first. A solved world's routes (Network.Install) name where
+	// the chain of best sessions ends. Digests omit it (appendRoute).
 	OriginNode topology.NodeID
 }
 
@@ -275,17 +280,80 @@ func New(sim *netsim.Sim, topo *topology.Topology, cfg Config) *Network {
 func build(sim *netsim.Sim, topo *topology.Topology, cfg Config, shards []*shard, assign []int) *Network {
 	n := &Network{sim: sim, topo: topo, cfg: cfg, shards: shards}
 	n.speakers = make([]*Speaker, topo.Len())
+	off, rev := reverseSessions(topo)
 	for _, node := range topo.Nodes {
 		sh := shards[0]
 		if assign != nil {
 			sh = shards[assign[node.ID]]
 		}
-		n.speakers[node.ID] = newSpeaker(n, sh, node)
-	}
-	for _, sp := range n.speakers {
-		sp.resolveReverse()
+		sp := newSpeaker(n, sh, node)
+		v := node.ID
+		sp.reverse = rev[off[v]:off[v+1]:off[v+1]]
+		n.speakers[v] = sp
 	}
 	return n
+}
+
+// reverseSessions maps every session to the one it pairs with: rev[off[v]+i]
+// is the session by which v.Adj[i].To refers back to v, its first such
+// session, or -1 when it has none. It runs in O(E): the halves pointing at
+// each node are filed into that node's range, then matched to its own
+// sessions through a per-node mark.
+func reverseSessions(topo *topology.Topology) (off, rev []int32) {
+	n := topo.Len()
+	off = make([]int32, n+1)
+	// in[v] starts as where v's filed halves begin; filing advances it to
+	// where they end, which is where v+1's begin.
+	in := make([]int32, n+1)
+	for v, node := range topo.Nodes {
+		off[v+1] = off[v] + int32(len(node.Adj))
+		for _, adj := range node.Adj {
+			in[adj.To+1]++
+		}
+	}
+	for v := range n {
+		in[v+1] += in[v]
+	}
+	rev = make([]int32, off[n])
+	// Where every node is pointed at by as many halves as it has sessions
+	// (every link has its reverse half, as Validate requires), a node's
+	// filed halves occupy its own range of rev, so the filing borrows rev:
+	// a node's halves are all read before its own sessions are written.
+	back := rev
+	if !slices.Equal(in, off) {
+		back = make([]int32, in[n])
+	}
+	from := make([]topology.NodeID, in[n])
+	for w, node := range topo.Nodes {
+		for j, adj := range node.Adj {
+			k := in[adj.To]
+			from[k], back[k] = topology.NodeID(w), int32(j)
+			in[adj.To]++
+		}
+	}
+	mark := make([]int32, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	start := int32(0)
+	for v, node := range topo.Nodes {
+		end := in[v]
+		// w's halves are filed in session order, so the first one toward v
+		// is w's first session to v.
+		for k := start; k < end; k++ {
+			if mark[from[k]] < 0 {
+				mark[from[k]] = back[k]
+			}
+		}
+		for i, adj := range node.Adj {
+			rev[off[v]+int32(i)] = mark[adj.To]
+		}
+		for k := start; k < end; k++ {
+			mark[from[k]] = -1
+		}
+		start = end
+	}
+	return off, rev
 }
 
 // Instrument attaches protocol metrics to r: UPDATEs sent (split into

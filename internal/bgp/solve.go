@@ -31,6 +31,10 @@ type Solution struct {
 	prefixes []netip.Prefix   // comparePrefix order
 	origins  [][]Origination  // per prefix, one per originating node
 	best     [][]solvedChoice // per prefix, per node
+	// settled lists, per prefix, the nodes with a route in the order the
+	// solve gave them one: origins first, and every node after the node its
+	// route comes from (Network.Install's order).
+	settled [][]topology.NodeID
 }
 
 // solvedChoice is one node's best route for one prefix: the session it was
@@ -119,7 +123,9 @@ func Solve(topo *topology.Topology, cfg Config, origs []Origination) (*Solution,
 		}
 		sol.prefixes = append(sol.prefixes, sorted[0].Prefix)
 		sol.origins = append(sol.origins, group)
-		sol.best = append(sol.best, sv.solve(group))
+		best, settled := sv.solve(group)
+		sol.best = append(sol.best, best)
+		sol.settled = append(sol.settled, settled)
 		sorted = sorted[n:]
 	}
 	return sol, nil
@@ -143,46 +149,24 @@ type solver struct {
 
 func newSolver(topo *topology.Topology) *solver {
 	n := topo.Len()
-	sv := &solver{topo: topo, off: make([]int32, n+1), tent: make([]offer, n), seen: make([]bool, n)}
-	for v, node := range topo.Nodes {
-		sv.off[v+1] = sv.off[v] + int32(len(node.Adj))
-	}
-	// Every adjacency has its reverse half, so the halves pointing at v
-	// number exactly len(v.Adj): file them into v's range, then match them
-	// to v's own sessions through a per-node mark.
-	from := make([]topology.NodeID, sv.off[n])
-	back := make([]int32, sv.off[n])
-	fill := slices.Clone(sv.off[:n])
-	for w, node := range topo.Nodes {
-		for j, adj := range node.Adj {
-			k := fill[adj.To]
-			from[k], back[k] = topology.NodeID(w), int32(j)
-			fill[adj.To]++
-		}
-	}
-	mark := make([]int32, n)
-	sv.rev = make([]int32, sv.off[n])
-	for v, node := range topo.Nodes {
-		for k := sv.off[v]; k < sv.off[v+1]; k++ {
-			mark[from[k]] = back[k]
-		}
-		for i, adj := range node.Adj {
-			sv.rev[sv.off[v]+int32(i)] = mark[adj.To]
-		}
-	}
+	sv := &solver{topo: topo, tent: make([]offer, n), seen: make([]bool, n)}
+	sv.off, sv.rev = reverseSessions(topo)
 	return sv
 }
 
-// solve computes every node's choice for the prefix the origins announce.
-func (sv *solver) solve(origins []Origination) []solvedChoice {
+// solve computes every node's choice for the prefix the origins announce,
+// and the order the nodes with a route settled in.
+func (sv *solver) solve(origins []Origination) ([]solvedChoice, []topology.NodeID) {
 	sv.origins = origins
 	sv.best = make([]solvedChoice, sv.topo.Len())
 	for i := range sv.best {
 		sv.best[i].sess = sessNone
 	}
+	var settled []topology.NodeID
 	// A local origination beats every learned route.
 	for i, o := range origins {
 		sv.best[o.Node] = solvedChoice{sess: sessLocal, org: int32(i)}
+		settled = append(settled, o.Node)
 	}
 	for _, o := range origins {
 		sv.export(o.Node)
@@ -215,9 +199,10 @@ func (sv *solver) solve(origins []Origination) []solvedChoice {
 		for _, u := range sv.touched {
 			sv.export(u)
 		}
+		settled = append(settled, sv.touched...)
 		sv.touched = sv.touched[:0]
 	}
-	return sv.best
+	return sv.best, settled
 }
 
 // next returns the first non-empty bucket in (class, path length) order,

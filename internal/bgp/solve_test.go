@@ -65,32 +65,8 @@ func TestSolveMatchesConvergeRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(46))
 	for trial := 0; trial < 40; trial++ {
 		topo := randomHierarchy(t, r)
-		var origs []Origination
-		for k := 0; k < 1+r.Intn(3); k++ {
-			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(k), 0, 0}), 16)
-			for j := 0; j < 1+r.Intn(3); j++ {
-				node := topology.NodeID(r.Intn(topo.Len()))
-				pol := &OriginPolicy{Prepend: r.Intn(3), MED: r.Intn(2) * 50}
-				if r.Intn(6) == 0 {
-					pol.Communities = []uint32{CommunityNoExport}
-				}
-				if r.Intn(3) == 0 {
-					pol.PerNeighbor = map[topology.NodeID]NeighborPolicy{}
-					for _, adj := range topo.Node(node).Adj {
-						pol.PerNeighbor[adj.To] = NeighborPolicy{Export: r.Intn(3) > 0, Prepend: r.Intn(3)}
-					}
-				}
-				origs = append(origs, Origination{Node: node, Prefix: p, Policy: pol})
-			}
-		}
 		sim := netsim.New(int64(trial))
-		net := New(sim, topo, quickCfg())
-		for _, o := range origs {
-			if err := net.Originate(o.Node, o.Prefix, o.Policy); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sim.Run()
+		net := converged(t, sim, topo, quickCfg(), randomOriginations(r, topo))
 		sol, err := Solve(topo, quickCfg(), net.Originations())
 		if err != nil {
 			t.Fatal(err)
@@ -98,6 +74,120 @@ func TestSolveMatchesConvergeRandom(t *testing.T) {
 		if d := solveMismatch(net, sol); d != "" {
 			t.Fatalf("trial %d: %s", trial, d)
 		}
+	}
+}
+
+// randomOriginations announces one to three prefixes, each from one to
+// three random nodes, with random prepends, MEDs, per-neighbor exports and
+// NO_EXPORT.
+func randomOriginations(r *rand.Rand, topo *topology.Topology) []Origination {
+	var origs []Origination
+	for k := 0; k < 1+r.Intn(3); k++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(k), 0, 0}), 16)
+		for j := 0; j < 1+r.Intn(3); j++ {
+			node := topology.NodeID(r.Intn(topo.Len()))
+			pol := &OriginPolicy{Prepend: r.Intn(3), MED: r.Intn(2) * 50}
+			if r.Intn(6) == 0 {
+				pol.Communities = []uint32{CommunityNoExport}
+			}
+			if r.Intn(3) == 0 {
+				pol.PerNeighbor = map[topology.NodeID]NeighborPolicy{}
+				for _, adj := range topo.Node(node).Adj {
+					pol.PerNeighbor[adj.To] = NeighborPolicy{Export: r.Intn(3) > 0, Prepend: r.Intn(3)}
+				}
+			}
+			origs = append(origs, Origination{Node: node, Prefix: p, Policy: pol})
+		}
+	}
+	return origs
+}
+
+// converged originates origs on a network over sim and runs it to
+// quiescence.
+func converged(t *testing.T, sim *netsim.Sim, topo *topology.Topology, cfg Config, origs []Origination) *Network {
+	t.Helper()
+	net := New(sim, topo, cfg)
+	for _, o := range origs {
+		if err := net.Originate(o.Node, o.Prefix, o.Policy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.Run()
+	return net
+}
+
+// TestSolveInstallMatchesConvergeRandom holds Install to the event-driven
+// converge on randomOriginations over random hierarchies, with withdrawals
+// unpaced and paced: after both networks are handed off at one hour
+// (netsim.Sim.Handoff), their route state must be equal, and so must
+// everything after one fault applied to both (an origination withdrawn, or
+// a random link failed): route state, the UPDATEs it took and the clock.
+// The solved side's adj-RIBs come from the converge's own export code, so a
+// change to desiredExport that the solver does not share fails here.
+func TestSolveInstallMatchesConvergeRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	const trials = 40
+	moved := 0
+	for trial := 0; trial < trials; trial++ {
+		topo := randomHierarchy(t, r)
+		origs := randomOriginations(r, topo)
+		cfg := quickCfg()
+		cfg.PaceWithdrawals = trial%2 == 1
+		seed := int64(trial)
+		ref := converged(t, netsim.New(seed), topo, cfg, origs)
+		sol, err := Solve(topo, cfg, origs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := New(netsim.New(seed), topo, cfg)
+		if err := inst.Install(sol); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, n := range []*Network{ref, inst} {
+			n.sim.Handoff(3600)
+		}
+		if a, b := ref.RouteStateDigest(), inst.RouteStateDigest(); a != b {
+			t.Fatalf("trial %d: installed route state differs from the converged:\n%s\nvs\n%s", trial, b, a)
+		}
+		// The fault: withdraw an origination, or fail the link a random
+		// speaker's best route for it arrives on.
+		o := origs[r.Intn(len(origs))]
+		var links [][2]topology.NodeID
+		for _, sp := range ref.speakers {
+			if sess := sp.BestSession(o.Prefix); sess >= 0 {
+				links = append(links, [2]topology.NodeID{sp.node.ID, sp.node.Adj[sess].To})
+			}
+		}
+		var link [2]topology.NodeID
+		if len(links) > 0 {
+			link = links[r.Intn(len(links))]
+		}
+		var updates [2]uint64
+		for i, n := range []*Network{ref, inst} {
+			before := n.MessageCount()
+			if trial%4 < 2 || len(links) == 0 {
+				n.Withdraw(o.Node, o.Prefix)
+			} else if err := n.SetLinkDown(link[0], link[1]); err != nil {
+				t.Fatal(err)
+			}
+			n.sim.Run()
+			updates[i] = n.MessageCount() - before
+		}
+		if updates[0] > 0 {
+			moved++
+		}
+		if a, b := ref.RouteStateDigest(), inst.RouteStateDigest(); a != b {
+			t.Fatalf("trial %d: after the fault, route state differs", trial)
+		}
+		if updates[0] != updates[1] {
+			t.Fatalf("trial %d: the fault took %d UPDATEs converged, %d installed", trial, updates[0], updates[1])
+		}
+		if ref.sim.Now() != inst.sim.Now() {
+			t.Fatalf("trial %d: the fault settled at %v converged, %v installed", trial, ref.sim.Now(), inst.sim.Now())
+		}
+	}
+	if moved < trials/2 {
+		t.Fatalf("only %d of %d faults sent an UPDATE", moved, trials)
 	}
 }
 

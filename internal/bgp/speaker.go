@@ -23,8 +23,9 @@ type Speaker struct {
 	msgCount uint64
 
 	// reverse[i] is the session index by which node.Adj[i].To refers back
-	// to this speaker.
-	reverse []int
+	// to this speaker, -1 if it does not: this speaker's window of the
+	// network's reverseSessions table.
+	reverse []int32
 
 	// lastDeliver[i] is the latest delivery time scheduled on session i.
 	// BGP runs over TCP, so updates on one session must arrive in the
@@ -115,7 +116,6 @@ func newSpeaker(net *Network, sh *shard, node *topology.Node) *Speaker {
 		net:         net,
 		sh:          sh,
 		node:        node,
-		reverse:     make([]int, len(node.Adj)),
 		lastDeliver: make([]netsim.Seconds, len(node.Adj)),
 		downSess:    make([]bool, len(node.Adj)),
 		sessEpoch:   make([]uint64, len(node.Adj)),
@@ -124,21 +124,6 @@ func newSpeaker(net *Network, sh *shard, node *topology.Node) *Speaker {
 
 // Node returns the topology node this speaker runs on.
 func (s *Speaker) Node() *topology.Node { return s.node }
-
-// resolveReverse computes the session index mapping into each neighbor.
-// Called once by the Network after all speakers exist.
-func (s *Speaker) resolveReverse() {
-	for i, adj := range s.node.Adj {
-		peer := s.net.topo.Node(adj.To)
-		s.reverse[i] = -1
-		for j, back := range peer.Adj {
-			if back.To == s.node.ID {
-				s.reverse[i] = j
-				break
-			}
-		}
-	}
-}
 
 // comparePrefix orders prefixes by address, then length: Network.order,
 // and iptrie.Walk's order.
@@ -249,14 +234,20 @@ func (s *Speaker) KnownPrefixes() []netip.Prefix {
 
 func (s *Speaker) originate(id int32, pol *OriginPolicy) {
 	st := s.state(id)
-	// Build the loc-RIB origin entry once per origination. A fresh one is
-	// mandatory even on re-origination: the previous route may be published
-	// (st.best, FIBs, feeds) and published routes are immutable.
-	st.origin = &origination{pol: pol, route: Route{Prefix: s.net.prefixes[id], MED: pol.MED, OriginNode: s.node.ID}}
+	// A fresh origination is mandatory even on re-origination: the previous
+	// route may be published (st.best, FIBs, feeds) and published routes are
+	// immutable.
+	st.origin = s.newOrigination(id, pol)
 	s.recompute(st)
 	// A policy change (e.g. new prepend depth) may alter exports even when
 	// the best route is unchanged, so always reconsider every session.
 	s.exportAll(st)
+}
+
+// newOrigination builds the loc-RIB entry of an origination of prefix id
+// under pol, once per Originate instead of on every recompute.
+func (s *Speaker) newOrigination(id int32, pol *OriginPolicy) *origination {
+	return &origination{pol: pol, route: Route{Prefix: s.net.prefixes[id], MED: pol.MED, OriginNode: s.node.ID}}
 }
 
 func (s *Speaker) withdrawOrigin(id int32) {
@@ -640,38 +631,46 @@ func (s *Speaker) export(st *prefixState, sess int) {
 // exportPass is export as one session of a pass that shares the interned
 // transit path in *transit (see desiredExport).
 func (s *Speaker) exportPass(st *prefixState, sess int, transit *[]topology.ASN) {
+	if u, ok := s.exportUpdate(st, sess, transit); ok {
+		s.transmit(sess, u)
+	}
+}
+
+// exportUpdate brings session sess's adj-RIB-out toward its export intent:
+// it returns the update to put on the wire now, if any, or queues an MRAI
+// timer when an advertisement must wait. Network.Install calls it too,
+// with a transmit of its own, so a solved world's adj-RIBs follow the very
+// rules a converge applies.
+func (s *Speaker) exportUpdate(st *prefixState, sess int, transit *[]topology.ASN) (update, bool) {
 	s.mustOwn(st)
 	if s.downSess[sess] {
 		// Nothing can be sent on a down session; the full re-advertisement
 		// at session establishment brings the neighbor up to date.
-		return
+		return update{}, false
 	}
 	it, want := s.desiredExport(st, sess, transit)
 	a := &st.adj[sess]
 	if want {
 		if intentMatches(it, a.out) {
-			return
+			return update{}, false
 		}
 	} else if a.out == nil {
-		return
+		return update{}, false
 	}
 	now := s.sh.sim.Now()
 	if !want && !s.net.cfg.PaceWithdrawals {
 		a.out = nil
-		s.transmit(sess, update{typ: Withdraw, id: st.id})
-		return
+		return update{typ: Withdraw, id: st.id}, true
 	}
 	if now >= a.next {
 		a.next = now + s.mraiInterval()
 		if !want {
 			a.out = nil
-			s.transmit(sess, update{typ: Withdraw, id: st.id})
-		} else {
-			r := s.groupRoute(st, it)
-			a.out = r
-			s.transmit(sess, update{typ: Announce, id: st.id, route: r})
+			return update{typ: Withdraw, id: st.id}, true
 		}
-		return
+		r := s.groupRoute(st, it)
+		a.out = r
+		return update{typ: Announce, id: st.id, route: r}, true
 	}
 	if st.pending == nil {
 		st.pending = make([]bool, len(st.adj))
@@ -682,6 +681,7 @@ func (s *Speaker) exportPass(st *prefixState, sess int, transit *[]topology.ASN)
 		pe.st, pe.sess = st, sess
 		s.sh.sim.AtCall(a.next, runPendingExport, pe)
 	}
+	return update{}, false
 }
 
 func (s *Speaker) mraiInterval() netsim.Seconds {
@@ -700,7 +700,7 @@ func (s *Speaker) mraiInterval() netsim.Seconds {
 func (s *Speaker) transmit(sess int, u update) {
 	adj := s.node.Adj[sess]
 	peer := s.net.speakers[adj.To]
-	rev := s.reverse[sess]
+	rev := int(s.reverse[sess])
 	if rev < 0 {
 		return // asymmetric link; Validate prevents this
 	}

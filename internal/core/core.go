@@ -226,8 +226,22 @@ func (c *CDN) withdrawAll(node topology.NodeID) {
 // Deploy activates a technique: it announces the technique's plan and
 // publishes DNS records. Deploy must be called once per CDN instance.
 func (c *CDN) Deploy(t Technique) error {
+	_, err := c.deploy(t, true)
+	return err
+}
+
+// DeployInstalled is Deploy for a network whose routing the caller installs
+// itself (bgp.Network.Install of a solve of the returned plan): the
+// controller records the technique and the plan's announcements and
+// publishes the DNS zone exactly as Deploy does, but originates nothing, so
+// no UPDATE is scheduled.
+func (c *CDN) DeployInstalled(t Technique) ([]Announcement, error) {
+	return c.deploy(t, false)
+}
+
+func (c *CDN) deploy(t Technique, announce bool) ([]Announcement, error) {
 	if c.technique != nil {
-		return fmt.Errorf("core: technique %s already deployed", c.technique.Name())
+		return nil, fmt.Errorf("core: technique %s already deployed", c.technique.Name())
 	}
 	c.technique = t
 	if c.load != nil {
@@ -235,8 +249,15 @@ func (c *CDN) Deploy(t Technique) error {
 			c.load.SetShedding(sh.ShedsOverload())
 		}
 	}
-	if err := c.announcePlan(t.Plan(c)); err != nil {
-		return fmt.Errorf("core: deploying %s: %w", t.Name(), err)
+	plan := t.Plan(c)
+	if announce {
+		if err := c.announcePlan(plan); err != nil {
+			return nil, fmt.Errorf("core: deploying %s: %w", t.Name(), err)
+		}
+	} else {
+		for _, a := range plan {
+			c.announced = append(c.announced, announcement{a.Site.Node, a.Prefix})
+		}
 	}
 	// Publish per-site service names and the main service name. The main
 	// name initially maps every client to the technique's default: for
@@ -244,10 +265,10 @@ func (c *CDN) Deploy(t Technique) error {
 	// steering is applied by the harness via SteerAddr).
 	for _, s := range c.sites {
 		if err := c.auth.SetA(s.Code, c.DNSTTL, t.SteerAddr(c, s)); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return c.auth.SetA("www", c.DNSTTL, t.SteerAddr(c, c.sites[0]))
+	return plan, c.auth.SetA("www", c.DNSTTL, t.SteerAddr(c, c.sites[0]))
 }
 
 // Failed reports whether the site is currently failed.

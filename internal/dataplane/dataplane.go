@@ -528,33 +528,12 @@ func (h *delayHeap) pop() delayItem {
 	return top
 }
 
-// FIBRecord is one forwarding entry as reported by DumpFIB.
-type FIBRecord struct {
-	Prefix netip.Prefix
-	Local  bool
-	Next   topology.NodeID // meaningful when !Local
-}
-
-// DumpFIB returns node's forwarding table sorted by prefix — a stable,
-// comparable view of data-plane state. The order is iptrie.Walk's:
-// ascending (address, length).
-func (p *Plane) DumpFIB(node topology.NodeID) []FIBRecord {
-	var out []FIBRecord
-	if fib := p.fibs[node]; fib != nil {
-		fib.Walk(func(pfx netip.Prefix, e fibEntry) bool {
-			out = append(out, FIBRecord{Prefix: pfx, Local: e.local, Next: e.next})
-			return true
-		})
-	}
-	return out
-}
-
 // fibChunk is how much canonical text WriteFIB buffers between writes.
 const fibChunk = 32 << 10
 
 // WriteFIB streams every node's forwarding table to w as canonical text,
-// one "node <id>" block per non-empty FIB with its entries in DumpFIB's
-// order. Equal text means the two planes forward every packet identically.
+// one "node <id>" block per non-empty FIB with its entries in iptrie.Walk's
+// order: ascending (address, length). Equal text means the two planes forward every packet identically.
 // The control plane hashes the stream without materialising it.
 func (p *Plane) WriteFIB(w io.Writer) error {
 	buf := make([]byte, 0, fibChunk+fibChunk/4)

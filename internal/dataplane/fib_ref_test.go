@@ -11,14 +11,21 @@ import (
 	"bestofboth/internal/topology"
 )
 
+// fibRecord is one forwarding entry as refDumpFIB reports it.
+type fibRecord struct {
+	Prefix netip.Prefix
+	Local  bool
+	Next   topology.NodeID // meaningful when !Local
+}
+
 // refDumpFIB and RefFIBDigest are the sort-and-fmt FIB renderer WriteFIB
 // replaced, kept verbatim as the reference the encoder must match byte for
 // byte (the FIB sha256 on the control plane's wire was defined by this
 // text).
-func refDumpFIB(p *Plane, node topology.NodeID) []FIBRecord {
-	var out []FIBRecord
+func refDumpFIB(p *Plane, node topology.NodeID) []fibRecord {
+	var out []fibRecord
 	p.fibs[node].Walk(func(pfx netip.Prefix, e fibEntry) bool {
-		out = append(out, FIBRecord{Prefix: pfx, Local: e.local, Next: e.next})
+		out = append(out, fibRecord{Prefix: pfx, Local: e.local, Next: e.next})
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool {
@@ -88,8 +95,5 @@ func TestWriteFIBEdgeEntries(t *testing.T) {
 	}
 	if n := strings.Count(want, "node "); n != 3 {
 		t.Errorf("reference rendered %d node blocks, want 3 (empty FIBs leave none)", n)
-	}
-	if recs := p.DumpFIB(1); fmt.Sprint(recs) != fmt.Sprint(refDumpFIB(p, 1)) {
-		t.Errorf("DumpFIB order:\n got %v\nwant %v", recs, refDumpFIB(p, 1))
 	}
 }

@@ -115,25 +115,6 @@ func RunFailover(cfg WorldConfig, sel *Selection, tech core.Technique, failCode 
 	return failoverOn(w, sel, tech, failCode, fc)
 }
 
-// NewConvergedWorld builds a world, deploys the technique, and settles it
-// (World.Settle) — the shared pre-failure trajectory of every failover run
-// of one technique, what a WorldSnapshot captures, and the starting point
-// for callers that inspect the converged state itself (the cdnsim load
-// command, the control-plane daemon).
-func NewConvergedWorld(cfg WorldConfig, tech core.Technique, convergeTime float64) (*World, error) {
-	w, err := NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.CDN.Deploy(tech); err != nil {
-		return nil, fmt.Errorf("experiment: deploying %s: %w", tech.Name(), err)
-	}
-	if err := w.Settle(convergeTime); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
 // failoverOn runs the post-convergence part of the experiment on an already
 // deployed, converged world: a one-event scenario — the site fails at the
 // start, or crashes silently for the health monitor to detect — probed for

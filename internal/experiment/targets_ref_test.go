@@ -14,11 +14,11 @@ import (
 
 // refSelectTargets is SelectTargets as it stood before its worlds were
 // solved: the same body over two deployed worlds converged event by event
-// (NewConvergedWorld). It is the reference the solved selection is pinned
-// against.
+// (convergedWorld's simulated path). It is the reference the solved
+// selection is pinned against.
 func refSelectTargets(cfg WorldConfig, maxPerSite int) (*Selection, error) {
 	// Pass 1: unicast world for proximity.
-	wu, err := NewConvergedWorld(cfg, core.Unicast{}, ConvergeTime)
+	wu, err := convergedWorld(cfg, core.Unicast{}, ConvergeTime, false)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +41,7 @@ func refSelectTargets(cfg WorldConfig, maxPerSite int) (*Selection, error) {
 	}
 
 	// Pass 2: anycast world for catchments.
-	wa, err := NewConvergedWorld(cfg, core.Anycast{}, ConvergeTime)
+	wa, err := convergedWorld(cfg, core.Anycast{}, ConvergeTime, false)
 	if err != nil {
 		return nil, err
 	}

@@ -137,6 +137,82 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	return w, nil
 }
 
+// NewConvergedWorld builds a world with tech deployed and converged, each
+// converge bounded to convergeTime virtual seconds: the shared pre-failure
+// trajectory of every failover run of one technique, what a WorldSnapshot
+// captures, and the starting point for callers that inspect the converged
+// state itself (the cdnsim load command, the control-plane daemon).
+//
+// A solvable world (solvable) is solved, not simulated: the controller and
+// DNS zone are deployed as Deploy leaves them (core.CDN.DeployInstalled),
+// and tech's plan is solved (bgp.Solve) and installed into the RIBs
+// (bgp.Network.Install) and the FIBs. Any other world deploys and settles
+// event by event (World.Settle). A world with a fixed point (fixedPoint),
+// solved or simulated, then waits out the bound, as the paper waits an hour
+// before failing a site (§5.2), and its kernels restart their random streams
+// from the seed (netsim.Sim.Handoff): the fault finds every MRAI deadline
+// and delivery clock behind it and a stream no converge drew from, so both
+// paths hand over one state (TestSolvedWorldMatchesConverged). A world
+// without one goes to its fault where its settle ends, as it always has.
+func NewConvergedWorld(cfg WorldConfig, tech core.Technique, convergeTime float64) (*World, error) {
+	return convergedWorld(cfg, tech, convergeTime, solvable(cfg, tech))
+}
+
+// fixedPoint reports whether a converge of cfg's world under tech settles on
+// the clock-free fixed point bgp.Solve computes from tech's plan. Two worlds
+// have none. Under route-flap damping the state after a converge depends on
+// when routes flapped (bgp.ErrSolveDamping), and the penalties a converge
+// leaves decay with the clock. A core.Rebalancer under demand withdraws
+// announcements as it settles, by a loop of converges.
+func fixedPoint(cfg WorldConfig, tech core.Technique) bool {
+	cfg.fillDefaults()
+	_, rebalances := tech.(core.Rebalancer)
+	return !cfg.BGP.Damping && !(rebalances && cfg.Demand.Enabled)
+}
+
+// solvable reports whether NewConvergedWorld solves cfg's world: when it has
+// a fixed point and runs on one kernel. A sharded world is a request for the
+// sharded converge itself: what its shard kernels execute is what
+// bgp.Network.ShardEventCounts reports.
+func solvable(cfg WorldConfig, tech core.Technique) bool {
+	cfg.fillDefaults()
+	return fixedPoint(cfg, tech) && cfg.Shards == 1
+}
+
+// convergedWorld is NewConvergedWorld with the path chosen by the caller.
+func convergedWorld(cfg WorldConfig, tech core.Technique, convergeTime float64, solve bool) (*World, error) {
+	w, err := NewWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if solve {
+		plan, err := w.CDN.DeployInstalled(tech)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: deploying %s: %w", tech.Name(), err)
+		}
+		sol, err := solvePlan(w, tech, plan)
+		if err != nil {
+			return nil, err
+		}
+		if err := w.Net.Install(sol); err != nil {
+			return nil, fmt.Errorf("experiment: installing %s: %w", tech.Name(), err)
+		}
+		w.Plane.InstallSolution(sol)
+		w.CDN.RefreshLoad()
+	} else {
+		if err := w.CDN.Deploy(tech); err != nil {
+			return nil, fmt.Errorf("experiment: deploying %s: %w", tech.Name(), err)
+		}
+		if err := w.Settle(convergeTime); err != nil {
+			return nil, err
+		}
+	}
+	if fixedPoint(cfg, tech) {
+		w.Sim.Handoff(max(convergeTime, w.Sim.Now()))
+	}
+	return w, nil
+}
+
 // solvedWorld builds a read-only world routed as tech's deployed and
 // converged world would be: NewWorld, then tech's plan solved (bgp.Solve)
 // and written into the FIBs. Nothing is deployed, so the kernel and the BGP
@@ -150,7 +226,17 @@ func solvedWorld(cfg WorldConfig, tech core.Technique) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := tech.Plan(w.CDN)
+	sol, err := solvePlan(w, tech, tech.Plan(w.CDN))
+	if err != nil {
+		return nil, err
+	}
+	w.Plane.InstallSolution(sol)
+	return w, nil
+}
+
+// solvePlan solves the routing that plan's announcements leave in w's
+// topology.
+func solvePlan(w *World, tech core.Technique, plan []core.Announcement) (*bgp.Solution, error) {
 	origs := make([]bgp.Origination, len(plan))
 	for i, a := range plan {
 		origs[i] = bgp.Origination{Node: a.Site.Node, Prefix: a.Prefix, Policy: a.Policy}
@@ -159,8 +245,7 @@ func solvedWorld(cfg WorldConfig, tech core.Technique) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: solving %s: %w", tech.Name(), err)
 	}
-	w.Plane.InstallSolution(sol)
-	return w, nil
+	return sol, nil
 }
 
 // Instrument attaches (or, with nil, detaches) an observability registry

@@ -193,8 +193,7 @@ func TestWalkAndPrefixes(t *testing.T) {
 
 // TestWalkOrder pins the order Walk documents — ascending (address,
 // length) — as exactly the comparator the FIB dump used to re-sort by, so
-// dataplane.DumpFIB and the FIB digest encoder can emit entries straight
-// from Walk.
+// the FIB digest encoder can emit entries straight from Walk.
 func TestWalkOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tr := New[int]()

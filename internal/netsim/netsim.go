@@ -252,10 +252,12 @@ func (h *keyHeap) pop() eventKey {
 // countingSource wraps the stdlib random source and counts draws, so that a
 // simulator's RNG state can be reproduced exactly by fast-forwarding a fresh
 // source seeded identically (see Snapshot/Restore). It delegates without
-// altering the draw sequence.
+// altering the draw sequence. stream is the seed the current stream started
+// from: the simulator's own seed, or the one Handoff derives from it.
 type countingSource struct {
-	src   rand.Source64 //cdnlint:nosnapshot reconstructed by reseeding and fast-forwarding draws on restore
-	draws uint64
+	src    rand.Source64 //cdnlint:nosnapshot reconstructed by reseeding and fast-forwarding draws on restore
+	stream int64
+	draws  uint64
 }
 
 func (c *countingSource) Int63() int64 {
@@ -270,7 +272,7 @@ func (c *countingSource) Uint64() uint64 {
 
 func (c *countingSource) Seed(seed int64) {
 	c.src.Seed(seed)
-	c.draws = 0
+	c.stream, c.draws = seed, 0
 }
 
 // Sim is a discrete-event simulator with a virtual clock.
@@ -307,7 +309,7 @@ type Sim struct {
 // Two simulators built with the same seed and fed the same schedule of
 // events produce identical executions.
 func New(seed int64) *Sim {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	src := &countingSource{src: rand.NewSource(seed).(rand.Source64), stream: seed}
 	return &Sim{seed: seed, src: src, rng: rand.New(src), queue: newEventQueue()}
 }
 
@@ -497,16 +499,49 @@ func (s *Sim) drainLocal(deadline Seconds) {
 // RunFor executes events for d seconds of virtual time from now.
 func (s *Sim) RunFor(d Seconds) { s.RunUntil(s.now + d) }
 
+// Handoff brings a simulator to a state that depends on nothing it ran
+// before: RunUntil(deadline), then its random stream restarts at a seed
+// derived from its own seed alone (handoffStream). Two simulators built with
+// one seed leave Handoff drawing alike whatever each executed or drew
+// before, so a world whose converged state was installed without events and
+// one that converged event by event go on identically. With a driver
+// attached the whole group is handed off.
+func (s *Sim) Handoff(deadline Seconds) {
+	if s.driver != nil {
+		s.driver.Handoff(deadline)
+		return
+	}
+	s.handoffLocal(deadline)
+}
+
+func (s *Sim) handoffLocal(deadline Seconds) {
+	s.runUntilLocal(deadline)
+	s.rng.Seed(handoffStream(s.seed))
+}
+
+// handoffStream is the seed of the stream a simulator built with seed draws
+// from after Handoff: the SplitMix64 finalizer (Steele, Lea and Flood), a
+// stateless bijective mixer, so the stream is a pure function of the seed
+// and differs from the one the seed itself starts.
+func handoffStream(seed int64) int64 {
+	x := uint64(seed) + 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return int64(x ^ (x >> 31))
+}
+
 // Snapshot captures the kernel state of a quiescent simulator: the clock,
-// the event sequence counter, and the RNG position. Snapshots are only
-// possible when the event queue is empty — pending events hold closures over
-// model state that cannot be transplanted — which is exactly the state a
-// fully converged network leaves behind.
+// the event sequence counter, and the RNG position (the stream and the draws
+// taken from it). Snapshots are only possible when the event queue is empty
+// — pending events hold closures over model state that cannot be
+// transplanted — which is exactly the state a fully converged network leaves
+// behind.
 type Snapshot struct {
-	Now   Seconds
-	seq   uint64
-	steps uint64
-	draws uint64
+	Now    Seconds
+	seq    uint64
+	steps  uint64
+	stream int64
+	draws  uint64
 }
 
 // Snapshot captures the current kernel state. It fails if events are
@@ -515,18 +550,23 @@ func (s *Sim) Snapshot() (Snapshot, error) {
 	if s.queue.len() != 0 {
 		return Snapshot{}, fmt.Errorf("netsim: cannot snapshot with %d pending events", s.queue.len())
 	}
-	return Snapshot{Now: s.now, seq: s.seq, steps: s.nSteps, draws: s.src.draws}, nil
+	return Snapshot{Now: s.now, seq: s.seq, steps: s.nSteps, stream: s.src.stream, draws: s.src.draws}, nil
 }
 
 // Restore brings a simulator to a previously captured kernel state. The
 // receiver must be freshly built with the same seed as the snapshotted
 // simulator and must not have consumed more randomness than the snapshot
-// recorded: the RNG is fast-forwarded, never rewound. After Restore the
+// recorded on the snapshot's stream: the RNG is fast-forwarded, never
+// rewound, after restarting at the snapshot's stream when the receiver
+// draws from another (a snapshot taken after Handoff). After Restore the
 // simulator produces the exact event timings and random draws the
 // snapshotted one would.
 func (s *Sim) Restore(snap Snapshot) error {
 	if s.queue.len() != 0 {
 		return fmt.Errorf("netsim: cannot restore with %d pending events", s.queue.len())
+	}
+	if s.src.stream != snap.stream {
+		s.rng.Seed(snap.stream)
 	}
 	if s.src.draws > snap.draws {
 		return fmt.Errorf("netsim: restore target has consumed %d draws, snapshot has %d", s.src.draws, snap.draws)

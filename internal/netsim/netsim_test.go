@@ -302,3 +302,55 @@ func TestStepsCount(t *testing.T) {
 		t.Fatalf("Steps() = %d, want 17", s.Steps())
 	}
 }
+
+// TestHandoffForgetsThePast pins Handoff's contract: two simulators built
+// with one seed, one of which ran and drew and the other nothing, leave a
+// Handoff at one deadline with equal clocks and equal draws from then on,
+// on a stream that is not the one the seed starts. A snapshot taken after
+// the handoff restores that stream into a fresh simulator.
+func TestHandoffForgetsThePast(t *testing.T) {
+	busy, idle := New(9), New(9)
+	for i := 0; i < 50; i++ {
+		busy.After(busy.Jitter(0, 10), func() { busy.Rand().Int63() })
+	}
+	busy.Run()
+	busy.Handoff(3600)
+	idle.Handoff(3600)
+	if busy.Now() != 3600 || idle.Now() != 3600 {
+		t.Fatalf("clocks %v and %v after Handoff(3600)", busy.Now(), idle.Now())
+	}
+	snap, err := busy.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := New(9).Rand().Int63() // the stream the seed itself starts
+	restored := New(9)
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		a, b, c := busy.Rand().Int63(), idle.Rand().Int63(), restored.Rand().Int63()
+		if a != b || a != c {
+			t.Fatalf("draw %d after the handoff: %d, %d idle, %d restored", i, a, b, c)
+		}
+		if i == 0 && a == first {
+			t.Fatal("the handed-off stream starts where the seed's own does")
+		}
+	}
+}
+
+// TestShardedHandoff hands off a shard group through its control
+// simulator: every member lands on the deadline and restarts its own
+// seed's handoff stream.
+func TestShardedHandoff(t *testing.T) {
+	control, shards, _, _ := shardGroup(t, 2, 1.0)
+	shards[1].At(0.5, func() { shards[1].Rand().Int63() })
+	control.Handoff(100)
+	for i, s := range append([]*Sim{control}, shards...) {
+		want := New(s.Seed())
+		want.Handoff(100)
+		if s.Now() != 100 || s.Rand().Int63() != want.Rand().Int63() {
+			t.Fatalf("member %d: clock %v, or its stream is not its seed's handoff stream", i, s.Now())
+		}
+	}
+}

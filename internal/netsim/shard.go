@@ -25,6 +25,9 @@ type Driver interface {
 	Run()
 	// Pending reports the group's total queued (and in-transit) events.
 	Pending() int
+	// Handoff is Sim.Handoff for the whole group: RunUntil(deadline), then
+	// every member restarts its random stream from its own seed.
+	Handoff(deadline Seconds)
 }
 
 // Exchanger is the model-layer half of the barrier protocol: it owns the
@@ -135,6 +138,16 @@ func (r *ShardRunner) RunUntil(deadline Seconds) {
 		sh.runUntilLocal(deadline)
 	}
 	r.control.runUntilLocal(deadline)
+}
+
+// Handoff advances the whole group to deadline, as RunUntil does, and
+// restarts every member's random stream (Sim.Handoff).
+func (r *ShardRunner) Handoff(deadline Seconds) {
+	r.runRounds(deadline)
+	for _, sh := range r.shards {
+		sh.handoffLocal(deadline)
+	}
+	r.control.handoffLocal(deadline)
 }
 
 // Run executes the whole group to quiescence. Clocks end at the last

@@ -25,7 +25,6 @@ type Accountant struct {
 	shed     []int64
 	unserved int64 // demand whose catchment is no healthy site
 	shedding bool
-	folds    uint64
 	cumServe int64
 	cumShed  int64
 
@@ -123,7 +122,6 @@ func (a *Accountant) Finish() {
 	}
 	a.cumServe += served
 	a.cumShed += shed
-	a.folds++
 	a.m.folds.Inc()
 	a.m.served.Add(uint64(served))
 	a.m.shed.Add(uint64(shed))
@@ -187,9 +185,6 @@ func (a *Accountant) Totals() (offered, served, shed int64) {
 // Cumulative returns the monotone served/shed integrals (micro-rps summed
 // over folds).
 func (a *Accountant) Cumulative() (served, shed int64) { return a.cumServe, a.cumShed }
-
-// Folds returns how many folds have completed.
-func (a *Accountant) Folds() uint64 { return a.folds }
 
 // Overloaded reports whether any site's latest-fold offered load exceeds
 // its capacity.

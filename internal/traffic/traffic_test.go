@@ -159,6 +159,8 @@ func TestAccountantFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewAccountant(m)
+	reg := obs.NewRegistry()
+	a.Instrument(reg)
 
 	// Everything to site 0: offered = total, no shedding → served = offered.
 	a.Fold(m, func(topology.NodeID) int { return 0 })
@@ -186,8 +188,8 @@ func TestAccountantFold(t *testing.T) {
 			t.Fatalf("site %d retains load after an empty fold", i)
 		}
 	}
-	if a.Folds() != 3 {
-		t.Fatalf("folds %d, want 3", a.Folds())
+	if n := reg.Counter("traffic_folds_total").Value(); n != 3 {
+		t.Fatalf("folds %v, want 3", n)
 	}
 	served, shed := a.Cumulative()
 	wantServed := int64(m.TotalRate()) + a.Capacity(0)
@@ -198,7 +200,6 @@ func TestAccountantFold(t *testing.T) {
 
 	// The fold is the per-probe hot path (BenchmarkLoadAccounting): Begin,
 	// Record and Finish allocate nothing, even while streaming into obs.
-	a.Instrument(obs.NewRegistry())
 	spread := func(id topology.NodeID) int { return int(id) % a.NumSites() }
 	if n := testing.AllocsPerRun(20, func() { a.Fold(m, spread) }); n != 0 {
 		t.Fatalf("one fold allocates %.0f times, want 0", n)
