@@ -11,6 +11,7 @@ package bestofboth_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -135,8 +136,8 @@ func BenchmarkConvergePaper(b *testing.B) {
 
 // convergeSeed is the last seed BenchmarkConvergePaper used. It runs on
 // across the benchmark's ramp-up runs and -count repetitions, because
-// topology.Cached memoizes every seed's topology: a seed used twice would
-// skip generation the second time.
+// topology.Cached memoizes the last 32 seeds' topologies: a seed used again
+// within them would skip generation.
 var convergeSeed int64 = 1000
 
 var benchFig2Techs = []core.Technique{
@@ -697,6 +698,39 @@ func BenchmarkConvergenceSharded(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkReconvergeSharded times sharding's remaining customer, one big
+// world's re-convergence after a fault: per iteration it builds the
+// converged reactive-anycast world untimed (NewConvergedWorld), then times
+// FailSite("atl") plus Converge. The sub-benchmarks cover paper and
+// internet scale (≈ 1.6 GiB resident) at one and two shards; to compare
+// shard counts, run one sub-benchmark per process with -benchtime 1x and
+// alternate the order between pairs.
+func BenchmarkReconvergeSharded(b *testing.B) {
+	for _, sc := range []struct {
+		name  string
+		scale experiment.Option
+	}{{"paper", experiment.WithPaperScale()}, {"internet", experiment.WithInternetScale()}} {
+		for _, shards := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/shards=%d", sc.name, shards), func(b *testing.B) {
+				cfg := experiment.DefaultWorldConfig(sc.scale, experiment.WithShards(shards))
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					w, err := experiment.NewConvergedWorld(cfg, core.ReactiveAnycast{}, experiment.ConvergeTime)
+					if err != nil {
+						b.Fatal(err)
+					}
+					runtime.GC()
+					b.StartTimer()
+					if _, err := w.CDN.FailSite("atl"); err != nil {
+						b.Fatal(err)
+					}
+					w.Converge(experiment.ConvergeTime)
+				}
+			})
+		}
 	}
 }
 

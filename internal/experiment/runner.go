@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bestofboth/internal/core"
+	"bestofboth/internal/memo"
 	"bestofboth/internal/obs"
 )
 
@@ -62,6 +63,7 @@ type runnerMetrics struct {
 	runSeconds *obs.Histogram
 	snapBuilds *obs.Counter
 	snapHits   *obs.Counter
+	snapEvicts *obs.Counter
 	restores   *obs.Counter
 	buildSecs  *obs.Histogram
 	matSecs    *obs.Histogram
@@ -78,6 +80,7 @@ func (r *Runner) metrics() runnerMetrics {
 		runSeconds: reg.VolatileHistogram("experiment_run_seconds", obs.DefaultDurationBuckets...),
 		snapBuilds: reg.VolatileCounter("experiment_snapshot_builds_total"),
 		snapHits:   reg.VolatileCounter("experiment_snapshot_cache_hits_total"),
+		snapEvicts: reg.VolatileCounter("experiment_snapshot_evictions_total"),
 		restores:   reg.VolatileCounter("experiment_snapshot_restores_total"),
 		buildSecs:  reg.VolatileHistogram("experiment_snapshot_build_seconds", obs.DefaultDurationBuckets...),
 		matSecs:    reg.VolatileHistogram("experiment_materialize_seconds", obs.DefaultDurationBuckets...),
@@ -86,24 +89,10 @@ func (r *Runner) metrics() runnerMetrics {
 }
 
 // worldSnaps caches converged-world snapshots per ⟨world configuration,
-// technique⟩ across all Runner instances: repeated
-// invocations (benchmark iterations, figure 2 followed by figure 5 in one
-// process) reuse each other's converge work. Entries are built at most once;
-// concurrent requesters for the same key share one build.
-var worldSnaps = struct {
-	sync.Mutex
-	m map[string]*worldSnapEntry
-}{m: map[string]*worldSnapEntry{}}
-
-// worldSnapCap bounds retained snapshots; a figure-2 matrix needs one entry
-// per technique. Over-cap requests build without memoizing.
-const worldSnapCap = 32
-
-type worldSnapEntry struct {
-	once sync.Once
-	snap *WorldSnapshot
-	err  error
-}
+// technique⟩ across all Runner instances: repeated invocations (benchmark
+// iterations, figure 2 followed by figure 5 in one process) reuse each
+// other's converge work. A figure-2 matrix needs one entry per technique.
+var worldSnaps memo.Cache[*WorldSnapshot]
 
 // snapKey canonicalizes the full converged-world identity: the config's
 // identity string plus technique. Techniques are flat value structs, so
@@ -122,9 +111,6 @@ func buildSnapshot(cfg WorldConfig, tech core.Technique) (*WorldSnapshot, error)
 	if err != nil {
 		return nil, err
 	}
-	if w.Sim.Pending() != 0 {
-		return nil, nil
-	}
 	snap, err := w.Snapshot()
 	if err != nil {
 		return nil, nil
@@ -139,30 +125,18 @@ func (r *Runner) convergedSnapshot(cfg WorldConfig, tech core.Technique) (*World
 		return nil, nil
 	}
 	m := r.metrics()
-	key := snapKey(cfg, tech)
-	worldSnaps.Lock()
-	e, ok := worldSnaps.m[key]
-	if !ok {
-		if len(worldSnaps.m) >= worldSnapCap {
-			worldSnaps.Unlock()
-			m.snapBuilds.Inc()
-			defer obs.StartTimer(m.buildSecs).Stop()
-			return buildSnapshot(cfg, tech)
-		}
-		e = &worldSnapEntry{}
-		worldSnaps.m[key] = e
-	}
-	worldSnaps.Unlock()
-	if ok {
+	snap, hit, evicted, err := worldSnaps.Get(snapKey(cfg, tech), func() (*WorldSnapshot, error) {
+		m.snapBuilds.Inc()
+		defer obs.StartTimer(m.buildSecs).Stop()
+		return buildSnapshot(cfg, tech)
+	})
+	if hit {
 		m.snapHits.Inc()
 	}
-	e.once.Do(func() {
-		m.snapBuilds.Inc()
-		t := obs.StartTimer(m.buildSecs)
-		e.snap, e.err = buildSnapshot(cfg, tech)
-		t.Stop()
-	})
-	return e.snap, e.err
+	if evicted {
+		m.snapEvicts.Inc()
+	}
+	return snap, err
 }
 
 // materialize produces a deployed, converged world ready for one failover

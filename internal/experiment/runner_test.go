@@ -6,6 +6,9 @@ import (
 
 	"bestofboth/internal/bgp"
 	"bestofboth/internal/core"
+	"bestofboth/internal/memo"
+	"bestofboth/internal/obs"
+	"bestofboth/internal/topology"
 )
 
 // TestRunnerDeterminismAcrossWorkers is the regression gate for the
@@ -186,5 +189,70 @@ func TestRunFailoverMatchesRunnerReuse(t *testing.T) {
 	}
 	if fresh.Controllable != reused.Controllable {
 		t.Fatal("reused-world target sets differ from a fresh run")
+	}
+}
+
+// TestRestoreHoldsSnapshotTopology pins that a snapshot carries its
+// topology: a world built once the topology cache is full, snapshotted, and
+// restored after memo.Cap newer configurations evicted its graph restores
+// over the snapshot's *Topology, not a regenerated one.
+func TestRestoreHoldsSnapshotTopology(t *testing.T) {
+	fill := func(base int64) {
+		gen := tinyConfig(0).Topology
+		for i := int64(0); i < memo.Cap; i++ {
+			gen.Seed = base + i
+			if _, err := topology.Cached(gen); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill(5000)
+	w, err := NewConvergedWorld(tinyConfig(26), core.Anycast{}, ConvergeTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(6000)
+	rw, err := RestoreWorld(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rw.Topo != w.Topo {
+		t.Fatal("the restored world does not hold its snapshot's topology")
+	}
+}
+
+// TestRunnerHitsPastSnapshotCap pins that the snapshot cache keeps
+// memoizing once full: a matrix repeated after memo.Cap other snapshot
+// keys hits the snapshot its first run built, and the insert that made room
+// for it counts one eviction.
+func TestRunnerHitsPastSnapshotCap(t *testing.T) {
+	cfg := tinyConfig(27)
+	for i := 0; i < memo.Cap; i++ {
+		other := cfg
+		other.CollectorPeers = 100 + i
+		if _, err := (&Runner{}).convergedSnapshot(other, core.Anycast{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel := mustSelect(t, cfg, 10)
+	reg := obs.NewRegistry()
+	r := &Runner{Workers: 2, Obs: reg}
+	for i := 0; i < 2; i++ {
+		if _, err := r.RunMatrix(cfg, sel, []core.Technique{core.Anycast{}}, []string{"atl"}, quickFailover()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string]uint64{
+		"experiment_snapshot_builds_total":     1,
+		"experiment_snapshot_cache_hits_total": 1,
+		"experiment_snapshot_evictions_total":  1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -8,17 +8,19 @@ import (
 	"bestofboth/internal/core"
 	"bestofboth/internal/dataplane"
 	"bestofboth/internal/netsim"
+	"bestofboth/internal/topology"
 )
 
-// WorldSnapshot captures a fully converged world — kernel clock and RNG
-// position, every speaker's RIBs and pacing state, every node's FIB and
-// forwarding flag, the controller, DNS zone and demand rates, and the
-// collector archive — so that the expensive deploy-and-converge phase can be
-// paid once per ⟨configuration, technique⟩ and reused by every per-site run.
-// A snapshot is immutable and safe to restore from any number of goroutines
-// concurrently, also while worlds restored earlier are running.
+// WorldSnapshot captures a fully converged world — its topology, kernel
+// clock and RNG position, every speaker's RIBs and pacing state, every
+// node's FIB and forwarding flag, the controller, DNS zone and demand rates,
+// and the collector archive — so that deploy and converge are paid once per
+// ⟨configuration, technique⟩ and reused by every per-site run. A snapshot is
+// immutable and safe to restore from any number of goroutines concurrently,
+// also while worlds restored earlier are running.
 type WorldSnapshot struct {
 	cfg   WorldConfig
+	topo  *topology.Topology
 	sim   netsim.Snapshot
 	net   *bgp.NetworkSnapshot
 	plane *dataplane.Snapshot
@@ -46,6 +48,7 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 	cfg.Obs = nil
 	return &WorldSnapshot{
 		cfg:   cfg,
+		topo:  w.Topo,
 		sim:   simSnap,
 		net:   netSnap,
 		plane: w.Plane.Snapshot(),
@@ -55,18 +58,19 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 }
 
 // RestoreWorld materializes an independent world from a snapshot: it builds
-// a fresh world from the snapshot's configuration (re-wiring all component
-// callbacks) and then installs the snapshot's state — clock, RNG position,
-// RIBs, FIBs and forwarding flags, controller, zone, and archive. The two
-// bulky layers restore by reference: every speaker's rib points at the
-// snapshot's frozen per-prefix states and every node forwards through the
-// snapshot's FIB trie, shared with sibling restores, and a world copies a
-// state or a trie only when its own fault first writes it (bgp.Speaker.own,
-// dataplane.Plane). The small mutable rest is copied. The result is
-// bit-identical to the world the snapshot was taken from and observationally
-// isolated from it and from sibling restores (TestSnapshotStaysPristine).
+// a fresh world from the snapshot's configuration and topology (re-wiring
+// all component callbacks) and then installs the snapshot's state — clock,
+// RNG position, RIBs, FIBs and forwarding flags, controller, zone, and
+// archive. The two bulky layers restore by reference: every speaker's rib
+// points at the snapshot's frozen per-prefix states and every node forwards
+// through the snapshot's FIB trie, shared with sibling restores, and a world
+// copies a state or a trie only when its own fault first writes it
+// (bgp.Speaker.own, dataplane.Plane). The small mutable rest is copied. The
+// result is bit-identical to the world the snapshot was taken from and
+// observationally isolated from it and from sibling restores
+// (TestSnapshotStaysPristine).
 func RestoreWorld(snap *WorldSnapshot) (*World, error) {
-	w, err := NewWorld(snap.cfg)
+	w, err := newWorld(snap.cfg, snap.topo)
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,27 @@ func worldOracleTechniques(t testing.TB) []core.Technique {
 	return techs
 }
 
+// noExportPrepending is proactive prepending whose backup announcements
+// carry NO_EXPORT, so each backup reaches only the announcing site's
+// neighbors. No technique in core announces a community; this one puts
+// RFC 1997's export rules, the solver's and the converge's, in the world
+// oracle.
+type noExportPrepending struct{ core.ProactivePrepending }
+
+func (noExportPrepending) Name() string { return "proactive-prepending-no-export" }
+
+func (t noExportPrepending) Plan(c *core.CDN) []core.Announcement {
+	plan := t.ProactivePrepending.Plan(c)
+	for i, a := range plan {
+		if a.Policy != nil {
+			pol := *a.Policy
+			pol.Communities = []uint32{bgp.CommunityNoExport}
+			plan[i].Policy = &pol
+		}
+	}
+	return plan
+}
+
 // worldOracleConfig is a reduced world with the demand model on, at the
 // given shard count and shared providers. A Rebalancer under demand is not
 // solvable, so the load-shift techniques get the same world without demand.
@@ -91,9 +112,9 @@ func matrixRuns(t testing.TB, w *experiment.World, sel *experiment.Selection, fc
 }
 
 // TestSolvedWorldMatchesConverged is the world oracle: for every technique
-// TechniqueByName resolves, at shards 1 and 2 and shared providers 0 and 2,
-// the solved world must hand its first fault the state the event-driven
-// reference does. Route, FIB and the control plane's StateOf (virtual time,
+// TechniqueByName resolves, and for noExportPrepending, at shards 1 and 2
+// and shared providers 0 and 2, the solved world must hand its first fault
+// the state the event-driven reference does. Route, FIB and the control plane's StateOf (virtual time,
 // site and load rows, availability, route/FIB/DNS digests) must be equal,
 // and so must every ⟨technique, site⟩ RunResult of the Figure 2 matrix
 // under KindFail and under the health monitor's KindCrash. One bundled
@@ -110,7 +131,10 @@ func TestSolvedWorldMatchesConverged(t *testing.T) {
 		probe  int
 		techs  []core.Technique
 		shards []int
-	}{{"default", 0.35, 8, techs, []int{1, 2}}, {"paper", experiment.PaperScale, 4, techs[:4], []int{1}}}
+	}{
+		{"default", 0.35, 8, append(slices.Clip(techs), noExportPrepending{core.ProactivePrepending{Prepends: 3}}), []int{1, 2}},
+		{"paper", experiment.PaperScale, 4, techs[:4], []int{1}},
+	}
 	for _, sc := range scales {
 		for _, shards := range sc.shards {
 			for _, shared := range []int{0, 2} {

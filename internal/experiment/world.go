@@ -83,7 +83,7 @@ func (c WorldConfig) identity() string {
 type World struct {
 	Cfg       WorldConfig
 	Sim       *netsim.Sim
-	Topo      *topology.Topology //cdnlint:nosnapshot immutable after Build; identical worlds regenerate it from Cfg
+	Topo      *topology.Topology
 	Net       *bgp.Network
 	Plane     *dataplane.Plane
 	CDN       *core.CDN
@@ -94,12 +94,16 @@ type World struct {
 // technique is deployed yet.
 func NewWorld(cfg WorldConfig) (*World, error) {
 	cfg.fillDefaults()
-	// Cached memoizes generation per GenConfig: experiment matrices share
-	// one immutable topology across every ⟨technique, failed site⟩ run.
+	// Every world of one GenConfig shares the one immutable topology.
 	topo, err := topology.Cached(cfg.Topology)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: generating topology: %w", err)
 	}
+	return newWorld(cfg, topo)
+}
+
+// newWorld is NewWorld over topo, the topology cfg (defaults filled) generates.
+func newWorld(cfg WorldConfig, topo *topology.Topology) (*World, error) {
 	sim := netsim.New(cfg.Seed)
 	// One shard is the classic single-kernel network (bgp.New).
 	net, err := bgp.NewSharded(sim, topo, cfg.BGP, cfg.Shards, cfg.Seed)

@@ -1,8 +1,11 @@
 package topology
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+
+	"bestofboth/internal/memo"
 )
 
 func smallGen(seed int64) GenConfig {
@@ -83,6 +86,63 @@ func TestCachedConcurrent(t *testing.T) {
 	for i := 1; i < len(tops); i++ {
 		if tops[i] == nil || tops[i] != tops[0] {
 			t.Fatal("concurrent Cached calls must all return the one memoized instance")
+		}
+	}
+}
+
+func mustCached(t *testing.T, cfg GenConfig) *Topology {
+	t.Helper()
+	topo, err := Cached(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
+func TestCachedMemoizesPastCap(t *testing.T) {
+	for i := int64(0); i < memo.Cap; i++ {
+		mustCached(t, smallGen(1000+i))
+	}
+	if mustCached(t, smallGen(7)) != mustCached(t, smallGen(7)) {
+		t.Fatal("a configuration first seen with the cache full is regenerated on every call")
+	}
+}
+
+func TestCachedEvictsLeastRecentlyUsed(t *testing.T) {
+	hot, cold := mustCached(t, smallGen(8)), mustCached(t, smallGen(9))
+	newer := make([]*Topology, memo.Cap)
+	for i := range newer {
+		newer[i] = mustCached(t, smallGen(2000+int64(i)))
+		if mustCached(t, smallGen(8)) != hot {
+			t.Fatalf("the entry touched between inserts was evicted after %d newer keys", i+1)
+		}
+	}
+	// Retained: hot and newer[1:]. The least recently used were cold, then
+	// newer[0].
+	if mustCached(t, smallGen(2001)) != newer[1] {
+		t.Fatal("a retained key was evicted")
+	}
+	if mustCached(t, smallGen(9)) == cold || mustCached(t, smallGen(2000)) == newer[0] {
+		t.Fatal("the least recently used entries survived a full cache of newer keys")
+	}
+}
+
+func TestGenKeyCoversEveryField(t *testing.T) {
+	zero := genKey(GenConfig{})
+	typ := reflect.TypeOf(GenConfig{})
+	for i := 0; i < typ.NumField(); i++ {
+		var cfg GenConfig
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		default:
+			t.Fatalf("GenConfig.%s: no non-zero value for kind %s", typ.Field(i).Name, f.Kind())
+		}
+		if genKey(cfg) == zero {
+			t.Errorf("setting GenConfig.%s leaves the cache key unchanged", typ.Field(i).Name)
 		}
 	}
 }
