@@ -82,7 +82,7 @@ type announcement struct {
 // zone, and reacts to site failures.
 type CDN struct {
 	net    *bgp.Network     //cdnlint:nosnapshot wiring: the BGP layer snapshots itself (bgp.NetworkSnapshot)
-	plane  *dataplane.Plane //cdnlint:nosnapshot wiring: FIBs are rebuilt by the BGP restore's OnBestChange replay
+	plane  *dataplane.Plane //cdnlint:nosnapshot wiring: the data plane snapshots itself (dataplane.Snapshot)
 	sim    *netsim.Sim      //cdnlint:nosnapshot wiring: the kernel snapshots itself (netsim.Snapshot)
 	auth   *dns.Authoritative
 	sites  []*Site          //cdnlint:nosnapshot immutable site roster; restore requires an identically built CDN

@@ -14,18 +14,19 @@ import (
 
 // Probe is one echo request in a target's trace. Reply indexes the trace's
 // Replies, or is -1 while no reply has been captured: the "missing sequence
-// number" of §5.2.
+// number" of §5.2. A record is 16 bytes: a Figure 2 matrix logs some 600,000
+// probes and as many replies.
 type Probe struct {
-	Seq   uint64
-	Time  float64 // virtual emission time
+	Seq   uint32
 	Reply int32
+	Time  float64 // virtual emission time
 }
 
 // Reply is one echo reply arriving at a capture point, like a line in the
 // per-site tcpdump the paper runs during failover experiments.
 type Reply struct {
 	Time float64 // virtual arrival time
-	Seq  uint64
+	Seq  uint32
 	Site topology.NodeID // the node where the reply arrived
 }
 
@@ -50,6 +51,11 @@ type Trace struct {
 // day at the paper's 1.5 s cadence. The count derives from a duration that
 // can come from outside the program.
 const maxReserve = 1 << 16
+
+// seqOverflow is the panic of a prober asked for a probe past the last
+// sequence number a record holds: 2^32 - 1 probes, some 200 years of one
+// target at the paper's cadence. Wrapping would alias two probes' replies.
+const seqOverflow = "dataplane: prober sequence numbers exhausted"
 
 // Prober issues Verfploeter-style echo requests: probes are sent from a
 // prober node with a spoofed source address inside the prefix under study,
@@ -84,7 +90,7 @@ type Prober struct {
 
 	watch    *watch // the journal for ReplyTo, registered by the first Ping or PingEvery
 	lossKey  uint64
-	seq      uint64
+	seq      uint32
 	answered int
 	targets  map[topology.NodeID]*target
 	order    []*target // targets in first-use order: what a read walks
@@ -126,7 +132,7 @@ type flying struct {
 type campaign struct {
 	target                   int32 // index into Prober.order
 	next, interval, deadline float64
-	prev                     uint64 // Seq of this campaign's previous probe
+	prev                     uint32 // Seq of this campaign's previous probe
 }
 
 // less orders campaigns as a calendar would fire their ticks: by instant,
@@ -188,7 +194,7 @@ func (p *Prober) target(id topology.NodeID) *target {
 // reply is routed by the FIBs as they stand when the target answers. A lost
 // reply leaves the probe's Reply at -1, mirroring a missing sequence number
 // in the paper's traces. It returns the sequence number used.
-func (p *Prober) Ping(target topology.NodeID) uint64 {
+func (p *Prober) Ping(target topology.NodeID) uint32 {
 	tg := p.target(target)
 	now := p.plane.sim.Now()
 	p.emit(now)
@@ -254,7 +260,10 @@ func (p *Prober) emit(now float64) {
 }
 
 // probe emits one echo request to tg at instant at.
-func (p *Prober) probe(tg *target, at float64) uint64 {
+func (p *Prober) probe(tg *target, at float64) uint32 {
+	if p.seq == math.MaxUint32 {
+		panic(seqOverflow)
+	}
 	p.seq++
 	tg.Probes = append(tg.Probes, Probe{Seq: p.seq, Time: at, Reply: -1})
 	p.plane.m.probes.Inc()
@@ -297,12 +306,12 @@ func (p *Prober) echo(tg *target, now float64) {
 		if at > now {
 			return
 		}
-		if p.LossRate > 0 && (lost(p.lossKey, pb.Seq, legRequest, p.LossRate) || lost(p.lossKey, pb.Seq, legReply, p.LossRate)) {
+		if p.LossRate > 0 && (lost(p.lossKey, uint64(pb.Seq), legRequest, p.LossRate) || lost(p.lossKey, uint64(pb.Seq), legReply, p.LossRate)) {
 			continue // lost in flight, or rate-limited at the target
 		}
 		if !(at < tg.until) {
 			p.plane.m.walks.Inc()
-			tg.res, tg.until = p.plane.walk(p.watch, at, tg.Target, p.ReplyTo, nil)
+			tg.res, tg.until = p.plane.walk(p.watch, at, tg.Target, p.watch.covers, nil)
 			// The journal is complete only up to now, and a change stamped
 			// now may yet be filed: echoes from now on walk again.
 			tg.until = min(tg.until, now)
@@ -331,7 +340,7 @@ func (p *Prober) capture(tg *target, f flying) {
 	tg.Replies = slices.Insert(tg.Replies, i, f.Reply)
 	tg.Probes[f.probe].Reply = int32(i)
 	for j := i + 1; j < len(tg.Replies); j++ {
-		k, _ := slices.BinarySearchFunc(tg.Probes, tg.Replies[j].Seq, func(pb Probe, seq uint64) int {
+		k, _ := slices.BinarySearchFunc(tg.Probes, tg.Replies[j].Seq, func(pb Probe, seq uint32) int {
 			return cmp.Compare(pb.Seq, seq)
 		})
 		tg.Probes[k].Reply = int32(j)

@@ -25,7 +25,7 @@ type refProber struct {
 	From     topology.NodeID
 	ReplyTo  netip.Addr
 	LossRate float64
-	seq      uint64
+	seq      uint32
 	answered int
 	traces   map[topology.NodeID]*Trace
 
@@ -58,8 +58,8 @@ func (p *refProber) freeFlight(f *refFlight) {
 	p.freeFlights = append(p.freeFlights, f)
 }
 
-func (p *refProber) lost(seq uint64, leg uint64) bool {
-	return p.LossRate > 0 && lost(lossKey(p.sim.Seed(), p.From, p.ReplyTo), seq, leg, p.LossRate)
+func (p *refProber) lost(seq uint32, leg uint64) bool {
+	return p.LossRate > 0 && lost(lossKey(p.sim.Seed(), p.From, p.ReplyTo), uint64(seq), leg, p.LossRate)
 }
 
 // runEcho fires when the request reaches the target: the target emits the
@@ -108,9 +108,9 @@ func (p *refProber) trace(target topology.NodeID) *Trace {
 	return tr
 }
 
-func (p *refProber) Ping(target topology.NodeID) uint64 { return p.ping(p.trace(target)) }
+func (p *refProber) Ping(target topology.NodeID) uint32 { return p.ping(p.trace(target)) }
 
-func (p *refProber) ping(tr *Trace) uint64 {
+func (p *refProber) ping(tr *Trace) uint32 {
 	p.seq++
 	seq := p.seq
 	fwd := p.plane.StaticDelay(p.From, tr.Target)

@@ -16,7 +16,7 @@ import (
 
 // probing is what the prober and its calendar reference have in common.
 type probing interface {
-	Ping(topology.NodeID) uint64
+	Ping(topology.NodeID) uint32
 	PingEvery(target topology.NodeID, interval, duration float64)
 	Trace(topology.NodeID) *Trace
 	Sent() int
@@ -346,8 +346,8 @@ func TestProberMatchesCalendarByHand(t *testing.T) {
 	// campaign, the Ping, c2's campaign; at ties c1's tick first (its previous
 	// probe went out first); at t=3 the ticks, then the Ping, then t3's first.
 	last := reads["coinciding-cadences"][1].traces[0]
-	seqAt := func(n int, at float64) []uint64 {
-		var s []uint64
+	seqAt := func(n int, at float64) []uint32 {
+		var s []uint32
 		for _, p := range last[n].Probes {
 			if p.Time == scriptT0+at {
 				s = append(s, p.Seq)
@@ -355,7 +355,7 @@ func TestProberMatchesCalendarByHand(t *testing.T) {
 		}
 		return s
 	}
-	if a, b := seqAt(nC1, 1), seqAt(nC2, 1); !slices.Equal(a, []uint64{1}) || !slices.Equal(b, []uint64{2, 3}) {
+	if a, b := seqAt(nC1, 1), seqAt(nC2, 1); !slices.Equal(a, []uint32{1}) || !slices.Equal(b, []uint32{2, 3}) {
 		t.Errorf("coinciding cadences at 1 s: c1 %v c2 %v, want [1] and [2 3]", a, b)
 	}
 	if a, b := seqAt(nC1, 1.5), seqAt(nC2, 1.5); len(a) != 1 || len(b) != 1 || a[0] > b[0] {
@@ -427,7 +427,7 @@ func TestLossCannotPerturbRouting(t *testing.T) {
 			got, all := pr.Trace(lossy.nodes[n]), cleanPr.Trace(clean.nodes[n])
 			want := Trace{Target: all.Target, Probes: slices.Clone(all.Probes)}
 			for _, r := range all.Replies { // arrival order survives the removals
-				if lost(pr.lossKey, r.Seq, legRequest, loss) || lost(pr.lossKey, r.Seq, legReply, loss) {
+				if lost(pr.lossKey, uint64(r.Seq), legRequest, loss) || lost(pr.lossKey, uint64(r.Seq), legReply, loss) {
 					dropped++
 				} else {
 					want.Replies = append(want.Replies, r)

@@ -17,7 +17,7 @@ import (
 // prober filed replies per target (dataplane.CaptureEntry).
 type refCaptureEntry struct {
 	Time   float64
-	Seq    uint64
+	Seq    uint32
 	Target topology.NodeID
 	Site   topology.NodeID
 }
@@ -26,7 +26,7 @@ type refCaptureEntry struct {
 // apart from the entry type's name: a target's captures are copied into a
 // scratch, re-sorted by sequence number and binary-searched. It is the
 // reference the trace-walking analyzeTarget is pinned against.
-func refAnalyzeTarget(w *World, id topology.NodeID, sent []uint64, caps []refCaptureEntry, t0 float64, scratch []refCaptureEntry) (TargetOutcome, []refCaptureEntry) {
+func refAnalyzeTarget(w *World, id topology.NodeID, sent []uint32, caps []refCaptureEntry, t0 float64, scratch []refCaptureEntry) (TargetOutcome, []refCaptureEntry) {
 	o := TargetOutcome{Target: id}
 	if len(caps) == 0 {
 		return o, scratch
@@ -50,8 +50,8 @@ func refAnalyzeTarget(w *World, id topology.NodeID, sent []uint64, caps []refCap
 	slices.SortFunc(scratch, func(a, b refCaptureEntry) int {
 		return cmp.Compare(a.Seq, b.Seq)
 	})
-	find := func(seq uint64) (refCaptureEntry, bool) {
-		i, ok := slices.BinarySearchFunc(scratch, seq, func(e refCaptureEntry, s uint64) int {
+	find := func(seq uint32) (refCaptureEntry, bool) {
+		i, ok := slices.BinarySearchFunc(scratch, seq, func(e refCaptureEntry, s uint32) int {
 			return cmp.Compare(e.Seq, s)
 		})
 		if !ok {
@@ -110,8 +110,8 @@ func refAnalyzeTarget(w *World, id topology.NodeID, sent []uint64, caps []refCap
 // flatLogs flattens a trace back into what the flat logs held for its
 // target: the sent sequence numbers in emission order and the capture
 // entries in arrival order.
-func flatLogs(tr *dataplane.Trace) ([]uint64, []refCaptureEntry) {
-	sent := make([]uint64, len(tr.Probes))
+func flatLogs(tr *dataplane.Trace) ([]uint32, []refCaptureEntry) {
+	sent := make([]uint32, len(tr.Probes))
 	for i, p := range tr.Probes {
 		sent[i] = p.Seq
 	}
@@ -246,7 +246,7 @@ func TestAnalyzeTargetMatchesReference(t *testing.T) {
 // arrival is one reply of a hand-built or fuzzed trace: the probe it
 // answers, when it lands, and the site that answered.
 type arrival struct {
-	seq  uint64
+	seq  uint32
 	at   float64
 	site topology.NodeID
 }
@@ -256,7 +256,7 @@ type arrival struct {
 // returns analyzeTarget's outcome and the reference's over its flat logs.
 func analyzeBoth(w *World, n int, arrivals []arrival) (got, want TargetOutcome) {
 	tr := &dataplane.Trace{Target: w.Targets()[0].ID}
-	for seq := uint64(1); seq <= uint64(n); seq++ {
+	for seq := uint32(1); seq <= uint32(n); seq++ {
 		tr.Probes = append(tr.Probes, dataplane.Probe{Seq: seq, Time: 1.5 * float64(seq), Reply: -1})
 	}
 	for i, r := range arrivals {
@@ -313,7 +313,7 @@ func FuzzAnalyzeTarget(f *testing.F) {
 			if fate == 0 {
 				continue
 			}
-			seq := uint64(i + 1)
+			seq := uint32(i + 1)
 			arrivals = append(arrivals, arrival{seq, 1.5*float64(seq) + float64(delay)/20, sites[fate-1]})
 		}
 		slices.SortStableFunc(arrivals, func(x, y arrival) int { return cmp.Compare(x.at, y.at) })

@@ -23,7 +23,7 @@ type refProber struct {
 	plane    *dataplane.Plane
 	From     topology.NodeID
 	ReplyTo  netip.Addr
-	seq      uint64
+	seq      uint32
 	answered int
 	traces   map[topology.NodeID]*dataplane.Trace
 

@@ -63,8 +63,8 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 // RNG position, RIBs, FIBs and forwarding flags, controller, zone, and
 // archive. The two bulky layers restore by reference: every speaker's rib
 // points at the snapshot's frozen per-prefix states and every node forwards
-// through the snapshot's FIB trie, shared with sibling restores, and a world
-// copies a state or a trie only when its own fault first writes it
+// through the snapshot's FIB row, shared with sibling restores, and a world
+// copies a state or a row only when its own fault first writes it
 // (bgp.Speaker.own, dataplane.Plane). The small mutable rest is copied. The
 // result is bit-identical to the world the snapshot was taken from and
 // observationally isolated from it and from sibling restores

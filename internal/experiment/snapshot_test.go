@@ -71,10 +71,10 @@ func TestSnapshotCarriesForwardingFlags(t *testing.T) {
 
 // TestSnapshotStaysPristine is the sharing contract of restore by reference.
 // Worlds restored from one snapshot read the same frozen RIB states and FIB
-// tries; each runs a different failover concurrently with the others and
+// rows; each runs a different failover concurrently with the others and
 // with the source world moving on, and a world restored afterwards must
 // still be the world the snapshot was taken of. Under the race detector
-// (make race runs it) a write through a frozen state or trie is a reported
+// (make race runs it) a write through a frozen state or row is a reported
 // data race, not only a digest mismatch.
 func TestSnapshotStaysPristine(t *testing.T) {
 	cfg := tinyConfig(31)
@@ -113,7 +113,7 @@ func TestSnapshotStaysPristine(t *testing.T) {
 			}
 		}()
 	}
-	// The source world shares its FIB tries with the snapshot too.
+	// The source world shares its FIB rows with the snapshot too.
 	if _, err := src.CDN.FailSite("bos"); err != nil {
 		t.Fatal(err)
 	}

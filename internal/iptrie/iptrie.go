@@ -1,6 +1,9 @@
 // Package iptrie implements a longest-prefix-match trie over IPv4 prefixes.
 //
-// The trie backs every FIB in the simulator. It is a path-compressed
+// The trie backed every FIB in the simulator until a FIB became a row of the
+// data plane's prefix table; it is now the FIB's test reference (a per-node
+// trie fed by its own best-route subscription, in internal/dataplane's
+// tests) and what the benchmark's iptrie probes time. It is a path-compressed
 // (Patricia) binary trie: each node carries its whole prefix — the address
 // as one uint32 plus a bit length — and a descent step compares a full
 // prefix with one XOR and a leading-zero count instead of testing one bit
@@ -18,10 +21,7 @@
 // amortized slice growth instead of one allocation per trie node; for
 // pointer-free value types, like FIB entries, the garbage collector never
 // scans the node slab at all; and because links are indices, not addresses,
-// Clone is one slab copy. The last is what world restores are built on — a
-// restored data plane shares the snapshot's converged FIBs outright and
-// clones only the tries of the nodes whose routes its fault moves, instead
-// of rebuilding some nine hundred FIBs prefix by prefix per restore.
+// Clone is one slab copy.
 package iptrie
 
 import (

@@ -16,14 +16,14 @@ import (
 // replies per target (dataplane.SentRecord, CaptureEntry, Capture), kept with
 // their grouping pass so refAnalyze below can stay verbatim.
 type refSentRecord struct {
-	Seq    uint64
+	Seq    uint32
 	Target topology.NodeID
 	Time   float64
 }
 
 type refCaptureEntry struct {
 	Time   float64
-	Seq    uint64
+	Seq    uint32
 	Target topology.NodeID
 	Site   topology.NodeID
 }
@@ -90,14 +90,14 @@ func refAnalyze(env *Env, res *Result, actions []action, groups []Group, probers
 	type trace struct {
 		sent map[topology.NodeID][]refSentRecord
 		caps map[topology.NodeID][]refCaptureEntry
-		got  map[uint64]bool
+		got  map[uint32]bool
 	}
 	traces := make([]trace, len(probers))
 	for i, pr := range probers {
 		tr := trace{
 			sent: make(map[topology.NodeID][]refSentRecord),
 			caps: pr.Capture.ByTarget(),
-			got:  make(map[uint64]bool, pr.Capture.Len()),
+			got:  make(map[uint32]bool, pr.Capture.Len()),
 		}
 		for _, s := range pr.Sent {
 			tr.sent[s.Target] = append(tr.sent[s.Target], s)
