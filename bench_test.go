@@ -147,15 +147,18 @@ var benchFig2Techs = []core.Technique{
 	core.Anycast{},
 }
 
-// BenchmarkFigure2Sequential pins the historical execution mode — one run
-// at a time, every run deploying and converging its own world from scratch —
-// as the baseline for the runner's speedup.
+// BenchmarkFigure2Sequential measures the matrix's runs one at a time, every
+// run deploying and converging its own world from scratch (RunFailover), as
+// the baseline for the runner's speedup.
 func BenchmarkFigure2Sequential(b *testing.B) {
 	sel := getSelection(b)
-	r := &experiment.Runner{Workers: 1, DisableReuse: true}
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Figure2(benchConfig(1), sel, benchFig2Techs, benchSites, benchFailover()); err != nil {
-			b.Fatal(err)
+		for _, tech := range benchFig2Techs {
+			for _, site := range benchSites {
+				if _, err := experiment.RunFailover(benchConfig(1), sel, tech, site, benchFailover()); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }

@@ -126,7 +126,7 @@ func newSpeaker(net *Network, sh *shard, node *topology.Node) *Speaker {
 func (s *Speaker) Node() *topology.Node { return s.node }
 
 // comparePrefix orders prefixes by address, then length: Network.order,
-// and iptrie.Walk's order.
+// and the order of the data plane's FIB digest.
 func comparePrefix(a, b netip.Prefix) int {
 	if c := a.Addr().Compare(b.Addr()); c != 0 {
 		return c

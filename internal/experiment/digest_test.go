@@ -67,9 +67,6 @@ func TestInterningDigestEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap == nil {
-		t.Fatal("converged world was not snapshotable")
-	}
 
 	const workers = 8
 	type digests struct {

@@ -183,7 +183,7 @@ func TestAnalyzeTargetMatchesReference(t *testing.T) {
 	sel := mustSelect(t, tinyConfig(27), 15)
 	for _, col := range cols {
 		snap, err := buildSnapshot(col.cfg, col.tech)
-		if err != nil || snap == nil {
+		if err != nil {
 			t.Fatalf("%s: snapshot: %v", col.tech.Name(), err)
 		}
 		probersSeen, outcomes, unanswered, bounced := 0, 0, 0, 0

@@ -19,8 +19,8 @@ func demandConfig(seed int64) WorldConfig {
 // TestUserWeightedCDFDeterminismAcrossWorkers is the worker-count gate for
 // the user-weighted evaluation: for all seven techniques, the Figure-2
 // pairs — including the demand-weighted reconnection and failover CDFs —
-// must be deeply equal between a strictly sequential run without world
-// reuse and an 8-worker run with reuse.
+// must be deeply equal between runs on fresh worlds, one at a time, and an
+// 8-worker run restoring converged snapshots.
 func TestUserWeightedCDFDeterminismAcrossWorkers(t *testing.T) {
 	cfg := demandConfig(25)
 	sel := mustSelect(t, cfg, 15)
@@ -28,21 +28,15 @@ func TestUserWeightedCDFDeterminismAcrossWorkers(t *testing.T) {
 	techs := core.SevenTechniques()
 	sites := []string{"atl", "msn"}
 
-	seq := &Runner{Workers: 1, DisableReuse: true}
-	par := &Runner{Workers: 8}
-
-	seqPairs, err := seq.Figure2(cfg, sel, techs, sites, fc)
+	_, freshPairs := freshFigure2(t, cfg, sel, techs, sites, fc)
+	parPairs, err := (&Runner{Workers: 8}).Figure2(cfg, sel, techs, sites, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parPairs, err := par.Figure2(cfg, sel, techs, sites, fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqPairs, parPairs) {
+	if !reflect.DeepEqual(freshPairs, parPairs) {
 		t.Fatal("Figure2 pairs (incl. user-weighted CDFs) differ between workers=1 and workers=8")
 	}
-	for _, p := range seqPairs {
+	for _, p := range freshPairs {
 		if p.UserFailover == nil || p.UserReconnection == nil {
 			t.Fatalf("technique %s: demand model attached but user-weighted CDFs are nil", p.Technique)
 		}

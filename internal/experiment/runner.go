@@ -20,19 +20,15 @@ import (
 // all runs of one technique share the identical pre-failure trajectory —
 // deploy, then converge — so the Runner pays that phase once per technique
 // (on a template world), snapshots it, and materializes each per-site run
-// from the snapshot. Restored runs are bit-identical to fresh sequential
-// runs, so results do not depend on Workers or reuse in any way.
+// from the snapshot, as the paper fails each site from the state an hour of
+// convergence left (§5.2). Restored runs are bit-identical to runs on a
+// fresh world (RunFailover), so results do not depend on Workers.
 //
-// The zero value is ready to use: Workers <= 0 runs GOMAXPROCS workers, and
-// reuse is on. Runner{Workers: 1, DisableReuse: true} reproduces the
-// historical strictly sequential behavior (at sequential cost).
+// The zero value is ready to use: Workers <= 0 runs GOMAXPROCS workers.
 type Runner struct {
 	// Workers bounds the number of concurrently executing runs. <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// DisableReuse turns off converged-world snapshot reuse: every run
-	// deploys and converges its own world from scratch.
-	DisableReuse bool
 	// Obs, when non-nil, instruments every world the Runner materializes and
 	// records runner-side metrics (run timings, snapshot cache traffic,
 	// worker utilization). Runner metrics are wall-clock and cache-history
@@ -102,10 +98,10 @@ func snapKey(cfg WorldConfig, tech core.Technique) string {
 	return fmt.Sprintf("%s tech=%T%+v", cfg.identity(), tech, tech)
 }
 
-// buildSnapshot deploys and converges a template world and snapshots it.
-// A (nil, nil) return means the world cannot be snapshotted — convergence
-// did not drain the event queue within its deadline — and callers must fall
-// back to fresh full runs.
+// buildSnapshot deploys and converges a template world and snapshots it. A
+// world whose convergence left events pending cannot be snapshotted, and
+// its technique's runs fail with that error rather than start from a world
+// that has not settled.
 func buildSnapshot(cfg WorldConfig, tech core.Technique) (*WorldSnapshot, error) {
 	w, err := NewConvergedWorld(cfg, tech, ConvergeTime)
 	if err != nil {
@@ -113,17 +109,14 @@ func buildSnapshot(cfg WorldConfig, tech core.Technique) (*WorldSnapshot, error)
 	}
 	snap, err := w.Snapshot()
 	if err != nil {
-		return nil, nil
+		return nil, fmt.Errorf("experiment: converged %s world: %w", tech.Name(), err)
 	}
 	return snap, nil
 }
 
 // convergedSnapshot returns the (possibly cached) converged snapshot for the
-// key, or nil when reuse is off or snapshotting is impossible.
+// key.
 func (r *Runner) convergedSnapshot(cfg WorldConfig, tech core.Technique) (*WorldSnapshot, error) {
-	if r != nil && r.DisableReuse {
-		return nil, nil
-	}
 	m := r.metrics()
 	snap, hit, evicted, err := worldSnaps.Get(snapKey(cfg, tech), func() (*WorldSnapshot, error) {
 		m.snapBuilds.Inc()
@@ -139,23 +132,19 @@ func (r *Runner) convergedSnapshot(cfg WorldConfig, tech core.Technique) (*World
 	return snap, err
 }
 
-// materialize produces a deployed, converged world ready for one failover
-// run: restored from the snapshot when one exists, built from scratch
-// otherwise. Restored worlds are re-instrumented with the caller's registry
-// (snapshots strip theirs).
-func (r *Runner) materialize(cfg WorldConfig, tech core.Technique, snap *WorldSnapshot) (*World, error) {
+// materialize restores a deployed, converged world from snap, ready for one
+// run, and re-instruments it with the caller's registry (snapshots strip
+// theirs).
+func (r *Runner) materialize(cfg WorldConfig, snap *WorldSnapshot) (*World, error) {
 	m := r.metrics()
 	defer obs.StartTimer(m.matSecs).Stop()
-	if snap != nil {
-		m.restores.Inc()
-		w, err := RestoreWorld(snap)
-		if err != nil {
-			return nil, err
-		}
-		w.Instrument(cfg.Obs)
-		return w, nil
+	m.restores.Inc()
+	w, err := RestoreWorld(snap)
+	if err != nil {
+		return nil, err
 	}
-	return NewConvergedWorld(cfg, tech, ConvergeTime)
+	w.Instrument(cfg.Obs)
+	return w, nil
 }
 
 // matrixPool is the bounded worker pool behind RunMatrix and
@@ -245,7 +234,7 @@ func (r *Runner) RunMatrix(cfg WorldConfig, sel *Selection, techs []core.Techniq
 			for si, site := range sites {
 				p.spawn(func() error {
 					start := time.Now()
-					w, err := r.materialize(cfg, tech, snap)
+					w, err := r.materialize(cfg, snap)
 					if err != nil {
 						return err
 					}

@@ -11,10 +11,31 @@ import (
 	"bestofboth/internal/topology"
 )
 
+// freshFigure2 is the reference the Runner's restored runs must equal:
+// every ⟨technique, site⟩ failover run once on its own fresh world
+// (RunFailover), strictly in order, each technique's runs pooled as Figure2
+// pools them. It returns the runs [technique][site] and the pooled pairs.
+func freshFigure2(t *testing.T, cfg WorldConfig, sel *Selection, techs []core.Technique, sites []string, fc FailoverConfig) ([][]*RunResult, []CDFPair) {
+	t.Helper()
+	matrix := make([][]*RunResult, len(techs))
+	var pairs []CDFPair
+	for ti, tech := range techs {
+		for _, site := range sites {
+			res, err := RunFailover(cfg, sel, tech, site, fc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matrix[ti] = append(matrix[ti], res)
+		}
+		pairs = append(pairs, poolRuns(tech.Name(), matrix[ti], fc.ProbeDuration))
+	}
+	return matrix, pairs
+}
+
 // TestRunnerDeterminismAcrossWorkers is the regression gate for the
 // parallel runner: the same seed must produce deeply equal CDFs and
-// per-target outcomes whether the matrix runs strictly sequentially without
-// reuse or on 8 workers with converged-world reuse.
+// per-target outcomes whether each run has a fresh world of its own, one at
+// a time, or the matrix runs on 8 workers restoring converged snapshots.
 func TestRunnerDeterminismAcrossWorkers(t *testing.T) {
 	cfg := tinyConfig(21)
 	sel := mustSelect(t, cfg, 20)
@@ -22,41 +43,32 @@ func TestRunnerDeterminismAcrossWorkers(t *testing.T) {
 	techs := []core.Technique{core.ReactiveAnycast{}, core.Anycast{}}
 	sites := []string{"atl", "msn"}
 
-	seq := &Runner{Workers: 1, DisableReuse: true}
 	par := &Runner{Workers: 8}
-
-	seqM, err := seq.RunMatrix(cfg, sel, techs, sites, fc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	freshM, freshPairs := freshFigure2(t, cfg, sel, techs, sites, fc)
 	parM, err := par.RunMatrix(cfg, sel, techs, sites, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ti := range techs {
 		for si := range sites {
-			a, b := seqM[ti][si], parM[ti][si]
+			a, b := freshM[ti][si], parM[ti][si]
 			if a.Technique != b.Technique || a.FailedSite != b.FailedSite ||
 				a.Controllable != b.Controllable {
 				t.Fatalf("run [%d][%d] headers differ: %+v vs %+v", ti, si, a, b)
 			}
 			if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
-				t.Fatalf("run [%d][%d] (%s/%s): outcomes differ between workers=1 and workers=8",
+				t.Fatalf("run [%d][%d] (%s/%s): outcomes differ between fresh worlds and workers=8",
 					ti, si, a.Technique, a.FailedSite)
 			}
 		}
 	}
 
-	seqPairs, err := seq.Figure2(cfg, sel, techs, sites, fc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	parPairs, err := par.Figure2(cfg, sel, techs, sites, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seqPairs, parPairs) {
-		t.Fatal("Figure2 CDF pairs differ between workers=1 and workers=8")
+	if !reflect.DeepEqual(freshPairs, parPairs) {
+		t.Fatal("Figure2 CDF pairs differ between fresh worlds and workers=8")
 	}
 }
 
@@ -68,9 +80,6 @@ func TestWorldSnapshotIsolation(t *testing.T) {
 	snap, err := buildSnapshot(cfg, core.ReactiveAnycast{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("converged world was not snapshotable")
 	}
 	a, err := RestoreWorld(snap)
 	if err != nil {
@@ -172,9 +181,6 @@ func TestRunFailoverMatchesRunnerReuse(t *testing.T) {
 	snap, err := buildSnapshot(cfg, tech)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("converged world was not snapshotable")
 	}
 	w, err := RestoreWorld(snap)
 	if err != nil {

@@ -110,9 +110,9 @@ func scenarioGroups(w *World, sel *Selection, maxPerSite int) []scenario.Group {
 	return groups
 }
 
-// RunScenario executes one scenario against one technique on a fresh world
-// materialized from the (possibly cached) converged snapshot. Results are
-// bit-identical regardless of snapshot reuse or concurrency.
+// RunScenario executes one scenario against one technique on a world
+// restored from the (possibly cached) converged snapshot. Results are
+// bit-identical to a run on a fresh converged world, at any concurrency.
 func (r *Runner) RunScenario(cfg WorldConfig, sel *Selection, tech core.Technique, sc *scenario.Scenario, sco ScenarioConfig) (*scenario.Result, error) {
 	sco.fill()
 	if r != nil && r.Obs != nil {
@@ -123,7 +123,7 @@ func (r *Runner) RunScenario(cfg WorldConfig, sel *Selection, tech core.Techniqu
 	if err != nil {
 		return nil, err
 	}
-	w, err := r.materialize(eff, tech, snap)
+	w, err := r.materialize(eff, snap)
 	if err != nil {
 		return nil, err
 	}

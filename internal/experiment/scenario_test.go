@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"bestofboth/internal/collector"
 	"bestofboth/internal/core"
 	"bestofboth/internal/scenario"
 	"bestofboth/internal/topology"
@@ -40,11 +41,13 @@ func shortScenarios() []*scenario.Scenario {
 	}
 }
 
-// TestScenarioDeterminismAcrossWorkers extends the PR-1 determinism gate to
+// TestScenarioDeterminismAcrossWorkers extends the determinism gate to
 // scenario runs: the full ⟨technique, scenario⟩ matrix — including the
 // damping-enabled flap, which builds a different world — must be deeply
-// equal between a strictly sequential runner without snapshot reuse and an
-// 8-worker runner with reuse.
+// equal between runs on fresh converged worlds, one at a time, and an
+// 8-worker runner restoring converged snapshots. The restored world's
+// collector archive must equal the fresh world's too: no run result reads
+// it, and the damped world's event-driven converge leaves one.
 func TestScenarioDeterminismAcrossWorkers(t *testing.T) {
 	cfg := tinyConfig(31)
 	sel := mustSelect(t, cfg, 20)
@@ -52,25 +55,43 @@ func TestScenarioDeterminismAcrossWorkers(t *testing.T) {
 	techs := []core.Technique{core.ReactiveAnycast{}, core.Anycast{}}
 	scs := shortScenarios()
 
-	seq := &Runner{Workers: 1, DisableReuse: true}
 	par := &Runner{Workers: 8}
-
-	seqM, err := seq.RunScenarioMatrix(cfg, sel, techs, scs, sco)
-	if err != nil {
-		t.Fatal(err)
-	}
 	parM, err := par.RunScenarioMatrix(cfg, sel, techs, scs, sco)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ti := range techs {
-		for si := range scs {
-			a, b := seqM[ti][si], parM[ti][si]
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("scenario run [%s][%s] differs between workers=1 and workers=8:\n%+v\nvs\n%+v",
-					techs[ti].Name(), scs[si].Name, a, b)
+	archived := 0
+	for ti, tech := range techs {
+		for si, sc := range scs {
+			eff := ScenarioWorldConfig(cfg, sc)
+			w, err := NewConvergedWorld(eff, tech, ConvergeTime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := par.convergedSnapshot(eff, tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rw, err := par.materialize(eff, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(rw.Collector.Records(), w.Collector.Records(), func(a, b collector.Record) bool { return reflect.DeepEqual(a, b) }) {
+				t.Errorf("[%s][%s]: the restored world's collector archive differs from a fresh world's", tech.Name(), sc.Name)
+			}
+			archived += len(w.Collector.Records())
+			fresh, err := scenario.Run(w.Env(), sc, scenarioGroups(w, sel, sco.MaxTargetsPerSite), sco.Options)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fresh, parM[ti][si]) {
+				t.Errorf("scenario run [%s][%s] differs between a fresh world and workers=8:\n%+v\nvs\n%+v",
+					tech.Name(), sc.Name, fresh, parM[ti][si])
 			}
 		}
+	}
+	if archived == 0 {
+		t.Error("no converged world archived a record: the archive check compared nothing")
 	}
 }
 
@@ -163,7 +184,7 @@ func TestScenarioPopulationMatchesFailover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := r.materialize(tc.cfg, tc.tech, snap)
+			w, err := r.materialize(tc.cfg, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +193,7 @@ func TestScenarioPopulationMatchesFailover(t *testing.T) {
 				bySite[g.Site] = append(bySite[g.Site], g.Targets...)
 			}
 			for _, s := range w.CDN.Sites() {
-				fw, err := r.materialize(tc.cfg, tc.tech, snap)
+				fw, err := r.materialize(tc.cfg, snap)
 				if err != nil {
 					t.Fatal(err)
 				}

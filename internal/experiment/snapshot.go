@@ -30,8 +30,7 @@ type WorldSnapshot struct {
 
 // Snapshot captures the world's state. It fails if simulation events are
 // pending: converge first, and if convergence did not finish within its
-// deadline the world cannot be snapshotted (callers fall back to fresh
-// runs).
+// deadline the world cannot be snapshotted.
 func (w *World) Snapshot() (*WorldSnapshot, error) {
 	simSnap, err := w.Sim.Snapshot()
 	if err != nil {

@@ -47,7 +47,7 @@ func (r *Runner) PrependSweep(cfg WorldConfig, sel *Selection, depths []int, sit
 		if err != nil {
 			return nil, err
 		}
-		w, err := r.materialize(cfg, techs[di], snap)
+		w, err := r.materialize(cfg, snap)
 		if err != nil {
 			return nil, err
 		}

@@ -12,12 +12,10 @@ import (
 // zero-padded). fuzzMapped turns a 4-byte address into its 4-in-6 form
 // ::ffff:a.b.c.d and shifts the length past the 96-bit mapping prefix, so
 // the trie is offered, and must refuse, the very addresses the IPv4 steps
-// store. fuzzClone makes the step clone the trie first: the step and
-// everything after it run on the clone, and the trie left behind must never
-// change again.
+// store. Bit 0x10 of the op byte, once a clone step, is ignored, so the
+// committed corpus still decodes to the same inserts, deletes and lookups.
 type fuzzStep struct {
 	op      byte // fuzzInsert, fuzzDelete or fuzzProbe
-	clone   bool
 	nonIPv4 bool // a fuzzV6 or fuzzMapped step
 	pfx     netip.Prefix
 	addr    netip.Addr // the unmasked address, for lookups
@@ -30,7 +28,6 @@ const (
 	fuzzOpMask = 0x03 // 3 is a second insert, so scripts lean towards populated tries
 	fuzzV6     = 0x04
 	fuzzMapped = 0x08
-	fuzzClone  = 0x10
 )
 
 func decodeFuzzScript(data []byte) []fuzzStep {
@@ -54,11 +51,11 @@ func decodeFuzzScript(data []byte) []fuzzStep {
 		default:
 			addr, length = netip.AddrFrom4([4]byte(raw[:4])), length%33
 		}
-		clone, nonIPv4 := op&fuzzClone != 0, op&(fuzzV6|fuzzMapped) != 0
+		nonIPv4 := op&(fuzzV6|fuzzMapped) != 0
 		if op &= fuzzOpMask; op > fuzzProbe {
 			op = fuzzInsert
 		}
-		steps = append(steps, fuzzStep{op: op, clone: clone, nonIPv4: nonIPv4, pfx: netip.PrefixFrom(addr, length), addr: addr})
+		steps = append(steps, fuzzStep{op: op, nonIPv4: nonIPv4, pfx: netip.PrefixFrom(addr, length), addr: addr})
 	}
 	return steps
 }
@@ -70,81 +67,69 @@ type walked struct {
 	V int
 }
 
-// walkOf collects a whole Walk, of either implementation.
-func walkOf(walk func(func(netip.Prefix, int) bool)) []walked {
-	var out []walked
-	walk(func(p netip.Prefix, v int) bool { out = append(out, walked{p, v}); return true })
-	return out
-}
-
-// FuzzTrie runs an insert/delete/replace/lookup/get/clone script against
-// the path-compressed trie and the bit-per-node reference. After every step
-// Lookup, Get and Len must agree, and a step on an IPv6 or 4-in-6 prefix
-// must be refused: Insert errs, Delete, Get and Lookup miss, and Len stays
-// as it was. At the end the two Walk
-// sequences must be equal element for element, order included, and every
-// trie a clone step left behind must still walk as the reference did at the
-// moment it was cloned — the property world restores rest on, since the
-// tries a snapshot shares are exactly such originals. The seed corpus under
+// FuzzTrie runs an insert/delete/replace/lookup script against the trie and
+// the linear-scan reference (naiveEntry, naiveLookup). After every step
+// Insert's error, Delete's result and Lookup must agree with the reference,
+// and a step on an IPv6 or 4-in-6 prefix must be refused: Insert errs, and
+// Delete and Lookup miss. At the end Walk must visit exactly the reference's
+// entries in ascending (address, length) order. The seed corpus under
 // testdata/fuzz/FuzzTrie runs as unit cases on every go test.
 func FuzzTrie(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, want := New[int](), newRef[int]()
-		type original struct {
-			step int
-			trie *Trie[int]
-			walk []walked // the reference's, when the clone was taken
-		}
-		var originals []original
+		got := New[int]()
+		var want []naiveEntry // one entry per stored (masked) prefix
 		for i, s := range decodeFuzzScript(data) {
-			if s.clone {
-				originals = append(originals, original{i, got, walkOf(want.Walk)})
-				got = got.Clone()
-			}
-			size := got.Len()
+			at := slices.IndexFunc(want, func(e naiveEntry) bool { return e.p == s.pfx.Masked() })
 			switch s.op {
 			case fuzzInsert:
-				// Unmasked on purpose: both sides must canonicalize alike.
-				g, w := got.Insert(s.pfx, i), want.Insert(s.pfx, i)
-				if (g == nil) != (w == nil) {
-					t.Fatalf("step %d: Insert(%v) = %v, reference %v", i, s.pfx, g, w)
+				// Unmasked on purpose: the trie must store the masked form.
+				err := got.Insert(s.pfx, i)
+				if (err != nil) != s.nonIPv4 {
+					t.Fatalf("step %d: Insert(%v) = %v, want an error only for a non-IPv4 prefix", i, s.pfx, err)
 				}
-				if s.nonIPv4 && g == nil {
-					t.Fatalf("step %d: Insert(%v) of a non-IPv4 prefix succeeded", i, s.pfx)
+				switch {
+				case err != nil:
+				case at >= 0:
+					want[at].v = i
+				default:
+					want = append(want, naiveEntry{s.pfx.Masked(), i})
 				}
 			case fuzzDelete:
-				g, w := got.Delete(s.pfx), want.Delete(s.pfx)
-				if g != w {
-					t.Fatalf("step %d: Delete(%v) = %v, reference %v", i, s.pfx, g, w)
+				if g := got.Delete(s.pfx); g != (at >= 0) {
+					t.Fatalf("step %d: Delete(%v) = %v, reference %v", i, s.pfx, g, at >= 0)
 				}
-				if s.nonIPv4 && g {
-					t.Fatalf("step %d: Delete(%v) of a non-IPv4 prefix hit", i, s.pfx)
+				if at >= 0 {
+					want = slices.Delete(want, at, at+1)
 				}
 			}
-			gp, gv, lok := got.Lookup(s.addr)
-			wp, wv, wok := want.Lookup(s.addr)
-			if gp != wp || gv != wv || lok != wok {
-				t.Fatalf("step %d: Lookup(%v) = %v %d %v, reference %v %d %v", i, s.addr, gp, gv, lok, wp, wv, wok)
+			gp, gv, gok := got.Lookup(s.addr)
+			wp, wv, wok := naiveLookup(want, s.addr)
+			if gp != wp || gv != wv || gok != wok {
+				t.Fatalf("step %d: Lookup(%v) = %v %d %v, reference %v %d %v", i, s.addr, gp, gv, gok, wp, wv, wok)
 			}
-			gv, gok := got.Get(s.pfx)
-			wv, wok = want.Get(s.pfx)
-			if gv != wv || gok != wok {
-				t.Fatalf("step %d: Get(%v) = %d %v, reference %d %v", i, s.pfx, gv, gok, wv, wok)
-			}
-			if got.Len() != want.Len() {
-				t.Fatalf("step %d: Len = %d, reference %d", i, got.Len(), want.Len())
-			}
-			if s.nonIPv4 && (lok || gok || got.Len() != size) {
-				t.Fatalf("step %d: non-IPv4 %v reached the trie: Lookup hit %v, Get hit %v, Len %d -> %d", i, s.pfx, lok, gok, size, got.Len())
+			if s.nonIPv4 && gok {
+				t.Fatalf("step %d: Lookup(%v) of a non-IPv4 address hit %v", i, s.addr, gp)
 			}
 		}
-		if gw, ww := walkOf(got.Walk), walkOf(want.Walk); !slices.Equal(gw, ww) {
+		slices.SortFunc(want, func(a, b naiveEntry) int {
+			if c := a.p.Addr().Compare(b.p.Addr()); c != 0 {
+				return c
+			}
+			return a.p.Bits() - b.p.Bits()
+		})
+		ww := make([]walked, len(want))
+		for i, e := range want {
+			ww[i] = walked{e.p, e.v}
+		}
+		if gw := walkOf(got); !slices.Equal(gw, ww) {
 			t.Fatalf("Walk differs:\n got %v\nwant %v", gw, ww)
 		}
-		for _, o := range originals {
-			if gw := walkOf(o.trie.Walk); !slices.Equal(gw, o.walk) {
-				t.Fatalf("trie cloned at step %d changed afterwards:\n got %v\nwant %v", o.step, gw, o.walk)
-			}
-		}
 	})
+}
+
+// walkOf collects a whole Walk.
+func walkOf(tr *Trie[int]) []walked {
+	var out []walked
+	tr.Walk(func(p netip.Prefix, v int) bool { out = append(out, walked{p, v}); return true })
+	return out
 }

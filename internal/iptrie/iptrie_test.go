@@ -18,15 +18,22 @@ func mustPrefix(t *testing.T, s string) netip.Prefix {
 	return p
 }
 
+// prefixesOf returns the prefixes Walk visits, in its order.
+func prefixesOf[V any](tr *Trie[V]) []netip.Prefix {
+	var out []netip.Prefix
+	tr.Walk(func(p netip.Prefix, _ V) bool { out = append(out, p); return true })
+	return out
+}
+
 func TestInsertLookupExact(t *testing.T) {
 	tr := New[string]()
 	p := mustPrefix(t, "184.164.244.0/24")
 	if err := tr.Insert(p, "site-a"); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := tr.Get(p)
-	if !ok || got != "site-a" {
-		t.Fatalf("Get = %q, %v", got, ok)
+	got, v, ok := tr.Lookup(p.Addr())
+	if !ok || got != p || v != "site-a" {
+		t.Fatalf("Lookup = %v %q %v", got, v, ok)
 	}
 }
 
@@ -78,8 +85,8 @@ func TestDeleteMissing(t *testing.T) {
 	if tr.Delete(mustPrefix(t, "10.0.0.0/16")) {
 		t.Fatal("deleting absent sub-prefix reported true")
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tr.Len())
+	if ps := prefixesOf(tr); len(ps) != 1 {
+		t.Fatalf("Walk visits %v, want one prefix", ps)
 	}
 }
 
@@ -108,18 +115,18 @@ func TestInsertReplacesValue(t *testing.T) {
 	p := mustPrefix(t, "192.0.2.0/24")
 	tr.Insert(p, 1)
 	tr.Insert(p, 2)
-	if v, _ := tr.Get(p); v != 2 {
+	if _, v, _ := tr.Lookup(p.Addr()); v != 2 {
 		t.Fatalf("got %d, want 2", v)
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tr.Len())
+	if ps := prefixesOf(tr); len(ps) != 1 {
+		t.Fatalf("Walk visits %v, want one prefix", ps)
 	}
 }
 
 // TestInsertRefusesNonIPv4 pins the trie to one address family: an IPv6
 // or 4-in-6 prefix is refused with an error and leaves the trie as it was,
-// and IPv6 and 4-in-6 prefixes and addresses miss in Get, Delete and Lookup
-// even under an IPv4 default route.
+// and IPv6 and 4-in-6 prefixes and addresses miss in Delete and Lookup even
+// under an IPv4 default route.
 func TestInsertRefusesNonIPv4(t *testing.T) {
 	tr := New[string]()
 	if err := tr.Insert(mustPrefix(t, "0.0.0.0/0"), "v4-default"); err != nil {
@@ -130,11 +137,11 @@ func TestInsertRefusesNonIPv4(t *testing.T) {
 		if err := tr.Insert(p, "refused"); err == nil {
 			t.Errorf("Insert(%v) succeeded", p)
 		}
-		if tr.Len() != 1 {
-			t.Fatalf("Len after Insert(%v) = %d, want 1", p, tr.Len())
+		if ps := prefixesOf(tr); len(ps) != 1 {
+			t.Fatalf("Walk after Insert(%v) visits %v, want one prefix", p, ps)
 		}
-		if v, ok := tr.Get(p); ok {
-			t.Errorf("Get(%v) = %q", p, v)
+		if got, v, ok := tr.Lookup(p.Addr()); ok {
+			t.Errorf("Lookup(%v) = %v %q", p.Addr(), got, v)
 		}
 		if tr.Delete(p) {
 			t.Errorf("Delete(%v) reported true", p)
@@ -148,8 +155,8 @@ func TestInsertRefusesNonIPv4(t *testing.T) {
 	if p, v, ok := tr.Lookup(netip.MustParseAddr("10.0.0.1")); !ok || v != "v4-default" || p.Bits() != 0 {
 		t.Fatalf("Lookup(10.0.0.1) = %v %q %v, want the default route", p, v, ok)
 	}
-	if ps := tr.Prefixes(); len(ps) != 1 || ps[0] != mustPrefix(t, "0.0.0.0/0") {
-		t.Fatalf("Prefixes = %v", ps)
+	if ps := prefixesOf(tr); len(ps) != 1 || ps[0] != mustPrefix(t, "0.0.0.0/0") {
+		t.Fatalf("Walk visits %v", ps)
 	}
 }
 
@@ -171,17 +178,14 @@ func TestWalkAndPrefixes(t *testing.T) {
 	for i, s := range ps {
 		tr.Insert(mustPrefix(t, s), i)
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
-	}
-	got := tr.Prefixes()
+	got := prefixesOf(tr)
 	if len(got) != 4 {
-		t.Fatalf("Prefixes len = %d", len(got))
+		t.Fatalf("Walk visits %d prefixes, want 4", len(got))
 	}
 	for i := 1; i < len(got); i++ {
 		a, b := got[i-1], got[i]
 		if c := a.Addr().Compare(b.Addr()); c > 0 || (c == 0 && a.Bits() >= b.Bits()) {
-			t.Fatalf("Prefixes not sorted: %v before %v", a, b)
+			t.Fatalf("Walk not sorted: %v before %v", a, b)
 		}
 	}
 	n := 0
@@ -204,7 +208,7 @@ func TestWalkOrder(t *testing.T) {
 			// keep nested prefixes that share an address in play
 			p = netip.PrefixFrom(netip.IPv4Unspecified(), r.Intn(33))
 		}
-		if _, dup := tr.Get(p); dup {
+		if slices.Contains(want, p) {
 			continue
 		}
 		if err := tr.Insert(p, i); err != nil {
@@ -219,9 +223,7 @@ func TestWalkOrder(t *testing.T) {
 		}
 		return a.Bits() < b.Bits()
 	})
-	var got []netip.Prefix
-	tr.Walk(func(p netip.Prefix, _ int) bool { got = append(got, p); return true })
-	if !slices.Equal(got, want) {
+	if got := prefixesOf(tr); !slices.Equal(got, want) {
 		t.Fatalf("Walk order differs from (address, length) order:\n got %v\nwant %v", got, want)
 	}
 }
@@ -234,8 +236,11 @@ func TestMaskedInsertCanonicalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Insert(p, 7)
-	if v, ok := tr.Get(mustPrefix(t, "10.0.0.0/8")); !ok || v != 7 {
-		t.Fatalf("canonical get = %d, %v", v, ok)
+	if got, v, ok := tr.Lookup(netip.MustParseAddr("10.200.0.1")); !ok || got != mustPrefix(t, "10.0.0.0/8") || v != 7 {
+		t.Fatalf("Lookup = %v %d %v, want the canonical 10.0.0.0/8", got, v, ok)
+	}
+	if ps := prefixesOf(tr); len(ps) != 1 || ps[0] != mustPrefix(t, "10.0.0.0/8") {
+		t.Fatalf("Walk visits %v, want the canonical 10.0.0.0/8", ps)
 	}
 }
 
@@ -324,7 +329,7 @@ func TestInsertDeleteProperty(t *testing.T) {
 				}
 				delete(live, p)
 			}
-			if tr.Len() != len(live) {
+			if len(prefixesOf(tr)) != len(live) {
 				return false
 			}
 		}
