@@ -205,6 +205,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTrie -fuzztime=$(FUZZTIME) ./internal/iptrie
 	$(GO) test -run='^$$' -fuzz=FuzzProber -fuzztime=$(FUZZTIME) ./internal/dataplane
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzWindows -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeTarget -fuzztime=$(FUZZTIME) ./internal/experiment
 	$(GO) test -run='^$$' -fuzz=FuzzDNSDecode -fuzztime=$(FUZZTIME) ./internal/dns
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesConverge -fuzztime=$(FUZZTIME) -parallel 2 ./internal/experiment

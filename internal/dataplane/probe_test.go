@@ -11,6 +11,7 @@ import (
 	"bestofboth/internal/bgp"
 	"bestofboth/internal/netsim"
 	"bestofboth/internal/obs"
+	"bestofboth/internal/tally"
 	"bestofboth/internal/topology"
 )
 
@@ -18,7 +19,6 @@ import (
 type probing interface {
 	Ping(topology.NodeID) uint32
 	PingEvery(target topology.NodeID, interval, duration float64)
-	Trace(topology.NodeID) *Trace
 	Sent() int
 	Answered() int
 }
@@ -32,7 +32,8 @@ type probing interface {
 //
 // s1 announces prefixA and s3 the covering superP until the script says
 // otherwise. Probers 0 and 1 reply to addrA (under both prefixes) and addrSup
-// (under superP only), so the plane keeps two journals.
+// (under superP only), so the plane keeps two journals. The real probers
+// fold per window between consecutive edges.
 type scriptWorld struct {
 	sim     *netsim.Sim
 	net     *bgp.Network
@@ -46,7 +47,7 @@ type scriptWorld struct {
 // echoes tie whenever the script says they should.
 const scriptT0 = 64
 
-func newScriptWorld(tb testing.TB, reference bool, from [2]int, loss float64) *scriptWorld {
+func newScriptWorld(tb testing.TB, reference bool, from [2]int, loss float64, edges []float64) *scriptWorld {
 	tb.Helper()
 	b := topology.NewBuilder()
 	t1 := b.AddNode(10, "t1", topology.ClassTier1, topology.Point{})
@@ -85,6 +86,7 @@ func newScriptWorld(tb testing.TB, reference bool, from [2]int, loss float64) *s
 		} else {
 			pr := NewProber(w.plane, node, addr)
 			pr.LossRate = loss
+			pr.Edges = edges
 			w.probers[i] = pr
 		}
 	}
@@ -100,7 +102,7 @@ const (
 	opSetDown          // node x goes down (y odd) or comes back
 	opCampaign         // PingEvery(node x, (1 + y%8) quarter seconds, z quarter seconds)
 	opPing             // Ping(node x)
-	opRead             // compare every trace with the reference's
+	opRead             // compare every target's fold with the reference's logs
 	numOps
 )
 
@@ -151,9 +153,24 @@ const (
 	nC2
 )
 
-// readout is what one opRead (or the final read) saw on the real prober.
+// readout is what one opRead (or the final read) saw: the reference's
+// traces, which the real probers' folds agreed with, and those folds.
 type readout struct {
-	traces [2]map[int]Trace // per prober, by node index; slices cloned
+	traces   [2]map[int]refTrace // per prober, by node index; slices cloned
+	outcomes [2]map[int]tally.Outcome
+}
+
+// scriptEdges returns the edges of a script's windows: its start and end and
+// the instant of every fault and read.
+func scriptEdges(ops []scriptOp) []float64 {
+	edges := []float64{scriptT0, scriptEnd}
+	for _, o := range ops {
+		if o.kind != opCampaign && o.kind != opPing {
+			edges = append(edges, scriptT0+o.at)
+		}
+	}
+	slices.Sort(edges)
+	return slices.Compact(edges)
 }
 
 // runScript runs a script twice on twin worlds of one seed, BGP jitter on:
@@ -161,13 +178,16 @@ type readout struct {
 // the calendars first, so each runs before any probe event of its instant;
 // campaigns, pings and reads happen between RunUntil calls, after every event
 // of their instant — the order failoverOn and scenario.Run construct. Every
-// read requires all traces, Sent and Answered to agree, and the run must
-// leave both networks in the same state: neither prober perturbs BGP.
+// read requires each target's fold to read as the reference's logs do — its
+// Outcome, and its Window between every two consecutive edges and across
+// all of them — and Sent and Answered to agree; the run must leave both
+// networks in the same state: neither prober perturbs BGP.
 func runScript(tb testing.TB, data []byte) []readout {
 	tb.Helper()
 	from, loss, ops := decodeScript(data)
-	real := newScriptWorld(tb, false, from, loss)
-	ref := newScriptWorld(tb, true, from, loss)
+	edges := scriptEdges(ops)
+	real := newScriptWorld(tb, false, from, loss, edges)
+	ref := newScriptWorld(tb, true, from, loss, edges)
 	for _, w := range []*scriptWorld{real, ref} {
 		for _, o := range ops {
 			site, pfx := w.nodes[nS1+o.x%3], []netip.Prefix{prefixA, superP}[o.y%2]
@@ -183,6 +203,10 @@ func runScript(tb testing.TB, data []byte) []readout {
 	}
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
 
+	windows := [][2]float64{{edges[0], edges[len(edges)-1]}}
+	for i := 1; i < len(edges); i++ {
+		windows = append(windows, [2]float64{edges[i-1], edges[i]})
+	}
 	var reads []readout
 	read := func(at float64) {
 		tb.Helper()
@@ -190,20 +214,27 @@ func runScript(tb testing.TB, data []byte) []readout {
 		ref.sim.RunUntil(at)
 		var r readout
 		for i := range real.probers {
-			got, want := real.probers[i], ref.probers[i]
-			r.traces[i] = map[int]Trace{}
+			got, want := real.probers[i].(*Prober), ref.probers[i].(*refProber)
+			r.traces[i], r.outcomes[i] = map[int]refTrace{}, map[int]tally.Outcome{}
 			for n, id := range real.nodes {
-				g, w := got.Trace(id), want.Trace(id)
-				if (g == nil) != (w == nil) {
-					tb.Fatalf("t=%v prober %d node %d: trace %v, reference %v", at, i, n, g, w)
+				o, ok := got.Outcome(id)
+				tr := want.Trace(id)
+				if ok != (tr != nil) {
+					tb.Fatalf("t=%v prober %d node %d: folded %v, reference trace %v", at, i, n, ok, tr)
 				}
-				if g == nil {
+				if !ok {
 					continue
 				}
-				if d := diffTraces(g, w); d != "" {
-					tb.Fatalf("t=%v prober %d node %d: %s", at, i, n, d)
+				if w := logOutcome(tr); o != w {
+					tb.Fatalf("t=%v prober %d node %d: outcome %+v, the reference's logs read %+v", at, i, n, o, w)
 				}
-				r.traces[i][n] = Trace{Target: g.Target, Probes: slices.Clone(g.Probes), Replies: slices.Clone(g.Replies)}
+				for _, win := range windows {
+					if g, w := got.Window(id, win[0], win[1]), logWindow(tr, win[0], win[1]); g != w {
+						tb.Fatalf("t=%v prober %d node %d: window %v is %+v, the reference's logs read %+v", at, i, n, win, g, w)
+					}
+				}
+				r.traces[i][n] = refTrace{Target: tr.Target, Probes: slices.Clone(tr.Probes), Replies: slices.Clone(tr.Replies)}
+				r.outcomes[i][n] = o
 			}
 			if got.Sent() != want.Sent() || got.Answered() != want.Answered() {
 				tb.Fatalf("t=%v prober %d: sent %d answered %d, reference %d and %d", at, i, got.Sent(), got.Answered(), want.Sent(), want.Answered())
@@ -234,27 +265,6 @@ func runScript(tb testing.TB, data []byte) []readout {
 		tb.Fatal("the twin networks ended in different states: a prober perturbed BGP")
 	}
 	return reads
-}
-
-// diffTraces names the first place two traces differ, or returns "".
-func diffTraces(got, want *Trace) string {
-	if got.Target != want.Target {
-		return fmt.Sprintf("target %d, want %d", got.Target, want.Target)
-	}
-	if d := diffLogs("probes", got.Probes, want.Probes); d != "" {
-		return d
-	}
-	return diffLogs("replies", got.Replies, want.Replies)
-}
-
-func diffLogs[T comparable](what string, got, want []T) string {
-	for i := 0; i < max(len(got), len(want)); i++ {
-		if i >= len(got) || i >= len(want) || got[i] != want[i] {
-			at := func(s []T) []T { return s[min(i, len(s)):min(i+1, len(s))] }
-			return fmt.Sprintf("%d %s, want %d; entry %d is %+v, want %+v", len(got), what, len(want), i, at(got), at(want))
-		}
-	}
-	return ""
 }
 
 // The hand-built cases: what the Figure 2 matrix never produces. They are
@@ -310,6 +320,16 @@ var handScripts = map[string][]byte{
 		scriptOp{kind: opRead, at: 1},
 		scriptOp{kind: opRead, at: 5},
 	),
+	// The prober is three seconds from c1 and the replies to addrA land next
+	// to it, at s1; s1 goes down at 4 s. The probe sent at 1 s is the first
+	// lost, which is known only at its echo, after 4 s, but the reply to the
+	// probe sent at 0 s landed after 1 s and before that: it is the window's
+	// reconnection all the same. A read at 3.75 s finds the probe in flight.
+	"reply-before-loss": script(nS3, nS2, 0,
+		scriptOp{kind: opCampaign, x: nC1, y: 1, z: 40, at: 0},
+		scriptOp{kind: opSetDown, x: nS1, y: 1, at: 4},
+		scriptOp{kind: opRead, at: 3.75},
+	),
 	// A lossy campaign still running when the script ends, across a
 	// withdrawal: the run is cut before the deadline.
 	"cut-before-deadline": script(nS2, nS2, 2,
@@ -332,13 +352,22 @@ func TestProberMatchesCalendarByHand(t *testing.T) {
 		}
 	}
 
+	// Arrival order is not emission order: the fold's first reply, last
+	// site and switches follow the reply that overtook.
 	tr := reads["overtaking-read-between"][0].traces[0][nC1]
 	if len(tr.Probes) != 2 || len(tr.Replies) != 1 || tr.Replies[0].Seq != 2 || tr.Probes[0].Reply != -1 {
 		t.Errorf("overtaking, read at 2 s: %+v, want the second reply only", tr)
 	}
-	for _, tr := range []Trace{reads["overtaking-read-between"][1].traces[0][nC1], reads["overtaking"][0].traces[0][nC1]} {
+	if o := reads["overtaking-read-between"][0].outcomes[0][nC1]; o.Answered != 1 || o.Gaps != 0 || !o.Stable || o.Since != tr.Replies[0].Time {
+		t.Errorf("overtaking, read at 2 s: %+v, want the first probe unanswered and the second stable", o)
+	}
+	for _, r := range []readout{reads["overtaking-read-between"][1], reads["overtaking"][0]} {
+		tr, o := r.traces[0][nC1], r.outcomes[0][nC1]
 		if len(tr.Replies) != 2 || tr.Replies[0].Seq != 2 || tr.Replies[1].Seq != 1 || tr.Probes[0].Reply != 1 || tr.Probes[1].Reply != 0 {
 			t.Errorf("overtaking, once both arrived: %+v, want reply 2 filed ahead of reply 1", tr)
+		}
+		if o.First != tr.Replies[0].Time || o.Final != tr.Replies[1].Site || o.Switches != 1 || o.Since != tr.Replies[0].Time {
+			t.Errorf("overtaking, once both arrived: %+v, want the overtaking reply first and the overtaken one last", o)
 		}
 	}
 
@@ -370,6 +399,9 @@ func TestProberMatchesCalendarByHand(t *testing.T) {
 		len(b.Replies) == 0 || len(b.Replies) >= len(b.Probes) || len(c.Replies) <= len(b.Replies) || b.Probes[0].Reply != 0 {
 		t.Errorf("read in mid-flight: %d/%d, %d/%d, %d/%d replies/probes at the three reads", len(a.Replies), len(a.Probes), len(b.Replies), len(b.Probes), len(c.Replies), len(c.Probes))
 	}
+	if o := mid[1].outcomes[1][nC2]; o.Stable || o.Gaps != 1 {
+		t.Errorf("read in mid-flight: %+v, want the replies still in flight counted as one open gap", o)
+	}
 
 	// The echo at the instant s1 goes down is dropped and the one at the
 	// instant it comes back is answered; the one at the withdrawal's instant
@@ -381,9 +413,20 @@ func TestProberMatchesCalendarByHand(t *testing.T) {
 		answered bool
 		site     topology.NodeID
 	}{{0.75, true, 3}, {1, false, 0}, {2.25, false, 0}, {2.5, true, 3}, {3.75, true, 3}, {4, false, 0}, {6, true, 3}} {
-		i := slices.IndexFunc(tr.Probes, func(p Probe) bool { return p.Time == scriptT0+c.at })
+		i := slices.IndexFunc(tr.Probes, func(p refProbe) bool { return p.Time == scriptT0+c.at })
 		if i < 0 || (tr.Probes[i].Reply >= 0) != c.answered || (c.answered && tr.Replies[tr.Probes[i].Reply].Site != c.site) {
 			t.Errorf("fault at echo instant: probe at %v s = %+v, want answered %v at node %d", c.at, tr.Probes[i], c.answered, c.site)
+		}
+	}
+
+	// The window before the fault reconnects at a reply that landed before
+	// its first loss was known: first while that probe was in flight, then
+	// once it was found lost.
+	for k, r := range reads["reply-before-loss"] {
+		tr := r.traces[0][nC1]
+		w := logWindow(&tr, scriptT0, scriptT0+4)
+		if !w.Lost || w.LostAt != scriptT0+1 || !w.Reconnected || !(w.ReconnectedAt < w.LostAt+3) || len(tr.Replies) == 0 || tr.Replies[0].Seq != 1 {
+			t.Errorf("reply before loss, read %d: window %+v of %+v, want the probe at 1 s lost and the reply to the first before 4 s", k, w, tr)
 		}
 	}
 
@@ -402,30 +445,31 @@ func FuzzProber(f *testing.F) {
 
 // TestLossCannotPerturbRouting is the property the per-probe loss function
 // exists for: at one seed a lossy run is the lossless run's BGP execution,
-// and each lossy trace is the lossless one minus exactly the probes the
-// function names.
+// and each lossy fold reads as the lossless trace minus exactly the probes
+// the function names.
 func TestLossCannotPerturbRouting(t *testing.T) {
-	run := func(loss float64) (*scriptWorld, *Prober) {
-		w := newScriptWorld(t, false, [2]int{nS2, nS2}, loss)
-		pr := w.probers[0].(*Prober)
+	run := func(loss float64, reference bool) *scriptWorld {
+		w := newScriptWorld(t, reference, [2]int{nS2, nS2}, loss, nil)
 		for _, n := range []int{nC1, nC2, nT3} {
-			pr.PingEvery(w.nodes[n], 0.5, 60)
+			w.probers[0].PingEvery(w.nodes[n], 0.5, 60)
 		}
 		w.sim.At(scriptT0+10, func() { w.net.Withdraw(w.nodes[nS1], prefixA) })
 		w.sim.At(scriptT0+30, func() { w.net.Originate(w.nodes[nS2], prefixA, nil) })
 		w.sim.RunUntil(scriptEnd)
-		return w, pr
+		return w
 	}
-	clean, cleanPr := run(0)
+	clean := run(0, true)
+	cleanPr := clean.probers[0].(*refProber)
 	for _, loss := range []float64{0.05, 0.4} {
-		lossy, pr := run(loss)
+		lossy := run(loss, false)
 		if lossy.net.MessageCount() != clean.net.MessageCount() || lossy.net.RouteStateDigest() != clean.net.RouteStateDigest() || lossy.plane.FIBDigest() != clean.plane.FIBDigest() {
 			t.Fatalf("loss %v: the lossy run is a different BGP execution", loss)
 		}
+		pr := lossy.probers[0].(*Prober)
 		dropped := 0
 		for _, n := range []int{nC1, nC2, nT3} {
-			got, all := pr.Trace(lossy.nodes[n]), cleanPr.Trace(clean.nodes[n])
-			want := Trace{Target: all.Target, Probes: slices.Clone(all.Probes)}
+			all := cleanPr.Trace(clean.nodes[n])
+			want := refTrace{Target: all.Target, Probes: slices.Clone(all.Probes)}
 			for _, r := range all.Replies { // arrival order survives the removals
 				if lost(pr.lossKey, uint64(r.Seq), legRequest, loss) || lost(pr.lossKey, uint64(r.Seq), legReply, loss) {
 					dropped++
@@ -434,10 +478,10 @@ func TestLossCannotPerturbRouting(t *testing.T) {
 				}
 			}
 			for i := range want.Probes {
-				want.Probes[i].Reply = int32(slices.IndexFunc(want.Replies, func(r Reply) bool { return r.Seq == want.Probes[i].Seq }))
+				want.Probes[i].Reply = int32(slices.IndexFunc(want.Replies, func(r refReply) bool { return r.Seq == want.Probes[i].Seq }))
 			}
-			if d := diffTraces(got, &want); d != "" {
-				t.Fatalf("loss %v, node %d: the lossy trace is not the lossless one minus the named probes: %s", loss, n, d)
+			if got, _ := pr.Outcome(lossy.nodes[n]); got != logOutcome(&want) {
+				t.Fatalf("loss %v, node %d: the lossy fold %+v is not the lossless trace minus the named probes, %+v", loss, n, got, logOutcome(&want))
 			}
 		}
 		if sent := pr.Sent(); sent != cleanPr.Sent() || dropped == 0 || pr.Answered() != cleanPr.Answered()-dropped {
@@ -449,7 +493,7 @@ func TestLossCannotPerturbRouting(t *testing.T) {
 // TestProbeCounters pins the plane's probe counters to what its probers
 // report, and the point of the journal: far fewer walks than probes.
 func TestProbeCounters(t *testing.T) {
-	w := newScriptWorld(t, false, [2]int{nS2, nS1}, 0.1)
+	w := newScriptWorld(t, false, [2]int{nS2, nS1}, 0.1, nil)
 	reg := obs.NewRegistry()
 	w.plane.Instrument(reg)
 	w.probers[0].PingEvery(w.nodes[nC1], 0.25, 60)
@@ -480,7 +524,7 @@ func TestProbeCounters(t *testing.T) {
 
 // TestPingSchedulesNothing pins that probing stays off the calendar.
 func TestPingSchedulesNothing(t *testing.T) {
-	w := newScriptWorld(t, false, [2]int{nS2, nS2}, 0)
+	w := newScriptWorld(t, false, [2]int{nS2, nS2}, 0, nil)
 	w.sim.At(scriptT0+1000, func() {})
 	pending := w.sim.Pending()
 	for i := 0; i < 1000; i++ {

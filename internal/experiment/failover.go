@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"bestofboth/internal/core"
-	"bestofboth/internal/dataplane"
 	"bestofboth/internal/scenario"
 	"bestofboth/internal/stats"
+	"bestofboth/internal/tally"
 	"bestofboth/internal/topology"
 	"bestofboth/internal/traffic"
 )
@@ -118,7 +118,7 @@ func RunFailover(cfg WorldConfig, sel *Selection, tech core.Technique, failCode 
 // failoverOn runs the post-convergence part of the experiment on an already
 // deployed, converged world: a one-event scenario — the site fails at the
 // start, or crashes silently for the health monitor to detect — probed for
-// ProbeDuration, then each target's trace analyzed.
+// ProbeDuration, then what each target's probes came to analyzed.
 func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, fc FailoverConfig) (*RunResult, error) {
 	// Written as !(x > 0) so NaN is refused too; a zero horizon would mean
 	// the scenario default instead.
@@ -176,68 +176,35 @@ func failoverOn(w *World, sel *Selection, tech core.Technique, failCode string, 
 	res.Outcomes = make([]TargetOutcome, 0, len(controllable))
 	for i, g := range groups {
 		for _, id := range g.Targets {
-			res.Outcomes = append(res.Outcomes, analyzeTarget(w, c.Probers[i].Trace(id), c.T0))
+			out, _ := c.Probers[i].Outcome(id)
+			res.Outcomes = append(res.Outcomes, analyzeTarget(w, id, out, c.T0))
 		}
 	}
 	return res, nil
 }
 
-// analyzeTarget derives the §5.4.1 metrics for one target from its probe
-// trace: arrival order for reconnection, bounces and the final site,
-// emission order (following each probe's Reply link) for gaps and failover.
-func analyzeTarget(w *World, tr *dataplane.Trace, t0 float64) TargetOutcome {
-	o := TargetOutcome{Target: tr.Target}
-	replies := tr.Replies
-	if len(replies) == 0 {
+// analyzeTarget derives the §5.4.1 metrics for one target from what its
+// probes came to: arrival order for reconnection, bounces and the final
+// site, emission order for gaps and failover.
+func analyzeTarget(w *World, id topology.NodeID, out tally.Outcome, t0 float64) TargetOutcome {
+	o := TargetOutcome{Target: id}
+	if out.Answered == 0 {
 		return o
 	}
 	o.Reconnected = true
-	o.Reconnection = replies[0].Time - t0
-
-	// Bounces: site changes across the captured replies.
-	for i := 1; i < len(replies); i++ {
-		if replies[i].Site != replies[i-1].Site {
-			o.Bounces++
-		}
-	}
-	o.FinalSite = siteCode(w, replies[len(replies)-1].Site)
-
-	// Gaps: runs of missing replies after the first answered probe.
-	inGap := false
-	seenFirst := false
-	for _, p := range tr.Probes {
-		got := p.Reply >= 0
-		if !seenFirst {
-			seenFirst = got
-			continue
-		}
-		if !got && !inGap {
-			o.Gaps++
-			inGap = true
-		} else if got {
-			inGap = false
-		}
-	}
-
+	o.Reconnection = out.First - t0
+	o.Bounces = out.Switches
+	o.FinalSite = siteCode(w, out.Final)
+	o.Gaps = out.Gaps
 	// Failover: the first reply after which the target neither loses a
 	// reply nor switches sites (§5.4.1) — the start of the maximal suffix of
 	// the send schedule with no loss and a constant site. The suffix must
 	// extend through the final ping sent, otherwise the target ended the
 	// experiment disconnected.
-	last := len(tr.Probes) - 1
-	if tr.Probes[last].Reply < 0 {
-		return o // final ping lost: no stable suffix
+	if out.Stable {
+		o.FailedOver = true
+		o.Failover = out.Since - t0
 	}
-	start := replies[tr.Probes[last].Reply]
-	for i := last - 1; i >= 0; i-- {
-		ri := tr.Probes[i].Reply
-		if ri < 0 || replies[ri].Site != start.Site {
-			break
-		}
-		start = replies[ri]
-	}
-	o.FailedOver = true
-	o.Failover = start.Time - t0
 	return o
 }
 

@@ -8,73 +8,40 @@ import (
 	"testing"
 
 	"bestofboth/internal/core"
-	"bestofboth/internal/dataplane"
 	"bestofboth/internal/scenario"
+	"bestofboth/internal/tally"
 	"bestofboth/internal/topology"
 )
 
-// refCaptureEntry is the flat capture log's entry as it was before the
-// prober filed replies per target (dataplane.CaptureEntry).
-type refCaptureEntry struct {
-	Time   float64
-	Seq    uint32
-	Target topology.NodeID
-	Site   topology.NodeID
-}
-
-// refAnalyzeTarget is analyzeTarget as it stood over the flat logs, verbatim
-// apart from the entry type's name: a target's captures are copied into a
-// scratch, re-sorted by sequence number and binary-searched. It is the
-// reference the trace-walking analyzeTarget is pinned against.
-func refAnalyzeTarget(w *World, id topology.NodeID, sent []uint32, caps []refCaptureEntry, t0 float64, scratch []refCaptureEntry) (TargetOutcome, []refCaptureEntry) {
-	o := TargetOutcome{Target: id}
-	if len(caps) == 0 {
-		return o, scratch
+// refAnalyzeTarget is analyzeTarget as it stood over the logs the prober
+// kept before it folded them, verbatim apart from the trace's type: arrival
+// order for reconnection, bounces and the final site, emission order
+// (following each probe's Reply link) for gaps and failover. It is the
+// reference the fold-reading analyzeTarget is pinned against.
+func refAnalyzeTarget(w *World, tr *refTrace, t0 float64) TargetOutcome {
+	o := TargetOutcome{Target: tr.Target}
+	replies := tr.Replies
+	if len(replies) == 0 {
+		return o
 	}
 	o.Reconnected = true
-	o.Reconnection = caps[0].Time - t0
+	o.Reconnection = replies[0].Time - t0
 
 	// Bounces: site changes across the captured replies.
-	for i := 1; i < len(caps); i++ {
-		if caps[i].Site != caps[i-1].Site {
+	for i := 1; i < len(replies); i++ {
+		if replies[i].Site != replies[i-1].Site {
 			o.Bounces++
 		}
 	}
-	if s := siteCode(w, caps[len(caps)-1].Site); s != "" {
-		o.FinalSite = s
-	}
+	o.FinalSite = siteCode(w, replies[len(replies)-1].Site)
 
-	// Index captures by sequence number: a seq-sorted slice searched in
-	// order, since sent sequences are emitted in ascending order.
-	scratch = append(scratch[:0], caps...)
-	slices.SortFunc(scratch, func(a, b refCaptureEntry) int {
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-	find := func(seq uint32) (refCaptureEntry, bool) {
-		i, ok := slices.BinarySearchFunc(scratch, seq, func(e refCaptureEntry, s uint32) int {
-			return cmp.Compare(e.Seq, s)
-		})
-		if !ok {
-			return refCaptureEntry{}, false
-		}
-		return scratch[i], true
-	}
-
-	// Gaps: runs of missing replies after the first captured reply. One
-	// merge walk over the ascending send schedule and the seq-sorted
-	// captures.
+	// Gaps: runs of missing replies after the first answered probe.
 	inGap := false
 	seenFirst := false
-	j := 0
-	for _, seq := range sent {
-		for j < len(scratch) && scratch[j].Seq < seq {
-			j++
-		}
-		got := j < len(scratch) && scratch[j].Seq == seq
+	for _, p := range tr.Probes {
+		got := p.Reply >= 0
 		if !seenFirst {
-			if got {
-				seenFirst = true
-			}
+			seenFirst = got
 			continue
 		}
 		if !got && !inGap {
@@ -90,84 +57,29 @@ func refAnalyzeTarget(w *World, id topology.NodeID, sent []uint32, caps []refCap
 	// the send schedule with no loss and a constant site. The suffix must
 	// extend through the final ping sent, otherwise the target ended the
 	// experiment disconnected.
-	lastCap, ok := find(sent[len(sent)-1])
-	if !ok {
-		return o, scratch // final ping lost: no stable suffix
+	last := len(tr.Probes) - 1
+	if tr.Probes[last].Reply < 0 {
+		return o // final ping lost: no stable suffix
 	}
-	start := lastCap
-	for i := len(sent) - 2; i >= 0; i-- {
-		c, ok := find(sent[i])
-		if !ok || c.Site != lastCap.Site {
+	start := replies[tr.Probes[last].Reply]
+	for i := last - 1; i >= 0; i-- {
+		ri := tr.Probes[i].Reply
+		if ri < 0 || replies[ri].Site != start.Site {
 			break
 		}
-		start = c
+		start = replies[ri]
 	}
 	o.FailedOver = true
 	o.Failover = start.Time - t0
-	return o, scratch
-}
-
-// flatLogs flattens a trace back into what the flat logs held for its
-// target: the sent sequence numbers in emission order and the capture
-// entries in arrival order.
-func flatLogs(tr *dataplane.Trace) ([]uint32, []refCaptureEntry) {
-	sent := make([]uint32, len(tr.Probes))
-	for i, p := range tr.Probes {
-		sent[i] = p.Seq
-	}
-	caps := make([]refCaptureEntry, len(tr.Replies))
-	for i, r := range tr.Replies {
-		caps[i] = refCaptureEntry{Time: r.Time, Seq: r.Seq, Target: tr.Target, Site: r.Site}
-	}
-	return sent, caps
-}
-
-// probeFailover is failoverOn's fault and probing with the probers handed
-// back instead of analyzed, on the same event schedule, so a sibling
-// restore of one snapshot yields the very traces failoverOn analyzed.
-func probeFailover(t *testing.T, w *World, sel *Selection, failCode string, fc FailoverConfig) (groups []groupTraces, t0 float64) {
-	t.Helper()
-	for _, g := range probeGroups(w, sel, w.CDN.Site(failCode), fc.MaxTargets) {
-		pr := dataplane.NewProber(w.Plane, g.Prober, g.ReplyTo)
-		pr.LossRate = fc.LossRate
-		groups = append(groups, groupTraces{pr, g.Targets})
-	}
-	t0 = w.Sim.Now()
-	var monitor *core.Monitor
-	var err error
-	if fc.UseMonitor {
-		if monitor, err = w.CDN.StartMonitor(); err == nil {
-			_, err = w.CDN.CrashSite(failCode)
-		}
-	} else {
-		_, err = w.CDN.FailSite(failCode)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range groups {
-		for _, id := range g.targets {
-			g.prober.PingEvery(id, scenario.ProbeInterval, fc.ProbeDuration)
-		}
-	}
-	w.Sim.RunUntil(t0 + fc.ProbeDuration + 30)
-	if monitor != nil {
-		monitor.Stop()
-	}
-	return groups, t0
-}
-
-type groupTraces struct {
-	prober  *dataplane.Prober
-	targets []topology.NodeID
+	return o
 }
 
 // TestAnalyzeTargetMatchesReference runs a reduced Figure 2 matrix twice per
-// cell on sibling restores of one converged snapshot: failoverOn on one, the
-// bare probing on the other, whose traces — flattened back into the flat
-// logs — go through the reference. Every TargetOutcome must be deeply equal
-// three ways: failoverOn's, the reference's, and analyzeTarget's over the
-// sibling's traces.
+// cell on sibling restores of one converged snapshot, lossless and lossy,
+// site monitor off and on: failoverOn on one, the calendar reference prober
+// on the other, on failoverOn's event schedule. Every TargetOutcome
+// failoverOn reads from the prober's folds must be deeply equal to the
+// reference analysis of the calendar reference's logs.
 func TestAnalyzeTargetMatchesReference(t *testing.T) {
 	type column struct {
 		cfg  WorldConfig
@@ -205,26 +117,22 @@ func TestAnalyzeTargetMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				groups, t0 := probeFailover(t, sib, sel, "msn", fc)
+				t0 := sib.Sim.Now()
+				probers, groups := probeWith(t, sib, sel, "msn", fc, func(g scenario.Group) campaigner {
+					return newRefProber(sib, g, loss)
+				})
 
-				var want, got []TargetOutcome
-				var scratch []refCaptureEntry
-				for _, g := range groups {
-					for _, id := range g.targets {
-						tr := g.prober.Trace(id)
-						sent, caps := flatLogs(tr)
-						var o TargetOutcome
-						o, scratch = refAnalyzeTarget(sib, id, sent, caps, t0, scratch)
+				var want []TargetOutcome
+				for i, g := range groups {
+					for _, id := range g.Targets {
+						tr := probers[i].(*refProber).Trace(id)
+						o := refAnalyzeTarget(sib, tr, t0)
 						want = append(want, o)
-						got = append(got, analyzeTarget(sib, tr, t0))
-						if len(caps) < len(sent) {
+						if len(tr.Replies) < len(tr.Probes) {
 							unanswered++
 						}
 						bounced += o.Bounces
 					}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: analyzeTarget differs from the reference\n got %+v\nwant %+v", name, got, want)
 				}
 				if !reflect.DeepEqual(res.Outcomes, want) {
 					t.Fatalf("%s: failoverOn differs from the reference\n got %+v\nwant %+v", name, res.Outcomes, want)
@@ -251,54 +159,98 @@ type arrival struct {
 	site topology.NodeID
 }
 
-// analyzeBoth builds a valid trace for one target — n probes 1.5 s apart
-// with seqs 1..n, answered by arrivals, which must be in arrival order — and
-// returns analyzeTarget's outcome and the reference's over its flat logs.
-func analyzeBoth(w *World, n int, arrivals []arrival) (got, want TargetOutcome) {
-	tr := &dataplane.Trace{Target: w.Targets()[0].ID}
+// analyzeBoth feeds one target's probes — n of them, 1.5 s apart with seqs
+// 1..n, each echoed at its emission instant and answered by arrivals, which
+// must be in arrival order — to a fold, as a prober does, and reads it at
+// every emission instant and once all replies have landed. Each read must
+// be the reference analysis of the logs as they stand then. It returns the
+// last read's two outcomes.
+func analyzeBoth(t testing.TB, w *World, n int, arrivals []arrival) (got, want TargetOutcome) {
+	t.Helper()
+	id := w.Targets()[0].ID
+	fate := make(map[uint32]arrival, len(arrivals))
+	for _, r := range arrivals {
+		fate[r.seq] = r
+	}
+	fold := tally.New(nil)
+	// answer resolves the echoes before by, or at by too when through.
+	answer := func(by float64, through bool) {
+		for seq, sent, ok := fold.Next(); ok && (sent < by || through && sent == by); seq, sent, ok = fold.Next() {
+			if r, answered := fate[seq]; answered {
+				fold.Reply(r.at, r.site)
+			} else {
+				fold.Lose()
+			}
+		}
+	}
+	read := func(now float64) {
+		t.Helper()
+		answer(now, true)
+		fold.Land(now)
+		tr := &refTrace{Target: id}
+		for seq := uint32(1); seq <= uint32(n) && 1.5*float64(seq) <= now; seq++ {
+			tr.Probes = append(tr.Probes, refProbe{Seq: seq, Time: 1.5 * float64(seq), Reply: -1})
+		}
+		for _, r := range arrivals {
+			if r.at <= now {
+				tr.Probes[r.seq-1].Reply = int32(len(tr.Replies))
+				tr.Replies = append(tr.Replies, refReply{Time: r.at, Seq: r.seq, Site: r.site})
+			}
+		}
+		got, want = analyzeTarget(w, id, fold.Outcome(), 1), refAnalyzeTarget(w, tr, 1)
+		if got != want {
+			t.Fatalf("read at %v of arrivals %v:\n got %+v\nwant %+v", now, arrivals, got, want)
+		}
+	}
 	for seq := uint32(1); seq <= uint32(n); seq++ {
-		tr.Probes = append(tr.Probes, dataplane.Probe{Seq: seq, Time: 1.5 * float64(seq), Reply: -1})
+		at := 1.5 * float64(seq)
+		answer(at, false) // every echo before at, as Send requires
+		fold.Send(seq, at)
+		read(at)
 	}
-	for i, r := range arrivals {
-		tr.Probes[r.seq-1].Reply = int32(i)
-		tr.Replies = append(tr.Replies, dataplane.Reply{Time: r.at, Seq: r.seq, Site: r.site})
-	}
-	sent, caps := flatLogs(tr)
-	want, _ = refAnalyzeTarget(w, tr.Target, sent, caps, 1, nil)
-	return analyzeTarget(w, tr, 1), want
+	read(1.5*float64(n) + 100)
+	return got, want
 }
 
-// TestAnalyzeTargetOvertakenReplies feeds both analyzers the traces the
-// matrix above never produces (its replies are 1.5 s apart and arrive in
-// order): replies that overtake earlier ones, so arrival order and emission
-// order disagree about which reply is first, last, and where the stable
-// suffix starts. FuzzAnalyzeTarget's committed corpus encodes these four.
+// TestAnalyzeTargetOvertakenReplies feeds the fold and the reference the
+// traces the matrix above never produces (its replies are 1.5 s apart and
+// arrive in order): replies that overtake earlier ones, so arrival order and
+// emission order disagree about which reply is first, last, and where the
+// stable suffix starts. FuzzAnalyzeTarget's committed corpus encodes these
+// four.
 func TestAnalyzeTargetOvertakenReplies(t *testing.T) {
 	w, err := NewWorld(tinyConfig(27))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := w.CDN.Site("atl").Node, w.CDN.Site("msn").Node
-	for name, arrivals := range map[string][]arrival{
+	t0 := 1.0 // analyzeBoth's; a variable, so the subtractions round as analyzeTarget's do
+	for name, c := range map[string]struct {
+		arrivals []arrival
+		want     TargetOutcome
+	}{
 		// seq 2 lands before seq 1; the last probe's reply lands before seq 5's.
-		"stable suffix": {{2, 3.1, a}, {1, 5.0, b}, {4, 6.1, a}, {6, 9.05, a}, {5, 9.2, a}},
+		"stable suffix": {[]arrival{{2, 3.1, a}, {1, 5.0, b}, {4, 6.1, a}, {6, 9.05, a}, {5, 9.2, a}},
+			TargetOutcome{Reconnected: true, Reconnection: 3.1 - t0, FailedOver: true, Failover: 6.1 - t0, Bounces: 2, Gaps: 1, FinalSite: "atl"}},
 		// The site differs on the overtaking reply: bounces follow arrival
 		// order, the failover suffix follows emission order.
-		"suffix broken by site": {{1, 1.6, a}, {3, 4.6, b}, {2, 4.9, a}, {4, 6.1, b}, {6, 9.0, b}, {5, 9.4, a}},
-		"final ping lost":       {{3, 4.6, a}, {2, 4.8, a}, {5, 7.6, b}},
-		"nothing answered":      nil,
+		"suffix broken by site": {[]arrival{{1, 1.6, a}, {3, 4.6, b}, {2, 4.9, a}, {4, 6.1, b}, {6, 9.0, b}, {5, 9.4, a}},
+			TargetOutcome{Reconnected: true, Reconnection: 1.6 - t0, FailedOver: true, Failover: 9.0 - t0, Bounces: 4, FinalSite: "atl"}},
+		"final ping lost":  {[]arrival{{3, 4.6, a}, {2, 4.8, a}, {5, 7.6, b}}, TargetOutcome{Reconnected: true, Reconnection: 4.6 - t0, Bounces: 1, Gaps: 2, FinalSite: "msn"}},
+		"nothing answered": {nil, TargetOutcome{}},
 	} {
-		if got, want := analyzeBoth(w, 6, arrivals); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
+		c.want.Target = w.Targets()[0].ID
+		if got, _ := analyzeBoth(t, w, 6, c.arrivals); got != c.want {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, got, c.want)
 		}
 	}
 }
 
 // FuzzAnalyzeTarget generalises TestAnalyzeTargetOvertakenReplies to
-// arbitrary traces of up to 64 probes, one per byte pair. The first byte's
-// low two bits say the probe was lost (0) or which of three sites answered;
-// the second is its reply's delay in twentieths of a second, so a reply can
-// overtake up to eight later ones.
+// arbitrary traces of up to 64 probes, one per byte pair, read at every
+// emission instant. The first byte's low two bits say the probe was lost (0)
+// or which of three sites answered; the second is its reply's delay in
+// twentieths of a second, so a reply can overtake up to eight later ones.
 func FuzzAnalyzeTarget(f *testing.F) {
 	w, err := NewWorld(tinyConfig(27))
 	if err != nil {
@@ -317,8 +269,6 @@ func FuzzAnalyzeTarget(f *testing.F) {
 			arrivals = append(arrivals, arrival{seq, 1.5*float64(seq) + float64(delay)/20, sites[fate-1]})
 		}
 		slices.SortStableFunc(arrivals, func(x, y arrival) int { return cmp.Compare(x.at, y.at) })
-		if got, want := analyzeBoth(w, n, arrivals); !reflect.DeepEqual(got, want) {
-			t.Fatalf("arrivals %v:\n got %+v\nwant %+v", arrivals, got, want)
-		}
+		analyzeBoth(t, w, n, arrivals)
 	})
 }

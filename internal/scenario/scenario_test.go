@@ -13,7 +13,7 @@ import (
 )
 
 // testEnv builds a small converged world with the given technique deployed.
-func testEnv(t *testing.T, seed int64, tech core.Technique) *Env {
+func testEnv(t testing.TB, seed int64, tech core.Technique) *Env {
 	t.Helper()
 	topo, err := topology.Generate(topology.GenConfig{Seed: seed, NumStub: 80, NumEyeball: 60, NumUniversity: 16})
 	if err != nil {
