@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 loc vet fmt lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge outputs outputs-diff fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke ci
+.PHONY: tier1 loc vet fmt lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge profile-restore outputs outputs-diff fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -115,21 +115,28 @@ ab:
 	done; \
 	echo "runs kept in $$dir"
 
-# CPU and allocation profiles, twenty iterations at GOMAXPROCS=2 (the
-# benchmark line carries B/op and allocs/op) and then the top of both:
+# CPU and allocation profiles at GOMAXPROCS=2, twenty iterations (2,000
+# for the sub-millisecond restore, so the untimed setup does not swamp its
+# profile; the benchmark line carries B/op and allocs/op) and then the top
+# of both:
 # profile-fig2 of BenchmarkFigure2Default (bench_test.go:
 # the default-scale Figure 2 matrix on cached snapshots that `cdnsim fig2`
 # and the benchmark's fig2-warm run — restore, withdrawal, probing),
 # profile-converge of BenchmarkConvergePaper (one converge-cold operation:
-# a paper-scale world from a fresh seed, deploy, cold converge). The test
+# a paper-scale world from a fresh seed, deploy, cold converge),
+# profile-restore of BenchmarkRestoreWorld (one of the 32 default-scale
+# world restores a Figure 2 matrix makes, before its run writes). The test
 # binary and the profiles go under PROFDIR — a fresh temporary directory
 # unless one is named — never into the repository.
 PROFDIR ?=
+PROFTIME = 20x
 profile-fig2: PROFBENCH = BenchmarkFigure2Default
 profile-converge: PROFBENCH = BenchmarkConvergePaper
-profile-fig2 profile-converge:
+profile-restore: PROFBENCH = BenchmarkRestoreWorld
+profile-restore: PROFTIME = 2000x
+profile-fig2 profile-converge profile-restore:
 	@set -e; dir="$(PROFDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
-	$(GO) test -run '^$$' -bench '$(PROFBENCH)$$' -cpu 2 -benchtime 20x -benchmem \
+	$(GO) test -run '^$$' -bench '$(PROFBENCH)$$' -cpu 2 -benchtime $(PROFTIME) -benchmem \
 		-o "$$dir/$@.test" -outputdir "$$dir" -cpuprofile cpu.prof -memprofile mem.prof .; \
 	$(GO) tool pprof -top -cum -nodecount 40 "$$dir/$@.test" "$$dir/cpu.prof"; \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 "$$dir/$@.test" "$$dir/mem.prof"; \

@@ -114,6 +114,29 @@ func BenchmarkFigure2Default(b *testing.B) {
 	}
 }
 
+// BenchmarkRestoreWorld is one of the 32 restores a Figure 2 matrix makes:
+// the default-scale reactive-anycast world (seed 7), converged and
+// snapshotted once outside the timer, restored per iteration. B/op and
+// allocs/op are what a restore costs before its run writes anything; `make
+// profile-restore` profiles this one.
+func BenchmarkRestoreWorld(b *testing.B) {
+	w, err := experiment.NewConvergedWorld(experiment.DefaultWorldConfig(experiment.WithSeed(7)), core.ReactiveAnycast{}, experiment.ConvergeTime)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiment.RestoreWorld(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkConvergePaper is one operation of the repository benchmark's
 // converge-cold workload: a paper-scale world from a seed no earlier
 // iteration used (its topology generated inside the iteration), proactive

@@ -87,69 +87,92 @@ func TestExportPathAllocBudget(t *testing.T) {
 	}
 }
 
-// TestRestoreAllocBudget pins the restore-by-reference contract: a
-// no-divergence Restore points every speaker at the snapshot's frozen
-// states and allocates the one network-wide pointer array, whatever the
-// prefix count — nothing per prefix, per route or per speaker. Every
-// restored loc-RIB best must be pointer-identical to the live network's.
+// TestRestoreAllocBudget pins what a restored world pays for its control
+// plane: New plus a no-divergence Restore allocate a fixed handful of
+// objects — the network and its shard, the speaker slab, the delivery
+// clocks, the one network-wide rib pointer array — whatever the speaker
+// count, the session count or the prefix count: nothing per prefix, per
+// route, per speaker or per session. The session pairing is the
+// topology's, and the down and epoch tables are the snapshot's. A
+// four-node diamond and a default-scale topology must cost the same count,
+// and every restored loc-RIB best must be pointer-identical to the live
+// network's.
 func TestRestoreAllocBudget(t *testing.T) {
-	topo := diamond(t)
-	simA := netsim.New(5)
-	netA := New(simA, topo, quickCfg())
-	var prefixes []netip.Prefix
-	for i := 0; i < 16; i++ {
-		p := netip.MustParsePrefix(fmt.Sprintf("10.%d.0.0/24", i))
-		prefixes = append(prefixes, p)
-		if err := netA.Originate(topology.NodeID(i%4), p, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	simA.Run()
-	snap, err := netA.Snapshot()
+	big, err := topology.Generate(topology.GenConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := 0
-	for _, ss := range snap.speakers {
-		states += len(ss.rib)
-	}
-	if states < 4*len(prefixes) {
-		t.Fatalf("snapshot too small to be meaningful: %d prefix states", states)
-	}
-
-	// Mallocs is process-wide, so a runtime or leftover goroutine allocating
-	// inside the window can only add to it: the least of a few attempts is
-	// Restore's own count.
-	var netB *Network
-	mallocs := ^uint64(0)
-	for attempt := 0; attempt < 5 && mallocs > 2; attempt++ {
-		netB = New(netsim.New(5), topo, quickCfg())
-		var m1, m2 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m1)
-		if err := netB.Restore(snap); err != nil {
+	counts := map[string]uint64{}
+	for _, tc := range []struct {
+		name string
+		topo *topology.Topology
+	}{{"diamond", diamond(t)}, {"default scale", big}} {
+		topo := tc.topo
+		simA := netsim.New(5)
+		netA := New(simA, topo, quickCfg())
+		var prefixes []netip.Prefix
+		for i := 0; i < 16; i++ {
+			p := netip.MustParsePrefix(fmt.Sprintf("10.%d.0.0/24", i))
+			prefixes = append(prefixes, p)
+			if err := netA.Originate(topology.NodeID(i*7%topo.Len()), p, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		simA.Run()
+		snap, err := netA.Snapshot()
+		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&m2)
-		mallocs = min(mallocs, m2.Mallocs-m1.Mallocs)
-	}
-	if mallocs > 2 {
-		t.Fatalf("no-divergence Restore made %d allocations for %d prefix states; want at most 2 at any size",
-			mallocs, states)
-	}
+		states := 0
+		for _, ss := range snap.speakers {
+			states += len(ss.rib)
+		}
+		if states < topo.Len()*len(prefixes) {
+			t.Fatalf("%s: snapshot too small to be meaningful: %d prefix states", tc.name, states)
+		}
 
-	for id := topology.NodeID(0); id < 4; id++ {
-		sp := netB.Speaker(id)
-		for k, st := range sp.rib {
-			if st != &snap.speakers[id].rib[k] {
-				t.Fatalf("node %d rib[%d] is a copy, not the snapshot's frozen state", id, k)
+		// Mallocs is process-wide, so a runtime or leftover goroutine
+		// allocating inside the window can only add to it: the least of a
+		// few attempts is New's and Restore's own count.
+		var netB *Network
+		mallocs := ^uint64(0)
+		for attempt := 0; attempt < 5; attempt++ {
+			sim := netsim.New(5)
+			var m1, m2 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+			netB = New(sim, topo, quickCfg())
+			if err := netB.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m2)
+			mallocs = min(mallocs, m2.Mallocs-m1.Mallocs)
+		}
+		counts[tc.name] = mallocs
+		const budget = 10
+		if mallocs > budget {
+			t.Fatalf("%s: New and a no-divergence Restore made %d allocations for %d speakers and %d prefix states; budget %d at any size",
+				tc.name, mallocs, topo.Len(), states, budget)
+		}
+
+		for id := range topology.NodeID(topo.Len()) {
+			sp := netB.Speaker(id)
+			for k, st := range sp.rib {
+				if st != nil && st != &snap.speakers[id].rib[k] {
+					t.Fatalf("%s: node %d rib[%d] is a copy, not the snapshot's frozen state", tc.name, id, k)
+				}
+			}
+			for _, p := range prefixes {
+				if a, b := netA.Speaker(id).Best(p), sp.Best(p); a != b {
+					t.Fatalf("%s: node %d prefix %s: restored best %p is not the shared snapshot route %p", tc.name, id, p, b, a)
+				}
 			}
 		}
-		for _, p := range prefixes {
-			if a, b := netA.Speaker(id).Best(p), sp.Best(p); a != b {
-				t.Fatalf("node %d prefix %s: restored best %p is not the shared snapshot route %p", id, p, b, a)
-			}
-		}
+	}
+	t.Logf("New and Restore allocations: %v", counts)
+	if counts["default scale"] > counts["diamond"] {
+		t.Fatalf("New and Restore made %d allocations at default scale, %d on the diamond: the count grows with the network",
+			counts["default scale"], counts["diamond"])
 	}
 }
 

@@ -230,11 +230,39 @@ func DefaultConfig() Config {
 // Network is the collection of all BGP speakers bound to a topology and a
 // simulation kernel.
 type Network struct {
-	sim      *netsim.Sim        // the control simulator (== shards[0].sim when unsharded)
-	topo     *topology.Topology //cdnlint:nosnapshot immutable wiring; restore targets a network built over the same topology
-	cfg      Config             //cdnlint:nosnapshot immutable wiring; restore targets a network built with the same config
-	speakers []*Speaker
+	sim  *netsim.Sim        // the control simulator (== shards[0].sim when unsharded)
+	topo *topology.Topology //cdnlint:nosnapshot immutable wiring; restore targets a network built over the same topology
+	cfg  Config             //cdnlint:nosnapshot immutable wiring; restore targets a network built with the same config
+	// speakers is the one slab every speaker is carved from, indexed by
+	// node ID.
+	speakers []Speaker
 	onBest   []BestChangeFunc //cdnlint:nosnapshot subscriber wiring belongs to the target network, not the captured one
+
+	// The per-session tables, one entry per session in the topology's
+	// ReverseSessions numbering: session i of a speaker is entry base+i
+	// (Speaker.base). rev is the topology's own pairing table, shared
+	// read-only by every network over it.
+	rev []int32 //cdnlint:nosnapshot immutable wiring: the topology's table
+	// last[i] is the latest delivery time scheduled on session i. BGP runs
+	// over TCP, so updates on one session must arrive in the order they
+	// were sent even though per-update processing jitter varies; without
+	// this, a withdrawal could overtake an in-flight announcement and
+	// strand a stale route at the neighbor forever. Written on the sending
+	// speaker's shard goroutine.
+	last []netsim.Seconds
+	// down[i] is true while session i is administratively or physically
+	// down (link failure, maintenance): no updates are sent or accepted on
+	// it. epoch[i] counts the session's establishments; deliveries
+	// scheduled under an older epoch are dropped, because a session reset
+	// tears down the TCP connection and in-flight updates never arrive.
+	// Only the fault methods (faults.go) write them, in control context. A
+	// nil table means every session is up at epoch 0, so a network that
+	// never faulted allocates neither; a restored network shares its
+	// snapshot's until its first fault clones them (ownSessions).
+	down  []bool
+	epoch []uint64
+	// sessShared is true while down and epoch belong to a snapshot.
+	sessShared bool //cdnlint:nosnapshot who may write down and epoch, not what they hold: Restore sets it
 
 	// prefixes maps a prefix id to its prefix. A prefix gets the next id at
 	// its first Originate, which runs only in control context, so shard
@@ -278,82 +306,17 @@ func New(sim *netsim.Sim, topo *topology.Topology, cfg Config) *Network {
 // build wires speakers to their shards. assign maps node ID to shard index;
 // nil assigns everything to shard 0.
 func build(sim *netsim.Sim, topo *topology.Topology, cfg Config, shards []*shard, assign []int) *Network {
-	n := &Network{sim: sim, topo: topo, cfg: cfg, shards: shards}
-	n.speakers = make([]*Speaker, topo.Len())
-	off, rev := reverseSessions(topo)
-	for _, node := range topo.Nodes {
+	off, rev := topo.ReverseSessions()
+	n := &Network{sim: sim, topo: topo, cfg: cfg, shards: shards, rev: rev, last: make([]netsim.Seconds, len(rev))}
+	n.speakers = make([]Speaker, topo.Len())
+	for v, node := range topo.Nodes {
 		sh := shards[0]
 		if assign != nil {
-			sh = shards[assign[node.ID]]
+			sh = shards[assign[v]]
 		}
-		sp := newSpeaker(n, sh, node)
-		v := node.ID
-		sp.reverse = rev[off[v]:off[v+1]:off[v+1]]
-		n.speakers[v] = sp
+		n.speakers[v] = Speaker{net: n, sh: sh, node: node, base: off[v]}
 	}
 	return n
-}
-
-// reverseSessions maps every session to the one it pairs with: rev[off[v]+i]
-// is the session by which v.Adj[i].To refers back to v, its first such
-// session, or -1 when it has none. It runs in O(E): the halves pointing at
-// each node are filed into that node's range, then matched to its own
-// sessions through a per-node mark.
-func reverseSessions(topo *topology.Topology) (off, rev []int32) {
-	n := topo.Len()
-	off = make([]int32, n+1)
-	// in[v] starts as where v's filed halves begin; filing advances it to
-	// where they end, which is where v+1's begin.
-	in := make([]int32, n+1)
-	for v, node := range topo.Nodes {
-		off[v+1] = off[v] + int32(len(node.Adj))
-		for _, adj := range node.Adj {
-			in[adj.To+1]++
-		}
-	}
-	for v := range n {
-		in[v+1] += in[v]
-	}
-	rev = make([]int32, off[n])
-	// Where every node is pointed at by as many halves as it has sessions
-	// (every link has its reverse half, as Validate requires), a node's
-	// filed halves occupy its own range of rev, so the filing borrows rev:
-	// a node's halves are all read before its own sessions are written.
-	back := rev
-	if !slices.Equal(in, off) {
-		back = make([]int32, in[n])
-	}
-	from := make([]topology.NodeID, in[n])
-	for w, node := range topo.Nodes {
-		for j, adj := range node.Adj {
-			k := in[adj.To]
-			from[k], back[k] = topology.NodeID(w), int32(j)
-			in[adj.To]++
-		}
-	}
-	mark := make([]int32, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	start := int32(0)
-	for v, node := range topo.Nodes {
-		end := in[v]
-		// w's halves are filed in session order, so the first one toward v
-		// is w's first session to v.
-		for k := start; k < end; k++ {
-			if mark[from[k]] < 0 {
-				mark[from[k]] = back[k]
-			}
-		}
-		for i, adj := range node.Adj {
-			rev[off[v]+int32(i)] = mark[adj.To]
-		}
-		for k := start; k < end; k++ {
-			mark[from[k]] = -1
-		}
-		start = end
-	}
-	return off, rev
 }
 
 // Instrument attaches protocol metrics to r: UPDATEs sent (split into
@@ -390,8 +353,8 @@ func (n *Network) Instrument(r *obs.Registry) {
 // contend on a shared counter); this sums them.
 func (n *Network) MessageCount() uint64 {
 	var total uint64
-	for _, sp := range n.speakers {
-		total += sp.msgCount
+	for i := range n.speakers {
+		total += n.speakers[i].msgCount
 	}
 	return total
 }
@@ -407,7 +370,7 @@ func (n *Network) Speaker(id topology.NodeID) *Speaker {
 	if int(id) < 0 || int(id) >= len(n.speakers) {
 		return nil
 	}
-	return n.speakers[id]
+	return &n.speakers[id]
 }
 
 // OnBestChange registers a callback fired on every loc-RIB best change at

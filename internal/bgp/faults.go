@@ -22,7 +22,23 @@ import (
 //     the full tables are exchanged again immediately.
 //
 // All three iterate RIBs in sorted prefix order, so fault injection
-// preserves the simulator's bit-exact determinism.
+// preserves the simulator's bit-exact determinism. They are the only
+// writers of the session tables Network.down and Network.epoch, and each
+// makes them the network's own (ownSessions) before its first write.
+
+// ownSessions makes down and epoch writable by this network alone: a
+// network that never faulted allocates them, all up at epoch 0, and a
+// restored one that has not faulted since clones its snapshot's, which
+// sibling restores and the snapshot go on reading. Control context only.
+func (n *Network) ownSessions() {
+	if n.down != nil && !n.sessShared {
+		return
+	}
+	down, epoch := make([]bool, len(n.rev)), make([]uint64, len(n.rev))
+	copy(down, n.down)
+	copy(epoch, n.epoch)
+	n.down, n.epoch, n.sessShared = down, epoch, false
+}
 
 // sessionBetween finds the session index at a pointing to b.
 func (n *Network) sessionBetween(a, b topology.NodeID) (int, error) {
@@ -57,13 +73,14 @@ func (n *Network) SetLinkDown(a, b topology.NodeID) error {
 	if err != nil {
 		return err
 	}
-	if sa.downSess[ia] {
+	if sa.sessDown(ia) {
 		return nil
 	}
-	sa.downSess[ia] = true
-	sb.downSess[ib] = true
-	sa.sessEpoch[ia]++
-	sb.sessEpoch[ib]++
+	n.ownSessions()
+	i, j := int(sa.base)+ia, int(sb.base)+ib
+	n.down[i], n.down[j] = true, true
+	n.epoch[i]++
+	n.epoch[j]++
 	sa.flushSession(ia)
 	sb.flushSession(ib)
 	return nil
@@ -77,11 +94,11 @@ func (n *Network) SetLinkUp(a, b topology.NodeID) error {
 	if err != nil {
 		return err
 	}
-	if !sa.downSess[ia] {
+	if !sa.sessDown(ia) {
 		return nil
 	}
-	sa.downSess[ia] = false
-	sb.downSess[ib] = false
+	n.ownSessions()
+	n.down[int(sa.base)+ia], n.down[int(sb.base)+ib] = false, false
 	sa.readvertiseSession(ia)
 	sb.readvertiseSession(ib)
 	return nil
@@ -97,11 +114,12 @@ func (n *Network) ResetSession(a, b topology.NodeID) error {
 	if err != nil {
 		return err
 	}
-	if sa.downSess[ia] {
+	if sa.sessDown(ia) {
 		return fmt.Errorf("bgp: cannot reset session %q<->%q: link is down", sa.node.Name, sb.node.Name)
 	}
-	sa.sessEpoch[ia]++
-	sb.sessEpoch[ib]++
+	n.ownSessions()
+	n.epoch[int(sa.base)+ia]++
+	n.epoch[int(sb.base)+ib]++
 	sa.flushSession(ia)
 	sb.flushSession(ib)
 	sa.readvertiseSession(ia)

@@ -28,7 +28,7 @@ func linkDown(t *testing.T, net *Network, a, b topology.NodeID) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sa.downSess[ia]
+	return sa.sessDown(ia)
 }
 
 func TestLinkDownWithdrawsRoutesLearnedOverLink(t *testing.T) {

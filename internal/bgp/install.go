@@ -40,7 +40,8 @@ func (n *Network) Install(sol *Solution) error {
 	}
 	nPrefix := len(sol.prefixes)
 	ribs := make([]*prefixState, len(n.speakers)*nPrefix)
-	for _, sp := range n.speakers {
+	for i := range n.speakers {
+		sp := &n.speakers[i]
 		nAdj := len(sp.node.Adj)
 		states := make([]prefixState, nPrefix)
 		slots := make([]adjSlot, nAdj*nPrefix)
@@ -55,7 +56,7 @@ func (n *Network) Install(sol *Solution) error {
 	n.m.prefixStates.Add(uint64(len(n.speakers) * nPrefix))
 	for id := range sol.prefixes {
 		for _, v := range sol.settled[id] {
-			sp, c := n.speakers[v], sol.best[id][v]
+			sp, c := &n.speakers[v], sol.best[id][v]
 			st := sp.rib[id]
 			if c.sess == sessLocal {
 				st.origin = sp.newOrigination(int32(id), sol.origins[id][c.org].Policy)
@@ -82,8 +83,8 @@ func (n *Network) Install(sol *Solution) error {
 // holding the neighbor's own ASN leaves the slot empty), and the neighbor's
 // loc-RIB is left to Install.
 func (s *Speaker) installDelivery(sess int, u update) {
-	peer := s.net.speakers[s.node.Adj[sess].To]
-	rev := s.reverse[sess]
+	peer := &s.net.speakers[s.node.Adj[sess].To]
+	rev := s.reverse(sess)
 	if rev < 0 || u.typ != Announce || u.route.ContainsASN(peer.node.ASN) {
 		return
 	}

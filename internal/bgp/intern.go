@@ -94,7 +94,7 @@ func runDelivery(a any) {
 	sh.freeDeliv = d
 	// A session reset or link failure while the update was in flight tears
 	// down the TCP connection it rode on; the update must never arrive.
-	if peer.sessEpoch[rev] != epoch {
+	if peer.sessEpoch(rev) != epoch {
 		return
 	}
 	peer.receive(rev, u)

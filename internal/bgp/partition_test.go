@@ -30,28 +30,31 @@ func nodeName(i int) string {
 	return string([]byte{'n', byte('0' + i/10), byte('0' + i%10)})
 }
 
-// cutLinks disconnects a built topology in place by clearing the given
-// nodes' adjacency lists and every reverse edge pointing at them. Builder
-// validation (correctly) rejects disconnected graphs, but PlanShards must
-// still partition one: fault studies tear topologies apart at runtime.
-func cutLinks(topo *topology.Topology, isolate ...topology.NodeID) {
+// cutLinks returns a copy of a built topology disconnected by clearing the
+// given nodes' adjacency lists and every reverse edge pointing at them.
+// Builder validation (correctly) rejects disconnected graphs, but PlanShards
+// must still partition one: fault studies tear topologies apart at runtime.
+// The copy is a new Topology, with session tables of its own, because a
+// built one must not change once ReverseSessions has been asked.
+func cutLinks(topo *topology.Topology, isolate ...topology.NodeID) *topology.Topology {
 	iso := map[topology.NodeID]bool{}
 	for _, id := range isolate {
 		iso[id] = true
-		topo.Node(id).Adj = nil
 	}
+	cut := &topology.Topology{}
 	for _, n := range topo.Nodes {
-		if iso[n.ID] {
-			continue
-		}
-		kept := n.Adj[:0]
-		for _, adj := range n.Adj {
-			if !iso[adj.To] {
-				kept = append(kept, adj)
+		c := *n
+		c.Adj = nil
+		if !iso[n.ID] {
+			for _, adj := range n.Adj {
+				if !iso[adj.To] {
+					c.Adj = append(c.Adj, adj)
+				}
 			}
 		}
-		n.Adj = kept
+		cut.Nodes = append(cut.Nodes, &c)
 	}
+	return cut
 }
 
 func shardStats(assign []int, n int) (counts []int, populated int) {
@@ -69,7 +72,7 @@ func shardStats(assign []int, n int) (counts []int, populated int) {
 
 func TestPlanShardsDisconnected(t *testing.T) {
 	topo := ringTopo(t, 12, 0.01)
-	cutLinks(topo, 3, 9) // two isolated nodes + the surviving chain pieces
+	topo = cutLinks(topo, 3, 9) // two isolated nodes + the surviving chain pieces
 	for _, n := range []int{2, 3, 4} {
 		assign := PlanShards(topo, n, 7)
 		if len(assign) != topo.Len() {
@@ -202,7 +205,7 @@ func TestNewShardedNoCutWindow(t *testing.T) {
 	topo := ringTopo(t, 8, 0.020)
 	// Split the ring into two 4-node chains, each of which the weighted cut
 	// places wholly on one shard: no cut edges remain.
-	cutLinks(topo, 0, 4)
+	topo = cutLinks(topo, 0, 4)
 	cfg := DefaultConfig()
 	sim := netsim.New(1)
 	net, err := NewSharded(sim, topo, cfg, 2, 1)
@@ -228,8 +231,7 @@ func TestNoCutWindowEdgeCases(t *testing.T) {
 	if got, want := noCutWindow(topo, cfg), 0.015+cfg.ProcMin; got != want {
 		t.Fatalf("linked topology: window %g, want %g", got, want)
 	}
-	bare := ringTopo(t, 4, 0.015)
-	cutLinks(bare, 0, 1, 2, 3)
+	bare := cutLinks(ringTopo(t, 4, 0.015), 0, 1, 2, 3)
 	if got, want := noCutWindow(bare, cfg), cfg.ProcMin; got != want {
 		t.Fatalf("linkless topology: window %g, want bare ProcMin %g", got, want)
 	}

@@ -84,7 +84,7 @@ func (sh *shard) sendCross(at netsim.Seconds, peer *Speaker, rev int, u update) 
 	sh.outSeq++
 	//lint:ignore cdnlint/shardsafe idx is immutable wiring; addressing the destination mailbox reads no mutable peer-shard state
 	dst := peer.sh.idx
-	sh.out[dst] = append(sh.out[dst], xmsg{at: at, peer: peer, rev: rev, epoch: peer.sessEpoch[rev], u: u, seq: sh.outSeq})
+	sh.out[dst] = append(sh.out[dst], xmsg{at: at, peer: peer, rev: rev, epoch: peer.sessEpoch(rev), u: u, seq: sh.outSeq})
 }
 
 //cdnlint:allocfree pool hit path; the miss allocates once per steady-state depth

@@ -10,9 +10,10 @@ import (
 
 // NetworkSnapshot is a frozen capture of all per-speaker protocol state at a
 // quiescent moment: adj-RIBs-in/out, loc-RIB best routes, origination
-// policies, MRAI pacing deadlines, damping penalties, and the TCP in-order
-// delivery clocks. Together with a netsim.Snapshot of the kernel it is the
-// complete converged-world state of the control plane.
+// policies, MRAI pacing deadlines, damping penalties, the TCP in-order
+// delivery clocks, and which sessions are down at which establishment
+// epoch. Together with a netsim.Snapshot of the kernel it is the complete
+// converged-world state of the control plane.
 //
 // Per speaker the snapshot holds one []prefixState in prefix order — the
 // very struct a live speaker uses, with owner nil. Restore copies none of
@@ -23,6 +24,13 @@ import (
 // holds, so the rest stay shared for the run's whole life. Routes and origin
 // policies are immutable after publish (see the Route doc) and are shared by
 // pointer on every side, clones included.
+//
+// The per-session state is network-wide, one entry per session (see
+// Network.last). The delivery clocks are copied into every restore, whose
+// shard goroutines write them. The down and epoch tables are written only
+// by the fault methods, so a restore shares them with the snapshot and
+// clones them at its own first fault (ownSessions); a network that never
+// faulted captures them as nil, all up at epoch 0.
 //
 // Snapshots can only be taken when no simulation events are pending (in
 // flight updates hold state that cannot be transplanted), which is exactly
@@ -41,14 +49,18 @@ type NetworkSnapshot struct {
 	// shared read-only by every restore.
 	prefixes []netip.Prefix
 	order    []int32
+	// last, down and epoch are the network's per-session tables; down and
+	// epoch are nil when the network never faulted, and shared read-only
+	// by every restore.
+	last  []netsim.Seconds
+	down  []bool
+	epoch []uint64
 }
 
 type speakerSnapshot struct {
 	msgCount        uint64
-	lastDeliver     []netsim.Seconds
 	lastFeedDeliver netsim.Seconds
-	downSess        []bool
-	sessEpoch       []uint64
+	base            int32         // checked, not restored: the restoring network's layout must match
 	rib             []prefixState // in prefix order; frozen: owner nil, pending nil
 }
 
@@ -66,6 +78,9 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 		// Copies: the live network goes on inserting into order in place.
 		prefixes: slices.Clone(n.prefixes),
 		order:    slices.Clone(n.order),
+		last:     slices.Clone(n.last),
+		down:     slices.Clone(n.down),
+		epoch:    slices.Clone(n.epoch),
 	}
 	for i, sh := range n.shards {
 		ks, err := sh.sim.Snapshot()
@@ -74,7 +89,8 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 		}
 		snap.kernels[i] = ks
 	}
-	for i, sp := range n.speakers {
+	for i := range n.speakers {
+		sp := &n.speakers[i]
 		states := 0
 		for _, st := range sp.rib {
 			if st != nil {
@@ -101,10 +117,8 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 		}
 		snap.speakers[i] = speakerSnapshot{
 			msgCount:        sp.msgCount,
-			lastDeliver:     slices.Clone(sp.lastDeliver),
 			lastFeedDeliver: sp.lastFeedDeliver,
-			downSess:        slices.Clone(sp.downSess),
-			sessEpoch:       slices.Clone(sp.sessEpoch),
+			base:            sp.base,
 			rib:             rib,
 		}
 	}
@@ -113,14 +127,17 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 
 // Restore installs a snapshot into a freshly built network over an
 // identically shaped topology (same node count and adjacency layout, e.g.
-// regenerated from the same GenConfig). It is O(speakers × prefixes):
-// every speaker's id-indexed rib is carved out of one network-wide array of
-// pointers at the snapshot's frozen states, and nothing per prefix is
-// allocated or copied until the restored world writes a state (see
+// regenerated from the same GenConfig). It allocates one array, whatever
+// the speaker or prefix count: every speaker's id-indexed rib is carved
+// out of one network-wide array of pointers at the snapshot's frozen
+// states. The delivery clocks, which shard goroutines write, are copied
+// into the table New allocated; the down and epoch tables are the
+// snapshot's until the world's first fault (ownSessions); nothing per
+// prefix is allocated or copied until the world writes a state (see
 // NetworkSnapshot). The carved windows and the prefix-id tables are
 // capacity-limited, so a world that originates a new prefix copies its
-// tables, and a speaker that learns one reallocates its own rib, instead of
-// growing over arrays that a neighbour or a sibling restore reads.
+// tables, and a speaker that learns one reallocates its own rib, instead
+// of growing over arrays that a neighbour or a sibling restore reads.
 // Concurrent restores from one snapshot are safe.
 //
 // Nothing is replayed and nothing is seeded. OnBestChange subscribers are
@@ -137,11 +154,15 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 	if len(snap.speakers) != len(n.speakers) {
 		return fmt.Errorf("bgp: snapshot has %d speakers, network has %d", len(snap.speakers), len(n.speakers))
 	}
-	for i, sp := range n.speakers {
+	if len(snap.last) != len(n.last) {
+		return fmt.Errorf("bgp: snapshot has %d sessions, network has %d", len(snap.last), len(n.last))
+	}
+	for i := range n.speakers {
+		sp := &n.speakers[i]
 		if len(sp.rib) != 0 {
 			return fmt.Errorf("bgp: speaker %d already has prefix state; restore requires a fresh network", i)
 		}
-		if len(snap.speakers[i].lastDeliver) != len(sp.node.Adj) {
+		if snap.speakers[i].base != sp.base {
 			return fmt.Errorf("bgp: speaker %d adjacency count mismatch", i)
 		}
 	}
@@ -156,15 +177,14 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 	nPrefix := len(snap.prefixes)
 	n.prefixes = snap.prefixes[:nPrefix:nPrefix]
 	n.order = snap.order[:nPrefix:nPrefix]
+	copy(n.last, snap.last)
+	n.down, n.epoch, n.sessShared = snap.down, snap.epoch, true
 	ribs := make([]*prefixState, len(n.speakers)*nPrefix)
 	for i := range snap.speakers {
 		ss := &snap.speakers[i]
-		sp := n.speakers[i]
+		sp := &n.speakers[i]
 		sp.msgCount = ss.msgCount
-		copy(sp.lastDeliver, ss.lastDeliver)
 		sp.lastFeedDeliver = ss.lastFeedDeliver
-		copy(sp.downSess, ss.downSess)
-		copy(sp.sessEpoch, ss.sessEpoch)
 		sp.rib, ribs = ribs[:nPrefix:nPrefix], ribs[nPrefix:]
 		for k := range ss.rib {
 			sp.rib[ss.rib[k].id] = &ss.rib[k]

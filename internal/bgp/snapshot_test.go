@@ -3,6 +3,7 @@ package bgp
 import (
 	"net/netip"
 	"testing"
+	"unsafe"
 
 	"bestofboth/internal/netsim"
 	"bestofboth/internal/topology"
@@ -203,5 +204,161 @@ func TestRestoredPrefixTablesAreCapped(t *testing.T) {
 	}
 	if got := restore().RouteStateDigest(); got != want {
 		t.Fatal("a restore after a sibling's new origination differs from the snapshotted network")
+	}
+}
+
+// TestSessionTablesSharedUntilFault pins the fault-only session tables'
+// copy-on-write: a network that never faulted allocates neither table, a
+// restore shares its snapshot's until its own first fault, and each of the
+// three fault methods clones them before it writes, so the snapshot and a
+// sibling restore still read every session as it was captured.
+func TestSessionTablesSharedUntilFault(t *testing.T) {
+	const o, c, d = 3, 1, 2 // diamond: O's links to C and D
+	topo := diamond(t)
+	build := func() (*netsim.Sim, *Network) {
+		sim := netsim.New(1)
+		net := New(sim, topo, quickCfg())
+		if err := net.Originate(o, testPrefix, nil); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+		return sim, net
+	}
+	// session reads the a-b session at a as the tables hold it.
+	type session struct {
+		down  bool
+		epoch uint64
+	}
+	at := func(net *Network, a, b topology.NodeID) int {
+		sa, _, ia, _, err := net.sessionPair(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(sa.base) + ia
+	}
+	read := func(down []bool, epoch []uint64, i int) session {
+		var s session
+		if down != nil {
+			s.down = down[i]
+		}
+		if epoch != nil {
+			s.epoch = epoch[i]
+		}
+		return s
+	}
+	shares := func(net *Network, snap *NetworkSnapshot) bool {
+		return unsafe.SliceData(net.down) == unsafe.SliceData(snap.down) &&
+			unsafe.SliceData(net.epoch) == unsafe.SliceData(snap.epoch)
+	}
+
+	t.Run("fresh networks", func(t *testing.T) {
+		_, a := build()
+		_, b := build()
+		if a.down != nil || a.epoch != nil {
+			t.Fatal("a network that never faulted allocated its session tables")
+		}
+		if err := a.SetLinkDown(o, c); err != nil {
+			t.Fatal(err)
+		}
+		if got := read(a.down, a.epoch, at(a, o, c)); got != (session{true, 1}) {
+			t.Fatalf("faulted network reads O-C as %+v, want down at epoch 1", got)
+		}
+		if b.down != nil || b.epoch != nil || linkDown(t, b, o, c) {
+			t.Fatal("a fault on one fresh network reached another built on the same topology")
+		}
+	})
+
+	// The source world: O-C went down and came back (up at epoch 1), O-D
+	// is down (epoch 1).
+	sim, src := build()
+	for _, fault := range []func() error{
+		func() error { return src.SetLinkDown(o, c) },
+		func() error { return src.SetLinkUp(o, c) },
+		func() error { return src.SetLinkDown(o, d) },
+	} {
+		if err := fault(); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+	}
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shares(src, snap) {
+		t.Fatal("the snapshot shares tables the live network goes on writing")
+	}
+	captured := map[[2]topology.NodeID]session{{o, c}: {false, 1}, {c, o}: {false, 1}, {o, d}: {true, 1}, {d, o}: {true, 1}}
+	restore := func() *Network {
+		net := New(netsim.New(1), topo, quickCfg())
+		if err := net.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if !shares(net, snap) {
+			t.Fatal("a restore does not share the snapshot's session tables")
+		}
+		return net
+	}
+	// unmoved fails t if the snapshot or net reads any session other than
+	// as captured.
+	unmoved := func(t *testing.T, what string, net *Network) {
+		t.Helper()
+		for l, want := range captured {
+			if got := read(snap.down, snap.epoch, at(net, l[0], l[1])); got != want {
+				t.Fatalf("%s: the snapshot reads %d-%d as %+v, captured %+v", what, l[0], l[1], got, want)
+			}
+			if got := read(net.down, net.epoch, at(net, l[0], l[1])); got != want {
+				t.Fatalf("%s: the sibling restore reads %d-%d as %+v, captured %+v", what, l[0], l[1], got, want)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		fault func(*Network) error
+		link  [2]topology.NodeID
+		want  session
+	}{
+		{"SetLinkDown", func(n *Network) error { return n.SetLinkDown(o, c) }, [2]topology.NodeID{o, c}, session{true, 2}},
+		{"SetLinkUp", func(n *Network) error { return n.SetLinkUp(o, d) }, [2]topology.NodeID{o, d}, session{false, 1}},
+		{"ResetSession", func(n *Network) error { return n.ResetSession(o, c) }, [2]topology.NodeID{o, c}, session{false, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := restore(), restore()
+			if err := tc.fault(a); err != nil {
+				t.Fatal(err)
+			}
+			if shares(a, snap) || a.sessShared {
+				t.Fatal("the fault wrote without cloning the shared tables")
+			}
+			for _, l := range [][2]topology.NodeID{tc.link, {tc.link[1], tc.link[0]}} {
+				if got := read(a.down, a.epoch, at(a, l[0], l[1])); got != tc.want {
+					t.Fatalf("the faulted restore reads %d-%d as %+v, want %+v", l[0], l[1], got, tc.want)
+				}
+			}
+			unmoved(t, tc.name, b)
+			if !shares(b, snap) {
+				t.Fatal("a fault on one restore took the sibling's tables")
+			}
+
+			// Tables the network owns are written in place, and a snapshot
+			// of them is a copy that the network's next fault leaves as it
+			// was.
+			down := unsafe.SliceData(a.down)
+			a.Sim().Run()
+			again, err := a.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.ResetSession(c, d); err != nil {
+				t.Fatal(err)
+			}
+			if unsafe.SliceData(a.down) != down {
+				t.Fatal("owned tables were cloned again")
+			}
+			if got := read(again.down, again.epoch, at(a, c, d)); got != (session{}) {
+				t.Fatalf("a later fault reached the snapshot of an owned table: C-D reads %+v", got)
+			}
+		})
 	}
 }

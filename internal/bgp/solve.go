@@ -150,7 +150,7 @@ type solver struct {
 func newSolver(topo *topology.Topology) *solver {
 	n := topo.Len()
 	sv := &solver{topo: topo, tent: make([]offer, n), seen: make([]bool, n)}
-	sv.off, sv.rev = reverseSessions(topo)
+	sv.off, sv.rev = topo.ReverseSessions()
 	return sv
 }
 
@@ -302,7 +302,8 @@ func (sv *solver) pathContains(v topology.NodeID, asn topology.ASN) bool {
 // the network converges to. Control context only.
 func (n *Network) Originations() []Origination {
 	var out []Origination
-	for _, sp := range n.speakers {
+	for i := range n.speakers {
+		sp := &n.speakers[i]
 		for _, id := range n.order {
 			if st := sp.at(id); st != nil && st.origin != nil {
 				out = append(out, Origination{Node: sp.node.ID, Prefix: n.prefixes[id], Policy: st.origin.pol})

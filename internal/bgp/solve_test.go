@@ -20,14 +20,16 @@ import (
 // It describes the first difference, or returns "".
 func solveMismatch(net *Network, sol *Solution) string {
 	prefixes := slices.Clone(sol.Prefixes())
-	for _, sp := range net.speakers {
+	for v := range net.speakers {
+		sp := &net.speakers[v]
 		for _, p := range sp.KnownPrefixes() {
 			if i, ok := slices.BinarySearchFunc(prefixes, p, comparePrefix); !ok {
 				prefixes = slices.Insert(prefixes, i, p)
 			}
 		}
 	}
-	for _, sp := range net.speakers {
+	for i := range net.speakers {
+		sp := &net.speakers[i]
 		node := sp.Node().ID
 		for _, p := range prefixes {
 			want, got := sp.Best(p), sol.Best(node, p)
@@ -153,7 +155,8 @@ func TestSolveInstallMatchesConvergeRandom(t *testing.T) {
 		// speaker's best route for it arrives on.
 		o := origs[r.Intn(len(origs))]
 		var links [][2]topology.NodeID
-		for _, sp := range ref.speakers {
+		for i := range ref.speakers {
+			sp := &ref.speakers[i]
 			if sess := sp.BestSession(o.Prefix); sess >= 0 {
 				links = append(links, [2]topology.NodeID{sp.node.ID, sp.node.Adj[sess].To})
 			}

@@ -8,7 +8,11 @@ import (
 	"bestofboth/internal/topology"
 )
 
-// Speaker is the BGP process of one topology node.
+// Speaker is the BGP process of one topology node. A network carves all
+// of its speakers from one slab, and their per-session state lives in the
+// network's per-session tables, so a speaker is 96 bytes and a network of
+// any size costs a handful of allocations to build (TestWireLayout,
+// TestRestoreAllocBudget).
 type Speaker struct {
 	net *Network
 	// sh is the shard this speaker runs on: all of its events live on
@@ -22,29 +26,14 @@ type Speaker struct {
 	// per-speaker so shards never contend; Network.MessageCount sums.
 	msgCount uint64
 
-	// reverse[i] is the session index by which node.Adj[i].To refers back
-	// to this speaker, -1 if it does not: this speaker's window of the
-	// network's reverseSessions table.
-	reverse []int32
-
-	// lastDeliver[i] is the latest delivery time scheduled on session i.
-	// BGP runs over TCP, so updates on one session must arrive in the
-	// order they were sent even though per-update processing jitter
-	// varies; without this, a withdrawal could overtake an in-flight
-	// announcement and strand a stale route at the neighbor forever.
-	lastDeliver []netsim.Seconds
-	// lastFeedDeliver orders collector-feed deliveries the same way: the
-	// collector session is TCP too.
+	// lastFeedDeliver orders collector-feed deliveries the way
+	// Network.last orders a session's: the collector session is TCP too.
 	lastFeedDeliver netsim.Seconds
 
-	// downSess[i] is true while session i is administratively or physically
-	// down (link failure, maintenance). No updates are sent or accepted on a
-	// down session.
-	downSess []bool
-	// sessEpoch[i] counts session establishments. Deliveries scheduled under
-	// an older epoch are dropped: a session reset tears down the TCP
-	// connection, so in-flight updates never arrive.
-	sessEpoch []uint64
+	// base is where this speaker's sessions start in the network's
+	// per-session tables (Network.rev, last, down and epoch): session i is
+	// entry base+i.
+	base int32
 
 	// rib is the per-prefix table, indexed by prefix id (Network.prefixes);
 	// nil means no state. An UPDATE carries the id, so finding its state is
@@ -111,15 +100,22 @@ type origination struct {
 	route Route
 }
 
-func newSpeaker(net *Network, sh *shard, node *topology.Node) *Speaker {
-	return &Speaker{
-		net:         net,
-		sh:          sh,
-		node:        node,
-		lastDeliver: make([]netsim.Seconds, len(node.Adj)),
-		downSess:    make([]bool, len(node.Adj)),
-		sessEpoch:   make([]uint64, len(node.Adj)),
+// reverse returns the session by which node.Adj[sess].To refers back to
+// this speaker, -1 if it does not.
+func (s *Speaker) reverse(sess int) int { return int(s.net.rev[int(s.base)+sess]) }
+
+// sessDown reports whether session sess is down (Network.down).
+func (s *Speaker) sessDown(sess int) bool {
+	down := s.net.down
+	return down != nil && down[int(s.base)+sess]
+}
+
+// sessEpoch returns session sess's establishment count (Network.epoch).
+func (s *Speaker) sessEpoch(sess int) uint64 {
+	if epoch := s.net.epoch; epoch != nil {
+		return epoch[int(s.base)+sess]
 	}
+	return 0
 }
 
 // Node returns the topology node this speaker runs on.
@@ -643,7 +639,7 @@ func (s *Speaker) exportPass(st *prefixState, sess int, transit *[]topology.ASN)
 // rules a converge applies.
 func (s *Speaker) exportUpdate(st *prefixState, sess int, transit *[]topology.ASN) (update, bool) {
 	s.mustOwn(st)
-	if s.downSess[sess] {
+	if s.sessDown(sess) {
 		// Nothing can be sent on a down session; the full re-advertisement
 		// at session establishment brings the neighbor up to date.
 		return update{}, false
@@ -699,8 +695,8 @@ func (s *Speaker) mraiInterval() netsim.Seconds {
 //cdnlint:allocfree pinned by TestSendPathZeroAllocs
 func (s *Speaker) transmit(sess int, u update) {
 	adj := s.node.Adj[sess]
-	peer := s.net.speakers[adj.To]
-	rev := int(s.reverse[sess])
+	peer := &s.net.speakers[adj.To]
+	rev := s.reverse(sess)
 	if rev < 0 {
 		return // asymmetric link; Validate prevents this
 	}
@@ -716,10 +712,11 @@ func (s *Speaker) transmit(sess int, u update) {
 	delay := adj.Delay + s.sh.sim.Jitter(s.net.cfg.ProcMin, s.net.cfg.ProcMax)
 	at := s.sh.sim.Now() + delay
 	// Preserve TCP's in-order delivery on the session.
-	if at <= s.lastDeliver[sess] {
-		at = s.lastDeliver[sess] + 1e-6
+	last := &s.net.last[int(s.base)+sess]
+	if at <= *last {
+		at = *last + 1e-6
 	}
-	s.lastDeliver[sess] = at
+	*last = at
 	if peer.sh != s.sh {
 		// Cross-shard: buffer by value for the barrier merge. The delivery
 		// time carries at least the lookahead window of latency, so it lands
@@ -732,7 +729,7 @@ func (s *Speaker) transmit(sess int, u update) {
 	// the TCP connection it rode on is gone and the update must never be
 	// delivered (checked by runDelivery).
 	d := s.sh.newDelivery()
-	d.peer, d.rev, d.epoch, d.u = peer, rev, peer.sessEpoch[rev], u
+	d.peer, d.rev, d.epoch, d.u = peer, rev, peer.sessEpoch(rev), u
 	s.sh.sim.AtCall(at, runDelivery, d)
 }
 

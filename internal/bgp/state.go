@@ -24,7 +24,8 @@ const digestChunk = 32 << 10
 // it; the text is rendered append-style into one reused chunk buffer.
 func (n *Network) WriteRouteState(w io.Writer) error {
 	buf := make([]byte, 0, digestChunk+digestChunk/4)
-	for _, sp := range n.speakers {
+	for i := range n.speakers {
+		sp := &n.speakers[i]
 		for _, id := range n.order {
 			st := sp.at(id)
 			if st == nil {

@@ -14,7 +14,8 @@ import (
 // digest comparison in the tree was defined by this text.
 func RefRouteStateDigest(n *Network) string {
 	var b strings.Builder
-	for _, sp := range n.speakers {
+	for i := range n.speakers {
+		sp := &n.speakers[i]
 		var lines []string
 		// The reference sorts for itself, as the map-backed table it was
 		// written against had to: the rib's own order must agree with it.

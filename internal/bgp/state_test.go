@@ -72,11 +72,10 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 
 	adj := []topology.Adjacency{{Rel: topology.RelProvider}, {Rel: topology.RelCustomer}, {Rel: topology.RelPeer}}
 	all := &Network{}
-	whole := &Speaker{net: all, node: &topology.Node{Name: "all-cases", Adj: adj}}
-	all.speakers = []*Speaker{whole, whole}
+	whole := Speaker{net: all, node: &topology.Node{Name: "all-cases", Adj: adj}}
 	for i, c := range cases {
 		n := &Network{prefixes: []netip.Prefix{c.p}, order: []int32{0}}
-		n.speakers = []*Speaker{{net: n, node: &topology.Node{Name: "edge", Adj: adj}, rib: []*prefixState{c.st}}}
+		n.speakers = []Speaker{{net: n, node: &topology.Node{Name: "edge", Adj: adj}, rib: []*prefixState{c.st}}}
 		want := RefRouteStateDigest(n)
 		if got := n.RouteStateDigest(); got != want {
 			t.Errorf("%s:\n got %q\nwant %q", c.name, got, want)
@@ -92,6 +91,7 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 		all.order = append(all.order, st.id)
 		whole.rib = append(whole.rib, &st)
 	}
+	all.speakers = []Speaker{whole, whole}
 	if got, want := all.RouteStateDigest(), RefRouteStateDigest(all); got != want {
 		t.Errorf("combined network:\n got %q\nwant %q", got, want)
 	}

@@ -60,7 +60,8 @@ func groupTopo(t *testing.T, shards int) (*Network, *Speaker, int) {
 func TestExportSharesRouteAcrossSessions(t *testing.T) {
 	net, origin, prepended := groupTopo(t, 1)
 	shared := 0
-	for _, sp := range net.speakers {
+	for i := range net.speakers {
+		sp := &net.speakers[i]
 		for _, st := range sp.rib {
 			if st == nil {
 				continue
@@ -149,7 +150,8 @@ func TestImportKeepsSenderRoute(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			net, _, _ := groupTopo(t, shards)
 			held := 0
-			for _, sp := range net.speakers {
+			for i := range net.speakers {
+				sp := &net.speakers[i]
 				for _, st := range sp.rib {
 					if st == nil {
 						continue
@@ -159,8 +161,8 @@ func TestImportKeepsSenderRoute(t *testing.T) {
 						if r == nil {
 							continue
 						}
-						peer := net.speakers[sp.node.Adj[sess].To]
-						if sent := peer.at(st.id).adj[sp.reverse[sess]].out; r != sent {
+						peer := &net.speakers[sp.node.Adj[sess].To]
+						if sent := peer.at(st.id).adj[sp.reverse(sess)].out; r != sent {
 							t.Fatalf("%s in[%d] %s is %p, sender %s holds %p", sp.node.Name, sess, net.prefixes[st.id], r, peer.node.Name, sent)
 						}
 						held++

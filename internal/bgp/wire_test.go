@@ -19,7 +19,10 @@ func (s *Speaker) send(sess int, u Update) {
 // TestWireLayout pins the sizes of the per-event and per-state structs the
 // prefix id shrank. Each budget keeps a Go size class: a delivery is
 // allocated by its pool one at a time, a prefix state by every speaker that
-// learns a prefix, and a mailbox holds cross-shard messages by value.
+// learns a prefix, and a mailbox holds cross-shard messages by value. A
+// speaker's per-session state lives in the network's tables, which leaves
+// the speaker one offset into them (every network build carves a slab of
+// speakers).
 func TestWireLayout(t *testing.T) {
 	if got := unsafe.Sizeof(update{}); got != 16 {
 		t.Errorf("update is %d B, want 16: the prefix rides as a 4-byte id beside the type", got)
@@ -32,5 +35,8 @@ func TestWireLayout(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(prefixState{}); got > 112 {
 		t.Errorf("prefixState is %d B, budget 112 B: Go's 112-byte size class; one byte more takes the 128-byte class", got)
+	}
+	if got := unsafe.Sizeof(Speaker{}); got > 96 {
+		t.Errorf("Speaker is %d B, budget 96 B: its sessions are one offset into the network's per-session tables, not four slices", got)
 	}
 }

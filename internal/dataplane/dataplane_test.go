@@ -178,7 +178,7 @@ func TestProberCapturesReplies(t *testing.T) {
 	sim.Run()
 
 	pr := NewProber(plane, ids["s2"], addrA)
-	pr.Ping(ids["c"])
+	pr.ping(ids["c"])
 	sim.RunUntil(sim.Now() + 1) // probes are not events: Run would not wait for the reply
 
 	if pr.Answered() != 1 {
@@ -200,7 +200,7 @@ func TestProberLostReplyNotCaptured(t *testing.T) {
 	plane := New(net)
 	// No announcement: replies have no route.
 	pr := NewProber(plane, ids["s2"], addrA)
-	pr.Ping(ids["c"])
+	pr.ping(ids["c"])
 	sim.RunUntil(sim.Now() + 1)
 	if pr.Answered() != 0 {
 		t.Fatalf("capture has %d entries, want 0", pr.Answered())
@@ -274,9 +274,9 @@ func TestTraceInvariants(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				sim.After(float64(i)*0.5, func() {
 					if reference {
-						ref.Ping(targets[i%2])
+						ref.ping(targets[i%2])
 					} else {
-						pr.Ping(targets[i%2])
+						pr.ping(targets[i%2])
 					}
 				})
 			}
@@ -332,11 +332,11 @@ func TestTraceInvariants(t *testing.T) {
 		sim.Run()
 
 		pr := NewProber(plane, near, addrA)
-		pr.Ping(c) // replies to far, 5 s away
+		pr.ping(c) // replies to far, 5 s away
 		net.Originate(near, prefixA, nil)
 		sim.RunUntil(sim.Now() + 2) // the more specific reaches c well within 2 s
 		sent := sim.Now()
-		pr.Ping(c) // replies to near, milliseconds away
+		pr.ping(c) // replies to near, milliseconds away
 		sim.RunUntil(sim.Now() + 10)
 
 		// The second reply arrives first; the first, from far, arrives last
@@ -356,7 +356,7 @@ func TestTraceInvariants(t *testing.T) {
 		plane := New(net)
 		net.Originate(ids["s1"], prefixA, nil)
 		sim.Run()
-		NewProber(plane, ids["s2"], addrA).Ping(ids["c"]) // the plane's journal for addrA, once
+		NewProber(plane, ids["s2"], addrA).ping(ids["c"]) // the plane's journal for addrA, once
 		campaign := func(d float64) func() {
 			return func() {
 				pr := NewProber(plane, ids["s2"], addrA)
@@ -435,7 +435,7 @@ func TestProberLossRate(t *testing.T) {
 	pr.LossRate = 0.3
 	const n = 2000
 	for i := 0; i < n; i++ {
-		pr.Ping(ids["c"])
+		pr.ping(ids["c"])
 	}
 	sim.RunUntil(sim.Now() + 1)
 	got := pr.Answered()
@@ -457,7 +457,7 @@ func TestProberZeroLossCapturesAll(t *testing.T) {
 	sim.Run()
 	pr := NewProber(plane, ids["s2"], addrA)
 	for i := 0; i < 100; i++ {
-		pr.Ping(ids["c"])
+		pr.ping(ids["c"])
 	}
 	sim.RunUntil(sim.Now() + 1)
 	if pr.Answered() != 100 {
@@ -660,7 +660,7 @@ func TestProberSeqOverflow(t *testing.T) {
 	sim.Run()
 	pr := NewProber(plane, ids["s1"], addrA)
 	pr.seq = math.MaxUint32 - 1
-	if got := pr.Ping(ids["c"]); got != math.MaxUint32 {
+	if got := pr.ping(ids["c"]); got != math.MaxUint32 {
 		t.Fatalf("last probe has Seq %d, want %d", got, uint32(math.MaxUint32))
 	}
 	defer func() {
@@ -671,5 +671,5 @@ func TestProberSeqOverflow(t *testing.T) {
 			t.Fatalf("%d probes filed, want 1", o.Sent)
 		}
 	}()
-	pr.Ping(ids["c"])
+	pr.ping(ids["c"])
 }

@@ -21,8 +21,8 @@ const seqOverflow = "dataplane: prober sequence numbers exhausted"
 // so replies reveal which site that prefix currently routes to from each
 // target (§5.2).
 //
-// A prober observes and never acts, so it schedules nothing. Ping and
-// PingEvery record what to send; Outcome, Window, Sent and Answered bring the
+// A prober observes and never acts, so it schedules nothing. PingEvery
+// records what to send; Outcome, Window, Sent and Answered bring the
 // prober up to the simulation's clock first: probes are emitted in the order
 // a calendar of ticks would have fired them, and each echo at instant E is
 // answered by walking the FIBs as the plane's journal says they stood at E
@@ -51,10 +51,10 @@ type Prober struct {
 	LossRate float64
 	// Edges are the ascending instants that bound the windows Window reads:
 	// [Edges[i], Edges[j]) for i < j. From, ReplyTo, LossRate and Edges are
-	// read from the first Ping or PingEvery on; set them before it.
+	// read from the first probe on; set them before PingEvery.
 	Edges []float64
 
-	watch    *watch // the journal for ReplyTo, registered by the first Ping or PingEvery
+	watch    *watch // the journal for ReplyTo, registered by the first probe
 	lossKey  uint64
 	seq      uint32
 	answered int
@@ -156,12 +156,12 @@ func (p *Prober) target(id topology.NodeID) *target {
 	return tg
 }
 
-// Ping sends one echo request to target now, after every campaign probe due
+// ping sends one echo request to target now, after every campaign probe due
 // by now. The request travels the stable forward path (static latency); the
 // reply is routed by the FIBs as they stand when the target answers. A lost
 // reply leaves the probe unanswered, mirroring a missing sequence number in
 // the paper's traces. It returns the sequence number used.
-func (p *Prober) Ping(target topology.NodeID) uint32 {
+func (p *Prober) ping(target topology.NodeID) uint32 {
 	tg := p.target(target)
 	now := p.plane.sim.Now()
 	p.emit(now)

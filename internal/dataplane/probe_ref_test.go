@@ -213,9 +213,9 @@ func (p *refProber) trace(target topology.NodeID) *refTrace {
 	return tr
 }
 
-func (p *refProber) Ping(target topology.NodeID) uint32 { return p.ping(p.trace(target)) }
+func (p *refProber) ping(target topology.NodeID) uint32 { return p.pingTrace(p.trace(target)) }
 
-func (p *refProber) ping(tr *refTrace) uint32 {
+func (p *refProber) pingTrace(tr *refTrace) uint32 {
 	p.seq++
 	seq := p.seq
 	fwd := p.plane.StaticDelay(p.From, tr.Target)
@@ -242,7 +242,7 @@ func (p *refProber) PingEvery(target topology.NodeID, interval, duration float64
 		if sim.Now() >= deadline {
 			return
 		}
-		p.ping(tr)
+		p.pingTrace(tr)
 		sim.After(interval, tick)
 	}
 	tick()

@@ -17,7 +17,7 @@ import (
 
 // probing is what the prober and its calendar reference have in common.
 type probing interface {
-	Ping(topology.NodeID) uint32
+	ping(topology.NodeID) uint32
 	PingEvery(target topology.NodeID, interval, duration float64)
 	Sent() int
 	Answered() int
@@ -101,7 +101,7 @@ const (
 	opWithdraw         // site x withdraws prefix y
 	opSetDown          // node x goes down (y odd) or comes back
 	opCampaign         // PingEvery(node x, (1 + y%8) quarter seconds, z quarter seconds)
-	opPing             // Ping(node x)
+	opPing             // ping(node x)
 	opRead             // compare every target's fold with the reference's logs
 	numOps
 )
@@ -253,8 +253,8 @@ func runScript(tb testing.TB, data []byte) []readout {
 			real.probers[o.prober].PingEvery(target, interval, duration)
 			ref.probers[o.prober].PingEvery(target, interval, duration)
 		case opPing:
-			if got, want := real.probers[o.prober].Ping(target), ref.probers[o.prober].Ping(target); got != want {
-				tb.Fatalf("t=%v: Ping used seq %d, the reference %d", at, got, want)
+			if got, want := real.probers[o.prober].ping(target), ref.probers[o.prober].ping(target); got != want {
+				tb.Fatalf("t=%v: ping used seq %d, the reference %d", at, got, want)
 			}
 		case opRead:
 			read(at)
@@ -291,8 +291,8 @@ var handScripts = map[string][]byte{
 		scriptOp{kind: opRead, at: 8},
 	),
 	// Two cadences on one prober, 0.5 s and 0.25 s, started at one instant
-	// with a Ping between them, so every other tick of the second ties with
-	// one of the first; later a Ping and a third campaign at a tick instant.
+	// with a ping between them, so every other tick of the second ties with
+	// one of the first; later a ping and a third campaign at a tick instant.
 	"coinciding-cadences": script(nS2, nS1, 0,
 		scriptOp{kind: opCampaign, x: nC1, y: 1, z: 40, at: 1},
 		scriptOp{kind: opPing, x: nC2, at: 1},
@@ -372,8 +372,8 @@ func TestProberMatchesCalendarByHand(t *testing.T) {
 	}
 
 	// Seq order across the three traces is the tick order: at t=1 c1's
-	// campaign, the Ping, c2's campaign; at ties c1's tick first (its previous
-	// probe went out first); at t=3 the ticks, then the Ping, then t3's first.
+	// campaign, the ping, c2's campaign; at ties c1's tick first (its previous
+	// probe went out first); at t=3 the ticks, then the ping, then t3's first.
 	last := reads["coinciding-cadences"][1].traces[0]
 	seqAt := func(n int, at float64) []uint32 {
 		var s []uint32
@@ -391,7 +391,7 @@ func TestProberMatchesCalendarByHand(t *testing.T) {
 		t.Errorf("coinciding cadences at 1.5 s: c1 %v c2 %v, want c1's tick first", a, b)
 	}
 	if a, b, c := seqAt(nC1, 3), seqAt(nC2, 3), seqAt(nT3, 3); len(a) != 2 || len(b) != 1 || len(c) != 1 || !(a[0] < b[0] && b[0] < a[1] && a[1] < c[0]) {
-		t.Errorf("coinciding cadences at 3 s: c1 %v c2 %v t3 %v, want tick, tick, Ping, new campaign", a, b, c)
+		t.Errorf("coinciding cadences at 3 s: c1 %v c2 %v t3 %v, want tick, tick, ping, new campaign", a, b, c)
 	}
 
 	mid := reads["read-in-mid-flight"]
@@ -529,10 +529,10 @@ func TestPingSchedulesNothing(t *testing.T) {
 	pending := w.sim.Pending()
 	for i := 0; i < 1000; i++ {
 		w.probers[i%2].PingEvery(w.nodes[i%len(w.nodes)], 1.5, 600)
-		w.probers[i%2].Ping(w.nodes[i%len(w.nodes)])
+		w.probers[i%2].ping(w.nodes[i%len(w.nodes)])
 	}
 	if got := w.sim.Pending(); got != pending {
-		t.Fatalf("a thousand PingEvery and Ping calls left %d events pending, want the %d there were", got, pending)
+		t.Fatalf("a thousand PingEvery and ping calls left %d events pending, want the %d there were", got, pending)
 	}
 	w.sim.RunUntil(scriptT0 + 30)
 	pending = w.sim.Pending()

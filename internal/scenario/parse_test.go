@@ -60,6 +60,11 @@ func TestParseRejectsBadInput(t *testing.T) {
 		{"prepend count sizing a path", `{"name": "x", "events": [{"at": 1, "kind": "announce-policy", "site": "atl", "count": 100000000}]}`},
 		{"horizon sizing the probe logs", `{"name": "x", "horizon": 1e300, ` + ok + `}`},
 	}
+	// A set horizon stops probing, so an event past it would never run.
+	if _, err := Parse([]byte(`{"name":"past","horizon":60,"events":[{"at":10,"kind":"fail","site":"atl"},{"at":200,"kind":"recover","site":"atl"}]}`)); err == nil ||
+		!strings.Contains(err.Error(), "event 1 (recover)") || !strings.Contains(err.Error(), "60 s horizon") {
+		t.Errorf("an event past the horizon: error %v, want one naming event 1 (recover) and the 60 s horizon", err)
+	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
 		switch {

@@ -118,7 +118,8 @@ type Scenario struct {
 	// meaningful for any load-summary reporting. Advisory, like Damping.
 	Demand bool `json:"demand,omitempty"`
 	// Horizon is the probing horizon in virtual seconds from scenario
-	// start. Zero means the last event time plus a 120 s tail.
+	// start. Zero means the last event time plus a 120 s tail. When set,
+	// no event may come after it (Validate).
 	Horizon float64 `json:"horizon,omitempty"`
 	Events  []Event `json:"events"`
 }
@@ -161,6 +162,11 @@ func (s *Scenario) Validate() error {
 		where := fmt.Sprintf("scenario %s: event %d (%s)", s.Name, i, e.Kind)
 		if e.At < 0 {
 			return fmt.Errorf("%s: negative time %g", where, e.At)
+		}
+		if s.Horizon > 0 && e.At > s.Horizon {
+			// Probing stops at the horizon, so the event would never run,
+			// yet its row would be reported as a quiet window.
+			return fmt.Errorf("%s: at %g s, past the %g s horizon", where, e.At, s.Horizon)
 		}
 		switch e.Kind {
 		case KindCrash, KindFail, KindRecover, KindDrain:

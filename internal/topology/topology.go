@@ -9,6 +9,7 @@ package topology
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 )
 
 // ASN is an autonomous system number.
@@ -163,6 +164,9 @@ type Node struct {
 type Topology struct {
 	Nodes  []*Node
 	byName map[string]NodeID
+
+	sessOnce sync.Once
+	sess     sessionTables // see ReverseSessions
 }
 
 // Node returns the node with the given id, or nil if out of range.
@@ -372,7 +376,8 @@ func (b *Builder) SetSite(id NodeID, site string) {
 	}
 }
 
-// Build validates and returns the topology.
+// Build validates and returns the topology, its session tables computed
+// (ReverseSessions).
 func (b *Builder) Build() (*Topology, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -380,5 +385,6 @@ func (b *Builder) Build() (*Topology, error) {
 	if err := b.t.Validate(); err != nil {
 		return nil, err
 	}
+	b.t.ReverseSessions()
 	return b.t, nil
 }
