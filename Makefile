@@ -1,10 +1,16 @@
 GO ?= go
 
-.PHONY: tier1 loc vet fmt lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge profile-restore outputs outputs-diff fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke ci
+.PHONY: tier1 claims loc vet fmt lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge profile-restore outputs outputs-diff fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
 	$(GO) build ./... && $(GO) test ./...
+
+# The paper's claims across seeds: BenchmarkPaperClaims (claims_test.go)
+# prints, per claim, on how many of seeds 1–20 it holds at default scale
+# (≈ 30 s on two cores). EXPERIMENTS.md quotes these k/20.
+claims:
+	$(GO) test -run '^$$' -bench '^BenchmarkPaperClaims$$' -benchtime 1x .
 
 # Non-test Go line count, the measure of the ROADMAP's quality aim: every
 # .go file that is not a _test.go and lies outside testdata/ and benchmark/.
@@ -55,7 +61,7 @@ govulncheck:
 race: vet
 	$(GO) test -race -short ./...
 
-# Full race run (slow; includes the paper-headline integration test).
+# Full race run (slow; includes TestPaperClaims' integration worlds).
 race-full: vet
 	$(GO) test -race ./...
 
@@ -218,7 +224,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesConverge -fuzztime=$(FUZZTIME) -parallel 2 ./internal/experiment
 
 # Everything CI runs (see .github/workflows/ci.yml).
-ci: tier1 vet fmt lint lint-fixtures govulncheck race bench-smoke fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke
+ci: tier1 claims vet fmt lint lint-fixtures govulncheck race bench-smoke fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke
 
 # Solver oracle gate: bgp.Solve against the event-driven converge it
 # replaces — random hierarchies and the shared-ASN tie-breaks (bgp), a solve

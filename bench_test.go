@@ -1,9 +1,7 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus ablations of the design choices called out in
-// DESIGN.md. Each benchmark reports the headline measurement of its
-// experiment as custom metrics (medians in seconds, control shares as
-// fractions), so `go test -bench=. -benchmem` doubles as a compact
-// reproduction run.
+// Benchmarks of the evaluation's hot paths, plus ablations of the design
+// choices called out in DESIGN.md, each ablation reporting its measurement
+// as custom metrics. The paper's claims are counted across seeds by
+// BenchmarkPaperClaims (claims_test.go), which `make claims` runs.
 //
 // The per-iteration sizes are reduced relative to cmd/cdnsim defaults to
 // keep iterations in the seconds range; the shapes are the same.
@@ -26,24 +24,6 @@ import (
 	"bestofboth/internal/topology"
 )
 
-// benchConfig is the reduced world used by the experiment benchmarks.
-func benchConfig(seed int64) experiment.WorldConfig {
-	return experiment.WorldConfig{
-		Seed: seed,
-		Topology: topology.GenConfig{
-			NumStub:       160,
-			NumEyeball:    80,
-			NumUniversity: 16,
-			NumRegional:   24,
-		},
-		CollectorPeers: 30,
-	}
-}
-
-func benchFailover() experiment.FailoverConfig {
-	return experiment.FailoverConfig{ProbeDuration: 300, MaxTargets: 15}
-}
-
 var benchSites = []string{"atl", "msn", "slc"}
 
 // selection is computed once and shared by the benchmarks that need it.
@@ -52,7 +32,7 @@ var sharedSel *experiment.Selection
 func getSelection(b *testing.B) *experiment.Selection {
 	b.Helper()
 	if sharedSel == nil {
-		sel, err := experiment.SelectTargets(benchConfig(1), 40)
+		sel, err := experiment.SelectTargets(integrationConfig(1), 40)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,26 +41,18 @@ func getSelection(b *testing.B) *experiment.Selection {
 	return sharedSel
 }
 
-// BenchmarkFigure2 regenerates the §5.4.1 reconnection/failover CDFs for
-// the four techniques of Figure 2 and reports their failover medians.
+// BenchmarkFigure2 is the §5.4.1 matrix for the four techniques of Figure
+// 2 on the reduced world, run by the runner's default mode: GOMAXPROCS
+// workers with converged-world reuse. Results are bit-identical to
+// BenchmarkFigure2Sequential's (see TestRunnerDeterminismAcrossWorkers);
+// only the wall clock differs.
 func BenchmarkFigure2(b *testing.B) {
 	sel := getSelection(b)
-	var last []experiment.CDFPair
+	r := &experiment.Runner{}
 	for i := 0; i < b.N; i++ {
-		pairs, err := (&experiment.Runner{}).Figure2(benchConfig(1), sel, []core.Technique{
-			core.ProactiveSuperprefix{},
-			core.ReactiveAnycast{},
-			core.ProactivePrepending{Prepends: 3},
-			core.Anycast{},
-		}, benchSites, benchFailover())
-		if err != nil {
+		if _, err := r.Figure2(integrationConfig(1), sel, benchFig2Techs, benchSites, quick(15)); err != nil {
 			b.Fatal(err)
 		}
-		last = pairs
-	}
-	for _, p := range last {
-		b.ReportMetric(p.Failover.Median(), p.Technique+"-failover-p50-s")
-		b.ReportMetric(p.Reconnection.Median(), p.Technique+"-recon-p50-s")
 	}
 }
 
@@ -163,12 +135,7 @@ func BenchmarkConvergePaper(b *testing.B) {
 // within them would skip generation.
 var convergeSeed int64 = 1000
 
-var benchFig2Techs = []core.Technique{
-	core.ProactiveSuperprefix{},
-	core.ReactiveAnycast{},
-	core.ProactivePrepending{Prepends: 3},
-	core.Anycast{},
-}
+var benchFig2Techs = []core.Technique{super, reactive, prepend3, anycast}
 
 // BenchmarkFigure2Sequential measures the matrix's runs one at a time, every
 // run deploying and converging its own world from scratch (RunFailover), as
@@ -178,7 +145,7 @@ func BenchmarkFigure2Sequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, tech := range benchFig2Techs {
 			for _, site := range benchSites {
-				if _, err := experiment.RunFailover(benchConfig(1), sel, tech, site, benchFailover()); err != nil {
+				if _, err := experiment.RunFailover(integrationConfig(1), sel, tech, site, quick(15)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -186,20 +153,7 @@ func BenchmarkFigure2Sequential(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure2Parallel is the runner's default mode: GOMAXPROCS workers
-// with converged-world reuse. Results are bit-identical to Sequential (see
-// TestRunnerDeterminismAcrossWorkers); only the wall clock differs.
-func BenchmarkFigure2Parallel(b *testing.B) {
-	sel := getSelection(b)
-	r := &experiment.Runner{}
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Figure2(benchConfig(1), sel, benchFig2Techs, benchSites, benchFailover()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure2Metrics is BenchmarkFigure2Parallel with a live metrics
+// BenchmarkFigure2Metrics is BenchmarkFigure2 with a live metrics
 // registry on every layer; comparing the two bounds the instrumentation
 // overhead (the acceptance budget is ≤2% with the registry disabled, and
 // the enabled path should stay within a few percent).
@@ -208,7 +162,7 @@ func BenchmarkFigure2Metrics(b *testing.B) {
 	reg := obs.NewRegistry()
 	r := &experiment.Runner{Obs: reg}
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Figure2(benchConfig(1), sel, benchFig2Techs, benchSites, benchFailover()); err != nil {
+		if _, err := r.Figure2(integrationConfig(1), sel, benchFig2Techs, benchSites, quick(15)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,150 +173,6 @@ func BenchmarkFigure2Metrics(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1 regenerates the §5.4.2 traffic-control table and reports
-// the mean steerable share at both prepend depths.
-func BenchmarkTable1(b *testing.B) {
-	sel := getSelection(b)
-	var rows []experiment.Table1Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiment.Table1(benchConfig(1), sel)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var p3, p5 float64
-	for _, r := range rows {
-		p3 += r.Prepend3
-		p5 += r.Prepend5
-	}
-	b.ReportMetric(p3/float64(len(rows)), "mean-prepend3-share")
-	b.ReportMetric(p5/float64(len(rows)), "mean-prepend5-share")
-}
-
-// BenchmarkTable2 assembles the tradeoff matrix from fresh Figure 2 and
-// Table 1 measurements.
-func BenchmarkTable2(b *testing.B) {
-	sel := getSelection(b)
-	for i := 0; i < b.N; i++ {
-		pairs, err := (&experiment.Runner{}).Figure2(benchConfig(1), sel,
-			[]core.Technique{core.ReactiveAnycast{}, core.Anycast{}},
-			benchSites[:1], benchFailover())
-		if err != nil {
-			b.Fatal(err)
-		}
-		t1, err := experiment.Table1(benchConfig(1), sel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := experiment.Table2(pairs, t1)
-		if len(rows) == 0 {
-			b.Fatal("empty table 2")
-		}
-	}
-}
-
-// BenchmarkFigure3 regenerates the Appendix A withdrawal-convergence CDFs.
-func BenchmarkFigure3(b *testing.B) {
-	var res *experiment.Figure3Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiment.Figure3(benchConfig(2), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Hypergiant.Median(), "hypergiant-conv-p50-s")
-	b.ReportMetric(res.Testbed.Median(), "testbed-conv-p50-s")
-	b.ReportMetric(res.Testbed.Percentile(90), "testbed-conv-p90-s")
-}
-
-// BenchmarkFigure4 regenerates the Appendix B announcement-propagation
-// CDFs.
-func BenchmarkFigure4(b *testing.B) {
-	var res *experiment.Figure4Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiment.Figure4(benchConfig(3), 3, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.AnycastCensus.Median(), "census-prop-p50-s")
-	b.ReportMetric(res.Testbed.Median(), "testbed-prop-p50-s")
-}
-
-// BenchmarkFigure5 regenerates the Appendix C.2 prepend-depth comparison.
-func BenchmarkFigure5(b *testing.B) {
-	sel := getSelection(b)
-	var pairs []experiment.CDFPair
-	for i := 0; i < b.N; i++ {
-		var err error
-		pairs, err = (&experiment.Runner{}).Figure5(benchConfig(1), sel, benchSites[:2], benchFailover())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(pairs[0].Failover.Median(), "prepend3-failover-p50-s")
-	b.ReportMetric(pairs[1].Failover.Median(), "prepend5-failover-p50-s")
-}
-
-// BenchmarkAppendixC1 regenerates the diverging-AS analysis for sea1.
-func BenchmarkAppendixC1(b *testing.B) {
-	sel := getSelection(b)
-	var intended, byRel float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.AppendixC1(benchConfig(1), sel, "sea1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Compared > 0 {
-			intended = float64(res.ToIntended) / float64(res.Compared)
-		}
-		if res.RelationshipComparable > 0 {
-			byRel = float64(res.ByRelationship) / float64(res.RelationshipComparable)
-		}
-	}
-	b.ReportMetric(intended, "to-intended-share")
-	b.ReportMetric(byRel, "explained-by-relationship-share")
-}
-
-// BenchmarkCombined is the §4 ablation: reactive-anycast with and without
-// the covering superprefix.
-func BenchmarkCombined(b *testing.B) {
-	sel := getSelection(b)
-	var pairs []experiment.CDFPair
-	for i := 0; i < b.N; i++ {
-		var err error
-		pairs, err = (&experiment.Runner{}).Figure2(benchConfig(1), sel,
-			[]core.Technique{core.ReactiveAnycast{}, core.Combined{}},
-			benchSites[:2], benchFailover())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(pairs[0].Failover.Percentile(20), "reactive-failover-p20-s")
-	b.ReportMetric(pairs[1].Failover.Percentile(20), "combined-failover-p20-s")
-	b.ReportMetric(pairs[0].Failover.Percentile(95), "reactive-failover-p95-s")
-	b.ReportMetric(pairs[1].Failover.Percentile(95), "combined-failover-p95-s")
-}
-
-// BenchmarkUnicastDNS quantifies the unicast baseline's DNS-gated failover.
-func BenchmarkUnicastDNS(b *testing.B) {
-	var med, p99 float64
-	for i := 0; i < b.N; i++ {
-		ucfg := experiment.DefaultUnicastDNSConfig()
-		ucfg.Clients = 800
-		cdf, err := experiment.UnicastDNSFailover(benchConfig(4), ucfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		med, p99 = cdf.Median(), cdf.Percentile(99)
-	}
-	b.ReportMetric(med, "unicast-dns-failover-p50-s")
-	b.ReportMetric(p99, "unicast-dns-failover-p99-s")
-}
-
 // BenchmarkAblationMRAI sweeps the MRAI timer and reports withdrawal
 // convergence — the knob behind Figure 3's regime (DESIGN.md §6).
 func BenchmarkAblationMRAI(b *testing.B) {
@@ -370,7 +180,7 @@ func BenchmarkAblationMRAI(b *testing.B) {
 		b.Run(benchName("mrai", mrai), func(b *testing.B) {
 			var med float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchConfig(5)
+				cfg := integrationConfig(5)
 				bcfg := bgp.DefaultConfig()
 				bcfg.MRAI = mrai
 				cfg.BGP = bcfg
@@ -396,7 +206,7 @@ func BenchmarkAblationPaceWithdrawals(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var med float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchConfig(6)
+				cfg := integrationConfig(6)
 				bcfg := bgp.DefaultConfig()
 				bcfg.PaceWithdrawals = pace
 				cfg.BGP = bcfg
@@ -424,7 +234,7 @@ func BenchmarkAblationScopedPrepending(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var share float64
 			for i := 0; i < b.N; i++ {
-				w, err := experiment.NewWorld(benchConfig(1))
+				w, err := experiment.NewWorld(integrationConfig(1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -466,11 +276,11 @@ func BenchmarkAblationDamping(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var p50, p95 float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchConfig(1)
+				cfg := integrationConfig(1)
 				cfg.BGP = bgp.DefaultConfig()
 				cfg.BGP.Damping = damp
 				pairs, err := (&experiment.Runner{}).Figure2(cfg, sel,
-					[]core.Technique{core.ReactiveAnycast{}}, benchSites[:2], benchFailover())
+					[]core.Technique{core.ReactiveAnycast{}}, benchSites[:2], quick(15))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -489,7 +299,7 @@ func BenchmarkAblationDamping(b *testing.B) {
 // (§4: scoped announcements need shared neighbors; PEERING's disjoint
 // providers would leave the scoped variants without backup coverage).
 func BenchmarkAblationMEDvsPrepending(b *testing.B) {
-	sharedCfg := benchConfig(1)
+	sharedCfg := integrationConfig(1)
 	sharedCfg.Topology.CDNSharedProviders = 2
 	sel, err := experiment.SelectTargets(sharedCfg, 40)
 	if err != nil {
@@ -526,7 +336,7 @@ func BenchmarkAblationMEDvsPrepending(b *testing.B) {
 					share = float64(ok) / float64(n)
 				}
 				pairs, err := (&experiment.Runner{}).Figure2(sharedCfg, sel,
-					[]core.Technique{tech}, benchSites[:1], benchFailover())
+					[]core.Technique{tech}, benchSites[:1], quick(15))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -545,7 +355,7 @@ func BenchmarkAblationCollectorPeers(b *testing.B) {
 		b.Run(benchName("peers", float64(peers)), func(b *testing.B) {
 			var estErr float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchConfig(7)
+				cfg := integrationConfig(7)
 				cfg.CollectorPeers = peers
 				res, err := experiment.Figure3(cfg, 1)
 				if err != nil {
@@ -771,7 +581,7 @@ func BenchmarkScenarioRegionalOutage(b *testing.B) {
 	sco.MaxTargetsPerSite = 8
 	var last *scenario.Result
 	for i := 0; i < b.N; i++ {
-		res, err := r.RunScenario(benchConfig(1), sel, core.ReactiveAnycast{}, sc, sco)
+		res, err := r.RunScenario(integrationConfig(1), sel, core.ReactiveAnycast{}, sc, sco)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -787,7 +597,7 @@ func BenchmarkScenarioRegionalOutage(b *testing.B) {
 // path (//cdnlint:allocfree); the fold must stay allocation-free after
 // warm-up.
 func BenchmarkLoadAccounting(b *testing.B) {
-	cfg := benchConfig(1)
+	cfg := integrationConfig(1)
 	experiment.WithDefaultDemand()(&cfg)
 	w, err := experiment.NewConvergedWorld(cfg, core.Anycast{}, 3600)
 	if err != nil {

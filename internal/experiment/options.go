@@ -61,11 +61,11 @@ func WithScale(f float64) Option {
 			return
 		}
 		c.Topology = topology.GenConfig{
-			NumTransit:    maxInt(20, int(60*f)),
-			NumRegional:   maxInt(8, int(40*f)),
-			NumEyeball:    maxInt(20, int(150*f)),
-			NumStub:       maxInt(40, int(600*f)),
-			NumUniversity: maxInt(8, int(36*f)),
+			NumTransit:    max(20, int(60*f)),
+			NumRegional:   max(8, int(40*f)),
+			NumEyeball:    max(20, int(150*f)),
+			NumStub:       max(40, int(600*f)),
+			NumUniversity: max(8, int(36*f)),
 		}
 	}
 }
@@ -135,11 +135,4 @@ const PaperTargetsPerSite = 50000
 // PaperTargetsPerSite.
 func WithPaperScale() Option {
 	return WithScale(PaperScale)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,30 +8,6 @@ import (
 	"bestofboth/internal/stats"
 )
 
-func TestStabilityMatchesPaperNarrative(t *testing.T) {
-	cfg := tinyConfig(40)
-	sel := mustSelect(t, cfg, 25)
-	r, err := RunFailover(cfg, sel, core.ReactiveAnycast{}, "slc", quickFailover())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := Stability(r.Outcomes)
-	if st.Reconnected == 0 {
-		t.Fatal("no reconnected targets")
-	}
-	// §5.4.1: most targets bounce at most once or twice...
-	if st.BounceLE2Share < 0.7 {
-		t.Fatalf("only %.0f%% of targets bounced ≤2 times", st.BounceLE2Share*100)
-	}
-	// ...and most do not experience unreachability after reconnecting.
-	if st.NoGapShare < 0.6 {
-		t.Fatalf("only %.0f%% of targets had no gaps", st.NoGapShare*100)
-	}
-	if st.MedianBounces > 2 {
-		t.Fatalf("median bounces = %v", st.MedianBounces)
-	}
-}
-
 func TestStabilityEmpty(t *testing.T) {
 	st := Stability(nil)
 	if st.Reconnected != 0 || st.NoGapShare != 0 {
@@ -108,8 +84,8 @@ func TestPrependSweepTradeoff(t *testing.T) {
 	if len(points) != 3 {
 		t.Fatalf("got %d points", len(points))
 	}
-	// §4: control must not decrease with depth (modulo small noise), and
-	// all shares must be valid fractions.
+	// All shares must be valid fractions. That control does not fall with
+	// depth is a paper claim, held by the root package's TestPaperClaims.
 	for i, p := range points {
 		if p.MeanControl < 0 || p.MeanControl > 1 {
 			t.Fatalf("point %d control %v", i, p.MeanControl)
@@ -117,9 +93,6 @@ func TestPrependSweepTradeoff(t *testing.T) {
 		if p.Samples == 0 {
 			t.Fatalf("point %d has no failover samples", i)
 		}
-	}
-	if points[2].MeanControl < points[0].MeanControl-0.1 {
-		t.Fatalf("control fell with depth: %v -> %v", points[0].MeanControl, points[2].MeanControl)
 	}
 	if _, err := (&Runner{}).PrependSweep(cfg, sel, []int{0}, []string{"atl"}, quickFailover()); err == nil {
 		t.Fatal("depth 0 accepted")
