@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 claims loc vet fmt lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge profile-restore outputs outputs-diff fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke ci
+.PHONY: tier1 claims loc vet fmt lint lint-fixtures govulncheck race race-full bench-smoke ab profile-fig2 profile-converge profile-restore profile-dryrun outputs outputs-diff fuzz-smoke shard-equivalence solver-oracle ctlplane-smoke ci
 
 # Tier-1 gate: must stay green (see ROADMAP.md).
 tier1:
@@ -131,7 +131,9 @@ ab:
 # profile-converge of BenchmarkConvergePaper (one converge-cold operation:
 # a paper-scale world from a fresh seed, deploy, cold converge),
 # profile-restore of BenchmarkRestoreWorld (one of the 32 default-scale
-# world restores a Figure 2 matrix makes, before its run writes). The test
+# world restores a Figure 2 matrix makes, before its run writes),
+# profile-dryrun of BenchmarkDryRun (one changeset-dryrun operation through
+# the daemon's handler, without the loopback HTTP; 200 of them). The test
 # binary and the profiles go under PROFDIR — a fresh temporary directory
 # unless one is named — never into the repository.
 PROFDIR ?=
@@ -140,7 +142,9 @@ profile-fig2: PROFBENCH = BenchmarkFigure2Default
 profile-converge: PROFBENCH = BenchmarkConvergePaper
 profile-restore: PROFBENCH = BenchmarkRestoreWorld
 profile-restore: PROFTIME = 2000x
-profile-fig2 profile-converge profile-restore:
+profile-dryrun: PROFBENCH = BenchmarkDryRun
+profile-dryrun: PROFTIME = 200x
+profile-fig2 profile-converge profile-restore profile-dryrun:
 	@set -e; dir="$(PROFDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
 	$(GO) test -run '^$$' -bench '$(PROFBENCH)$$' -cpu 2 -benchtime $(PROFTIME) -benchmem \
 		-o "$$dir/$@.test" -outputdir "$$dir" -cpuprofile cpu.prof -memprofile mem.prof .; \
@@ -204,10 +208,10 @@ outputs-diff:
 # `cdnsim serve` on an ephemeral port, and drive a drain ChangeSet dry-run →
 # execute → verify (pass receipt, bit-identical digests) plus a sabotaged
 # execution (fail receipt naming the diverging fields) — and the
-# published-view, rollback and busy-daemon tests. `make lint` runs
+# published-view, rollback, standing-snapshot and busy-daemon tests. `make lint` runs
 # snapshotfields, with every other check, over every package.
 ctlplane-smoke:
-	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf|TestPublished|TestExecuteRollsBack|TestReadsDoNotWait|TestChangeSetAuditTrail|TestPostRejectsTrailingData' -count=1 -v . ./internal/ctlplane/
+	$(GO) test -run 'TestCtlplaneSmoke|TestDiff|TestStateOf|TestPublished|TestExecuteRollsBack|TestDryRunAfter|TestRepeatedDryRun|TestReadsDoNotWait|TestChangeSetAuditTrail|TestPostRejectsTrailingData' -count=1 -v . ./internal/ctlplane/
 
 # Fuzz smoke: every native fuzz target runs for FUZZTIME on top of its
 # committed corpus (testdata/fuzz/<target>, which tier-1 already runs as plain

@@ -8,7 +8,10 @@
 package bestofboth_test
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -16,6 +19,7 @@ import (
 	"bestofboth/internal/bgp"
 	"bestofboth/internal/collector"
 	"bestofboth/internal/core"
+	"bestofboth/internal/ctlplane"
 	"bestofboth/internal/dataplane"
 	"bestofboth/internal/experiment"
 	"bestofboth/internal/netsim"
@@ -105,6 +109,67 @@ func BenchmarkRestoreWorld(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiment.RestoreWorld(snap); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStateOf is the control plane's digest of a world, the one
+// StateOf every dry run makes of its prediction: the benchmark daemon's
+// world (default scale and demand, prepending at depth three, seed 7),
+// converged outside the timer. The sub-benchmarks time the same digest of
+// the two caller patterns the repository benchmark's daemon workloads do
+// not run: a daemon serving a two-shard world, and one at paper scale.
+func BenchmarkStateOf(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		opts []experiment.Option
+	}{
+		{"default", nil},
+		{"shards=2", []experiment.Option{experiment.WithShards(2)}},
+		{"paper", []experiment.Option{experiment.WithPaperScale()}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := append([]experiment.Option{experiment.WithSeed(7), experiment.WithDefaultDemand()}, c.opts...)
+			w, err := experiment.NewConvergedWorld(experiment.DefaultWorldConfig(opts...), prepend3, ctlplane.DefaultConvergeBound)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctlplane.StateOf(w)
+			}
+		})
+	}
+}
+
+// BenchmarkDryRun is one operation of the repository benchmark's
+// changeset-dryrun workload without the loopback HTTP: a drain ChangeSet
+// dry-run through the daemon's handler, on the benchmark daemon's world
+// (default scale and demand, prepending at depth three, seed 7), the dry
+// runs rotating over the sites. The live world never moves, so after the
+// first one every dry run restores the daemon's standing snapshot. `make
+// profile-dryrun` profiles this one.
+func BenchmarkDryRun(b *testing.B) {
+	srv, err := ctlplane.NewServer(ctlplane.Config{
+		World:     experiment.DefaultWorldConfig(experiment.WithSeed(7), experiment.WithDefaultDemand()),
+		Technique: prepend3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	var bodies [][]byte
+	for _, s := range srv.World().CDN.Sites() {
+		bodies = append(bodies, []byte(fmt.Sprintf(`{"mutations":[{"kind":"drain","site":%q}]}`, s.Code)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/changesets", bytes.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("dry run: %d %s", rec.Code, rec.Body.String())
 		}
 	}
 }

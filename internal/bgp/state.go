@@ -76,6 +76,14 @@ func (d *digestText) Write(p []byte) (int, error) {
 // appendPrefixState renders one prefix's lines; nothing for an empty husk.
 // sp owns the sessions: the adj-RIB-in's LOCAL_PREF derives from them.
 //
+// A published route is never written again, so one pointer always renders
+// to the same text. An adj-RIB-in slot holding the best route itself, and
+// an adj-RIB-out slot holding the route the previous out line rendered,
+// copy those bytes instead of rendering them again: a learned best is the
+// route in[bestSess] holds, and an update group exports one route to a run
+// of sessions. Both spans lie inside this state's lines, and
+// WriteRouteState flushes only between states, so they are still in buf.
+//
 //cdnlint:allocfree runs once per (speaker, prefix) of every state digest
 func appendPrefixState(buf []byte, sp *Speaker, st *prefixState) []byte {
 	if st.origin != nil {
@@ -83,11 +91,14 @@ func appendPrefixState(buf []byte, sp *Speaker, st *prefixState) []byte {
 		buf = appendOrigin(buf, st.origin.pol)
 		buf = append(buf, '\n')
 	}
+	var best []byte // st.best's text in buf
 	if st.best != nil {
 		buf = append(buf, "  best sess="...)
 		buf = strconv.AppendInt(buf, int64(st.bestSess), 10)
 		buf = append(buf, ' ')
+		at := len(buf)
 		buf = appendRoute(buf, st.best)
+		best = buf[at:]
 		buf = append(buf, '\n')
 	}
 	for sess := range st.adj {
@@ -97,16 +108,28 @@ func appendPrefixState(buf []byte, sp *Speaker, st *prefixState) []byte {
 			buf = append(buf, "] lp="...)
 			buf = strconv.AppendInt(buf, int64(sp.localPref(sess)), 10)
 			buf = append(buf, ' ')
-			buf = appendRoute(buf, r)
+			if r == st.best {
+				buf = append(buf, best...)
+			} else {
+				buf = appendRoute(buf, r)
+			}
 			buf = append(buf, '\n')
 		}
 	}
+	var last *Route // the route the previous out line rendered
+	var lastText []byte
 	for sess := range st.adj {
 		if r := st.adj[sess].out; r != nil {
 			buf = append(buf, "  out["...)
 			buf = strconv.AppendInt(buf, int64(sess), 10)
 			buf = append(buf, "] "...)
-			buf = appendRoute(buf, r)
+			if r == last {
+				buf = append(buf, lastText...)
+			} else {
+				at := len(buf)
+				buf = appendRoute(buf, r)
+				last, lastText = r, buf[at:]
+			}
 			buf = append(buf, '\n')
 		}
 	}

@@ -12,7 +12,12 @@ import (
 // had: nil versus empty slices, signed integers, originated routes, path
 // shapes, per-neighbor policies in map order, and prefixes that render
 // nothing. The speakers' three sessions reach a provider, a customer and a
-// peer, so the adj-RIB-in renders every import LOCAL_PREF.
+// peer, so the adj-RIB-in renders every import LOCAL_PREF. The last cases
+// hold the encoder's reuse of a route's text within a state to pointer
+// identity: an out route that is not the one just rendered, an in route
+// that is not best although it sits at best's session, and routes that
+// differ from their neighbour in one attribute. Converged worlds cannot
+// tell a wrong reuse rule: no state in them holds two differing out routes.
 func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 	p4 := netip.MustParsePrefix("184.164.240.0/24")
 	p6 := netip.MustParsePrefix("2804:269c:fe00::/40")
@@ -28,6 +33,9 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 		}
 		return adj
 	}
+	// a and b are distinct routes, each shared between slots by pointer.
+	a := &Route{Path: []topology.ASN{5, 2, 1}, MED: 7, Communities: []uint32{9}}
+	b := &Route{Path: []topology.ASN{6, 2, 1}}
 	cases := []struct {
 		name string
 		p    netip.Prefix
@@ -68,6 +76,20 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 			adj: slots(routes(&Route{Path: []topology.ASN{9, 1}}, &Route{Path: []topology.ASN{2, 1}}),
 				routes(&Route{Path: []topology.ASN{5, 2, 1}}, nil)),
 		}},
+		{"out A B A", p4, &prefixState{adj: slots(nil, routes(a, b, a))}},
+		{"out equal content, distinct pointers", p4, &prefixState{adj: slots(nil, routes(a, &Route{
+			Path: []topology.ASN{5, 2, 1}, MED: 7, Communities: []uint32{9},
+		}, a))}},
+		{"out differing only in med", p4, &prefixState{adj: slots(nil, routes(a, &Route{
+			Path: []topology.ASN{5, 2, 1}, MED: 8, Communities: []uint32{9},
+		}))}},
+		{"out differing only in communities", p4, &prefixState{adj: slots(nil, routes(nil, a, &Route{
+			Path: []topology.ASN{5, 2, 1}, MED: 7, Communities: []uint32{9, 10},
+		}))}},
+		{"in holding best", p4, &prefixState{best: a, bestSess: 1, adj: slots(routes(b, a, a), routes(b, nil, b))}},
+		{"in at best's session is not best", p4, &prefixState{best: a, bestSess: 1, adj: slots(routes(a, &Route{
+			Path: []topology.ASN{5, 2, 1}, MED: 8, Communities: []uint32{9},
+		}, b), routes(a, a, nil))}},
 	}
 
 	adj := []topology.Adjacency{{Rel: topology.RelProvider}, {Rel: topology.RelCustomer}, {Rel: topology.RelPeer}}

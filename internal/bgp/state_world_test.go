@@ -65,3 +65,48 @@ func TestWriteRouteStateMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteRouteStateMatchesReferenceRestored holds the encoder to the
+// reference renderer on restored worlds, whose speakers read the snapshot's
+// frozen per-prefix states until they write one: restored, where every
+// state is frozen, and then with a site drained, where the states the drain
+// wrote are the world's own and the rest are still the snapshot's.
+func TestWriteRouteStateMatchesReferenceRestored(t *testing.T) {
+	for _, tech := range core.SevenTechniques() {
+		t.Run(tech.Name(), func(t *testing.T) {
+			cfg := experiment.WorldConfig{
+				Seed:           31,
+				Topology:       topology.GenConfig{NumStub: 120, NumEyeball: 60, NumUniversity: 16, NumRegional: 24},
+				CollectorPeers: 25,
+				Demand:         traffic.Config{Enabled: true},
+			}
+			src, err := experiment.NewConvergedWorld(cfg, tech, 3600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := src.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := experiment.RestoreWorld(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string) {
+				t.Helper()
+				want := bgp.RefRouteStateDigest(w.Net)
+				if got := w.Net.RouteStateDigest(); got != want {
+					t.Fatalf("%s: RouteStateDigest differs from the reference renderer (%d vs %d bytes)", stage, len(got), len(want))
+				}
+			}
+			check("restored")
+			if _, err := w.CDN.DrainSite(w.CDN.Sites()[2].Code); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Settle(3600); err != nil {
+				t.Fatal(err)
+			}
+			check("drained")
+		})
+	}
+}

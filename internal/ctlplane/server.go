@@ -51,8 +51,12 @@ type Config struct {
 // one at a time — and logMu guards the audit trail, held only to append or
 // copy.
 type Server struct {
-	mu     sync.Mutex // held by POST /v1/changesets; guards world and nextID
-	world  *experiment.World
+	mu    sync.Mutex // held by POST /v1/changesets; guards world, snap and nextID
+	world *experiment.World
+	// snap is the live world's standing snapshot: the first dry run after
+	// a publish takes it, every dry run restores from it, and execute drops
+	// it before the live world moves. nil until then.
+	snap   *experiment.WorldSnapshot
 	nextID int
 
 	view atomic.Pointer[view]
@@ -103,7 +107,9 @@ func NewServer(cfg Config) (*Server, error) {
 
 // World exposes the live world (for tests that inspect or sabotage it). A
 // failed execute replaces it, so it must not be called while a ChangeSet
-// runs.
+// runs. The live world changes only through a ChangeSet: dry runs restore
+// from a snapshot of it taken once per live version, so a caller that
+// mutated it here would be predicted from the world as it was.
 func (s *Server) World() *experiment.World { return s.world }
 
 // publish derives the view of the live world whose api.WorldState is st and
@@ -352,7 +358,7 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Dry run: apply to a copy-on-write restore of the live world.
-	predicted, snap, err := s.dryRun(req.Mutations)
+	predicted, err := s.dryRun(req.Mutations)
 	if err != nil {
 		cs.Status = api.StatusRejected
 		s.record(cs)
@@ -369,7 +375,7 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 
 	// Execute: the same mutations against the live world, then verify by
 	// re-diffing the actual post-state against the prediction.
-	actual, err := s.execute(snap, req.Mutations, sabotage)
+	actual, err := s.execute(req.Mutations, sabotage)
 	if err != nil {
 		// The dry run accepted this batch, so a live failure means the two
 		// worlds were not equivalent — surface loudly, keep the record.
@@ -391,30 +397,37 @@ func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cs)
 }
 
-// dryRun applies muts to a scratch restore of the live world and returns
-// the predicted post-state with the snapshot it restored. The live world is
-// never touched.
-func (s *Server) dryRun(muts []api.Mutation) (api.WorldState, *experiment.WorldSnapshot, error) {
-	snap, err := s.world.Snapshot()
-	if err != nil {
-		return api.WorldState{}, nil, fmt.Errorf("snapshotting live world: %w", err)
+// dryRun applies muts to a scratch restore of the live world's standing
+// snapshot, taking that snapshot first when none stands (no dry run since
+// the last publish), and returns the predicted post-state. The live world is never
+// touched.
+func (s *Server) dryRun(muts []api.Mutation) (api.WorldState, error) {
+	if s.snap == nil {
+		snap, err := s.world.Snapshot()
+		if err != nil {
+			return api.WorldState{}, fmt.Errorf("snapshotting live world: %w", err)
+		}
+		s.snap = snap
 	}
-	scratch, err := experiment.RestoreWorld(snap)
+	scratch, err := experiment.RestoreWorld(s.snap)
 	if err != nil {
-		return api.WorldState{}, nil, fmt.Errorf("restoring scratch world: %w", err)
+		return api.WorldState{}, fmt.Errorf("restoring scratch world: %w", err)
 	}
 	if err := apply(scratch, muts); err != nil {
-		return api.WorldState{}, nil, err
+		return api.WorldState{}, err
 	}
-	return StateOf(scratch), snap, nil
+	return StateOf(scratch), nil
 }
 
 // execute applies muts to the live world, runs the sabotage hook when asked,
-// and publishes the actual post-state. It is all or nothing: on an apply
-// error or a panic anywhere in it, the live world is replaced by a restore
-// of snap, the pre-state the dry run started from, and the view is left as
-// it was.
-func (s *Server) execute(snap *experiment.WorldSnapshot, muts []api.Mutation, sabotage bool) (actual api.WorldState, err error) {
+// and publishes the actual post-state. It runs after a dry run, so the
+// standing snapshot is the pre-state; execute drops it before the live
+// world moves. It is all or nothing: on an apply error or a panic anywhere
+// in it, the live world is replaced by a restore of that snapshot, which
+// stands again, and the view is left as it was.
+func (s *Server) execute(muts []api.Mutation, sabotage bool) (actual api.WorldState, err error) {
+	snap := s.snap
+	s.snap = nil
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -429,7 +442,7 @@ func (s *Server) execute(snap *experiment.WorldSnapshot, muts []api.Mutation, sa
 			return
 		}
 		w.Instrument(s.cfg.Obs) // restores carry no registry (Runner.materialize)
-		s.world = w
+		s.world, s.snap = w, snap
 		err = fmt.Errorf("%w; the live world was rolled back", err)
 	}()
 	if err := apply(s.world, muts); err != nil {
