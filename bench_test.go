@@ -180,6 +180,7 @@ func BenchmarkDryRun(b *testing.B) {
 // prepending at depth three deployed, and the control plane drained for up
 // to an hour of virtual time. `make profile-converge` profiles this one.
 func BenchmarkConvergePaper(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		convergeSeed++
 		w, err := experiment.NewWorld(experiment.DefaultWorldConfig(

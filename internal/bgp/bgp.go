@@ -169,6 +169,32 @@ type OriginPolicy struct {
 	PerNeighbor map[topology.NodeID]NeighborPolicy
 }
 
+// check refuses a policy that node could not originate under: a negative
+// prepend, at the top level or toward a neighbor, would publish a path
+// without the origin's ASN at its head, or ask for a path of negative
+// length. Every exported route starts with its sender's ASN, and the
+// adj-RIB slots tell their routes' direction by it (Speaker.outbound).
+func (pol *OriginPolicy) check(node topology.NodeID) error {
+	if pol.Prepend < 0 {
+		return fmt.Errorf("bgp: origination at node %d: negative prepend %d", node, pol.Prepend)
+	}
+	if len(pol.PerNeighbor) == 0 {
+		return nil
+	}
+	// In neighbor order, so the error names the lowest offending neighbor.
+	ids := make([]topology.NodeID, 0, len(pol.PerNeighbor))
+	for id := range pol.PerNeighbor {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, nb := range ids {
+		if np := pol.PerNeighbor[nb]; np.Prepend < 0 {
+			return fmt.Errorf("bgp: origination at node %d: negative prepend %d toward neighbor %d", node, np.Prepend, nb)
+		}
+	}
+	return nil
+}
+
 // FeedFunc receives a timestamped copy of every best-route change at a
 // speaker, emulating a route collector session (RIS/RouteViews peer).
 type FeedFunc func(now netsim.Seconds, peer topology.NodeID, u Update)
@@ -380,7 +406,8 @@ func (n *Network) OnBestChange(fn BestChangeFunc) {
 }
 
 // Originate makes node announce prefix with the given policy. Passing a nil
-// policy uses defaults (no prepending, export to all neighbors).
+// policy uses defaults (no prepending, export to all neighbors). A policy
+// with a negative prepend is refused before anything is written.
 func (n *Network) Originate(node topology.NodeID, prefix netip.Prefix, pol *OriginPolicy) error {
 	sp := n.Speaker(node)
 	if sp == nil {
@@ -388,6 +415,9 @@ func (n *Network) Originate(node topology.NodeID, prefix netip.Prefix, pol *Orig
 	}
 	if pol == nil {
 		pol = &OriginPolicy{}
+	}
+	if err := pol.check(node); err != nil {
+		return err
 	}
 	sp.originate(n.prefixIDOrNew(prefix), pol)
 	return nil

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 
 	"bestofboth/internal/netsim"
@@ -497,6 +498,44 @@ func TestOriginateUnknownNode(t *testing.T) {
 	}
 }
 
+// TestOriginateRefusesNegativePrepend holds Originate and Solve to the
+// policy check: a negative prepend, at the top level or toward a neighbor,
+// is refused with an error naming the node and, for a per-neighbor entry,
+// the neighbor (the lowest of several), before the network hands out a
+// prefix id or queues an update. Such a prepend once published an empty AS
+// path at -1 and panicked inside the export at -2.
+func TestOriginateRefusesNegativePrepend(t *testing.T) {
+	topo := lineTopo(t) // O (0) -- A (1) -- B (2); A originates
+	perNeighbor := func(m map[topology.NodeID]NeighborPolicy) *OriginPolicy { return &OriginPolicy{PerNeighbor: m} }
+	for _, c := range []struct {
+		name string
+		pol  *OriginPolicy
+		want string
+	}{
+		{"top-level -1", &OriginPolicy{Prepend: -1}, "node 1: negative prepend -1"},
+		{"top-level -2", &OriginPolicy{Prepend: -2, PerNeighbor: map[topology.NodeID]NeighborPolicy{2: {Export: true}}}, "node 1: negative prepend -2"},
+		{"per-neighbor -1", perNeighbor(map[topology.NodeID]NeighborPolicy{0: {Export: true, Prepend: 1}, 2: {Export: true, Prepend: -1}}),
+			"node 1: negative prepend -1 toward neighbor 2"},
+		{"per-neighbor -2", perNeighbor(map[topology.NodeID]NeighborPolicy{0: {Export: true, Prepend: -2}, 2: {Export: true, Prepend: -1}}),
+			"node 1: negative prepend -2 toward neighbor 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim := netsim.New(1)
+			net := New(sim, topo, quickCfg())
+			if err := net.Originate(1, testPrefix, c.pol); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Originate: got %v, want an error containing %q", err, c.want)
+			}
+			if _, ok := net.prefixID(testPrefix); ok || sim.Pending() != 0 {
+				t.Fatal("a refused origination wrote state")
+			}
+			_, err := Solve(topo, quickCfg(), []Origination{{Node: 1, Prefix: testPrefix, Policy: c.pol}})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Solve: got %v, want an error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestWithdrawNonOriginatedIsNoop(t *testing.T) {
 	topo := lineTopo(t)
 	sim := netsim.New(1)
@@ -701,8 +740,8 @@ func TestReselectMatchesFullScan(t *testing.T) {
 	nSess := len(s.node.Adj)
 	fullScan := func(st *prefixState) (*Route, int) {
 		best, bestSess := (*Route)(nil), -1
-		for sess, a := range st.adj {
-			if rt := a.in; rt != nil && (best == nil || s.better(rt, sess, best, bestSess)) {
+		for sess := range st.adj {
+			if rt := s.in(st, sess); rt != nil && (best == nil || s.better(rt, sess, best, bestSess)) {
 				best, bestSess = rt, sess
 			}
 		}

@@ -45,10 +45,13 @@ func (d *dampState) decayTo(now netsim.Seconds) {
 // flap records one flap at time now and returns whether the route is now
 // suppressed.
 func (s *Speaker) flap(p *prefixState, sess int) bool {
-	if p.damp == nil {
-		p.damp = make([]dampState, len(s.node.Adj))
+	if p.side == nil {
+		p.side = &stateSide{}
 	}
-	d := &p.damp[sess]
+	if p.side.damp == nil {
+		p.side.damp = make([]dampState, len(s.node.Adj))
+	}
+	d := &p.side.damp[sess]
 	now := s.sh.sim.Now()
 	d.decayTo(now)
 	d.penalty += dampPenalty
@@ -64,10 +67,10 @@ func (s *Speaker) flap(p *prefixState, sess int) bool {
 // dampSuppressed reports whether the session's route for this prefix is
 // currently withheld, unsuppressing lazily when the penalty has decayed.
 func (s *Speaker) dampSuppressed(p *prefixState, sess int) bool {
-	if p.damp == nil {
+	if p.side == nil || p.side.damp == nil {
 		return false
 	}
-	d := &p.damp[sess]
+	d := &p.side.damp[sess]
 	if !d.suppressed {
 		return false
 	}
@@ -81,7 +84,7 @@ func (s *Speaker) dampSuppressed(p *prefixState, sess int) bool {
 // scheduleReuse arranges a recompute when the penalty will have decayed to
 // the reuse threshold.
 func (s *Speaker) scheduleReuse(p *prefixState, sess int) {
-	d := &p.damp[sess]
+	d := &p.side.damp[sess]
 	if d.penalty <= dampReuseAt {
 		return
 	}
@@ -91,7 +94,7 @@ func (s *Speaker) scheduleReuse(p *prefixState, sess int) {
 			// The route re-enters the decision process.
 			s.recompute(p)
 			s.exportAll(p)
-		} else if p.damp[sess].suppressed {
+		} else if p.side.damp[sess].suppressed {
 			s.scheduleReuse(p, sess)
 		}
 	})

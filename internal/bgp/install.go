@@ -62,7 +62,7 @@ func (n *Network) Install(sol *Solution) error {
 				st.origin = sp.newOrigination(int32(id), sol.origins[id][c.org].Policy)
 				st.best, st.bestSess = &st.origin.route, -1
 			} else {
-				st.best, st.bestSess = st.adj[c.sess].in, c.sess
+				st.best, st.bestSess = sp.in(st, int(c.sess)), c.sess
 				if st.best == nil {
 					return fmt.Errorf("bgp: install: %s %s: no route on the solved session %d", sp.node.Name, sol.prefixes[id], c.sess)
 				}
@@ -88,6 +88,6 @@ func (s *Speaker) installDelivery(sess int, u update) {
 	if rev < 0 || u.typ != Announce || u.route.ContainsASN(peer.node.ASN) {
 		return
 	}
-	peer.rib[u.id].adj[rev].in = u.route
+	peer.setIn(peer.rib[u.id], rev, u.route)
 	s.net.m.adjIn.Add(1)
 }

@@ -67,7 +67,7 @@ type speakerSnapshot struct {
 // Snapshot captures the network's protocol state. It fails if simulation
 // events are pending: snapshot only a converged network. The live network
 // keeps its own states; the snapshot's are copies whose per-session slots
-// are carved from one array per speaker.
+// are carved from one array per speaker, each with a clone of its sidecar.
 func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 	if pending := n.sim.Pending(); pending != 0 {
 		return nil, fmt.Errorf("bgp: cannot snapshot with %d pending events", pending)
@@ -113,7 +113,7 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 			f.owner, f.pending = nil, nil
 			f.adj, slots = slots[:nAdj:nAdj], slots[nAdj:]
 			copy(f.adj, st.adj)
-			f.damp = slices.Clone(st.damp)
+			f.side = st.side.clone()
 		}
 		snap.speakers[i] = speakerSnapshot{
 			msgCount:        sp.msgCount,

@@ -100,6 +100,11 @@ func Solve(topo *topology.Topology, cfg Config, origs []Origination) (*Solution,
 		if topo.Node(o.Node) == nil {
 			return nil, fmt.Errorf("bgp: solve: no node %d", o.Node)
 		}
+		if o.Policy != nil {
+			if err := o.Policy.check(o.Node); err != nil {
+				return nil, err
+			}
+		}
 	}
 	sorted := slices.Clone(origs)
 	slices.SortStableFunc(sorted, func(a, b Origination) int { return comparePrefix(a.Prefix, b.Prefix) })

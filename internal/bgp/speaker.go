@@ -54,8 +54,9 @@ type Speaker struct {
 // may write a state whose owner is not the writing speaker; own clones it
 // first.
 //
-// The struct is 112 bytes, Go's 112-byte size class (TestWireLayout): the
-// prefix rides as its id and the best route's session as an int32.
+// The struct is 96 bytes, Go's 96-byte size class (TestWireLayout): the
+// prefix rides as its id, the best route's session as an int32, and what few
+// states need sits behind one sidecar pointer.
 type prefixState struct {
 	id int32 // the prefix, an index into Network.prefixes
 	// bestSess is the session best was learned on, -1 for the local
@@ -79,15 +80,144 @@ type prefixState struct {
 	// origin is the local origination, nil when the speaker does not
 	// originate the prefix.
 	origin *origination
-	damp   []dampState // allocated on first flap when damping is on
+	// side holds what few states need, nil until one is written: see
+	// stateSide.
+	side *stateSide
 }
 
-// adjSlot is one session's share of a prefix state.
+// adjSlot is one session's share of a prefix state: one route and the MRAI
+// deadline. A converged session carries its prefix one way, if at all, so
+// the slot holds the session's one route, and the route's first AS tells
+// which adj-RIB it is in (Speaker.outbound). A session that carries the
+// prefix both ways keeps its adj-RIB-out route here and its adj-RIB-in route
+// in the state's sidecar. Only the accessors in and out read the route, and
+// only setIn and setOut write it.
 type adjSlot struct {
-	in  *Route // adj-RIB-in: what the neighbor last advertised
-	out *Route // adj-RIB-out: what was last transmitted
+	route *Route
 	// next is when the MRAI timer next allows an advertisement.
 	next netsim.Seconds
+}
+
+// stateSide is the part of a prefix state that few states write: the
+// adj-RIB-in routes of sessions whose slot holds their adj-RIB-out route,
+// and the damping penalties. It belongs to its state, and own and Snapshot
+// clone it with the state.
+type stateSide struct {
+	// in lists the adj-RIB-in routes of the sessions whose slot holds the
+	// session's adj-RIB-out route, in no order: a converged state carries
+	// its prefix both ways on at most a few sessions, so a list costs a
+	// state that has one a few entries, where a table would cost a pointer
+	// per session.
+	in   []sideIn
+	damp []dampState // allocated on first flap when damping is on
+}
+
+// sideIn is one session's adj-RIB-in route in a sidecar.
+type sideIn struct {
+	sess  int32
+	route *Route
+}
+
+// clone is the sidecar's copy for a state's new owner; nil stays nil.
+func (sd *stateSide) clone() *stateSide {
+	if sd == nil {
+		return nil
+	}
+	return &stateSide{in: slices.Clone(sd.in), damp: slices.Clone(sd.damp)}
+}
+
+// sideIn returns session sess's adj-RIB-in route in st's sidecar, or nil.
+func (st *prefixState) sideIn(sess int) *Route {
+	if st.side != nil {
+		for _, e := range st.side.in {
+			if int(e.sess) == sess {
+				return e.route
+			}
+		}
+	}
+	return nil
+}
+
+// setSideIn files r, or nil to clear, as session sess's adj-RIB-in route in
+// st's sidecar, allocating the sidecar on first use.
+func (st *prefixState) setSideIn(sess int, r *Route) {
+	if st.side == nil {
+		if r == nil {
+			return
+		}
+		st.side = &stateSide{}
+	}
+	sd := st.side
+	for i := range sd.in {
+		if int(sd.in[i].sess) == sess {
+			if r == nil {
+				sd.in = slices.Delete(sd.in, i, i+1)
+			} else {
+				sd.in[i].route = r
+			}
+			return
+		}
+	}
+	if r != nil {
+		sd.in = append(sd.in, sideIn{sess: int32(sess), route: r})
+	}
+}
+
+// outbound reports whether r, a route in one of this speaker's slots, is the
+// slot's adj-RIB-out route. Every route the speaker exports starts with its
+// own ASN (desiredExport; Originate and Solve refuse a negative prepend), and
+// no route it keeps from a neighbor carries that ASN (receive and
+// installDelivery drop one that does).
+func (s *Speaker) outbound(r *Route) bool {
+	return len(r.Path) > 0 && r.Path[0] == s.node.ASN
+}
+
+// in returns session sess's adj-RIB-in route in st, or nil.
+func (s *Speaker) in(st *prefixState, sess int) *Route {
+	r := st.adj[sess].route
+	if r == nil || !s.outbound(r) {
+		return r
+	}
+	return st.sideIn(sess)
+}
+
+// out returns session sess's adj-RIB-out route in st, or nil.
+func (s *Speaker) out(st *prefixState, sess int) *Route {
+	if r := st.adj[sess].route; r != nil && s.outbound(r) {
+		return r
+	}
+	return nil
+}
+
+// setIn files r, or nil to clear, as session sess's adj-RIB-in route in st.
+// While the slot holds the session's adj-RIB-out route, the in route lives
+// in the sidecar.
+func (s *Speaker) setIn(st *prefixState, sess int, r *Route) {
+	if a := &st.adj[sess]; a.route == nil || !s.outbound(a.route) {
+		a.route = r
+		return
+	}
+	st.setSideIn(sess, r)
+}
+
+// setOut files r, or nil to clear, as session sess's adj-RIB-out route in
+// st. The out route always takes the slot: an in route it displaces moves to
+// the sidecar, and clearing the out route moves the sidecar's in route back.
+func (s *Speaker) setOut(st *prefixState, sess int, r *Route) {
+	a := &st.adj[sess]
+	if cur := a.route; cur != nil && !s.outbound(cur) {
+		if r != nil {
+			st.setSideIn(sess, cur)
+			a.route = r
+		}
+		return
+	}
+	a.route = r
+	if r == nil {
+		if a.route = st.sideIn(sess); a.route != nil {
+			st.setSideIn(sess, nil)
+		}
+	}
 }
 
 // origination is a local origination: the policy and the loc-RIB entry
@@ -168,8 +298,9 @@ func (s *Speaker) state(id int32) *prefixState {
 // own returns the state for id, which must exist, writable. A restored
 // speaker's rib points at the snapshot's frozen states, shared with every
 // sibling restore; the first write in this world replaces the pointer with
-// a private copy. Routes and originations stay shared (immutable after
-// publish); pending is left nil, as in every frozen state.
+// a private copy, its sidecar cloned with it when it has one. Routes and
+// originations stay shared (immutable after publish); pending is left nil,
+// as in every frozen state.
 func (s *Speaker) own(id int32) *prefixState {
 	st := s.rib[id]
 	if st.owner == s {
@@ -178,7 +309,7 @@ func (s *Speaker) own(id int32) *prefixState {
 	c := *st
 	c.owner = s
 	c.adj = slices.Clone(st.adj)
-	c.damp = slices.Clone(st.damp)
+	c.side = st.side.clone()
 	s.rib[id] = &c
 	return &c
 }
@@ -210,8 +341,8 @@ func (s *Speaker) AdjIn(p netip.Prefix) []*Route {
 		return nil
 	}
 	in := make([]*Route, len(st.adj))
-	for sess, a := range st.adj {
-		in[sess] = a.in
+	for sess := range in {
+		in[sess] = s.in(st, sess)
 	}
 	return in
 }
@@ -283,14 +414,14 @@ func (s *Speaker) receive(sess int, u update) {
 	s.msgCount++
 	s.net.m.received.Inc()
 	st := s.state(u.id)
-	a := &st.adj[sess]
-	hadIn := a.in != nil
+	cur := s.in(st, sess)
+	in := cur
 	damping := s.net.cfg.Damping
 	switch u.typ {
 	case Announce:
 		// Route-flap damping counts re-advertisements that change an
 		// existing route as flaps (RFC 2439 §4.4.2).
-		if damping && a.in != nil && !sameWire(u.route, a.in) {
+		if damping && cur != nil && !sameWire(u.route, cur) {
 			s.flap(st, sess)
 		}
 		r := u.route
@@ -298,24 +429,27 @@ func (s *Speaker) receive(sess int, u update) {
 			// Receiver-side loop detection: the NLRI replaces whatever this
 			// neighbor previously advertised, but the looping path is not
 			// usable, so the net effect is a withdrawal of the old route.
-			a.in = nil
-		} else if cur := a.in; cur != nil && sameWire(r, cur) {
+			in = nil
+		} else if cur != nil && sameWire(r, cur) {
 			// Duplicate re-advertisement: keep the existing entry.
 		} else {
 			// The adj-RIB-in holds the sender's published adj-RIB-out
 			// pointer; what is receiver-local follows from sess.
-			a.in = r
+			in = r
 		}
 	case Withdraw:
-		if a.in == nil {
+		if cur == nil {
 			return
 		}
 		if damping {
 			s.flap(st, sess)
 		}
-		a.in = nil
+		in = nil
 	}
-	if hasIn := a.in != nil; hasIn != hadIn {
+	if in != cur {
+		s.setIn(st, sess, in)
+	}
+	if hasIn := in != nil; hasIn != (cur != nil) {
 		if hasIn {
 			s.net.m.adjIn.Add(1)
 		} else {
@@ -387,7 +521,7 @@ func (s *Speaker) recompute(st *prefixState) bool {
 	}
 	damping := s.net.cfg.Damping
 	for sess := range st.adj {
-		r := st.adj[sess].in
+		r := s.in(st, sess)
 		if r == nil {
 			continue
 		}
@@ -412,7 +546,7 @@ func (s *Speaker) recompute(st *prefixState) bool {
 // would.
 func (s *Speaker) reselect(st *prefixState, sess int) bool {
 	s.mustOwn(st)
-	r := st.adj[sess].in
+	r := s.in(st, sess)
 	if r == nil || (st.best != nil && !s.better(r, sess, st.best, int(st.bestSess))) {
 		return false
 	}
@@ -607,10 +741,10 @@ func (s *Speaker) groupRoute(st *prefixState, it exportIntent) *Route {
 	if carries(st.sent) {
 		return st.sent
 	}
-	for _, a := range st.adj {
-		if carries(a.out) {
-			st.sent = a.out
-			return a.out
+	for sess := range st.adj {
+		if r := s.out(st, sess); carries(r) {
+			st.sent = r
+			return r
 		}
 	}
 	st.sent = &Route{Prefix: s.net.prefixes[st.id], Path: it.path, MED: it.med, OriginNode: it.originNode, Communities: it.comm}
@@ -645,27 +779,27 @@ func (s *Speaker) exportUpdate(st *prefixState, sess int, transit *[]topology.AS
 		return update{}, false
 	}
 	it, want := s.desiredExport(st, sess, transit)
-	a := &st.adj[sess]
-	if want {
-		if intentMatches(it, a.out) {
+	if out := s.out(st, sess); want {
+		if intentMatches(it, out) {
 			return update{}, false
 		}
-	} else if a.out == nil {
+	} else if out == nil {
 		return update{}, false
 	}
 	now := s.sh.sim.Now()
 	if !want && !s.net.cfg.PaceWithdrawals {
-		a.out = nil
+		s.setOut(st, sess, nil)
 		return update{typ: Withdraw, id: st.id}, true
 	}
+	a := &st.adj[sess]
 	if now >= a.next {
 		a.next = now + s.mraiInterval()
 		if !want {
-			a.out = nil
+			s.setOut(st, sess, nil)
 			return update{typ: Withdraw, id: st.id}, true
 		}
 		r := s.groupRoute(st, it)
-		a.out = r
+		s.setOut(st, sess, r)
 		return update{typ: Announce, id: st.id, route: r}, true
 	}
 	if st.pending == nil {
@@ -744,12 +878,13 @@ func (s *Speaker) flushSession(sess int) {
 			continue
 		}
 		st := s.own(id)
-		a := &st.adj[sess]
-		a.out, a.next = nil, 0
-		if a.in == nil {
+		in := s.in(st, sess)
+		s.setOut(st, sess, nil)
+		st.adj[sess].next = 0
+		if in == nil {
 			continue
 		}
-		a.in = nil
+		s.setIn(st, sess, nil)
 		s.net.m.adjIn.Add(-1)
 		s.recompute(st)
 		s.exportAll(st)

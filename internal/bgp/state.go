@@ -102,7 +102,7 @@ func appendPrefixState(buf []byte, sp *Speaker, st *prefixState) []byte {
 		buf = append(buf, '\n')
 	}
 	for sess := range st.adj {
-		if r := st.adj[sess].in; r != nil {
+		if r := sp.in(st, sess); r != nil {
 			buf = append(buf, "  in["...)
 			buf = strconv.AppendInt(buf, int64(sess), 10)
 			buf = append(buf, "] lp="...)
@@ -119,7 +119,7 @@ func appendPrefixState(buf []byte, sp *Speaker, st *prefixState) []byte {
 	var last *Route // the route the previous out line rendered
 	var lastText []byte
 	for sess := range st.adj {
-		if r := st.adj[sess].out; r != nil {
+		if r := sp.out(st, sess); r != nil {
 			buf = append(buf, "  out["...)
 			buf = strconv.AppendInt(buf, int64(sess), 10)
 			buf = append(buf, "] "...)

@@ -35,13 +35,13 @@ func RefRouteStateDigest(n *Network) string {
 			if st.best != nil {
 				fmt.Fprintf(&sb, "  best sess=%d %s\n", st.bestSess, refRouteWire(st.best))
 			}
-			for sess, a := range st.adj {
-				if r := a.in; r != nil {
+			for sess := range st.adj {
+				if r := sp.in(st, sess); r != nil {
 					fmt.Fprintf(&sb, "  in[%d] lp=%d %s\n", sess, sp.localPref(sess), refRouteWire(r))
 				}
 			}
-			for sess, a := range st.adj {
-				if r := a.out; r != nil {
+			for sess := range st.adj {
+				if r := sp.out(st, sess); r != nil {
 					fmt.Fprintf(&sb, "  out[%d] %s\n", sess, refRouteWire(r))
 				}
 			}

@@ -22,20 +22,29 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 	p4 := netip.MustParsePrefix("184.164.240.0/24")
 	p6 := netip.MustParsePrefix("2804:269c:fe00::/40")
 	routes := func(rs ...*Route) []*Route { return rs }
-	// slots builds a state's per-session slots from its adj-RIB-in and -out.
-	slots := func(in, out []*Route) []adjSlot {
-		adj := make([]adjSlot, max(len(in), len(out)))
-		for sess, r := range in {
-			adj[sess].in = r
-		}
+	// Every case renders at a speaker of AS 5, so its adj-RIB-out routes
+	// begin with 5 and no adj-RIB-in route carries it.
+	adj := []topology.Adjacency{{Rel: topology.RelProvider}, {Rel: topology.RelCustomer}, {Rel: topology.RelPeer}}
+	node := func(name string) *topology.Node { return &topology.Node{Name: name, ASN: 5, Adj: adj} }
+	filer := &Speaker{node: node("edge")}
+	// fill files a state's adj-RIB-in and -out through the setters, so a
+	// session given both keeps its in route in the sidecar.
+	fill := func(st *prefixState, in, out []*Route) *prefixState {
+		st.adj = make([]adjSlot, max(len(in), len(out)))
 		for sess, r := range out {
-			adj[sess].out = r
+			filer.setOut(st, sess, r)
 		}
-		return adj
+		for sess, r := range in {
+			filer.setIn(st, sess, r)
+		}
+		return st
 	}
-	// a and b are distinct routes, each shared between slots by pointer.
+	// a and b are distinct out routes, c and d distinct in routes, each
+	// shared between slots by pointer.
 	a := &Route{Path: []topology.ASN{5, 2, 1}, MED: 7, Communities: []uint32{9}}
-	b := &Route{Path: []topology.ASN{6, 2, 1}}
+	b := &Route{Path: []topology.ASN{5, 6, 2, 1}}
+	c := &Route{Path: []topology.ASN{6, 2, 1}, MED: 7, Communities: []uint32{9}}
+	d := &Route{Path: []topology.ASN{7, 2, 1}}
 	cases := []struct {
 		name string
 		p    netip.Prefix
@@ -43,20 +52,20 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 	}{
 		{"nil communities", p4, &prefixState{best: &Route{Path: []topology.ASN{47065}}, bestSess: 2}},
 		{"empty communities", p4, &prefixState{best: &Route{Path: []topology.ASN{47065}, Communities: []uint32{}}, bestSess: 2}},
-		{"communities", p4, &prefixState{adj: slots(routes(nil, nil, &Route{
+		{"communities", p4, fill(&prefixState{}, routes(nil, nil, &Route{
 			Path: []topology.ASN{3356, 47065}, Communities: []uint32{CommunityNoExport, 0, 65000<<16 | 7},
-		}), nil)}},
-		{"negative med", p4, &prefixState{adj: slots(nil, routes(&Route{Path: []topology.ASN{1}, MED: -5}))}},
-		{"zero med", p4, &prefixState{adj: slots(routes(&Route{Path: []topology.ASN{1}}), nil)}},
+		}), nil)},
+		{"negative med", p4, fill(&prefixState{}, nil, routes(&Route{Path: []topology.ASN{5}, MED: -5}))},
+		{"zero med", p4, fill(&prefixState{}, routes(&Route{Path: []topology.ASN{1}}), nil)},
 		{"originated best", p4, &prefixState{origin: &origination{pol: &OriginPolicy{}},
 			best:     &Route{Path: []topology.ASN{47065}},
 			bestSess: -1,
 		}},
 		{"nil path", p4, &prefixState{best: &Route{}}},
-		{"empty husk", p4, &prefixState{adj: slots(routes(nil, nil), routes(nil, nil))}},
-		{"prepended path", p4, &prefixState{adj: slots(nil, routes(nil, nil, &Route{
-			Path: []topology.ASN{47065, 47065, 47065, 47065}, MED: 10,
-		}))}},
+		{"empty husk", p4, fill(&prefixState{}, routes(nil, nil), routes(nil, nil))},
+		{"prepended path", p4, fill(&prefixState{}, nil, routes(nil, nil, &Route{
+			Path: []topology.ASN{5, 5, 5, 5}, MED: 10,
+		}))},
 		{"origin policy", p4, &prefixState{origin: &origination{pol: &OriginPolicy{
 			Prepend: 3, MED: -1, Communities: []uint32{CommunityNoAdvertise},
 		}}}},
@@ -70,34 +79,33 @@ func TestWriteRouteStateEdgeRoutes(t *testing.T) {
 			},
 		}}}},
 		{"ipv6 prefix", p6, &prefixState{best: &Route{Path: []topology.ASN{4200000000}}, bestSess: 0}},
-		{"every section", p4, &prefixState{origin: &origination{pol: &OriginPolicy{MED: 4}},
+		{"every section", p4, fill(&prefixState{origin: &origination{pol: &OriginPolicy{MED: 4}},
 			best:     &Route{Path: []topology.ASN{2, 1}},
 			bestSess: 1,
-			adj: slots(routes(&Route{Path: []topology.ASN{9, 1}}, &Route{Path: []topology.ASN{2, 1}}),
-				routes(&Route{Path: []topology.ASN{5, 2, 1}}, nil)),
-		}},
-		{"out A B A", p4, &prefixState{adj: slots(nil, routes(a, b, a))}},
-		{"out equal content, distinct pointers", p4, &prefixState{adj: slots(nil, routes(a, &Route{
+		}, routes(&Route{Path: []topology.ASN{9, 1}}, &Route{Path: []topology.ASN{2, 1}}),
+			routes(&Route{Path: []topology.ASN{5, 2, 1}}, nil))},
+		{"out A B A", p4, fill(&prefixState{}, nil, routes(a, b, a))},
+		{"out equal content, distinct pointers", p4, fill(&prefixState{}, nil, routes(a, &Route{
 			Path: []topology.ASN{5, 2, 1}, MED: 7, Communities: []uint32{9},
-		}, a))}},
-		{"out differing only in med", p4, &prefixState{adj: slots(nil, routes(a, &Route{
+		}, a))},
+		{"out differing only in med", p4, fill(&prefixState{}, nil, routes(a, &Route{
 			Path: []topology.ASN{5, 2, 1}, MED: 8, Communities: []uint32{9},
-		}))}},
-		{"out differing only in communities", p4, &prefixState{adj: slots(nil, routes(nil, a, &Route{
+		}))},
+		{"out differing only in communities", p4, fill(&prefixState{}, nil, routes(nil, a, &Route{
 			Path: []topology.ASN{5, 2, 1}, MED: 7, Communities: []uint32{9, 10},
-		}))}},
-		{"in holding best", p4, &prefixState{best: a, bestSess: 1, adj: slots(routes(b, a, a), routes(b, nil, b))}},
-		{"in at best's session is not best", p4, &prefixState{best: a, bestSess: 1, adj: slots(routes(a, &Route{
-			Path: []topology.ASN{5, 2, 1}, MED: 8, Communities: []uint32{9},
-		}, b), routes(a, a, nil))}},
+		}))},
+		// Sessions 0 and 2 carry the prefix both ways.
+		{"in holding best", p4, fill(&prefixState{best: c, bestSess: 1}, routes(d, c, c), routes(b, nil, b))},
+		{"in at best's session is not best", p4, fill(&prefixState{best: c, bestSess: 1}, routes(c, &Route{
+			Path: []topology.ASN{6, 2, 1}, MED: 8, Communities: []uint32{9},
+		}, d), routes(a, a, nil))},
 	}
 
-	adj := []topology.Adjacency{{Rel: topology.RelProvider}, {Rel: topology.RelCustomer}, {Rel: topology.RelPeer}}
 	all := &Network{}
-	whole := Speaker{net: all, node: &topology.Node{Name: "all-cases", Adj: adj}}
+	whole := Speaker{net: all, node: node("all-cases")}
 	for i, c := range cases {
 		n := &Network{prefixes: []netip.Prefix{c.p}, order: []int32{0}}
-		n.speakers = []Speaker{{net: n, node: &topology.Node{Name: "edge", Adj: adj}, rib: []*prefixState{c.st}}}
+		n.speakers = []Speaker{{net: n, node: node("edge"), rib: []*prefixState{c.st}}}
 		want := RefRouteStateDigest(n)
 		if got := n.RouteStateDigest(); got != want {
 			t.Errorf("%s:\n got %q\nwant %q", c.name, got, want)

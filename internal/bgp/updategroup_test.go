@@ -66,9 +66,9 @@ func TestExportSharesRouteAcrossSessions(t *testing.T) {
 			if st == nil {
 				continue
 			}
-			for i, sa := range st.adj {
-				for _, sb := range st.adj[i+1:] {
-					a, b := sa.out, sb.out
+			for i := range st.adj {
+				for j := i + 1; j < len(st.adj); j++ {
+					a, b := sp.out(st, i), sp.out(st, j)
 					if a == nil || b == nil || !sameWire(a, b) || a.OriginNode != b.OriginNode {
 						continue
 					}
@@ -84,14 +84,14 @@ func TestExportSharesRouteAcrossSessions(t *testing.T) {
 		t.Fatal("no two sessions share an advertisement; the check proved nothing")
 	}
 
-	adj := origin.lookup(testPrefix).adj
-	pre := adj[prepended].out
+	st := origin.lookup(testPrefix)
+	pre := origin.out(st, prepended)
 	if pre == nil || len(pre.Path) != 3 {
 		t.Fatalf("prepended neighbor got %+v, want a three-ASN path", pre)
 	}
 	plain := 0
-	for sess, a := range adj {
-		r := a.out
+	for sess := range st.adj {
+		r := origin.out(st, sess)
 		if sess == prepended || r == nil {
 			continue
 		}
@@ -156,13 +156,13 @@ func TestImportKeepsSenderRoute(t *testing.T) {
 					if st == nil {
 						continue
 					}
-					for sess, a := range st.adj {
-						r := a.in
+					for sess := range st.adj {
+						r := sp.in(st, sess)
 						if r == nil {
 							continue
 						}
 						peer := &net.speakers[sp.node.Adj[sess].To]
-						if sent := peer.at(st.id).adj[sp.reverse(sess)].out; r != sent {
+						if sent := peer.out(peer.at(st.id), sp.reverse(sess)); r != sent {
 							t.Fatalf("%s in[%d] %s is %p, sender %s holds %p", sp.node.Name, sess, net.prefixes[st.id], r, peer.node.Name, sent)
 						}
 						held++

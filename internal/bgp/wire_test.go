@@ -18,8 +18,8 @@ func (s *Speaker) send(sess int, u Update) {
 
 // TestWireLayout pins the sizes of the per-event and per-state structs the
 // prefix id shrank. Each budget keeps a Go size class: a delivery is
-// allocated by its pool one at a time, a prefix state by every speaker that
-// learns a prefix, and a mailbox holds cross-shard messages by value. A
+// allocated by its pool one at a time, a prefix state and its per-session
+// slots by every speaker that learns a prefix, and a mailbox holds cross-shard messages by value. A
 // speaker's per-session state lives in the network's tables, which leaves
 // the speaker one offset into them (every network build carves a slab of
 // speakers).
@@ -33,8 +33,11 @@ func TestWireLayout(t *testing.T) {
 	if got := unsafe.Sizeof(xmsg{}); got != 56 {
 		t.Errorf("xmsg is %d B, budget 56 B: mailboxes hold it by value, and alone it fits Go's 64-byte size class", got)
 	}
-	if got := unsafe.Sizeof(prefixState{}); got > 112 {
-		t.Errorf("prefixState is %d B, budget 112 B: Go's 112-byte size class; one byte more takes the 128-byte class", got)
+	if got := unsafe.Sizeof(adjSlot{}); got != 16 {
+		t.Errorf("adjSlot is %d B, want 16 B: one route and the MRAI deadline, Go's 16-byte size class; a second route takes 24, and every state's slot array half as much again", got)
+	}
+	if got := unsafe.Sizeof(prefixState{}); got > 96 {
+		t.Errorf("prefixState is %d B, budget 96 B: Go's 96-byte size class; one byte more takes the 112-byte class", got)
 	}
 	if got := unsafe.Sizeof(Speaker{}); got > 96 {
 		t.Errorf("Speaker is %d B, budget 96 B: its sessions are one offset into the network's per-session tables, not four slices", got)
