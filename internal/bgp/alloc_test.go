@@ -180,8 +180,7 @@ func TestRestoreAllocBudget(t *testing.T) {
 // per-session RIB and pacing slots are one array. A speaker's first state
 // for a prefix therefore costs the state and that array (once its
 // id-indexed rib has room for the prefix), and the first
-// write to a snapshot's frozen state copies the same two, and two more for a
-// state whose sidecar (stateSide) own clones with it; one array for the
+// write to a snapshot's frozen state copies the same two; one array for the
 // adj-RIBs beside one for the MRAI deadlines costs three. AdjIn hands out a
 // copy, so writing into it leaves the speaker as it was.
 func TestPrefixStateAllocs(t *testing.T) {
@@ -202,36 +201,26 @@ func TestPrefixStateAllocs(t *testing.T) {
 		if err := restored.Restore(snap); err != nil {
 			t.Fatal(err)
 		}
+		sp := restored.Speaker(0)
 		i, ok := restored.prefixID(testPrefix)
-		if !ok {
-			t.Fatal("restored network has no id for the prefix")
+		if !ok || sp.at(i) == nil {
+			t.Fatal("restored speaker has no state for the prefix")
 		}
-		// O carries the prefix one way on each session. T carries it both
-		// ways to D, so T's state has a sidecar, which own clones with its
-		// list of in routes: two allocations more.
-		for _, c := range []struct {
-			node topology.NodeID
-			side bool
-			want float64
-		}{{3, false, 2}, {0, true, 4}} {
-			sp := restored.Speaker(c.node)
-			frozen := sp.at(i)
-			if frozen == nil {
-				t.Fatalf("restored speaker %s has no state for the prefix", sp.node.Name)
-			}
-			if (frozen.side != nil) != c.side {
-				t.Fatalf("speaker %s: sidecar %v, want one: %v", sp.node.Name, frozen.side != nil, c.side)
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				sp.rib[i] = frozen
-				sp.own(i)
-			})
-			if allocs != c.want {
-				t.Fatalf("owning speaker %s's frozen state made %v allocations; want %v", sp.node.Name, allocs, c.want)
-			}
-			if st := sp.rib[i]; st == frozen || st.owner != sp || frozen.owner != nil {
-				t.Fatal("own did not replace the frozen state with a private copy")
-			}
+		frozen := sp.rib[i]
+		// T carries the prefix both ways to D, so its state has a sidecar:
+		// own shares it, and only a write to it clones it.
+		if frozen.side == nil {
+			t.Fatal("speaker 0's state has no sidecar; the budget would not cover one")
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			sp.rib[i] = frozen
+			sp.own(i)
+		})
+		if allocs != 2 {
+			t.Fatalf("owning a frozen state made %v allocations; want 2", allocs)
+		}
+		if st := sp.rib[i]; st == frozen || st.owner != sp || frozen.owner != nil {
+			t.Fatal("own did not replace the frozen state with a private copy")
 		}
 	})
 

@@ -22,6 +22,7 @@ package bgp
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
 
@@ -178,19 +179,16 @@ func (pol *OriginPolicy) check(node topology.NodeID) error {
 	if pol.Prepend < 0 {
 		return fmt.Errorf("bgp: origination at node %d: negative prepend %d", node, pol.Prepend)
 	}
-	if len(pol.PerNeighbor) == 0 {
-		return nil
-	}
-	// In neighbor order, so the error names the lowest offending neighbor.
-	ids := make([]topology.NodeID, 0, len(pol.PerNeighbor))
-	for id := range pol.PerNeighbor {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, nb := range ids {
-		if np := pol.PerNeighbor[nb]; np.Prepend < 0 {
-			return fmt.Errorf("bgp: origination at node %d: negative prepend %d toward neighbor %d", node, np.Prepend, nb)
+	// The lowest offending neighbor, so the error does not depend on the
+	// map's order.
+	bad := topology.NodeID(math.MaxInt32)
+	for nb, np := range pol.PerNeighbor {
+		if np.Prepend < 0 {
+			bad = min(bad, nb)
 		}
+	}
+	if np, ok := pol.PerNeighbor[bad]; ok && np.Prepend < 0 {
+		return fmt.Errorf("bgp: origination at node %d: negative prepend %d toward neighbor %d", node, np.Prepend, bad)
 	}
 	return nil
 }

@@ -45,13 +45,11 @@ func (d *dampState) decayTo(now netsim.Seconds) {
 // flap records one flap at time now and returns whether the route is now
 // suppressed.
 func (s *Speaker) flap(p *prefixState, sess int) bool {
-	if p.side == nil {
-		p.side = &stateSide{}
+	sd := s.side(p)
+	if sd.damp == nil {
+		sd.damp = make([]dampState, len(s.node.Adj))
 	}
-	if p.side.damp == nil {
-		p.side.damp = make([]dampState, len(s.node.Adj))
-	}
-	d := &p.side.damp[sess]
+	d := &sd.damp[sess]
 	now := s.sh.sim.Now()
 	d.decayTo(now)
 	d.penalty += dampPenalty
@@ -70,10 +68,10 @@ func (s *Speaker) dampSuppressed(p *prefixState, sess int) bool {
 	if p.side == nil || p.side.damp == nil {
 		return false
 	}
-	d := &p.side.damp[sess]
-	if !d.suppressed {
+	if !p.side.damp[sess].suppressed {
 		return false
 	}
+	d := &s.side(p).damp[sess]
 	d.decayTo(s.sh.sim.Now())
 	if d.penalty <= dampReuseAt {
 		d.suppressed = false

@@ -33,9 +33,10 @@ func peeredOrigins(t *testing.T) *topology.Topology {
 // TestSessionHoldsBothRoutes follows a session that carries its prefix both
 // ways, the case whose adj-RIB-in route lives in the state's sidecar,
 // through every reader and writer of the slot: AdjIn and the out accessor,
-// the route digest, a session flush, Snapshot, and a restore's first write
-// (own). A write in one world, live or restored, must leave the snapshot
-// and every sibling restore reading the session as it was captured.
+// the route digest, a session flush, Snapshot, a restore's first write
+// (own), and a restore's first write to the sidecar own shares. A write in
+// one world, live or restored, must leave the snapshot and every sibling
+// restore reading the session as it was captured.
 func TestSessionHoldsBothRoutes(t *testing.T) {
 	const p1, p2, c1, c2 = 0, 1, 2, 3
 	topo := peeredOrigins(t)
@@ -95,6 +96,9 @@ func TestSessionHoldsBothRoutes(t *testing.T) {
 		if st.adj[sess].route != nil || a.in(st, sess) != nil || st.sideIn(sess) != nil {
 			t.Fatalf("%s: a flushed session still holds a route", stage)
 		}
+		if st.side != nil {
+			t.Fatalf("%s: P1's sidecar outlived its last entry", stage)
+		}
 		if a.Best(testPrefix) == nil {
 			t.Fatalf("%s: P1 lost its customer route with the peer session", stage)
 		}
@@ -140,6 +144,30 @@ func TestSessionHoldsBothRoutes(t *testing.T) {
 	carries(later, "restored after the flush")
 	if sibling.RouteStateDigest() != want || later.RouteStateDigest() != want {
 		t.Fatal("a restore does not read the state the snapshot captured")
+	}
+
+	// C2 prepends once in another restore, so P2 sends P1 a new route: the
+	// write replaces the entry in the sidecar own shared with the snapshot,
+	// which must clone it first.
+	simC, c := restore()
+	shared := c.Speaker(p1).lookup(testPrefix).side
+	if err := c.Originate(c2, testPrefix, &OriginPolicy{Prepend: 1}); err != nil {
+		t.Fatal(err)
+	}
+	simC.Run()
+	st := c.Speaker(p1).lookup(testPrefix)
+	if in := c.Speaker(p1).AdjIn(testPrefix)[sess]; in == nil || fmt.Sprint(in.Path) != "[20 200 200]" {
+		t.Fatalf("re-originated: P1 holds in %v from P2, want [20 200 200]", in)
+	}
+	if st.side == shared || st.side.owner != c.Speaker(p1) {
+		t.Fatal("re-originated: P1 wrote the snapshot's sidecar instead of a clone")
+	}
+	if got, want := c.RouteStateDigest(), RefRouteStateDigest(c); got != want {
+		t.Fatalf("re-originated: digest differs from the reference renderer:\n got %q\nwant %q", got, want)
+	}
+	carries(sibling, "sibling after the re-origination")
+	if sibling.RouteStateDigest() != want {
+		t.Fatal("a write to a restored sidecar reached a sibling restore")
 	}
 
 	if err := b.SetLinkUp(p1, p2); err != nil {

@@ -113,7 +113,7 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 			f.owner, f.pending = nil, nil
 			f.adj, slots = slots[:nAdj:nAdj], slots[nAdj:]
 			copy(f.adj, st.adj)
-			f.side = st.side.clone()
+			f.side = st.side.clone(nil)
 		}
 		snap.speakers[i] = speakerSnapshot{
 			msgCount:        sp.msgCount,

@@ -100,9 +100,13 @@ type adjSlot struct {
 
 // stateSide is the part of a prefix state that few states write: the
 // adj-RIB-in routes of sessions whose slot holds their adj-RIB-out route,
-// and the damping penalties. It belongs to its state, and own and Snapshot
-// clone it with the state.
+// and the damping penalties. own shares a frozen state's sidecar with the
+// private copy it makes, and the copy's first write to the sidecar clones it
+// (Speaker.side); Snapshot clones the sidecar with its state.
 type stateSide struct {
+	// owner is the one speaker allowed to write this sidecar; nil marks a
+	// snapshot's frozen copy, which own shares until a write.
+	owner *Speaker
 	// in lists the adj-RIB-in routes of the sessions whose slot holds the
 	// session's adj-RIB-out route, in no order: a converged state carries
 	// its prefix both ways on at most a few sessions, so a list costs a
@@ -118,15 +122,40 @@ type sideIn struct {
 	route *Route
 }
 
-// clone is the sidecar's copy for a state's new owner; nil stays nil.
-func (sd *stateSide) clone() *stateSide {
+// clone is the sidecar's copy for owner, nil for a snapshot; nil stays nil.
+func (sd *stateSide) clone(owner *Speaker) *stateSide {
 	if sd == nil {
 		return nil
 	}
-	return &stateSide{in: slices.Clone(sd.in), damp: slices.Clone(sd.damp)}
+	return &stateSide{owner: owner, in: slices.Clone(sd.in), damp: slices.Clone(sd.damp)}
+}
+
+// side returns st's sidecar for writing: allocated on first use, and cloned
+// first while it is still a snapshot's frozen one.
+func (s *Speaker) side(st *prefixState) *stateSide {
+	if st.side == nil {
+		st.side = &stateSide{owner: s}
+	} else if st.side.owner != s {
+		st.side = st.side.clone(s)
+	}
+	return st.side
+}
+
+// sideAt returns the index of session sess's entry in st's sidecar, or -1.
+func (st *prefixState) sideAt(sess int) int {
+	if st.side != nil {
+		for i, e := range st.side.in {
+			if int(e.sess) == sess {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // sideIn returns session sess's adj-RIB-in route in st's sidecar, or nil.
+// It writes sideAt's loop out: through sideAt, in would cost more than the
+// inliner allows.
 func (st *prefixState) sideIn(sess int) *Route {
 	if st.side != nil {
 		for _, e := range st.side.in {
@@ -139,27 +168,22 @@ func (st *prefixState) sideIn(sess int) *Route {
 }
 
 // setSideIn files r, or nil to clear, as session sess's adj-RIB-in route in
-// st's sidecar, allocating the sidecar on first use.
-func (st *prefixState) setSideIn(sess int, r *Route) {
-	if st.side == nil {
-		if r == nil {
-			return
-		}
-		st.side = &stateSide{}
-	}
-	sd := st.side
-	for i := range sd.in {
-		if int(sd.in[i].sess) == sess {
-			if r == nil {
-				sd.in = slices.Delete(sd.in, i, i+1)
-			} else {
-				sd.in[i].route = r
-			}
-			return
-		}
-	}
-	if r != nil {
+// st's sidecar. Clearing the last entry of a sidecar that holds no damping
+// state drops the sidecar.
+func (s *Speaker) setSideIn(st *prefixState, sess int, r *Route) {
+	i := st.sideAt(sess)
+	switch {
+	case r != nil && i >= 0:
+		s.side(st).in[i].route = r
+	case r != nil:
+		sd := s.side(st)
 		sd.in = append(sd.in, sideIn{sess: int32(sess), route: r})
+	case i < 0:
+	case len(st.side.in) == 1 && st.side.damp == nil:
+		st.side = nil
+	default:
+		sd := s.side(st)
+		sd.in = slices.Delete(sd.in, i, i+1)
 	}
 }
 
@@ -172,10 +196,13 @@ func (s *Speaker) outbound(r *Route) bool {
 	return len(r.Path) > 0 && r.Path[0] == s.node.ASN
 }
 
-// in returns session sess's adj-RIB-in route in st, or nil.
+// in returns session sess's adj-RIB-in route in st, or nil. The state's
+// best route is always an adj-RIB-in route and its sent route an
+// adj-RIB-out one, so a slot holding either is told apart without reading
+// the route.
 func (s *Speaker) in(st *prefixState, sess int) *Route {
 	r := st.adj[sess].route
-	if r == nil || !s.outbound(r) {
+	if r == nil || r == st.best || r != st.sent && !s.outbound(r) {
 		return r
 	}
 	return st.sideIn(sess)
@@ -183,7 +210,7 @@ func (s *Speaker) in(st *prefixState, sess int) *Route {
 
 // out returns session sess's adj-RIB-out route in st, or nil.
 func (s *Speaker) out(st *prefixState, sess int) *Route {
-	if r := st.adj[sess].route; r != nil && s.outbound(r) {
+	if r := st.adj[sess].route; r == st.sent || r != nil && r != st.best && s.outbound(r) {
 		return r
 	}
 	return nil
@@ -197,7 +224,7 @@ func (s *Speaker) setIn(st *prefixState, sess int, r *Route) {
 		a.route = r
 		return
 	}
-	st.setSideIn(sess, r)
+	s.setSideIn(st, sess, r)
 }
 
 // setOut files r, or nil to clear, as session sess's adj-RIB-out route in
@@ -207,7 +234,7 @@ func (s *Speaker) setOut(st *prefixState, sess int, r *Route) {
 	a := &st.adj[sess]
 	if cur := a.route; cur != nil && !s.outbound(cur) {
 		if r != nil {
-			st.setSideIn(sess, cur)
+			s.setSideIn(st, sess, cur)
 			a.route = r
 		}
 		return
@@ -215,7 +242,7 @@ func (s *Speaker) setOut(st *prefixState, sess int, r *Route) {
 	a.route = r
 	if r == nil {
 		if a.route = st.sideIn(sess); a.route != nil {
-			st.setSideIn(sess, nil)
+			s.setSideIn(st, sess, nil)
 		}
 	}
 }
@@ -298,9 +325,9 @@ func (s *Speaker) state(id int32) *prefixState {
 // own returns the state for id, which must exist, writable. A restored
 // speaker's rib points at the snapshot's frozen states, shared with every
 // sibling restore; the first write in this world replaces the pointer with
-// a private copy, its sidecar cloned with it when it has one. Routes and
-// originations stay shared (immutable after publish); pending is left nil,
-// as in every frozen state.
+// a private copy. Routes and originations stay shared (immutable after
+// publish), and so does the sidecar until the copy first writes it (side);
+// pending is left nil, as in every frozen state.
 func (s *Speaker) own(id int32) *prefixState {
 	st := s.rib[id]
 	if st.owner == s {
@@ -309,7 +336,6 @@ func (s *Speaker) own(id int32) *prefixState {
 	c := *st
 	c.owner = s
 	c.adj = slices.Clone(st.adj)
-	c.side = st.side.clone()
 	s.rib[id] = &c
 	return &c
 }
